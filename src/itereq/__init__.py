@@ -26,7 +26,6 @@ from .errors import (
     ConstructionError,
     DomainError,
     DomainMismatch,
-    EscapedDomain,
     ItereqError,
     NonConvergence,
     NoSignChange,

@@ -1,38 +1,16 @@
-"""Hot numeric kernels with a numba fast path and a pure-NumPy fallback.
+"""Hot numeric kernels in plain NumPy.
 
 The exhaustive root-table analysis spends nearly all of its time in three
-inner loops: Horner evaluation, bracketed bisection, and Durand-Kerner
-sweeps.  Each kernel below exists twice:
-
-* ``*_py``  -- pure NumPy/Python reference implementation, always defined;
-* ``*_jit`` -- ``@njit``-compiled twin, defined when numba imports cleanly.
-
-The module-level names ``horner``, ``bisect_loop`` and ``dk_sweeps`` are
-bound to one of the two families at import time.  Set the environment
-variable ``ITEREQ_DISABLE_NUMBA=1`` (before import) to force the NumPy
-path; it is also selected automatically when numba is unavailable.
-
-``benchmarks/bench_kernels.py`` times both families side by side.
+inner loops: Horner evaluation, bracketed bisection, and the
+Durand-Kerner sweeps that polish companion-matrix eigenvalues.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG_OFF = os.environ.get("ITEREQ_DISABLE_NUMBA", "").strip().lower() in {
-    "1", "true", "yes", "on",
-}
-
-try:
-    from numba import njit as _njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - environment without numba
-    NUMBA_AVAILABLE = False
-
-USING_NUMBA = NUMBA_AVAILABLE and not _FLAG_OFF
+# recorded by the benchmark's environment block; there is no jitted path
+USING_NUMBA = False
 
 # Bisection/DK iteration caps.  60 halvings shrink any O(10^2) bracket below
 # 1e-15; the caps only guard against cycling on pathological input.
@@ -40,11 +18,7 @@ BISECT_MAX_ITER = 240
 DK_MAX_SWEEPS = 1200
 
 
-# ---------------------------------------------------------------------------
-# Pure NumPy / Python implementations
-# ---------------------------------------------------------------------------
-
-def horner_py(coeffs: np.ndarray, x: float) -> float:
+def horner(coeffs: np.ndarray, x: float) -> float:
     """Evaluate a polynomial (ascending coefficients) at scalar ``x``."""
     acc = 0.0
     for c in coeffs[::-1]:
@@ -52,7 +26,7 @@ def horner_py(coeffs: np.ndarray, x: float) -> float:
     return acc
 
 
-def horner_vec_py(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+def horner_vec(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Horner evaluation broadcast over an array of points."""
     acc = np.zeros_like(x)
     for c in coeffs[::-1]:
@@ -60,7 +34,7 @@ def horner_vec_py(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def bisect_loop_py(
+def bisect_loop(
     coeffs: np.ndarray, lo: float, hi: float, flo: float, xtol: float,
 ) -> tuple[float, float, float, int]:
     """Shrink ``[lo, hi]`` (which brackets a sign change) to width <= xtol.
@@ -73,7 +47,9 @@ def bisect_loop_py(
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # bracket at rounding resolution
             break
-        fm = horner_py(coeffs, mid)
+        fm = 0.0
+        for c in coeffs[::-1]:
+            fm = fm * mid + c
         if flo * fm <= 0.0:
             hi = mid
         else:
@@ -82,7 +58,7 @@ def bisect_loop_py(
     return 0.5 * (lo + hi), lo, hi, it
 
 
-def dk_sweeps_py(
+def dk_sweeps(
     coeffs: np.ndarray,
     z0: np.ndarray,
     resid_tol: float,
@@ -95,15 +71,12 @@ def dk_sweeps_py(
     ``resid_tol`` or every update is below ``step_tol``.  Returns the final
     estimates, the worst residual, and the sweep count.
     """
-    deg = len(coeffs) - 1
     lc = coeffs[-1]
     z = z0.astype(np.complex128).copy()
     best = np.inf
     sweeps = 0
     for sweeps in range(1, DK_MAX_SWEEPS + 1):
-        pz = np.zeros_like(z)
-        for c in coeffs[::-1]:
-            pz = pz * z + c
+        pz = horner_vec(coeffs, z)
         best = float(np.max(np.abs(pz)))
         if best <= resid_tol:
             break
@@ -116,142 +89,14 @@ def dk_sweeps_py(
             z[bad] += 1e-8 * (1.0 + np.abs(z[bad]))
             continue
         dz = pz / denom
-        # trust region: surplus estimates crowding a multiple root can
-        # produce explosive corrections (tiny denominators); cap the step
+        # trust region: estimates crowding a multiple root can produce
+        # explosive corrections (tiny denominators); cap the step
         cap = 0.5 * (1.0 + np.abs(z))
         overshoot = np.abs(dz) > cap
         if np.any(overshoot):
             dz[overshoot] *= cap[overshoot] / np.abs(dz[overshoot])
         z -= dz
         if float(np.max(np.abs(dz))) <= step_tol * (1.0 + float(np.max(np.abs(z)))):
-            pz = np.zeros_like(z)
-            for c in coeffs[::-1]:
-                pz = pz * z + c
-            best = float(np.max(np.abs(pz)))
+            best = float(np.max(np.abs(horner_vec(coeffs, z))))
             break
     return z, best, sweeps
-
-
-# ---------------------------------------------------------------------------
-# numba twins
-# ---------------------------------------------------------------------------
-
-if NUMBA_AVAILABLE:
-
-    @_njit(cache=True)
-    def horner_jit(coeffs, x):  # pragma: no cover - exercised via dispatch
-        acc = 0.0
-        for i in range(len(coeffs) - 1, -1, -1):
-            acc = acc * x + coeffs[i]
-        return acc
-
-    @_njit(cache=True)
-    def horner_vec_jit(coeffs, x):  # pragma: no cover
-        out = np.zeros(x.shape[0])
-        for j in range(x.shape[0]):
-            acc = 0.0
-            for i in range(len(coeffs) - 1, -1, -1):
-                acc = acc * x[j] + coeffs[i]
-            out[j] = acc
-        return out
-
-    @_njit(cache=True)
-    def bisect_loop_jit(coeffs, lo, hi, flo, xtol):  # pragma: no cover
-        it = 0
-        while hi - lo > xtol and it < BISECT_MAX_ITER:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            fm = 0.0
-            for i in range(len(coeffs) - 1, -1, -1):
-                fm = fm * mid + coeffs[i]
-            if flo * fm <= 0.0:
-                hi = mid
-            else:
-                lo = mid
-                flo = fm
-            it += 1
-        return 0.5 * (lo + hi), lo, hi, it
-
-    @_njit(cache=True)
-    def dk_sweeps_jit(coeffs, z0, resid_tol, step_tol):  # pragma: no cover
-        deg = len(coeffs) - 1
-        lc = coeffs[deg]
-        z = z0.astype(np.complex128)
-        best = 1e300
-        sweeps = 0
-        for sweeps in range(1, DK_MAX_SWEEPS + 1):
-            max_resid = 0.0
-            max_step = 0.0
-            max_abs = 0.0
-            for i in range(deg):
-                pz = complex(0.0, 0.0)
-                for c in range(deg, -1, -1):
-                    pz = pz * z[i] + coeffs[c]
-                apz = abs(pz)
-                if apz > max_resid:
-                    max_resid = apz
-                denom = complex(lc, 0.0)
-                for j in range(deg):
-                    if j != i:
-                        denom *= z[i] - z[j]
-                if abs(denom) < 1e-290:
-                    z[i] += 1e-8 * (1.0 + abs(z[i]))
-                    continue
-                dz = pz / denom
-                adz = abs(dz)
-                cap = 0.5 * (1.0 + abs(z[i]))
-                if adz > cap:
-                    dz *= cap / adz
-                    adz = cap
-                z[i] -= dz
-                if adz > max_step:
-                    max_step = adz
-                azi = abs(z[i])
-                if azi > max_abs:
-                    max_abs = azi
-            best = max_resid
-            if max_resid <= resid_tol:
-                break
-            if max_step <= step_tol * (1.0 + max_abs):
-                max_resid = 0.0
-                for i in range(deg):
-                    pz = complex(0.0, 0.0)
-                    for c in range(deg, -1, -1):
-                        pz = pz * z[i] + coeffs[c]
-                    apz = abs(pz)
-                    if apz > max_resid:
-                        max_resid = apz
-                best = max_resid
-                break
-        return z, best, sweeps
-
-else:  # pragma: no cover
-    horner_jit = None
-    horner_vec_jit = None
-    bisect_loop_jit = None
-    dk_sweeps_jit = None
-
-
-if USING_NUMBA:
-    horner = horner_jit
-    horner_vec = horner_vec_jit
-    bisect_loop = bisect_loop_jit
-    dk_sweeps = dk_sweeps_jit
-else:
-    horner = horner_py
-    horner_vec = horner_vec_py
-    bisect_loop = bisect_loop_py
-    dk_sweeps = dk_sweeps_py
-
-
-def warmup() -> None:
-    """Trigger JIT compilation (cached on disk) with tiny inputs.
-
-    Call once before timing anything; a no-op on the NumPy path.
-    """
-    c = np.array([-1.0, 0.0, 1.0])
-    horner(c, 0.5)
-    horner_vec(c, np.array([0.5, 2.0]))
-    bisect_loop(c, 0.0, 2.0, -1.0, 1e-12)
-    dk_sweeps(c, np.array([1.5 + 0.5j, -1.5 - 0.5j]), 1e-13, 1e-14)

@@ -52,10 +52,6 @@ class BadAnchor(ItereqError):
     """Involution data violates its anchor or boundary-limit conditions."""
 
 
-class EscapedDomain(ItereqError):
-    """An iterate left the domain it must stay inside."""
-
-
 class TooShort(ItereqError):
     """An orbit does not provide enough points for the requested operation."""
 

@@ -736,7 +736,24 @@ def invert_solution(s: Solution, y: float) -> float:
 
 
 def solution_from_json(obj: dict) -> Solution:
-    """Rebuild a solution from its JSON form (see ``Solution.to_json``)."""
+    """Rebuild a solution from its JSON form (see ``Solution.to_json``).
+
+    Raises :class:`ConstructionError` naming the problem when ``obj`` is
+    not a JSON object or lacks a field its family needs.
+    """
+    if not isinstance(obj, dict):
+        raise ConstructionError(
+            f"a solution spec must be a JSON object, got {type(obj).__name__}"
+        )
+    try:
+        return _solution_from_fields(obj)
+    except KeyError as exc:
+        raise ConstructionError(
+            f"solution spec is missing field {exc.args[0]!r}"
+        ) from None
+
+
+def _solution_from_fields(obj: dict) -> Solution:
     domain = Interval.from_json(obj["domain"])
     family = obj["family"]
     params = obj.get("params", {})

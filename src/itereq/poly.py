@@ -2,8 +2,9 @@
 
 Coefficients are stored in ascending order (constant term first), matching
 the characteristic form ``sum_i a_i r^i``.  Root finding is split between
-bracketed bisection (for real roots with known isolation intervals) and a
-Durand-Kerner simultaneous iteration (for the full complex spectrum).
+bracketed bisection (for real roots with known isolation intervals) and
+companion-matrix eigenvalues polished by Durand-Kerner sweeps (for the
+full complex spectrum).
 """
 
 from __future__ import annotations
@@ -96,13 +97,6 @@ def evaluate(p: Polynomial, x):
     if isinstance(x, np.ndarray):
         return _kernels.horner_vec(p.as_array(), np.asarray(x, dtype=np.float64))
     return float(_kernels.horner(p.as_array(), float(x)))
-
-
-def evaluate_complex(p: Polynomial, z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in reversed(p.coeffs):
-        acc = acc * z + c
-    return acc
 
 
 def multiply_linear(p: Polynomial, root_shift: float) -> Polynomial:
@@ -218,116 +212,116 @@ def newton_polish(p: Polynomial, x: float, steps: int = 3) -> float:
     return best_x
 
 
-def _start_circle(
-    p: Polynomial, angle_offset: float = 0.5, radius_factor: float = 1.0
-) -> np.ndarray:
-    """Durand-Kerner start: points on a circle of radius 1 + max|c_i/c_deg|.
+def _companion_eigenvalues(c: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the companion matrix of ascending coefficients ``c``.
 
-    The angles carry a fixed offset so the configuration is not mirror
-    symmetric about the real axis, which can stall the iteration on real
-    polynomials.  ``angle_offset`` and ``radius_factor`` vary the start
-    between retry attempts.
+    LAPACK balances the matrix and returns real eigenvalues with zero
+    imaginary part and complex ones in exact conjugate pairs.
     """
-    deg = p.degree
-    lead = p.coeffs[-1]
-    radius = 1.0 + max(abs(c / lead) for c in p.coeffs[:-1]) if deg > 0 else 1.0
-    radius *= radius_factor
-    angles = 2.0 * np.pi * (np.arange(deg) + 0.25) / deg + angle_offset / deg
-    return radius * np.exp(1j * angles)
+    comp = np.diag(np.ones(len(c) - 2), -1)
+    comp[0, :] = -c[-2::-1] / c[-1]
+    return np.linalg.eigvals(comp)
 
 
-def _pair_conjugates(z: np.ndarray, tol: float) -> np.ndarray:
-    """Symmetrize a root list of a real polynomial.
+def _disk_radii(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Radii ``n |W_i|`` of the Weierstrass inclusion disks around ``z``.
 
-    Estimates with tiny imaginary part are snapped to the real axis; the
-    rest are matched into conjugate pairs and each pair is replaced by
-    ``re +/- i*im`` of its average.
+    ``W_i = p(z_i) / (c_n prod_{j != i} (z_i - z_j))`` is the Durand-Kerner
+    correction.  The disks cover every root, and a connected union of m of
+    them holds exactly m roots (Braess & Hadeler, 1973), so a disk that
+    meets no other holds exactly one simple root.  ``|p(z_i)|`` is taken
+    with a bound on Horner's rounding error added, so that noise near a
+    multiple root cannot shrink a disk.  A collapsed pair of estimates
+    gets an infinite radius.
     """
-    z = z.copy()
-    real_cut = max(1e-8, 100.0 * tol)
-    is_real = np.abs(z.imag) <= real_cut * (1.0 + np.abs(z))
-    z[is_real] = z[is_real].real
-    plus = [i for i in range(len(z)) if z[i].imag > 0]
-    minus = [i for i in range(len(z)) if z[i].imag < 0]
-    used = set()
-    for i in plus:
-        best_j, best_d = None, np.inf
-        for j in minus:
-            if j in used:
-                continue
-            d = abs(z[j] - np.conj(z[i]))
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_j is None:
-            # unpaired estimate: force it onto the real axis
-            z[i] = z[i].real
-            continue
-        used.add(best_j)
-        re = 0.5 * (z[i].real + z[best_j].real)
-        im = 0.5 * (z[i].imag - z[best_j].imag)
-        z[i] = complex(re, im)
-        z[best_j] = complex(re, -im)
-    for j in minus:
-        if j not in used:
-            z[j] = z[j].real
-    return z
+    n = len(z)
+    rounding = 4.0 * n * np.finfo(float).eps * _kernels.horner_vec(np.abs(c), np.abs(z))
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = (np.abs(_kernels.horner_vec(c, z)) + rounding) / np.abs(c[-1] * np.prod(diff, axis=1))
+    radius = n * w
+    return np.where(np.isnan(radius), np.inf, radius)
 
 
-def _merge_clusters(z: np.ndarray, p: Polynomial, tol: float) -> list[ComplexRoot]:
-    """Group estimates that describe one multiple root.
+def _cluster_labels(z: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Smallest index in the connected cluster of overlapping disks of each estimate."""
+    touch = np.abs(z[:, None] - z[None, :]) <= radius[:, None] + radius[None, :]
+    labels = np.arange(len(z))
+    while True:
+        nxt = np.where(touch, labels[None, :], len(z)).min(axis=1)
+        if np.array_equal(nxt, labels):
+            return labels
+        labels = nxt
 
-    A multiple root of multiplicity m is only located to ~(residual)^(1/m)
-    by simultaneous iteration, so the merge radius uses the local Newton
-    step |p(z)/p'(z)| as a conditioning-aware error estimate on top of the
-    base ``10 * tol`` radius.  The numerator is floored at the rounding
-    level of the evaluation: near a multiple root the computed |p(z)| is
-    noise and can fluctuate far below its floor, which would make the
-    estimate arbitrarily optimistic.
+
+def _polish_simple(p: Polynomial, z0: np.ndarray, tol: float) -> list[ComplexRoot]:
+    """Polish isolated estimates by Durand-Kerner and apply the residual test.
+
+    Each estimate sits alone in its inclusion disk, which is symmetric
+    about the real axis for a real estimate: real estimates stay real
+    roots and conjugate pairs stay pairs, so both are re-symmetrized
+    exactly after the sweeps.  Every root must then leave a residual
+    within ``tol`` of the coefficient norm or of the evaluation magnitude
+    at the root, whichever is larger.
     """
-    dp = p.derivative()
-    eps = float(np.finfo(float).eps)
+    c = p.as_array()
+    real = z0[z0.imag == 0.0].real
+    upper = z0[z0.imag > 0.0]
+    nr, nu = len(real), len(upper)
+    start = np.concatenate([real, upper, upper.conj()])
+    z, _, _ = _kernels.dk_sweeps(c, start, tol * p.inf_norm, 1e-15)
+    upper = 0.5 * (z[nr : nr + nu] + z[nr + nu :].conj())
+    z = np.concatenate([z[:nr].real, upper, upper.conj()])
 
-    def err_radius(v: complex) -> float:
-        pd = evaluate_complex(dp, v)
-        pv = evaluate_complex(p, v)
-        if abs(pd) == 0.0:
-            return np.inf
-        floor = eps * eval_condition_scale(p, abs(v))
-        return max(abs(pv), floor) / abs(pd)
+    resid = np.abs(_kernels.horner_vec(c, z))
+    allowed = tol * np.maximum(p.inf_norm, _kernels.horner_vec(np.abs(c), np.abs(z)))
+    if np.any(resid > allowed):
+        worst = float(np.max(resid / allowed))
+        raise NonConvergence(
+            f"root residual {worst:.3e} times its limit after polishing",
+            best_residual=float(np.max(resid)),
+        )
+    roots = [ComplexRoot(v.real, v.imag) for v in z]
+    roots.sort(key=lambda r: (r.re, r.im))
+    return roots
 
-    remaining = sorted((complex(v) for v in z), key=lambda v: (v.real, v.imag))
-    groups: list[list[complex]] = []
-    for v in remaining:
-        placed = False
-        for g in groups:
-            ref = g[0]
-            radius = 10.0 * (tol + err_radius(v) + err_radius(ref))
-            if abs(v - ref) <= radius:
-                g.append(v)
-                placed = True
-                break
-        if not placed:
-            groups.append([v])
+
+def _merge_clusters(
+    p: Polynomial, z: np.ndarray, labels: np.ndarray, tol: float
+) -> list[ComplexRoot]:
+    """One root of multiplicity m per cluster of m overlapping disks.
+
+    The cluster mean locates the multiple root far better than any of its
+    members.  A real m-fold root is a simple root of the (m-1)-th
+    derivative, where Newton recovers full double-precision accuracy.
+    Clusters above the real axis are mirrored below it.  The merged list
+    is accepted only if it re-expands to the coefficients of ``p``.
+    """
     roots: list[ComplexRoot] = []
-    for g in groups:
+    for label in np.unique(labels):
+        g = z[labels == label]
         m = len(g)
-        center = sum(g) / m
-        if m > 1 and abs(center.imag) <= 1e-6 * (1.0 + abs(center)):
-            # an m-fold root is a simple root of the (m-1)-th derivative;
-            # Newton there recovers the full double-precision accuracy the
-            # stalled simultaneous iteration cannot reach
+        center = complex(g.mean())
+        if abs(center.imag) <= (1e-6 * (1.0 + abs(center)) if m > 1 else 0.0):
             dm = p
             for _ in range(m - 1):
                 dm = dm.derivative()
             polished = newton_polish(dm, center.real, steps=4)
-            spread = max(abs(v - center) for v in g)
+            spread = float(np.max(np.abs(g - center)))
             if abs(polished - center.real) <= 2.0 * spread + 10.0 * tol:
                 center = complex(polished, 0.0)
-        if abs(center.imag) <= 1e-12 * (1.0 + abs(center)):
             roots.append(ComplexRoot(center.real, 0.0, m))
-        else:
+        elif center.imag > 0.0:
             roots.append(ComplexRoot(center.real, center.imag, m))
+            roots.append(ComplexRoot(center.real, -center.imag, m))
     roots.sort(key=lambda r: (r.re, r.im))
+    err = _factorization_error(p, roots)
+    if err > 1e-7 * max(1.0, float(p.degree)):
+        raise NonConvergence(
+            f"merged root clusters re-expand with coefficient error {err:.3e}",
+            best_residual=err,
+        )
     return roots
 
 
@@ -342,127 +336,24 @@ def _factorization_error(p: Polynomial, roots: Sequence[ComplexRoot]) -> float:
     )
 
 
-def _expand_complex(roots: Sequence[complex]) -> np.ndarray:
-    """Ascending coefficients of ``prod (x - root_i)`` in complex arithmetic."""
-    cs = np.array([1.0 + 0.0j])
-    for root in roots:
-        nxt = np.zeros(len(cs) + 1, dtype=np.complex128)
-        nxt[1:] += cs
-        nxt[:-1] -= root * cs
-        cs = nxt
-    return cs
-
-
-def _refine_root_set(
-    p: Polynomial, roots: list[ComplexRoot], iters: int = 4
-) -> list[ComplexRoot]:
-    """Newton refinement of the whole root set on the coefficient map.
-
-    Individually converged estimates near a root cluster satisfy their own
-    residuals yet reconstruct the coefficients only to the cluster's
-    conditioning level; a few joint Newton steps on
-    ``roots -> coefficients`` (least squares over real parameters,
-    conjugate pairs held symmetric) restore backward-stable agreement.
-    Each step is kept only if it reduces the factorization error.
-    """
-    lc = p.coeffs[-1]
-    target = np.asarray(p.coeffs)
-
-    def flat_factors(rs: list[ComplexRoot]) -> list[complex]:
-        flat: list[complex] = []
-        for r in rs:
-            flat.extend([r.as_complex()] * r.multiplicity)
-        return flat
-
-    current = list(roots)
-    best_err = _factorization_error(p, current)
-    for _ in range(iters):
-        if best_err < 64.0 * np.finfo(float).eps:
-            break
-        factors = flat_factors(current)
-        rebuilt = np.asarray(expand_root_list(current, lc).coeffs)
-        resid = target - rebuilt
-
-        # one column of d(coeffs)/d(parameter) per real degree of freedom
-        cols: list[np.ndarray] = []
-        updates: list[tuple[int, str]] = []
-        for idx, r in enumerate(current):
-            if r.im < 0.0:
-                continue  # moved with its conjugate partner
-            z = r.as_complex()
-            others = list(factors)
-            others.remove(z)
-            q = np.zeros(len(target), dtype=np.complex128)
-            qc = _expand_complex(others)
-            q[: len(qc)] = lc * qc
-            m = r.multiplicity
-            if r.im == 0.0:
-                cols.append(-m * q.real)
-                updates.append((idx, "re"))
-            else:
-                cols.append(-2.0 * m * q.real)
-                updates.append((idx, "re"))
-                cols.append(2.0 * m * q.imag)
-                updates.append((idx, "im"))
-        if not cols:
-            break
-        jac = np.column_stack(cols)
-        try:
-            delta, *_ = np.linalg.lstsq(jac, resid, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-
-        trial = list(current)
-        for (idx, part), d in zip(updates, delta):
-            r = trial[idx]
-            if part == "re":
-                trial[idx] = ComplexRoot(r.re + d, r.im, r.multiplicity)
-            else:
-                trial[idx] = ComplexRoot(r.re, r.im + d, r.multiplicity)
-        # re-symmetrize conjugate partners
-        for idx, r in enumerate(trial):
-            if r.im < 0.0:
-                partner = min(
-                    (s for s in trial if s.im > 0.0),
-                    key=lambda s: abs(complex(s.re, -s.im) - r.as_complex()),
-                    default=None,
-                )
-                if partner is not None:
-                    trial[idx] = ComplexRoot(
-                        partner.re, -partner.im, r.multiplicity
-                    )
-        err = _factorization_error(p, trial)
-        if err < best_err:
-            current, best_err = trial, err
-        else:
-            break
-    current.sort(key=lambda r: (r.re, r.im))
-    return current
-
-
-# (angle offset, radius factor, residual fast-path on/off) per attempt;
-# later attempts drop the residual stop because parked estimates on a
-# multiple root can fake convergence while another root is still unfound
-_DK_ATTEMPTS = ((0.5, 1.0, True), (0.5, 1.0, False), (1.7, 1.25, False), (2.9, 0.8, False))
-
-
 def all_roots(p: Polynomial, tol: float = 1e-12) -> list[ComplexRoot]:
-    """All complex roots (with multiplicity) by simultaneous iteration.
+    """All complex roots (with multiplicity) of a real polynomial.
 
-    Runs Durand-Kerner sweeps from a Cauchy-circle start, symmetrizes the
-    estimates into conjugate pairs, merges clustered estimates into
-    multiple roots, and accepts the result only if (a) every root's
-    residual clears ``tol`` relative to the coefficient norm or to the
-    evaluation magnitude at the root, whichever is larger, and (b) the
-    re-expanded factorization reproduces the coefficients.  On failure
-    the iteration restarts from perturbed configurations; exhausted
-    retries raise :class:`NonConvergence` with the best residual seen.
+    Starts from the companion-matrix eigenvalues, which are backward
+    stable (Edelman & Murakami, 1995), and draws the Weierstrass
+    inclusion disk around each.  When the disks are pairwise disjoint
+    every root is simple: the estimates are polished by Durand-Kerner
+    sweeps and each must pass the residual test (``tol`` relative to the
+    coefficient norm or to the evaluation magnitude at the root).
+    Overlapping disks mark a multiple root: each connected cluster is
+    reported as one root of its size, and the merged list must re-expand
+    to the coefficients.  A failed test raises :class:`NonConvergence`.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
 
     # roots at exactly zero show up as trailing zero coefficients; peel
-    # them off exactly rather than asking the iteration to resolve them
+    # them off exactly rather than asking the eigensolver to resolve them
     zero_mult = 0
     while zero_mult < p.degree and p.coeffs[zero_mult] == 0.0:
         zero_mult += 1
@@ -475,31 +366,12 @@ def all_roots(p: Polynomial, tol: float = 1e-12) -> list[ComplexRoot]:
             zero_root + all_roots(reduced, tol), key=lambda r: (r.re, r.im)
         )
 
-    scale = p.inf_norm
-    best_seen = np.inf
-    for angle, factor, fast_path in _DK_ATTEMPTS:
-        z0 = _start_circle(p, angle, factor)
-        resid_stop = tol * scale if fast_path else 0.0
-        z, best, _ = _kernels.dk_sweeps(p.as_array(), z0, resid_stop, 1e-15)
-        best_seen = min(best_seen, best)
-        z = np.asarray(z)
-        ok = True
-        for zi in z:
-            allowed = tol * max(scale, eval_condition_scale(p, abs(zi)))
-            if abs(evaluate_complex(p, complex(zi))) > allowed:
-                ok = False
-                break
-        if not ok:
-            continue
-        roots = _merge_clusters(_pair_conjugates(z, tol), p, tol)
-        roots = _refine_root_set(p, roots)
-        if _factorization_error(p, roots) <= 1e-7 * max(1.0, float(p.degree)):
-            return roots
-    raise NonConvergence(
-        f"simultaneous iteration failed to factor the polynomial "
-        f"(best residual {best_seen:.3e})",
-        best_residual=float(best_seen),
-    )
+    c = p.as_array()
+    z = _companion_eigenvalues(c)
+    labels = _cluster_labels(z, _disk_radii(c, z))
+    if len(np.unique(labels)) == len(z):
+        return _polish_simple(p, z, tol)
+    return _merge_clusters(p, z, labels, tol)
 
 
 def from_roots(roots: Iterable[complex], leading: float = 1.0) -> Polynomial:

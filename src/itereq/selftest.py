@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels
 from .charpoly import (
     CharProblem,
     analyze_roots,
@@ -367,8 +366,7 @@ CRITERIA: tuple[tuple[int, str, Callable[[], CriterionResult]], ...] = (
 
 
 def run_all(verbose: bool = False) -> list[CriterionResult]:
-    """Execute the full battery; kernels are warmed up outside any timer."""
-    _kernels.warmup()
+    """Execute the full battery."""
     results = []
     for number, name, fn in CRITERIA:
         try:

@@ -314,8 +314,3 @@ def antimonotone_signs_constant(orbit: Orbit) -> bool:
         if term != 0.0:
             signs.append(math.copysign(1.0, term))
     return len(set(signs)) <= 1
-
-
-def escape_fraction(report: VerifyReport) -> float:
-    total = report.points_evaluated + report.points_escaped
-    return report.points_escaped / total if total else 0.0

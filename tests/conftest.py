@@ -1,19 +1,9 @@
-import pytest
 from hypothesis import HealthCheck, settings
-
-from itereq import _kernels
 
 settings.register_profile(
     "default",
-    deadline=None,  # first call may hit the JIT compiler
+    deadline=None,
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the jitted kernels once so timed tests measure steady state."""
-    _kernels.warmup()
-    yield

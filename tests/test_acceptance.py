@@ -4,8 +4,7 @@ The criteria live in ``itereq.selftest`` so that ``itereq selftest``
 (the CLI entry point) and this module run the identical battery.  Every
 tolerance is pinned there: residuals at 1e-9, separation floor 1e-6,
 anchor reproduction at 1e-10, prediction error 1e-6, the 5 s root-table
-and 2 s family-verification budgets (measured after JIT warmup, which
-the session fixture provides).
+and 2 s family-verification budgets.
 """
 
 import math

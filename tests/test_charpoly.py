@@ -295,3 +295,21 @@ def test_concurrent_analyses_are_reentrant():
     for report in reports:
         ok, problems = report_matches_expectation(report)
         assert ok, problems
+
+
+@pytest.mark.parametrize(
+    "n,k", [(46, 2), (55, 0), (55, 1), (59, 19), (60, 1), (63, 13), (64, 16)]
+)
+def test_spectrum_past_the_paper_range(n, k):
+    prob = CharProblem(n, k)
+    report = analyze_roots(prob)
+    ok, problems = report_matches_expectation(report)
+    assert ok, problems
+    # backward error of every root against the undeflated polynomial
+    coeffs = build_char_poly(prob).coeffs
+    roots = [complex(r.value) for r in report.real_roots]
+    roots += [z.as_complex() for z in report.complex_roots]
+    for z in roots:
+        value = sum(c * z**i for i, c in enumerate(coeffs))
+        magnitude = sum(abs(c) * abs(z) ** i for i, c in enumerate(coeffs))
+        assert abs(value) / magnitude <= 1e-8, z

@@ -49,6 +49,12 @@ def test_analyze_unknown_flag_is_an_error(capsys):
     assert code == 2
 
 
+def test_analyze_past_the_paper_range(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--n", "60", "--k", "1")
+    assert code == 0, err
+    assert "expectations matched: True" in out
+
+
 def test_analyze_json_is_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "analyze", "--n", "5", "--k", "2", "--json")
     _, out2, _ = run_cli(capsys, "analyze", "--n", "5", "--k", "2", "--json")
@@ -227,6 +233,25 @@ def test_verify_missing_file_exit_2(tmp_path, capsys):
         "--solution", str(tmp_path / "missing.json"),
     )
     assert code == 2
+
+
+def test_verify_non_object_spec_exit_2(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "verify", "--n", "3", "--k", "1",
+        "--solution", write_spec(tmp_path, [1, 2]),
+    )
+    assert code == 2
+    assert "must be a JSON object, got list" in err
+
+
+def test_orbit_spec_missing_domain_exit_2(tmp_path, capsys):
+    spec = {"family": "identity", "params": {}}
+    code, _, err = run_cli(
+        capsys, "orbit", "--solution", write_spec(tmp_path, spec),
+        "--x0", "0", "--steps", "3",
+    )
+    assert code == 2
+    assert "missing field 'domain'" in err
 
 
 # ---------------------------------------------------------------------------

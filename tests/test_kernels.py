@@ -1,80 +1,27 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from itereq import _kernels
-
-
-coeff_lists = st.lists(
-    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
-    min_size=2,
-    max_size=10,
-).filter(lambda cs: abs(cs[-1]) > 1e-6)
-
-
-@given(coeff_lists, st.floats(min_value=-5.0, max_value=5.0))
-def test_horner_paths_agree(coeffs, x):
-    arr = np.asarray(coeffs)
-    a = _kernels.horner_py(arr, x)
-    b = _kernels.horner(arr, x)
-    assert b == pytest.approx(a, rel=1e-13, abs=1e-13)
-
-
-@given(coeff_lists)
-def test_horner_vec_paths_agree(coeffs):
-    arr = np.asarray(coeffs)
-    xs = np.linspace(-3.0, 3.0, 17)
-    a = _kernels.horner_vec_py(arr, xs)
-    b = _kernels.horner_vec(arr, xs)
-    assert np.allclose(a, b, rtol=1e-13, atol=1e-13)
+from itereq.poly import Polynomial, all_roots, bisect_root
 
 
 def test_bisect_paths_agree():
     arr = np.asarray([-1.0, 0.0, 1.0])  # r^2 - 1
-    mid_py, lo_py, hi_py, _ = _kernels.bisect_loop_py(arr, 0.0, 2.0, -1.0, 1e-12)
     mid, lo, hi, _ = _kernels.bisect_loop(arr, 0.0, 2.0, -1.0, 1e-12)
-    assert mid_py == pytest.approx(1.0, abs=1e-11)
-    assert mid == pytest.approx(mid_py, abs=1e-11)
+    assert mid == pytest.approx(1.0, abs=1e-11)
+    assert lo <= 1.0 <= hi
+    assert bisect_root(Polynomial(tuple(arr)), 0.0, 2.0, tol=1e-12) == pytest.approx(
+        mid, abs=1e-11
+    )
 
 
 def test_dk_paths_find_same_roots():
+    # circle-started sweeps and the companion-eigenvalue path agree
     arr = np.asarray([-6.0, 11.0, -6.0, 1.0])  # (r-1)(r-2)(r-3)
     z0 = np.exp(1j * np.linspace(0.3, 2 * np.pi, 3, endpoint=False)) * 7.0
-    z_py, best_py, _ = _kernels.dk_sweeps_py(arr, z0, 1e-13, 1e-15)
-    z_jit, best_jit, _ = _kernels.dk_sweeps(arr, z0, 1e-13, 1e-15)
-    assert sorted(np.round(z_py.real, 8)) == [1.0, 2.0, 3.0]
-    assert sorted(np.round(np.asarray(z_jit).real, 8)) == [1.0, 2.0, 3.0]
-    assert best_py <= 1e-12 and best_jit <= 1e-12
-
-
-def test_env_flag_selects_numpy_path():
-    code = (
-        "import os; os.environ['ITEREQ_DISABLE_NUMBA'] = '1';"
-        "from itereq import _kernels;"
-        "assert not _kernels.USING_NUMBA;"
-        "assert _kernels.horner is _kernels.horner_py;"
-        "from itereq.charpoly import CharProblem, analyze_roots;"
-        "r = analyze_roots(CharProblem(4, 1));"
-        "assert len(r.complex_roots) == 2;"
-        "print('numpy path ok')"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert "numpy path ok" in out.stdout
-
-
-def test_active_path_matches_environment():
-    import os
-
-    flag = os.environ.get("ITEREQ_DISABLE_NUMBA", "").strip().lower()
-    if flag in {"1", "true", "yes", "on"} or not _kernels.NUMBA_AVAILABLE:
-        assert not _kernels.USING_NUMBA
-    else:
-        assert _kernels.USING_NUMBA
-        assert _kernels.horner is _kernels.horner_jit
+    z, best, _ = _kernels.dk_sweeps(arr, z0, 1e-13, 1e-15)
+    assert sorted(np.round(z.real, 8)) == [1.0, 2.0, 3.0]
+    assert best <= 1e-12
+    roots = all_roots(Polynomial(tuple(arr)))
+    assert [r.re for r in roots] == pytest.approx(sorted(z.real), abs=1e-10)
+    assert all(r.im == 0.0 and r.multiplicity == 1 for r in roots)
