@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -334,6 +335,10 @@ def _read_orbit_csv(path: str) -> Orbit:
                 m, v = int(parts[0]), float(parts[1])
             except (ValueError, IndexError):
                 continue  # header or malformed line
+            if not math.isfinite(v):
+                raise ItereqError(
+                    f"orbit value at row index {m} is not finite: {v!r}"
+                )
             rows.append((m, v))
     if not rows:
         raise ItereqError(f"no orbit rows found in {path!r}")

@@ -414,6 +414,16 @@ def test_fit_recurrence_prediction_failure_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_recurrence_non_finite_value_exit_2(tmp_path, capsys, bad):
+    code, _, err = run_cli(
+        capsys, "fit-recurrence", "--n", "2", "--k", "1",
+        "--orbit", _write_orbit_csv(tmp_path, [1.0, 2.0, 4.0, 8.0, bad]),
+    )
+    assert code == 2
+    assert "row index 4" in err and "not finite" in err
+
+
 def test_solve_human_readable_output(capsys):
     code, out, _ = run_cli(
         capsys, "solve", "--n", "3", "--k", "1", "--interval", "(-inf,inf)",

@@ -1,21 +1,34 @@
 import math
+import os
+import subprocess
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from itereq.charpoly import CharProblem, analyze_roots, build_char_poly
+import itereq
+from itereq.charpoly import (
+    CharProblem,
+    RealRootRecord,
+    analyze_roots,
+    build_char_poly,
+)
 from itereq.errors import DomainError, SingularSystem, TooShort
-from itereq.families import Affine, ThreePiece, Translation
+from itereq.families import Affine, ThreePiece, Translation, enumerate_families
 from itereq.intervals import REAL_LINE
 from itereq.recurrence import (
+    _assemble,
+    _spectrum_terms,
     check_recurrence,
     fit_closed_form,
     predict,
     prediction_error,
     single_regime,
 )
+from itereq.selftest import _fit_cases
 from itereq.verify import Orbit, iterate
 
 
@@ -99,6 +112,14 @@ def test_fit_constant_orbit():
     assert weights[-2.0] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_fit_orbit_near_overflow():
+    orbit = orbit_from_values([1e305] * 8)
+    cf = fit_closed_form(orbit, analyze_roots(CharProblem(2, 0)))
+    weights = {round(t.lam, 6): t.coeffs[0] for t in cf.real_terms}
+    assert weights[1.0] == pytest.approx(1e305, rel=1e-12)
+    assert weights[-2.0] == pytest.approx(0.0, abs=1e293)
+
+
 def test_fit_reproduces_anchors_exactly():
     slope = analyze_roots(CharProblem(4, 1)).real_root_in(0.0, 1.0)
     sol = ThreePiece(REAL_LINE, 0.0, 1.0, slope)
@@ -169,6 +190,25 @@ def test_fit_singular_for_repeated_spectrum_entry():
     )
     with pytest.raises(SingularSystem):
         fit_closed_form(orbit, bad)
+    # two nearly repeated roots pass the condition guard (about 4e9), but
+    # their weights of about +-1e9 cancel in double precision, so the fit
+    # cannot reproduce its anchors; the failure names the error and limit
+    near = spectrum.__class__(
+        problem=CharProblem(2, 0),
+        real_roots=(
+            RealRootRecord(1.0, 1, (0.5, 1.0)),
+            RealRootRecord(1.0 + 1e-9, 1, (1.0, 1.5)),
+        ),
+        complex_roots=(),
+        bound_2n1_ok=True,
+        modulus_separation_min_gap=None,
+    )
+    with pytest.raises(
+        SingularSystem,
+        match=r"fit does not reproduce anchor \d: .*, "
+        r"error \d\.\d{3}e-0[5-8] exceeds 2\.700e-09",
+    ):
+        fit_closed_form(orbit_from_values([0.3, 1.7, 2.0]), near)
 
 
 # ---------------------------------------------------------------------------
@@ -243,3 +283,123 @@ def test_fit_is_linear_in_the_orbit(x0, y0):
     ):
         for ca, cb, cs in zip(t_a.coeffs, t_b.coeffs, t_s.coeffs):
             assert cs == pytest.approx(ca + cb, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# refinement and the 50-digit reference solve
+# ---------------------------------------------------------------------------
+
+
+def test_refined_fit_predicts_three_piece_3_1_to_index_30():
+    # the orbit decays like 0.414^j, so the weight of the root -2.414 is
+    # about 1e-19; a bare double solve leaves about 1e-17 there, which
+    # 2.414^30 turns into a prediction error of 3e-6 at index 30
+    slope = analyze_roots(CharProblem(3, 1)).real_root_in(0.0, 1.0)
+    sol = ThreePiece(REAL_LINE, 0.0, 1.0, slope)
+    orbit = iterate(sol, -1.0, 0, 30)
+    cf = fit_closed_form(orbit, analyze_roots(CharProblem(3, 1)), regime_of=sol)
+    assert prediction_error(cf, orbit, 3, 30) <= 1e-6
+
+
+def _solve_extended(reals, complexes, anchors, deg):
+    """The anchor system built and LU-solved at 50 digits (reference)."""
+    with mp.workdps(50):
+        rows = []
+        for j in range(deg):
+            row = []
+            jm = mp.mpf(j)
+            for lam, mult in reals:
+                pw = mp.mpf(lam) ** j
+                for t in range(mult):
+                    row.append(jm**t * pw)
+            for mod, phi, mult in complexes:
+                env = mp.mpf(mod) ** j
+                cosv, sinv = mp.cos(jm * mp.mpf(phi)), mp.sin(jm * mp.mpf(phi))
+                for t in range(mult):
+                    row.append(jm**t * cosv * env)
+                    row.append(jm**t * sinv * env)
+            rows.append(row)
+        b = mp.matrix([mp.mpf(float(v)) for v in anchors])
+        return [float(v) for v in mp.lu_solve(mp.matrix(rows), b)]
+
+
+def _reference_fit(orbit, spectrum):
+    deg = spectrum.problem.degree
+    reals, complexes = _spectrum_terms(spectrum)
+    anchors = orbit.forward_values()[:deg]
+    return _assemble(
+        reals, complexes, _solve_extended(reals, complexes, anchors, deg)
+    )
+
+
+def _workload_cases(seed):
+    """Every family of every (n, k), 2 <= n <= 15, drawn as the fit workload."""
+    rng = np.random.default_rng([seed, 2])
+    cases = []
+    for n in range(2, 16):
+        for k in range(n + 1):
+            prob = CharProblem(n, k)
+            for desc in enumerate_families(prob, REAL_LINE).families:
+                x0 = float(rng.uniform(-3.0, 3.0))
+                if desc.family == "translation":
+                    params = {"c": float(rng.uniform(0.1, 2.0))}
+                elif desc.family == "affine":
+                    params = {"c": float(rng.uniform(-2.0, 2.0))}
+                elif desc.family == "three_piece":
+                    a = float(rng.uniform(-2.0, 1.0))
+                    params = {"a": a, "b": a + float(rng.uniform(0.5, 2.0))}
+                    x0 = a - float(rng.uniform(0.5, 3.0))
+                else:
+                    params = {}
+                sol = desc.instantiate(REAL_LINE, **params)
+                cases.append((f"({n},{k}) {desc.family}", sol, prob, x0))
+    return cases
+
+
+def _verdict(cf, orbit, n):
+    """Criterion 7's gate: anchors to 1e-10, predictions to 1e-6."""
+    scale = 1.0 + max(abs(orbit.value(j)) for j in range(n))
+    anchor_err = max(abs(predict(cf, j) - orbit.value(j)) for j in range(n))
+    return anchor_err <= 1e-10 * scale and (
+        prediction_error(cf, orbit, n, 30) <= 1e-6
+    )
+
+
+def test_double_fit_agrees_with_50_digit_reference():
+    cases = _fit_cases() + _workload_cases(3)
+    assert len(cases) == len(_fit_cases()) + 182
+    spectra = {}
+    refused = passed = 0
+    for name, sol, prob, x0 in cases:
+        spectrum = spectra.setdefault(prob, analyze_roots(prob))
+        orbit = iterate(sol, x0, 0, 30)
+        try:
+            cf = fit_closed_form(orbit, spectrum, regime_of=sol)
+        except SingularSystem as exc:
+            # the condition guard runs before any solve and refuses both
+            assert "condition number" in str(exc), name
+            refused += 1
+            continue
+        ref = _reference_fit(orbit, spectrum)
+        ok = _verdict(cf, orbit, prob.n)
+        assert ok == _verdict(ref, orbit, prob.n), name
+        if ok:
+            passed += 1
+            for j in range(31):
+                want = predict(ref, j)
+                assert abs(predict(cf, j) - want) <= 1e-6 * (1.0 + abs(want)), (
+                    name, j,
+                )
+    # the seed-3 fit workload fails 10 inputs: 6 refused by the guard and
+    # 4 affine (n, n - 1) orbits that miss the index-30 gate either way
+    assert refused == 6 and passed == len(cases) - 10
+
+
+def test_import_leaves_mpmath_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(itereq.__file__)))
+    code = (
+        "import sys, itereq, itereq.cli, itereq.selftest; "
+        "sys.exit('mpmath' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
