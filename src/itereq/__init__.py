@@ -51,19 +51,11 @@ from .families import (
     build_involution,
     conjugate,
     enumerate_families,
-    eval_solution,
-    invert_solution,
     second_order_families,
     solution_from_json,
 )
 from .intervals import REAL_LINE, Interval, parse_interval
-from .means import (
-    Generator,
-    identity_generator,
-    log_generator,
-    power_generator,
-    qa_mean,
-)
+from .means import Generator, qa_mean
 from .poly import (
     ComplexRoot,
     Polynomial,

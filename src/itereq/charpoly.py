@@ -31,6 +31,7 @@ from .poly import (
 )
 
 NOT_APPLICABLE = None
+_BISECT_WIDTH = 1e-10  # Newton polishing takes each root on from here
 
 
 @dataclass(frozen=True)
@@ -274,7 +275,7 @@ def separation_applies(prob: CharProblem) -> bool:
     return prob.k % 2 == 1 or prob.n % 2 == 1
 
 
-def analyze_roots(prob: CharProblem, tol: float = 1e-10) -> RootReport:
+def analyze_roots(prob: CharProblem) -> RootReport:
     """Resolve the full spectrum and check the root-location claims.
 
     The exact root 1 is handled symbolically (deflated to its known
@@ -282,8 +283,8 @@ def analyze_roots(prob: CharProblem, tol: float = 1e-10) -> RootReport:
     root is isolated by bisection inside its bracket on the deflated
     polynomial, sharpened by a few Newton steps, and divided out; the
     residual polynomial is handed to the simultaneous iteration for the
-    complex spectrum.  ``tol`` is the bisection width; residual
-    tolerances follow the 1e-12 * max|coeffs| default.
+    complex spectrum.  Residual tolerances follow the 1e-12 * max|coeffs|
+    default.
     """
     analysis = classify(prob)
     p = build_char_poly(prob)
@@ -305,7 +306,7 @@ def analyze_roots(prob: CharProblem, tol: float = 1e-10) -> RootReport:
                 f"(n={prob.n}, k={prob.k}): no sign change on bracket "
                 f"({lo}, {hi}); values {flo:.3e}, {fhi:.3e}"
             )
-        root = bisect_root(work, lo, hi, tol=tol)
+        root = bisect_root(work, lo, hi, tol=_BISECT_WIDTH)
         root = newton_polish(work, root)
         if not lo < root < hi:
             raise BracketFailure(

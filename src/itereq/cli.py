@@ -9,8 +9,11 @@ orbit           iterate a solution spec and emit CSV
 fit-recurrence  fit a closed form to an orbit CSV and validate predictions
 selftest        run the full acceptance battery
 
-Exit codes: 0 success/pass, 1 check failure, 2 usage or input error,
-3 unsolved regime (both k and n even).
+Exit codes: 0 success/pass, 1 check failure (the claim failed at this
+(n, k)), 2 usage or input error, 3 unsolved regime (both k and n even),
+4 numerical failure (a solver or fit gave up; nothing was refuted).
+
+``--generator`` takes exactly ``identity``, ``log`` or ``power:P``.
 """
 
 from __future__ import annotations
@@ -23,23 +26,38 @@ import sys
 import numpy as np
 
 from .charpoly import CharProblem, analyze_roots, classify, report_matches_expectation
-from .errors import ItereqError
+from .errors import (
+    BracketFailure,
+    ConstructionError,
+    ItereqError,
+    NonConvergence,
+    RootMismatch,
+    SingularSystem,
+)
 from .families import enumerate_families, solution_from_json
 from .intervals import parse_interval
 from .means import Generator
-from .recurrence import ClosedForm, fit_closed_form, predict
-from .verify import Orbit, iterate, verify_general, verify_mean
+from .recurrence import ClosedForm, fit_closed_form, prediction_error
+from .verify import Orbit, iterate, verify_general
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_OPEN_PROBLEM = 3
+EXIT_NUMERICAL = 4
 
 _PREDICTION_TOL = 1e-6
 
 
 def _float_repr(x: float) -> str:
     return repr(float(x))
+
+
+def _positive_tol(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="classify and verify the root layout")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10, help="bisection width")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("solve", help="emit solution specs for (n, k)")
@@ -81,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--solution", required=True, help="solution spec JSON file")
     p.add_argument("--samples", type=int, default=1001)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive_tol, default=1e-9)
     p.add_argument(
         "--generator",
         default="identity",
@@ -124,23 +141,21 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except ItereqError as exc:
+    except BracketFailure as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except (NonConvergence, SingularSystem, RootMismatch) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except (ItereqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        prob = CharProblem(args.n, args.k)
-    except ItereqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    prob = CharProblem(args.n, args.k)
     analysis = classify(prob)
-    try:
-        report = analyze_roots(prob, tol=args.tol)
-    except ItereqError as exc:
-        print(f"root analysis failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    report = analyze_roots(prob)
     matched, problems = report_matches_expectation(report, analysis)
 
     if args.json:
@@ -197,14 +212,9 @@ def _parse_params(text: str) -> dict[str, float]:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        prob = CharProblem(args.n, args.k)
-        domain = parse_interval(args.interval)
-        params = _parse_params(args.params)
-    except (ItereqError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    prob = CharProblem(args.n, args.k)
+    domain = parse_interval(args.interval)
+    params = _parse_params(args.params)
     enumeration = enumerate_families(prob, domain)
     if enumeration.is_open_problem:
         if args.json:
@@ -219,32 +229,11 @@ def _cmd_solve(args) -> int:
     known = {name for desc in enumeration.families for name in desc.free_params}
     unknown = set(params) - known
     if unknown:
-        print(
-            f"error: unknown parameter(s) {sorted(unknown)}; "
-            f"this case takes {sorted(known) or 'none'}",
-            file=sys.stderr,
+        raise ItereqError(
+            f"unknown parameter(s) {sorted(unknown)}; "
+            f"this case takes {sorted(known) or 'none'}"
         )
-        return EXIT_USAGE
-
-    wlo, whi = domain.window(10.0)
-    mid = 0.5 * (wlo + whi)
-    solutions = []
-    for desc in enumeration.families:
-        filled = dict(params)
-        if desc.family == "translation":
-            filled.setdefault("c", 0.0)
-        elif desc.family == "affine":
-            filled.setdefault("c", mid * (1.0 - desc.slope))
-        elif desc.family == "three_piece":
-            filled.setdefault("a", mid)
-            filled.setdefault("b", max(mid, filled["a"]))
-        keep = {k: v for k, v in filled.items() if k in desc.free_params}
-        try:
-            sol = desc.instantiate(domain, **keep)
-        except ItereqError as exc:
-            print(f"error: cannot build {desc.family}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        solutions.append(sol)
+    solutions = [desc.instantiate(domain, **params) for desc in enumeration.families]
 
     if args.json:
         print(
@@ -262,52 +251,28 @@ def _cmd_solve(args) -> int:
 
 def _load_solution(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return solution_from_json(obj)
-
-
-def _parse_generator(text: str, domain) -> Generator:
-    token = text.strip().lower()
-    if token == "identity":
-        return Generator("identity", domain)
-    if token == "log":
-        return Generator("log", domain)
-    if token.startswith("power:") or token.startswith("power="):
-        return Generator("power", domain, p=float(token[6:]))
-    raise ItereqError(f"unknown generator {text!r}; use identity, log, power:P")
+        try:
+            return solution_from_json(json.load(fh))
+        except RecursionError:
+            raise ConstructionError(
+                f"solution spec in {path!r} is nested too deeply"
+            ) from None
 
 
 def _cmd_verify(args) -> int:
-    try:
-        prob = CharProblem(args.n, args.k)
-        sol = _load_solution(args.solution)
-    except (ItereqError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.generator.strip().lower() == "identity":
-            report = verify_mean(sol, prob, samples=args.samples, tol=args.tol)
-        else:
-            gen = _parse_generator(args.generator, sol.domain)
-            report = verify_general(
-                sol, gen, prob, samples=args.samples, tol=args.tol
-            )
-    except ItereqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    prob = CharProblem(args.n, args.k)
+    sol = _load_solution(args.solution)
+    gen = Generator.parse(args.generator, sol.domain)
+    report = verify_general(sol, gen, prob, samples=args.samples, tol=args.tol)
     print(json.dumps(report.to_json()))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def _cmd_orbit(args) -> int:
-    try:
-        sol = _load_solution(args.solution)
-        if args.steps < 0 or args.back < 0:
-            raise ItereqError("--steps and --back must be nonnegative")
-        orb = iterate(sol, args.x0, m_lo=-args.back, m_hi=args.steps)
-    except (ItereqError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    sol = _load_solution(args.solution)
+    if args.steps < 0 or args.back < 0:
+        raise ItereqError("--steps and --back must be nonnegative")
+    orb = iterate(sol, args.x0, m_lo=-args.back, m_hi=args.steps)
     lines = ["m,x_m"]
     for m in range(orb.m_lo, orb.m_hi + 1):
         v = orb.points[m - orb.m_lo]
@@ -352,24 +317,12 @@ def _read_orbit_csv(path: str) -> Orbit:
 
 
 def _cmd_fit(args) -> int:
-    try:
-        prob = CharProblem(args.n, args.k)
-        orb = _read_orbit_csv(args.orbit)
-        if orb.m_hi + 1 < prob.n:
-            raise ItereqError(
-                f"orbit has {orb.m_hi + 1} rows, need at least {prob.n}"
-            )
-        spectrum = analyze_roots(prob)
-        cf = fit_closed_form(orb, spectrum)
-    except (ItereqError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    worst = 0.0
-    for j in range(prob.n, orb.m_hi + 1):
-        actual = orb.value(j)
-        err = abs(predict(cf, j) - actual) / (1.0 + abs(actual))
-        worst = max(worst, err)
+    prob = CharProblem(args.n, args.k)
+    orb = _read_orbit_csv(args.orbit)
+    if orb.m_hi + 1 < prob.n:
+        raise ItereqError(f"orbit has {orb.m_hi + 1} rows, need at least {prob.n}")
+    cf = fit_closed_form(orb, analyze_roots(prob))
+    worst = prediction_error(cf, orb, prob.n, orb.m_hi)
 
     if args.json:
         payload = cf.to_json()
@@ -382,25 +335,21 @@ def _cmd_fit(args) -> int:
     return EXIT_OK if worst <= _PREDICTION_TOL else EXIT_CHECK_FAILED
 
 
+def _poly_text(coeffs: tuple[float, ...]) -> str:
+    return " + ".join(
+        f"{_float_repr(c)}*j^{i}" if i else _float_repr(c)
+        for i, c in enumerate(coeffs)
+    )
+
+
 def _print_closed_form(cf: ClosedForm) -> None:
     for t in cf.real_terms:
-        poly = " + ".join(
-            f"{_float_repr(c)}*j^{i}" if i else _float_repr(c)
-            for i, c in enumerate(t.coeffs)
-        )
-        print(f"  ({poly}) * ({_float_repr(t.lam)})^j")
+        print(f"  ({_poly_text(t.coeffs)}) * ({_float_repr(t.lam)})^j")
     for t in cf.complex_terms:
-        cos_poly = " + ".join(
-            f"{_float_repr(c)}*j^{i}" if i else _float_repr(c)
-            for i, c in enumerate(t.cos_poly)
-        )
-        sin_poly = " + ".join(
-            f"{_float_repr(c)}*j^{i}" if i else _float_repr(c)
-            for i, c in enumerate(t.sin_poly)
-        )
+        arg = _float_repr(t.argument)
         print(
-            f"  [({cos_poly})*cos({_float_repr(t.argument)}*j) + "
-            f"({sin_poly})*sin({_float_repr(t.argument)}*j)] * "
+            f"  [({_poly_text(t.cos_poly)})*cos({arg}*j) + "
+            f"({_poly_text(t.sin_poly)})*sin({arg}*j)] * "
             f"({_float_repr(t.modulus)})^j"
         )
 

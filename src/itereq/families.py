@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .charpoly import CharProblem, analyze_roots
+from .charpoly import CharProblem, RootReport, analyze_roots
 from .errors import (
     BadAnchor,
     ConstructionError,
@@ -34,7 +34,7 @@ from .errors import (
     NotAnInvolution,
     NotSurjective,
 )
-from .intervals import Interval
+from .intervals import Interval, finite_real
 from .means import Generator
 
 _REL_SLACK = 1e-12
@@ -439,17 +439,23 @@ class FamilyDescriptor:
     note: str
 
     def instantiate(self, domain: Interval, **params: float) -> Solution:
-        if self.family == "identity":
-            return Identity(domain)
+        """Build this family on ``domain``.
+
+        Omitted parameters anchor at the midpoint of the domain's sampling
+        window: the affine map fixes it, the three-piece map starts its
+        identity stretch there, and a translation defaults to ``c = 0``.
+        Parameters the family does not take are ignored.
+        """
+        wlo, whi = domain.window(10.0)
+        mid = 0.5 * (wlo + whi)
         if self.family == "translation":
-            return Translation(domain, float(params.get("c", 0.0)))
-        if self.family == "affine":
-            return Affine(domain, self.slope, float(params.get("c", 0.0)))
-        if self.family == "three_piece":
-            a = float(params.get("a", 0.0))
-            b = float(params.get("b", a))
-            return ThreePiece(domain, a, b, self.slope)
-        raise ConstructionError(f"cannot instantiate family {self.family!r}")
+            params.setdefault("c", 0.0)
+        elif self.family == "affine":
+            params.setdefault("c", mid * (1.0 - self.slope))
+        elif self.family == "three_piece":
+            params.setdefault("a", mid)
+            params.setdefault("b", max(mid, params["a"]))
+        return build_solution(self.family, domain, {**params, "slope": self.slope})
 
 
 @dataclass(frozen=True)
@@ -476,15 +482,10 @@ def enumerate_families(prob: CharProblem, domain: Interval) -> FamilyEnumeration
 
     identity = FamilyDescriptor("identity", None, (), "f(x) = x")
 
-    if k == 0:
-        if n % 2 == 1 or not domain.is_real_line:
+    if k in (0, n):
+        if n % 2 == 1 or (k == 0 and not domain.is_real_line):
             return descriptors(identity)
-        root = _negative_root(prob)
-        return descriptors(identity, _affine_descriptor(root))
-    if k == n:
-        if n % 2 == 1:
-            return descriptors(identity)
-        root = _negative_root(prob)
+        root = analyze_roots(prob).real_root_in(-math.inf, 0.0)
         return descriptors(identity, _affine_descriptor(root))
 
     if prob.both_even:
@@ -497,12 +498,12 @@ def enumerate_families(prob: CharProblem, domain: Interval) -> FamilyEnumeration
         return descriptors(
             FamilyDescriptor("translation", None, ("c",), "f(x) = x + c")
         )
+    report = analyze_roots(prob)
+    pos = _positive_root_not_one(report)
     if k_odd and not n_odd:
-        slope = _positive_root_not_one(prob)
-        return descriptors(_three_piece_descriptor(slope))
+        return descriptors(_three_piece_descriptor(pos))
     # k even with n odd, or k and n both odd
-    neg = _negative_root(prob)
-    pos = _positive_root_not_one(prob)
+    neg = report.real_root_in(-math.inf, 0.0)
     return descriptors(_affine_descriptor(neg), _three_piece_descriptor(pos))
 
 
@@ -521,20 +522,11 @@ def _three_piece_descriptor(slope: float) -> FamilyDescriptor:
     )
 
 
-def _negative_root(prob: CharProblem) -> float:
-    report = analyze_roots(prob)
-    hits = [r.value for r in report.real_roots if r.value < 0.0]
-    if len(hits) != 1:
-        raise DomainError(f"expected one negative root for {prob}, got {hits}")
-    return hits[0]
-
-
-def _positive_root_not_one(prob: CharProblem) -> float:
-    report = analyze_roots(prob)
+def _positive_root_not_one(report: RootReport) -> float:
     hits = [r.value for r in report.real_roots if r.value > 0.0 and r.value != 1.0]
     if len(hits) != 1:
         raise DomainError(
-            f"expected one positive root != 1 for {prob}, got {hits}"
+            f"expected one positive root != 1 for {report.problem}, got {hits}"
         )
     return hits[0]
 
@@ -652,8 +644,17 @@ def build_involution(
         raise DomainError(f"anchor {a!r} must be interior to {domain}")
 
     if f0_table is not None:
-        xs = np.asarray(f0_table[0], dtype=float)
-        ys = np.asarray(f0_table[1], dtype=float)
+        try:
+            xs = np.asarray(f0_table[0], dtype=float)
+            ys = np.asarray(f0_table[1], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            xs = ys = np.asarray(np.nan)
+        if xs.ndim != 1 or xs.shape != ys.shape:
+            raise ConstructionError(
+                "f0_table needs x and y lists of numbers of one length"
+            )
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise ConstructionError("f0_table entries must be finite numbers")
         if len(xs) < 2 or np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) >= 0):
             raise NotAnInvolution(
                 "table must have increasing x and strictly decreasing y"
@@ -692,7 +693,7 @@ def build_involution(
         raise NotAnInvolution("assembled map is not strictly decreasing")
     round_trip = sol._eval_array(vals)
     err = np.max(np.abs(round_trip - pts) / (1.0 + np.abs(pts)))
-    if err > tol:
+    if not err <= tol:
         raise NotAnInvolution(
             f"f(f(x)) deviates from x by {err:.3e} (tol {tol:.1e})"
         )
@@ -723,57 +724,63 @@ def _check_boundary_limit(f0_fn, domain: Interval, a: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Operation-style wrappers and JSON round-trips
+# Building solutions from family names and JSON
 # ---------------------------------------------------------------------------
 
 
-def eval_solution(s: Solution, x: float) -> float:
-    return s(x)
+def build_solution(family: str, domain: Interval, params: dict) -> Solution:
+    """The solution of ``family`` on ``domain`` with the given parameters.
 
-
-def invert_solution(s: Solution, y: float) -> float:
-    return s.invert(y)
+    Numeric parameters must be finite real numbers; a
+    :class:`ConstructionError` or :class:`DomainError` names the field
+    that is missing or malformed.
+    """
+    if family == "identity":
+        return Identity(domain)
+    if family == "translation":
+        return Translation(domain, finite_real(params["c"], "c"))
+    if family == "affine":
+        return Affine(
+            domain, finite_real(params["slope"], "slope"), finite_real(params["c"], "c")
+        )
+    if family == "three_piece":
+        a, b, slope = (finite_real(params[name], name) for name in ("a", "b", "slope"))
+        return ThreePiece(domain, a, b, slope)
+    if family == "involution":
+        table = _object(params, "f0_table")
+        return build_involution(
+            domain, finite_real(params["a"], "a"), f0_table=(table["x"], table["y"])
+        )
+    if family == "conjugate":
+        gen = Generator.from_json(_object(params, "generator"), domain)
+        return conjugate(gen, solution_from_json(params["inner"]))
+    raise ConstructionError(f"unknown family {family!r}")
 
 
 def solution_from_json(obj: dict) -> Solution:
     """Rebuild a solution from its JSON form (see ``Solution.to_json``).
 
-    Raises :class:`ConstructionError` naming the problem when ``obj`` is
-    not a JSON object or lacks a field its family needs.
+    Raises an :class:`~itereq.errors.ItereqError` naming the problem when
+    ``obj`` is not a JSON object or a field is missing or malformed.
     """
     if not isinstance(obj, dict):
         raise ConstructionError(
             f"a solution spec must be a JSON object, got {type(obj).__name__}"
         )
     try:
-        return _solution_from_fields(obj)
+        domain = Interval.from_json(_object(obj, "domain"))
+        return build_solution(obj["family"], domain, _object(obj, "params", {}))
     except KeyError as exc:
         raise ConstructionError(
             f"solution spec is missing field {exc.args[0]!r}"
         ) from None
 
 
-def _solution_from_fields(obj: dict) -> Solution:
-    domain = Interval.from_json(obj["domain"])
-    family = obj["family"]
-    params = obj.get("params", {})
-    if family == "identity":
-        return Identity(domain)
-    if family == "translation":
-        return Translation(domain, float(params["c"]))
-    if family == "affine":
-        return Affine(domain, float(params["slope"]), float(params["c"]))
-    if family == "three_piece":
-        return ThreePiece(
-            domain, float(params["a"]), float(params["b"]), float(params["slope"])
+def _object(obj: dict, name: str, default: dict | None = None) -> dict:
+    """The JSON object in field ``name`` (``default`` when it is absent)."""
+    value = obj[name] if default is None else obj.get(name, default)
+    if not isinstance(value, dict):
+        raise ConstructionError(
+            f"field {name!r} must be a JSON object, got {type(value).__name__}"
         )
-    if family == "involution":
-        table = params["f0_table"]
-        return build_involution(
-            domain, float(params["a"]), f0_table=(table["x"], table["y"])
-        )
-    if family == "conjugate":
-        gen = Generator.from_json(params["generator"], domain)
-        inner = solution_from_json(params["inner"])
-        return conjugate(gen, inner)
-    raise ConstructionError(f"unknown family {family!r}")
+    return value

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -95,20 +96,15 @@ class Interval:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Interval":
-        def dec(v) -> float:
-            if isinstance(v, str):
-                token = v.strip().lower()
-                if token in _INF_TOKENS:
-                    return _INF_TOKENS[token]
-                return float(token)
-            return float(v)
-
-        return cls(
-            lo=dec(obj["lo"]),
-            hi=dec(obj["hi"]),
-            lo_closed=bool(obj.get("lo_closed", False)),
-            hi_closed=bool(obj.get("hi_closed", False)),
-        )
+        flags = []
+        for name in ("lo_closed", "hi_closed"):
+            flag = obj.get(name, False)
+            if not isinstance(flag, bool):
+                raise DomainError(
+                    f"interval field {name!r} must be a boolean, got {flag!r}"
+                )
+            flags.append(flag)
+        return cls(_endpoint(obj["lo"], "lo"), _endpoint(obj["hi"], "hi"), *flags)
 
     def __str__(self) -> str:
         lb = "[" if self.lo_closed else "("
@@ -132,19 +128,40 @@ def parse_interval(text: str) -> Interval:
     if not m:
         raise DomainError(f"cannot parse interval {text!r}")
     lb, lo_s, hi_s, rb = m.groups()
-
-    def num(s: str) -> float:
-        token = s.strip().lower()
-        if token in _INF_TOKENS:
-            return _INF_TOKENS[token]
-        try:
-            return float(token)
-        except ValueError as exc:
-            raise DomainError(f"bad interval endpoint {s!r}") from exc
-
     return Interval(
-        lo=num(lo_s),
-        hi=num(hi_s),
+        lo=_endpoint(lo_s, "lo"),
+        hi=_endpoint(hi_s, "hi"),
         lo_closed=(lb == "["),
         hi_closed=(rb == "]"),
     )
+
+
+def finite_real(value, name: str) -> float:
+    """``value`` as a float if it is a finite real number and not a bool.
+
+    Otherwise a :class:`DomainError` names the field ``name``.
+    """
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real):
+            if math.isfinite(value):
+                return float(value)
+    except OverflowError:
+        pass
+    raise DomainError(f"field {name!r} must be a finite real number, got {value!r}")
+
+
+def _endpoint(value, name: str) -> float:
+    """An endpoint given as a number or as text (``inf``, ``-inf``, ``+inf``)."""
+    if isinstance(value, str):
+        value = value.strip().lower()
+        if value in _INF_TOKENS:
+            return _INF_TOKENS[value]
+    elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"interval endpoint {name!r} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except (ValueError, OverflowError):
+        x = math.nan
+    if math.isnan(x):
+        raise DomainError(f"bad interval endpoint {name!r}: {value!r}")
+    return x

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .intervals import Interval
+from .intervals import Interval, finite_real
 
 _KINDS = ("identity", "power", "log")
 
@@ -38,7 +38,7 @@ class Generator:
         if self.kind not in _KINDS:
             raise DomainError(f"unknown generator kind {self.kind!r}")
         if self.kind == "power":
-            if self.p is None or self.p == 0.0:
+            if finite_real(self.p, "p") == 0.0:
                 raise DomainError("power generator needs a nonzero exponent p")
         elif self.p is not None:
             raise DomainError(f"{self.kind} generator takes no exponent")
@@ -111,8 +111,13 @@ class Generator:
 
     def transport(self, interval: Interval) -> Interval:
         """The image phi(interval), respecting orientation and openness."""
-        lo_img = self._phi_limit(interval.lo)
-        hi_img = self._phi_limit(interval.hi)
+        try:
+            lo_img = self._phi_limit(interval.lo)
+            hi_img = self._phi_limit(interval.hi)
+        except OverflowError:
+            raise DomainError(
+                f"power generator with p = {self.p!r} overflows on {interval}"
+            ) from None
         if self.increasing:
             return Interval(lo_img, hi_img, interval.lo_closed, interval.hi_closed)
         return Interval(hi_img, lo_img, interval.hi_closed, interval.lo_closed)
@@ -133,23 +138,21 @@ class Generator:
         kind = obj["kind"]
         return cls(kind=kind, domain=domain, p=obj.get("p"))
 
+    @classmethod
+    def parse(cls, text: str, domain: Interval) -> "Generator":
+        """A generator written as ``identity``, ``log`` or ``power:P``."""
+        token = text.strip().lower()
+        if token in ("identity", "log"):
+            return cls(token, domain)
+        if token.startswith("power:"):
+            return cls("power", domain, p=float(token[6:]))
+        raise DomainError(f"unknown generator {text!r}; use identity, log or power:P")
+
 
 def _power(x, e: float):
     if isinstance(x, np.ndarray):
         return np.power(x, e)
     return float(x) ** e
-
-
-def identity_generator(domain: Interval) -> Generator:
-    return Generator("identity", domain)
-
-
-def log_generator(domain: Interval) -> Generator:
-    return Generator("log", domain)
-
-
-def power_generator(p: float, domain: Interval) -> Generator:
-    return Generator("power", domain, p=p)
 
 
 def qa_mean(gen: Generator, values: Sequence[float]) -> float:

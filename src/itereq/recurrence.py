@@ -197,7 +197,8 @@ def fit_closed_form(
     ``regime_of`` optionally supplies the generating solution so that
     branch-crossing orbits of three-piece maps are refused: the linear
     recurrence only holds while the orbit stays in one affine regime.
-    Raises :class:`SingularSystem` when the system's condition number
+    Raises :class:`DomainError` naming the first anchor that is not
+    finite, and :class:`SingularSystem` when the system's condition number
     exceeds 1e12 or the anchors cannot be reproduced.
     """
     deg = spectrum.problem.degree
@@ -210,6 +211,9 @@ def fit_closed_form(
             "does not apply across branches"
         )
     anchors = vals[:deg]
+    for j, v in enumerate(anchors):
+        if not math.isfinite(v):
+            raise DomainError(f"anchor {j} is not finite: {float(v)!r}")
     reals, complexes = _spectrum_terms(spectrum)
 
     n_cols = sum(m for _, m in reals) + sum(2 * m for _, _, m in complexes)
@@ -249,7 +253,7 @@ def fit_closed_form(
     limit = _ANCHOR_TOL * (1.0 + peak)
     for j in range(deg):
         err = abs(predict(cf, j) - anchors[j])
-        if err > limit:
+        if not err <= limit:
             raise SingularSystem(
                 f"fit does not reproduce anchor {j}: "
                 f"{predict(cf, j)!r} vs {float(anchors[j])!r}, "

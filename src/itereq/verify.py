@@ -17,7 +17,7 @@ from .charpoly import CharProblem
 from .errors import DomainError, NotSurjective
 from .families import Solution
 from .intervals import Interval
-from .means import Generator, identity_generator, qa_mean_rows
+from .means import Generator, qa_mean_rows
 from .poly import Polynomial
 
 DEFAULT_SAMPLES = 1001
@@ -244,7 +244,7 @@ def verify_mean(
     tol: float = DEFAULT_TOL,
 ) -> VerifyReport:
     """Residuals of ``f^k(x) = (f^0(x) + ... + f^n(x)) / (n+1)``."""
-    return verify_general(s, identity_generator(s.domain), prob, samples, tol)
+    return verify_general(s, Generator("identity", s.domain), prob, samples, tol)
 
 
 def linear_residual_report(

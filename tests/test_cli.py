@@ -455,3 +455,128 @@ def test_selftest_runs_clean(capsys):
     lines = [line for line in out.splitlines() if line.startswith("[")]
     assert len(lines) == 10
     assert all(line.startswith("[PASS]") for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# input boundary and exit codes
+# ---------------------------------------------------------------------------
+
+
+def _spec(family="identity", params=None, domain=None):
+    return {
+        "family": family,
+        "params": {} if params is None else params,
+        "domain": REAL_LINE_JSON if domain is None else domain,
+    }
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        (_spec("affine", {"slope": None, "c": 0.0}), "slope"),
+        (_spec(domain="x"), "domain"),
+        (_spec(params=[]), "params"),
+        (_spec("translation", {"c": math.nan}), "'c'"),
+        (_spec("conjugate", {"generator": "log", "inner": _spec()}), "generator"),
+        (_spec(domain={"lo": 0.0, "hi": 1.0, "lo_closed": "no"}), "lo_closed"),
+    ],
+)
+def test_verify_malformed_spec_exit_2(tmp_path, capsys, spec, field):
+    code, _, err = run_cli(
+        capsys, "verify", "--n", "3", "--k", "1",
+        "--solution", write_spec(tmp_path, spec),
+    )
+    assert code == 2
+    assert field in err
+    assert "Traceback" not in err
+
+
+def test_verify_deeply_nested_spec_exit_2(tmp_path, capsys):
+    head, tail = json.dumps(
+        _spec("conjugate", {"generator": {"kind": "identity"}, "inner": 0})
+    ).split("0", 1)
+    path = tmp_path / "deep.json"
+    path.write_text(head * 3000 + json.dumps(_spec()) + tail * 3000)
+    code, _, err = run_cli(
+        capsys, "verify", "--n", "3", "--k", "1", "--solution", str(path),
+    )
+    assert code == 2
+    assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_verify_rejects_bad_tol(tmp_path, capsys, tol):
+    code, _, err = run_cli(
+        capsys, "verify", "--n", "7", "--k", "3",
+        "--solution", write_spec(tmp_path, _spec()), f"--tol={tol}",
+    )
+    assert code == 2
+    assert "--tol" in err
+
+
+def test_analyze_has_no_tol_flag(capsys):
+    code, _, err = run_cli(capsys, "analyze", "--n", "3", "--k", "1", "--tol", "10")
+    assert code == 2
+    assert "--tol" in err
+
+
+def test_verify_power_generator(tmp_path, capsys):
+    # phi(x) = sqrt(x) carries [1, 4] onto [1, 2], where the affine map of
+    # slope -1/2 fixing 1.5 solves (2, 2)
+    spec = _spec(
+        "conjugate",
+        {
+            "generator": {"kind": "power", "p": 2.0},
+            "inner": _spec(
+                "affine", {"slope": -0.5, "c": 2.25},
+                {"lo": 1.0, "hi": 2.0, "lo_closed": True, "hi_closed": True},
+            ),
+        },
+        {"lo": 1.0, "hi": 4.0, "lo_closed": True, "hi_closed": True},
+    )
+    path = write_spec(tmp_path, spec)
+    code, out, _ = run_cli(
+        capsys, "verify", "--n", "2", "--k", "2", "--solution", path,
+        "--generator", "power:2",
+    )
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+    code, _, err = run_cli(
+        capsys, "verify", "--n", "2", "--k", "2", "--solution", path,
+        "--generator", "power=2",
+    )
+    assert code == 2
+    assert "power:P" in err
+
+
+def test_fit_recurrence_condition_refusal_exit_4(tmp_path, capsys):
+    from itereq.charpoly import CharProblem
+    from itereq.families import enumerate_families
+    from itereq.intervals import REAL_LINE
+    from itereq.verify import iterate
+
+    enum = enumerate_families(CharProblem(13, 12), REAL_LINE)
+    affine = next(d for d in enum.families if d.family == "affine")
+    orbit = iterate(affine.instantiate(REAL_LINE, c=0.3), 0.7, 0, 30)
+    code, _, err = run_cli(
+        capsys, "fit-recurrence", "--n", "13", "--k", "12",
+        "--orbit", _write_orbit_csv(tmp_path, orbit.points.tolist()),
+    )
+    assert code == 4
+    assert "condition number" in err
+
+
+@pytest.mark.parametrize(
+    "error, expected",
+    [("BracketFailure", 1), ("NonConvergence", 4), ("RootMismatch", 4)],
+)
+def test_analyze_exit_code_of_solver_errors(monkeypatch, capsys, error, expected):
+    from itereq import cli, errors
+
+    def fail(prob):
+        raise getattr(errors, error)("synthetic")
+
+    monkeypatch.setattr(cli, "analyze_roots", fail)
+    code, _, err = run_cli(capsys, "analyze", "--n", "3", "--k", "1")
+    assert code == expected
+    assert "synthetic" in err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from itereq.charpoly import CharProblem
+from itereq.charpoly import CharProblem, analyze_roots
 from itereq.errors import (
     BadAnchor,
     ConstructionError,
@@ -21,8 +21,6 @@ from itereq.families import (
     Translation,
     build_involution,
     enumerate_families,
-    eval_solution,
-    invert_solution,
     second_order_families,
     solution_from_json,
 )
@@ -39,32 +37,32 @@ POS = Interval(0.0, math.inf)
 
 def test_three_piece_lower_branch():
     s = ThreePiece(REAL_LINE, 0.0, 1.0, 0.5)
-    assert eval_solution(s, -2.0) == -1.0
+    assert s(-2.0) == -1.0
 
 
 def test_three_piece_middle_branch_is_identity():
     s = ThreePiece(REAL_LINE, 0.0, 1.0, 0.5)
-    assert eval_solution(s, 0.5) == 0.5
+    assert s(0.5) == 0.5
 
 
 def test_affine_eval():
-    assert eval_solution(Affine(REAL_LINE, -2.0, 0.0), 3.0) == -6.0
+    assert Affine(REAL_LINE, -2.0, 0.0)(3.0) == -6.0
 
 
 def test_three_piece_invert():
     s = ThreePiece(REAL_LINE, 0.0, 1.0, 0.5)
-    assert invert_solution(s, -1.0) == -2.0
+    assert s.invert(-1.0) == -2.0
     assert s.inverse().slope == 2.0
 
 
 def test_identity_invert():
     s = Identity(REAL_LINE)
-    assert invert_solution(s, 17.3) == 17.3
+    assert s.invert(17.3) == 17.3
 
 
 def test_involution_invert():
     s = build_involution(POS, 1.0, f0=lambda x: 1.0 / x, f0_inverse=lambda y: 1.0 / y)
-    assert invert_solution(s, 4.0) == pytest.approx(0.25)
+    assert s.invert(4.0) == pytest.approx(0.25)
     assert s.inverse() is s
 
 
@@ -249,6 +247,31 @@ def test_descriptor_instantiation():
     assert sol.slope == desc.slope
 
 
+def test_instantiate_defaults_anchor_at_window_midpoint():
+    window = Interval(0.0, 4.0, True, True)
+    # contracting slopes: 0.414 for (3, 1), -0.414 for (3, 2)
+    three_piece = enumerate_families(CharProblem(3, 1), REAL_LINE).families[1]
+    sol = three_piece.instantiate(window)
+    assert (sol.a, sol.b) == (2.0, 2.0)
+    affine = enumerate_families(CharProblem(3, 2), REAL_LINE).families[0]
+    assert affine.instantiate(window)(2.0) == pytest.approx(2.0, abs=1e-15)
+
+
+def test_enumeration_analyzes_roots_once(monkeypatch):
+    from itereq import families
+
+    calls = []
+
+    def counted(prob):
+        calls.append(prob)
+        return analyze_roots(prob)
+
+    monkeypatch.setattr(families, "analyze_roots", counted)
+    out = enumerate_families(CharProblem(3, 1), REAL_LINE)
+    assert [d.family for d in out.families] == ["affine", "three_piece"]
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # second-order families
 # ---------------------------------------------------------------------------
@@ -338,6 +361,26 @@ def test_involution_table_must_decrease():
     with pytest.raises(NotAnInvolution):
         build_involution(
             Interval(0.0, 2.0), 1.0, f0_table=([0.0, 1.0], [0.5, 1.0])
+        )
+
+
+@pytest.mark.parametrize("bad", [None, math.nan, math.inf])
+def test_involution_table_entries_must_be_finite(bad):
+    with pytest.raises(ConstructionError, match="f0_table"):
+        build_involution(
+            Interval(0.0, 2.0, True, True), 1.0,
+            f0_table=([0.0, 0.5, 1.0], [2.0, bad, 1.0]),
+        )
+
+
+def test_involution_round_trip_gate_rejects_nan():
+    # NaN left of -5 passes the anchor, boundary and decrease checks;
+    # only the round-trip gate sees it
+    with pytest.raises(NotAnInvolution):
+        build_involution(
+            REAL_LINE, 0.0,
+            f0=lambda x: np.where(x < -5.0, np.nan, -x),
+            f0_inverse=lambda y: -y,
         )
 
 

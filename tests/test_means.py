@@ -29,6 +29,23 @@ def test_generator_kinds_validated():
         Generator("log", POS, p=2.0)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, True, "2", None])
+def test_power_exponent_must_be_a_finite_number(p):
+    with pytest.raises(DomainError, match="'p'"):
+        Generator("power", POS, p=p)
+
+
+def test_transport_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="overflows"):
+        Generator("power", Interval(2.0, 3.0), p=1e-300).image()
+
+
+@pytest.mark.parametrize("text", ["power=2", "power:x", "sqrt"])
+def test_generator_parse_rejects_other_forms(text):
+    with pytest.raises((DomainError, ValueError)):
+        Generator.parse(text, POS)
+
+
 def test_positive_domain_required():
     with pytest.raises(DomainError):
         Generator("log", REAL_LINE)

@@ -403,3 +403,9 @@ def test_import_leaves_mpmath_unloaded():
     )
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_fit_rejects_non_finite_anchor():
+    spectrum = analyze_roots(CharProblem(3, 1))
+    with pytest.raises(DomainError, match="anchor 1 is not finite"):
+        fit_closed_form(orbit_from_values([1.0, math.inf, 2.0, 3.0]), spectrum)
