@@ -19,9 +19,13 @@ DK_MAX_SWEEPS = 1200
 
 
 def horner(coeffs: np.ndarray, x: float) -> float:
-    """Evaluate a polynomial (ascending coefficients) at scalar ``x``."""
+    """Evaluate a polynomial (ascending coefficients) at scalar ``x``.
+
+    The loop runs over Python floats: the same IEEE operations as over
+    NumPy scalars, without their per-operation overhead.
+    """
     acc = 0.0
-    for c in coeffs[::-1]:
+    for c in coeffs[::-1].tolist():
         acc = acc * x + c
     return acc
 
@@ -43,12 +47,13 @@ def bisect_loop(
     brackets the sign change.
     """
     it = 0
+    desc = coeffs[::-1].tolist()
     while hi - lo > xtol and it < BISECT_MAX_ITER:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # bracket at rounding resolution
             break
         fm = 0.0
-        for c in coeffs[::-1]:
+        for c in desc:
             fm = fm * mid + c
         if flo * fm <= 0.0:
             hi = mid

@@ -289,9 +289,11 @@ def _cmd_orbit(args) -> int:
 
 
 def _read_orbit_csv(path: str) -> Orbit:
+    """Rows ``m,x_m``; only the first non-empty line may fail, as a header."""
     rows: list[tuple[int, float]] = []
+    header_allowed = True
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -299,7 +301,13 @@ def _read_orbit_csv(path: str) -> Orbit:
             try:
                 m, v = int(parts[0]), float(parts[1])
             except (ValueError, IndexError):
-                continue  # header or malformed line
+                if header_allowed:
+                    header_allowed = False
+                    continue
+                raise ItereqError(
+                    f"cannot parse orbit row on line {lineno}: {line!r}"
+                ) from None
+            header_allowed = False
             if not math.isfinite(v):
                 raise ItereqError(
                     f"orbit value at row index {m} is not finite: {v!r}"

@@ -585,33 +585,39 @@ def _table_interp(xs: np.ndarray, ys: np.ndarray):
 def _numeric_inverse(
     f0: Callable[[np.ndarray], np.ndarray], domain: Interval, a: float
 ):
-    """Pointwise bisection inverse of a strictly decreasing branch."""
+    """Bisection inverse of a strictly decreasing branch, all values at once.
+
+    Each value keeps its own bracket ``[lo, hi]`` and stops when its
+    midpoint no longer splits it (or after 200 halvings), so every result
+    is the one a bisection of that value alone would give.
+    """
 
     def inv(vals: np.ndarray) -> np.ndarray:
         vals = np.atleast_1d(np.asarray(vals, dtype=float))
-        out = np.empty_like(vals)
-        for idx, y in enumerate(vals):
-            hi = a
-            if math.isfinite(domain.lo):
-                lo = domain.lo + 1e-300
-                width = a - domain.lo
-                probe = domain.lo + 1e-13 * width
-                if float(f0(np.asarray([probe]))[0]) < y:
-                    lo = probe  # y above the reachable branch; clamp
-            else:
-                lo = a - 1.0
-                while float(f0(np.asarray([lo]))[0]) < y and lo > -1e300:
-                    lo = a - 2.0 * (a - lo)
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:
-                    break
-                if float(f0(np.asarray([mid]))[0]) >= y:
-                    lo = mid
-                else:
-                    hi = mid
-            out[idx] = 0.5 * (lo + hi)
-        return out
+        hi = np.full_like(vals, a)
+        if math.isfinite(domain.lo):
+            width = a - domain.lo
+            probe = domain.lo + 1e-13 * width
+            # values above the reachable branch are clamped to the probe
+            above = float(f0(np.asarray([probe]))[0]) < vals
+            lo = np.where(above, probe, domain.lo + 1e-300)
+        else:
+            lo = np.full_like(vals, a - 1.0)
+            grow = np.ones(vals.shape, dtype=bool)
+            while grow.any():
+                grow[grow] = (f0(lo[grow]) < vals[grow]) & (lo[grow] > -1e300)
+                lo[grow] = a - 2.0 * (a - lo[grow])
+        live = np.ones(vals.shape, dtype=bool)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            live &= (lo < mid) & (mid < hi)
+            if not live.any():
+                break
+            m = mid[live]
+            up = f0(m) >= vals[live]
+            lo[live] = np.where(up, m, lo[live])
+            hi[live] = np.where(up, hi[live], m)
+        return 0.5 * (lo + hi)
 
     return inv
 

@@ -70,12 +70,20 @@ class Interval:
         return lo_ok and hi_ok
 
     def window(self, half_width: float = 10.0) -> tuple[float, float]:
-        """Bounded sampling window: the interval clipped to +-half_width."""
+        """Bounded sampling window: the interval clipped to +-half_width.
+
+        An interval lying wholly outside the clip range keeps its finite
+        end and takes a window of width ``2 * half_width`` next to it.
+        """
         lo = max(self.lo, -half_width)
         hi = min(self.hi, half_width)
-        if not lo < hi:  # interval lies entirely outside the clip range
-            return self.lo, self.hi
-        return lo, hi
+        if lo < hi:
+            return lo, hi
+        if math.isinf(self.hi):
+            return self.lo, self.lo + 2.0 * half_width
+        if math.isinf(self.lo):
+            return self.hi - 2.0 * half_width, self.hi
+        return self.lo, self.hi
 
     # -- serialization --------------------------------------------------------
 

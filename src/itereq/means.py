@@ -186,7 +186,10 @@ def qa_mean_rows(gen: Generator, rows: np.ndarray, anchor: int = 0) -> np.ndarra
         phi_vals = rows
     else:
         phi_vals = gen.phi(rows)
-    dev = np.add.reduce(phi_vals - phi_vals[anchor], axis=0) / rows.shape[0]
+    # Fortran order puts each point's terms side by side, so the sum over
+    # them is NumPy's pairwise sum whatever the layout of ``rows``
+    deviations = np.subtract(phi_vals, phi_vals[anchor], order="F")
+    dev = np.add.reduce(deviations, axis=0) / rows.shape[0]
     mean_phi = phi_vals[anchor] + dev
     if gen.kind == "identity":
         general = mean_phi

@@ -99,10 +99,19 @@ class Orbit:
 
 
 def _contains_array(domain: Interval, vals: np.ndarray) -> np.ndarray:
-    """Closure membership with a hair of relative slack (rounding guard)."""
-    slack = 1e-12 * (1.0 + np.abs(vals))
-    ok = (vals >= domain.lo - slack) & (vals <= domain.hi + slack)
-    return ok & np.isfinite(vals)
+    """Closure membership with a hair of relative slack (rounding guard).
+
+    An infinite end bounds nothing a finite value can cross, so only the
+    finite ends are tested.
+    """
+    ok = np.isfinite(vals)
+    if math.isfinite(domain.lo) or math.isfinite(domain.hi):
+        slack = 1e-12 * (1.0 + np.abs(vals))
+        if math.isfinite(domain.lo):
+            ok &= vals >= domain.lo - slack
+        if math.isfinite(domain.hi):
+            ok &= vals <= domain.hi + slack
+    return ok
 
 
 def sample_grid(domain: Interval, samples: int, half_width: float = 10.0) -> np.ndarray:
@@ -174,20 +183,25 @@ def _iterate_rows(
     """Stack f^0..f^count over the grid, masking escaped points.
 
     Returns ``(rows, alive)`` where ``rows`` is (count+1, len(xs)) and
-    ``alive`` marks columns whose iterates all stayed in the domain.
+    ``alive`` marks columns whose iterates all stayed in the domain.  Whole
+    rows are mapped until a point escapes; from then on only the live
+    columns are, and the escaped ones keep the NaN the rows start with.
     """
     rows = np.full((count + 1, len(xs)), np.nan)
     rows[0] = xs
     alive = _contains_array(s.domain, xs)
     for i in range(1, count + 1):
-        prev = rows[i - 1]
-        nxt = np.full_like(prev, np.nan)
-        if np.any(alive):
-            nxt[alive] = s._eval_array(prev[alive])
-        inside = _contains_array(s.domain, nxt)
-        alive = alive & inside
-        rows[i] = nxt
+        if alive.all():
+            rows[i] = s._eval_array(rows[i - 1])
+        elif alive.any():
+            rows[i, alive] = s._eval_array(rows[i - 1, alive])
+        alive &= _contains_array(s.domain, rows[i])
     return rows, alive
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """``max |x|`` read off the extremes, without an ``|x|`` copy (NaN if any)."""
+    return float(max(abs(x.max()), abs(x.min())))
 
 
 def _finish_report(
@@ -202,8 +216,10 @@ def _finish_report(
     escaped = samples - evaluated
     if evaluated == 0:
         return VerifyReport(math.inf, False, 0, escaped)
-    max_resid = float(np.max(np.abs(residual[alive])))
-    scale = coeff_scale * (1.0 + float(np.max(np.abs(rows[:, alive]))))
+    if escaped:
+        residual, rows = residual[alive], rows[:, alive]
+    max_resid = _max_abs(residual)
+    scale = coeff_scale * (1.0 + _max_abs(rows))
     passed = max_resid <= tol * scale and evaluated >= math.ceil(
         _EVAL_QUOTA * samples
     )
@@ -230,10 +246,13 @@ def verify_general(
         )
     xs = sample_grid(dom, samples)
     rows, alive = _iterate_rows(s_outer, xs, prob.n)
-    residual = np.full(len(xs), np.nan)
-    if np.any(alive):
-        mean_vals = qa_mean_rows(gen, rows[:, alive], anchor=prob.k)
-        residual[alive] = rows[prob.k, alive] - mean_vals
+    if alive.all():
+        residual = rows[prob.k] - qa_mean_rows(gen, rows, anchor=prob.k)
+    else:
+        residual = np.full(len(xs), np.nan)
+        if alive.any():
+            live = rows[:, alive]
+            residual[alive] = live[prob.k] - qa_mean_rows(gen, live, anchor=prob.k)
     return _finish_report(residual, rows, alive, samples, tol)
 
 

@@ -92,6 +92,16 @@ def test_solve_three_piece_slope(capsys):
     assert spec["params"]["slope"] == pytest.approx(0.27568220365098495, abs=1e-9)
 
 
+def test_solve_on_a_half_line_outside_the_window(capsys):
+    code, out, err = run_cli(
+        capsys, "solve", "--n", "4", "--k", "1", "--interval", "(20,inf)", "--json",
+    )
+    assert code == 0, err
+    spec = json.loads(out)["solutions"][0]
+    assert spec["family"] == "three_piece"
+    assert spec["params"]["a"] == spec["params"]["b"] == 30.0
+
+
 def test_solve_open_problem_exit_3(capsys):
     code, out, _ = run_cli(
         capsys, "solve", "--n", "4", "--k", "2", "--interval", "(-inf,inf)",
@@ -163,6 +173,22 @@ def test_verify_three_piece_passes(tmp_path, capsys):
     assert set(report) == {
         "max_residual", "pass", "points_evaluated", "points_escaped",
     }
+
+
+def test_verify_three_piece_on_a_half_line_outside_the_window(tmp_path, capsys):
+    spec = {
+        "family": "three_piece",
+        "params": {"a": 30.0, "b": 30.0, "slope": 0.27568220365098495},
+        "domain": {"lo": 20.0, "hi": "+inf", "lo_closed": False, "hi_closed": False},
+    }
+    code, out, _ = run_cli(
+        capsys, "verify", "--n", "4", "--k", "1",
+        "--solution", write_spec(tmp_path, spec),
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] is True
+    assert report["points_evaluated"] == 1001
 
 
 def test_verify_affine_against_k0(tmp_path, capsys):
@@ -422,6 +448,16 @@ def test_fit_recurrence_non_finite_value_exit_2(tmp_path, capsys, bad):
     )
     assert code == 2
     assert "row index 4" in err and "not finite" in err
+
+
+def test_fit_recurrence_unparsable_row_exit_2(tmp_path, capsys):
+    path = tmp_path / "orbit.csv"
+    path.write_text("m,x_m\n0,1\n1,2\n2,4\n3,8\n4,abc\n")
+    code, _, err = run_cli(
+        capsys, "fit-recurrence", "--n", "2", "--k", "1", "--orbit", str(path),
+    )
+    assert code == 2
+    assert "line 6" in err and "4,abc" in err
 
 
 def test_solve_human_readable_output(capsys):

@@ -19,6 +19,7 @@ from itereq.families import (
     SecondOrderProblem,
     ThreePiece,
     Translation,
+    _numeric_inverse,
     build_involution,
     enumerate_families,
     second_order_families,
@@ -315,6 +316,70 @@ def test_involution_numeric_inverse_branch():
     # no explicit inverse supplied: the right branch is inverted by search
     s = build_involution(POS, 1.0, f0=lambda x: 1.0 / x)
     assert s(4.0) == pytest.approx(0.25, abs=1e-10)
+
+
+def _scalar_inverse(f0, domain, a, vals):
+    """The one-value-at-a-time bisection the vectorized inverse must match."""
+    out = np.empty_like(vals)
+    for idx, y in enumerate(vals):
+        hi = a
+        if math.isfinite(domain.lo):
+            lo = domain.lo + 1e-300
+            probe = domain.lo + 1e-13 * (a - domain.lo)
+            if float(f0(np.asarray([probe]))[0]) < y:
+                lo = probe
+        else:
+            lo = a - 1.0
+            while float(f0(np.asarray([lo]))[0]) < y and lo > -1e300:
+                lo = a - 2.0 * (a - lo)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if float(f0(np.asarray([mid]))[0]) >= y:
+                lo = mid
+            else:
+                hi = mid
+        out[idx] = 0.5 * (lo + hi)
+    return out
+
+
+INVERSE_CASES = {
+    # finite lower end; values up to f0's supremum 2, the top ones above the
+    # reachable branch (so the probe clamp applies), and a few outside it
+    "finite": (
+        Interval(0.0, 2.0), 0.8, lambda x: 2.0 - 1.2 * (x / 0.8) ** 0.9,
+        np.concatenate([np.linspace(0.8, 2.0, 1001), [2.0 - 1e-12, 0.5, 2.5]]),
+    ),
+    # infinite lower end: the bracket grows by doubling
+    "infinite": (
+        REAL_LINE, 0.0, lambda x: np.expm1(-x),
+        np.concatenate([np.linspace(-1.0, 50.0, 1001), [1e10, 1e200]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVERSE_CASES))
+def test_numeric_inverse_matches_scalar_bisection(case):
+    domain, a, f0, vals = INVERSE_CASES[case]
+    if case == "finite":
+        probe = domain.lo + 1e-13 * (a - domain.lo)
+        assert np.any(vals > f0(np.asarray([probe])))
+    got = _numeric_inverse(f0, domain, a)(vals)
+    assert got.tobytes() == _scalar_inverse(f0, domain, a, vals).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(INVERSE_CASES))
+def test_numeric_inverse_calls_the_branch_per_step_not_per_value(case):
+    domain, a, f0, vals = INVERSE_CASES[case]
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return f0(x)
+
+    _numeric_inverse(counted, domain, a)(vals[:1001])
+    assert len(calls) <= 300
 
 
 def test_involution_boundary_limit_rejected_on_unbounded_domain():

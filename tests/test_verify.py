@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,15 +9,19 @@ from itereq.errors import DomainError
 from itereq.families import (
     Affine,
     Identity,
+    Solution,
     ThreePiece,
     Translation,
     build_involution,
     conjugate,
+    enumerate_families,
 )
 from itereq.intervals import Interval, REAL_LINE
 from itereq.means import Generator
 from itereq.poly import Polynomial
 from itereq.verify import (
+    DEFAULT_TOL,
+    VerifyReport,
     antimonotone_signs_constant,
     iterate,
     sample_grid,
@@ -335,3 +340,192 @@ def test_involution_orbit_two_cycle():
         expected = 2.0 if m % 2 == 0 else 0.5
         assert orb.value(m) == pytest.approx(expected, rel=1e-12)
     assert antimonotone_signs_constant(orb)
+
+
+def test_sample_grid_on_a_domain_outside_the_window():
+    for dom in (Interval(20.0, math.inf), Interval(-math.inf, -20.0, False, True)):
+        xs = sample_grid(dom, 5)
+        assert np.all(np.isfinite(xs))
+        assert all(dom.contains(float(x)) for x in xs)
+        assert xs[-1] - xs[0] == pytest.approx(20.0, rel=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# whole-row verification against the masked reference
+# ---------------------------------------------------------------------------
+#
+# The reference below is the masked evaluation the verifier used before it
+# mapped whole rows: every row gathered the live columns and scattered the
+# result back, and the mean was taken over a gathered (Fortran-ordered)
+# copy of the live columns.  Reports must agree bit for bit.
+
+
+def _reference_contains(domain, vals):
+    slack = 1e-12 * (1.0 + np.abs(vals))
+    ok = (vals >= domain.lo - slack) & (vals <= domain.hi + slack)
+    return ok & np.isfinite(vals)
+
+
+def _reference_rows(s, xs, count):
+    rows = np.full((count + 1, len(xs)), np.nan)
+    rows[0] = xs
+    alive = _reference_contains(s.domain, xs)
+    for i in range(1, count + 1):
+        prev = rows[i - 1]
+        nxt = np.full_like(prev, np.nan)
+        if np.any(alive):
+            nxt[alive] = s._eval_array(prev[alive])
+        alive = alive & _reference_contains(s.domain, nxt)
+        rows[i] = nxt
+    return rows, alive
+
+
+def _reference_report(residual, rows, alive, samples, coeff_scale=1.0):
+    evaluated = int(np.count_nonzero(alive))
+    if evaluated == 0:
+        return VerifyReport(math.inf, False, 0, samples)
+    max_resid = float(np.max(np.abs(residual[alive])))
+    scale = coeff_scale * (1.0 + float(np.max(np.abs(rows[:, alive]))))
+    passed = max_resid <= DEFAULT_TOL * scale and evaluated >= math.ceil(0.9 * samples)
+    return VerifyReport(max_resid, passed, evaluated, samples - evaluated)
+
+
+def _reference_general(s, gen, prob, samples):
+    xs = sample_grid(s.domain, samples)
+    rows, alive = _reference_rows(s, xs, prob.n)
+    residual = np.full(len(xs), np.nan)
+    if np.any(alive):
+        live = rows[:, alive]
+        phi = live if gen.kind == "identity" else gen.phi(live)
+        dev = np.add.reduce(phi - phi[prob.k], axis=0) / live.shape[0]
+        mean_phi = phi[prob.k] + dev
+        general = mean_phi if gen.kind == "identity" else gen.phi_inv(mean_phi)
+        mean = np.where(dev == 0.0, live[prob.k], general)
+        residual[alive] = rows[prob.k, alive] - mean
+    return _reference_report(residual, rows, alive, samples)
+
+
+def _reference_linear(s, coeffs, samples):
+    xs = sample_grid(s.domain, samples)
+    rows, alive = _reference_rows(s, xs, coeffs.degree)
+    residual = (
+        np.tensordot(coeffs.as_array(), rows - rows[0], axes=(0, 0))
+        + math.fsum(coeffs.coeffs) * rows[0]
+    )
+    return _reference_report(residual, rows, alive, samples, coeffs.inf_norm)
+
+
+def _reference_second(s, rho, samples):
+    xs = sample_grid(s.domain, samples)
+    rows, alive = _reference_rows(s, xs, 2)
+    residual = rows[2] - (1.0 + rho) * rows[1] + rho * rows[0]
+    return _reference_report(residual, rows, alive, samples, 1.0 + abs(rho))
+
+
+class _Leaky(Solution):
+    """A map that claims its domain as image but pushes points out of it."""
+
+    family = "leaky"
+
+    def __init__(self, domain, fwd, back):
+        self.domain, self._fwd, self._back = domain, fwd, back
+
+    def _eval_array(self, xs):
+        return self._fwd(xs)
+
+    def image(self):
+        return self.domain
+
+    def _inverse_spec(self):
+        return _Leaky(self.domain, self._back, self._fwd)
+
+    @property
+    def is_increasing(self):
+        return True
+
+
+PROB_15_4 = CharProblem(15, 4)
+CHAR_15_4 = build_char_poly(PROB_15_4)
+WIDE_GRID = 2001
+BOX = Interval(-10.0, 10.0, True, True)
+POSITIVE = Interval(1.0, 10.0, True, True)
+
+
+def _slope_15_4(family):
+    fams = enumerate_families(PROB_15_4, REAL_LINE).families
+    return next(d.slope for d in fams if d.family == family)
+
+
+def _line_map(case):
+    """A map on the line or a box: no point, some points or every point escapes."""
+    if case == "none":
+        return Affine(REAL_LINE, _slope_15_4("affine"), 1.0)
+    step = 0.05 if case == "some" else 100.0
+    return _Leaky(BOX, lambda x: x + step, lambda y: y - step)
+
+
+def _positive_map(case, gen):
+    if case == "none":
+        slope, img = _slope_15_4("affine"), gen.image()
+        c = 0.5 * ((img.lo - slope * img.hi) + (img.hi - slope * img.lo))
+        return conjugate(gen, Affine(img, slope, c))
+    q = 1.01 if case == "some" else 100.0
+    return _Leaky(POSITIVE, lambda x: q * x, lambda y: y / q)
+
+
+def _second_order_cases(case):
+    """(solution, rho) pairs; the involution is inverted by bisection."""
+    if case != "none":
+        return [(_line_map(case), 0.5)]
+    rho = _slope_15_4("three_piece")
+    big, a = 2.0, 0.8
+    inv = build_involution(
+        Interval(0.0, big), a, f0=lambda x: big - (big - a) * (x / a) ** 1.3
+    )
+    return [(ThreePiece(REAL_LINE, -1.0, 2.0, rho), rho), (inv, -1.0)]
+
+
+def _bits(report):
+    return (
+        report.max_residual.hex(),
+        report.passed,
+        report.points_evaluated,
+        report.points_escaped,
+    )
+
+
+@pytest.mark.parametrize("case", ["none", "some", "all"])
+def test_whole_row_reports_match_masked_reference(case):
+    line = _line_map(case)
+    pairs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean = verify_mean(line, PROB_15_4, WIDE_GRID)
+        identity = Generator("identity", line.domain)
+        pairs.append((mean, _reference_general(line, identity, PROB_15_4, WIDE_GRID)))
+        for gen in (Generator("log", POSITIVE), Generator("power", POSITIVE, p=2.0)):
+            s = _positive_map(case, gen)
+            pairs.append((
+                verify_general(s, gen, PROB_15_4, WIDE_GRID),
+                _reference_general(s, gen, PROB_15_4, WIDE_GRID),
+            ))
+        dual = verify_dual(line, CHAR_15_4, WIDE_GRID)
+        reversed_coeffs = Polynomial(tuple(reversed(CHAR_15_4.coeffs)))
+        pairs.append((dual.primal, _reference_linear(line, CHAR_15_4, WIDE_GRID)))
+        pairs.append((
+            dual.dual, _reference_linear(line.inverse(), reversed_coeffs, WIDE_GRID)
+        ))
+        for s, rho in _second_order_cases(case):
+            pairs.append((
+                verify_second_order(s, rho, WIDE_GRID),
+                _reference_second(s, rho, WIDE_GRID),
+            ))
+    for got, want in pairs:
+        assert _bits(got) == _bits(want)
+    escaped = {"none": 0, "all": WIDE_GRID}.get(case)
+    if escaped is None:
+        assert 0 < mean.points_escaped < WIDE_GRID
+    else:
+        assert mean.points_escaped == escaped
+    if case == "none":
+        assert all(got.passed for got, _ in pairs)
