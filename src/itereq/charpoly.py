@@ -16,6 +16,7 @@ plus the real/non-real modulus separation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,10 @@ from .poly import (
 
 NOT_APPLICABLE = None
 _BISECT_WIDTH = 1e-10  # Newton polishing takes each root on from here
+# Root reports kept by ``analyze_roots``: 256 holds the whole paper table
+# (133 problems for 2 <= n <= 15) and caps memory when a longer table
+# streams through.
+_REPORT_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -275,8 +280,20 @@ def separation_applies(prob: CharProblem) -> bool:
     return prob.k % 2 == 1 or prob.n % 2 == 1
 
 
+@functools.lru_cache(maxsize=_REPORT_CACHE_SIZE)
 def analyze_roots(prob: CharProblem) -> RootReport:
     """Resolve the full spectrum and check the root-location claims.
+
+    There is one shared, read-only report per (n, k): results are kept in
+    a bounded LRU cache keyed on the frozen ``CharProblem``, so equal
+    problems get the identical ``RootReport``.  The report and its records
+    are frozen and hold only tuples and numbers, and ``to_json`` builds
+    fresh containers, so no caller can change what another one reads.
+    Failures are not cached; a solver error raises on every call.  The
+    gain goes to in-process pipelines that meet the same (n, k) again
+    (``selftest``, the fit and verify pipelines, library loops); a single
+    CLI call analyses one (n, k) and gains nothing.  The uncached analysis
+    is ``analyze_roots.__wrapped__``.
 
     The exact root 1 is handled symbolically (deflated to its known
     multiplicity before any numerics).  Each remaining predicted real

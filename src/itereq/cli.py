@@ -289,7 +289,10 @@ def _cmd_orbit(args) -> int:
 
 
 def _read_orbit_csv(path: str) -> Orbit:
-    """Rows ``m,x_m``; only the first non-empty line may fail, as a header."""
+    """Rows ``m,x_m`` of exactly two fields.
+
+    Only the first non-empty line may fail to parse, as a header.
+    """
     rows: list[tuple[int, float]] = []
     header_allowed = True
     with open(path, "r", encoding="utf-8") as fh:
@@ -297,10 +300,10 @@ def _read_orbit_csv(path: str) -> Orbit:
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
             try:
-                m, v = int(parts[0]), float(parts[1])
-            except (ValueError, IndexError):
+                m_text, v_text = line.split(",")
+                m, v = int(m_text), float(v_text)
+            except ValueError:
                 if header_allowed:
                     header_allowed = False
                     continue

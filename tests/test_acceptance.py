@@ -11,14 +11,16 @@ import math
 
 import pytest
 
-from itereq.charpoly import CharProblem, analyze_roots
+from itereq.charpoly import CharProblem, analyze_roots, classify
 from itereq.families import ThreePiece, enumerate_families
 from itereq.intervals import REAL_LINE
+from itereq.poly import all_roots
 from itereq.selftest import (
     CRITERIA,
     criterion_1_root_table,
     criterion_4_family_verification,
     criterion_10_negative_control,
+    _table_range,
     _verified_families,
 )
 from itereq.verify import verify_mean
@@ -44,6 +46,27 @@ def test_root_table_within_time_budget():
     result = criterion_1_root_table()
     assert result.passed
     assert "0 mismatches" in result.details
+
+
+def test_root_table_times_uncached_analysis(monkeypatch):
+    from itereq import charpoly
+
+    table = list(_table_range())
+    for prob in table:
+        analyze_roots(prob)
+    calls = []
+
+    def counted(p, tol):
+        calls.append(p)
+        return all_roots(p, tol=tol)
+
+    monkeypatch.setattr(charpoly, "all_roots", counted)
+    assert criterion_1_root_table().passed
+    with_spectrum = [
+        prob for prob in table
+        if prob.n > sum(e.multiplicity for e in classify(prob).expected_real_roots)
+    ]
+    assert with_spectrum and len(calls) == len(with_spectrum)
 
 
 def test_family_roster_matches_required_list():

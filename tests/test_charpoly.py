@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -14,7 +15,7 @@ from itereq.charpoly import (
     report_matches_expectation,
     separation_applies,
 )
-from itereq.errors import DomainError
+from itereq.errors import DomainError, NonConvergence
 from itereq.poly import evaluate
 
 SQRT2 = math.sqrt(2.0)
@@ -295,6 +296,53 @@ def test_concurrent_analyses_are_reentrant():
     for report in reports:
         ok, problems = report_matches_expectation(report)
         assert ok, problems
+
+
+# ---------------------------------------------------------------------------
+# shared report cache
+# ---------------------------------------------------------------------------
+
+
+def test_equal_problems_share_one_report():
+    assert analyze_roots(CharProblem(7, 3)) is analyze_roots(CharProblem(7, 3))
+
+
+def test_shared_report_is_read_only():
+    report = analyze_roots(CharProblem(5, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.bound_2n1_ok = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.real_roots[0].value = 2.0
+    before = report.to_json()
+    payload = report.to_json()
+    payload["problem"]["n"] = 99
+    payload["real_roots"][0]["bracket"][0] = 0.0
+    payload["complex_roots"].clear()
+    assert analyze_roots(CharProblem(5, 2)).to_json() == before
+
+
+def test_solver_failures_are_not_cached(monkeypatch):
+    from itereq import charpoly
+
+    def fail(p, tol):
+        raise NonConvergence("synthetic")
+
+    prob = CharProblem(9, 4)
+    monkeypatch.setattr(charpoly, "all_roots", fail)
+    for _ in range(2):
+        with pytest.raises(NonConvergence):
+            analyze_roots(prob)
+    monkeypatch.undo()
+    ok, problems = report_matches_expectation(analyze_roots(prob))
+    assert ok, problems
+
+
+def test_report_cache_is_bounded():
+    maxsize = analyze_roots.cache_parameters()["maxsize"]
+    probs = (CharProblem(n, k) for n in range(2, 40) for k in range(n + 1))
+    for _ in range(maxsize + 1):
+        analyze_roots(next(probs))
+    assert analyze_roots.cache_info().currsize == maxsize
 
 
 @pytest.mark.parametrize(

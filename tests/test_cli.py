@@ -460,6 +460,18 @@ def test_fit_recurrence_unparsable_row_exit_2(tmp_path, capsys):
     assert "line 6" in err and "4,abc" in err
 
 
+def test_fit_recurrence_row_with_extra_field_exit_2(tmp_path, capsys):
+    # fails on a reader that keeps the first two fields of "2,4,99": it
+    # fits the orbit and exits 1
+    path = tmp_path / "orbit.csv"
+    path.write_text("m,x_m\n0,1\n1,2\n2,4,99\n3,8\n4,16\n")
+    code, _, err = run_cli(
+        capsys, "fit-recurrence", "--n", "2", "--k", "1", "--orbit", str(path),
+    )
+    assert code == 2
+    assert "cannot parse orbit row on line 4" in err and "2,4,99" in err
+
+
 def test_solve_human_readable_output(capsys):
     code, out, _ = run_cli(
         capsys, "solve", "--n", "3", "--k", "1", "--interval", "(-inf,inf)",

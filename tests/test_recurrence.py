@@ -368,10 +368,9 @@ def _verdict(cf, orbit, n):
 def test_double_fit_agrees_with_50_digit_reference():
     cases = _fit_cases() + _workload_cases(3)
     assert len(cases) == len(_fit_cases()) + 182
-    spectra = {}
     refused = passed = 0
     for name, sol, prob, x0 in cases:
-        spectrum = spectra.setdefault(prob, analyze_roots(prob))
+        spectrum = analyze_roots(prob)
         orbit = iterate(sol, x0, 0, 30)
         try:
             cf = fit_closed_form(orbit, spectrum, regime_of=sol)
