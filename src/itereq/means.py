@@ -179,20 +179,51 @@ def qa_mean_rows(gen: Generator, rows: np.ndarray, anchor: int = 0) -> np.ndarra
 
     The sum is taken over deviations from the ``anchor`` row, which keeps
     the result exact (by idempotence) wherever all rows agree and well
-    conditioned everywhere else.  No domain checking: callers mask points
-    first.
+    conditioned everywhere else.  Each point's terms are added in NumPy's
+    pairwise order (see ``_column_sums``), so its mean depends neither on
+    the other points nor on the layout of ``rows``.  No domain checking:
+    callers mask points first.
     """
     if gen.kind == "identity":
         phi_vals = rows
     else:
         phi_vals = gen.phi(rows)
-    # Fortran order puts each point's terms side by side, so the sum over
-    # them is NumPy's pairwise sum whatever the layout of ``rows``
-    deviations = np.subtract(phi_vals, phi_vals[anchor], order="F")
-    dev = np.add.reduce(deviations, axis=0) / rows.shape[0]
+    dev = _column_sums(phi_vals - phi_vals[anchor]) / rows.shape[0]
     mean_phi = phi_vals[anchor] + dev
     if gen.kind == "identity":
         general = mean_phi
     else:
         general = gen.phi_inv(mean_phi)
     return np.where(dev == 0.0, rows[anchor], general)
+
+
+def _column_sums(terms: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(terms, axis=0)`` as NumPy sums one contiguous column.
+
+    NumPy adds a column's pairwise sum to the identity 0.0.  The pairwise
+    sum adds fewer than 8 terms in sequence; up to 128 terms in eight
+    interleaved partial sums ``r_j += t[i + j]``, combined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the leftover
+    terms in sequence; more terms in two halves, the first a multiple of 8
+    long.  Whole-row adds on the C-ordered rows follow that order for every
+    column at once, with no Fortran-ordered copy.  Starting each sequence
+    from 0.0 (``+ 0.0`` on the first terms) gives a sum of zeros the sign
+    the identity gives it.
+    """
+    count = terms.shape[0]
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        return _column_sums(terms[:half]) + _column_sums(terms[half:])
+    if count < 8:
+        total = terms[0] + 0.0
+        for row in terms[1:]:
+            total += row
+        return total
+    stop = count - count % 8
+    r = terms[:8] + 0.0
+    for i in range(8, stop, 8):
+        r += terms[i:i + 8]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in terms[stop:]:
+        total += row
+    return total

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -23,6 +24,13 @@ from .poly import Polynomial
 DEFAULT_SAMPLES = 1001
 DEFAULT_TOL = 1e-9
 _EVAL_QUOTA = 0.9
+# Grid columns per verification block: (n+1) rows of 8192 doubles stay in
+# cache while they are mapped, masked and reduced.  BLAS sums a column of
+# the linear residual's ``tensordot`` in the order it would in one
+# whole-grid array only at the same offset modulo its kernel width, hence a
+# power of two, and only in an array more than a few columns wide, hence a
+# last block that takes the remainder rather than leave a narrow one.
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -180,7 +188,7 @@ def iterate(s: Solution, x0: float, m_lo: int = 0, m_hi: int = 0) -> Orbit:
 def _iterate_rows(
     s: Solution, xs: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack f^0..f^count over the grid, masking escaped points.
+    """Stack f^0..f^count over one block of grid points, masking escaped points.
 
     Returns ``(rows, alive)`` where ``rows`` is (count+1, len(xs)) and
     ``alive`` marks columns whose iterates all stayed in the domain.  Whole
@@ -199,27 +207,57 @@ def _iterate_rows(
     return rows, alive
 
 
-def _max_abs(x: np.ndarray) -> float:
-    """``max |x|`` read off the extremes, without an ``|x|`` copy (NaN if any)."""
-    return float(max(abs(x.max()), abs(x.min())))
+def _max_abs(x: np.ndarray, running: float = 0.0) -> float:
+    """The larger of ``running`` and ``max |x|``, read off the extremes.
+
+    A NaN in either wins, as it does in ``np.max``; Python's ``max`` would
+    keep or drop it depending on the order of its arguments.
+    """
+    m = max(abs(x.max()), abs(x.min()))
+    return m if math.isnan(m) or m > running else running
 
 
-def _finish_report(
-    residual: np.ndarray,
-    rows: np.ndarray,
-    alive: np.ndarray,
+def _verify_grid(
+    s: Solution,
+    count: int,
+    residual: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     samples: int,
     tol: float,
     coeff_scale: float = 1.0,
 ) -> VerifyReport:
-    evaluated = int(np.count_nonzero(alive))
+    """Iterate ``s`` over its grid block by block and judge the residual.
+
+    Each block holds ``_BLOCK`` grid columns, the last one also the
+    remainder.  ``residual(rows, alive, live)`` gets a block's iterates
+    f^0..f^count, its live mask and its live columns, and returns the
+    residual at the live columns.  Only the evaluated count and the
+    largest ``|residual|`` and ``|f^i|`` at live points outlive a block, so
+    memory scales with ``(count + 1) * _BLOCK``, not with ``samples``.
+    Maps run with overflow ignored: a point that overflows is not finite,
+    so it escapes.
+
+    The verdict requires ``max |residual| <= tol * coeff_scale * (1 + max
+    |f^i|)`` over the live points and at least 90% of the grid alive.
+    """
+    xs = sample_grid(s.domain, samples)
+    evaluated = 0
+    resid_max = rows_max = 0.0
+    edges = [*range(0, max(samples // _BLOCK, 1) * _BLOCK, _BLOCK), samples]
+    for start, stop in zip(edges, edges[1:]):
+        with np.errstate(over="ignore"):
+            rows, alive = _iterate_rows(s, xs[start:stop], count)
+        live_count = int(np.count_nonzero(alive))
+        if live_count == 0:
+            continue
+        evaluated += live_count
+        live = rows if live_count == stop - start else rows[:, alive]
+        resid_max = _max_abs(residual(rows, alive, live), resid_max)
+        rows_max = _max_abs(live, rows_max)
     escaped = samples - evaluated
     if evaluated == 0:
         return VerifyReport(math.inf, False, 0, escaped)
-    if escaped:
-        residual, rows = residual[alive], rows[:, alive]
-    max_resid = _max_abs(residual)
-    scale = coeff_scale * (1.0 + _max_abs(rows))
+    max_resid = float(resid_max)
+    scale = coeff_scale * (1.0 + float(rows_max))
     passed = max_resid <= tol * scale and evaluated >= math.ceil(
         _EVAL_QUOTA * samples
     )
@@ -244,16 +282,12 @@ def verify_general(
         raise DomainError(
             f"solution domain {dom} not contained in generator domain {gdom}"
         )
-    xs = sample_grid(dom, samples)
-    rows, alive = _iterate_rows(s_outer, xs, prob.n)
-    if alive.all():
-        residual = rows[prob.k] - qa_mean_rows(gen, rows, anchor=prob.k)
-    else:
-        residual = np.full(len(xs), np.nan)
-        if alive.any():
-            live = rows[:, alive]
-            residual[alive] = live[prob.k] - qa_mean_rows(gen, live, anchor=prob.k)
-    return _finish_report(residual, rows, alive, samples, tol)
+    k = prob.k
+
+    def residual(rows, alive, live):
+        return live[k] - qa_mean_rows(gen, live, anchor=k)
+
+    return _verify_grid(s_outer, prob.n, residual, samples, tol)
 
 
 def verify_mean(
@@ -277,12 +311,16 @@ def linear_residual_report(
     Computed as ``sum_i a_i (f^i - f^0) + (sum_i a_i) f^0`` so that
     constant orbits of zero-sum coefficient rows cancel exactly.
     """
-    xs = sample_grid(s.domain, samples)
-    rows, alive = _iterate_rows(s, xs, coeffs.degree)
     arr = coeffs.as_array()
     coeff_sum = math.fsum(coeffs.coeffs)
-    residual = np.tensordot(arr, rows - rows[0], axes=(0, 0)) + coeff_sum * rows[0]
-    return _finish_report(residual, rows, alive, samples, tol, coeffs.inf_norm)
+
+    def residual(rows, alive, live):
+        # the whole block, live or not: BLAS may sum a column in another
+        # order once the columns are gathered and shifted
+        res = np.tensordot(arr, rows - rows[0], axes=(0, 0)) + coeff_sum * rows[0]
+        return res if live is rows else res[alive]
+
+    return _verify_grid(s, coeffs.degree, residual, samples, tol, coeffs.inf_norm)
 
 
 def verify_dual(
@@ -311,10 +349,11 @@ def verify_second_order(
     tol: float = DEFAULT_TOL,
 ) -> VerifyReport:
     """Residuals of ``f(f(x)) - (1 + rho) f(x) + rho x = 0``."""
-    xs = sample_grid(s.domain, samples)
-    rows, alive = _iterate_rows(s, xs, 2)
-    residual = rows[2] - (1.0 + rho) * rows[1] + rho * rows[0]
-    return _finish_report(residual, rows, alive, samples, tol, 1.0 + abs(rho))
+
+    def residual(rows, alive, live):
+        return live[2] - (1.0 + rho) * live[1] + rho * live[0]
+
+    return _verify_grid(s, 2, residual, samples, tol, 1.0 + abs(rho))
 
 
 def antimonotone_signs_constant(orbit: Orbit) -> bool:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from itereq.errors import DomainError, DomainMismatch
 from itereq.families import Affine, conjugate
 from itereq.intervals import Interval, REAL_LINE
-from itereq.means import Generator, qa_mean
+from itereq.means import Generator, _column_sums, qa_mean
 
 POS = Interval(0.0, math.inf)
 
@@ -146,6 +147,44 @@ def test_internality(values, kind):
         gen = Generator(kind, domain)
     m = qa_mean(gen, values)
     assert min(values) - 1e-9 <= m <= max(values) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# column sums of the row-wise mean
+# ---------------------------------------------------------------------------
+
+
+def _fortran_reduce(terms):
+    return np.add.reduce(np.asfortranarray(terms), axis=0)
+
+
+def test_column_sums_match_fortran_reduce_for_every_row_count():
+    rng = np.random.default_rng(7)
+    for count in range(1, 41):
+        terms = rng.standard_normal((count, 40)) * 10.0 ** rng.integers(
+            -12, 13, (count, 40)
+        )
+        terms[:, 0] = -0.0
+        terms[:, 1] = 0.0
+        terms[:, 2] = rng.choice([0.0, -0.0], count)
+        terms[::2, 3], terms[1::2, 3] = 1e16, -1e16
+        terms[:, 4] = 1.0
+        terms[0, 4] = 1e16
+        assert _column_sums(terms).tobytes() == _fortran_reduce(terms).tobytes()
+
+
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 300), st.integers(1, 4)),
+        elements=st.one_of(
+            st.floats(min_value=-1e300, max_value=1e300),
+            st.sampled_from([0.0, -0.0, -1e16, 1e16]),
+        ),
+    )
+)
+def test_column_sums_match_fortran_reduce_on_mixed_magnitudes(terms):
+    assert _column_sums(terms).tobytes() == _fortran_reduce(terms).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from itereq.intervals import Interval, REAL_LINE
 from itereq.means import Generator
 from itereq.poly import Polynomial
 from itereq.verify import (
+    _BLOCK,
     DEFAULT_TOL,
     VerifyReport,
     antimonotone_signs_constant,
@@ -351,13 +353,15 @@ def test_sample_grid_on_a_domain_outside_the_window():
 
 
 # ---------------------------------------------------------------------------
-# whole-row verification against the masked reference
+# blocked verification against the whole-grid masked reference
 # ---------------------------------------------------------------------------
 #
 # The reference below is the masked evaluation the verifier used before it
-# mapped whole rows: every row gathered the live columns and scattered the
-# result back, and the mean was taken over a gathered (Fortran-ordered)
-# copy of the live columns.  Reports must agree bit for bit.
+# mapped whole rows and before it worked in blocks of ``_BLOCK`` columns:
+# one array for the whole grid, every row gathered the live columns and
+# scattered the result back, and the mean was taken over a gathered
+# (Fortran-ordered) copy of the live columns.  Reports must agree bit for
+# bit.
 
 
 def _reference_contains(domain, vals):
@@ -397,7 +401,7 @@ def _reference_general(s, gen, prob, samples):
     if np.any(alive):
         live = rows[:, alive]
         phi = live if gen.kind == "identity" else gen.phi(live)
-        dev = np.add.reduce(phi - phi[prob.k], axis=0) / live.shape[0]
+        dev = np.add.reduce(np.asfortranarray(phi - phi[prob.k]), axis=0) / live.shape[0]
         mean_phi = phi[prob.k] + dev
         general = mean_phi if gen.kind == "identity" else gen.phi_inv(mean_phi)
         mean = np.where(dev == 0.0, live[prob.k], general)
@@ -446,9 +450,11 @@ class _Leaky(Solution):
 
 PROB_15_4 = CharProblem(15, 4)
 CHAR_15_4 = build_char_poly(PROB_15_4)
-WIDE_GRID = 2001
 BOX = Interval(-10.0, 10.0, True, True)
 POSITIVE = Interval(1.0, 10.0, True, True)
+# one block short of full, full, one over (the remainder joins the block),
+# and two blocks with a remainder
+BLOCK_GRIDS = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
 
 
 def _slope_15_4(family):
@@ -456,10 +462,31 @@ def _slope_15_4(family):
     return next(d.slope for d in fams if d.family == family)
 
 
+def _half_leak(domain):
+    """Points below the middle leave the domain at once; the rest contract.
+
+    On a grid of ``2 * _BLOCK + 1`` points the first block is exactly the
+    lower half, so it escapes whole while the other stays live.
+    """
+    mid, out = 0.5 * (domain.lo + domain.hi), domain.hi + 100.0
+    return _Leaky(
+        domain,
+        lambda x: np.where(x < mid, out, mid + 0.9 * (x - mid)),
+        lambda y: np.where(y < mid, out, mid + (y - mid) / 0.9),
+    )
+
+
 def _line_map(case):
-    """A map on the line or a box: no point, some points or every point escapes."""
+    """A map on the line or a box.
+
+    ``none``: no point escapes; ``some``: points near the top escape, all
+    in the last block; ``block``: the lower half escapes; ``all``: every
+    point escapes.
+    """
     if case == "none":
         return Affine(REAL_LINE, _slope_15_4("affine"), 1.0)
+    if case == "block":
+        return _half_leak(BOX)
     step = 0.05 if case == "some" else 100.0
     return _Leaky(BOX, lambda x: x + step, lambda y: y - step)
 
@@ -469,6 +496,8 @@ def _positive_map(case, gen):
         slope, img = _slope_15_4("affine"), gen.image()
         c = 0.5 * ((img.lo - slope * img.hi) + (img.hi - slope * img.lo))
         return conjugate(gen, Affine(img, slope, c))
+    if case == "block":
+        return _half_leak(POSITIVE)
     q = 1.01 if case == "some" else 100.0
     return _Leaky(POSITIVE, lambda x: q * x, lambda y: y / q)
 
@@ -494,38 +523,87 @@ def _bits(report):
     )
 
 
-@pytest.mark.parametrize("case", ["none", "some", "all"])
-def test_whole_row_reports_match_masked_reference(case):
+def _report_pairs(case, samples):
+    """(blocked report, whole-grid reference) for every verify entry point."""
     line = _line_map(case)
-    pairs = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        mean = verify_mean(line, PROB_15_4, WIDE_GRID)
-        identity = Generator("identity", line.domain)
-        pairs.append((mean, _reference_general(line, identity, PROB_15_4, WIDE_GRID)))
-        for gen in (Generator("log", POSITIVE), Generator("power", POSITIVE, p=2.0)):
-            s = _positive_map(case, gen)
-            pairs.append((
-                verify_general(s, gen, PROB_15_4, WIDE_GRID),
-                _reference_general(s, gen, PROB_15_4, WIDE_GRID),
-            ))
-        dual = verify_dual(line, CHAR_15_4, WIDE_GRID)
-        reversed_coeffs = Polynomial(tuple(reversed(CHAR_15_4.coeffs)))
-        pairs.append((dual.primal, _reference_linear(line, CHAR_15_4, WIDE_GRID)))
+    identity = Generator("identity", line.domain)
+    pairs = [(
+        verify_mean(line, PROB_15_4, samples),
+        _reference_general(line, identity, PROB_15_4, samples),
+    )]
+    for gen in (Generator("log", POSITIVE), Generator("power", POSITIVE, p=2.0)):
+        s = _positive_map(case, gen)
         pairs.append((
-            dual.dual, _reference_linear(line.inverse(), reversed_coeffs, WIDE_GRID)
+            verify_general(s, gen, PROB_15_4, samples),
+            _reference_general(s, gen, PROB_15_4, samples),
         ))
-        for s, rho in _second_order_cases(case):
-            pairs.append((
-                verify_second_order(s, rho, WIDE_GRID),
-                _reference_second(s, rho, WIDE_GRID),
-            ))
-    for got, want in pairs:
-        assert _bits(got) == _bits(want)
-    escaped = {"none": 0, "all": WIDE_GRID}.get(case)
-    if escaped is None:
-        assert 0 < mean.points_escaped < WIDE_GRID
-    else:
-        assert mean.points_escaped == escaped
-    if case == "none":
-        assert all(got.passed for got, _ in pairs)
+    dual = verify_dual(line, CHAR_15_4, samples)
+    reversed_coeffs = Polynomial(tuple(reversed(CHAR_15_4.coeffs)))
+    pairs.append((dual.primal, _reference_linear(line, CHAR_15_4, samples)))
+    pairs.append((
+        dual.dual, _reference_linear(line.inverse(), reversed_coeffs, samples)
+    ))
+    for s, rho in _second_order_cases(case):
+        pairs.append((
+            verify_second_order(s, rho, samples),
+            _reference_second(s, rho, samples),
+        ))
+    return pairs
+
+
+@pytest.mark.parametrize("case", ["none", "some", "block", "all"])
+def test_whole_row_reports_match_masked_reference(case):
+    for samples in BLOCK_GRIDS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = _report_pairs(case, samples)
+        for got, want in pairs:
+            assert _bits(got) == _bits(want), samples
+        line = _line_map(case)
+        _, alive = _reference_rows(line, sample_grid(line.domain, samples), 15)
+        assert pairs[0][0].points_escaped == samples - np.count_nonzero(alive)
+        if case == "none":
+            assert alive.all()
+            assert all(got.passed for got, _ in pairs)
+        elif case == "all":
+            assert not alive.any()
+        elif samples < 2 * _BLOCK:
+            assert 0 < np.count_nonzero(alive) < samples
+        else:
+            first, rest = alive[:_BLOCK], alive[_BLOCK:]
+            if case == "some":
+                assert first.all() and 0 < np.count_nonzero(rest) < len(rest)
+            else:
+                assert not first.any() and rest.all()
+
+
+def test_nan_residual_survives_the_block_reduction():
+    # rho * x overflows for x above 1.8, so only the second block holds NaN
+    # residuals; Python's max(finite, nan) would drop them
+    s, rho, samples = Identity(Interval(-1.0, 4.0, True, True)), 1e308, 2 * _BLOCK + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = verify_second_order(s, rho, samples)
+        want = _reference_second(s, rho, samples)
+    assert math.isnan(got.max_residual) and not got.passed
+    assert _bits(got) == _bits(want)
+
+
+def test_overflowing_translation_escapes_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = verify_mean(Translation(REAL_LINE, 1.89231e307), CharProblem(14, 7))
+    assert not report.passed
+    assert report.points_escaped == 1001 and report.points_evaluated == 0
+
+
+def test_verify_memory_is_bounded_by_the_block():
+    s = _line_map("none")
+    tracemalloc.start()
+    try:
+        report = verify_mean(s, PROB_15_4, 200001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.points_evaluated == 200001
+    # the whole grid alone is 16 rows x 200001 doubles = 25.6 MB
+    assert peak < 8 * 2**20
