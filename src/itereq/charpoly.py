@@ -9,9 +9,9 @@ For integers ``n >= 2`` and ``0 <= k <= n`` the equation
 The parities of ``k`` and ``n`` and the ordering of ``n`` against ``2k``
 determine a complete table of real-root locations (labels C1..C10 for
 ``0 < k < n``, plus K0 and KN for the boundary cases).  ``analyze_roots``
-isolates every predicted real root inside its bracket, computes the
-remaining complex spectrum, and checks the modulus bound ``|z| < 2n+1``
-plus the real/non-real modulus separation.
+computes the whole spectrum in one solve, finds every predicted real root
+in its bracket there, and checks the modulus bound ``|z| < 2n+1`` plus the
+real/non-real modulus separation.
 """
 
 from __future__ import annotations
@@ -20,8 +20,12 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import BracketFailure, DomainError
-from .poly import (
+from . import _kernels
+from .errors import BracketFailure, DomainError, NonConvergence
+# ``bisect_root`` and ``newton_polish`` are no longer called here; they stay
+# attributes of this module because ``perfbench/tracer.py`` wraps the
+# root-finding layers under the names this module holds.
+from .poly import (  # noqa: F401
     ComplexRoot,
     Polynomial,
     all_roots,
@@ -32,7 +36,9 @@ from .poly import (
 )
 
 NOT_APPLICABLE = None
-_BISECT_WIDTH = 1e-10  # Newton polishing takes each root on from here
+# Half-width of the interval around each real root on which the deflated
+# polynomial must change sign.
+_BISECT_WIDTH = 1e-10
 # Root reports kept by ``analyze_roots``: 256 holds the whole paper table
 # (133 problems for 2 <= n <= 15) and caps memory when a longer table
 # streams through.
@@ -280,6 +286,41 @@ def separation_applies(prob: CharProblem) -> bool:
     return prob.k % 2 == 1 or prob.n % 2 == 1
 
 
+def _exact_sign(p: Polynomial, x: float) -> int:
+    """Sign of ``p(x)`` in exact arithmetic, for integer coefficients and integer ``x``."""
+    xi = int(x)
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * xi + int(c)
+    return (acc > 0) - (acc < 0)
+
+
+def _signed_value(p: Polynomial, x: float) -> float:
+    """A float with the sign of ``p(x)``, which cannot overflow.
+
+    Up to ``_kernels.direct_radius`` this is ``p(x)``, as in
+    ``_kernels.horner_scaled``; beyond it, ``p(x) / |x|^n``, taken as the
+    reversed polynomial at ``1/x`` (whose descending coefficients are the
+    ascending ones of ``p``).
+    """
+    n = p.degree
+    if abs(x) <= _kernels.direct_radius(n):
+        return evaluate(p, x)
+    value = _kernels.horner(p.coeffs, 1.0 / x)
+    return -value if x < 0.0 and n % 2 else value
+
+
+def _confirm_sign_change(p: Polynomial, root: float, lo: float, hi: float) -> None:
+    """Require a sign change of ``p`` within ``_BISECT_WIDTH`` of ``root``."""
+    a = max(lo, root - _BISECT_WIDTH)
+    b = min(hi, root + _BISECT_WIDTH)
+    if _signed_value(p, a) * _signed_value(p, b) > 0.0:
+        raise NonConvergence(
+            f"sign change not confirmed within {_BISECT_WIDTH:.1e} of {root!r}",
+            best_residual=abs(evaluate(p, root)),
+        )
+
+
 @functools.lru_cache(maxsize=_REPORT_CACHE_SIZE)
 def analyze_roots(prob: CharProblem) -> RootReport:
     """Resolve the full spectrum and check the root-location claims.
@@ -295,13 +336,20 @@ def analyze_roots(prob: CharProblem) -> RootReport:
     CLI call analyses one (n, k) and gains nothing.  The uncached analysis
     is ``analyze_roots.__wrapped__``.
 
-    The exact root 1 is handled symbolically (deflated to its known
-    multiplicity before any numerics).  Each remaining predicted real
-    root is isolated by bisection inside its bracket on the deflated
-    polynomial, sharpened by a few Newton steps, and divided out; the
-    residual polynomial is handed to the simultaneous iteration for the
-    complex spectrum.  Residual tolerances follow the 1e-12 * max|coeffs|
-    default.
+    The exact root 1 is divided out to its known multiplicity before any
+    numerics, which leaves a polynomial with integer coefficients.  Its
+    sign at each end of every predicted real-root bracket (all integers:
+    0, +-1, +-(2n+1)) is taken in exact integer arithmetic, and must
+    change across the bracket.  One ``all_roots`` call then gives every
+    other root: companion-matrix eigenvalues, each alone in its
+    Weierstrass disk and polished, with the residual test of
+    ``all_roots``.  Each predicted real root is the unique real estimate
+    strictly inside its bracket, and the deflated polynomial must change
+    sign within ``_BISECT_WIDTH`` of it.  A bracket holding no real
+    estimate, or more than one, raises :class:`BracketFailure`; a missing
+    sign change near a root raises :class:`NonConvergence`.  Real
+    estimates in no bracket stay among the complex roots, where
+    ``report_matches_expectation`` flags them.
     """
     analysis = classify(prob)
     p = build_char_poly(prob)
@@ -311,31 +359,33 @@ def analyze_roots(prob: CharProblem) -> RootReport:
     for _ in range(mult_one):
         work = deflate(work, 1.0, tol=1e-7)
 
-    real_records = [RealRootRecord(1.0, mult_one, (1.0, 1.0))]
-    for exp in analysis.expected_real_roots:
-        if exp.is_one:
-            continue
+    brackets = [e for e in analysis.expected_real_roots if not e.is_one]
+    for exp in brackets:
         lo, hi = exp.bracket
-        flo = evaluate(work, lo)
-        fhi = evaluate(work, hi)
-        if flo * fhi >= 0.0:
+        slo, shi = _exact_sign(work, lo), _exact_sign(work, hi)
+        if slo * shi >= 0:
             raise BracketFailure(
                 f"(n={prob.n}, k={prob.k}): no sign change on bracket "
-                f"({lo}, {hi}); values {flo:.3e}, {fhi:.3e}"
+                f"({lo}, {hi}); exact signs {slo:+d}, {shi:+d}"
             )
-        root = bisect_root(work, lo, hi, tol=_BISECT_WIDTH)
-        root = newton_polish(work, root)
-        if not lo < root < hi:
-            raise BracketFailure(
-                f"(n={prob.n}, k={prob.k}): root {root!r} left bracket ({lo}, {hi})"
-            )
-        real_records.append(RealRootRecord(root, exp.multiplicity, (lo, hi)))
-        work = deflate(work, root, tol=1e-6)
 
-    if work.degree > 0:
-        complex_roots = tuple(all_roots(work, tol=1e-12))
-    else:
-        complex_roots = ()
+    estimates = all_roots(work, tol=1e-12) if work.degree > 0 else []
+    real_records = [RealRootRecord(1.0, mult_one, (1.0, 1.0))]
+    real_estimates = [(i, z.re) for i, z in enumerate(estimates) if z.im == 0.0]
+    taken: set[int] = set()
+    for exp in brackets:
+        lo, hi = exp.bracket
+        hits = [i for i, x in real_estimates if lo < x < hi]
+        if len(hits) != 1:
+            raise BracketFailure(
+                f"(n={prob.n}, k={prob.k}): {len(hits)} real root estimates "
+                f"in bracket ({lo}, {hi}), expected 1"
+            )
+        z = estimates[hits[0]]
+        _confirm_sign_change(work, z.re, lo, hi)
+        taken.add(hits[0])
+        real_records.append(RealRootRecord(z.re, z.multiplicity, (lo, hi)))
+    complex_roots = tuple(z for i, z in enumerate(estimates) if i not in taken)
 
     bound = 2.0 * prob.n + 1.0
     max_mod = max(

@@ -1,10 +1,12 @@
 """Real-coefficient polynomials: evaluation, division, and root finding.
 
 Coefficients are stored in ascending order (constant term first), matching
-the characteristic form ``sum_i a_i r^i``.  Root finding is split between
-bracketed bisection (for real roots with known isolation intervals) and
-companion-matrix eigenvalues polished by Durand-Kerner sweeps (for the
-full complex spectrum).
+the characteristic form ``sum_i a_i r^i``.  A ``Polynomial`` computes its
+float64 array, its descending coefficients and its coefficient norm once.
+``all_roots`` gives the whole spectrum: companion-matrix eigenvalues,
+checked by Weierstrass inclusion disks and polished by Durand-Kerner
+sweeps.  ``bisect_root`` and ``newton_polish`` isolate and sharpen a single
+real root in a known bracket.
 """
 
 from __future__ import annotations
@@ -24,10 +26,16 @@ class Polynomial:
 
     ``coeffs`` is never empty; trailing zeros are stripped on construction
     so that ``degree == len(coeffs) - 1`` (the zero polynomial keeps a
-    single 0.0 coefficient).
+    single 0.0 coefficient).  The float64 array, the descending
+    coefficients that scalar evaluation runs over, and ``inf_norm`` are
+    computed once at construction; they take no part in equality or
+    hashing.
     """
 
     coeffs: tuple[float, ...]
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
+    _desc: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _inf_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cs = [float(c) for c in self.coeffs]
@@ -35,7 +43,12 @@ class Polynomial:
             raise ValueError("a polynomial needs at least one coefficient")
         while len(cs) > 1 and cs[-1] == 0.0:
             cs.pop()
+        arr = np.array(cs, dtype=np.float64)
+        arr.flags.writeable = False
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_array", arr)
+        object.__setattr__(self, "_desc", tuple(reversed(cs)))
+        object.__setattr__(self, "_inf_norm", max(map(abs, cs)))
 
     @property
     def degree(self) -> int:
@@ -44,10 +57,11 @@ class Polynomial:
     @property
     def inf_norm(self) -> float:
         """Largest absolute coefficient, the scale for residual tolerances."""
-        return max(abs(c) for c in self.coeffs)
+        return self._inf_norm
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=np.float64)
+        """The coefficients as a read-only float64 array, shared by every caller."""
+        return self._array
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -69,20 +83,23 @@ class Polynomial:
 class ComplexRoot:
     """One root of a polynomial with its multiplicity.
 
-    ``modulus`` is cached at construction; roots with nonzero imaginary
-    part always travel in conjugate pairs inside any root list produced
-    here.
+    ``modulus`` is cached at construction as ``np.hypot(re, im)``; a
+    caller that already holds that value (``all_roots`` takes every
+    modulus from one vectorized ``np.hypot``) may pass it.  Roots with
+    nonzero imaginary part always travel in conjugate pairs inside any
+    root list produced here.
     """
 
     re: float
     im: float
     multiplicity: int = 1
-    modulus: float = field(default=0.0)
+    modulus: float | None = None
 
     def __post_init__(self) -> None:
         if self.multiplicity < 1:
             raise ValueError("multiplicity must be >= 1")
-        object.__setattr__(self, "modulus", float(np.hypot(self.re, self.im)))
+        if self.modulus is None:
+            object.__setattr__(self, "modulus", float(np.hypot(self.re, self.im)))
 
     @property
     def is_real(self) -> bool:
@@ -96,7 +113,7 @@ def evaluate(p: Polynomial, x):
     """Evaluate ``p`` at ``x`` (scalar or ndarray) via Horner's scheme."""
     if isinstance(x, np.ndarray):
         return _kernels.horner_vec(p.as_array(), np.asarray(x, dtype=np.float64))
-    return float(_kernels.horner(p.as_array(), float(x)))
+    return _kernels.horner(p._desc, float(x))
 
 
 def multiply_linear(p: Polynomial, root_shift: float) -> Polynomial:
@@ -223,23 +240,26 @@ def _companion_eigenvalues(c: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def _disk_radii(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _disk_radii(
+    c: np.ndarray, z: np.ndarray, first: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> np.ndarray:
     """Radii ``n |W_i|`` of the Weierstrass inclusion disks around ``z``.
 
     ``W_i = p(z_i) / (c_n prod_{j != i} (z_i - z_j))`` is the Durand-Kerner
-    correction.  The disks cover every root, and a connected union of m of
-    them holds exactly m roots (Braess & Hadeler, 1973), so a disk that
-    meets no other holds exactly one simple root.  ``|p(z_i)|`` is taken
-    with a bound on Horner's rounding error added, so that noise near a
-    multiple root cannot shrink a disk.  A collapsed pair of estimates
-    gets an infinite radius.
+    correction; ``first`` holds its scaled numerators and denominators
+    (see ``_kernels.dk_sweeps``).  The disks cover every root, and a
+    connected union of m of them holds exactly m roots (Braess & Hadeler,
+    1973), so a disk that meets no other holds exactly one simple root.
+    ``|p(z_i)|`` is taken with a bound on Horner's rounding error added, so
+    that noise near a multiple root cannot shrink a disk.  A collapsed pair
+    of estimates gets an infinite radius.
     """
+    h, _, denom = first
     n = len(z)
-    rounding = 4.0 * n * np.finfo(float).eps * _kernels.horner_vec(np.abs(c), np.abs(z))
-    diff = z[:, None] - z[None, :]
-    np.fill_diagonal(diff, 1.0)
+    magnitude, _ = _kernels.horner_scaled(np.abs(c), np.abs(z))
+    rounding = 4.0 * n * np.finfo(float).eps * magnitude
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = (np.abs(_kernels.horner_vec(c, z)) + rounding) / np.abs(c[-1] * np.prod(diff, axis=1))
+        w = (np.abs(h) + rounding) / np.abs(denom)
     radius = n * w
     return np.where(np.isnan(radius), np.inf, radius)
 
@@ -255,36 +275,50 @@ def _cluster_labels(z: np.ndarray, radius: np.ndarray) -> np.ndarray:
         labels = nxt
 
 
-def _polish_simple(p: Polynomial, z0: np.ndarray, tol: float) -> list[ComplexRoot]:
+def _polish_simple(
+    p: Polynomial,
+    z0: np.ndarray,
+    nr: int,
+    first: tuple[np.ndarray, np.ndarray, np.ndarray],
+    tol: float,
+) -> list[ComplexRoot]:
     """Polish isolated estimates by Durand-Kerner and apply the residual test.
 
-    Each estimate sits alone in its inclusion disk, which is symmetric
-    about the real axis for a real estimate: real estimates stay real
-    roots and conjugate pairs stay pairs, so both are re-symmetrized
-    exactly after the sweeps.  Every root must then leave a residual
-    within ``tol`` of the coefficient norm or of the evaluation magnitude
-    at the root, whichever is larger.
+    ``z0`` is ordered as ``nr`` real estimates, then those above the real
+    axis, then their conjugates in the same order; ``first`` holds the
+    first Durand-Kerner step at ``z0``.  Each estimate sits alone in its
+    inclusion disk, which is symmetric about the real axis for a real
+    estimate: real estimates stay real roots and conjugate pairs stay
+    pairs, so both are re-symmetrized exactly after the sweeps.  Every root
+    must then leave a residual within ``tol`` of the coefficient norm or of
+    the evaluation magnitude at the root, whichever is larger; both sides
+    are scaled as in ``_kernels.horner_scaled``, so the test cannot
+    overflow.
     """
     c = p.as_array()
-    real = z0[z0.imag == 0.0].real
-    upper = z0[z0.imag > 0.0]
-    nr, nu = len(real), len(upper)
-    start = np.concatenate([real, upper, upper.conj()])
-    z, _, _ = _kernels.dk_sweeps(c, start, tol * p.inf_norm, 1e-15)
+    nu = (len(z0) - nr) // 2
+    z, _, _ = _kernels.dk_sweeps(c, z0, tol * p.inf_norm, 1e-15, first)
     upper = 0.5 * (z[nr : nr + nu] + z[nr + nu :].conj())
     z = np.concatenate([z[:nr].real, upper, upper.conj()])
 
-    resid = np.abs(_kernels.horner_vec(c, z))
-    allowed = tol * np.maximum(p.inf_norm, _kernels.horner_vec(np.abs(c), np.abs(z)))
+    h, scale = _kernels.horner_scaled(c, z)
+    magnitude, _ = _kernels.horner_scaled(np.abs(c), np.abs(z))
+    resid = np.abs(h)
+    allowed = tol * np.maximum(p.inf_norm * scale, magnitude)
     if np.any(resid > allowed):
         worst = float(np.max(resid / allowed))
         raise NonConvergence(
             f"root residual {worst:.3e} times its limit after polishing",
-            best_residual=float(np.max(resid)),
+            best_residual=_kernels.worst_residual(h, scale),
         )
-    roots = [ComplexRoot(v.real, v.imag) for v in z]
-    roots.sort(key=lambda r: (r.re, r.im))
-    return roots
+    re, im = z.real, z.imag
+    order = np.lexsort((im, re))
+    return [
+        ComplexRoot(r, i, 1, m)
+        for r, i, m in zip(
+            re[order].tolist(), im[order].tolist(), np.hypot(re, im)[order].tolist()
+        )
+    ]
 
 
 def _merge_clusters(
@@ -368,9 +402,15 @@ def all_roots(p: Polynomial, tol: float = 1e-12) -> list[ComplexRoot]:
 
     c = p.as_array()
     z = _companion_eigenvalues(c)
-    labels = _cluster_labels(z, _disk_radii(c, z))
-    if len(np.unique(labels)) == len(z):
-        return _polish_simple(p, z, tol)
+    # real estimates, then those above the axis, then their exact conjugates
+    real = z[z.imag == 0.0].real
+    upper = z[z.imag > 0.0]
+    z = np.concatenate([real, upper, upper.conj()]).astype(np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        first = _kernels.horner_scaled(c, z) + (_kernels.dk_denominators(c, z),)
+    labels = _cluster_labels(z, _disk_radii(c, z, first))
+    if np.array_equal(labels, np.arange(len(z))):
+        return _polish_simple(p, z, len(real), first, tol)
     return _merge_clusters(p, z, labels, tol)
 
 

@@ -122,6 +122,15 @@ def _contains_array(domain: Interval, vals: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _contains_point(domain: Interval, x: float) -> bool:
+    """``_contains_array`` for one value, in Python floats: the same IEEE
+    operations, without building an array per orbit point."""
+    if not math.isfinite(x):
+        return False
+    slack = 1e-12 * (1.0 + abs(x))
+    return domain.lo - slack <= x <= domain.hi + slack
+
+
 def sample_grid(domain: Interval, samples: int, half_width: float = 10.0) -> np.ndarray:
     """Uniform grid over the domain clipped to ``[-half_width, half_width]``.
 
@@ -161,26 +170,29 @@ def iterate(s: Solution, x0: float, m_lo: int = 0, m_hi: int = 0) -> Orbit:
     escaped = False
     escape_index: int | None = None
 
-    x = x0
-    for m in range(1, m_hi + 1):
-        x = s(x)
-        if not _contains_array(s.domain, np.asarray([x]))[0]:
-            escaped, escape_index = True, m
-            break
-        points[m - m_lo] = x
-
-    if not escaped or escape_index is None or escape_index > 0:
+    # an iterate that overflows escapes the domain below; one guard per
+    # call, not per point
+    with np.errstate(over="ignore"):
         x = x0
-        for m in range(-1, m_lo - 1, -1):
-            try:
-                x = s.invert(x)
-            except NotSurjective:
-                escaped, escape_index = True, m
-                break
-            if not _contains_array(s.domain, np.asarray([x]))[0]:
+        for m in range(1, m_hi + 1):
+            x = s(x)
+            if not _contains_point(s.domain, x):
                 escaped, escape_index = True, m
                 break
             points[m - m_lo] = x
+
+        if not escaped or escape_index is None or escape_index > 0:
+            x = x0
+            for m in range(-1, m_lo - 1, -1):
+                try:
+                    x = s.invert(x)
+                except NotSurjective:
+                    escaped, escape_index = True, m
+                    break
+                if not _contains_point(s.domain, x):
+                    escaped, escape_index = True, m
+                    break
+                points[m - m_lo] = x
 
     return Orbit(x0, m_lo, m_hi, points, escaped, escape_index)
 

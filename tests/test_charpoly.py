@@ -1,6 +1,8 @@
 import dataclasses
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,8 +17,8 @@ from itereq.charpoly import (
     report_matches_expectation,
     separation_applies,
 )
-from itereq.errors import DomainError, NonConvergence
-from itereq.poly import evaluate
+from itereq.errors import BracketFailure, DomainError, NonConvergence
+from itereq.poly import ComplexRoot, deflate, evaluate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -361,3 +363,136 @@ def test_spectrum_past_the_paper_range(n, k):
         value = sum(c * z**i for i, c in enumerate(coeffs))
         magnitude = sum(abs(c) * abs(z) ** i for i, c in enumerate(coeffs))
         assert abs(value) / magnitude <= 1e-8, z
+
+
+# ---------------------------------------------------------------------------
+# one spectrum solve: bracket checks and their failure paths
+# ---------------------------------------------------------------------------
+
+
+def _patched_estimates(monkeypatch, edit):
+    """Make ``analyze_roots`` see the real spectrum of its polynomial, edited."""
+    from itereq import charpoly
+
+    real_all_roots = charpoly.all_roots
+
+    def patched(p, tol):
+        return edit(real_all_roots(p, tol=tol))
+
+    monkeypatch.setattr(charpoly, "all_roots", patched)
+
+
+def _without_root_in(lo, hi):
+    return lambda roots: [z for z in roots if not (z.im == 0.0 and lo < z.re < hi)]
+
+
+@pytest.mark.parametrize(
+    "edit, count",
+    [
+        (_without_root_in(0.0, 1.0), 0),
+        (lambda roots: roots + [ComplexRoot(0.5, 0.0)], 2),
+    ],
+    ids=["none", "two"],
+)
+def test_bracket_needs_exactly_one_real_estimate(monkeypatch, edit, count):
+    _patched_estimates(monkeypatch, edit)
+    with pytest.raises(BracketFailure, match=rf"\b{count} real root estimates in bracket \(0\.0, 1\.0\)"):
+        analyze_roots(CharProblem(3, 1))
+
+
+def test_real_estimate_outside_every_bracket_is_flagged(monkeypatch):
+    _patched_estimates(monkeypatch, lambda roots: roots + [ComplexRoot(-0.5, 0.0)])
+    report = analyze_roots(CharProblem(3, 1))
+    assert ComplexRoot(-0.5, 0.0) in report.complex_roots
+    ok, problems = report_matches_expectation(report)
+    assert not ok
+    assert any("unexpected extra real root -0.5" in p for p in problems)
+
+
+def test_real_estimate_without_a_nearby_sign_change_fails(monkeypatch):
+    def shift(roots):
+        return [
+            ComplexRoot(z.re + 1e-6, 0.0) if 0.0 < z.re < 1.0 and z.im == 0.0 else z
+            for z in roots
+        ]
+
+    _patched_estimates(monkeypatch, shift)
+    with pytest.raises(NonConvergence, match="sign change not confirmed within 1.0e-10"):
+        analyze_roots(CharProblem(3, 1))
+
+
+def test_one_spectrum_solve_per_problem(monkeypatch):
+    calls = []
+    _patched_estimates(monkeypatch, lambda roots: calls.append(roots) or roots)
+    report = analyze_roots(CharProblem(12, 4))  # C10: four real roots
+    assert len(report.real_roots) == 4 and len(calls) == 1
+    # the real roots are read off that one spectrum
+    (spectrum,) = calls
+    assert [r.value for r in report.real_roots[1:]] == [
+        next(z.re for z in spectrum if z.im == 0.0 and lo < z.re < hi)
+        for lo, hi in (r.bracket for r in report.real_roots[1:])
+    ]
+    assert len(report.complex_roots) == len(spectrum) - 3
+    assert report_matches_expectation(report)[0]
+
+
+@pytest.mark.parametrize("n", [150, 200])
+def test_bracket_end_signs_are_exact_past_the_float_range(monkeypatch, n):
+    from itereq import _kernels, charpoly
+
+    prob = CharProblem(n, 0)  # K0 with n even: a root in (-(2n+1), -1)
+    end = -(2 * n + 1)
+    work = deflate(build_char_poly(prob), 1.0)
+    # p(r) = n - r - ... - r^n, and work = p / (r - 1) with end - 1 < 0
+    p_end = n - sum(end**i for i in range(1, n + 1))
+    assert charpoly._exact_sign(work, float(end)) == (-1 if p_end > 0 else 1)
+    assert math.isinf(evaluate(work, float(end)))  # why the sign is taken exactly
+
+    non_finite = []
+
+    def watch(fn):
+        def wrapper(*args):
+            value = fn(*args)
+            if not np.all(np.isfinite(value)):
+                non_finite.append((fn.__name__, args[-1]))
+            return value
+
+        return wrapper
+
+    monkeypatch.setattr(_kernels, "horner", watch(_kernels.horner))
+    monkeypatch.setattr(_kernels, "horner_vec", watch(_kernels.horner_vec))
+    report = analyze_roots(prob)
+    assert non_finite == []
+    ok, problems = report_matches_expectation(report)
+    assert ok, problems
+
+
+@pytest.mark.parametrize("n, k", [(150, 149), (151, 150), (200, 199)])
+@pytest.mark.parametrize("x", [-12.5, 12.5, 149.75])
+def test_signed_value_past_the_direct_range_has_the_exact_sign(n, k, x):
+    from itereq.charpoly import _signed_value
+
+    work = deflate(build_char_poly(CharProblem(n, k)), 1.0)
+    exact = sum(Fraction(c) * Fraction(x) ** i for i, c in enumerate(work.coeffs))
+    value = _signed_value(work, x)
+    assert math.isfinite(value) and (value > 0) == (exact > 0) and exact != 0
+
+
+@pytest.mark.parametrize("n", [150, 200])
+def test_sign_checks_near_a_root_of_size_n_stay_finite(monkeypatch, n):
+    from itereq import _kernels
+
+    non_finite = []
+    horner = _kernels.horner
+
+    def watched(desc, x):
+        value = horner(desc, x)
+        if not math.isfinite(value):
+            non_finite.append(x)
+        return value
+
+    monkeypatch.setattr(_kernels, "horner", watched)
+    report = analyze_roots(CharProblem(n, n - 1))
+    assert non_finite == []
+    ok, problems = report_matches_expectation(report)
+    assert ok, problems

@@ -628,3 +628,18 @@ def test_analyze_exit_code_of_solver_errors(monkeypatch, capsys, error, expected
     code, _, err = run_cli(capsys, "analyze", "--n", "3", "--k", "1")
     assert code == expected
     assert "synthetic" in err
+
+
+def test_analyze_two_real_estimates_in_a_bracket_exit_1(monkeypatch, capsys):
+    from itereq import charpoly
+    from itereq.poly import ComplexRoot
+
+    real_all_roots = charpoly.all_roots
+
+    def doubled(p, tol):
+        return real_all_roots(p, tol=tol) + [ComplexRoot(0.5, 0.0)]
+
+    monkeypatch.setattr(charpoly, "all_roots", doubled)
+    code, _, err = run_cli(capsys, "analyze", "--n", "3", "--k", "1")
+    assert code == 1
+    assert "2 real root estimates in bracket (0.0, 1.0)" in err

@@ -314,3 +314,40 @@ def test_all_roots_reexpansion_matches_coefficients(real_roots):
     scale = max(abs(c) for c in base.coeffs)
     for a, b in zip(rebuilt.coeffs, base.coeffs):
         assert abs(a - b) <= 1e-6 * max(scale, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# values computed once per polynomial
+# ---------------------------------------------------------------------------
+
+
+def test_cached_array_is_read_only_and_shared():
+    p = Polynomial((1.0, -2.0, 3.0))
+    arr = p.as_array()
+    assert arr is p.as_array()
+    assert arr.dtype == np.float64 and arr.tolist() == [1.0, -2.0, 3.0]
+    with pytest.raises(ValueError):
+        arr[0] = 5.0
+    assert evaluate(p, 2.0) == 9.0
+    assert p.inf_norm == 3.0
+
+
+def test_equal_polynomials_compare_and_hash_equal():
+    a = Polynomial((1, 2.0, 0.0))
+    b = Polynomial((1.0, 2.0))
+    a.as_array()
+    evaluate(a, 3.0)
+    assert a == b and hash(a) == hash(b)
+    assert {a: "first"}[b] == "first"
+    assert a != Polynomial((1.0, 3.0))
+    assert repr(a) == "Polynomial(coeffs=(1.0, 2.0))"
+
+
+def test_root_moduli_match_scalar_hypot_bit_for_bit():
+    p = Polynomial((3.0, -1.0, 0.5, 2.0, -1.0, 0.25, 1.0))
+    roots = all_roots(p)
+    assert any(r.im != 0.0 for r in roots)
+    for r in roots:
+        assert r.modulus == float(np.hypot(r.re, r.im))
+        assert r == ComplexRoot(r.re, r.im, r.multiplicity)
+    assert ComplexRoot(3.0, -4.0).modulus == 5.0

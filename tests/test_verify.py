@@ -22,6 +22,8 @@ from itereq.means import Generator
 from itereq.poly import Polynomial
 from itereq.verify import (
     _BLOCK,
+    _contains_array,
+    _contains_point,
     DEFAULT_TOL,
     VerifyReport,
     antimonotone_signs_constant,
@@ -54,6 +56,29 @@ def test_affine_orbit_powers():
 def test_translation_orbit_backward():
     orb = iterate(Translation(REAL_LINE, 0.5), 0.0, -2, 2)
     assert list(orb.all_values()) == [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+def test_overflowing_orbit_escapes_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        orb = iterate(Translation(REAL_LINE, 1e308), 5.0, 0, 3)
+    assert orb.escaped and orb.escape_index == 2
+    assert orb.value(1) == 1e308
+
+
+def test_point_membership_matches_the_array_test():
+    domains = [
+        REAL_LINE, Interval(-3.0, math.inf), Interval(-math.inf, 3.0),
+        Interval(-3.0, 3.0, True, False), Interval(-1e6, 2.5),
+    ]
+    near = [3.0 + d for d in (-6e-12, -3e-12, 0.0, 3e-12, 6e-12)]
+    values = near + [-v for v in near] + [
+        0.0, -0.0, 2.5 + 1e-12, 2.5 + 2e-11, -1e6 - 1e-6, -1e6 - 1e-5,
+        1e308, -1e308, math.inf, -math.inf, math.nan,
+    ]
+    for domain in domains:
+        expected = _contains_array(domain, np.asarray(values)).tolist()
+        assert [_contains_point(domain, x) for x in values] == expected, domain
 
 
 def test_orbit_value_indexing():
