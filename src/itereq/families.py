@@ -236,6 +236,14 @@ class ThreePiece(Solution):
         f(x) = r*(x - a) + a   for x <= a
         f(x) = x               for a < x < b
         f(x) = r*(x - b) + b   for x >= b
+
+    Arrays are evaluated through the clamp ``c = min(max(x, a), b)`` as
+    ``(x - c)*r + c``, the inverse as ``(y - c)/r + c``, in five passes and
+    without masks.  That is the branch arithmetic, operation for
+    operation: ``c`` is ``a`` below ``a`` and ``b`` above ``b``, and inside
+    ``(x - x)*r + x`` is ``x``; NaN and +-inf propagate as in the branches.
+    The one bit that differs is the sign of a zero: ``x = -0.0`` strictly
+    inside ``(a, b)`` maps to ``+0.0``, an equal value.
     """
 
     domain: Interval
@@ -261,14 +269,18 @@ class ThreePiece(Solution):
         _check_image_contained(self)
 
     def _eval_array(self, xs):
-        low = self.slope * (xs - self.a) + self.a
-        high = self.slope * (xs - self.b) + self.b
-        return np.where(xs <= self.a, low, np.where(xs >= self.b, high, xs))
+        anchor = np.minimum(np.maximum(xs, self.a), self.b)
+        out = np.subtract(xs, anchor)
+        out *= self.slope
+        out += anchor
+        return out
 
     def _invert_array(self, ys):
-        low = (ys - self.a) / self.slope + self.a
-        high = (ys - self.b) / self.slope + self.b
-        return np.where(ys <= self.a, low, np.where(ys >= self.b, high, ys))
+        anchor = np.minimum(np.maximum(ys, self.a), self.b)
+        out = np.subtract(ys, anchor)
+        out /= self.slope
+        out += anchor
+        return out
 
     def _inverse_spec(self):
         return ThreePiece(self.domain, self.a, self.b, 1.0 / self.slope)

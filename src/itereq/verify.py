@@ -204,17 +204,21 @@ def _iterate_rows(
 
     Returns ``(rows, alive)`` where ``rows`` is (count+1, len(xs)) and
     ``alive`` marks columns whose iterates all stayed in the domain.  Whole
-    rows are mapped until a point escapes; from then on only the live
-    columns are, and the escaped ones keep the NaN the rows start with.
+    rows are mapped until a point escapes, and the row it escapes in keeps
+    its escaped value.  NaN is written only after an escape: each later
+    row is set to NaN and then only its live columns are mapped, so the
+    escaped columns hold NaN from there on.
     """
-    rows = np.full((count + 1, len(xs)), np.nan)
+    rows = np.empty((count + 1, len(xs)))
     rows[0] = xs
     alive = _contains_array(s.domain, xs)
     for i in range(1, count + 1):
         if alive.all():
             rows[i] = s._eval_array(rows[i - 1])
-        elif alive.any():
-            rows[i, alive] = s._eval_array(rows[i - 1, alive])
+        else:
+            rows[i] = np.nan
+            if alive.any():
+                rows[i, alive] = s._eval_array(rows[i - 1, alive])
         alive &= _contains_array(s.domain, rows[i])
     return rows, alive
 

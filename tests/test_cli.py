@@ -326,6 +326,22 @@ def test_orbit_backward_translation(tmp_path, capsys):
     assert [float(r[1]) for r in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
 
+def test_orbit_three_piece_negative_zero_constant(tmp_path, capsys):
+    spec = {
+        "family": "three_piece",
+        "params": {"a": -1.0, "b": 2.0, "slope": 0.5},
+        "domain": REAL_LINE_JSON,
+    }
+    code, out, _ = run_cli(
+        capsys, "orbit", "--solution", write_spec(tmp_path, spec),
+        "--x0=-0.0", "--steps", "3", "--back", "2",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["-2", "-1", "0", "1", "2", "3"]
+    assert [float(r[1]) for r in rows] == [0.0] * 6
+
+
 def test_orbit_to_csv_file(tmp_path, capsys):
     spec = {"family": "identity", "params": {}, "domain": REAL_LINE_JSON}
     target = tmp_path / "orbit.csv"

@@ -146,6 +146,82 @@ def test_three_piece_collapsed_window_is_affine():
 
 
 # ---------------------------------------------------------------------------
+# three-piece arithmetic against the branch formulas
+# ---------------------------------------------------------------------------
+#
+# The clamp-anchored evaluation must give every element the IEEE operations
+# of the branch formulas below, bit for bit.  The one allowed difference is
+# the sign of a zero from x = -0.0 inside (a, b), compared by value.
+
+
+def _branch_eval(s, xs):
+    low = s.slope * (xs - s.a) + s.a
+    high = s.slope * (xs - s.b) + s.b
+    return np.where(xs <= s.a, low, np.where(xs >= s.b, high, xs))
+
+
+def _branch_invert(s, ys):
+    low = (ys - s.a) / s.slope + s.a
+    high = (ys - s.b) / s.slope + s.b
+    return np.where(ys <= s.a, low, np.where(ys >= s.b, high, ys))
+
+
+def _assert_branch_bits(s, xs):
+    xs = np.asarray(xs, dtype=float)
+    negative_zero = (xs == 0.0) & np.signbit(xs)
+    with np.errstate(over="ignore"):
+        pairs = [
+            (s._eval_array(xs), _branch_eval(s, xs)),
+            (s._invert_array(xs), _branch_invert(s, xs)),
+        ]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert got[~negative_zero].tobytes() == want[~negative_zero].tobytes()
+        assert np.array_equal(got[negative_zero], want[negative_zero])
+
+
+def _edge_points(a, b):
+    with np.errstate(over="ignore"):  # one ulp beyond the largest float
+        ulps = [
+            np.nextafter(a, -math.inf), np.nextafter(b, math.inf),
+            np.nextafter(a, math.inf), np.nextafter(b, -math.inf),
+        ]
+    return [a, b, *ulps, 0.5 * (a + b), a - 3.7, b + 3.7, 0.0, -0.0,
+            math.inf, -math.inf, math.nan, 1e308, -1e308,
+            5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.5, -1.5]
+
+
+@pytest.mark.parametrize("slope", [SQRT2 - 1.0, 0.1, 1.0 + 1e-12, 3.0, 7.3e5])
+@pytest.mark.parametrize(
+    "a, b", [(-1.0, 2.0), (0.7, 0.7), (0.0, 0.0), (-1e300, 1e300), (1e-310, 3e-310)]
+)
+def test_three_piece_arrays_match_the_branch_formulas(a, b, slope):
+    _assert_branch_bits(ThreePiece(REAL_LINE, a, b, slope), _edge_points(a, b))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    ends=st.tuples(FINITE, FINITE).map(sorted),
+    slope=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).filter(
+        lambda r: r != 1.0
+    ),
+    xs=st.lists(st.floats(), min_size=1, max_size=16),
+)
+def test_three_piece_arrays_match_the_branch_formulas_swept(ends, slope, xs):
+    a, b = ends
+    s = ThreePiece(REAL_LINE, a, b, slope)
+    _assert_branch_bits(s, xs + _edge_points(a, b))
+
+
+def test_three_piece_maps_negative_zero_to_a_zero():
+    s = ThreePiece(REAL_LINE, -1.0, 2.0, 0.5)
+    assert s(-0.0) == 0.0
+    assert s.invert(-0.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
 # monotonicity and round trips
 # ---------------------------------------------------------------------------
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from itereq import verify as verify_module
 from itereq.charpoly import CharProblem, analyze_roots, build_char_poly
 from itereq.errors import DomainError
 from itereq.families import (
@@ -24,6 +25,7 @@ from itereq.verify import (
     _BLOCK,
     _contains_array,
     _contains_point,
+    _iterate_rows,
     DEFAULT_TOL,
     VerifyReport,
     antimonotone_signs_constant,
@@ -94,6 +96,13 @@ def test_orbit_consecutive_values_satisfy_map():
     orb = iterate(s, -3.7, 0, 12)
     for m in range(0, 12):
         assert orb.value(m + 1) == pytest.approx(s(orb.value(m)), rel=1e-15)
+
+
+def test_three_piece_orbit_of_negative_zero_is_constant():
+    # -0.0 inside (a, b) maps to +0.0: the orbit stays at zero by value
+    orb = iterate(ThreePiece(REAL_LINE, -1.0, 2.0, 0.5), -0.0, -3, 5)
+    assert not orb.escaped
+    assert list(orb.all_values()) == [0.0] * 9
 
 
 def test_orbit_escape_flag_backward():
@@ -577,13 +586,30 @@ def _report_pairs(case, samples):
 
 
 @pytest.mark.parametrize("case", ["none", "some", "block", "all"])
-def test_whole_row_reports_match_masked_reference(case):
+def test_whole_row_reports_match_masked_reference(case, monkeypatch):
+    # every block's rows and mask too: dead columns must hold NaN, not what
+    # the block's memory held before, since the linear residual sums whole
+    # blocks
+    blocks = []
+
+    def recording(s, xs, count):
+        rows, alive = _iterate_rows(s, xs, count)
+        blocks.append((s, xs.copy(), count, rows.tobytes(), alive.copy()))
+        return rows, alive
+
+    monkeypatch.setattr(verify_module, "_iterate_rows", recording)
     for samples in BLOCK_GRIDS:
+        blocks.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pairs = _report_pairs(case, samples)
         for got, want in pairs:
             assert _bits(got) == _bits(want), samples
+        assert blocks
+        for s, xs, count, rows, alive in blocks:
+            want_rows, want_alive = _reference_rows(s, xs, count)
+            assert rows == want_rows.tobytes(), samples
+            assert np.array_equal(alive, want_alive), samples
         line = _line_map(case)
         _, alive = _reference_rows(line, sample_grid(line.domain, samples), 15)
         assert pairs[0][0].points_escaped == samples - np.count_nonzero(alive)
