@@ -243,7 +243,10 @@ class ThreePiece(Solution):
     operation: ``c`` is ``a`` below ``a`` and ``b`` above ``b``, and inside
     ``(x - x)*r + x`` is ``x``; NaN and +-inf propagate as in the branches.
     The one bit that differs is the sign of a zero: ``x = -0.0`` strictly
-    inside ``(a, b)`` maps to ``+0.0``, an equal value.
+    inside ``(a, b)`` maps to ``+0.0``, an equal value.  A zero anchor is
+    stored as ``+0.0``: with ``a = +0.0`` and ``b = -0.0`` the clamp can
+    pick ``b`` where the branch anchors at ``a``, and the two zeros then
+    give results of opposite sign.
     """
 
     domain: Interval
@@ -253,6 +256,8 @@ class ThreePiece(Solution):
     family = "three_piece"
 
     def __post_init__(self):
+        object.__setattr__(self, "a", self.a + 0.0)
+        object.__setattr__(self, "b", self.b + 0.0)
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ConstructionError("three-piece anchors must be finite")
         if self.a > self.b:

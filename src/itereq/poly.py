@@ -3,17 +3,17 @@
 Coefficients are stored in ascending order (constant term first), matching
 the characteristic form ``sum_i a_i r^i``.  A ``Polynomial`` computes its
 float64 array, its descending coefficients and its coefficient norm once.
-``all_roots`` gives the whole spectrum: companion-matrix eigenvalues,
-checked by Weierstrass inclusion disks and polished by Durand-Kerner
-sweeps.  ``bisect_root`` and ``newton_polish`` isolate and sharpen a single
-real root in a known bracket.
+``all_roots`` gives the whole spectrum of a polynomial with simple roots:
+companion-matrix eigenvalues, checked by Weierstrass inclusion disks and
+polished by Durand-Kerner sweeps.  ``bisect_root`` and ``newton_polish``
+isolate and sharpen a single real root in a known bracket; nothing in the
+package calls them, and they are kept because the benchmark's tracer
+(``perfbench/tracer.py``) wraps them by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from . import _kernels
@@ -83,6 +83,9 @@ class Polynomial:
 class ComplexRoot:
     """One root of a polynomial with its multiplicity.
 
+    ``all_roots`` always reports multiplicity 1; the field stays because
+    the JSON root reports and the benchmark's root gate read it.
+
     ``modulus`` is cached at construction as ``np.hypot(re, im)``; a
     caller that already holds that value (``all_roots`` takes every
     modulus from one vectorized ``np.hypot``) may pass it.  Roots with
@@ -100,10 +103,6 @@ class ComplexRoot:
             raise ValueError("multiplicity must be >= 1")
         if self.modulus is None:
             object.__setattr__(self, "modulus", float(np.hypot(self.re, self.im)))
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0.0
 
     def as_complex(self) -> complex:
         return complex(self.re, self.im)
@@ -264,48 +263,56 @@ def _disk_radii(
     return np.where(np.isnan(radius), np.inf, radius)
 
 
-def _cluster_labels(z: np.ndarray, radius: np.ndarray) -> np.ndarray:
-    """Smallest index in the connected cluster of overlapping disks of each estimate."""
-    touch = np.abs(z[:, None] - z[None, :]) <= radius[:, None] + radius[None, :]
-    labels = np.arange(len(z))
-    while True:
-        nxt = np.where(touch, labels[None, :], len(z)).min(axis=1)
-        if np.array_equal(nxt, labels):
-            return labels
-        labels = nxt
+def all_roots(p: Polynomial, tol: float = 1e-12) -> list[ComplexRoot]:
+    """All complex roots of a real polynomial whose roots are all simple.
 
-
-def _polish_simple(
-    p: Polynomial,
-    z0: np.ndarray,
-    nr: int,
-    first: tuple[np.ndarray, np.ndarray, np.ndarray],
-    tol: float,
-) -> list[ComplexRoot]:
-    """Polish isolated estimates by Durand-Kerner and apply the residual test.
-
-    ``z0`` is ordered as ``nr`` real estimates, then those above the real
-    axis, then their conjugates in the same order; ``first`` holds the
-    first Durand-Kerner step at ``z0``.  Each estimate sits alone in its
-    inclusion disk, which is symmetric about the real axis for a real
-    estimate: real estimates stay real roots and conjugate pairs stay
-    pairs, so both are re-symmetrized exactly after the sweeps.  Every root
-    must then leave a residual within ``tol`` of the coefficient norm or of
-    the evaluation magnitude at the root, whichever is larger; both sides
-    are scaled as in ``_kernels.horner_scaled``, so the test cannot
-    overflow.
+    Starts from the companion-matrix eigenvalues, which are backward
+    stable (Edelman & Murakami, 1995), and draws the Weierstrass
+    inclusion disk around each.  The disks must be pairwise disjoint, so
+    that each holds exactly one simple root; two overlapping disks raise
+    :class:`NonConvergence` naming both estimates, since a multiple root
+    (or a cluster the estimates cannot separate) is outside this solver's
+    contract.  The estimates are then polished by Durand-Kerner sweeps,
+    whose first sweep reuses the values the disks were drawn from.  A
+    real estimate's disk is symmetric about the real axis, so real
+    estimates stay real roots and conjugate pairs stay pairs; both are
+    re-symmetrized exactly after the sweeps.  Every root must then leave
+    a residual within ``tol`` of the coefficient norm or of the
+    evaluation magnitude at the root, whichever is larger, both scaled
+    as in ``_kernels.horner_scaled`` so that the test cannot overflow; a
+    root that misses it (or is not finite) raises
+    :class:`NonConvergence`.  Every root is reported with multiplicity 1.
     """
+    if p.degree < 1:
+        raise ValueError("root finding needs degree >= 1")
     c = p.as_array()
-    nu = (len(z0) - nr) // 2
-    z, _, _ = _kernels.dk_sweeps(c, z0, tol * p.inf_norm, 1e-15, first)
+    z = _companion_eigenvalues(c)
+    # real estimates, then those above the axis, then their exact conjugates
+    real = z[z.imag == 0.0].real
+    upper = z[z.imag > 0.0]
+    nr, nu = len(real), len(upper)
+    z = np.concatenate([real, upper, upper.conj()]).astype(np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        first = _kernels.horner_scaled(c, z) + (_kernels.dk_denominators(c, z),)
+    radius = _disk_radii(c, z, first)
+    touch = np.abs(z[:, None] - z[None, :]) <= radius[:, None] + radius[None, :]
+    np.fill_diagonal(touch, False)
+    if touch.any():
+        i, j = np.argwhere(touch)[0]
+        raise NonConvergence(
+            f"inclusion disks overlap: estimates {complex(z[i])!r} and "
+            f"{complex(z[j])!r} lie {abs(z[i] - z[j]):.3e} apart with radii "
+            f"{radius[i]:.3e} and {radius[j]:.3e}; all_roots needs simple roots"
+        )
+
+    z, _, _ = _kernels.dk_sweeps(c, z, tol * p.inf_norm, 1e-15, first)
     upper = 0.5 * (z[nr : nr + nu] + z[nr + nu :].conj())
     z = np.concatenate([z[:nr].real, upper, upper.conj()])
-
     h, scale = _kernels.horner_scaled(c, z)
     magnitude, _ = _kernels.horner_scaled(np.abs(c), np.abs(z))
     resid = np.abs(h)
     allowed = tol * np.maximum(p.inf_norm * scale, magnitude)
-    if np.any(resid > allowed):
+    if not np.all(resid <= allowed):
         worst = float(np.max(resid / allowed))
         raise NonConvergence(
             f"root residual {worst:.3e} times its limit after polishing",
@@ -319,115 +326,3 @@ def _polish_simple(
             re[order].tolist(), im[order].tolist(), np.hypot(re, im)[order].tolist()
         )
     ]
-
-
-def _merge_clusters(
-    p: Polynomial, z: np.ndarray, labels: np.ndarray, tol: float
-) -> list[ComplexRoot]:
-    """One root of multiplicity m per cluster of m overlapping disks.
-
-    The cluster mean locates the multiple root far better than any of its
-    members.  A real m-fold root is a simple root of the (m-1)-th
-    derivative, where Newton recovers full double-precision accuracy.
-    Clusters above the real axis are mirrored below it.  The merged list
-    is accepted only if it re-expands to the coefficients of ``p``.
-    """
-    roots: list[ComplexRoot] = []
-    for label in np.unique(labels):
-        g = z[labels == label]
-        m = len(g)
-        center = complex(g.mean())
-        if abs(center.imag) <= (1e-6 * (1.0 + abs(center)) if m > 1 else 0.0):
-            dm = p
-            for _ in range(m - 1):
-                dm = dm.derivative()
-            polished = newton_polish(dm, center.real, steps=4)
-            spread = float(np.max(np.abs(g - center)))
-            if abs(polished - center.real) <= 2.0 * spread + 10.0 * tol:
-                center = complex(polished, 0.0)
-            roots.append(ComplexRoot(center.real, 0.0, m))
-        elif center.imag > 0.0:
-            roots.append(ComplexRoot(center.real, center.imag, m))
-            roots.append(ComplexRoot(center.real, -center.imag, m))
-    roots.sort(key=lambda r: (r.re, r.im))
-    err = _factorization_error(p, roots)
-    if err > 1e-7 * max(1.0, float(p.degree)):
-        raise NonConvergence(
-            f"merged root clusters re-expand with coefficient error {err:.3e}",
-            best_residual=err,
-        )
-    return roots
-
-
-def _factorization_error(p: Polynomial, roots: Sequence[ComplexRoot]) -> float:
-    """Worst coefficient mismatch of prod (r - root_i) against p, relative."""
-    rebuilt = expand_root_list(roots, leading=p.coeffs[-1])
-    if rebuilt.degree != p.degree:
-        return np.inf
-    scale = max(p.inf_norm, 1e-300)
-    return max(
-        abs(a - b) / scale for a, b in zip(rebuilt.coeffs, p.coeffs)
-    )
-
-
-def all_roots(p: Polynomial, tol: float = 1e-12) -> list[ComplexRoot]:
-    """All complex roots (with multiplicity) of a real polynomial.
-
-    Starts from the companion-matrix eigenvalues, which are backward
-    stable (Edelman & Murakami, 1995), and draws the Weierstrass
-    inclusion disk around each.  When the disks are pairwise disjoint
-    every root is simple: the estimates are polished by Durand-Kerner
-    sweeps and each must pass the residual test (``tol`` relative to the
-    coefficient norm or to the evaluation magnitude at the root).
-    Overlapping disks mark a multiple root: each connected cluster is
-    reported as one root of its size, and the merged list must re-expand
-    to the coefficients.  A failed test raises :class:`NonConvergence`.
-    """
-    if p.degree < 1:
-        raise ValueError("root finding needs degree >= 1")
-
-    # roots at exactly zero show up as trailing zero coefficients; peel
-    # them off exactly rather than asking the eigensolver to resolve them
-    zero_mult = 0
-    while zero_mult < p.degree and p.coeffs[zero_mult] == 0.0:
-        zero_mult += 1
-    if zero_mult:
-        zero_root = [ComplexRoot(0.0, 0.0, zero_mult)]
-        if zero_mult == p.degree:
-            return zero_root
-        reduced = Polynomial(p.coeffs[zero_mult:])
-        return sorted(
-            zero_root + all_roots(reduced, tol), key=lambda r: (r.re, r.im)
-        )
-
-    c = p.as_array()
-    z = _companion_eigenvalues(c)
-    # real estimates, then those above the axis, then their exact conjugates
-    real = z[z.imag == 0.0].real
-    upper = z[z.imag > 0.0]
-    z = np.concatenate([real, upper, upper.conj()]).astype(np.complex128)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        first = _kernels.horner_scaled(c, z) + (_kernels.dk_denominators(c, z),)
-    labels = _cluster_labels(z, _disk_radii(c, z, first))
-    if np.array_equal(labels, np.arange(len(z))):
-        return _polish_simple(p, z, len(real), first, tol)
-    return _merge_clusters(p, z, labels, tol)
-
-
-def from_roots(roots: Iterable[complex], leading: float = 1.0) -> Polynomial:
-    """Expand ``leading * prod (r - root_i)`` back into coefficients."""
-    cs = np.array([leading], dtype=np.complex128)
-    for root in roots:
-        nxt = np.zeros(len(cs) + 1, dtype=np.complex128)
-        nxt[1:] += cs
-        nxt[:-1] -= root * cs
-        cs = nxt
-    return Polynomial(tuple(float(c.real) for c in cs))
-
-
-def expand_root_list(roots: Sequence[ComplexRoot], leading: float = 1.0) -> Polynomial:
-    """Expand a multiplicity-annotated root list into a polynomial."""
-    flat: list[complex] = []
-    for r in roots:
-        flat.extend([r.as_complex()] * r.multiplicity)
-    return from_roots(flat, leading)

@@ -646,6 +646,21 @@ def test_analyze_exit_code_of_solver_errors(monkeypatch, capsys, error, expected
     assert "synthetic" in err
 
 
+def test_analyze_overlapping_inclusion_disks_exit_4(monkeypatch, capsys):
+    from itereq import charpoly
+    from itereq.poly import Polynomial
+
+    real_all_roots = charpoly.all_roots
+
+    def double_root(p, tol):
+        return real_all_roots(Polynomial((1.0, -2.0, 1.0)), tol=tol)
+
+    monkeypatch.setattr(charpoly, "all_roots", double_root)
+    code, _, err = run_cli(capsys, "analyze", "--n", "3", "--k", "1")
+    assert code == 4
+    assert "inclusion disks overlap" in err
+
+
 def test_analyze_two_real_estimates_in_a_bracket_exit_1(monkeypatch, capsys):
     from itereq import charpoly
     from itereq.poly import ComplexRoot

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from itereq.charpoly import CharProblem, analyze_roots
@@ -209,6 +209,8 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
     ),
     xs=st.lists(st.floats(), min_size=1, max_size=16),
 )
+# a zero anchor given as -0.0 must act as +0.0 at x = -5e-324
+@example(ends=[0.0, -0.0], slope=2.0, xs=[0.0])
 def test_three_piece_arrays_match_the_branch_formulas_swept(ends, slope, xs):
     a, b = ends
     s = ThreePiece(REAL_LINE, a, b, slope)

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from itereq import _kernels
 from itereq.errors import NonConvergence, NoSignChange, RootMismatch
 from itereq.poly import (
     ComplexRoot,
@@ -13,7 +15,6 @@ from itereq.poly import (
     bisect_root,
     deflate,
     evaluate,
-    expand_root_list,
     multiply_linear,
 )
 
@@ -257,12 +258,26 @@ def test_all_roots_quadratic():
     assert all(v.imag == 0.0 for v in vals)
 
 
-def test_all_roots_perfect_square_merges_multiplicity():
-    roots = all_roots(Polynomial((1.0, -2.0, 1.0)))
-    assert len(roots) == 1
-    assert roots[0].multiplicity == 2
-    assert roots[0].re == pytest.approx(1.0, abs=1e-7)
-    assert roots[0].im == 0.0
+def test_all_roots_rejects_a_double_root_naming_the_overlap():
+    # (r - 1)^2: both estimates sit near 1, so their inclusion disks meet
+    with pytest.raises(NonConvergence) as info:
+        all_roots(Polynomial((1.0, -2.0, 1.0)))
+    msg = str(info.value)
+    assert "inclusion disks overlap" in msg
+    named = [complex(w) for w in re.findall(r"\(([^()]*j)\)", msg)]
+    assert len(named) == 2
+    assert all(abs(w - 1.0) < 1e-6 for w in named)
+
+
+def test_all_roots_rejects_non_finite_polished_roots(monkeypatch):
+    # the Durand-Kerner steps are unguarded: estimates that met would come
+    # back NaN, and the residual test must not pass them
+    def collapsed(coeffs, z0, *args):
+        return np.full_like(z0, np.nan), np.nan, 1
+
+    monkeypatch.setattr(_kernels, "dk_sweeps", collapsed)
+    with pytest.raises(NonConvergence, match="root residual"):
+        all_roots(Polynomial((-6.0, 11.0, -6.0, 1.0)))
 
 
 def test_all_roots_quartic_structure():
@@ -293,27 +308,22 @@ def test_all_roots_degree_zero_rejected():
 
 @given(
     st.lists(
-        st.floats(min_value=-3, max_value=3, allow_nan=False),
-        min_size=2,
-        max_size=12,
+        st.tuples(st.integers(min_value=-6, max_value=6), st.floats(min_value=-0.1, max_value=0.1)),
+        min_size=1,
+        max_size=10,
+        unique_by=lambda t: t[0],
     )
 )
-def test_all_roots_reexpansion_matches_coefficients(real_roots):
-    # build a polynomial from known real roots, re-solve, re-expand
-    base = expand_root_list(
-        [ComplexRoot(v, 0.0) for v in real_roots], leading=1.0
-    )
-    try:
-        found = all_roots(base, tol=1e-12)
-    except NonConvergence:
-        # clustered random roots can exhaust the sweep budget; that exit
-        # is allowed by contract, the success path is what we verify
-        return
-    rebuilt = expand_root_list(found, leading=base.coeffs[-1])
-    assert rebuilt.degree == base.degree
-    scale = max(abs(c) for c in base.coeffs)
-    for a, b in zip(rebuilt.coeffs, base.coeffs):
-        assert abs(a - b) <= 1e-6 * max(scale, 1.0)
+def test_all_roots_recovers_separated_real_roots(spots):
+    # roots at least 0.3 apart in [-3.1, 3.1], expanded by a test-local
+    # helper; each comes back real, with multiplicity 1
+    want = sorted(0.5 * g + jitter for g, jitter in spots)
+    p = Polynomial(tuple(np.poly(want)[::-1]))
+    found = all_roots(p)
+    assert len(found) == len(want)
+    for r, w in zip(found, want):
+        assert r.multiplicity == 1 and r.im == 0.0
+        assert r.re == pytest.approx(w, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
