@@ -83,6 +83,41 @@ def horner_scaled(
     return acc, s
 
 
+def horner_scaled_bound(
+    coeffs: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | float, np.ndarray]:
+    """``horner_scaled(coeffs, z)`` and its rounding scale, in one pass.
+
+    Returns ``(h, s, magnitude)``: ``h`` and ``s`` as ``horner_scaled``
+    gives them, and ``magnitude_i = sum_k |c_k| |z_i|^k``, divided by
+    ``|z_i|^(n-1)`` where ``h_i`` is, which bounds Horner's rounding error
+    in ``h_i``.  Both run through one loop over the coefficients, and
+    each is bit for bit what ``horner_scaled(coeffs, z)`` and
+    ``horner_scaled(np.abs(coeffs), np.abs(z))[0]`` give.
+    """
+    n = len(coeffs) - 1
+    az = np.abs(z)
+    big = az > direct_radius(n)
+    x, ax = z.copy(), az.copy()
+    if big.any():
+        x[big] = 1.0 / z[big]
+        ax[big] = 1.0 / az[big]
+    rows = np.where(big, coeffs[:, None], coeffs[::-1, None])
+    acc, mag = np.zeros_like(x), np.zeros_like(ax)
+    for row, abs_row in zip(rows, np.abs(rows)):
+        acc *= x
+        acc += row
+        mag *= ax
+        mag += abs_row
+    if not big.any():
+        return acc, 1.0, mag
+    acc[big] *= z[big]
+    mag[big] *= az[big]
+    s = np.ones(len(z))
+    s[big] = np.abs(x[big]) ** (n - 1)
+    return acc, s, mag
+
+
 def dk_denominators(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``c_n prod_{j != i} (z_i - z_j)``, divided by ``z_i^(n-1)`` as in ``horner_scaled``.
 

@@ -330,8 +330,13 @@ def _read_orbit_csv(path: str) -> Orbit:
 def _cmd_fit(args) -> int:
     prob = CharProblem(args.n, args.k)
     orb = _read_orbit_csv(args.orbit)
-    if orb.m_hi + 1 < prob.n:
-        raise ItereqError(f"orbit has {orb.m_hi + 1} rows, need at least {prob.n}")
+    # n rows fix the n weights exactly, so only rows past n test the fit
+    rows = orb.m_hi + 1
+    if rows < prob.n + 1:
+        raise ItereqError(
+            f"orbit has {rows} rows, need at least n + 1 = {prob.n + 1}: "
+            f"{prob.n} to fit and at least one held out to check the fit"
+        )
     cf = fit_closed_form(orb, analyze_roots(prob))
     worst = prediction_error(cf, orb, prob.n, orb.m_hi)
 

@@ -48,7 +48,16 @@ def _contains_with_slack(interval: Interval, y: float) -> bool:
 
 
 class Solution:
-    """Base class: a strictly monotone function on an interval."""
+    """Base class: a strictly monotone function on an interval.
+
+    Arrays go through ``_eval_array`` and ``_invert_array``; a single
+    point (``__call__``, ``invert``, and so every orbit step) goes through
+    ``_eval_scalar`` and ``_invert_scalar``.  ``Identity``,
+    ``Translation``, ``Affine`` and ``ThreePiece`` give those in Python
+    floats, the array formulas' IEEE operations in the same order, so a
+    point maps to the same bits either way without building a one-element
+    array.  Other families fall back to their array forms.
+    """
 
     domain: Interval
     family: str = "abstract"
@@ -58,10 +67,13 @@ class Solution:
     def __call__(self, x: float) -> float:
         if not _contains_with_slack(self.domain, x):
             raise DomainError(f"{x!r} outside domain {self.domain}")
-        return float(self._eval_array(np.asarray([x], dtype=float))[0])
+        return self._eval_scalar(float(x))
 
     def _eval_array(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _eval_scalar(self, x: float) -> float:
+        return float(self._eval_array(np.asarray([x], dtype=float))[0])
 
     # -- inversion --------------------------------------------------------
 
@@ -69,10 +81,13 @@ class Solution:
         """Solve f(x) = y; raises NotSurjective for y outside the image."""
         if not _contains_with_slack(self.image(), y):
             raise NotSurjective(f"{y!r} outside image {self.image()}")
-        return float(self._invert_array(np.asarray([y], dtype=float))[0])
+        return self._invert_scalar(float(y))
 
     def _invert_array(self, ys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _invert_scalar(self, y: float) -> float:
+        return float(self._invert_array(np.asarray([y], dtype=float))[0])
 
     def inverse(self) -> "Solution":
         """The inverse as a solution object on the same domain.
@@ -141,8 +156,14 @@ class Identity(Solution):
     def _eval_array(self, xs):
         return xs.copy()
 
+    def _eval_scalar(self, x):
+        return x
+
     def _invert_array(self, ys):
         return ys.copy()
+
+    def _invert_scalar(self, y):
+        return y
 
     def _inverse_spec(self):
         return self
@@ -170,8 +191,14 @@ class Translation(Solution):
     def _eval_array(self, xs):
         return xs + self.c
 
+    def _eval_scalar(self, x):
+        return x + self.c
+
     def _invert_array(self, ys):
         return ys - self.c
+
+    def _invert_scalar(self, y):
+        return y - self.c
 
     def _inverse_spec(self):
         return Translation(self.domain, -self.c)
@@ -204,8 +231,14 @@ class Affine(Solution):
     def _eval_array(self, xs):
         return self.slope * xs + self.c
 
+    def _eval_scalar(self, x):
+        return self.slope * x + self.c
+
     def _invert_array(self, ys):
         return (ys - self.c) / self.slope
+
+    def _invert_scalar(self, y):
+        return (y - self.c) / self.slope
 
     def _inverse_spec(self):
         return Affine(self.domain, 1.0 / self.slope, -self.c / self.slope)
@@ -239,14 +272,15 @@ class ThreePiece(Solution):
 
     Arrays are evaluated through the clamp ``c = min(max(x, a), b)`` as
     ``(x - c)*r + c``, the inverse as ``(y - c)/r + c``, in five passes and
-    without masks.  That is the branch arithmetic, operation for
-    operation: ``c`` is ``a`` below ``a`` and ``b`` above ``b``, and inside
-    ``(x - x)*r + x`` is ``x``; NaN and +-inf propagate as in the branches.
-    The one bit that differs is the sign of a zero: ``x = -0.0`` strictly
-    inside ``(a, b)`` maps to ``+0.0``, an equal value.  A zero anchor is
-    stored as ``+0.0``: with ``a = +0.0`` and ``b = -0.0`` the clamp can
-    pick ``b`` where the branch anchors at ``a``, and the two zeros then
-    give results of opposite sign.
+    without masks; one point goes through the same clamp and operations
+    in Python floats (``_eval_scalar``, ``_invert_scalar``).  That is the
+    branch arithmetic, operation for operation: ``c`` is ``a`` below ``a``
+    and ``b`` above ``b``, and inside ``(x - x)*r + x`` is ``x``; NaN and
+    +-inf propagate as in the branches.  The one bit that differs is the
+    sign of a zero: ``x = -0.0`` strictly inside ``(a, b)`` maps to
+    ``+0.0``, an equal value.  A zero anchor is stored as ``+0.0``: with
+    ``a = +0.0`` and ``b = -0.0`` the clamp can pick ``b`` where the branch
+    anchors at ``a``, and the two zeros then give results of opposite sign.
     """
 
     domain: Interval
@@ -286,6 +320,18 @@ class ThreePiece(Solution):
         out /= self.slope
         out += anchor
         return out
+
+    def _anchor(self, x: float) -> float:
+        """``x`` clamped to ``[a, b]``; NaN stays NaN, as in ``np.maximum``."""
+        return self.a if x < self.a else self.b if x > self.b else x
+
+    def _eval_scalar(self, x):
+        anchor = self._anchor(x)
+        return (x - anchor) * self.slope + anchor
+
+    def _invert_scalar(self, y):
+        anchor = self._anchor(y)
+        return (y - anchor) / self.slope + anchor
 
     def _inverse_spec(self):
         return ThreePiece(self.domain, self.a, self.b, 1.0 / self.slope)

@@ -240,22 +240,22 @@ def _companion_eigenvalues(c: np.ndarray) -> np.ndarray:
 
 
 def _disk_radii(
-    c: np.ndarray, z: np.ndarray, first: tuple[np.ndarray, np.ndarray, np.ndarray]
+    h: np.ndarray, denom: np.ndarray, magnitude: np.ndarray
 ) -> np.ndarray:
     """Radii ``n |W_i|`` of the Weierstrass inclusion disks around ``z``.
 
     ``W_i = p(z_i) / (c_n prod_{j != i} (z_i - z_j))`` is the Durand-Kerner
-    correction; ``first`` holds its scaled numerators and denominators
-    (see ``_kernels.dk_sweeps``).  The disks cover every root, and a
-    connected union of m of them holds exactly m roots (Braess & Hadeler,
-    1973), so a disk that meets no other holds exactly one simple root.
-    ``|p(z_i)|`` is taken with a bound on Horner's rounding error added, so
-    that noise near a multiple root cannot shrink a disk.  A collapsed pair
-    of estimates gets an infinite radius.
+    correction; ``h`` and ``denom`` hold its scaled numerators and
+    denominators (see ``_kernels.dk_sweeps``), ``magnitude`` the scaled
+    ``sum |c_k| |z_i|^k`` (see ``_kernels.horner_scaled_bound``).  The
+    disks cover every root, and a connected union of m of them holds
+    exactly m roots (Braess & Hadeler, 1973), so a disk that meets no
+    other holds exactly one simple root.  ``|p(z_i)|`` is taken with a
+    bound on Horner's rounding error added, so that noise near a multiple
+    root cannot shrink a disk.  A collapsed pair of estimates gets an
+    infinite radius.
     """
-    h, _, denom = first
-    n = len(z)
-    magnitude, _ = _kernels.horner_scaled(np.abs(c), np.abs(z))
+    n = len(h)
     rounding = 4.0 * n * np.finfo(float).eps * magnitude
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = (np.abs(h) + rounding) / np.abs(denom)
@@ -273,7 +273,9 @@ def all_roots(p: Polynomial, tol: float = 1e-12) -> list[ComplexRoot]:
     :class:`NonConvergence` naming both estimates, since a multiple root
     (or a cluster the estimates cannot separate) is outside this solver's
     contract.  The estimates are then polished by Durand-Kerner sweeps,
-    whose first sweep reuses the values the disks were drawn from.  A
+    whose first sweep reuses the values the disks were drawn from, as
+    does the residual test below when the sweeps leave every estimate
+    bit for bit as it was.  A
     real estimate's disk is symmetric about the real axis, so real
     estimates stay real roots and conjugate pairs stay pairs; both are
     re-symmetrized exactly after the sweeps.  Every root must then leave
@@ -293,8 +295,9 @@ def all_roots(p: Polynomial, tol: float = 1e-12) -> list[ComplexRoot]:
     nr, nu = len(real), len(upper)
     z = np.concatenate([real, upper, upper.conj()]).astype(np.complex128)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        first = _kernels.horner_scaled(c, z) + (_kernels.dk_denominators(c, z),)
-    radius = _disk_radii(c, z, first)
+        h, scale, magnitude = _kernels.horner_scaled_bound(c, z)
+        denom = _kernels.dk_denominators(c, z)
+    radius = _disk_radii(h, denom, magnitude)
     touch = np.abs(z[:, None] - z[None, :]) <= radius[:, None] + radius[None, :]
     np.fill_diagonal(touch, False)
     if touch.any():
@@ -305,11 +308,16 @@ def all_roots(p: Polynomial, tol: float = 1e-12) -> list[ComplexRoot]:
             f"{radius[i]:.3e} and {radius[j]:.3e}; all_roots needs simple roots"
         )
 
-    z, _, _ = _kernels.dk_sweeps(c, z, tol * p.inf_norm, 1e-15, first)
-    upper = 0.5 * (z[nr : nr + nu] + z[nr + nu :].conj())
-    z = np.concatenate([z[:nr].real, upper, upper.conj()])
-    h, scale = _kernels.horner_scaled(c, z)
-    magnitude, _ = _kernels.horner_scaled(np.abs(c), np.abs(z))
+    polished, _, _ = _kernels.dk_sweeps(
+        c, z, tol * p.inf_norm, 1e-15, (h, scale, denom)
+    )
+    upper = 0.5 * (polished[nr : nr + nu] + polished[nr + nu :].conj())
+    polished = np.concatenate([polished[:nr].real, upper, upper.conj()])
+    # the sweeps usually stop at their first residual check; estimates
+    # they left bit for bit as they were keep the values the disks used
+    if polished.tobytes() != z.tobytes():
+        z = polished
+        h, scale, magnitude = _kernels.horner_scaled_bound(c, z)
     resid = np.abs(h)
     allowed = tol * np.maximum(p.inf_norm * scale, magnitude)
     if not np.all(resid <= allowed):

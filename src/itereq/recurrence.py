@@ -15,10 +15,29 @@ rounded sum; Ogita, Rump & Oishi 2005).  Plain double is not enough:
 prediction at index 30 amplifies a weight error by |root|^30, so the
 weight of a root the orbit barely excites must be resolved far below the
 rounding level of the anchors.
+
+The anchor system depends only on the spectrum, so ``fit_closed_form``
+takes it from one bounded LRU memo keyed on the frozen ``RootReport``
+(which ``analyze_roots`` already shares per (n, k)): the spectrum terms,
+the read-only matrix and its condition number are built once per
+spectrum, and equal reports get the same system.  As with
+``analyze_roots``, failures are not cached, so a spectrum the condition
+guard refuses raises on every call.
+
+The anchor check and ``prediction_error`` evaluate the closed form over
+their whole index range in one call (``predict_range``).  Powers, cosines
+and sines come from Python's ``**``, ``math.cos`` and ``math.sin``, as in
+``predict``, and are kept per roots and index range (``_basis``); the
+polynomial factors and the sum of the terms run over arrays in
+``predict``'s order, so every value equals ``predict``'s bit for bit.
+``np.power`` is not used there: it can differ from libm's ``pow`` in the
+last bit.  ``check_recurrence`` multiplies all windows of the orbit at
+once and sums each exactly with ``math.fsum``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +50,12 @@ from .poly import Polynomial
 from .verify import Orbit
 
 _COND_LIMIT = 1e12
+# anchor systems kept by ``_anchor_system``, one per spectrum; as many as
+# ``analyze_roots`` keeps reports
+_SYSTEM_CACHE_SIZE = 256
+# libm values kept by ``_basis``: two index ranges (anchors, predictions)
+# per spectrum
+_BASIS_CACHE_SIZE = 512
 _ANCHOR_TOL = 1e-9
 _REFINE_STEPS = 2
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a binary64 value
@@ -104,6 +129,73 @@ def predict(cf: ClosedForm, j: int) -> float:
     return total
 
 
+def _polyval_rows(polys: list[tuple[float, ...]], J: np.ndarray) -> np.ndarray:
+    """``_polyval(polys[r], J[i])`` at row r, column i, bit for bit.
+
+    Shorter polynomials are padded with zero leading coefficients; Horner
+    turns each into exactly ``+0.0``, the value ``_polyval`` starts from.
+    """
+    acc = 0.0
+    for i in range(max(map(len, polys)) - 1, -1, -1):
+        col = np.array([p[i] if i < len(p) else 0.0 for p in polys])
+        acc = acc * J + col[:, None]
+    return acc
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _basis(
+    lams: tuple[float, ...],
+    waves: tuple[tuple[float, float], ...],
+    j_lo: int,
+    j_hi: int,
+) -> tuple[np.ndarray, ...]:
+    """What ``predict`` takes from libm at ``j = j_lo..j_hi``, one row per root.
+
+    Returns read-only ``(J, lam**j, cos(j*phi), sin(j*phi), mod**j)`` for
+    the real roots ``lams`` and the ``(mod, phi)`` of ``waves``, each value
+    from ``**``, ``math.cos`` or ``math.sin`` as ``predict`` gets it.
+    """
+    js = range(j_lo, j_hi + 1)
+    J = np.array(js, dtype=float)
+    shape = (len(waves), len(js))
+    powers = np.array([lam**j for lam in lams for j in js])
+    powers = powers.reshape(len(lams), len(js))
+    phase = np.multiply.outer([phi for _, phi in waves], J).ravel().tolist()
+    cos = np.array([math.cos(x) for x in phase]).reshape(shape)
+    sin = np.array([math.sin(x) for x in phase]).reshape(shape)
+    env = np.array([mod**j for mod, _ in waves for j in js]).reshape(shape)
+    for a in (J, powers, cos, sin, env):
+        a.flags.writeable = False
+    return J, powers, cos, sin, env
+
+
+def predict_range(cf: ClosedForm, j_lo: int, j_hi: int) -> np.ndarray:
+    """``predict(cf, j)`` for ``j = j_lo..j_hi``, bit for bit.
+
+    The powers, cosines and sines come from ``_basis`` (kept per roots
+    and range), the polynomial factors and products are arrays with one
+    row per term, and the rows are added in ``predict``'s order.
+    """
+    reals, cplx = cf.real_terms, cf.complex_terms
+    J, powers, cos, sin, env = _basis(
+        tuple(t.lam for t in reals),
+        tuple((t.modulus, t.argument) for t in cplx),
+        j_lo,
+        j_hi,
+    )
+    total = np.zeros(len(J))
+    if reals:
+        for row in _polyval_rows([t.coeffs for t in reals], J) * powers:
+            total += row
+    if cplx:
+        polys = _polyval_rows(
+            [t.cos_poly for t in cplx] + [t.sin_poly for t in cplx], J
+        )
+        for row in (polys[: len(cplx)] * cos + polys[len(cplx) :] * sin) * env:
+            total += row
+    return total
+
+
 @dataclass(frozen=True)
 class RecurrenceReport:
     max_residual: float
@@ -119,35 +211,42 @@ class RecurrenceReport:
 
 
 def _contiguous_values(orbit: Orbit) -> np.ndarray:
-    """The longest non-NaN run of orbit values containing index 0."""
-    pts = orbit.all_values()
+    """The orbit values from the last NaN before index 0 to the first after it.
+
+    That is the longest non-NaN run containing index 0 (index 0 itself is
+    not tested); the run is found from one ``np.isnan`` pass.
+    """
+    pts = orbit.points
     zero = -orbit.m_lo
-    lo = zero
-    while lo > 0 and not np.isnan(pts[lo - 1]):
-        lo -= 1
-    hi = zero
-    while hi + 1 < len(pts) and not np.isnan(pts[hi + 1]):
-        hi += 1
-    return pts[lo : hi + 1]
+    nan = np.flatnonzero(np.isnan(pts))
+    below = nan[nan < zero]
+    above = nan[nan > zero]
+    lo = int(below[-1]) + 1 if below.size else 0
+    hi = int(above[0]) if above.size else len(pts)
+    return pts[lo:hi].copy()
 
 
 def check_recurrence(
     orbit: Orbit, coeffs: Polynomial, tol: float = 1e-9
 ) -> RecurrenceReport:
-    """Max residual of ``sum_i a_i x_{m+i}`` over all admissible windows."""
+    """Max residual of ``sum_i a_i x_{m+i}`` over all admissible windows.
+
+    The windows ``x_m..x_{m+deg}`` are gathered as the rows of one array
+    and multiplied by the coefficients at once; each row's products are
+    then summed exactly by ``math.fsum``.
+    """
     vals = _contiguous_values(orbit)
     deg = coeffs.degree
     if len(vals) < deg + 1:
         raise TooShort(
             f"orbit provides {len(vals)} values, recurrence needs {deg + 1}"
         )
-    arr = coeffs.as_array()
     windows = len(vals) - deg
-    residuals = np.empty(windows)
-    for m in range(windows):
-        residuals[m] = math.fsum(arr[i] * vals[m + i] for i in range(deg + 1))
-    scale = coeffs.inf_norm * (1.0 + float(np.max(np.abs(vals))))
-    max_resid = float(np.max(np.abs(residuals)))
+    products = vals[np.add.outer(np.arange(windows), np.arange(deg + 1))]
+    products *= coeffs.as_array()
+    residuals = np.array([math.fsum(row) for row in products.tolist()])
+    scale = coeffs.inf_norm * (1.0 + float(np.abs(vals).max()))
+    max_resid = float(np.abs(residuals).max())
     return RecurrenceReport(max_resid, max_resid <= tol * scale, windows)
 
 
@@ -178,44 +277,34 @@ def _spectrum_terms(spectrum: RootReport):
     return reals, complexes
 
 
-def fit_closed_form(
-    orbit: Orbit,
-    spectrum: RootReport,
-    regime_of: Solution | None = None,
-) -> ClosedForm:
-    """Fit the closed form through the first ``degree`` orbit entries.
+@dataclass(frozen=True)
+class _AnchorSystem:
+    """The anchor system of one spectrum, shared by every fit on it.
 
-    The anchor system is a confluent Vandermonde matrix (powers-of-j
-    columns for multiple roots, cos/sin columns for conjugate pairs),
-    built and solved in double precision: one LU solve, then two steps
-    of iterative refinement ``x += solve(A, b - A x)`` with the residual
-    computed in compensated double.  The refinement matters because a
-    weight error at root ``lambda`` grows by ``|lambda|^30`` at index 30:
-    an orbit of (3, 1) that decays like 0.414^j puts a weight of about
-    1e-19 on the root -2.414, and a bare double solve leaves 1e-17 there,
-    a prediction error of 3e-6 at index 30.
-    ``regime_of`` optionally supplies the generating solution so that
-    branch-crossing orbits of three-piece maps are refused: the linear
-    recurrence only holds while the orbit stays in one affine regime.
-    Raises :class:`DomainError` naming the first anchor that is not
-    finite, and :class:`SingularSystem` when the system's condition number
-    exceeds 1e12 or the anchors cannot be reproduced.
+    ``reals`` and ``complexes`` are the spectrum terms (see
+    ``_spectrum_terms``); ``matrix`` is the read-only confluent
+    Vandermonde matrix at indices ``0..degree-1``, ``halves`` its
+    read-only Veltkamp split (see ``_residual``) and ``cond`` its 2-norm
+    condition number.
+    """
+
+    reals: tuple[tuple[float, int], ...]
+    complexes: tuple[tuple[float, float, int], ...]
+    matrix: np.ndarray
+    halves: tuple[np.ndarray, np.ndarray]
+    cond: float
+
+
+@functools.lru_cache(maxsize=_SYSTEM_CACHE_SIZE)
+def _anchor_system(spectrum: RootReport) -> _AnchorSystem:
+    """The anchor system of ``spectrum``, one shared object per equal report.
+
+    Raises :class:`SingularSystem` when the spectrum's parameter count is
+    not its degree or the condition number exceeds 1e12; failures are not
+    cached.
     """
     deg = spectrum.problem.degree
-    vals = orbit.forward_values()
-    if len(vals) < deg:
-        raise TooShort(f"orbit provides {len(vals)} forward values, need {deg}")
-    if regime_of is not None and not single_regime(regime_of, orbit):
-        raise DomainError(
-            "orbit crosses an affine regime boundary; the linear recurrence "
-            "does not apply across branches"
-        )
-    anchors = vals[:deg]
-    for j, v in enumerate(anchors):
-        if not math.isfinite(v):
-            raise DomainError(f"anchor {j} is not finite: {float(v)!r}")
     reals, complexes = _spectrum_terms(spectrum)
-
     n_cols = sum(m for _, m in reals) + sum(2 * m for _, _, m in complexes)
     if n_cols != deg:
         raise SingularSystem(
@@ -239,6 +328,51 @@ def fit_closed_form(
         raise SingularSystem(
             f"anchor system condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}"
         )
+    halves = _split(A64)
+    for a in (A64, *halves):
+        a.flags.writeable = False
+    return _AnchorSystem(tuple(reals), tuple(complexes), A64, halves, cond)
+
+
+def fit_closed_form(
+    orbit: Orbit,
+    spectrum: RootReport,
+    regime_of: Solution | None = None,
+) -> ClosedForm:
+    """Fit the closed form through the first ``degree`` orbit entries.
+
+    The anchor system is a confluent Vandermonde matrix (powers-of-j
+    columns for multiple roots, cos/sin columns for conjugate pairs),
+    built once per spectrum (``_anchor_system``) and solved in double
+    precision: one LU solve, then two steps of iterative refinement
+    ``x += solve(A, b - A x)`` with the residual computed in compensated
+    double.  The refinement matters because a
+    weight error at root ``lambda`` grows by ``|lambda|^30`` at index 30:
+    an orbit of (3, 1) that decays like 0.414^j puts a weight of about
+    1e-19 on the root -2.414, and a bare double solve leaves 1e-17 there,
+    a prediction error of 3e-6 at index 30.
+    ``regime_of`` optionally supplies the generating solution so that
+    branch-crossing orbits of three-piece maps are refused: the linear
+    recurrence only holds while the orbit stays in one affine regime.
+    Raises :class:`DomainError` naming the first anchor that is not
+    finite, and :class:`SingularSystem` when the system's condition number
+    exceeds 1e12 or the anchors cannot be reproduced.
+    """
+    deg = spectrum.problem.degree
+    vals = orbit.forward_values()
+    if len(vals) < deg:
+        raise TooShort(f"orbit provides {len(vals)} forward values, need {deg}")
+    if regime_of is not None and not single_regime(regime_of, orbit):
+        raise DomainError(
+            "orbit crosses an affine regime boundary; the linear recurrence "
+            "does not apply across branches"
+        )
+    anchors = vals[:deg]
+    for j, v in enumerate(anchors.tolist()):
+        if not math.isfinite(v):
+            raise DomainError(f"anchor {j} is not finite: {v!r}")
+    system = _anchor_system(spectrum)
+    A64 = system.matrix
 
     # solve for anchors scaled into [-1, 1] by a power of two, which is
     # exact and keeps the products split in _residual clear of overflow
@@ -247,18 +381,20 @@ def fit_closed_form(
     b = np.ldexp(anchors, -exp)
     weights = np.linalg.solve(A64, b)
     for _ in range(_REFINE_STEPS):
-        weights += np.linalg.solve(A64, _residual(A64, b, weights))
+        weights += np.linalg.solve(A64, _residual(system, b, weights))
 
-    cf = _assemble(reals, complexes, np.ldexp(weights, exp).tolist())
+    cf = _assemble(system.reals, system.complexes, np.ldexp(weights, exp).tolist())
     limit = _ANCHOR_TOL * (1.0 + peak)
-    for j in range(deg):
-        err = abs(predict(cf, j) - anchors[j])
-        if not err <= limit:
-            raise SingularSystem(
-                f"fit does not reproduce anchor {j}: "
-                f"{predict(cf, j)!r} vs {float(anchors[j])!r}, "
-                f"error {err:.3e} exceeds {limit:.3e}"
-            )
+    fitted = predict_range(cf, 0, deg - 1)
+    missed = np.flatnonzero(~(np.abs(fitted - anchors) <= limit))
+    if missed.size:
+        j = int(missed[0])
+        err = abs(fitted[j] - anchors[j])
+        raise SingularSystem(
+            f"fit does not reproduce anchor {j}: "
+            f"{float(fitted[j])!r} vs {float(anchors[j])!r}, "
+            f"error {err:.3e} exceeds {limit:.3e}"
+        )
     return cf
 
 
@@ -269,15 +405,15 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-def _residual(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``b - A x`` rounded once from its exact value.
+def _residual(system: _AnchorSystem, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``b - A x`` rounded once from its exact value, ``A`` the system's matrix.
 
     TwoProduct (Dekker) turns each ``A[i, j] * x[j]`` into ``p + e``
     exactly; ``math.fsum`` then adds ``b[i]`` and every row's products
     and error terms with a single rounding.
     """
-    p = A * x
-    a_hi, a_lo = _split(A)
+    p = system.matrix * x
+    a_hi, a_lo = system.halves
     x_hi, x_lo = _split(x)
     e = ((a_hi * x_hi - p) + a_hi * x_lo + a_lo * x_hi) + a_lo * x_lo
     terms = np.hstack([b[:, None], -p, -e])
@@ -304,14 +440,20 @@ def _assemble(reals, complexes, weights: list[float]) -> ClosedForm:
 def prediction_error(
     cf: ClosedForm, orbit: Orbit, j_lo: int, j_hi: int
 ) -> float:
-    """Max guarded relative error of predictions against stored values."""
-    worst = 0.0
-    for j in range(j_lo, j_hi + 1):
-        if j < orbit.m_lo or j > orbit.m_hi:
-            continue
-        actual = orbit.value(j)
-        if math.isnan(actual):
-            continue
-        err = abs(predict(cf, j) - actual) / (1.0 + abs(actual))
-        worst = max(worst, err)
-    return worst
+    """Max guarded relative error of predictions against stored values.
+
+    Indices outside the orbit and NaN entries are skipped; so is a NaN
+    error, as in a running ``max`` that starts at 0.
+    """
+    lo, hi = max(j_lo, orbit.m_lo), min(j_hi, orbit.m_hi)
+    if lo > hi:
+        return 0.0
+    actual = orbit.points[lo - orbit.m_lo : hi - orbit.m_lo + 1]
+    kept = np.flatnonzero(~np.isnan(actual))
+    if not kept.size:
+        return 0.0
+    pred = predict_range(cf, lo + int(kept[0]), lo + int(kept[-1]))
+    pred = pred[kept - kept[0]]
+    actual = actual[kept]
+    err = np.abs(pred - actual) / (1.0 + np.abs(actual))
+    return max([0.0, *err.tolist()])

@@ -171,12 +171,15 @@ def iterate(s: Solution, x0: float, m_lo: int = 0, m_hi: int = 0) -> Orbit:
     escape_index: int | None = None
 
     # an iterate that overflows escapes the domain below; one guard per
-    # call, not per point
+    # call, not per point.  Forward steps map with ``_eval_scalar``, which
+    # is ``s(x)`` without its domain test: ``x0`` and every iterate kept
+    # lie in the domain, so that test cannot fail.
+    domain = s.domain
     with np.errstate(over="ignore"):
-        x = x0
+        x = float(x0)
         for m in range(1, m_hi + 1):
-            x = s(x)
-            if not _contains_point(s.domain, x):
+            x = s._eval_scalar(x)
+            if not _contains_point(domain, x):
                 escaped, escape_index = True, m
                 break
             points[m - m_lo] = x
@@ -189,7 +192,7 @@ def iterate(s: Solution, x0: float, m_lo: int = 0, m_hi: int = 0) -> Orbit:
                 except NotSurjective:
                     escaped, escape_index = True, m
                     break
-                if not _contains_point(s.domain, x):
+                if not _contains_point(domain, x):
                     escaped, escape_index = True, m
                     break
                 points[m - m_lo] = x

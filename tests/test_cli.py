@@ -446,6 +446,17 @@ def test_fit_recurrence_short_orbit_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_fit_recurrence_needs_a_held_out_row_exit_2(tmp_path, capsys):
+    # n rows are fitted exactly whatever they hold, which would leave no
+    # held-out evidence and exit 0
+    code, out, err = run_cli(
+        capsys, "fit-recurrence", "--n", "4", "--k", "1",
+        "--orbit", _write_orbit_csv(tmp_path, [1.0, 5.0, -3.0, 7.0]), "--json",
+    )
+    assert code == 2 and out == ""
+    assert "orbit has 4 rows" in err and "n + 1 = 5" in err
+
+
 def test_fit_recurrence_prediction_failure_exit_1(tmp_path, capsys):
     # not a recurrence orbit of (2, 0): held-out error is large
     values = [1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0]

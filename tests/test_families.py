@@ -217,6 +217,72 @@ def test_three_piece_arrays_match_the_branch_formulas_swept(ends, slope, xs):
     _assert_branch_bits(s, xs + _edge_points(a, b))
 
 
+# ---------------------------------------------------------------------------
+# scalar maps against the array maps
+# ---------------------------------------------------------------------------
+#
+# ``__call__`` and ``invert`` run ``_eval_scalar`` and ``_invert_scalar`` in
+# Python floats; each must give every point the bits of the array forms.
+
+
+def _assert_scalar_bits(s, xs):
+    xs = [float(x) for x in xs]
+    maps = ((s._eval_scalar, s._eval_array), (s._invert_scalar, s._invert_array))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for scalar, array in maps:
+            whole = array(np.asarray(xs))
+            for x, want in zip(xs, whole.tolist()):
+                got = np.float64(scalar(x)).tobytes()
+                assert got == np.float64(want).tobytes(), (x, scalar(x), want)
+                assert got == array(np.asarray([x])).tobytes(), x
+
+
+NONZERO = FINITE.filter(lambda v: v != 0.0)
+
+
+@given(
+    ends=st.tuples(FINITE, FINITE).map(sorted),
+    slope=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).filter(
+        lambda r: r != 1.0
+    ),
+    xs=st.lists(st.floats(), max_size=16),
+)
+@example(ends=[0.0, -0.0], slope=2.0, xs=[-0.0, 0.0])
+@example(ends=[0.7, 0.7], slope=SQRT2 - 1.0, xs=[])
+@example(ends=[-1e308, 1e308], slope=7.3e5, xs=[])
+@example(ends=[5e-324, 5e-324], slope=1e-300, xs=[])
+def test_three_piece_scalar_maps_match_the_arrays(ends, slope, xs):
+    a, b = ends
+    s = ThreePiece(REAL_LINE, a, b, slope)
+    _assert_scalar_bits(s, xs + _edge_points(s.a, s.b))
+
+
+@given(
+    slope=NONZERO,
+    c=FINITE,
+    xs=st.lists(st.floats(), max_size=16),
+)
+@example(slope=-1.0 - SQRT2, c=0.3, xs=[])
+@example(slope=5e-324, c=-0.0, xs=[1e308, -1e308])
+def test_identity_translation_affine_scalar_maps_match_the_arrays(slope, c, xs):
+    points = xs + _edge_points(c, c + 1.0)
+    for s in (Identity(REAL_LINE), Translation(REAL_LINE, c), Affine(REAL_LINE, slope, c)):
+        _assert_scalar_bits(s, points)
+
+
+def test_call_and_invert_take_the_scalar_path(monkeypatch):
+    # the closed-form families build no array per point
+    def no_arrays(self, xs):
+        raise AssertionError("array path taken for one point")
+
+    for cls in (Identity, Translation, Affine, ThreePiece):
+        monkeypatch.setattr(cls, "_eval_array", no_arrays)
+        monkeypatch.setattr(cls, "_invert_array", no_arrays)
+    for s in SOLUTIONS:
+        y = s(1.25)
+        assert type(y) is float and type(s.invert(y)) is float
+
+
 def test_three_piece_maps_negative_zero_to_a_zero():
     s = ThreePiece(REAL_LINE, -1.0, 2.0, 0.5)
     assert s(-0.0) == 0.0

@@ -89,3 +89,20 @@ def test_dk_sweeps_polish_a_root_beyond_the_float_range_of_its_powers():
     assert sorted(z.real) == pytest.approx([-0.5, 2.0, 1e120], rel=1e-12)
     assert np.all(z.imag == 0.0)
     assert math.isfinite(best)
+
+
+@pytest.mark.parametrize("radius", [10.0, 1e200])
+def test_fused_bound_pass_is_both_horner_passes_bit_for_bit(radius):
+    # radius 1e200 puts most points past the direct range of degree 11
+    rng = np.random.default_rng(7)
+    coeffs = rng.normal(size=12)
+    z = radius * np.exp(2j * np.pi * rng.random(30)) * rng.random(30)
+    z[:3] = [0.0, -2.5, 1e-3j]
+    with np.errstate(over="raise"):
+        h, s, magnitude = _kernels.horner_scaled_bound(coeffs, z)
+    h_ref, s_ref = _kernels.horner_scaled(coeffs, z)
+    mag_ref, _ = _kernels.horner_scaled(np.abs(coeffs), np.abs(z))
+    assert h.tobytes() == h_ref.tobytes()
+    assert np.asarray(s).tobytes() == np.asarray(s_ref).tobytes()
+    assert magnitude.tobytes() == mag_ref.tobytes()
+    assert (s == 1.0) if radius == 10.0 else np.any(s != 1.0)

@@ -280,6 +280,32 @@ def test_all_roots_rejects_non_finite_polished_roots(monkeypatch):
         all_roots(Polynomial((-6.0, 11.0, -6.0, 1.0)))
 
 
+@pytest.mark.parametrize("moved", [False, True])
+def test_all_roots_reuses_the_disk_values_only_for_unmoved_estimates(
+    monkeypatch, moved
+):
+    # sweeps that leave every estimate bit for bit as it was need no
+    # second evaluation for the residual test; one moved bit forces it
+    passes = []
+    bound = _kernels.horner_scaled_bound
+
+    def counted(c, z):
+        passes.append(z.copy())
+        return bound(c, z)
+
+    def sweeps(coeffs, z0, *args):
+        z = z0.copy()
+        if moved:
+            z[0] = np.nextafter(z[0].real, np.inf)
+        return z, 0.0, 1
+
+    monkeypatch.setattr(_kernels, "horner_scaled_bound", counted)
+    monkeypatch.setattr(_kernels, "dk_sweeps", sweeps)
+    roots = all_roots(Polynomial((-6.0, 11.0, -6.0, 1.0)))
+    assert len(passes) == (2 if moved else 1)
+    assert sorted(r.re for r in roots) == sorted(passes[-1].real.tolist())
+
+
 def test_all_roots_quartic_structure():
     # r^4 + r^3 + r^2 - 4r + 1: roots 1, the cubic root, and a conjugate
     # pair whose modulus is sqrt of the residual quadratic's constant term

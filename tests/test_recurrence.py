@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import itereq
@@ -19,12 +20,15 @@ from itereq.charpoly import (
 from itereq.errors import DomainError, SingularSystem, TooShort
 from itereq.families import Affine, ThreePiece, Translation, enumerate_families
 from itereq.intervals import REAL_LINE
+from itereq.poly import Polynomial
 from itereq.recurrence import (
+    _anchor_system,
     _assemble,
     _spectrum_terms,
     check_recurrence,
     fit_closed_form,
     predict,
+    predict_range,
     prediction_error,
     single_regime,
 )
@@ -408,3 +412,138 @@ def test_fit_rejects_non_finite_anchor():
     spectrum = analyze_roots(CharProblem(3, 1))
     with pytest.raises(DomainError, match="anchor 1 is not finite"):
         fit_closed_form(orbit_from_values([1.0, math.inf, 2.0, 3.0]), spectrum)
+
+
+# ---------------------------------------------------------------------------
+# the anchor-system memo
+# ---------------------------------------------------------------------------
+
+
+def test_equal_reports_share_one_read_only_anchor_system():
+    report = analyze_roots(CharProblem(5, 2))
+    equal = dataclasses.replace(report)
+    assert equal == report and equal is not report
+    system = _anchor_system(report)
+    assert _anchor_system(equal) is system
+    for array in (system.matrix, *system.halves):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    assert system.cond <= 1e12
+    # a fit on the shared system is the fit on a fresh one
+    orbit = iterate(Affine(REAL_LINE, -2.0, 0.0), 0.3, 0, 12)
+    cached = fit_closed_form(orbit, equal)
+    _anchor_system.cache_clear()
+    assert fit_closed_form(orbit, report) == cached
+
+
+def test_condition_refusal_raises_on_every_call():
+    spectrum = analyze_roots(CharProblem(13, 12))
+    orbit = orbit_from_values([0.5 + 0.1 * j for j in range(20)])
+    for _ in range(3):
+        with pytest.raises(SingularSystem, match="condition number .* exceeds 1e\\+12"):
+            fit_closed_form(orbit, spectrum)
+    assert _anchor_system.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# whole-range evaluation and recurrence windows against the per-index forms
+# ---------------------------------------------------------------------------
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def test_predict_range_is_predict_bit_for_bit():
+    for name, sol, prob, x0 in _workload_cases(1)[::3]:
+        orbit = iterate(sol, x0, 0, 30)
+        try:
+            cf = fit_closed_form(orbit, analyze_roots(prob), regime_of=sol)
+        except SingularSystem:
+            continue
+        for lo, hi in ((0, prob.n - 1), (prob.n, 30), (-4, 40)):
+            want = [predict(cf, j) for j in range(lo, hi + 1)]
+            assert _bits(predict_range(cf, lo, hi)) == _bits(want), name
+
+
+def _prediction_error_reference(cf, orbit, j_lo, j_hi):
+    worst = 0.0
+    for j in range(j_lo, j_hi + 1):
+        if j < orbit.m_lo or j > orbit.m_hi:
+            continue
+        actual = orbit.value(j)
+        if math.isnan(actual):
+            continue
+        err = abs(predict(cf, j) - actual) / (1.0 + abs(actual))
+        worst = max(worst, err)
+    return worst
+
+
+def test_prediction_error_is_the_per_index_loop_bit_for_bit():
+    cf = fit_closed_form(
+        iterate(Affine(REAL_LINE, -2.0, 0.5), 0.3, 0, 12),
+        analyze_roots(CharProblem(2, 0)),
+    )
+    points = np.array([np.nan, 1.0, -2.5, np.nan, 7.0, 1e300, -5.0, np.nan, 3.0])
+    orbit = Orbit(1.0, -1, 7, points)
+    for j_lo in range(-3, 10):
+        for j_hi in range(j_lo - 1, 10):
+            got = prediction_error(cf, orbit, j_lo, j_hi)
+            want = _prediction_error_reference(cf, orbit, j_lo, j_hi)
+            assert float(got).hex() == float(want).hex(), (j_lo, j_hi)
+    for name, sol, prob, x0 in _workload_cases(2)[::5]:
+        orbit = iterate(sol, x0, -5, 30)
+        try:
+            cf = fit_closed_form(orbit, analyze_roots(prob), regime_of=sol)
+        except SingularSystem:
+            continue
+        got = prediction_error(cf, orbit, prob.n, 30)
+        assert got.hex() == _prediction_error_reference(cf, orbit, prob.n, 30).hex()
+
+
+def _check_recurrence_reference(orbit, coeffs, tol=1e-9):
+    """The per-window generator form, with its run found index by index."""
+    pts = orbit.all_values()
+    lo = hi = -orbit.m_lo
+    while lo > 0 and not np.isnan(pts[lo - 1]):
+        lo -= 1
+    while hi + 1 < len(pts) and not np.isnan(pts[hi + 1]):
+        hi += 1
+    vals = pts[lo : hi + 1]
+    deg = coeffs.degree
+    if len(vals) < deg + 1:
+        raise TooShort("short")
+    arr = coeffs.as_array()
+    windows = len(vals) - deg
+    residuals = np.empty(windows)
+    for m in range(windows):
+        residuals[m] = math.fsum(arr[i] * vals[m + i] for i in range(deg + 1))
+    scale = coeffs.inf_norm * (1.0 + float(np.max(np.abs(vals))))
+    max_resid = float(np.max(np.abs(residuals)))
+    return max_resid, max_resid <= tol * scale, windows
+
+
+MODERATE = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@given(
+    values=st.lists(MODERATE | st.just(math.nan), min_size=1, max_size=24),
+    back=st.integers(min_value=0, max_value=23),
+    coeffs=st.lists(MODERATE, min_size=2, max_size=6),
+)
+@example(values=[math.nan, 1.0, 2.0, 3.0, 4.0], back=0, coeffs=[1.0, -2.0, 1.0])
+def test_check_recurrence_is_the_generator_form_bit_for_bit(values, back, coeffs):
+    back = min(back, len(values) - 1)
+    orbit = Orbit(values[back], -back, len(values) - 1 - back, np.array(values))
+    poly = Polynomial(tuple(coeffs))
+    try:
+        want = _check_recurrence_reference(orbit, poly)
+    except TooShort:
+        with pytest.raises(TooShort):
+            check_recurrence(orbit, poly)
+        return
+    got = check_recurrence(orbit, poly)
+    assert (got.max_residual.hex(), got.passed, got.windows) == (
+        want[0].hex(), want[1], want[2]
+    )
