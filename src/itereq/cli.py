@@ -11,7 +11,8 @@ selftest        run the full acceptance battery
 
 Exit codes: 0 success/pass, 1 check failure (the claim failed at this
 (n, k)), 2 usage or input error, 3 unsolved regime (both k and n even),
-4 numerical failure (a solver or fit gave up; nothing was refuted).
+4 numerical failure (a solver or fit gave up, or the run ran out of
+memory; nothing was refuted).
 
 ``--generator`` takes exactly ``identity``, ``log`` or ``power:P``.
 """
@@ -146,6 +147,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CHECK_FAILED
     except (NonConvergence, SingularSystem, RootMismatch) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError:
+        print(
+            f"numerical failure: out of memory in {args.command}; "
+            "the problem is too large for this machine",
+            file=sys.stderr,
+        )
         return EXIT_NUMERICAL
     except (ItereqError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,7 +56,10 @@ class Solution:
     ``Translation``, ``Affine`` and ``ThreePiece`` give those in Python
     floats, the array formulas' IEEE operations in the same order, so a
     point maps to the same bits either way without building a one-element
-    array.  Other families fall back to their array forms.
+    array.  ``_eval_into`` maps an array into a buffer the caller owns;
+    those four families write it with ufunc ``out=``, and ``_eval_array``
+    is ``_eval_into`` on a fresh buffer.  Other families fall back to their
+    array forms.
     """
 
     domain: Interval
@@ -71,6 +74,13 @@ class Solution:
 
     def _eval_array(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _eval_into(self, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """f over ``xs`` written into ``out``, an array of the same shape;
+        returns ``out``.  The default copies the result of ``_eval_array``
+        into it."""
+        out[...] = self._eval_array(xs)
+        return out
 
     def _eval_scalar(self, x: float) -> float:
         return float(self._eval_array(np.asarray([x], dtype=float))[0])
@@ -156,6 +166,10 @@ class Identity(Solution):
     def _eval_array(self, xs):
         return xs.copy()
 
+    def _eval_into(self, xs, out):
+        np.copyto(out, xs)
+        return out
+
     def _eval_scalar(self, x):
         return x
 
@@ -189,7 +203,10 @@ class Translation(Solution):
         _check_image_contained(self)
 
     def _eval_array(self, xs):
-        return xs + self.c
+        return self._eval_into(xs, np.empty_like(xs, dtype=float))
+
+    def _eval_into(self, xs, out):
+        return np.add(xs, self.c, out=out)
 
     def _eval_scalar(self, x):
         return x + self.c
@@ -229,7 +246,12 @@ class Affine(Solution):
         _check_image_contained(self)
 
     def _eval_array(self, xs):
-        return self.slope * xs + self.c
+        return self._eval_into(xs, np.empty_like(xs, dtype=float))
+
+    def _eval_into(self, xs, out):
+        np.multiply(self.slope, xs, out=out)
+        out += self.c
+        return out
 
     def _eval_scalar(self, x):
         return self.slope * x + self.c
@@ -308,8 +330,12 @@ class ThreePiece(Solution):
         _check_image_contained(self)
 
     def _eval_array(self, xs):
-        anchor = np.minimum(np.maximum(xs, self.a), self.b)
-        out = np.subtract(xs, anchor)
+        return self._eval_into(xs, np.empty_like(xs, dtype=float))
+
+    def _eval_into(self, xs, out):
+        anchor = np.maximum(xs, self.a)
+        np.minimum(anchor, self.b, out=anchor)
+        np.subtract(xs, anchor, out=out)
         out *= self.slope
         out += anchor
         return out

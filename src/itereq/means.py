@@ -181,14 +181,15 @@ def qa_mean_rows(gen: Generator, rows: np.ndarray, anchor: int = 0) -> np.ndarra
     the result exact (by idempotence) wherever all rows agree and well
     conditioned everywhere else.  Each point's terms are added in NumPy's
     pairwise order (see ``_column_sums``), so its mean depends neither on
-    the other points nor on the layout of ``rows``.  No domain checking:
-    callers mask points first.
+    the other points nor on the layout of ``rows``.  The deviations are
+    formed a chunk of at most 8 rows at a time, never as a whole matrix.
+    No domain checking: callers mask points first.
     """
     if gen.kind == "identity":
         phi_vals = rows
     else:
         phi_vals = gen.phi(rows)
-    dev = _column_sums(phi_vals - phi_vals[anchor]) / rows.shape[0]
+    dev = _column_sums(phi_vals, phi_vals[anchor]) / rows.shape[0]
     mean_phi = phi_vals[anchor] + dev
     if gen.kind == "identity":
         general = mean_phi
@@ -197,8 +198,9 @@ def qa_mean_rows(gen: Generator, rows: np.ndarray, anchor: int = 0) -> np.ndarra
     return np.where(dev == 0.0, rows[anchor], general)
 
 
-def _column_sums(terms: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(terms, axis=0)`` as NumPy sums one contiguous column.
+def _column_sums(rows: np.ndarray, base=0.0) -> np.ndarray:
+    """``np.add.reduce(rows - base, axis=0)`` as NumPy sums one contiguous
+    column of ``rows - base``, without forming ``rows - base``.
 
     NumPy adds a column's pairwise sum to the identity 0.0.  The pairwise
     sum adds fewer than 8 terms in sequence; up to 128 terms in eight
@@ -208,22 +210,34 @@ def _column_sums(terms: np.ndarray) -> np.ndarray:
     long.  Whole-row adds on the C-ordered rows follow that order for every
     column at once, with no Fortran-ordered copy.  Starting each sequence
     from 0.0 (``+ 0.0`` on the first terms) gives a sum of zeros the sign
-    the identity gives it.
+    the identity gives it.  The terms ``rows[i] - base`` (a row, or a
+    scalar; ``x - 0.0`` is ``x``, bit for bit) are formed at most 8 rows at
+    a time, into reused buffers.
     """
-    count = terms.shape[0]
+    count = rows.shape[0]
     if count > 128:
         half = count // 2 - count // 2 % 8
-        return _column_sums(terms[:half]) + _column_sums(terms[half:])
+        return _column_sums(rows[:half], base) + _column_sums(rows[half:], base)
     if count < 8:
-        total = terms[0] + 0.0
-        for row in terms[1:]:
-            total += row
-        return total
-    stop = count - count % 8
-    r = terms[:8] + 0.0
-    for i in range(8, stop, 8):
-        r += terms[i:i + 8]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for row in terms[stop:]:
-        total += row
+        total = np.subtract(rows[0], base)
+        total += 0.0
+        rest = rows[1:]
+    else:
+        stop = count - count % 8
+        r = np.subtract(rows[:8], base)
+        r += 0.0
+        if stop > 8:
+            chunk = np.empty_like(r)
+        for i in range(8, stop, 8):
+            r += np.subtract(rows[i:i + 8], base, out=chunk)
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place
+        r[::2] += r[1::2]
+        r[::4] += r[2::4]
+        total = r[0]
+        total += r[4]
+        rest = rows[stop:]
+    if len(rest):
+        term = np.empty_like(total)
+    for row in rest:
+        total += np.subtract(row, base, out=term)
     return total

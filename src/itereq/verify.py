@@ -131,11 +131,10 @@ def _contains_point(domain: Interval, x: float) -> bool:
     return domain.lo - slack <= x <= domain.hi + slack
 
 
-def sample_grid(domain: Interval, samples: int, half_width: float = 10.0) -> np.ndarray:
-    """Uniform grid over the domain clipped to ``[-half_width, half_width]``.
-
-    Open endpoints are offset inward by 1e-6 of the window width.
-    """
+def _grid_ends(
+    domain: Interval, samples: int, half_width: float = 10.0
+) -> tuple[float, float]:
+    """First and last point of ``sample_grid(domain, samples, half_width)``."""
     if samples < 1:
         raise DomainError("need at least one sample")
     lo, hi = domain.window(half_width)
@@ -149,9 +148,42 @@ def sample_grid(domain: Interval, samples: int, half_width: float = 10.0) -> np.
         hi_s = hi - off
     else:
         hi_s = hi
+    return lo_s, hi_s
+
+
+def _grid_points(lo: float, hi: float, samples: int, start: int, stop: int) -> np.ndarray:
+    """Points ``start..stop-1`` of ``np.linspace(lo, hi, samples)``, bit for bit.
+
+    The same operations as ``linspace``: point i is ``i * step + lo`` with
+    ``step = (hi - lo) / (samples - 1)``, or ``i / (samples - 1) * (hi -
+    lo) + lo`` when that step is 0 (a denormal width), and the last point
+    is ``hi``.  Only the block is built, so its memory does not grow with
+    ``samples``.  One sample sits at the midpoint.
+    """
     if samples == 1:
-        return np.asarray([0.5 * (lo_s + hi_s)])
-    return np.linspace(lo_s, hi_s, samples)
+        return np.asarray([0.5 * (lo + hi)])
+    div = samples - 1
+    delta = hi - lo
+    step = delta / div
+    xs = np.arange(start, stop, dtype=float)
+    if step == 0.0:
+        xs /= div
+        xs *= delta
+    else:
+        xs *= step
+    xs += lo
+    if stop == samples:
+        xs[-1] = hi
+    return xs
+
+
+def sample_grid(domain: Interval, samples: int, half_width: float = 10.0) -> np.ndarray:
+    """Uniform grid over the domain clipped to ``[-half_width, half_width]``.
+
+    Open endpoints are offset inward by 1e-6 of the window width.
+    """
+    lo, hi = _grid_ends(domain, samples, half_width)
+    return _grid_points(lo, hi, samples, 0, samples)
 
 
 def iterate(s: Solution, x0: float, m_lo: int = 0, m_hi: int = 0) -> Orbit:
@@ -202,28 +234,48 @@ def iterate(s: Solution, x0: float, m_lo: int = 0, m_hi: int = 0) -> Orbit:
 
 def _iterate_rows(
     s: Solution, xs: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None, float | None]:
     """Stack f^0..f^count over one block of grid points, masking escaped points.
 
-    Returns ``(rows, alive)`` where ``rows`` is (count+1, len(xs)) and
-    ``alive`` marks columns whose iterates all stayed in the domain.  Whole
-    rows are mapped until a point escapes, and the row it escapes in keeps
-    its escaped value.  NaN is written only after an escape: each later
-    row is set to NaN and then only its live columns are mapped, so the
-    escaped columns hold NaN from there on.
+    Returns ``(rows, alive, peak)`` where ``rows`` is (count+1, len(xs)).
+    While every point is inside, each row is mapped whole into its place
+    in ``rows`` (``Solution._eval_into``), and its minimum and maximum
+    decide that: both finite, with ``lo <= min`` and ``max <= hi`` for the
+    domain's ends, prove every point finite and inside, so the exact test
+    ``_contains_array`` runs only on a row where they fail.  If no point
+    escapes, ``alive`` is None and ``peak`` is ``max |f^i|`` over the
+    block, read off those extremes.  Otherwise ``alive`` marks the columns
+    whose iterates all stayed in the domain and ``peak`` is None; the row a
+    point escapes in keeps its escaped value, and each later row is set to
+    NaN and then only its live columns are mapped, so the escaped columns
+    hold NaN from there on.
     """
+    domain = s.domain
+    lo, hi = domain.lo, domain.hi
     rows = np.empty((count + 1, len(xs)))
     rows[0] = xs
-    alive = _contains_array(s.domain, xs)
-    for i in range(1, count + 1):
-        if alive.all():
-            rows[i] = s._eval_array(rows[i - 1])
+    alive = None
+    peak = 0.0
+    for i in range(count + 1):
+        row = rows[i]
+        if alive is None:
+            if i:
+                s._eval_into(rows[i - 1], row)
+            low, high = row.min(), row.max()
+            if not (
+                lo <= low and high <= hi and math.isfinite(low) and math.isfinite(high)
+            ):
+                inside = _contains_array(domain, row)
+                if not inside.all():
+                    alive = inside
+                    continue
+            peak = max(peak, abs(low), abs(high))
         else:
-            rows[i] = np.nan
+            row[...] = np.nan
             if alive.any():
-                rows[i, alive] = s._eval_array(rows[i - 1, alive])
-        alive &= _contains_array(s.domain, rows[i])
-    return rows, alive
+                row[alive] = s._eval_array(rows[i - 1, alive])
+            alive &= _contains_array(domain, row)
+    return rows, alive, peak if alive is None else None
 
 
 def _max_abs(x: np.ndarray, running: float = 0.0) -> float:
@@ -247,31 +299,39 @@ def _verify_grid(
     """Iterate ``s`` over its grid block by block and judge the residual.
 
     Each block holds ``_BLOCK`` grid columns, the last one also the
-    remainder.  ``residual(rows, alive, live)`` gets a block's iterates
-    f^0..f^count, its live mask and its live columns, and returns the
-    residual at the live columns.  Only the evaluated count and the
-    largest ``|residual|`` and ``|f^i|`` at live points outlive a block, so
-    memory scales with ``(count + 1) * _BLOCK``, not with ``samples``.
-    Maps run with overflow ignored: a point that overflows is not finite,
-    so it escapes.
+    remainder, and builds its own grid points (``_grid_points``).
+    ``residual(rows, alive, live)`` gets a block's iterates f^0..f^count,
+    its live mask (None when every column is live) and its live columns,
+    and returns the residual at the live columns.  Only the evaluated
+    count and the largest ``|residual|`` and ``|f^i|`` at live points
+    outlive a block, so memory scales with ``(count + 1) * _BLOCK``, not
+    with ``samples``.  The whole run ignores overflow, under one
+    ``np.errstate``: a point that overflows is not finite, so it escapes,
+    and a residual that overflows is infinite, so it fails.
 
     The verdict requires ``max |residual| <= tol * coeff_scale * (1 + max
     |f^i|)`` over the live points and at least 90% of the grid alive.
     """
-    xs = sample_grid(s.domain, samples)
+    lo, hi = _grid_ends(s.domain, samples)
     evaluated = 0
     resid_max = rows_max = 0.0
-    edges = [*range(0, max(samples // _BLOCK, 1) * _BLOCK, _BLOCK), samples]
-    for start, stop in zip(edges, edges[1:]):
-        with np.errstate(over="ignore"):
-            rows, alive = _iterate_rows(s, xs[start:stop], count)
-        live_count = int(np.count_nonzero(alive))
-        if live_count == 0:
-            continue
-        evaluated += live_count
-        live = rows if live_count == stop - start else rows[:, alive]
-        resid_max = _max_abs(residual(rows, alive, live), resid_max)
-        rows_max = _max_abs(live, rows_max)
+    blocks = max(samples // _BLOCK, 1)
+    with np.errstate(over="ignore"):
+        for b in range(blocks):
+            start = b * _BLOCK
+            stop = samples if b == blocks - 1 else start + _BLOCK
+            xs = _grid_points(lo, hi, samples, start, stop)
+            rows, alive, peak = _iterate_rows(s, xs, count)
+            if alive is None:
+                live_count, live = stop - start, rows
+            else:
+                live_count = int(np.count_nonzero(alive))
+                if live_count == 0:
+                    continue
+                live = rows[:, alive]
+            evaluated += live_count
+            resid_max = _max_abs(residual(rows, alive, live), resid_max)
+            rows_max = max(rows_max, peak) if alive is None else _max_abs(live, rows_max)
     escaped = samples - evaluated
     if evaluated == 0:
         return VerifyReport(math.inf, False, 0, escaped)

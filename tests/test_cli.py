@@ -685,3 +685,28 @@ def test_analyze_two_real_estimates_in_a_bracket_exit_1(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "analyze", "--n", "3", "--k", "1")
     assert code == 1
     assert "2 real root estimates in bracket (0.0, 1.0)" in err
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("analyze", ["--n", "1000000", "--k", "3"]),
+        ("verify", ["--n", "4", "--k", "1", "--solution", "s.json", "--samples", "100000000000"]),
+    ],
+)
+def test_out_of_memory_is_a_numerical_failure_not_a_refuted_claim(
+    monkeypatch, capsys, command, argv
+):
+    # the handler raises as an allocation that cannot be met would; nothing
+    # is allocated for real
+    from itereq import cli
+
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, f"_cmd_{command}", out_of_memory)
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("numerical failure: out of memory")
+    assert len(err.strip().splitlines()) == 1

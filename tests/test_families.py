@@ -21,11 +21,13 @@ from itereq.families import (
     Translation,
     _numeric_inverse,
     build_involution,
+    conjugate,
     enumerate_families,
     second_order_families,
     solution_from_json,
 )
 from itereq.intervals import Interval, REAL_LINE
+from itereq.means import Generator
 
 SQRT2 = math.sqrt(2.0)
 POS = Interval(0.0, math.inf)
@@ -301,6 +303,25 @@ SOLUTIONS = [
     ThreePiece(REAL_LINE, -1.0, 2.0, SQRT2 - 1.0),
     ThreePiece(REAL_LINE, 0.0, 0.0, 3.0),
 ]
+
+
+def test_eval_into_writes_the_array_map_into_the_callers_row():
+    # verification maps each grid row into its place in the block; the
+    # involution and the conjugate copy their array result in
+    pos = Interval(1.0, 4.0, True, True)
+    gen = Generator("log", pos)
+    sols = SOLUTIONS + [
+        build_involution(Interval(0.0, 2.0), 0.8, f0=lambda x: 2.0 - 1.2 * (x / 0.8) ** 1.3),
+        conjugate(gen, Affine(gen.image(), -0.5, math.log(2.0))),
+    ]
+    for sol in sols:
+        lo, hi = sol.domain.window()
+        xs = np.linspace(lo, hi, 37)
+        block = np.full((3, len(xs)), 7.0)
+        got = sol._eval_into(xs, block[1])
+        assert np.shares_memory(got, block[1])
+        assert block[1].tobytes() == sol._eval_array(xs).tobytes(), sol.family
+        assert (block[0] == 7.0).all() and (block[2] == 7.0).all()
 
 
 @pytest.mark.parametrize("sol", SOLUTIONS, ids=lambda s: f"{s.family}")

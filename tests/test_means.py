@@ -173,6 +173,26 @@ def test_column_sums_match_fortran_reduce_for_every_row_count():
         assert _column_sums(terms).tobytes() == _fortran_reduce(terms).tobytes()
 
 
+def test_deviation_sums_match_the_deviation_matrix_for_every_row_count():
+    # the deviations from a row are formed chunk by chunk, never whole; the
+    # sums must be those of the whole deviation matrix, bit for bit, in
+    # every branch of the pairwise order (< 8, up to 128 and past 128 rows)
+    rng = np.random.default_rng(11)
+    for count in range(1, 141):
+        rows = rng.standard_normal((count, 24)) * 10.0 ** rng.integers(
+            -12, 13, (count, 24)
+        )
+        rows[:, 0] = -0.0
+        rows[:, 1] = rng.choice([0.0, -0.0], count)
+        rows[::2, 2], rows[1::2, 2] = 1e16, -1e16
+        rows[:, 3] = 1.0
+        rows[:, 4] = rng.choice([1e300, -1e300, 3.0], count)
+        for anchor in {0, count // 2, count - 1}:
+            want = _column_sums(rows - rows[anchor])
+            got = _column_sums(rows, rows[anchor])
+            assert got.tobytes() == want.tobytes(), (count, anchor)
+
+
 @given(
     hnp.arrays(
         np.float64,

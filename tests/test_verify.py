@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from itereq import verify as verify_module
 from itereq.charpoly import CharProblem, analyze_roots, build_char_poly
@@ -25,6 +27,7 @@ from itereq.verify import (
     _BLOCK,
     _contains_array,
     _contains_point,
+    _grid_points,
     _iterate_rows,
     DEFAULT_TOL,
     VerifyReport,
@@ -128,6 +131,39 @@ def test_sample_grid_respects_open_endpoints():
 def test_sample_grid_clips_infinite_domains():
     grid = sample_grid(REAL_LINE, 11)
     assert grid[0] >= -10.0 and grid[-1] <= 10.0
+
+
+def _linspace_blocks(lo, hi, samples, cuts):
+    edges = [0, *sorted({c for c in cuts if 0 < c < samples}), samples]
+    return np.concatenate(
+        [_grid_points(lo, hi, samples, a, b) for a, b in zip(edges, edges[1:])]
+    )
+
+
+def test_grid_blocks_are_linspace_bit_for_bit():
+    rng = np.random.default_rng(5)
+    tiny = 5e-324
+    ranges = [(0.0, tiny), (0.0, 3 * tiny), (-tiny, tiny), (1.0, 1.0), (-0.0, 0.0)]
+    for _ in range(2000):
+        lo = float(rng.uniform(-10.0, 10.0)) * 10.0 ** int(rng.integers(-8, 3))
+        ranges.append((lo, lo + float(rng.uniform(0.0, 20.0))))
+    for lo, hi in ranges:
+        samples = int(rng.integers(2, 3000))
+        cuts = rng.integers(0, samples + 1, int(rng.integers(0, 4))).tolist()
+        want = np.linspace(lo, hi, samples)
+        assert _linspace_blocks(lo, hi, samples, cuts).tobytes() == want.tobytes(), (
+            lo, hi, samples, cuts
+        )
+
+
+def test_sample_grid_is_linspace_between_its_ends():
+    for dom in (REAL_LINE, Interval(0.0, 1.0), Interval(-3.0, 2.0, True, False),
+                Interval(20.0, math.inf)):
+        for samples in (2, 1001, _BLOCK + 3):
+            grid = sample_grid(dom, samples)
+            want = np.linspace(grid[0], grid[-1], samples)
+            assert grid.tobytes() == want.tobytes()
+    assert sample_grid(Interval(0.0, 1.0, True, True), 1).tolist() == [0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +629,10 @@ def test_whole_row_reports_match_masked_reference(case, monkeypatch):
     blocks = []
 
     def recording(s, xs, count):
-        rows, alive = _iterate_rows(s, xs, count)
-        blocks.append((s, xs.copy(), count, rows.tobytes(), alive.copy()))
-        return rows, alive
+        rows, alive, peak = _iterate_rows(s, xs, count)
+        mask = np.ones(len(xs), dtype=bool) if alive is None else alive.copy()
+        blocks.append((s, xs.copy(), count, rows.tobytes(), mask, peak))
+        return rows, alive, peak
 
     monkeypatch.setattr(verify_module, "_iterate_rows", recording)
     for samples in BLOCK_GRIDS:
@@ -606,10 +643,14 @@ def test_whole_row_reports_match_masked_reference(case, monkeypatch):
         for got, want in pairs:
             assert _bits(got) == _bits(want), samples
         assert blocks
-        for s, xs, count, rows, alive in blocks:
+        for s, xs, count, rows, alive, peak in blocks:
             want_rows, want_alive = _reference_rows(s, xs, count)
             assert rows == want_rows.tobytes(), samples
             assert np.array_equal(alive, want_alive), samples
+            if want_alive.all():
+                assert peak == np.max(np.abs(want_rows)), samples
+            else:
+                assert peak is None, samples
         line = _line_map(case)
         _, alive = _reference_rows(line, sample_grid(line.domain, samples), 15)
         assert pairs[0][0].points_escaped == samples - np.count_nonzero(alive)
@@ -626,6 +667,99 @@ def test_whole_row_reports_match_masked_reference(case, monkeypatch):
                 assert first.all() and 0 < np.count_nonzero(rest) < len(rest)
             else:
                 assert not first.any() and rest.all()
+
+
+# the escape test on a row's extremes against the masked reference: points
+# exactly on an end, one ulp outside it (inside the slack), past the slack,
+# NaN, +-inf, and values that overflow within a few steps among finite ones
+
+ROW_DOMAINS = (
+    Interval(-2.0, 3.0, True, True),
+    Interval(1.0, math.inf, True, False),
+    REAL_LINE,
+)
+
+
+def _row_specials(domain):
+    ends = [v for v in (domain.lo, domain.hi) if math.isfinite(v)]
+    out = [math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0]
+    for v in ends:
+        out += [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
+        out += [v - 1e-10, v + 1e-10]
+    return out
+
+
+def _row_maps(domain):
+    """Maps that keep, clamp, shrink, grow or overflow points of ``domain``."""
+    maps = [
+        _Leaky(domain, lambda x: x.copy(), lambda y: y.copy()),
+        _Leaky(domain, lambda x: 0.5 * x + 0.25, lambda y: (y - 0.25) / 0.5),
+        _Leaky(domain, lambda x: -1.5 * x, lambda y: y / -1.5),
+        _Leaky(domain, lambda x: 1e300 * x, lambda y: y / 1e300),
+    ]
+    if domain == REAL_LINE:
+        maps += [
+            Identity(domain),
+            Affine(domain, -0.45, 1.0),
+            ThreePiece(domain, -1.0, 2.0, 3.0),
+            Translation(domain, 1e307),
+        ]
+    return maps
+
+
+def _assert_rows_match_reference(s, xs, count):
+    with np.errstate(over="ignore"):
+        rows, alive, peak = _iterate_rows(s, xs, count)
+        want_rows, want_alive = _reference_rows(s, xs, count)
+    assert rows.tobytes() == want_rows.tobytes()
+    if want_alive.all():
+        assert alive is None
+        assert peak == np.max(np.abs(want_rows))
+    else:
+        assert np.array_equal(alive, want_alive)
+        assert peak is None
+
+
+@st.composite
+def _row_cases(draw):
+    domain = draw(st.sampled_from(ROW_DOMAINS))
+    s = draw(st.sampled_from(_row_maps(domain)))
+    lo = domain.lo if math.isfinite(domain.lo) else -1e6
+    hi = domain.hi if math.isfinite(domain.hi) else 1e6
+    point = st.one_of(
+        st.floats(lo, hi), st.sampled_from(_row_specials(domain))
+    )
+    xs = draw(st.lists(point, min_size=1, max_size=24))
+    return s, np.asarray(xs, dtype=float), draw(st.integers(0, 5))
+
+
+@given(_row_cases())
+def test_extreme_escape_test_matches_the_masked_reference(case):
+    _assert_rows_match_reference(*case)
+
+
+@pytest.mark.parametrize("domain", ROW_DOMAINS)
+def test_row_extremes_on_ends_ulps_and_overflow(domain):
+    lo = domain.lo if math.isfinite(domain.lo) else -4.0
+    hi = domain.hi if math.isfinite(domain.hi) else 4.0
+    mid = np.linspace(lo, hi, 9)
+    cases = [
+        # on the ends and one ulp outside them: inside by the slack
+        np.array([lo, math.nextafter(lo, -math.inf), *mid, math.nextafter(hi, math.inf), hi]),
+        # one point past the slack, NaN or infinite in the middle of the block
+        np.array([*mid[:4], hi + 1e-6, *mid[4:]]),
+        np.array([*mid[:4], math.nan, *mid[4:]]),
+        np.array([*mid[:4], math.inf, -math.inf, *mid[4:]]),
+    ]
+    for s in _row_maps(domain):
+        for xs in cases:
+            _assert_rows_match_reference(s, xs, 4)
+    # 1e300 * x overflows in the middle of the block only where |x| > 1.8e8
+    big = _Leaky(domain, lambda x: 1e300 * x, lambda y: y / 1e300)
+    if domain == REAL_LINE:
+        xs = np.array([-1.0, 0.0, 1e9, 1.0, -1e9, 2.0])
+        _assert_rows_match_reference(big, xs, 3)
+        _assert_rows_match_reference(Translation(domain, 1e307), np.full(8, 5.0), 20)
 
 
 def test_nan_residual_survives_the_block_reduction():
@@ -645,6 +779,21 @@ def test_overflowing_translation_escapes_without_warning():
         report = verify_mean(Translation(REAL_LINE, 1.89231e307), CharProblem(14, 7))
     assert not report.passed
     assert report.points_escaped == 1001 and report.points_evaluated == 0
+
+
+def test_verify_memory_does_not_grow_with_samples():
+    # each block builds its own grid points: 4e6 samples peak at a few block
+    # rows (3 rows of at most 2 * _BLOCK doubles is 0.4 MB), where the whole
+    # grid alone would take 32 MB
+    s, prob = Identity(REAL_LINE), CharProblem(2, 1)
+    tracemalloc.start()
+    try:
+        report = verify_mean(s, prob, 4_000_001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.points_evaluated == 4_000_001
+    assert peak < 2**21
 
 
 def test_verify_memory_is_bounded_by_the_block():
