@@ -38,16 +38,14 @@ from .errors import (
 from .families import enumerate_families, solution_from_json
 from .intervals import parse_interval
 from .means import Generator
-from .recurrence import ClosedForm, fit_closed_form, prediction_error
-from .verify import Orbit, iterate, verify_general
+from .recurrence import PREDICTION_TOL, ClosedForm, fit_closed_form, prediction_error
+from .verify import DEFAULT_SAMPLES, DEFAULT_TOL, Orbit, iterate, verify_general
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_OPEN_PROBLEM = 3
 EXIT_NUMERICAL = 4
-
-_PREDICTION_TOL = 1e-6
 
 
 def _float_repr(x: float) -> str:
@@ -98,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--solution", required=True, help="solution spec JSON file")
-    p.add_argument("--samples", type=int, default=1001)
-    p.add_argument("--tol", type=_positive_tol, default=1e-9)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--tol", type=_positive_tol, default=DEFAULT_TOL)
     p.add_argument(
         "--generator",
         default="identity",
@@ -356,7 +354,7 @@ def _cmd_fit(args) -> int:
     else:
         _print_closed_form(cf)
         print(f"held-out max relative error: {_float_repr(worst)}")
-    return EXIT_OK if worst <= _PREDICTION_TOL else EXIT_CHECK_FAILED
+    return EXIT_OK if worst <= PREDICTION_TOL else EXIT_CHECK_FAILED
 
 
 def _poly_text(coeffs: tuple[float, ...]) -> str:

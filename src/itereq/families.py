@@ -34,17 +34,8 @@ from .errors import (
     NotAnInvolution,
     NotSurjective,
 )
-from .intervals import Interval, finite_real
+from .intervals import REL_SLACK, Interval, contains_with_slack, finite_real
 from .means import Generator
-
-_REL_SLACK = 1e-12
-
-
-def _contains_with_slack(interval: Interval, y: float) -> bool:
-    if interval.contains(y):
-        return True
-    slack = _REL_SLACK * (1.0 + abs(y))
-    return interval.lo - slack <= y <= interval.hi + slack
 
 
 class Solution:
@@ -68,7 +59,7 @@ class Solution:
     # -- evaluation -------------------------------------------------------
 
     def __call__(self, x: float) -> float:
-        if not _contains_with_slack(self.domain, x):
+        if not contains_with_slack(self.domain, x):
             raise DomainError(f"{x!r} outside domain {self.domain}")
         return self._eval_scalar(float(x))
 
@@ -89,7 +80,7 @@ class Solution:
 
     def invert(self, y: float) -> float:
         """Solve f(x) = y; raises NotSurjective for y outside the image."""
-        if not _contains_with_slack(self.image(), y):
+        if not contains_with_slack(self.image(), y):
             raise NotSurjective(f"{y!r} outside image {self.image()}")
         return self._invert_scalar(float(y))
 
@@ -150,8 +141,8 @@ class Solution:
 
 def _check_image_contained(sol: Solution) -> None:
     img, dom = sol.image(), sol.domain
-    slack_lo = _REL_SLACK * (1.0 + abs(dom.lo)) if math.isfinite(dom.lo) else 0.0
-    slack_hi = _REL_SLACK * (1.0 + abs(dom.hi)) if math.isfinite(dom.hi) else 0.0
+    slack_lo = REL_SLACK * (1.0 + abs(dom.lo)) if math.isfinite(dom.lo) else 0.0
+    slack_hi = REL_SLACK * (1.0 + abs(dom.hi)) if math.isfinite(dom.hi) else 0.0
     if img.lo < dom.lo - slack_lo or img.hi > dom.hi + slack_hi:
         raise ConstructionError(
             f"{sol.family} image {img} is not contained in domain {dom}"
@@ -429,7 +420,7 @@ class Involution(Solution):
         return self
 
     def invert(self, y: float) -> float:
-        if not _contains_with_slack(self.domain, y):
+        if not contains_with_slack(self.domain, y):
             raise NotSurjective(f"{y!r} outside image {self.domain}")
         return self(y)
 

@@ -10,6 +10,9 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 _INF_TOKENS = {"inf": math.inf, "+inf": math.inf, "-inf": -math.inf}
+# Relative slack of the membership tests that guard against rounding: a
+# value x counts as inside up to REL_SLACK * (1 + |x|) past a finite end.
+REL_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,16 @@ class Interval:
 
 
 REAL_LINE = Interval()
+
+
+def contains_with_slack(interval: Interval, x: float) -> bool:
+    """True when ``x`` is finite and in the closure of ``interval`` up to
+    the relative slack ``REL_SLACK * (1 + |x|)``, in Python floats."""
+    if not math.isfinite(x):
+        return False
+    slack = REL_SLACK * (1.0 + abs(x))
+    return interval.lo - slack <= x <= interval.hi + slack
+
 
 _INTERVAL_RE = re.compile(r"^\s*([\[\(])\s*([^,\s]+)\s*,\s*([^,\s\]\)]+)\s*([\]\)])\s*$")
 

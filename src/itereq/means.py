@@ -179,65 +179,18 @@ def qa_mean_rows(gen: Generator, rows: np.ndarray, anchor: int = 0) -> np.ndarra
 
     The sum is taken over deviations from the ``anchor`` row, which keeps
     the result exact (by idempotence) wherever all rows agree and well
-    conditioned everywhere else.  Each point's terms are added in NumPy's
-    pairwise order (see ``_column_sums``), so its mean depends neither on
-    the other points nor on the layout of ``rows``.  The deviations are
-    formed a chunk of at most 8 rows at a time, never as a whole matrix.
-    No domain checking: callers mask points first.
+    conditioned everywhere else.  The deviations are added one row at a
+    time, in row order, into one accumulator through one reused term
+    buffer, so a point's mean depends neither on the other points nor on
+    the layout of ``rows``.  No domain checking: callers mask points first.
     """
-    if gen.kind == "identity":
-        phi_vals = rows
-    else:
-        phi_vals = gen.phi(rows)
-    dev = _column_sums(phi_vals, phi_vals[anchor]) / rows.shape[0]
-    mean_phi = phi_vals[anchor] + dev
-    if gen.kind == "identity":
-        general = mean_phi
-    else:
-        general = gen.phi_inv(mean_phi)
+    phi_vals = rows if gen.kind == "identity" else gen.phi(rows)
+    base = phi_vals[anchor]
+    dev = phi_vals[0] - base
+    term = np.empty_like(dev)
+    for row in phi_vals[1:]:
+        dev += np.subtract(row, base, out=term)
+    dev /= rows.shape[0]
+    mean_phi = base + dev
+    general = mean_phi if gen.kind == "identity" else gen.phi_inv(mean_phi)
     return np.where(dev == 0.0, rows[anchor], general)
-
-
-def _column_sums(rows: np.ndarray, base=0.0) -> np.ndarray:
-    """``np.add.reduce(rows - base, axis=0)`` as NumPy sums one contiguous
-    column of ``rows - base``, without forming ``rows - base``.
-
-    NumPy adds a column's pairwise sum to the identity 0.0.  The pairwise
-    sum adds fewer than 8 terms in sequence; up to 128 terms in eight
-    interleaved partial sums ``r_j += t[i + j]``, combined as
-    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the leftover
-    terms in sequence; more terms in two halves, the first a multiple of 8
-    long.  Whole-row adds on the C-ordered rows follow that order for every
-    column at once, with no Fortran-ordered copy.  Starting each sequence
-    from 0.0 (``+ 0.0`` on the first terms) gives a sum of zeros the sign
-    the identity gives it.  The terms ``rows[i] - base`` (a row, or a
-    scalar; ``x - 0.0`` is ``x``, bit for bit) are formed at most 8 rows at
-    a time, into reused buffers.
-    """
-    count = rows.shape[0]
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        return _column_sums(rows[:half], base) + _column_sums(rows[half:], base)
-    if count < 8:
-        total = np.subtract(rows[0], base)
-        total += 0.0
-        rest = rows[1:]
-    else:
-        stop = count - count % 8
-        r = np.subtract(rows[:8], base)
-        r += 0.0
-        if stop > 8:
-            chunk = np.empty_like(r)
-        for i in range(8, stop, 8):
-            r += np.subtract(rows[i:i + 8], base, out=chunk)
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), in place
-        r[::2] += r[1::2]
-        r[::4] += r[2::4]
-        total = r[0]
-        total += r[4]
-        rest = rows[stop:]
-    if len(rest):
-        term = np.empty_like(total)
-    for row in rest:
-        total += np.subtract(row, base, out=term)
-    return total

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import horner
 from .charpoly import RootReport
 from .errors import DomainError, SingularSystem, TooShort
 from .families import Solution, ThreePiece
@@ -57,6 +58,9 @@ _SYSTEM_CACHE_SIZE = 256
 # per spectrum
 _BASIS_CACHE_SIZE = 512
 _ANCHOR_TOL = 1e-9
+# largest held-out relative prediction error (``prediction_error``) a fit
+# may show and still count as confirmed
+PREDICTION_TOL = 1e-6
 _REFINE_STEPS = 2
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a binary64 value
 
@@ -108,32 +112,25 @@ class ClosedForm:
         }
 
 
-def _polyval(coeffs: tuple[float, ...], j: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * j + c
-    return acc
-
-
 def predict(cf: ClosedForm, j: int) -> float:
     """Evaluate the closed form at index ``j``."""
     total = 0.0
     for t in cf.real_terms:
-        total += _polyval(t.coeffs, j) * t.lam**j
+        total += horner(t.coeffs[::-1], j) * t.lam**j
     for t in cf.complex_terms:
         envelope = t.modulus**j
         total += (
-            _polyval(t.cos_poly, j) * math.cos(j * t.argument)
-            + _polyval(t.sin_poly, j) * math.sin(j * t.argument)
+            horner(t.cos_poly[::-1], j) * math.cos(j * t.argument)
+            + horner(t.sin_poly[::-1], j) * math.sin(j * t.argument)
         ) * envelope
     return total
 
 
 def _polyval_rows(polys: list[tuple[float, ...]], J: np.ndarray) -> np.ndarray:
-    """``_polyval(polys[r], J[i])`` at row r, column i, bit for bit.
+    """``horner(polys[r][::-1], J[i])`` at row r, column i, bit for bit.
 
     Shorter polynomials are padded with zero leading coefficients; Horner
-    turns each into exactly ``+0.0``, the value ``_polyval`` starts from.
+    turns each into exactly ``+0.0``, the value ``horner`` starts from.
     """
     acc = 0.0
     for i in range(max(map(len, polys)) - 1, -1, -1):

@@ -35,8 +35,10 @@ from .families import (
 from .intervals import REAL_LINE, Interval
 from .means import Generator
 from .poly import Polynomial
-from .recurrence import fit_closed_form, predict, prediction_error
+from .recurrence import PREDICTION_TOL, fit_closed_form, predict, prediction_error
 from .verify import (
+    DEFAULT_SAMPLES,
+    DEFAULT_TOL,
     antimonotone_signs_constant,
     iterate,
     verify_dual,
@@ -46,9 +48,7 @@ from .verify import (
 
 ROOT_TABLE_TIME_BUDGET = 5.0
 FAMILY_TIME_BUDGET = 2.0
-RESIDUAL_TOL = 1e-9
 SEPARATION_FLOOR = 1e-6
-PREDICTION_TOL = 1e-6
 ANCHOR_TOL = 1e-10
 
 
@@ -172,15 +172,15 @@ def _verified_families() -> list[tuple[str, Solution, CharProblem]]:
 
 
 def criterion_4_family_verification() -> CriterionResult:
-    """Every constructed family satisfies its equation to 1e-9."""
+    """Every constructed family satisfies its equation to ``DEFAULT_TOL``."""
     cases = _verified_families()
     start = time.perf_counter()
     failures = []
     worst = 0.0
     for name, sol, prob in cases:
-        report = verify_mean(sol, prob, samples=1001, tol=RESIDUAL_TOL)
+        report = verify_mean(sol, prob, samples=DEFAULT_SAMPLES, tol=DEFAULT_TOL)
         worst = max(worst, report.max_residual)
-        if not report.passed or report.max_residual > RESIDUAL_TOL:
+        if not report.passed or report.max_residual > DEFAULT_TOL:
             failures.append((name, report.max_residual))
     elapsed = time.perf_counter() - start
     passed = not failures and elapsed < FAMILY_TIME_BUDGET
@@ -218,8 +218,10 @@ def criterion_5_conjugates() -> CriterionResult:
         ("power p=2", power_conjugate),
     ):
         sol, gen, prob = builder()
-        report = verify_general(sol, gen, prob, samples=1001, tol=RESIDUAL_TOL)
-        if not report.passed or report.max_residual > RESIDUAL_TOL:
+        report = verify_general(
+            sol, gen, prob, samples=DEFAULT_SAMPLES, tol=DEFAULT_TOL
+        )
+        if not report.passed or report.max_residual > DEFAULT_TOL:
             failures.append((label, report.max_residual))
     passed = not failures
     details = "geometric and power conjugates pass at 1e-9"
@@ -243,7 +245,7 @@ def criterion_6_involution() -> CriterionResult:
     f4 = sol._eval_array(sol._eval_array(f2))
     f6 = sol._eval_array(sol._eval_array(f4))
     resid = np.max(np.abs((f2 + f4 + f6) / 3.0 - xs) / (1.0 + np.abs(xs)))
-    passed = err_inv <= RESIDUAL_TOL and resid <= RESIDUAL_TOL
+    passed = err_inv <= DEFAULT_TOL and resid <= DEFAULT_TOL
     details = f"f(f(x)) error {err_inv:.3e}, even-iterate residual {resid:.3e}"
     return CriterionResult(6, "involution", passed, details)
 
@@ -297,7 +299,7 @@ def criterion_8_duality() -> CriterionResult:
     cases.append(("involution f^2=id", involution, Polynomial((-1.0, 0.0, 1.0))))
     failures = []
     for name, sol, coeffs in cases:
-        report = verify_dual(sol, coeffs, samples=1001, tol=RESIDUAL_TOL)
+        report = verify_dual(sol, coeffs, samples=DEFAULT_SAMPLES, tol=DEFAULT_TOL)
         if not (report.passed and report.primal.passed and report.dual.passed):
             failures.append(
                 (name, report.primal.max_residual, report.dual.max_residual)
@@ -344,7 +346,7 @@ def criterion_10_negative_control() -> CriterionResult:
     prob = CharProblem(4, 1)
     slope = analyze_roots(prob).real_root_in(0.0, 1.0)
     wrong = ThreePiece(REAL_LINE, 0.0, 1.0, slope + 1e-3)
-    report = verify_mean(wrong, prob, samples=1001, tol=RESIDUAL_TOL)
+    report = verify_mean(wrong, prob, samples=DEFAULT_SAMPLES, tol=DEFAULT_TOL)
     loud = (not report.passed) and report.max_residual > 1e-5
 
     passed = refused and loud

@@ -17,7 +17,7 @@ import numpy as np
 from .charpoly import CharProblem
 from .errors import DomainError, NotSurjective
 from .families import Solution
-from .intervals import Interval
+from .intervals import REL_SLACK, Interval, contains_with_slack
 from .means import Generator, qa_mean_rows
 from .poly import Polynomial
 
@@ -25,11 +25,9 @@ DEFAULT_SAMPLES = 1001
 DEFAULT_TOL = 1e-9
 _EVAL_QUOTA = 0.9
 # Grid columns per verification block: (n+1) rows of 8192 doubles stay in
-# cache while they are mapped, masked and reduced.  BLAS sums a column of
-# the linear residual's ``tensordot`` in the order it would in one
-# whole-grid array only at the same offset modulo its kernel width, hence a
-# power of two, and only in an array more than a few columns wide, hence a
-# last block that takes the remainder rather than leave a narrow one.
+# cache while they are mapped, masked and reduced.  Each point's residual
+# adds its terms in row order whatever block it sits in, so no result
+# depends on the block width or on where a block ends.
 _BLOCK = 8192
 
 
@@ -114,21 +112,12 @@ def _contains_array(domain: Interval, vals: np.ndarray) -> np.ndarray:
     """
     ok = np.isfinite(vals)
     if math.isfinite(domain.lo) or math.isfinite(domain.hi):
-        slack = 1e-12 * (1.0 + np.abs(vals))
+        slack = REL_SLACK * (1.0 + np.abs(vals))
         if math.isfinite(domain.lo):
             ok &= vals >= domain.lo - slack
         if math.isfinite(domain.hi):
             ok &= vals <= domain.hi + slack
     return ok
-
-
-def _contains_point(domain: Interval, x: float) -> bool:
-    """``_contains_array`` for one value, in Python floats: the same IEEE
-    operations, without building an array per orbit point."""
-    if not math.isfinite(x):
-        return False
-    slack = 1e-12 * (1.0 + abs(x))
-    return domain.lo - slack <= x <= domain.hi + slack
 
 
 def _grid_ends(
@@ -211,7 +200,7 @@ def iterate(s: Solution, x0: float, m_lo: int = 0, m_hi: int = 0) -> Orbit:
         x = float(x0)
         for m in range(1, m_hi + 1):
             x = s._eval_scalar(x)
-            if not _contains_point(domain, x):
+            if not contains_with_slack(domain, x):
                 escaped, escape_index = True, m
                 break
             points[m - m_lo] = x
@@ -224,7 +213,7 @@ def iterate(s: Solution, x0: float, m_lo: int = 0, m_hi: int = 0) -> Orbit:
                 except NotSurjective:
                     escaped, escape_index = True, m
                     break
-                if not _contains_point(domain, x):
+                if not contains_with_slack(domain, x):
                     escaped, escape_index = True, m
                     break
                 points[m - m_lo] = x
@@ -291,23 +280,22 @@ def _max_abs(x: np.ndarray, running: float = 0.0) -> float:
 def _verify_grid(
     s: Solution,
     count: int,
-    residual: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    residual: Callable[[np.ndarray], np.ndarray],
     samples: int,
     tol: float,
     coeff_scale: float = 1.0,
 ) -> VerifyReport:
     """Iterate ``s`` over its grid block by block and judge the residual.
 
-    Each block holds ``_BLOCK`` grid columns, the last one also the
-    remainder, and builds its own grid points (``_grid_points``).
-    ``residual(rows, alive, live)`` gets a block's iterates f^0..f^count,
-    its live mask (None when every column is live) and its live columns,
-    and returns the residual at the live columns.  Only the evaluated
-    count and the largest ``|residual|`` and ``|f^i|`` at live points
-    outlive a block, so memory scales with ``(count + 1) * _BLOCK``, not
-    with ``samples``.  The whole run ignores overflow, under one
-    ``np.errstate``: a point that overflows is not finite, so it escapes,
-    and a residual that overflows is infinite, so it fails.
+    Each block holds ``_BLOCK`` grid columns, the last one what is left,
+    and builds its own grid points (``_grid_points``).  ``residual(live)``
+    gets the iterates f^0..f^count at a block's live columns and returns
+    the residual there.  Only the evaluated count and the largest
+    ``|residual|`` and ``|f^i|`` at live points outlive a block, so memory
+    scales with ``(count + 1) * _BLOCK``, not with ``samples``.  The whole
+    run ignores overflow, under one ``np.errstate``: a point that overflows
+    is not finite, so it escapes, and a residual that overflows is
+    infinite, so it fails.
 
     The verdict requires ``max |residual| <= tol * coeff_scale * (1 + max
     |f^i|)`` over the live points and at least 90% of the grid alive.
@@ -315,11 +303,9 @@ def _verify_grid(
     lo, hi = _grid_ends(s.domain, samples)
     evaluated = 0
     resid_max = rows_max = 0.0
-    blocks = max(samples // _BLOCK, 1)
     with np.errstate(over="ignore"):
-        for b in range(blocks):
-            start = b * _BLOCK
-            stop = samples if b == blocks - 1 else start + _BLOCK
+        for start in range(0, samples, _BLOCK):
+            stop = min(start + _BLOCK, samples)
             xs = _grid_points(lo, hi, samples, start, stop)
             rows, alive, peak = _iterate_rows(s, xs, count)
             if alive is None:
@@ -330,7 +316,7 @@ def _verify_grid(
                     continue
                 live = rows[:, alive]
             evaluated += live_count
-            resid_max = _max_abs(residual(rows, alive, live), resid_max)
+            resid_max = _max_abs(residual(live), resid_max)
             rows_max = max(rows_max, peak) if alive is None else _max_abs(live, rows_max)
     escaped = samples - evaluated
     if evaluated == 0:
@@ -363,7 +349,7 @@ def verify_general(
         )
     k = prob.k
 
-    def residual(rows, alive, live):
+    def residual(live):
         return live[k] - qa_mean_rows(gen, live, anchor=k)
 
     return _verify_grid(s_outer, prob.n, residual, samples, tol)
@@ -387,17 +373,23 @@ def linear_residual_report(
 ) -> VerifyReport:
     """Residuals of ``sum_i a_i f^i(x) = 0`` over the grid.
 
-    Computed as ``sum_i a_i (f^i - f^0) + (sum_i a_i) f^0`` so that
-    constant orbits of zero-sum coefficient rows cancel exactly.
+    Computed as ``(sum_i a_i) f^0 + sum_{i>=1} a_i (f^i - f^0)`` so that
+    constant orbits of zero-sum coefficient rows cancel exactly.  The
+    terms are added one row at a time, in row order, into one accumulator
+    through one reused term buffer, so a point's residual depends neither
+    on the other points nor on the block.
     """
-    arr = coeffs.as_array()
     coeff_sum = math.fsum(coeffs.coeffs)
 
-    def residual(rows, alive, live):
-        # the whole block, live or not: BLAS may sum a column in another
-        # order once the columns are gathered and shifted
-        res = np.tensordot(arr, rows - rows[0], axes=(0, 0)) + coeff_sum * rows[0]
-        return res if live is rows else res[alive]
+    def residual(live):
+        base = live[0]
+        res = coeff_sum * base
+        term = np.empty_like(res)
+        for a, row in zip(coeffs.coeffs[1:], live[1:]):
+            np.subtract(row, base, out=term)
+            term *= a
+            res += term
+        return res
 
     return _verify_grid(s, coeffs.degree, residual, samples, tol, coeffs.inf_norm)
 
@@ -429,7 +421,7 @@ def verify_second_order(
 ) -> VerifyReport:
     """Residuals of ``f(f(x)) - (1 + rho) f(x) + rho x = 0``."""
 
-    def residual(rows, alive, live):
+    def residual(live):
         return live[2] - (1.0 + rho) * live[1] + rho * live[0]
 
     return _verify_grid(s, 2, residual, samples, tol, 1.0 + abs(rho))

@@ -81,6 +81,36 @@ def test_out_of_image_inversion_rejected():
         s.invert(0.9)
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_points_rejected_on_unbounded_domains(x):
+    s = Affine(REAL_LINE, 2.0, 0.0)
+    with pytest.raises(DomainError):
+        s(x)
+    with pytest.raises(NotSurjective):
+        s.invert(x)
+    inv = build_involution(POS, 1.0, f0=lambda x: 1.0 / x, f0_inverse=lambda y: 1.0 / y)
+    with pytest.raises(DomainError):
+        inv(x)
+    with pytest.raises(NotSurjective):
+        inv.invert(x)
+
+
+def test_points_inside_the_slack_pass():
+    # 1e-12 relative slack past a finite end, none past it
+    s = Affine(Interval(0.0, 1.0, True, True), 0.5, 0.25)  # image [0.25, 0.75]
+    assert s(1.0 + 1e-12) == 0.5 * (1.0 + 1e-12) + 0.25
+    assert s(-1e-12) == 0.5 * -1e-12 + 0.25
+    assert s.invert(0.75 + 1e-12) == pytest.approx(1.0)
+    with pytest.raises(DomainError):
+        s(1.0 + 1e-10)
+    with pytest.raises(NotSurjective):
+        s.invert(0.25 - 1e-10)
+    inv = build_involution(Interval(0.0, 2.0), 1.0, f0=lambda x: 2.0 - x)
+    assert inv.invert(2.0 + 1e-12) == pytest.approx(0.0, abs=1e-11)
+    with pytest.raises(NotSurjective):
+        inv.invert(2.0 + 1e-10)
+
+
 # ---------------------------------------------------------------------------
 # construction rules
 # ---------------------------------------------------------------------------

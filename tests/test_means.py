@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from itereq.errors import DomainError, DomainMismatch
 from itereq.families import Affine, conjugate
 from itereq.intervals import Interval, REAL_LINE
-from itereq.means import Generator, _column_sums, qa_mean
+from itereq.means import Generator, qa_mean, qa_mean_rows
 
 POS = Interval(0.0, math.inf)
 
@@ -150,61 +150,42 @@ def test_internality(values, kind):
 
 
 # ---------------------------------------------------------------------------
-# column sums of the row-wise mean
+# row-wise mean
 # ---------------------------------------------------------------------------
 
 
-def _fortran_reduce(terms):
-    return np.add.reduce(np.asfortranarray(terms), axis=0)
+def _mean_column_by_loop(rows, anchor, j):
+    """The arithmetic ``qa_mean_rows`` at column j, in Python floats: the
+    deviations from the anchor row added in row order."""
+    base = float(rows[anchor, j])
+    dev = float(rows[0, j]) - base
+    for i in range(1, len(rows)):
+        dev += float(rows[i, j]) - base
+    dev /= len(rows)
+    return base if dev == 0.0 else base + dev
 
 
-def test_column_sums_match_fortran_reduce_for_every_row_count():
-    rng = np.random.default_rng(7)
-    for count in range(1, 41):
-        terms = rng.standard_normal((count, 40)) * 10.0 ** rng.integers(
-            -12, 13, (count, 40)
-        )
-        terms[:, 0] = -0.0
-        terms[:, 1] = 0.0
-        terms[:, 2] = rng.choice([0.0, -0.0], count)
-        terms[::2, 3], terms[1::2, 3] = 1e16, -1e16
-        terms[:, 4] = 1.0
-        terms[0, 4] = 1e16
-        assert _column_sums(terms).tobytes() == _fortran_reduce(terms).tobytes()
-
-
-def test_deviation_sums_match_the_deviation_matrix_for_every_row_count():
-    # the deviations from a row are formed chunk by chunk, never whole; the
-    # sums must be those of the whole deviation matrix, bit for bit, in
-    # every branch of the pairwise order (< 8, up to 128 and past 128 rows)
-    rng = np.random.default_rng(11)
-    for count in range(1, 141):
-        rows = rng.standard_normal((count, 24)) * 10.0 ** rng.integers(
-            -12, 13, (count, 24)
-        )
-        rows[:, 0] = -0.0
-        rows[:, 1] = rng.choice([0.0, -0.0], count)
-        rows[::2, 2], rows[1::2, 2] = 1e16, -1e16
-        rows[:, 3] = 1.0
-        rows[:, 4] = rng.choice([1e300, -1e300, 3.0], count)
-        for anchor in {0, count // 2, count - 1}:
-            want = _column_sums(rows - rows[anchor])
-            got = _column_sums(rows, rows[anchor])
-            assert got.tobytes() == want.tobytes(), (count, anchor)
-
-
-@given(
-    hnp.arrays(
+@st.composite
+def _rows_and_anchor(draw):
+    rows = draw(hnp.arrays(
         np.float64,
         st.tuples(st.integers(1, 300), st.integers(1, 4)),
         elements=st.one_of(
             st.floats(min_value=-1e300, max_value=1e300),
-            st.sampled_from([0.0, -0.0, -1e16, 1e16]),
+            st.sampled_from([0.0, -0.0, 1.0, -1e16, 1e16]),
         ),
-    )
-)
-def test_column_sums_match_fortran_reduce_on_mixed_magnitudes(terms):
-    assert _column_sums(terms).tobytes() == _fortran_reduce(terms).tobytes()
+    ))
+    return rows, draw(st.integers(0, len(rows) - 1))
+
+
+@given(_rows_and_anchor())
+def test_row_mean_adds_deviations_in_row_order(case):
+    # signed zeros, cancellations (1e16 against -1e16 around 1.0) and mixed
+    # magnitudes: the sum order must be the row order, bit for bit
+    rows, anchor = case
+    got = qa_mean_rows(Generator("identity", REAL_LINE), rows, anchor)
+    want = [_mean_column_by_loop(rows, anchor, j) for j in range(rows.shape[1])]
+    assert got.tobytes() == np.asarray(want).tobytes()
 
 
 # ---------------------------------------------------------------------------

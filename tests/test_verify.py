@@ -20,13 +20,12 @@ from itereq.families import (
     conjugate,
     enumerate_families,
 )
-from itereq.intervals import Interval, REAL_LINE
+from itereq.intervals import Interval, REAL_LINE, contains_with_slack
 from itereq.means import Generator
 from itereq.poly import Polynomial
 from itereq.verify import (
     _BLOCK,
     _contains_array,
-    _contains_point,
     _grid_points,
     _iterate_rows,
     DEFAULT_TOL,
@@ -83,7 +82,7 @@ def test_point_membership_matches_the_array_test():
     ]
     for domain in domains:
         expected = _contains_array(domain, np.asarray(values)).tolist()
-        assert [_contains_point(domain, x) for x in values] == expected, domain
+        assert [contains_with_slack(domain, x) for x in values] == expected, domain
 
 
 def test_orbit_value_indexing():
@@ -429,9 +428,9 @@ def test_sample_grid_on_a_domain_outside_the_window():
 # The reference below is the masked evaluation the verifier used before it
 # mapped whole rows and before it worked in blocks of ``_BLOCK`` columns:
 # one array for the whole grid, every row gathered the live columns and
-# scattered the result back, and the mean was taken over a gathered
-# (Fortran-ordered) copy of the live columns.  Reports must agree bit for
-# bit.
+# scattered the result back.  The mean and linear residuals add their
+# terms one row at a time, in row order, over the whole grid (``_row_sum``).
+# Reports must agree bit for bit.
 
 
 def _reference_contains(domain, vals):
@@ -454,6 +453,14 @@ def _reference_rows(s, xs, count):
     return rows, alive
 
 
+def _row_sum(terms):
+    """``terms[0] + terms[1] + ...``, one whole row at a time."""
+    total = terms[0].copy()
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
 def _reference_report(residual, rows, alive, samples, coeff_scale=1.0):
     evaluated = int(np.count_nonzero(alive))
     if evaluated == 0:
@@ -471,7 +478,7 @@ def _reference_general(s, gen, prob, samples):
     if np.any(alive):
         live = rows[:, alive]
         phi = live if gen.kind == "identity" else gen.phi(live)
-        dev = np.add.reduce(np.asfortranarray(phi - phi[prob.k]), axis=0) / live.shape[0]
+        dev = _row_sum(phi - phi[prob.k]) / live.shape[0]
         mean_phi = phi[prob.k] + dev
         general = mean_phi if gen.kind == "identity" else gen.phi_inv(mean_phi)
         mean = np.where(dev == 0.0, live[prob.k], general)
@@ -482,10 +489,10 @@ def _reference_general(s, gen, prob, samples):
 def _reference_linear(s, coeffs, samples):
     xs = sample_grid(s.domain, samples)
     rows, alive = _reference_rows(s, xs, coeffs.degree)
-    residual = (
-        np.tensordot(coeffs.as_array(), rows - rows[0], axes=(0, 0))
-        + math.fsum(coeffs.coeffs) * rows[0]
-    )
+    coeff_sum = math.fsum(coeffs.coeffs)
+    terms = [coeff_sum * rows[0]]
+    terms += [a * (row - rows[0]) for a, row in zip(coeffs.coeffs[1:], rows[1:])]
+    residual = _row_sum(terms)
     return _reference_report(residual, rows, alive, samples, coeffs.inf_norm)
 
 
@@ -522,8 +529,8 @@ PROB_15_4 = CharProblem(15, 4)
 CHAR_15_4 = build_char_poly(PROB_15_4)
 BOX = Interval(-10.0, 10.0, True, True)
 POSITIVE = Interval(1.0, 10.0, True, True)
-# one block short of full, full, one over (the remainder joins the block),
-# and two blocks with a remainder
+# one block short of full, full, one over (a last block of one column), and
+# two blocks with a remainder
 BLOCK_GRIDS = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
 
 
@@ -624,8 +631,7 @@ def _report_pairs(case, samples):
 @pytest.mark.parametrize("case", ["none", "some", "block", "all"])
 def test_whole_row_reports_match_masked_reference(case, monkeypatch):
     # every block's rows and mask too: dead columns must hold NaN, not what
-    # the block's memory held before, since the linear residual sums whole
-    # blocks
+    # the block's memory held before
     blocks = []
 
     def recording(s, xs, count):
@@ -667,6 +673,43 @@ def test_whole_row_reports_match_masked_reference(case, monkeypatch):
                 assert first.all() and 0 < np.count_nonzero(rest) < len(rest)
             else:
                 assert not first.any() and rest.all()
+
+
+# Each point's residual adds its terms in row order whatever block it sits
+# in, so a report cannot depend on the block layout: not on the block
+# width, not on where a block ends, not on a short last block.
+
+LAYOUT_BLOCKS = (7, 1024, 8192)
+LAYOUT_GRID = 2501  # divisible by none of the block widths
+PROB_40_9 = CharProblem(40, 9)
+
+
+def _layout_reports():
+    reports = [verify_mean(_line_map(case), PROB_15_4, LAYOUT_GRID)
+               for case in ("none", "some", "block")]
+    coeffs = build_char_poly(PROB_40_9)
+    slope = next(
+        d.slope for d in enumerate_families(PROB_40_9, REAL_LINE).families
+        if d.family == "three_piece"
+    )
+    for s in (ThreePiece(REAL_LINE, -1.0, 2.0, slope), _line_map("some")):
+        dual = verify_dual(s, coeffs, LAYOUT_GRID)
+        reports += [dual.primal, dual.dual]
+    for s, rho in _second_order_cases("none") + _second_order_cases("some"):
+        reports.append(verify_second_order(s, rho, LAYOUT_GRID))
+    return [_bits(r) for r in reports]
+
+
+def test_reports_do_not_depend_on_the_block_layout(monkeypatch):
+    seen = []
+    for block in LAYOUT_BLOCKS:
+        assert LAYOUT_GRID % block
+        monkeypatch.setattr(verify_module, "_BLOCK", block)
+        seen.append(_layout_reports())
+    assert seen[0] == seen[1] == seen[2]
+    # the cases are not all trivial: some pass, some fail, some escape
+    assert {passed for _, passed, _, _ in seen[0]} == {True, False}
+    assert any(escaped for *_, escaped in seen[0])
 
 
 # the escape test on a row's extremes against the masked reference: points
@@ -763,7 +806,7 @@ def test_row_extremes_on_ends_ulps_and_overflow(domain):
 
 
 def test_nan_residual_survives_the_block_reduction():
-    # rho * x overflows for x above 1.8, so only the second block holds NaN
+    # rho * x overflows for x above 1.8, so only the later blocks hold NaN
     # residuals; Python's max(finite, nan) would drop them
     s, rho, samples = Identity(Interval(-1.0, 4.0, True, True)), 1e308, 2 * _BLOCK + 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -783,8 +826,8 @@ def test_overflowing_translation_escapes_without_warning():
 
 def test_verify_memory_does_not_grow_with_samples():
     # each block builds its own grid points: 4e6 samples peak at a few block
-    # rows (3 rows of at most 2 * _BLOCK doubles is 0.4 MB), where the whole
-    # grid alone would take 32 MB
+    # rows (3 rows of _BLOCK doubles is 0.2 MB), where the whole grid alone
+    # would take 32 MB
     s, prob = Identity(REAL_LINE), CharProblem(2, 1)
     tracemalloc.start()
     try:
