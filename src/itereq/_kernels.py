@@ -2,8 +2,12 @@
 
 The root-table analysis spends its time outside the eigenvalue solve in
 two inner loops: Horner evaluation and the Durand-Kerner sweeps that
-polish companion-matrix eigenvalues.  ``bisect_loop`` serves
-``poly.bisect_root``.
+polish companion-matrix eigenvalues.  ``horner_scaled_bound`` is the one
+Horner kernel of root finding: it gives ``p(z_i)`` and the bound on its
+rounding error in one pass, safe from overflow at any modulus, and the
+inclusion disks, every sweep and the residual test of ``poly.all_roots``
+read their values from it.  ``horner`` and ``horner_vec`` evaluate at
+one point and over an array; ``bisect_loop`` serves ``poly.bisect_root``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ USING_NUMBA = False
 BISECT_MAX_ITER = 240
 DK_MAX_SWEEPS = 1200
 # log2 of the largest |z|^n at which a degree-n polynomial is evaluated
-# directly; past it ``horner_scaled`` evaluates the reversed polynomial.
+# directly; past it ``horner_scaled_bound`` evaluates the reversed polynomial.
 DIRECT_EXP = 512.0
 
 
@@ -55,87 +59,60 @@ def direct_radius(degree: int) -> float:
     return 2.0 ** (DIRECT_EXP / max(degree, 1))
 
 
-def horner_scaled(
-    coeffs: np.ndarray, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | float]:
-    """``p(z_i)``, divided by ``z_i^(n-1)`` where ``|z_i|^n`` could overflow.
-
-    There the reversed polynomial ``w^n p(1/w)`` is evaluated at
-    ``w = 1/z_i``, whose powers only shrink, so no value overflows however
-    large ``z_i`` is.  Returns ``(h, s)`` with ``|p(z_i)| = |h_i| / s_i``:
-    ``s_i = |z_i|^-(n-1)`` (zero once it underflows) at those points, and
-    ``1`` elsewhere, where ``h_i`` is ``horner_vec(coeffs, z)[i]`` bit for
-    bit.  ``s`` is the scalar 1.0 when no point needs scaling.
-    """
-    n = len(coeffs) - 1
-    big = np.abs(z) > direct_radius(n)
-    if not big.any():
-        return horner_vec(coeffs, z), 1.0
-    x = z.copy()
-    x[big] = 1.0 / z[big]
-    acc = np.zeros_like(x)
-    for row in np.where(big, coeffs[:, None], coeffs[::-1, None]):
-        acc *= x
-        acc += row
-    acc[big] *= z[big]
-    s = np.ones(len(z))
-    s[big] = np.abs(x[big]) ** (n - 1)
-    return acc, s
-
-
 def horner_scaled_bound(
     coeffs: np.ndarray, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | float, np.ndarray]:
-    """``horner_scaled(coeffs, z)`` and its rounding scale, in one pass.
+    """``p(z_i)`` and its rounding bound, divided by ``z_i^(n-1)`` where
+    ``|z_i|^n`` could overflow.
 
-    Returns ``(h, s, magnitude)``: ``h`` and ``s`` as ``horner_scaled``
-    gives them, and ``magnitude_i = sum_k |c_k| |z_i|^k``, divided by
-    ``|z_i|^(n-1)`` where ``h_i`` is, which bounds Horner's rounding error
-    in ``h_i``.  Both run through one loop over the coefficients, and
-    each is bit for bit what ``horner_scaled(coeffs, z)`` and
-    ``horner_scaled(np.abs(coeffs), np.abs(z))[0]`` give.
+    There the reversed polynomial ``w^n p(1/w)`` is evaluated at
+    ``w = 1/z_i``, whose powers only shrink.  Returns ``(h, s, magnitude)``
+    with ``|p(z_i)| = |h_i| / s_i``: ``s_i = |z_i|^-(n-1)`` (zero once it
+    underflows) there, else ``1`` and ``h_i`` is ``horner_vec(coeffs, z)[i]``
+    bit for bit (``s`` is the scalar 1.0 when no point is scaled).
+    ``magnitude_i = sum_k |c_k| |z_i|^k``, scaled as ``h_i``, bounds the
+    rounding error in ``h_i``.  Both halves share one complex array of
+    length ``2m``, the moduli held with zero imaginary part: two ufunc
+    calls per coefficient, each half bit for bit its own real Horner pass,
+    except that a magnitude whose partial sum overflows turns NaN (the
+    next product puts ``inf * 0`` into its imaginary part).
     """
-    n = len(coeffs) - 1
+    n, m = len(coeffs) - 1, len(z)
     az = np.abs(z)
     big = az > direct_radius(n)
-    x, ax = z.copy(), az.copy()
-    if big.any():
-        x[big] = 1.0 / z[big]
-        ax[big] = 1.0 / az[big]
+    scaled = bool(big.any())
+    x = np.concatenate([z, az], dtype=np.complex128)
+    if scaled:
+        x[:m][big] = 1.0 / z[big]
+        x[m:][big] = 1.0 / az[big]
     rows = np.where(big, coeffs[:, None], coeffs[::-1, None])
-    acc, mag = np.zeros_like(x), np.zeros_like(ax)
-    for row, abs_row in zip(rows, np.abs(rows)):
+    # complex rows: adding a real row to a complex array costs a cast per call
+    rows = np.concatenate([rows, np.abs(rows)], axis=1, dtype=np.complex128)
+    acc = np.zeros_like(x)
+    for row in rows:
         acc *= x
         acc += row
-        mag *= ax
-        mag += abs_row
-    if not big.any():
-        return acc, 1.0, mag
-    acc[big] *= z[big]
-    mag[big] *= az[big]
-    s = np.ones(len(z))
-    s[big] = np.abs(x[big]) ** (n - 1)
-    return acc, s, mag
+    h, magnitude = acc[:m], acc[m:].real
+    if not scaled:
+        return h, 1.0, magnitude
+    h[big] *= z[big]
+    magnitude[big] *= az[big]
+    s = np.ones(m)
+    s[big] = np.abs(x[:m][big]) ** (n - 1)
+    return h, s, magnitude
 
 
-def dk_denominators(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``c_n prod_{j != i} (z_i - z_j)``, divided by ``z_i^(n-1)`` as in ``horner_scaled``.
+def dk_denominators(coeffs: np.ndarray, z: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """``c_n prod_{j != i} (z_i - z_j)``, scaled as ``horner_scaled_bound``
+    scales ``p(z_i)``: their quotient is the Durand-Kerner correction.
 
-    The quotient of the two is the Durand-Kerner correction of ``z_i``.
+    ``diff`` is ``z[:, None] - z[None, :]``, and is overwritten.
     """
-    diff = z[:, None] - z[None, :]
     big = np.abs(z) > direct_radius(len(coeffs) - 1)
     if big.any():
         diff[big] /= z[big, None]
     np.fill_diagonal(diff, 1.0)
     return coeffs[-1] * np.prod(diff, axis=1)
-
-
-def worst_residual(h: np.ndarray, s: np.ndarray | float) -> float:
-    """``max |p(z_i)|`` from scaled values; infinite when one overflows."""
-    with np.errstate(divide="ignore", over="ignore"):
-        # a zero scaled residual reads 0 even where ``s`` underflowed to 0
-        return float(np.max(np.abs(h) / np.where(h == 0, 1.0, s)))
 
 
 def bisect_loop(
@@ -168,37 +145,45 @@ def dk_sweeps(
     z0: np.ndarray,
     resid_tol: float,
     step_tol: float,
-    first: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, float, int]:
+    first: tuple[tuple, np.ndarray] | None = None,
+) -> tuple[np.ndarray, tuple, int]:
     """Durand-Kerner simultaneous iteration, vectorized over root estimates.
 
-    ``coeffs`` is ascending with nonzero leading coefficient; ``z0`` holds
-    the starting estimates.  Each correction is the quotient of
-    ``horner_scaled`` and ``dk_denominators``, so an estimate of large
-    modulus does not overflow.  ``first``, when given, is
-    ``horner_scaled(coeffs, z0) + (dk_denominators(coeffs, z0),)`` already
-    computed by the caller, and the first sweep uses it instead of
-    evaluating them again.  Stops when every residual |p(z_i)| falls below
-    ``resid_tol`` or every update is below ``step_tol``.  Returns the final
-    estimates, the worst residual (infinite if it overflows), and the sweep
-    count.  The steps are not guarded: the estimates must start apart, each
-    near its own simple root (``poly.all_roots`` checks that with disjoint
-    inclusion disks).  If two estimates meet, a denominator is zero and
-    the estimates turn non-finite; the caller's residual test rejects them.
+    ``coeffs`` is ascending with nonzero leading coefficient.  ``z0`` lists
+    the real starting estimates (zero imaginary part), then those above
+    the real axis, then their conjugates in the same order.  Each
+    correction is the quotient of ``horner_scaled_bound`` and
+    ``dk_denominators``, so no modulus overflows; it rounds differently
+    for the two members of a pair, so after each one the real estimates
+    are made real again and each pair exact conjugates (their mean).
+    ``first``, when given, is ``(horner_scaled_bound(coeffs, z0),
+    dk_denominators(coeffs, z0, diff))`` from the caller, used by the
+    first sweep.  Stops when every residual |p(z_i)| falls below
+    ``resid_tol`` or every update below ``step_tol``, and returns the final
+    estimates, ``horner_scaled_bound`` at them, and the sweep count.  The
+    steps are not guarded: the estimates must start apart, each near its
+    own simple root (``poly.all_roots`` checks that with disjoint
+    inclusion disks); estimates that meet turn non-finite, and the
+    caller's residual test rejects them.
     """
     z = z0.astype(np.complex128)
+    nr = int(np.count_nonzero(z.imag == 0.0))
+    nu = (len(z) - nr) // 2
+    values = horner_scaled_bound(coeffs, z) if first is None else first[0]
     for sweeps in range(1, DK_MAX_SWEEPS + 1):
-        h, s = horner_scaled(coeffs, z) if first is None else first[:2]
+        h, s, _ = values
         if np.all(np.abs(h) <= resid_tol * s):
-            best = worst_residual(h, s)
             break
-        denom = dk_denominators(coeffs, z) if first is None else first[2]
-        first = None
-        dz = h / denom
+        if first is None:
+            dz = h / dk_denominators(coeffs, z, z[:, None] - z[None, :])
+        else:
+            dz, first = h / first[1], None
         z -= dz
+        z[:nr] = z[:nr].real
+        upper = 0.5 * (z[nr : nr + nu] + z[nr + nu :].conj())
+        z[nr : nr + nu] = upper
+        z[nr + nu :] = upper.conj()
+        values = horner_scaled_bound(coeffs, z)
         if float(np.max(np.abs(dz))) <= step_tol * (1.0 + float(np.max(np.abs(z)))):
-            best = worst_residual(*horner_scaled(coeffs, z))
             break
-    else:
-        best = worst_residual(h, s)
-    return z, best, sweeps
+    return z, values, sweeps

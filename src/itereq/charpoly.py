@@ -17,14 +17,15 @@ real/non-real modulus separation.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import BracketFailure, DomainError, NonConvergence
-# ``bisect_root`` and ``newton_polish`` are no longer called here; they stay
-# attributes of this module because ``perfbench/tracer.py`` wraps the
-# root-finding layers under the names this module holds.
+from .errors import BracketFailure, DomainError, NonConvergence, RootMismatch
+# ``bisect_root``, ``newton_polish`` and ``deflate`` are no longer called
+# here; they stay attributes of this module because ``perfbench/tracer.py``
+# wraps the root-finding layers under the names this module holds.
 from .poly import (  # noqa: F401
     ComplexRoot,
     Polynomial,
@@ -295,13 +296,24 @@ def _exact_sign(p: Polynomial, x: float) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _divide_out_one(p: Polynomial, times: int) -> Polynomial:
+    """``p / (r - 1)^times`` in integer arithmetic: each division takes the
+    suffix sums ``q_j = sum_{i>j} p_i`` and needs the remainder ``p(1)`` to be 0."""
+    cs = [int(c) for c in p.coeffs]
+    for _ in range(times):
+        if sum(cs) != 0:
+            raise RootMismatch(f"1 is not a root of {p}: integer remainder {sum(cs)}")
+        cs = list(itertools.accumulate(reversed(cs[1:])))[::-1]
+    return Polynomial(tuple(cs))
+
+
 def _signed_value(p: Polynomial, x: float) -> float:
     """A float with the sign of ``p(x)``, which cannot overflow.
 
     Up to ``_kernels.direct_radius`` this is ``p(x)``, as in
-    ``_kernels.horner_scaled``; beyond it, ``p(x) / |x|^n``, taken as the
-    reversed polynomial at ``1/x`` (whose descending coefficients are the
-    ascending ones of ``p``).
+    ``_kernels.horner_scaled_bound``; beyond it, ``p(x) / |x|^n``, taken as
+    the reversed polynomial at ``1/x`` (whose descending coefficients are
+    the ascending ones of ``p``).
     """
     n = p.degree
     if abs(x) <= _kernels.direct_radius(n):
@@ -311,13 +323,18 @@ def _signed_value(p: Polynomial, x: float) -> float:
 
 
 def _confirm_sign_change(p: Polynomial, root: float, lo: float, hi: float) -> None:
-    """Require a sign change of ``p`` within ``_BISECT_WIDTH`` of ``root``."""
+    """Require a sign change of ``p`` within ``_BISECT_WIDTH`` of ``root``;
+    a failure reports the finite ``|_signed_value(p, root)|``."""
     a = max(lo, root - _BISECT_WIDTH)
     b = min(hi, root + _BISECT_WIDTH)
     if _signed_value(p, a) * _signed_value(p, b) > 0.0:
+        residual = abs(_signed_value(p, root))
+        scaled = abs(root) > _kernels.direct_radius(p.degree)
+        measured = f"scaled |p(x)|/|x|^{p.degree}" if scaled else "|p(x)|"
         raise NonConvergence(
-            f"sign change not confirmed within {_BISECT_WIDTH:.1e} of {root!r}",
-            best_residual=abs(evaluate(p, root)),
+            f"sign change not confirmed within {_BISECT_WIDTH:.1e} of "
+            f"{root!r}; {measured} = {residual:.3e} there",
+            best_residual=residual,
         )
 
 
@@ -337,27 +354,24 @@ def analyze_roots(prob: CharProblem) -> RootReport:
     is ``analyze_roots.__wrapped__``.
 
     The exact root 1 is divided out to its known multiplicity before any
-    numerics, which leaves a polynomial with integer coefficients.  Its
-    sign at each end of every predicted real-root bracket (all integers:
-    0, +-1, +-(2n+1)) is taken in exact integer arithmetic, and must
-    change across the bracket.  One ``all_roots`` call then gives every
-    other root: companion-matrix eigenvalues, each alone in its
-    Weierstrass disk and polished, with the residual test of
-    ``all_roots``.  Each predicted real root is the unique real estimate
-    strictly inside its bracket, and the deflated polynomial must change
-    sign within ``_BISECT_WIDTH`` of it.  A bracket holding no real
+    numerics, in integer arithmetic, which leaves a polynomial with
+    integer coefficients.  Its sign at each end of every predicted
+    real-root bracket (all integers: 0, +-1, +-(2n+1)) is taken in exact
+    integer arithmetic, and must change across the bracket.  One
+    ``all_roots`` call then gives every other root: companion-matrix
+    eigenvalues, each alone in its Weierstrass disk and polished, with
+    the residual test of ``all_roots``.  Each predicted real root is the
+    unique real estimate strictly inside its bracket, and the deflated
+    polynomial must change sign within ``_BISECT_WIDTH`` of it.  A bracket holding no real
     estimate, or more than one, raises :class:`BracketFailure`; a missing
     sign change near a root raises :class:`NonConvergence`.  Real
     estimates in no bracket stay among the complex roots, where
     ``report_matches_expectation`` flags them.
     """
     analysis = classify(prob)
-    p = build_char_poly(prob)
     mult_one = analysis.expected_real_roots[0].multiplicity
 
-    work = p
-    for _ in range(mult_one):
-        work = deflate(work, 1.0, tol=1e-7)
+    work = _divide_out_one(build_char_poly(prob), mult_one)
 
     brackets = [e for e in analysis.expected_real_roots if not e.is_one]
     for exp in brackets:

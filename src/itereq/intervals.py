@@ -35,7 +35,8 @@ class Interval:
     # -- membership ---------------------------------------------------------
 
     def contains(self, x: float) -> bool:
-        if x < self.lo or x > self.hi:
+        # false for NaN, which fails every comparison
+        if not self.lo <= x <= self.hi:
             return False
         if x == self.lo:
             return self.lo_closed

@@ -245,15 +245,15 @@ def _disk_radii(
     """Radii ``n |W_i|`` of the Weierstrass inclusion disks around ``z``.
 
     ``W_i = p(z_i) / (c_n prod_{j != i} (z_i - z_j))`` is the Durand-Kerner
-    correction; ``h`` and ``denom`` hold its scaled numerators and
-    denominators (see ``_kernels.dk_sweeps``), ``magnitude`` the scaled
-    ``sum |c_k| |z_i|^k`` (see ``_kernels.horner_scaled_bound``).  The
+    correction; ``h`` and ``magnitude`` are the scaled ``p(z_i)`` and
+    ``sum |c_k| |z_i|^k`` of ``_kernels.horner_scaled_bound``, ``denom``
+    the denominators of ``_kernels.dk_denominators``, scaled alike.  The
     disks cover every root, and a connected union of m of them holds
     exactly m roots (Braess & Hadeler, 1973), so a disk that meets no
     other holds exactly one simple root.  ``|p(z_i)|`` is taken with a
     bound on Horner's rounding error added, so that noise near a multiple
-    root cannot shrink a disk.  A collapsed pair of estimates gets an
-    infinite radius.
+    root cannot shrink a disk.  A collapsed pair of estimates, or a bound
+    that overflowed, gets an infinite radius.
     """
     n = len(h)
     rounding = 4.0 * n * np.finfo(float).eps * magnitude
@@ -272,17 +272,18 @@ def all_roots(p: Polynomial, tol: float = 1e-12) -> list[ComplexRoot]:
     that each holds exactly one simple root; two overlapping disks raise
     :class:`NonConvergence` naming both estimates, since a multiple root
     (or a cluster the estimates cannot separate) is outside this solver's
-    contract.  The estimates are then polished by Durand-Kerner sweeps,
-    whose first sweep reuses the values the disks were drawn from, as
-    does the residual test below when the sweeps leave every estimate
-    bit for bit as it was.  A
-    real estimate's disk is symmetric about the real axis, so real
-    estimates stay real roots and conjugate pairs stay pairs; both are
-    re-symmetrized exactly after the sweeps.  Every root must then leave
-    a residual within ``tol`` of the coefficient norm or of the
-    evaluation magnitude at the root, whichever is larger, both scaled
-    as in ``_kernels.horner_scaled`` so that the test cannot overflow; a
-    root that misses it (or is not finite) raises
+    contract.  The estimates are then polished by Durand-Kerner sweeps.
+    A real estimate's disk is symmetric about the real axis, so real
+    estimates stay real roots and conjugate pairs stay pairs; the sweeps
+    re-symmetrize both exactly after each correction.  Every value comes
+    from one kernel, ``_kernels.horner_scaled_bound``: the first sweep
+    reuses the values of the disks, and the residual test those the sweeps
+    end with, so sweeps that stop at their first check cost one pass.
+    Every root must leave a residual within ``tol`` of the coefficient
+    norm or of the evaluation magnitude at the root, whichever is larger,
+    both scaled as that kernel scales them so that the test cannot
+    overflow.  A root that misses it, or whose limit is not finite (the
+    root is not, or its rounding bound overflowed), raises
     :class:`NonConvergence`.  Every root is reported with multiplicity 1.
     """
     if p.degree < 1:
@@ -290,41 +291,37 @@ def all_roots(p: Polynomial, tol: float = 1e-12) -> list[ComplexRoot]:
     c = p.as_array()
     z = _companion_eigenvalues(c)
     # real estimates, then those above the axis, then their exact conjugates
-    real = z[z.imag == 0.0].real
     upper = z[z.imag > 0.0]
-    nr, nu = len(real), len(upper)
-    z = np.concatenate([real, upper, upper.conj()]).astype(np.complex128)
+    z = np.concatenate([z[z.imag == 0.0].real, upper, upper.conj()]).astype(np.complex128)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        h, scale, magnitude = _kernels.horner_scaled_bound(c, z)
-        denom = _kernels.dk_denominators(c, z)
-    radius = _disk_radii(h, denom, magnitude)
-    touch = np.abs(z[:, None] - z[None, :]) <= radius[:, None] + radius[None, :]
+        values = _kernels.horner_scaled_bound(c, z)
+        diff = z[:, None] - z[None, :]
+        distance = np.abs(diff)
+        denom = _kernels.dk_denominators(c, z, diff)
+    radius = _disk_radii(values[0], denom, values[2])
+    touch = distance <= radius[:, None] + radius[None, :]
     np.fill_diagonal(touch, False)
     if touch.any():
         i, j = np.argwhere(touch)[0]
         raise NonConvergence(
             f"inclusion disks overlap: estimates {complex(z[i])!r} and "
-            f"{complex(z[j])!r} lie {abs(z[i] - z[j]):.3e} apart with radii "
+            f"{complex(z[j])!r} lie {distance[i, j]:.3e} apart with radii "
             f"{radius[i]:.3e} and {radius[j]:.3e}; all_roots needs simple roots"
         )
 
-    polished, _, _ = _kernels.dk_sweeps(
-        c, z, tol * p.inf_norm, 1e-15, (h, scale, denom)
+    z, (h, scale, magnitude), _ = _kernels.dk_sweeps(
+        c, z, tol * p.inf_norm, 1e-15, (values, denom)
     )
-    upper = 0.5 * (polished[nr : nr + nu] + polished[nr + nu :].conj())
-    polished = np.concatenate([polished[:nr].real, upper, upper.conj()])
-    # the sweeps usually stop at their first residual check; estimates
-    # they left bit for bit as they were keep the values the disks used
-    if polished.tobytes() != z.tobytes():
-        z = polished
-        h, scale, magnitude = _kernels.horner_scaled_bound(c, z)
     resid = np.abs(h)
     allowed = tol * np.maximum(p.inf_norm * scale, magnitude)
-    if not np.all(resid <= allowed):
-        worst = float(np.max(resid / allowed))
+    if not (np.all(resid <= allowed) and np.max(allowed) < np.inf):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            worst = float(np.max(resid / allowed))
+            # max |p(z_i)|: a zero scaled residual reads 0 where scale underflowed
+            best = float(np.max(resid / np.where(h == 0, 1.0, scale)))
         raise NonConvergence(
             f"root residual {worst:.3e} times its limit after polishing",
-            best_residual=_kernels.worst_residual(h, scale),
+            best_residual=best,
         )
     re, im = z.real, z.imag
     order = np.lexsort((im, re))

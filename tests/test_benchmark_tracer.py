@@ -2,7 +2,8 @@
 
 ``perfbench/tracer.py`` replaces library functions by the names their
 callers look them up by, and reads counts off their results (the sweep
-count in ``dk_sweeps``'s 3-tuple, the point counts of each verify report).
+count, the third item ``dk_sweeps`` returns; the point counts of each
+verify report).
 A rename or a changed return shape in the library would break only the
 benchmark, so this installs the tracer and runs one small input through
 each traced layer.

@@ -18,7 +18,7 @@ from itereq.charpoly import (
     separation_applies,
 )
 from itereq.errors import BracketFailure, DomainError, NonConvergence
-from itereq.poly import ComplexRoot, deflate, evaluate
+from itereq.poly import ComplexRoot, Polynomial, deflate, evaluate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -497,3 +497,48 @@ def test_sign_checks_near_a_root_of_size_n_stay_finite(monkeypatch, n):
     assert non_finite == []
     ok, problems = report_matches_expectation(report)
     assert ok, problems
+
+
+def test_integer_quotient_is_the_float_deflation_bit_for_bit():
+    from itereq.charpoly import _divide_out_one
+
+    for n in range(2, 81):
+        for k in range(n + 1):
+            prob = CharProblem(n, k)
+            mult = classify(prob).expected_real_roots[0].multiplicity
+            work = build_char_poly(prob)
+            for _ in range(mult):
+                work = deflate(work, 1.0, tol=1e-7)
+            exact = _divide_out_one(build_char_poly(prob), mult)
+            assert exact.coeffs == work.coeffs and exact.degree == n - mult
+
+
+def test_integer_quotient_needs_a_zero_remainder():
+    from itereq.charpoly import _divide_out_one
+    from itereq.errors import RootMismatch
+
+    # (r - 1)^2 (r + 2) once and twice divides; a third division leaves 3
+    p = Polynomial((2.0, -3.0, 0.0, 1.0))
+    assert _divide_out_one(p, 2).coeffs == (2.0, 1.0)
+    with pytest.raises(RootMismatch, match="integer remainder 3"):
+        _divide_out_one(p, 3)
+
+
+def test_unconfirmed_sign_change_reports_a_finite_scaled_residual():
+    from itereq.charpoly import _confirm_sign_change, _divide_out_one
+
+    # the real root near 150 of (150, 149): |x|^150 overflows, so the
+    # residual is reported divided by |x|^n, and named so
+    prob = CharProblem(150, 149)
+    work = _divide_out_one(build_char_poly(prob), 1)
+    lo, hi = 1.0, 301.0
+    root = analyze_roots(prob).real_root_in(lo, hi)
+    _confirm_sign_change(work, root, lo, hi)
+    with pytest.raises(NonConvergence, match=r"scaled \|p\(x\)\|/\|x\|\^149") as info:
+        _confirm_sign_change(work, root + 1e-6, lo, hi)
+    assert math.isfinite(info.value.best_residual) and info.value.best_residual > 0.0
+    # inside the direct range the plain |p(x)| is reported
+    small = _divide_out_one(build_char_poly(CharProblem(5, 2)), 1)
+    with pytest.raises(NonConvergence, match=r"; \|p\(x\)\| = ") as info:
+        _confirm_sign_change(small, 0.3, 0.0, 1.0)
+    assert info.value.best_residual == abs(evaluate(small, 0.3))

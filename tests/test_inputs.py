@@ -1,11 +1,17 @@
-"""Hostile input: decoders return a value or raise ItereqError, nothing else."""
+"""Hostile input: decoders return a value or raise ItereqError, nothing else,
+and NaN belongs to no domain."""
 
+import math
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from itereq.errors import ItereqError
-from itereq.families import solution_from_json
-from itereq.intervals import parse_interval
+from itereq.errors import DomainError, ItereqError
+from itereq.families import Affine, solution_from_json
+from itereq.intervals import REAL_LINE, Interval, parse_interval
+from itereq.means import Generator, qa_mean
+from itereq.verify import iterate
 
 FAMILIES = ["identity", "translation", "affine", "three_piece", "involution", "conjugate"]
 
@@ -79,3 +85,19 @@ def test_parse_interval_raises_only_itereq_errors(text):
         parse_interval(text)
     except ItereqError:
         pass
+
+
+def test_nan_is_in_no_interval():
+    for domain in (REAL_LINE, Interval(0.0, 1.0, True, True), Interval(-1.0, math.inf)):
+        assert not domain.contains(math.nan) and math.nan not in domain
+    assert REAL_LINE.contains(0.0) and Interval(0.0, 1.0, True, True).contains(1.0)
+
+
+def test_mean_with_a_nan_value_raises():
+    with pytest.raises(DomainError, match="outside generator domain"):
+        qa_mean(Generator("identity", REAL_LINE), [1.0, math.nan])
+
+
+def test_orbit_from_nan_raises():
+    with pytest.raises(DomainError, match="outside domain"):
+        iterate(Affine(REAL_LINE, 2.0, 0.0), math.nan, 0, 3)

@@ -273,37 +273,55 @@ def test_all_roots_rejects_non_finite_polished_roots(monkeypatch):
     # the Durand-Kerner steps are unguarded: estimates that met would come
     # back NaN, and the residual test must not pass them
     def collapsed(coeffs, z0, *args):
-        return np.full_like(z0, np.nan), np.nan, 1
+        z = np.full_like(z0, np.nan)
+        with np.errstate(invalid="ignore"):
+            return z, _kernels.horner_scaled_bound(coeffs, z), 1
 
     monkeypatch.setattr(_kernels, "dk_sweeps", collapsed)
     with pytest.raises(NonConvergence, match="root residual"):
         all_roots(Polynomial((-6.0, 11.0, -6.0, 1.0)))
 
 
-@pytest.mark.parametrize("moved", [False, True])
-def test_all_roots_reuses_the_disk_values_only_for_unmoved_estimates(
-    monkeypatch, moved
-):
-    # sweeps that leave every estimate bit for bit as it was need no
-    # second evaluation for the residual test; one moved bit forces it
+@pytest.mark.parametrize("bad", [np.inf, complex(np.inf, 1.0), complex(-1.0, np.inf)])
+def test_all_roots_rejects_an_infinite_estimate(monkeypatch, bad):
+    # at an infinite estimate both the scaled residual and its limit are
+    # infinite; the limit is not finite, so the residual test rejects it
+    def escaped(coeffs, z0, *args):
+        z = z0.copy()
+        z[0] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            return z, _kernels.horner_scaled_bound(coeffs, z), 1
+
+    monkeypatch.setattr(_kernels, "dk_sweeps", escaped)
+    with pytest.raises(NonConvergence, match="root residual"):
+        all_roots(Polynomial((-6.0, 11.0, -6.0, 1.0)))
+
+
+@pytest.mark.parametrize("corrections", [0, 1])
+def test_all_roots_evaluates_once_per_correction_plus_once(monkeypatch, corrections):
+    # the disks, the first sweep and the residual test share one kernel
+    # pass; each correction adds one, whose values the residual test reads
     passes = []
-    bound = _kernels.horner_scaled_bound
+    fused = _kernels.horner_scaled_bound
+    sweeps = _kernels.dk_sweeps
 
     def counted(c, z):
         passes.append(z.copy())
-        return bound(c, z)
+        return fused(c, z)
 
-    def sweeps(coeffs, z0, *args):
-        z = z0.copy()
-        if moved:
-            z[0] = np.nextafter(z[0].real, np.inf)
-        return z, 0.0, 1
+    def one_correction(coeffs, z0, resid_tol, step_tol, first):
+        # a residual check that always fails, and room for one sweep
+        monkeypatch.setattr(_kernels, "DK_MAX_SWEEPS", 1)
+        return sweeps(coeffs, z0, -1.0, step_tol, first)
 
     monkeypatch.setattr(_kernels, "horner_scaled_bound", counted)
-    monkeypatch.setattr(_kernels, "dk_sweeps", sweeps)
+    if corrections:
+        monkeypatch.setattr(_kernels, "dk_sweeps", one_correction)
     roots = all_roots(Polynomial((-6.0, 11.0, -6.0, 1.0)))
-    assert len(passes) == (2 if moved else 1)
+    assert len(passes) == 1 + corrections
     assert sorted(r.re for r in roots) == sorted(passes[-1].real.tolist())
+    if corrections:
+        assert passes[1].tobytes() != passes[0].tobytes()
 
 
 def test_all_roots_quartic_structure():
