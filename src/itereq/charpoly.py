@@ -92,10 +92,6 @@ class CaseAnalysis:
     r_max: float | None
     expected_real_roots: tuple[ExpectedRoot, ...]
 
-    @property
-    def real_root_count(self) -> int:
-        return len(self.expected_real_roots)
-
 
 @dataclass(frozen=True)
 class RealRootRecord:

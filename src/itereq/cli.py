@@ -213,7 +213,10 @@ def _parse_params(text: str) -> dict[str, float]:
         if "=" not in chunk:
             raise ItereqError(f"bad --params chunk {chunk!r}; expected name=value")
         name, value = chunk.split("=", 1)
-        params[name.strip()] = float(value)
+        name = name.strip()
+        if name in params:
+            raise ItereqError(f"--params names {name!r} more than once")
+        params[name] = float(value)
     return params
 
 

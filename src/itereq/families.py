@@ -12,6 +12,15 @@ object tied to a domain interval:
                      from a decreasing branch f0 on (inf I, a];
 * ``Conjugate``   -- phi^{-1} o f o phi for a mean generator phi.
 
+One image rule serves every family: a strictly monotone map sends its
+domain onto the interval between its values at the domain's two ends
+(``Interval.monotone_image``), swapped together with their closedness when
+it decreases.  The closed-form families take those values from
+``_eval_scalar``, which gives +-inf at an infinite end; a conjugate maps its
+inner image's ends through ``phi^{-1}``; an involution's image is its
+domain.  Translation, Affine and ThreePiece are accepted only when that
+image lies in the domain.
+
 ``enumerate_families`` lists which families solve a given (n, k) on a
 given interval, with slopes pulled from the characteristic-root report;
 for k and n both even it reports the unsolved regime instead.
@@ -32,6 +41,7 @@ from .errors import (
     DomainError,
     DomainMismatch,
     NotAnInvolution,
+    NotInvertible,
     NotSurjective,
 )
 from .intervals import REL_SLACK, Interval, contains_with_slack, finite_real
@@ -95,8 +105,6 @@ class Solution:
 
         Only available when f maps its domain onto itself.
         """
-        from .errors import NotInvertible
-
         if not self.is_bijection_onto_domain():
             raise NotInvertible(
                 f"{self.family} maps {self.domain} onto {self.image()}, "
@@ -114,17 +122,12 @@ class Solution:
         raise NotImplementedError
 
     def image(self) -> Interval:
-        raise NotImplementedError
+        """f(domain): the domain's ends mapped by ``_eval_scalar`` (+-inf at
+        an infinite end), swapped with their closedness when f decreases."""
+        return self.domain.monotone_image(self._eval_scalar, self.is_increasing)
 
     def is_bijection_onto_domain(self) -> bool:
-        img, dom = self.image(), self.domain
-        lo_ok = img.lo == dom.lo or math.isclose(
-            img.lo, dom.lo, rel_tol=1e-12, abs_tol=1e-12
-        )
-        hi_ok = img.hi == dom.hi or math.isclose(
-            img.hi, dom.hi, rel_tol=1e-12, abs_tol=1e-12
-        )
-        return lo_ok and hi_ok
+        return self.image().ends_close(self.domain, 1e-12)
 
     # -- serialization ----------------------------------------------------------
 
@@ -177,9 +180,6 @@ class Identity(Solution):
     def is_increasing(self):
         return True
 
-    def image(self):
-        return self.domain
-
     def params_json(self):
         return {}
 
@@ -214,11 +214,6 @@ class Translation(Solution):
     @property
     def is_increasing(self):
         return True
-
-    def image(self):
-        lo = self.domain.lo + self.c if math.isfinite(self.domain.lo) else -math.inf
-        hi = self.domain.hi + self.c if math.isfinite(self.domain.hi) else math.inf
-        return Interval(lo, hi, self.domain.lo_closed, self.domain.hi_closed)
 
     def params_json(self):
         return {"c": self.c}
@@ -259,17 +254,6 @@ class Affine(Solution):
     @property
     def is_increasing(self):
         return self.slope > 0.0
-
-    def image(self):
-        def fwd(v: float) -> float:
-            if math.isinf(v):
-                return math.copysign(math.inf, v * self.slope)
-            return self.slope * v + self.c
-
-        a, b = fwd(self.domain.lo), fwd(self.domain.hi)
-        if self.slope > 0:
-            return Interval(a, b, self.domain.lo_closed, self.domain.hi_closed)
-        return Interval(b, a, self.domain.hi_closed, self.domain.lo_closed)
 
     def params_json(self):
         return {"slope": self.slope, "c": self.c}
@@ -357,23 +341,6 @@ class ThreePiece(Solution):
     def is_increasing(self):
         return True
 
-    def image(self):
-        def fwd(v: float) -> float:
-            if v == -math.inf or v == math.inf:
-                return v
-            if v <= self.a:
-                return self.slope * (v - self.a) + self.a
-            if v >= self.b:
-                return self.slope * (v - self.b) + self.b
-            return v
-
-        return Interval(
-            fwd(self.domain.lo),
-            fwd(self.domain.hi),
-            self.domain.lo_closed,
-            self.domain.hi_closed,
-        )
-
     def params_json(self):
         return {"a": self.a, "b": self.b, "slope": self.slope}
 
@@ -419,11 +386,6 @@ class Involution(Solution):
     def _inverse_spec(self):
         return self
 
-    def invert(self, y: float) -> float:
-        if not contains_with_slack(self.domain, y):
-            raise NotSurjective(f"{y!r} outside image {self.domain}")
-        return self(y)
-
     @property
     def is_increasing(self):
         return False
@@ -465,15 +427,7 @@ class Conjugate(Solution):
         return self.inner.is_increasing
 
     def image(self):
-        inner_img = self.inner.image()
-        # pull the inner image back through phi^{-1}
-        if self.gen.increasing:
-            lo = self.gen._phi_inv_limit(inner_img.lo)
-            hi = self.gen._phi_inv_limit(inner_img.hi)
-            return Interval(lo, hi, inner_img.lo_closed, inner_img.hi_closed)
-        lo = self.gen._phi_inv_limit(inner_img.hi)
-        hi = self.gen._phi_inv_limit(inner_img.lo)
-        return Interval(lo, hi, inner_img.hi_closed, inner_img.lo_closed)
+        return self.inner.image().monotone_image(self.gen.phi_inv, self.gen.increasing)
 
     def params_json(self):
         return {"generator": self.gen.to_json(), "inner": self.inner.to_json()}
@@ -488,14 +442,7 @@ def conjugate(gen: Generator, inner: Solution) -> Conjugate:
     """
     target = gen.image()
     got = inner.domain
-    close = (
-        math.isclose(target.lo, got.lo, rel_tol=1e-9, abs_tol=1e-9)
-        or (math.isinf(target.lo) and math.isinf(got.lo))
-    ) and (
-        math.isclose(target.hi, got.hi, rel_tol=1e-9, abs_tol=1e-9)
-        or (math.isinf(target.hi) and math.isinf(got.hi))
-    )
-    if not close:
+    if not target.ends_close(got, 1e-9):
         raise DomainMismatch(
             f"inner domain {got} != transported generator domain {target}"
         )

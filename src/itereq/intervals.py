@@ -73,6 +73,24 @@ class Interval:
         hi_ok = self.hi_closed or math.isinf(self.hi)
         return lo_ok and hi_ok
 
+    def monotone_image(self, f, increasing: bool) -> "Interval":
+        """The image under a strictly monotone ``f``: ``f`` at both ends,
+        swapped together with their closedness when ``f`` decreases.
+
+        ``f`` takes a float and must give the limits at infinite ends.
+        """
+        lo, hi = f(self.lo), f(self.hi)
+        if increasing:
+            return Interval(lo, hi, self.lo_closed, self.hi_closed)
+        return Interval(hi, lo, self.hi_closed, self.lo_closed)
+
+    def ends_close(self, other: "Interval", tol: float) -> bool:
+        """Both ends agree with ``other``'s by ``math.isclose`` at relative
+        and absolute tolerance ``tol`` (equal infinite ends agree)."""
+        return math.isclose(self.lo, other.lo, rel_tol=tol, abs_tol=tol) and (
+            math.isclose(self.hi, other.hi, rel_tol=tol, abs_tol=tol)
+        )
+
     def window(self, half_width: float = 10.0) -> tuple[float, float]:
         """Bounded sampling window: the interval clipped to +-half_width.
 

@@ -53,14 +53,20 @@ class Generator:
     # -- forward / inverse maps ------------------------------------------------
 
     def phi(self, x):
+        """phi; on a single float, extended to 0 and +inf by continuity:
+        ``log(0) = -inf``, and ``0 ** e = inf`` for ``e < 0``."""
         if self.kind == "identity":
             return x
         if self.kind == "log":
-            return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
+            if isinstance(x, np.ndarray):
+                return np.log(x)
+            return -math.inf if x == 0.0 else math.log(x)
         e = 1.0 / self.p
         return _power(x, e)
 
     def phi_inv(self, y):
+        """phi^{-1}; on a single float, extended to 0 and +-inf by
+        continuity as ``phi`` is."""
         if self.kind == "identity":
             return y
         if self.kind == "log":
@@ -76,51 +82,14 @@ class Generator:
 
     # -- domain transport --------------------------------------------------------
 
-    def _phi_limit(self, v: float) -> float:
-        """phi extended to endpoint values 0 and +-inf by continuity."""
-        if self.kind == "identity":
-            return v
-        if self.kind == "log":
-            if v == 0.0:
-                return -math.inf
-            if v == math.inf:
-                return math.inf
-            return math.log(v)
-        e = 1.0 / self.p
-        if v == 0.0:
-            return 0.0 if e > 0 else math.inf
-        if v == math.inf:
-            return math.inf if e > 0 else 0.0
-        return v ** e
-
-    def _phi_inv_limit(self, v: float) -> float:
-        """phi^{-1} extended to endpoint values 0 and +-inf by continuity."""
-        if self.kind == "identity":
-            return v
-        if self.kind == "log":
-            if v == -math.inf:
-                return 0.0
-            if v == math.inf:
-                return math.inf
-            return math.exp(v)
-        if v == 0.0:
-            return 0.0 if self.p > 0 else math.inf
-        if v == math.inf:
-            return math.inf if self.p > 0 else 0.0
-        return v ** self.p
-
     def transport(self, interval: Interval) -> Interval:
         """The image phi(interval), respecting orientation and openness."""
         try:
-            lo_img = self._phi_limit(interval.lo)
-            hi_img = self._phi_limit(interval.hi)
+            return interval.monotone_image(self.phi, self.increasing)
         except OverflowError:
             raise DomainError(
                 f"power generator with p = {self.p!r} overflows on {interval}"
             ) from None
-        if self.increasing:
-            return Interval(lo_img, hi_img, interval.lo_closed, interval.hi_closed)
-        return Interval(hi_img, lo_img, interval.hi_closed, interval.lo_closed)
 
     def image(self) -> Interval:
         return self.transport(self.domain)
@@ -152,7 +121,10 @@ class Generator:
 def _power(x, e: float):
     if isinstance(x, np.ndarray):
         return np.power(x, e)
-    return float(x) ** e
+    x = float(x)
+    if x == 0.0:
+        return 0.0 if e > 0.0 else math.inf
+    return x ** e
 
 
 def qa_mean(gen: Generator, values: Sequence[float]) -> float:

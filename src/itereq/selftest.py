@@ -230,12 +230,16 @@ def criterion_5_conjugates() -> CriterionResult:
     return CriterionResult(5, "quasi-arithmetic conjugates", passed, details)
 
 
+def _reciprocal_involution() -> Solution:
+    """f(x) = 1/x on (0, +inf), assembled around the fixed point 1."""
+    return build_involution(
+        Interval(0.0, math.inf), 1.0, f0=lambda x: 1.0 / x, f0_inverse=lambda y: 1.0 / y
+    )
+
+
 def criterion_6_involution() -> CriterionResult:
     """Reciprocal involution: self-inverse and the even-iterate equation."""
-    domain = Interval(0.0, math.inf)
-    sol = build_involution(
-        domain, 1.0, f0=lambda x: 1.0 / x, f0_inverse=lambda y: 1.0 / y
-    )
+    sol = _reciprocal_involution()
     xs = np.linspace(0.01, 10.0, 1001)
     round_trip = sol._eval_array(sol._eval_array(xs))
     err_inv = float(np.max(np.abs(round_trip - xs) / (1.0 + np.abs(xs))))
@@ -292,11 +296,9 @@ def criterion_8_duality() -> CriterionResult:
     cases: list[tuple[str, Solution, Polynomial]] = []
     for name, sol, prob in _verified_families():
         cases.append((name, sol, build_char_poly(prob)))
-    involution = build_involution(
-        Interval(0.0, math.inf), 1.0, f0=lambda x: 1.0 / x,
-        f0_inverse=lambda y: 1.0 / y,
+    cases.append(
+        ("involution f^2=id", _reciprocal_involution(), Polynomial((-1.0, 0.0, 1.0)))
     )
-    cases.append(("involution f^2=id", involution, Polynomial((-1.0, 0.0, 1.0))))
     failures = []
     for name, sol, coeffs in cases:
         report = verify_dual(sol, coeffs, samples=DEFAULT_SAMPLES, tol=DEFAULT_TOL)
@@ -317,14 +319,7 @@ def criterion_9_antimonotone() -> CriterionResult:
         ("affine(3,1)", Affine(REAL_LINE, -1.0 - math.sqrt(2.0), 0.0), 0.3),
         ("affine(2,0)", Affine(REAL_LINE, -2.0, 5.0), 1.0),
         ("affine(2,2)", Affine(REAL_LINE, -0.5, 0.0), 1.0),
-        (
-            "involution",
-            build_involution(
-                Interval(0.0, math.inf), 1.0, f0=lambda x: 1.0 / x,
-                f0_inverse=lambda y: 1.0 / y,
-            ),
-            2.0,
-        ),
+        ("involution", _reciprocal_involution(), 2.0),
     ]
     failures = []
     for name, sol, x0 in cases:

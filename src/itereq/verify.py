@@ -205,18 +205,17 @@ def iterate(s: Solution, x0: float, m_lo: int = 0, m_hi: int = 0) -> Orbit:
                 break
             points[m - m_lo] = x
 
-        if not escaped or escape_index is None or escape_index > 0:
-            x = x0
-            for m in range(-1, m_lo - 1, -1):
-                try:
-                    x = s.invert(x)
-                except NotSurjective:
-                    escaped, escape_index = True, m
-                    break
-                if not contains_with_slack(domain, x):
-                    escaped, escape_index = True, m
-                    break
-                points[m - m_lo] = x
+        x = x0
+        for m in range(-1, m_lo - 1, -1):
+            try:
+                x = s.invert(x)
+            except NotSurjective:
+                escaped, escape_index = True, m
+                break
+            if not contains_with_slack(domain, x):
+                escaped, escape_index = True, m
+                break
+            points[m - m_lo] = x
 
     return Orbit(x0, m_lo, m_hi, points, escaped, escape_index)
 

@@ -140,6 +140,15 @@ def test_solve_bad_interval_rejected(capsys):
     assert "interval" in err
 
 
+def test_solve_rejects_a_repeated_param_name(capsys):
+    code, out, err = run_cli(
+        capsys, "solve", "--n", "3", "--k", "1", "--params", "a=1, a=2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "'a'" in err and "more than once" in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from itereq.families import (
     second_order_families,
     solution_from_json,
 )
-from itereq.intervals import Interval, REAL_LINE
+from itereq.intervals import Interval, REAL_LINE, contains_with_slack
 from itereq.means import Generator
 
 SQRT2 = math.sqrt(2.0)
@@ -352,6 +352,63 @@ def test_eval_into_writes_the_array_map_into_the_callers_row():
         assert np.shares_memory(got, block[1])
         assert block[1].tobytes() == sol._eval_array(xs).tobytes(), sol.family
         assert (block[0] == 7.0).all() and (block[2] == 7.0).all()
+
+
+@st.composite
+def _solution_on_a_random_domain(draw):
+    """Identity, Translation, Affine or ThreePiece on a half-line, a bounded
+    interval or the real line, with parameters that keep the image inside."""
+    ends = st.floats(-100.0, 100.0)
+    shape = draw(st.sampled_from(["real", "above", "below", "bounded"]))
+    lo, hi = -math.inf, math.inf
+    if shape == "above":
+        lo = draw(ends)
+    elif shape == "below":
+        hi = draw(ends)
+    elif shape == "bounded":
+        lo = draw(ends)
+        hi = draw(st.floats(lo + 0.5, lo + 100.0))
+    domain = Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+    wlo, whi = domain.window()
+    mid = draw(st.floats(wlo, whi))  # a fixed point or anchor in the domain
+    shift = draw(st.floats(0.0, 50.0))
+    family = draw(st.sampled_from(["identity", "translation", "affine", "three_piece"]))
+    if family == "identity":
+        return Identity(domain)
+    if family == "translation":
+        c = {"real": shift - 25.0, "above": shift, "below": -shift}.get(shape, 0.0)
+        return Translation(domain, c)
+    # slopes a half-line or a bounded interval maps into itself: positive and
+    # contracting on both, negative only on a bounded interval
+    contract = st.floats(0.05, 0.95)
+    if family == "affine":
+        if shape == "real":
+            slope = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.05, 5.0))
+        elif shape == "bounded":
+            slope = draw(st.sampled_from([-1.0, 1.0])) * draw(contract)
+            mid = 0.5 * (lo + hi)
+        else:
+            slope = draw(contract)
+        c = mid * (1.0 - slope) + {"above": shift, "below": -shift}.get(shape, 0.0)
+        return Affine(domain, slope, c)
+    slope = draw(st.floats(0.05, 5.0).filter(lambda r: r != 1.0) if shape == "real" else contract)
+    b = draw(st.floats(mid, whi))
+    return ThreePiece(domain, mid, b, slope)
+
+
+@given(sol=_solution_on_a_random_domain())
+def test_image_maps_the_domain_ends_and_holds_every_mapped_point(sol):
+    dom, img, f = sol.domain, sol.image(), sol._eval_scalar
+    ends = [(f(dom.lo), dom.lo_closed), (f(dom.hi), dom.hi_closed)]
+    if not sol.is_increasing:
+        ends.reverse()
+    assert [(img.lo, img.lo_closed), (img.hi, img.hi_closed)] == ends
+    assert math.isinf(img.lo) == math.isinf(dom.lo if sol.is_increasing else dom.hi)
+    assert math.isinf(img.hi) == math.isinf(dom.hi if sol.is_increasing else dom.lo)
+    lo, hi = dom.window()
+    for x in np.linspace(lo, hi, 33).tolist():
+        if dom.contains(x):
+            assert contains_with_slack(img, f(x)), (x, f(x), img)
 
 
 @pytest.mark.parametrize("sol", SOLUTIONS, ids=lambda s: f"{s.family}")

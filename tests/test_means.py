@@ -92,6 +92,17 @@ def test_transport_infinite_endpoints():
     assert img.lo == 0.0 and img.hi == math.inf
 
 
+def test_scalar_maps_extend_to_zero_and_infinity_by_continuity():
+    log = Generator("log", POS)
+    assert log.phi(0.0) == -math.inf and log.phi(math.inf) == math.inf
+    assert log.phi_inv(-math.inf) == 0.0 and log.phi_inv(math.inf) == math.inf
+    recip = Generator("power", POS, p=-2.0)  # phi(x) = x ** -0.5
+    for f in (recip.phi, recip.phi_inv):
+        assert f(0.0) == math.inf
+        assert f(math.inf) == 0.0
+    assert Generator("power", POS, p=2.0).phi(0.0) == 0.0
+
+
 def test_generator_json():
     gen = Generator("power", POS, p=2.0)
     assert gen.to_json() == {"kind": "power", "p": 2.0}
