@@ -60,7 +60,7 @@ class Solution:
     array.  ``_eval_into`` maps an array into a buffer the caller owns;
     those four families write it with ufunc ``out=``, and ``_eval_array``
     is ``_eval_into`` on a fresh buffer.  Other families fall back to their
-    array forms.
+    array forms; ``_iterate_into`` maps each row of a block from the one above.
     """
 
     domain: Interval
@@ -82,6 +82,12 @@ class Solution:
         into it."""
         out[...] = self._eval_array(xs)
         return out
+
+    def _iterate_into(self, rows: np.ndarray) -> np.ndarray:
+        """Each row i >= 1 of ``rows`` set to f of row i - 1; returns ``rows``."""
+        for prev, row in zip(rows[:-1], rows[1:]):
+            self._eval_into(prev, row)
+        return rows
 
     def _eval_scalar(self, x: float) -> float:
         return float(self._eval_array(np.asarray([x], dtype=float))[0])
@@ -110,7 +116,10 @@ class Solution:
                 f"{self.family} maps {self.domain} onto {self.image()}, "
                 "not onto its own domain"
             )
-        return self._inverse_spec()
+        try:
+            return self._inverse_spec()
+        except ConstructionError as exc:
+            raise ConstructionError(f"inverse of {self!r}: {exc}") from None
 
     def _inverse_spec(self) -> "Solution":
         raise NotImplementedError
@@ -142,7 +151,11 @@ class Solution:
         }
 
 
-def _check_image_contained(sol: Solution) -> None:
+def _check_construction(sol: Solution, *finite: str) -> None:
+    """Reject NaN or +-inf ``finite`` parameters, and an image past the domain."""
+    for name in finite:
+        if not math.isfinite(value := getattr(sol, name)):
+            raise ConstructionError(f"{sol.family} {name} must be finite, got {value!r}")
     img, dom = sol.image(), sol.domain
     slack_lo = REL_SLACK * (1.0 + abs(dom.lo)) if math.isfinite(dom.lo) else 0.0
     slack_hi = REL_SLACK * (1.0 + abs(dom.hi)) if math.isfinite(dom.hi) else 0.0
@@ -191,7 +204,7 @@ class Translation(Solution):
     family = "translation"
 
     def __post_init__(self):
-        _check_image_contained(self)
+        _check_construction(self, "c")
 
     def _eval_array(self, xs):
         return self._eval_into(xs, np.empty_like(xs, dtype=float))
@@ -229,7 +242,7 @@ class Affine(Solution):
     def __post_init__(self):
         if self.slope == 0.0:
             raise ConstructionError("affine slope must be nonzero")
-        _check_image_contained(self)
+        _check_construction(self, "slope", "c")
 
     def _eval_array(self, xs):
         return self._eval_into(xs, np.empty_like(xs, dtype=float))
@@ -278,6 +291,11 @@ class ThreePiece(Solution):
     ``+0.0``, an equal value.  A zero anchor is stored as ``+0.0``: with
     ``a = +0.0`` and ``b = -0.0`` the clamp can pick ``b`` where the branch
     anchors at ``a``, and the two zeros then give results of opposite sign.
+    ``_iterate_into`` clamps only the first row and maps each later row with
+    that clamp, in three passes, to the same bits: as r > 0, f maps each of
+    ``(-inf, a]``, ``[a, b]`` and ``[b, inf)`` into itself in rounded
+    arithmetic too (``x - a <= 0`` gives ``(x - a)*r + a <= a``; likewise at
+    ``b``; a zero inside maps to ``+0.0`` whatever its clamp's sign).
     """
 
     domain: Interval
@@ -293,16 +311,16 @@ class ThreePiece(Solution):
             raise ConstructionError("three-piece anchors must be finite")
         if self.a > self.b:
             raise ConstructionError(f"anchors need a <= b, got {self.a} > {self.b}")
-        if self.slope <= 0.0 or self.slope == 1.0:
+        if not 0.0 < self.slope < math.inf or self.slope == 1.0:
             raise ConstructionError(
-                f"three-piece slope must be positive and != 1, got {self.slope}"
+                f"three-piece slope must be finite, positive and != 1, got {self.slope}"
             )
         for v in (self.a, self.b):
             if not self.domain.contains_in_closure(v):
                 raise ConstructionError(
                     f"anchor {v!r} outside closure of {self.domain}"
                 )
-        _check_image_contained(self)
+        _check_construction(self)
 
     def _eval_array(self, xs):
         return self._eval_into(xs, np.empty_like(xs, dtype=float))
@@ -314,6 +332,14 @@ class ThreePiece(Solution):
         out *= self.slope
         out += anchor
         return out
+
+    def _iterate_into(self, rows):
+        anchor = np.minimum(np.maximum(rows[0], self.a), self.b)
+        for prev, row in zip(rows[:-1], rows[1:]):
+            np.subtract(prev, anchor, out=row)
+            row *= self.slope
+            row += anchor
+        return rows
 
     def _invert_array(self, ys):
         anchor = np.minimum(np.maximum(ys, self.a), self.b)

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .intervals import Interval, finite_real
+from .intervals import REL_SLACK, Interval, finite_real
 
 _KINDS = ("identity", "power", "log")
 
@@ -132,7 +132,10 @@ def qa_mean(gen: Generator, values: Sequence[float]) -> float:
 
     Every value must lie in the generator's domain; the result lies
     between the smallest and largest input (internality).  A constant
-    tuple returns its value exactly (idempotence).
+    tuple returns its value exactly (idempotence).  Over- or underflow of
+    ``phi`` or its inverse, or a result farther outside ``[min, max]`` than
+    rounding (``REL_SLACK``), raises a :class:`DomainError` naming the
+    generator and the values; a rounding excursion is clamped.
     """
     vals = [float(v) for v in values]
     if not vals:
@@ -140,10 +143,22 @@ def qa_mean(gen: Generator, values: Sequence[float]) -> float:
     for v in vals:
         if not gen.domain.contains(v):
             raise DomainError(f"value {v!r} outside generator domain {gen.domain}")
-    if min(vals) == max(vals):
+    lo, hi = min(vals), max(vals)
+    if lo == hi:
         return vals[0]
-    total = math.fsum(gen.phi(v) for v in vals)
-    return float(gen.phi_inv(total / len(vals)))
+    try:
+        phis = [gen.phi(v) for v in vals]
+        mean = float(gen.phi_inv(math.fsum(phis) / len(vals)))
+        why = None
+        if any(y == 0.0 and v != gen.phi_inv(0.0) for v, y in zip(vals, phis)):
+            why = "phi underflows a nonzero value to 0"
+        elif not lo - REL_SLACK * abs(lo) <= mean <= hi + REL_SLACK * abs(hi):
+            why = f"result {mean!r} lies outside [{lo!r}, {hi!r}]"
+    except OverflowError:
+        why = "phi or its inverse overflows"
+    if why:
+        raise DomainError(f"mean of {vals!r} under generator {gen.to_json()}: {why}")
+    return min(max(mean, lo), hi)
 
 
 def qa_mean_rows(gen: Generator, rows: np.ndarray, anchor: int = 0) -> np.ndarray:

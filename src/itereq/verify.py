@@ -24,11 +24,11 @@ from .poly import Polynomial
 DEFAULT_SAMPLES = 1001
 DEFAULT_TOL = 1e-9
 _EVAL_QUOTA = 0.9
-# Grid columns per verification block: (n+1) rows of 8192 doubles stay in
-# cache while they are mapped, masked and reduced.  Each point's residual
-# adds its terms in row order whatever block it sits in, so no result
-# depends on the block width or on where a block ends.
-_BLOCK = 8192
+# Grid columns per verification block: _BLOCK, or more when (n+1) rows of
+# them hold fewer than _BLOCK_VALUES doubles, which stay in cache while they
+# are mapped, tested and reduced.  Each point's residual adds its terms in
+# row order whatever block it sits in, so no result depends on the block.
+_BLOCK, _BLOCK_VALUES = 8192, 2**16
 
 
 @dataclass(frozen=True)
@@ -226,44 +226,42 @@ def _iterate_rows(
     """Stack f^0..f^count over one block of grid points, masking escaped points.
 
     Returns ``(rows, alive, peak)`` where ``rows`` is (count+1, len(xs)).
-    While every point is inside, each row is mapped whole into its place
-    in ``rows`` (``Solution._eval_into``), and its minimum and maximum
-    decide that: both finite, with ``lo <= min`` and ``max <= hi`` for the
-    domain's ends, prove every point finite and inside, so the exact test
-    ``_contains_array`` runs only on a row where they fail.  If no point
-    escapes, ``alive`` is None and ``peak`` is ``max |f^i|`` over the
-    block, read off those extremes.  Otherwise ``alive`` marks the columns
-    whose iterates all stayed in the domain and ``peak`` is None; the row a
-    point escapes in keeps its escaped value, and each later row is set to
-    NaN and then only its live columns are mapped, so the escaped columns
-    hold NaN from there on.
+    All rows are mapped first (``Solution._iterate_into``) with every
+    floating-point fault raising; then one minimum and one maximum over the
+    block decide: both finite, with ``lo <= min`` and ``max <= hi`` for the
+    domain's ends, prove every point inside, so ``alive`` is None and
+    ``peak`` is ``max |f^i|``, read off those extremes.  A block that fails
+    this test or raises is mapped again from row 1, row by row under the
+    caller's error state and tested exactly (``_contains_array``), so its
+    escapes, warnings and bits are those of the row-by-row map.  Once a
+    point escapes, ``alive`` marks the columns whose iterates all stayed in
+    the domain and ``peak`` is None; the row a point escapes in keeps its
+    escaped value, and each later row is set to NaN and then only its live
+    columns are mapped, so the escaped columns hold NaN from there on.
     """
     domain = s.domain
-    lo, hi = domain.lo, domain.hi
     rows = np.empty((count + 1, len(xs)))
     rows[0] = xs
-    alive = None
-    peak = 0.0
-    for i in range(count + 1):
-        row = rows[i]
-        if alive is None:
-            if i:
-                s._eval_into(rows[i - 1], row)
-            low, high = row.min(), row.max()
-            if not (
-                lo <= low and high <= hi and math.isfinite(low) and math.isfinite(high)
-            ):
-                inside = _contains_array(domain, row)
-                if not inside.all():
-                    alive = inside
-                    continue
-            peak = max(peak, abs(low), abs(high))
+    try:
+        with np.errstate(all="raise"):
+            s._iterate_into(rows)
+    except Exception:  # noqa: BLE001
+        pass  # escaped points were mapped too; the redo raises what live ones raise
+    else:
+        low, high = rows.min(), rows.max()
+        finite = math.isfinite(low) and math.isfinite(high)
+        if finite and domain.lo <= low and high <= domain.hi:
+            return rows, None, max(abs(low), abs(high))
+    alive = _contains_array(domain, rows[0])
+    for i in range(1, count + 1):
+        if alive.all():
+            s._eval_into(rows[i - 1], rows[i])
         else:
-            row[...] = np.nan
+            rows[i] = np.nan
             if alive.any():
-                row[alive] = s._eval_array(rows[i - 1, alive])
-            alive &= _contains_array(domain, row)
-    return rows, alive, peak if alive is None else None
+                rows[i, alive] = s._eval_array(rows[i - 1, alive])
+        alive &= _contains_array(domain, rows[i])
+    return (rows, None, _max_abs(rows)) if alive.all() else (rows, alive, None)
 
 
 def _max_abs(x: np.ndarray, running: float = 0.0) -> float:
@@ -286,15 +284,15 @@ def _verify_grid(
 ) -> VerifyReport:
     """Iterate ``s`` over its grid block by block and judge the residual.
 
-    Each block holds ``_BLOCK`` grid columns, the last one what is left,
-    and builds its own grid points (``_grid_points``).  ``residual(live)``
-    gets the iterates f^0..f^count at a block's live columns and returns
-    the residual there.  Only the evaluated count and the largest
-    ``|residual|`` and ``|f^i|`` at live points outlive a block, so memory
-    scales with ``(count + 1) * _BLOCK``, not with ``samples``.  The whole
-    run ignores overflow, under one ``np.errstate``: a point that overflows
-    is not finite, so it escapes, and a residual that overflows is
-    infinite, so it fails.
+    Each block holds ``max(_BLOCK, _BLOCK_VALUES // (count + 1))`` grid
+    columns, the last one what is left, and builds its own grid points
+    (``_grid_points``).  ``residual(live)`` gets the iterates f^0..f^count
+    at a block's live columns and returns the residual there.  Only the
+    evaluated count and the largest ``|residual|`` and ``|f^i|`` at live
+    points outlive a block, so memory scales with the block, not with
+    ``samples``.  The whole run ignores overflow, under one ``np.errstate``:
+    a point that overflows is not finite, so it escapes, and a residual
+    that overflows is infinite, so it fails.
 
     The verdict requires ``max |residual| <= tol * coeff_scale * (1 + max
     |f^i|)`` over the live points and at least 90% of the grid alive.
@@ -302,9 +300,10 @@ def _verify_grid(
     lo, hi = _grid_ends(s.domain, samples)
     evaluated = 0
     resid_max = rows_max = 0.0
+    width = max(_BLOCK, _BLOCK_VALUES // (count + 1))
     with np.errstate(over="ignore"):
-        for start in range(0, samples, _BLOCK):
-            stop = min(start + _BLOCK, samples)
+        for start in range(0, samples, width):
+            stop = min(start + width, samples)
             xs = _grid_points(lo, hi, samples, start, stop)
             rows, alive, peak = _iterate_rows(s, xs, count)
             if alive is None:

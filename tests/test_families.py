@@ -152,6 +152,43 @@ def test_three_piece_parameter_validation():
         ThreePiece(Interval(0.0, 1.0, True, True), -0.5, 0.5, 0.5)  # a outside
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_translation_rejects_a_non_finite_shift(bad):
+    with pytest.raises(ConstructionError, match="translation c must be finite"):
+        Translation(REAL_LINE, bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_affine_rejects_non_finite_parameters(bad):
+    with pytest.raises(ConstructionError, match="affine slope must be finite"):
+        Affine(REAL_LINE, bad, 0.0)
+    with pytest.raises(ConstructionError, match="affine c must be finite"):
+        Affine(REAL_LINE, 2.0, bad)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_three_piece_rejects_a_non_finite_slope(bad):
+    # an infinite slope used to be accepted and map 0.5 to NaN
+    with pytest.raises(ConstructionError, match="three-piece slope must be finite"):
+        ThreePiece(REAL_LINE, 0.0, 1.0, bad)
+
+
+@pytest.mark.parametrize(
+    "s, name",
+    [
+        (Affine(REAL_LINE, 1e-300, 1e10), "affine c"),  # -c/slope overflows
+        (Affine(REAL_LINE, 5e-324, 0.0), "affine slope"),  # 1/slope overflows
+        (ThreePiece(REAL_LINE, 0.0, 1.0, 5e-324), "three-piece slope"),
+    ],
+)
+def test_inverse_that_overflows_names_the_parameter(s, name):
+    with pytest.raises(ConstructionError, match=f"^inverse of .*: {name} must be finite"):
+        s.inverse()
+
+
 def test_three_piece_anchors_on_closure_boundary():
     s = ThreePiece(Interval(0.0, 1.0), 0.0, 1.0, 0.5)
     for x in np.linspace(0.01, 0.99, 11):
@@ -247,6 +284,46 @@ def test_three_piece_arrays_match_the_branch_formulas_swept(ends, slope, xs):
     a, b = ends
     s = ThreePiece(REAL_LINE, a, b, slope)
     _assert_branch_bits(s, xs + _edge_points(a, b))
+
+
+# ---------------------------------------------------------------------------
+# three-piece iteration with the first row's clamp
+# ---------------------------------------------------------------------------
+#
+# ``ThreePiece._iterate_into`` clamps only the first row; every later row
+# must get the bits that mapping the row above with ``_eval_into`` gives.
+
+TINY_AND_HUGE = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300]
+ANCHORS = st.one_of(FINITE, st.sampled_from(TINY_AND_HUGE))
+SLOPES = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.sampled_from([1e-300, 1e300, 5e-324, 1.0 + 1e-12, SQRT2 - 1.0]),
+).filter(lambda r: r != 1.0)
+POINTS = st.one_of(st.floats(), st.sampled_from(TINY_AND_HUGE))
+
+
+@given(
+    ends=st.tuples(ANCHORS, ANCHORS).map(sorted),
+    slope=SLOPES,
+    xs=st.lists(POINTS, max_size=12),
+    count=st.integers(0, 20),
+)
+@example(ends=[0.0, -0.0], slope=2.0, xs=[-0.0, 0.0], count=3)
+@example(ends=[-0.0, -0.0], slope=1e300, xs=[-5e-324, 5e-324, -0.0], count=20)
+@example(ends=[0.7, 0.7], slope=1e-300, xs=[0.7, 0.8, 0.6], count=20)
+@example(ends=[-1e300, 1e300], slope=1e300, xs=[math.inf, -math.inf, math.nan], count=5)
+def test_three_piece_iteration_matches_repeated_maps(ends, slope, xs, count):
+    a, b = ends
+    s = ThreePiece(REAL_LINE, a, b, slope)
+    points = xs + _edge_points(s.a, s.b)
+    got = np.empty((count + 1, len(points)))
+    got[0] = points
+    want = got.copy()
+    with np.errstate(over="ignore", under="ignore"):
+        assert s._iterate_into(got) is got
+        for i in range(1, count + 1):
+            s._eval_into(want[i - 1], want[i])
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

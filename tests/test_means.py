@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -158,6 +158,57 @@ def test_internality(values, kind):
         gen = Generator(kind, domain)
     m = qa_mean(gen, values)
     assert min(values) - 1e-9 <= m <= max(values) + 1e-9
+
+
+@pytest.mark.parametrize(
+    "p, values, what",
+    [
+        (0.1, [1e-300, 2e-300], "phi underflows"),  # returned 0.0
+        (0.1, [1e300, 2e300], "overflows"),  # raised a bare OverflowError
+        (-0.1, [1e300, 2e300], "phi underflows"),  # returned inf
+    ],
+)
+def test_mean_out_of_double_range_is_a_domain_error(p, values, what):
+    with pytest.raises(DomainError, match=what) as info:
+        qa_mean(Generator("power", POS, p=p), values)
+    message = str(info.value)
+    assert repr(values) in message and f"'p': {p!r}" in message
+
+
+def _plain_mean(gen, values):
+    """The mean by its formula alone, with no range checks."""
+    return float(gen.phi_inv(math.fsum(gen.phi(v) for v in values) / len(values)))
+
+
+# adjacent floats whose formula mean strays one ulp or two past an end
+# under power:2, power:-1 or power:3
+ADJACENT = [
+    [3.0, math.nextafter(3.0, 4.0)],
+    [0.3, math.nextafter(0.3, 1.0)],
+    [7.0, math.nextafter(7.0, 8.0), 7.0],
+]
+
+
+@given(
+    st.one_of(
+        st.lists(st.floats(min_value=0.1, max_value=50.0), min_size=2, max_size=8),
+        st.sampled_from(ADJACENT),
+    ),
+    st.sampled_from(["log", "power:2", "power:-1", "power:0.5", "power:3"]),
+)
+@example(ADJACENT[0], "power:2")
+@example(ADJACENT[0], "power:-1")
+@example(ADJACENT[2], "power:3")
+def test_mean_keeps_the_formula_bits_and_clamps_rounding(values, kind):
+    # the formula's result where it lies in [min, max], else the nearer end:
+    # it strays past an end only by rounding, as on adjacent floats
+    domain = Interval(0.01, 100.0)
+    gen = Generator.parse(kind, domain)
+    lo, hi = min(values), max(values)
+    m = qa_mean(gen, values)
+    assert lo <= m <= hi
+    if lo < hi:
+        assert m == min(max(_plain_mean(gen, values), lo), hi)
 
 
 # ---------------------------------------------------------------------------

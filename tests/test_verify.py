@@ -702,6 +702,8 @@ def _layout_reports():
 
 def test_reports_do_not_depend_on_the_block_layout(monkeypatch):
     seen = []
+    # no byte sizing: every block is _BLOCK columns wide, whatever n
+    monkeypatch.setattr(verify_module, "_BLOCK_VALUES", 0)
     for block in LAYOUT_BLOCKS:
         assert LAYOUT_GRID % block
         monkeypatch.setattr(verify_module, "_BLOCK", block)
@@ -710,6 +712,145 @@ def test_reports_do_not_depend_on_the_block_layout(monkeypatch):
     # the cases are not all trivial: some pass, some fail, some escape
     assert {passed for _, passed, _, _ in seen[0]} == {True, False}
     assert any(escaped for *_, escaped in seen[0])
+
+
+# blocks sized by their rows' bytes, the block-wide escape test and its
+# row-by-row redo
+
+
+def _record_blocks(monkeypatch):
+    """Every block ``_iterate_rows`` maps: (s, xs, count, rows, alive, peak)."""
+    blocks = []
+
+    def recording(s, xs, count):
+        rows, alive, peak = _iterate_rows(s, xs, count)
+        blocks.append((s, xs.copy(), count, rows.copy(), alive, peak))
+        return rows, alive, peak
+
+    monkeypatch.setattr(verify_module, "_iterate_rows", recording)
+    return blocks
+
+
+def _assert_blocks_match_reference(blocks):
+    for s, xs, count, rows, alive, peak in blocks:
+        with np.errstate(over="ignore"):
+            want_rows, want_alive = _reference_rows(s, xs, count)
+        assert rows.tobytes() == want_rows.tobytes()
+        if want_alive.all():
+            assert alive is None and peak == np.max(np.abs(want_rows))
+        else:
+            assert np.array_equal(alive, want_alive) and peak is None
+
+
+def test_block_widths_for_two_and_sixteen_rows(monkeypatch):
+    # 2**16 doubles over 3 rows, and the 8192-column floor for 16 rows
+    blocks = _record_blocks(monkeypatch)
+    verify_mean(Translation(REAL_LINE, 0.25), CharProblem(2, 1), 50_000)
+    assert [len(xs) for _, xs, *_ in blocks] == [21845, 21845, 6310]
+    blocks.clear()
+    verify_mean(_line_map("none"), PROB_15_4, 20_000)
+    assert [len(xs) for _, xs, *_ in blocks] == [8192, 8192, 3616]
+
+
+def test_first_escape_in_a_middle_row_of_a_later_block(monkeypatch):
+    # negative points contract; positive ones grow by 1e50 a step and
+    # overflow from row 7 on, so the first block never escapes and the
+    # second escapes first in row 7 of 16
+    s = _Leaky(
+        REAL_LINE,
+        lambda x: np.where(x > 0.0, 1e50 * x, 0.5 * x),
+        lambda y: np.where(y > 0.0, 1e-50 * y, 2.0 * y),
+    )
+    samples = 2 * _BLOCK + 1
+    blocks = _record_blocks(monkeypatch)
+    identity = Generator("identity", REAL_LINE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [
+            verify_mean(s, PROB_15_4, samples),
+            verify_module.linear_residual_report(s, CHAR_15_4, samples),
+        ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [
+            _reference_general(s, identity, PROB_15_4, samples),
+            _reference_linear(s, CHAR_15_4, samples),
+        ]
+    assert [_bits(r) for r in got] == [_bits(r) for r in want]
+    assert [len(xs) for _, xs, *_ in blocks[:3]] == [_BLOCK, _BLOCK, 1]
+    _assert_blocks_match_reference(blocks)
+    first, second = blocks[0], blocks[1]
+    assert first[4] is None
+    rows = second[3]
+    assert np.isfinite(rows[:7]).all() and not np.isfinite(rows[7]).all()
+
+
+def test_last_block_one_column_wide_for_three_rows(monkeypatch):
+    samples = 2 * (2**16 // 3) + 1
+    blocks = _record_blocks(monkeypatch)
+    pairs = []
+    for s, rho in _second_order_cases("none") + _second_order_cases("some"):
+        pairs.append(
+            (verify_second_order(s, rho, samples), _reference_second(s, rho, samples))
+        )
+    for case in ("none", "some"):
+        s = Translation(REAL_LINE, 0.25) if case == "none" else _line_map(case)
+        pairs.append((
+            verify_mean(s, CharProblem(2, 1), samples),
+            _reference_general(s, Generator("identity", s.domain), CharProblem(2, 1), samples),
+        ))
+    for got, want in pairs:
+        assert _bits(got) == _bits(want)
+    assert {len(xs) for _, xs, *_ in blocks} == {2**16 // 3, 1}
+    assert sum(len(xs) == 1 for _, xs, *_ in blocks) == len(pairs)
+    _assert_blocks_match_reference(blocks)
+
+
+def _root_halves(x):
+    """``sign(x) * sqrt(|x|) / 2``, and -100 (outside ``BOX``) below -9.
+
+    Both square roots are taken at every point, so the one of a negative
+    argument warns and is discarded; the values kept are finite.
+    """
+    halves = 0.5 * np.where(x >= 0.0, np.sqrt(x), -np.sqrt(-x))
+    return np.where(x < -9.0, -100.0, halves)
+
+
+def test_warning_of_a_discarded_temporary_is_kept():
+    # the first block warns while it is mapped and then fails the escape
+    # test, so it is mapped again: the block-wide pass must add none and
+    # drop none of the warnings the row-by-row map gives
+    s = _Leaky(BOX, _root_halves, _root_halves)
+    samples = _BLOCK + 5
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        report = verify_mean(s, PROB_15_4, samples)
+    xs = sample_grid(BOX, samples)
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        for start in range(0, samples, _BLOCK):
+            _reference_rows(s, xs[start:start + _BLOCK], PROB_15_4.n)
+    assert len(want) >= PROB_15_4.n and report.points_escaped > 0
+    assert [(w.category, str(w.message)) for w in got] == [
+        (w.category, str(w.message)) for w in want
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reference = _reference_general(s, Generator("identity", BOX), PROB_15_4, samples)
+    assert _bits(report) == _bits(reference)
+
+
+def test_map_that_rejects_escaped_points_never_sees_them():
+    # points above 9 leave the box at once; the map refuses points outside
+    # it, which the row-by-row map never passes it
+    def fwd(x):
+        if np.any(np.abs(x) > 10.0):
+            raise ValueError("point outside the box")
+        return np.where(x > 9.0, 20.0, 0.5 * x)
+
+    s = _Leaky(BOX, fwd, fwd)
+    report = verify_mean(s, PROB_15_4, 1001)
+    want = _reference_general(s, Generator("identity", BOX), PROB_15_4, 1001)
+    assert report.points_escaped > 0 and _bits(report) == _bits(want)
 
 
 # the escape test on a row's extremes against the masked reference: points
