@@ -23,6 +23,7 @@ USING_NUMBA = False
 # 1e-15; the caps only guard against cycling on pathological input.
 BISECT_MAX_ITER = 240
 DK_MAX_SWEEPS = 1200
+DK_STEP_TOL = 1e-15  # DK stops once every update is below this * (1 + max |z_i|)
 # log2 of the largest |z|^n at which a degree-n polynomial is evaluated
 # directly; past it ``horner_scaled_bound`` evaluates the reversed polynomial.
 DIRECT_EXP = 512.0
@@ -144,46 +145,44 @@ def dk_sweeps(
     coeffs: np.ndarray,
     z0: np.ndarray,
     resid_tol: float,
-    step_tol: float,
-    first: tuple[tuple, np.ndarray] | None = None,
+    first: tuple[tuple, np.ndarray],
 ) -> tuple[np.ndarray, tuple, int]:
     """Durand-Kerner simultaneous iteration, vectorized over root estimates.
 
     ``coeffs`` is ascending with nonzero leading coefficient.  ``z0`` lists
     the real starting estimates (zero imaginary part), then those above
-    the real axis, then their conjugates in the same order.  Each
-    correction is the quotient of ``horner_scaled_bound`` and
-    ``dk_denominators``, so no modulus overflows; it rounds differently
-    for the two members of a pair, so after each one the real estimates
-    are made real again and each pair exact conjugates (their mean).
-    ``first``, when given, is ``(horner_scaled_bound(coeffs, z0),
-    dk_denominators(coeffs, z0, diff))`` from the caller, used by the
-    first sweep.  Stops when every residual |p(z_i)| falls below
-    ``resid_tol`` or every update below ``step_tol``, and returns the final
-    estimates, ``horner_scaled_bound`` at them, and the sweep count.  The
-    steps are not guarded: the estimates must start apart, each near its
-    own simple root (``poly.all_roots`` checks that with disjoint
-    inclusion disks); estimates that meet turn non-finite, and the
-    caller's residual test rejects them.
+    the real axis, then their conjugates in the same order.  ``first`` is
+    ``(horner_scaled_bound(coeffs, z0), dk_denominators(coeffs, z0, diff))``
+    from the caller, used by the first sweep.  Each correction is the
+    quotient of ``horner_scaled_bound`` and ``dk_denominators``, so no
+    modulus overflows; it rounds differently for the two members of a
+    pair, so after each one the real estimates are made real again and
+    each pair exact conjugates (their mean).  Stops when every residual
+    |p(z_i)| falls below ``resid_tol`` or every update below
+    ``DK_STEP_TOL``, and returns the final estimates,
+    ``horner_scaled_bound`` at them, and the sweep count.  The steps are
+    not guarded: the estimates must start apart, each near its own simple
+    root (``poly.all_roots`` checks that with disjoint inclusion disks);
+    estimates that meet turn non-finite, and the caller's residual test
+    rejects them.
     """
     z = z0.astype(np.complex128)
     nr = int(np.count_nonzero(z.imag == 0.0))
     nu = (len(z) - nr) // 2
-    values = horner_scaled_bound(coeffs, z) if first is None else first[0]
+    values, denom = first
     for sweeps in range(1, DK_MAX_SWEEPS + 1):
         h, s, _ = values
         if np.all(np.abs(h) <= resid_tol * s):
             break
-        if first is None:
-            dz = h / dk_denominators(coeffs, z, z[:, None] - z[None, :])
-        else:
-            dz, first = h / first[1], None
+        if sweeps > 1:
+            denom = dk_denominators(coeffs, z, z[:, None] - z[None, :])
+        dz = h / denom
         z -= dz
         z[:nr] = z[:nr].real
         upper = 0.5 * (z[nr : nr + nu] + z[nr + nu :].conj())
         z[nr : nr + nu] = upper
         z[nr + nu :] = upper.conj()
         values = horner_scaled_bound(coeffs, z)
-        if float(np.max(np.abs(dz))) <= step_tol * (1.0 + float(np.max(np.abs(z)))):
+        if float(np.max(np.abs(dz))) <= DK_STEP_TOL * (1.0 + float(np.max(np.abs(z)))):
             break
     return z, values, sweeps

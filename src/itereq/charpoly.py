@@ -379,7 +379,7 @@ def analyze_roots(prob: CharProblem) -> RootReport:
                 f"({lo}, {hi}); exact signs {slo:+d}, {shi:+d}"
             )
 
-    estimates = all_roots(work, tol=1e-12) if work.degree > 0 else []
+    estimates = all_roots(work) if work.degree > 0 else []
     real_records = [RealRootRecord(1.0, mult_one, (1.0, 1.0))]
     real_estimates = [(i, z.re) for i, z in enumerate(estimates) if z.im == 0.0]
     taken: set[int] = set()

@@ -499,7 +499,7 @@ class FamilyDescriptor:
         identity stretch there, and a translation defaults to ``c = 0``.
         Parameters the family does not take are ignored.
         """
-        wlo, whi = domain.window(10.0)
+        wlo, whi = domain.window()
         mid = 0.5 * (wlo + whi)
         if self.family == "translation":
             params.setdefault("c", 0.0)
@@ -675,14 +675,16 @@ def _numeric_inverse(
     return inv
 
 
+INVOLUTION_TOL = 1e-9  # relative error build_involution allows in f(a), f(f(x))
+INVOLUTION_GRID = 257  # window points of its f(f(x)) = x check
+
+
 def build_involution(
     domain: Interval,
     a: float,
     f0: Callable | None = None,
     f0_inverse: Callable | None = None,
     f0_table: tuple | None = None,
-    tol: float = 1e-9,
-    grid: int = 257,
 ) -> Involution:
     """Assemble a strictly decreasing involution from one branch.
 
@@ -692,8 +694,8 @@ def build_involution(
     callable (optionally with its inverse) or a breakpoint table
     ``(xs, ys)`` interpolated piecewise-linearly.  The assembled map is
     ``f0`` left of ``a`` and ``f0^{-1}`` right of it; the construction is
-    rejected if ``f(f(x))`` strays from ``x`` by more than ``tol``
-    relative on a verification grid.
+    rejected if ``f(a)`` or ``f(f(x))`` strays from ``a`` or ``x`` by more
+    than ``INVOLUTION_TOL`` relative, on ``INVOLUTION_GRID`` window points.
     """
     if not (domain.is_open or domain.is_closed):
         raise DomainError(
@@ -735,26 +737,26 @@ def build_involution(
         raise ConstructionError("supply f0 (callable) or f0_table")
 
     anchor_val = float(f0_fn(np.asarray([a]))[0])
-    if abs(anchor_val - a) > tol * (1.0 + abs(a)):
+    if abs(anchor_val - a) > INVOLUTION_TOL * (1.0 + abs(a)):
         raise BadAnchor(f"f0({a!r}) = {anchor_val!r} != {a!r}")
 
     _check_boundary_limit(f0_fn, domain, a)
 
     sol = Involution(domain, a, f0_fn, f0_inv_fn, table)
 
-    wlo, whi = domain.window(10.0)
+    wlo, whi = domain.window()
     width = whi - wlo
     off = 1e-6 * width
-    pts = np.linspace(wlo + off, whi - off, grid)
+    pts = np.linspace(wlo + off, whi - off, INVOLUTION_GRID)
     vals = sol._eval_array(pts)
     # strict decrease of the assembled map
     if np.any(np.diff(vals) >= 0):
         raise NotAnInvolution("assembled map is not strictly decreasing")
     round_trip = sol._eval_array(vals)
     err = np.max(np.abs(round_trip - pts) / (1.0 + np.abs(pts)))
-    if not err <= tol:
+    if not err <= INVOLUTION_TOL:
         raise NotAnInvolution(
-            f"f(f(x)) deviates from x by {err:.3e} (tol {tol:.1e})"
+            f"f(f(x)) deviates from x by {err:.3e} (tol {INVOLUTION_TOL:.1e})"
         )
     return sol
 

@@ -13,6 +13,7 @@ _INF_TOKENS = {"inf": math.inf, "+inf": math.inf, "-inf": -math.inf}
 # Relative slack of the membership tests that guard against rounding: a
 # value x counts as inside up to REL_SLACK * (1 + |x|) past a finite end.
 REL_SLACK = 1e-12
+WINDOW_HALF_WIDTH = 10.0  # half width of the sampling window (Interval.window)
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,6 @@ class Interval:
     # -- structure -----------------------------------------------------------
 
     @property
-    def bounded(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
-
-    @property
     def is_real_line(self) -> bool:
         return math.isinf(self.lo) and math.isinf(self.hi)
 
@@ -91,20 +88,20 @@ class Interval:
             math.isclose(self.hi, other.hi, rel_tol=tol, abs_tol=tol)
         )
 
-    def window(self, half_width: float = 10.0) -> tuple[float, float]:
-        """Bounded sampling window: the interval clipped to +-half_width.
+    def window(self) -> tuple[float, float]:
+        """Bounded sampling window: the interval clipped to +-WINDOW_HALF_WIDTH.
 
         An interval lying wholly outside the clip range keeps its finite
-        end and takes a window of width ``2 * half_width`` next to it.
+        end and takes a window of width ``2 * WINDOW_HALF_WIDTH`` next to it.
         """
-        lo = max(self.lo, -half_width)
-        hi = min(self.hi, half_width)
+        lo = max(self.lo, -WINDOW_HALF_WIDTH)
+        hi = min(self.hi, WINDOW_HALF_WIDTH)
         if lo < hi:
             return lo, hi
         if math.isinf(self.hi):
-            return self.lo, self.lo + 2.0 * half_width
+            return self.lo, self.lo + 2.0 * WINDOW_HALF_WIDTH
         if math.isinf(self.lo):
-            return self.hi - 2.0 * half_width, self.hi
+            return self.hi - 2.0 * WINDOW_HALF_WIDTH, self.hi
         return self.lo, self.hi
 
     # -- serialization --------------------------------------------------------

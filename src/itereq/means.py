@@ -132,10 +132,13 @@ def qa_mean(gen: Generator, values: Sequence[float]) -> float:
 
     Every value must lie in the generator's domain; the result lies
     between the smallest and largest input (internality).  A constant
-    tuple returns its value exactly (idempotence).  Over- or underflow of
-    ``phi`` or its inverse, or a result farther outside ``[min, max]`` than
-    rounding (``REL_SLACK``), raises a :class:`DomainError` naming the
-    generator and the values; a rounding excursion is clamped.
+    tuple returns its value exactly (idempotence).  Overflow of ``phi`` or
+    its inverse, ``phi`` underflowing a value to 0 beside a ``phi`` sum of
+    at most ``len(values)`` smallest normal doubles (only there can the
+    lost values move the mean past rounding), or a result farther outside
+    ``[min, max]`` than rounding (``REL_SLACK``) raises a
+    :class:`DomainError` naming the generator and the values; a rounding
+    excursion is clamped.
     """
     vals = [float(v) for v in values]
     if not vals:
@@ -148,9 +151,11 @@ def qa_mean(gen: Generator, values: Sequence[float]) -> float:
         return vals[0]
     try:
         phis = [gen.phi(v) for v in vals]
-        mean = float(gen.phi_inv(math.fsum(phis) / len(vals)))
+        total = math.fsum(phis)
+        mean = float(gen.phi_inv(total / len(vals)))
         why = None
-        if any(y == 0.0 and v != gen.phi_inv(0.0) for v, y in zip(vals, phis)):
+        lost = any(y == 0.0 and v != gen.phi_inv(0.0) for v, y in zip(vals, phis))
+        if lost and total <= len(vals) * np.finfo(float).tiny:
             why = "phi underflows a nonzero value to 0"
         elif not lo - REL_SLACK * abs(lo) <= mean <= hi + REL_SLACK * abs(hi):
             why = f"result {mean!r} lies outside [{lo!r}, {hi!r}]"
@@ -169,7 +174,9 @@ def qa_mean_rows(gen: Generator, rows: np.ndarray, anchor: int = 0) -> np.ndarra
     conditioned everywhere else.  The deviations are added one row at a
     time, in row order, into one accumulator through one reused term
     buffer, so a point's mean depends neither on the other points nor on
-    the layout of ``rows``.  No domain checking: callers mask points first.
+    the layout of ``rows``.  Under the identity generator a column whose
+    rows all agree may differ from them in the sign of a zero.  No domain
+    checking: callers mask points first.
     """
     phi_vals = rows if gen.kind == "identity" else gen.phi(rows)
     base = phi_vals[anchor]
@@ -178,6 +185,6 @@ def qa_mean_rows(gen: Generator, rows: np.ndarray, anchor: int = 0) -> np.ndarra
     for row in phi_vals[1:]:
         dev += np.subtract(row, base, out=term)
     dev /= rows.shape[0]
-    mean_phi = base + dev
-    general = mean_phi if gen.kind == "identity" else gen.phi_inv(mean_phi)
-    return np.where(dev == 0.0, rows[anchor], general)
+    if gen.kind == "identity":
+        return base + dev
+    return np.where(dev == 0.0, rows[anchor], gen.phi_inv(base + dev))

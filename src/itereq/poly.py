@@ -19,6 +19,8 @@ import numpy as np
 from . import _kernels
 from .errors import NonConvergence, NoSignChange, RootMismatch
 
+ROOT_RESIDUAL_TOL = 1e-12  # relative residual limit of every root (all_roots)
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -263,7 +265,7 @@ def _disk_radii(
     return np.where(np.isnan(radius), np.inf, radius)
 
 
-def all_roots(p: Polynomial, tol: float = 1e-12) -> list[ComplexRoot]:
+def all_roots(p: Polynomial) -> list[ComplexRoot]:
     """All complex roots of a real polynomial whose roots are all simple.
 
     Starts from the companion-matrix eigenvalues, which are backward
@@ -279,9 +281,9 @@ def all_roots(p: Polynomial, tol: float = 1e-12) -> list[ComplexRoot]:
     from one kernel, ``_kernels.horner_scaled_bound``: the first sweep
     reuses the values of the disks, and the residual test those the sweeps
     end with, so sweeps that stop at their first check cost one pass.
-    Every root must leave a residual within ``tol`` of the coefficient
-    norm or of the evaluation magnitude at the root, whichever is larger,
-    both scaled as that kernel scales them so that the test cannot
+    Every root must leave a residual within ``ROOT_RESIDUAL_TOL`` of the
+    coefficient norm or of the evaluation magnitude at the root, whichever
+    is larger, both scaled as that kernel scales them so that the test cannot
     overflow.  A root that misses it, or whose limit is not finite (the
     root is not, or its rounding bound overflowed), raises
     :class:`NonConvergence`.  Every root is reported with multiplicity 1.
@@ -310,10 +312,10 @@ def all_roots(p: Polynomial, tol: float = 1e-12) -> list[ComplexRoot]:
         )
 
     z, (h, scale, magnitude), _ = _kernels.dk_sweeps(
-        c, z, tol * p.inf_norm, 1e-15, (values, denom)
+        c, z, ROOT_RESIDUAL_TOL * p.inf_norm, (values, denom)
     )
     resid = np.abs(h)
-    allowed = tol * np.maximum(p.inf_norm * scale, magnitude)
+    allowed = ROOT_RESIDUAL_TOL * np.maximum(p.inf_norm * scale, magnitude)
     if not (np.all(resid <= allowed) and np.max(allowed) < np.inf):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             worst = float(np.max(resid / allowed))

@@ -58,6 +58,7 @@ _SYSTEM_CACHE_SIZE = 256
 # per spectrum
 _BASIS_CACHE_SIZE = 512
 _ANCHOR_TOL = 1e-9
+RECURRENCE_TOL = 1e-9  # check_recurrence's residual limit, relative
 # largest held-out relative prediction error (``prediction_error``) a fit
 # may show and still count as confirmed
 PREDICTION_TOL = 1e-6
@@ -87,12 +88,6 @@ class ComplexTerm:
 class ClosedForm:
     real_terms: tuple[RealTerm, ...]
     complex_terms: tuple[ComplexTerm, ...]
-
-    @property
-    def parameter_count(self) -> int:
-        return sum(len(t.coeffs) for t in self.real_terms) + sum(
-            len(t.cos_poly) + len(t.sin_poly) for t in self.complex_terms
-        )
 
     def to_json(self) -> dict:
         return {
@@ -223,10 +218,9 @@ def _contiguous_values(orbit: Orbit) -> np.ndarray:
     return pts[lo:hi].copy()
 
 
-def check_recurrence(
-    orbit: Orbit, coeffs: Polynomial, tol: float = 1e-9
-) -> RecurrenceReport:
-    """Max residual of ``sum_i a_i x_{m+i}`` over all admissible windows.
+def check_recurrence(orbit: Orbit, coeffs: Polynomial) -> RecurrenceReport:
+    """Max residual of ``sum_i a_i x_{m+i}`` over all admissible windows,
+    passing at ``RECURRENCE_TOL`` relative to the coefficients and orbit.
 
     The windows ``x_m..x_{m+deg}`` are gathered as the rows of one array
     and multiplied by the coefficients at once; each row's products are
@@ -244,7 +238,7 @@ def check_recurrence(
     residuals = np.array([math.fsum(row) for row in products.tolist()])
     scale = coeffs.inf_norm * (1.0 + float(np.abs(vals).max()))
     max_resid = float(np.abs(residuals).max())
-    return RecurrenceReport(max_resid, max_resid <= tol * scale, windows)
+    return RecurrenceReport(max_resid, max_resid <= RECURRENCE_TOL * scale, windows)
 
 
 def single_regime(sol: Solution, orbit: Orbit) -> bool:

@@ -120,13 +120,11 @@ def _contains_array(domain: Interval, vals: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _grid_ends(
-    domain: Interval, samples: int, half_width: float = 10.0
-) -> tuple[float, float]:
-    """First and last point of ``sample_grid(domain, samples, half_width)``."""
+def _grid_ends(domain: Interval, samples: int) -> tuple[float, float]:
+    """First and last point of ``sample_grid(domain, samples)``."""
     if samples < 1:
         raise DomainError("need at least one sample")
-    lo, hi = domain.window(half_width)
+    lo, hi = domain.window()
     width = hi - lo
     off = 1e-6 * width
     if not domain.lo_closed or domain.lo < lo:
@@ -166,12 +164,12 @@ def _grid_points(lo: float, hi: float, samples: int, start: int, stop: int) -> n
     return xs
 
 
-def sample_grid(domain: Interval, samples: int, half_width: float = 10.0) -> np.ndarray:
-    """Uniform grid over the domain clipped to ``[-half_width, half_width]``.
+def sample_grid(domain: Interval, samples: int) -> np.ndarray:
+    """Uniform grid over the domain's sampling window (``Interval.window``).
 
     Open endpoints are offset inward by 1e-6 of the window width.
     """
-    lo, hi = _grid_ends(domain, samples, half_width)
+    lo, hi = _grid_ends(domain, samples)
     return _grid_points(lo, hi, samples, 0, samples)
 
 

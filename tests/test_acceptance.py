@@ -56,9 +56,9 @@ def test_root_table_times_uncached_analysis(monkeypatch):
         analyze_roots(prob)
     calls = []
 
-    def counted(p, tol):
+    def counted(p):
         calls.append(p)
-        return all_roots(p, tol=tol)
+        return all_roots(p)
 
     monkeypatch.setattr(charpoly, "all_roots", counted)
     assert criterion_1_root_table().passed

@@ -326,7 +326,7 @@ def test_shared_report_is_read_only():
 def test_solver_failures_are_not_cached(monkeypatch):
     from itereq import charpoly
 
-    def fail(p, tol):
+    def fail(p):
         raise NonConvergence("synthetic")
 
     prob = CharProblem(9, 4)
@@ -376,8 +376,8 @@ def _patched_estimates(monkeypatch, edit):
 
     real_all_roots = charpoly.all_roots
 
-    def patched(p, tol):
-        return edit(real_all_roots(p, tol=tol))
+    def patched(p):
+        return edit(real_all_roots(p))
 
     monkeypatch.setattr(charpoly, "all_roots", patched)
 

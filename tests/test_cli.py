@@ -672,8 +672,8 @@ def test_analyze_overlapping_inclusion_disks_exit_4(monkeypatch, capsys):
 
     real_all_roots = charpoly.all_roots
 
-    def double_root(p, tol):
-        return real_all_roots(Polynomial((1.0, -2.0, 1.0)), tol=tol)
+    def double_root(p):
+        return real_all_roots(Polynomial((1.0, -2.0, 1.0)))
 
     monkeypatch.setattr(charpoly, "all_roots", double_root)
     code, _, err = run_cli(capsys, "analyze", "--n", "3", "--k", "1")
@@ -687,8 +687,8 @@ def test_analyze_two_real_estimates_in_a_bracket_exit_1(monkeypatch, capsys):
 
     real_all_roots = charpoly.all_roots
 
-    def doubled(p, tol):
-        return real_all_roots(p, tol=tol) + [ComplexRoot(0.5, 0.0)]
+    def doubled(p):
+        return real_all_roots(p) + [ComplexRoot(0.5, 0.0)]
 
     monkeypatch.setattr(charpoly, "all_roots", doubled)
     code, _, err = run_cli(capsys, "analyze", "--n", "3", "--k", "1")

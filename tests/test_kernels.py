@@ -17,11 +17,20 @@ def test_bisect_paths_agree():
     )
 
 
+def _primed(coeffs, z0):
+    """The first-sweep values ``all_roots`` hands ``dk_sweeps``."""
+    diff = z0[:, None] - z0[None, :]
+    return (
+        _kernels.horner_scaled_bound(coeffs, z0),
+        _kernels.dk_denominators(coeffs, z0, diff),
+    )
+
+
 def test_dk_paths_find_same_roots():
     # sweeps from rough real starts and the companion-eigenvalue path agree
     arr = np.asarray([-6.0, 11.0, -6.0, 1.0])  # (r-1)(r-2)(r-3)
-    z0 = np.asarray([0.6, 2.3, 3.4])
-    z, (h, s, _), _ = _kernels.dk_sweeps(arr, z0, 1e-13, 1e-15)
+    z0 = np.asarray([0.6, 2.3, 3.4], dtype=np.complex128)
+    z, (h, s, _), _ = _kernels.dk_sweeps(arr, z0, 1e-13, _primed(arr, z0))
     assert sorted(np.round(z.real, 8)) == [1.0, 2.0, 3.0]
     assert s == 1.0 and np.max(np.abs(h)) <= 1e-12
     roots = all_roots(Polynomial(tuple(arr)))
@@ -69,18 +78,6 @@ def _bits(values):
     return [np.asarray(v).tobytes() for v in values]
 
 
-def test_dk_sweeps_first_step_from_the_caller_is_bit_identical():
-    arr = np.asarray([-6.0, 11.0, -6.0, 1.0])  # (r-1)(r-2)(r-3)
-    z0 = np.asarray([0.9, 2.2, 3.1], dtype=np.complex128)
-    diff = z0[:, None] - z0[None, :]
-    first = (_kernels.horner_scaled_bound(arr, z0), _kernels.dk_denominators(arr, z0, diff))
-    plain = _kernels.dk_sweeps(arr, z0, 1e-13, 1e-15)
-    given = _kernels.dk_sweeps(arr, z0, 1e-13, 1e-15, first)
-    assert np.array_equal(plain[0], given[0]) and plain[2] == given[2] > 1
-    assert _bits(plain[1]) == _bits(given[1])
-    assert z0.tolist() == [0.9, 2.2, 3.1]
-
-
 def test_scaled_horner_is_horner_vec_within_the_direct_range():
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=12)
@@ -105,7 +102,7 @@ def test_dk_sweeps_polish_a_root_beyond_the_float_range_of_its_powers():
     arr = np.asarray([1e120, 1.5e120 - 1.0, -1e120 - 1.5, 1.0])
     z0 = np.asarray([1e120 * (1 + 1e-9), 2.000001, -0.4999], dtype=np.complex128)
     with np.errstate(over="raise"):
-        z, (h, s, _), _ = _kernels.dk_sweeps(arr, z0, 0.0, 1e-15)
+        z, (h, s, _), _ = _kernels.dk_sweeps(arr, z0, 0.0, _primed(arr, z0))
     assert sorted(z.real) == pytest.approx([-0.5, 2.0, 1e120], rel=1e-12)
     assert np.all(z.imag == 0.0)
     with np.errstate(divide="ignore"):
@@ -160,7 +157,7 @@ def test_dk_sweeps_keep_pairs_exact_after_every_correction(monkeypatch):
         return fused(c, z)
 
     monkeypatch.setattr(_kernels, "horner_scaled_bound", watched)
-    z, values, sweeps = _kernels.dk_sweeps(arr, z0, 1e-13, 1e-15)
+    z, values, sweeps = _kernels.dk_sweeps(arr, z0, 1e-13, _primed(arr, z0))
     assert sweeps >= 3 and len(seen) == sweeps
     for w in seen:
         assert np.all(w[:2].imag == 0.0)

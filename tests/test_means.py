@@ -166,6 +166,7 @@ def test_internality(values, kind):
         (0.1, [1e-300, 2e-300], "phi underflows"),  # returned 0.0
         (0.1, [1e300, 2e300], "overflows"),  # raised a bare OverflowError
         (-0.1, [1e300, 2e300], "phi underflows"),  # returned inf
+        (0.1, [1e-40, 1e-31], "phi underflows"),  # phi sum 1e-310 < 2 * 2**-1022
     ],
 )
 def test_mean_out_of_double_range_is_a_domain_error(p, values, what):
@@ -173,6 +174,22 @@ def test_mean_out_of_double_range_is_a_domain_error(p, values, what):
         qa_mean(Generator("power", POS, p=p), values)
     message = str(info.value)
     assert repr(values) in message and f"'p': {p!r}" in message
+
+
+@pytest.mark.parametrize(
+    "p, values, want",
+    [
+        (0.1, [1e-40, 1.0], 0.9330329915368074),
+        (-0.1, [1e40, 1.0], 1.0717734625362931),
+        (0.1, [1e-40, 1e-30], 9.330329915368039e-31),  # phi sum 1e-300
+    ],
+)
+def test_an_underflow_the_mean_outweighs_keeps_the_formula_value(p, values, want):
+    # phi sends 1e-40 (p = 0.1) or 1e40 (p = -0.1) to 0, beside a phi sum
+    # above len(values) * 2**-1022: the lost value cannot move the mean
+    gen = Generator("power", POS, p=p)
+    assert qa_mean(gen, values) == want
+    assert qa_mean_rows(gen, np.asarray(values)[:, None])[0] == want
 
 
 def _plain_mean(gen, values):
@@ -218,13 +235,13 @@ def test_mean_keeps_the_formula_bits_and_clamps_rounding(values, kind):
 
 def _mean_column_by_loop(rows, anchor, j):
     """The arithmetic ``qa_mean_rows`` at column j, in Python floats: the
-    deviations from the anchor row added in row order."""
+    deviations from the anchor row added in row order, then added to it."""
     base = float(rows[anchor, j])
     dev = float(rows[0, j]) - base
     for i in range(1, len(rows)):
         dev += float(rows[i, j]) - base
     dev /= len(rows)
-    return base if dev == 0.0 else base + dev
+    return base + dev
 
 
 @st.composite

@@ -309,10 +309,10 @@ def test_all_roots_evaluates_once_per_correction_plus_once(monkeypatch, correcti
         passes.append(z.copy())
         return fused(c, z)
 
-    def one_correction(coeffs, z0, resid_tol, step_tol, first):
+    def one_correction(coeffs, z0, resid_tol, first):
         # a residual check that always fails, and room for one sweep
         monkeypatch.setattr(_kernels, "DK_MAX_SWEEPS", 1)
-        return sweeps(coeffs, z0, -1.0, step_tol, first)
+        return sweeps(coeffs, z0, -1.0, first)
 
     monkeypatch.setattr(_kernels, "horner_scaled_bound", counted)
     if corrections:

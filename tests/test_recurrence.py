@@ -250,7 +250,8 @@ def test_closed_form_json_shape():
         iterate(Affine(REAL_LINE, -2.0, 0.0), 1.0, 0, 10),
         analyze_roots(CharProblem(2, 0)),
     )
-    assert cf41.parameter_count == 2
+    assert [len(t.coeffs) for t in cf41.real_terms] == [1, 1]
+    assert not cf41.complex_terms
 
 
 def test_complex_terms_json_shape():

@@ -3,7 +3,9 @@
 Each reported real root other than 1 is compared with the root of the
 exact integer polynomial ``p / (r - 1)^m`` in the same bracket, found by
 bisection in 40-digit arithmetic.  For small n the whole spectrum is also
-compared with ``mpmath.polyroots`` at 50 digits.
+compared with ``mpmath.polyroots`` at 50 digits.  Reciprocity needs no
+reference: the polynomial of (n, n-k) is that of (n, k) reversed, so each
+root of one is the reciprocal of a root of the other.
 """
 
 import mpmath as mp
@@ -90,6 +92,26 @@ def test_spectrum_matches_50_digit_polyroots(n, k):
         ref = min(refs, key=lambda w: abs(w - z))
         refs.remove(ref)
         assert abs(z - ref) <= REL_TOL * abs(ref), (z, ref)
+
+
+def spectrum(prob: CharProblem) -> list[complex]:
+    """Every reported root, repeated by multiplicity."""
+    report = analyze_roots(prob)
+    found = [complex(r.value) for r in report.real_roots for _ in range(r.multiplicity)]
+    found += [z.as_complex() for z in report.complex_roots for _ in range(z.multiplicity)]
+    return found
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_roots_are_reciprocals_of_the_reversed_problem_roots(n):
+    for k in range(n + 1):
+        found = spectrum(CharProblem(n, k))
+        refs = [1.0 / w for w in spectrum(CharProblem(n, n - k))]
+        assert len(found) == len(refs) == n
+        for z in found:
+            ref = min(refs, key=lambda w: abs(w - z))
+            refs.remove(ref)
+            assert abs(z - ref) <= REL_TOL * abs(z), (k, z, ref)
 
 
 @pytest.mark.parametrize("n", [150, 151, 171, 191, 200])

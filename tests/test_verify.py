@@ -178,6 +178,42 @@ def test_identity_passes_any_problem_with_zero_residual():
         assert report.points_escaped == 0
 
 
+def _row_mean_keeping_the_anchor(gen, rows, anchor=0):
+    """The identity row mean that takes the anchor row wherever the mean
+    deviation is 0, signed zeros included."""
+    base = rows[anchor]
+    dev = rows[0] - base
+    for row in rows[1:]:
+        dev += row - base
+    dev /= rows.shape[0]
+    return np.where(dev == 0.0, base, base + dev)
+
+
+@pytest.mark.parametrize("samples", [1, 1001])
+@pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 3)])
+def test_signed_zero_anchor_rows_leave_the_residual_bits_unchanged(
+    monkeypatch, samples, n, k
+):
+    # f(x) = -x - 0.0 maps the grid point 0.0 to -0.0 and back, so on that
+    # column the rows alternate 0.0 and -0.0: where the anchor row holds
+    # -0.0 the mean reads 0.0, and the residual's sign of zero flips
+    s = Affine(Interval(-1.0, 1.0, True, True), -1.0, -0.0)
+    report = verify_mean(s, CharProblem(n, k), samples)
+    anchors = []
+
+    def recorded(gen, rows, anchor):
+        anchors.append(rows[anchor].copy())
+        return _row_mean_keeping_the_anchor(gen, rows, anchor)
+
+    monkeypatch.setattr(verify_module, "qa_mean_rows", recorded)
+    before = verify_mean(s, CharProblem(n, k), samples)
+    zeros = np.concatenate(anchors)
+    zeros = zeros[zeros == 0.0]
+    assert zeros.size == 1 and bool(np.signbit(zeros[0])) == bool(k % 2)
+    assert report.max_residual.hex() == before.max_residual.hex()
+    assert report == before
+
+
 def test_affine_minus_two_solves_k0_n2():
     # (f(x) + f(f(x)))/2 = x for f(x) = -2x + 5
     report = verify_mean(Affine(REAL_LINE, -2.0, 5.0), CharProblem(2, 0))
