@@ -18,7 +18,6 @@ from .charpoly import (
     classify,
     derivative_factor,
     report_matches_expectation,
-    separation_applies,
 )
 from .errors import (
     BadAnchor,
@@ -28,7 +27,6 @@ from .errors import (
     DomainMismatch,
     ItereqError,
     NonConvergence,
-    NoSignChange,
     NotAnInvolution,
     NotInvertible,
     NotSurjective,
@@ -60,10 +58,7 @@ from .poly import (
     ComplexRoot,
     Polynomial,
     all_roots,
-    bisect_root,
-    deflate,
     evaluate,
-    multiply_linear,
 )
 from .recurrence import (
     ClosedForm,

@@ -7,7 +7,7 @@ Horner kernel of root finding: it gives ``p(z_i)`` and the bound on its
 rounding error in one pass, safe from overflow at any modulus, and the
 inclusion disks, every sweep and the residual test of ``poly.all_roots``
 read their values from it.  ``horner`` and ``horner_vec`` evaluate at
-one point and over an array; ``bisect_loop`` serves ``poly.bisect_root``.
+one point and over an array.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ import numpy as np
 # recorded by the benchmark's environment block; there is no jitted path
 USING_NUMBA = False
 
-# Bisection/DK iteration caps.  60 halvings shrink any O(10^2) bracket below
-# 1e-15; the caps only guard against cycling on pathological input.
-BISECT_MAX_ITER = 240
+# Durand-Kerner sweep cap; it only guards against cycling on pathological input.
 DK_MAX_SWEEPS = 1200
 DK_STEP_TOL = 1e-15  # DK stops once every update is below this * (1 + max |z_i|)
 # log2 of the largest |z|^n at which a degree-n polynomial is evaluated
@@ -116,29 +114,8 @@ def dk_denominators(coeffs: np.ndarray, z: np.ndarray, diff: np.ndarray) -> np.n
     return coeffs[-1] * np.prod(diff, axis=1)
 
 
-def bisect_loop(
-    coeffs: np.ndarray, lo: float, hi: float, flo: float, xtol: float,
-) -> tuple[float, float, float, int]:
-    """Shrink ``[lo, hi]`` (which brackets a sign change) to width <= xtol.
-
-    Returns ``(mid, lo, hi, iterations)``; the final ``[lo, hi]`` still
-    brackets the sign change.
-    """
-    it = 0
-    desc = coeffs[::-1].tolist()
-    while hi - lo > xtol and it < BISECT_MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket at rounding resolution
-            break
-        fm = 0.0
-        for c in desc:
-            fm = fm * mid + c
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        it += 1
-    return 0.5 * (lo + hi), lo, hi, it
+# a placeholder the benchmark's tracer wraps; see the note in ``charpoly``
+bisect_loop = None
 
 
 def dk_sweeps(

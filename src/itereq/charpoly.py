@@ -23,20 +23,13 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .errors import BracketFailure, DomainError, NonConvergence, RootMismatch
-# ``bisect_root``, ``newton_polish`` and ``deflate`` are no longer called
-# here; they stay attributes of this module because ``perfbench/tracer.py``
-# wraps the root-finding layers under the names this module holds.
-from .poly import (  # noqa: F401
-    ComplexRoot,
-    Polynomial,
-    all_roots,
-    bisect_root,
-    deflate,
-    evaluate,
-    newton_polish,
-)
+from .poly import ComplexRoot, Polynomial, all_roots, evaluate
 
-NOT_APPLICABLE = None
+# ``perfbench/tracer.py`` wraps these three names and ``_kernels.bisect_loop``,
+# which name root finders the package no longer has; nothing calls them.  They
+# go, with their per-layer metrics, in the benchmark change of ROADMAP item 1.
+bisect_root = newton_polish = deflate = None
+
 # Half-width of the interval around each real root on which the deflated
 # polynomial must change sign.
 _BISECT_WIDTH = 1e-10
@@ -278,11 +271,6 @@ def classify(prob: CharProblem) -> CaseAnalysis:
     )
 
 
-def separation_applies(prob: CharProblem) -> bool:
-    """Modulus separation is asserted only when k or n is odd."""
-    return prob.k % 2 == 1 or prob.n % 2 == 1
-
-
 def _exact_sign(p: Polynomial, x: float) -> int:
     """Sign of ``p(x)`` in exact arithmetic, for integer coefficients and integer ``x``."""
     xi = int(x)
@@ -404,7 +392,9 @@ def analyze_roots(prob: CharProblem) -> RootReport:
     )
     bound_ok = max_mod < bound
 
-    if separation_applies(prob):
+    if prob.both_even:  # modulus separation is claimed only when k or n is odd
+        gap = None
+    else:
         gaps = [
             abs(z.modulus - abs(r.value))
             for z in complex_roots
@@ -412,8 +402,6 @@ def analyze_roots(prob: CharProblem) -> RootReport:
             for r in real_records
         ]
         gap = min(gaps) if gaps else math.inf
-    else:
-        gap = NOT_APPLICABLE
 
     return RootReport(
         problem=prob,

@@ -14,11 +14,8 @@ class DomainMismatch(ItereqError):
 
 
 class RootMismatch(ItereqError):
-    """Synthetic division was asked to remove a value that is not a root."""
-
-
-class NoSignChange(ItereqError):
-    """A bisection bracket does not straddle a sign change."""
+    """Exact division by ``r - 1`` met a nonzero remainder: 1 is not a root
+    of the polynomial to the multiplicity asked for (``charpoly._divide_out_one``)."""
 
 
 class NonConvergence(ItereqError):

@@ -1,14 +1,11 @@
-"""Real-coefficient polynomials: evaluation, division, and root finding.
+"""Real-coefficient polynomials: evaluation and root finding.
 
 Coefficients are stored in ascending order (constant term first), matching
 the characteristic form ``sum_i a_i r^i``.  A ``Polynomial`` computes its
 float64 array, its descending coefficients and its coefficient norm once.
 ``all_roots`` gives the whole spectrum of a polynomial with simple roots:
 companion-matrix eigenvalues, checked by Weierstrass inclusion disks and
-polished by Durand-Kerner sweeps.  ``bisect_root`` and ``newton_polish``
-isolate and sharpen a single real root in a known bracket; nothing in the
-package calls them, and they are kept because the benchmark's tracer
-(``perfbench/tracer.py``) wraps them by name.
+polished by Durand-Kerner sweeps.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import NonConvergence, NoSignChange, RootMismatch
+from .errors import NonConvergence
 
 ROOT_RESIDUAL_TOL = 1e-12  # relative residual limit of every root (all_roots)
 
@@ -68,14 +65,6 @@ class Polynomial:
     def __call__(self, x):
         return evaluate(self, x)
 
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial((0.0,))
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
-    def scaled(self, factor: float) -> "Polynomial":
-        return Polynomial(tuple(factor * c for c in self.coeffs))
-
     def __str__(self) -> str:
         terms = [f"{c:+g}*r^{i}" for i, c in enumerate(self.coeffs) if c != 0.0]
         return " ".join(terms) if terms else "0"
@@ -115,119 +104,6 @@ def evaluate(p: Polynomial, x):
     if isinstance(x, np.ndarray):
         return _kernels.horner_vec(p.as_array(), np.asarray(x, dtype=np.float64))
     return _kernels.horner(p._desc, float(x))
-
-
-def multiply_linear(p: Polynomial, root_shift: float) -> Polynomial:
-    """Return ``p(r) * (r - root_shift)``; the degree grows by one."""
-    cs = p.coeffs
-    out = [0.0] * (len(cs) + 1)
-    for i, c in enumerate(cs):
-        out[i + 1] += c
-        out[i] -= root_shift * c
-    return Polynomial(tuple(out))
-
-
-def eval_condition_scale(p: Polynomial, x: float) -> float:
-    """``sum |c_i| |x|^i``: the magnitude against which p(x) can be resolved.
-
-    Horner's rounding error is a small multiple of eps times this sum, so
-    residual tolerances at points of large modulus must be read relative
-    to it, not to the coefficient norm.
-    """
-    ax = abs(x)
-    total = 0.0
-    power = 1.0
-    for c in p.coeffs:
-        total += abs(c) * power
-        power *= ax
-    return total
-
-
-def deflate(p: Polynomial, root: float, tol: float = 1e-9) -> Polynomial:
-    """Divide out ``(r - root)`` by synthetic division.
-
-    Requires the remainder ``p(root)`` to be small: at most ``tol`` times
-    the larger of the coefficient norm and the evaluation magnitude
-    ``sum |c_i| |root|^i`` (the best resolution double precision offers
-    at the point); raises :class:`RootMismatch` otherwise.  Division runs
-    from the leading coefficient for ``|root| <= 1`` and from the
-    constant term otherwise, which keeps the quotient stable for roots
-    of any modulus.
-    """
-    scale = max(p.inf_norm, eval_condition_scale(p, root))
-    remainder = evaluate(p, root)
-    if abs(remainder) > tol * scale:
-        raise RootMismatch(
-            f"{root!r} is not a root: remainder {remainder:.3e} exceeds "
-            f"{tol:.1e} * {scale:.3e}"
-        )
-    cs = p.coeffs
-    if len(cs) == 1:
-        raise RootMismatch("cannot deflate a constant polynomial")
-    out = [0.0] * (len(cs) - 1)
-    if abs(root) <= 1.0:
-        acc = 0.0
-        for i in range(len(cs) - 1, 0, -1):
-            acc = acc * root + cs[i]
-            out[i - 1] = acc
-    else:
-        out[0] = -cs[0] / root
-        for i in range(1, len(cs) - 1):
-            out[i] = (out[i - 1] - cs[i]) / root
-    return Polynomial(tuple(out))
-
-
-def bisect_root(
-    p: Polynomial,
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-) -> float:
-    """Locate the sign-change point of ``p`` inside ``[lo, hi]``.
-
-    The endpoints must straddle a sign change (:class:`NoSignChange`
-    otherwise).  The result ``r`` satisfies ``|r - root| <= tol`` and the
-    sign change is re-confirmed on ``[r - tol, r + tol]``;
-    :class:`NonConvergence` is raised if the iteration budget runs out
-    before the bracket narrows to ``tol``.
-    """
-    if not lo < hi:
-        raise NoSignChange(f"empty bracket [{lo}, {hi}]")
-    flo = evaluate(p, lo)
-    fhi = evaluate(p, hi)
-    if flo * fhi >= 0.0:
-        raise NoSignChange(
-            f"no sign change on [{lo}, {hi}]: p(lo)={flo:.3e}, p(hi)={fhi:.3e}"
-        )
-    mid, blo, bhi, _ = _kernels.bisect_loop(p.as_array(), lo, hi, flo, tol)
-    if bhi - blo > max(tol, 4.0 * np.spacing(max(abs(blo), abs(bhi)))):
-        raise NonConvergence(
-            f"bisection stalled at width {bhi - blo:.3e} > tol {tol:.1e}",
-            best_residual=abs(evaluate(p, mid)),
-        )
-    # confirm the sign change survives inside [r - tol, r + tol]
-    a, b = max(lo, mid - tol), min(hi, mid + tol)
-    if evaluate(p, a) * evaluate(p, b) > 0.0 and evaluate(p, blo) * evaluate(p, bhi) > 0.0:
-        raise NonConvergence(
-            f"sign change not confirmed within {tol:.1e} of {mid!r}",
-            best_residual=abs(evaluate(p, mid)),
-        )
-    return mid
-
-
-def newton_polish(p: Polynomial, x: float, steps: int = 3) -> float:
-    """A few guarded Newton steps to sharpen an already-isolated root."""
-    dp = p.derivative()
-    best_x, best_f = x, abs(evaluate(p, x))
-    for _ in range(steps):
-        d = evaluate(dp, x)
-        if d == 0.0:
-            break
-        x = x - evaluate(p, x) / d
-        fx = abs(evaluate(p, x))
-        if fx < best_f:
-            best_x, best_f = x, fx
-    return best_x
 
 
 def _companion_eigenvalues(c: np.ndarray) -> np.ndarray:

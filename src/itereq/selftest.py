@@ -271,7 +271,8 @@ def _fit_cases() -> list[tuple[str, Solution, CharProblem, float]]:
 def criterion_7_recurrence() -> CriterionResult:
     """Closed-form fits reproduce anchors and predict to index 30."""
     failures = []
-    for name, sol, prob, x0 in _fit_cases():
+    cases = _fit_cases()
+    for name, sol, prob, x0 in cases:
         orbit = iterate(sol, x0, 0, 30)
         spectrum = analyze_roots(prob)
         cf = fit_closed_form(orbit, spectrum, regime_of=sol)
@@ -285,7 +286,7 @@ def criterion_7_recurrence() -> CriterionResult:
         if anchor_err > ANCHOR_TOL * anchor_scale or pred_err > PREDICTION_TOL:
             failures.append((name, anchor_err, pred_err))
     passed = not failures
-    details = f"{len(_fit_cases())} fits, anchors to 1e-10, predictions to 1e-6"
+    details = f"{len(cases)} fits, anchors to 1e-10, predictions to 1e-6"
     if failures:
         details = f"failures: {failures[:3]}"
     return CriterionResult(7, "recurrence closed forms", passed, details)

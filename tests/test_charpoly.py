@@ -15,10 +15,9 @@ from itereq.charpoly import (
     classify,
     derivative_factor,
     report_matches_expectation,
-    separation_applies,
 )
 from itereq.errors import BracketFailure, DomainError, NonConvergence
-from itereq.poly import ComplexRoot, Polynomial, deflate, evaluate
+from itereq.poly import ComplexRoot, Polynomial, evaluate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -26,6 +25,19 @@ SQRT2 = math.sqrt(2.0)
 # of r^3+2r^2+3r-1 in (0,1) and the modulus of the leftover conjugate pair
 CUBIC_ROOT = 0.27568220365098495
 QUARTIC_PAIR_MODULUS = 1.9045642768654023
+
+
+
+
+def _ints(p: Polynomial) -> list[int]:
+    """The coefficients of ``p`` as Python ints; each must be integral."""
+    assert all(c == int(c) for c in p.coeffs)
+    return [int(c) for c in p.coeffs]
+
+
+def _times_r_minus_one(cs: list[int]) -> list[int]:
+    """``sum_i c_i r^i * (r - 1)`` in integer arithmetic, ascending."""
+    return [b - a for a, b in zip(cs + [0], [0] + cs)]
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +94,12 @@ def test_lifted_vanishes_at_one_everywhere():
 
 
 def test_lifted_equals_char_times_linear():
-    from itereq.poly import multiply_linear
-
+    # lifted(r) == -p(r) * (r - 1), the product taken in integers
     for n in range(2, 10):
         for k in range(1, n):
             prob = CharProblem(n, k)
-            lifted = char_poly_lifted(prob)
-            shifted = multiply_linear(build_char_poly(prob).scaled(-1.0), 1.0)
-            assert lifted.coeffs == shifted.coeffs
+            negated = [-c for c in _ints(build_char_poly(prob))]
+            assert _ints(char_poly_lifted(prob)) == _times_r_minus_one(negated)
 
 
 def test_derivative_factor_substitution():
@@ -98,18 +108,15 @@ def test_derivative_factor_substitution():
 
 
 def test_derivative_identity_exact():
-    # lifted'(r) == (n+1) * r^(k-1) * factor(r), coefficient by coefficient
+    # lifted'(r) == (n+1) * r^(k-1) * factor(r), coefficient by coefficient,
+    # both sides in integers
     for n in range(2, 13):
         for k in range(1, n):
             prob = CharProblem(n, k)
-            lhs = char_poly_lifted(prob).derivative().coeffs
-            factor = derivative_factor(prob).coeffs
-            rhs = [0.0] * (len(factor) + k - 1)
-            for i, c in enumerate(factor):
-                rhs[i + k - 1] = (n + 1) * c
-            while len(rhs) > 1 and rhs[-1] == 0.0:
-                rhs.pop()
-            assert list(lhs) == rhs
+            lifted = _ints(char_poly_lifted(prob))
+            lhs = [i * c for i, c in enumerate(lifted)][1:]
+            rhs = [0] * (k - 1) + [(n + 1) * c for c in _ints(derivative_factor(prob))]
+            assert lhs == rhs
 
 
 def test_lifted_domain_guard():
@@ -205,12 +212,13 @@ def test_r_min_is_one_iff_n_equals_2k():
 
 
 def test_separation_applicability():
-    assert separation_applies(CharProblem(3, 1))
-    assert separation_applies(CharProblem(4, 1))
-    assert separation_applies(CharProblem(3, 2))
-    assert not separation_applies(CharProblem(4, 2))
-    assert not separation_applies(CharProblem(4, 0))
-    assert not separation_applies(CharProblem(4, 4))
+    # modulus separation is claimed unless k and n are both even
+    assert not CharProblem(3, 1).both_even
+    assert not CharProblem(4, 1).both_even
+    assert not CharProblem(3, 2).both_even
+    assert CharProblem(4, 2).both_even
+    assert CharProblem(4, 0).both_even
+    assert CharProblem(4, 4).both_even
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +450,7 @@ def test_bracket_end_signs_are_exact_past_the_float_range(monkeypatch, n):
 
     prob = CharProblem(n, 0)  # K0 with n even: a root in (-(2n+1), -1)
     end = -(2 * n + 1)
-    work = deflate(build_char_poly(prob), 1.0)
+    work = charpoly._divide_out_one(build_char_poly(prob), 1)
     # p(r) = n - r - ... - r^n, and work = p / (r - 1) with end - 1 < 0
     p_end = n - sum(end**i for i in range(1, n + 1))
     assert charpoly._exact_sign(work, float(end)) == (-1 if p_end > 0 else 1)
@@ -471,9 +479,9 @@ def test_bracket_end_signs_are_exact_past_the_float_range(monkeypatch, n):
 @pytest.mark.parametrize("n, k", [(150, 149), (151, 150), (200, 199)])
 @pytest.mark.parametrize("x", [-12.5, 12.5, 149.75])
 def test_signed_value_past_the_direct_range_has_the_exact_sign(n, k, x):
-    from itereq.charpoly import _signed_value
+    from itereq.charpoly import _divide_out_one, _signed_value
 
-    work = deflate(build_char_poly(CharProblem(n, k)), 1.0)
+    work = _divide_out_one(build_char_poly(CharProblem(n, k)), 1)
     exact = sum(Fraction(c) * Fraction(x) ** i for i, c in enumerate(work.coeffs))
     value = _signed_value(work, x)
     assert math.isfinite(value) and (value > 0) == (exact > 0) and exact != 0
@@ -500,17 +508,20 @@ def test_sign_checks_near_a_root_of_size_n_stay_finite(monkeypatch, n):
 
 
 def test_integer_quotient_is_the_float_deflation_bit_for_bit():
+    # exact oracle: the quotient times (r - 1)^m, multiplied back in
+    # integers, is the characteristic polynomial coefficient for coefficient
     from itereq.charpoly import _divide_out_one
 
     for n in range(2, 81):
         for k in range(n + 1):
             prob = CharProblem(n, k)
             mult = classify(prob).expected_real_roots[0].multiplicity
-            work = build_char_poly(prob)
+            quotient = _divide_out_one(build_char_poly(prob), mult)
+            assert quotient.degree == n - mult
+            product = _ints(quotient)
             for _ in range(mult):
-                work = deflate(work, 1.0, tol=1e-7)
-            exact = _divide_out_one(build_char_poly(prob), mult)
-            assert exact.coeffs == work.coeffs and exact.degree == n - mult
+                product = _times_r_minus_one(product)
+            assert product == _ints(build_char_poly(prob))
 
 
 def test_integer_quotient_needs_a_zero_remainder():

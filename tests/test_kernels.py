@@ -4,17 +4,7 @@ import numpy as np
 import pytest
 
 from itereq import _kernels
-from itereq.poly import Polynomial, all_roots, bisect_root
-
-
-def test_bisect_paths_agree():
-    arr = np.asarray([-1.0, 0.0, 1.0])  # r^2 - 1
-    mid, lo, hi, _ = _kernels.bisect_loop(arr, 0.0, 2.0, -1.0, 1e-12)
-    assert mid == pytest.approx(1.0, abs=1e-11)
-    assert lo <= 1.0 <= hi
-    assert bisect_root(Polynomial(tuple(arr)), 0.0, 2.0, tol=1e-12) == pytest.approx(
-        mid, abs=1e-11
-    )
+from itereq.poly import Polynomial, all_roots
 
 
 def _primed(coeffs, z0):

@@ -7,16 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from itereq import _kernels
-from itereq.errors import NonConvergence, NoSignChange, RootMismatch
-from itereq.poly import (
-    ComplexRoot,
-    Polynomial,
-    all_roots,
-    bisect_root,
-    deflate,
-    evaluate,
-    multiply_linear,
-)
+from itereq.errors import NonConvergence
+from itereq.poly import ComplexRoot, Polynomial, all_roots, evaluate
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -114,127 +106,6 @@ def test_horner_agrees_with_naive_power_sum(coeffs, x):
     scale = sum(abs(c) * abs(x) ** i for i, c in enumerate(p.coeffs))
     diff = abs(evaluate(p, x) - naive_eval(p.coeffs, x))
     assert diff <= 8 * np.finfo(float).eps * max(scale, 1e-300)
-
-
-# ---------------------------------------------------------------------------
-# multiply_linear
-# ---------------------------------------------------------------------------
-
-
-def test_multiply_linear_k0_char_poly():
-    # (r - 1) * (r^2 + r - 2) = r^3 - 3r + 2
-    p = Polynomial((-2.0, 1.0, 1.0))
-    assert multiply_linear(p, 1.0).coeffs == (2.0, -3.0, 0.0, 1.0)
-
-
-def test_multiply_linear_constant_by_zero_shift():
-    assert multiply_linear(Polynomial((1.0,)), 0.0).coeffs == (0.0, 1.0)
-
-
-def test_multiply_linear_kn_char_poly():
-    # (r - 1) * (2r^2 - r - 1) = 2r^3 - 3r^2 + 1
-    p = Polynomial((-1.0, -1.0, 2.0))
-    assert multiply_linear(p, 1.0).coeffs == (1.0, 0.0, -3.0, 2.0)
-
-
-def test_multiply_linear_degree_and_values():
-    p = Polynomial((3.0, -2.0, 1.0))
-    q = multiply_linear(p, 0.7)
-    assert q.degree == p.degree + 1
-    for x in (-2.0, 0.0, 0.7, 1.3):
-        assert evaluate(q, x) == pytest.approx(
-            evaluate(p, x) * (x - 0.7), rel=1e-14, abs=1e-14
-        )
-
-
-# ---------------------------------------------------------------------------
-# deflate
-# ---------------------------------------------------------------------------
-
-
-def test_deflate_cubic_by_one():
-    # r^3 + r^2 - 3r + 1 = (r - 1)(r^2 + 2r - 1);  1 + 1 - 3 + 1 = 0
-    p = Polynomial((1.0, -3.0, 1.0, 1.0))
-    assert deflate(p, 1.0).coeffs == (-1.0, 2.0, 1.0)
-
-
-def test_deflate_quartic_by_one():
-    # r^4 + r^3 + r^2 - 4r + 1 = (r - 1)(r^3 + 2r^2 + 3r - 1)
-    p = Polynomial((1.0, -4.0, 1.0, 1.0, 1.0))
-    assert deflate(p, 1.0).coeffs == (-1.0, 3.0, 2.0, 1.0)
-
-
-def test_deflate_perfect_square():
-    p = Polynomial((1.0, -2.0, 1.0))
-    assert deflate(p, 1.0).coeffs == (-1.0, 1.0)
-
-
-def test_deflate_rejects_non_root():
-    with pytest.raises(RootMismatch):
-        deflate(Polynomial((1.0, 0.0, 1.0)), 1.0, tol=1e-9)
-
-
-@given(
-    st.lists(
-        st.floats(min_value=-5, max_value=5, allow_nan=False).filter(
-            lambda v: abs(v) > 1e-3
-        ),
-        min_size=2,
-        max_size=8,
-    ),
-    st.floats(min_value=-20, max_value=20, allow_nan=False),
-)
-def test_deflate_multiply_round_trip(coeffs, root):
-    base = Polynomial(tuple(coeffs))
-    grown = multiply_linear(base, root)
-    back = deflate(grown, root, tol=1e-9)
-    scale = max(1.0, base.inf_norm)
-    assert back.degree == base.degree
-    for a, b in zip(back.coeffs, base.coeffs):
-        assert abs(a - b) <= 1e-10 * scale
-
-
-# ---------------------------------------------------------------------------
-# bisect_root
-# ---------------------------------------------------------------------------
-
-
-def test_bisect_quadratic_positive_root():
-    p = Polynomial((-1.0, 2.0, 1.0))  # r^2 + 2r - 1
-    assert bisect_root(p, 0.0, 1.0, tol=1e-12) == pytest.approx(
-        SQRT2 - 1.0, abs=1e-11
-    )
-
-
-def test_bisect_quadratic_negative_root():
-    p = Polynomial((-1.0, 2.0, 1.0))
-    assert bisect_root(p, -3.0, -1.0, tol=1e-12) == pytest.approx(
-        -1.0 - SQRT2, abs=1e-11
-    )
-
-
-def test_bisect_cubic_root_matches_oracle():
-    p = Polynomial((-1.0, 3.0, 2.0, 1.0))
-    assert bisect_root(p, 0.0, 1.0, tol=1e-12) == pytest.approx(
-        CUBIC_ROOT, abs=1e-11
-    )
-
-
-def test_bisect_rejects_bracket_without_sign_change():
-    with pytest.raises(NoSignChange):
-        bisect_root(Polynomial((1.0, 0.0, 1.0)), -1.0, 1.0)
-
-
-def test_bisect_refinement_stability():
-    # halving the tolerance moves the result by at most the previous tol
-    p = Polynomial((-1.0, 3.0, 2.0, 1.0))
-    tol = 1e-6
-    prev = bisect_root(p, 0.0, 1.0, tol=tol)
-    for _ in range(12):
-        tol /= 2.0
-        cur = bisect_root(p, 0.0, 1.0, tol=tol)
-        assert abs(cur - prev) <= 2.0 * tol
-        prev = cur
 
 
 # ---------------------------------------------------------------------------
