@@ -210,12 +210,24 @@ def _one(mult: int = 1) -> ExpectedRoot:
     return ExpectedRoot((1.0, 1.0), mult)
 
 
+# Case label of 0 < k < n, keyed on (k % 2, n % 2, sign(n - 2k)).
+_CASE_LABELS = {
+    (1, 0, 0): "C1", (1, 0, -1): "C2", (1, 0, 1): "C3",
+    (1, 1, -1): "C4", (1, 1, 1): "C5",
+    (0, 1, -1): "C6", (0, 1, 1): "C7",
+    (0, 0, 0): "C8", (0, 0, -1): "C9", (0, 0, 1): "C10",
+}
+
+
 def classify(prob: CharProblem) -> CaseAnalysis:
     """Assign the parity case label and its expected real-root brackets.
 
-    The label depends only on the parities of ``k`` and ``n`` and the
-    ordering of ``n`` against ``2k``.  The root 1 has multiplicity 2
-    exactly when ``n = 2k``, and multiplicity 1 otherwise.
+    For ``0 < k < n``, after the root 1, three facts give the layout: the
+    positive root other than 1 lies in ``(0, 1)`` when ``n > 2k`` and in
+    ``(1, 2n+1)`` when ``n < 2k`` (for ``n = 2k`` there is none, and 1 is
+    double); a root in ``(-1, 0)`` exists exactly when k is even; a root in
+    ``(-(2n+1), -1)`` exists exactly when ``n - k`` is even.  The label is
+    keyed on the parities of k and n and the sign of ``n - 2k``.
     """
     n, k = prob.n, prob.k
     big = 2.0 * n + 1.0
@@ -227,8 +239,6 @@ def classify(prob: CharProblem) -> CaseAnalysis:
         r_min = None
         r_max = None
 
-    pos_small = ExpectedRoot((0.0, 1.0), 1)
-    pos_big = ExpectedRoot((1.0, big), 1)
     neg_small = ExpectedRoot((-1.0, 0.0), 1)
     neg_big = ExpectedRoot((-big, -1.0), 1)
 
@@ -243,32 +253,16 @@ def classify(prob: CharProblem) -> CaseAnalysis:
             expected.append(neg_small)
         return CaseAnalysis("KN", None, None, tuple(expected))
 
-    k_odd = k % 2 == 1
-    n_odd = n % 2 == 1
-
-    if k_odd and n == 2 * k:
-        return CaseAnalysis("C1", r_min, r_max, (_one(2),))
-    if k_odd and not n_odd and n < 2 * k:
-        return CaseAnalysis("C2", r_min, r_max, (_one(), pos_big))
-    if k_odd and not n_odd and n > 2 * k:
-        return CaseAnalysis("C3", r_min, r_max, (_one(), pos_small))
-    if k_odd and n_odd and n < 2 * k:
-        return CaseAnalysis("C4", r_min, r_max, (_one(), pos_big, neg_big))
-    if k_odd and n_odd and n > 2 * k:
-        return CaseAnalysis("C5", r_min, r_max, (_one(), pos_small, neg_big))
-    if not k_odd and n_odd and n < 2 * k:
-        return CaseAnalysis("C6", r_min, r_max, (_one(), pos_big, neg_small))
-    if not k_odd and n_odd and n > 2 * k:
-        return CaseAnalysis("C7", r_min, r_max, (_one(), pos_small, neg_small))
-    if not k_odd and n == 2 * k:
-        return CaseAnalysis("C8", r_min, r_max, (_one(2), neg_small, neg_big))
-    if not k_odd and not n_odd and n < 2 * k:
-        return CaseAnalysis(
-            "C9", r_min, r_max, (_one(), pos_big, neg_small, neg_big)
-        )
-    return CaseAnalysis(
-        "C10", r_min, r_max, (_one(), pos_small, neg_small, neg_big)
-    )
+    side = (n > 2 * k) - (n < 2 * k)
+    expected = [_one(2 if side == 0 else 1)]
+    if side:
+        expected.append(ExpectedRoot((0.0, 1.0) if side > 0 else (1.0, big), 1))
+    if k % 2 == 0:
+        expected.append(neg_small)
+    if (n - k) % 2 == 0:
+        expected.append(neg_big)
+    label = _CASE_LABELS[k % 2, n % 2, side]
+    return CaseAnalysis(label, r_min, r_max, tuple(expected))
 
 
 def _exact_sign(p: Polynomial, x: float) -> int:

@@ -10,9 +10,9 @@ fit-recurrence  fit a closed form to an orbit CSV and validate predictions
 selftest        run the full acceptance battery
 
 Exit codes: 0 success/pass, 1 check failure (the claim failed at this
-(n, k)), 2 usage or input error, 3 unsolved regime (both k and n even),
-4 numerical failure (a solver or fit gave up, or the run ran out of
-memory; nothing was refuted).
+(n, k)), 2 usage or input error, 3 unsolved regime (0 < k < n with k and
+n both even), 4 numerical failure (a solver or fit gave up, or the run
+ran out of memory; nothing was refuted).
 
 ``--generator`` takes exactly ``identity``, ``log`` or ``power:P``.
 """

@@ -21,9 +21,12 @@ inner image's ends through ``phi^{-1}``; an involution's image is its
 domain.  Translation, Affine and ThreePiece are accepted only when that
 image lies in the domain.
 
-``enumerate_families`` lists which families solve a given (n, k) on a
-given interval, with slopes pulled from the characteristic-root report;
-for k and n both even it reports the unsolved regime instead.
+``enumerate_families`` reads the families off the real characteristic
+roots by one rule: each negative root gives an affine family and each
+positive root other than 1 a three-piece family of that slope, a double
+root 1 gives the translations, and the identity is listed when there is
+neither a translation nor a three-piece family.  For ``0 < k < n`` with k
+and n both even it reports the unsolved regime instead.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .charpoly import CharProblem, RootReport, analyze_roots
+from .charpoly import CharProblem, analyze_roots, classify
 from .errors import (
     BadAnchor,
     ConstructionError,
@@ -521,67 +524,49 @@ class FamilyEnumeration:
         return self.status == OPEN_PROBLEM
 
 
+_IDENTITY = FamilyDescriptor("identity", None, (), "f(x) = x")
+_TRANSLATION = FamilyDescriptor("translation", None, ("c",), "f(x) = x + c")
+
+
+def _families_from_roots(roots: list[tuple[float, int]]) -> FamilyEnumeration:
+    """The families read off the real roots ``(value, multiplicity)`` by the
+    rule of the module docstring: identity or translation first, then the
+    affine families, then the three-piece families."""
+    affine = [
+        FamilyDescriptor("affine", r, ("c",), f"f(x) = {r!r}*x + c")
+        for r, _ in roots
+        if r < 0.0
+    ]
+    three_piece = [
+        FamilyDescriptor(
+            "three_piece", r, ("a", "b"), f"identity on (a,b), slope {r!r} outside"
+        )
+        for r, _ in roots
+        if r > 0.0 and r != 1.0
+    ]
+    first = [_TRANSLATION] if (1.0, 2) in roots else [] if three_piece else [_IDENTITY]
+    return FamilyEnumeration("ok", tuple(first + affine + three_piece))
+
+
 def enumerate_families(prob: CharProblem, domain: Interval) -> FamilyEnumeration:
     """The complete list of solution families for (n, k) on ``domain``.
 
-    Slopes are pulled from the characteristic-root report.  When both k
-    and n are even the continuous-solution classification is unresolved
-    and the enumeration carries status ``open_problem`` (no families).
+    The families are read off the real characteristic roots by
+    ``_families_from_roots``; when ``classify`` predicts no real root but
+    1, no spectrum is solved.  For ``0 < k < n`` with k and n both even
+    the continuous-solution classification is unresolved and the
+    enumeration carries status ``open_problem`` (no families).
     """
     n, k = prob.n, prob.k
-
-    def descriptors(*ds: FamilyDescriptor) -> FamilyEnumeration:
-        return FamilyEnumeration("ok", tuple(ds))
-
-    identity = FamilyDescriptor("identity", None, (), "f(x) = x")
-
-    if k in (0, n):
-        if n % 2 == 1 or (k == 0 and not domain.is_real_line):
-            return descriptors(identity)
-        root = analyze_roots(prob).real_root_in(-math.inf, 0.0)
-        return descriptors(identity, _affine_descriptor(root))
-
-    if prob.both_even:
+    if 0 < k < n and prob.both_even:
         return FamilyEnumeration(OPEN_PROBLEM, ())
-
-    k_odd = k % 2 == 1
-    n_odd = n % 2 == 1
-
-    if k_odd and n == 2 * k:
-        return descriptors(
-            FamilyDescriptor("translation", None, ("c",), "f(x) = x + c")
-        )
+    if k == 0 and not domain.is_real_line:
+        return FamilyEnumeration("ok", (_IDENTITY,))
+    expected = classify(prob).expected_real_roots
+    if len(expected) == 1:
+        return _families_from_roots([(1.0, expected[0].multiplicity)])
     report = analyze_roots(prob)
-    pos = _positive_root_not_one(report)
-    if k_odd and not n_odd:
-        return descriptors(_three_piece_descriptor(pos))
-    # k even with n odd, or k and n both odd
-    neg = report.real_root_in(-math.inf, 0.0)
-    return descriptors(_affine_descriptor(neg), _three_piece_descriptor(pos))
-
-
-def _affine_descriptor(slope: float) -> FamilyDescriptor:
-    return FamilyDescriptor(
-        "affine", slope, ("c",), f"f(x) = {slope!r}*x + c"
-    )
-
-
-def _three_piece_descriptor(slope: float) -> FamilyDescriptor:
-    return FamilyDescriptor(
-        "three_piece",
-        slope,
-        ("a", "b"),
-        f"identity on (a,b), slope {slope!r} outside",
-    )
-
-
-def _positive_root_not_one(report: RootReport) -> float:
-    hits = [r.value for r in report.real_roots if r.value > 0.0 and r.value != 1.0]
-    if len(hits) != 1:
-        raise DomainError(
-            f"expected one positive root != 1 for {report.problem}, got {hits}"
-        )
-    return hits[0]
+    return _families_from_roots([(r.value, r.multiplicity) for r in report.real_roots])
 
 
 # ---------------------------------------------------------------------------
@@ -595,32 +580,21 @@ class SecondOrderProblem:
     domain: Interval
 
     def __post_init__(self):
-        if self.rho == 0.0:
+        if finite_real(self.rho, "rho") == 0.0:
             raise DomainError("rho must be nonzero")
 
 
 def second_order_families(prob: SecondOrderProblem) -> FamilyEnumeration:
     """Solution families of ``f^2 - (1 + rho) f + rho id = 0``.
 
+    The characteristic roots are 1 and rho, so by ``_families_from_roots``
     rho = 1 gives translations; positive rho != 1 the three-piece family
     with slope rho (which contains the identity and the anchored affine
     map as parameter limits); negative rho the identity plus affine maps
     of slope rho.
     """
     rho = prob.rho
-    if rho == 1.0:
-        return FamilyEnumeration(
-            "ok", (FamilyDescriptor("translation", None, ("c",), "f(x) = x + c"),)
-        )
-    if rho > 0.0:
-        return FamilyEnumeration("ok", (_three_piece_descriptor(rho),))
-    return FamilyEnumeration(
-        "ok",
-        (
-            FamilyDescriptor("identity", None, (), "f(x) = x"),
-            _affine_descriptor(rho),
-        ),
-    )
+    return _families_from_roots([(1.0, 2)] if rho == 1.0 else [(1.0, 1), (rho, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from itereq.charpoly import (
     CharProblem,
+    _divide_out_one,
+    _exact_sign,
     analyze_roots,
     build_char_poly,
     char_poly_lifted,
@@ -191,6 +193,34 @@ def test_classify_complete_case_labels():
     }
     for (n, k), label in expected.items():
         assert classify(CharProblem(n, k)).case_label == label
+
+
+def _sign_changes(coeffs) -> int:
+    """Descartes' count: the sign changes of the nonzero coefficients."""
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def test_classify_layout_is_certified_by_descartes_and_exact_signs():
+    # The lifted form has at most as many positive (negative) roots, with
+    # multiplicity, as Descartes' count allows.  When that count equals the
+    # multiplicity of 1 plus the brackets, and the exact quotient changes
+    # sign across every bracket, each bracket holds exactly one simple
+    # root and the table has found every real root.
+    for n in range(3, 101):
+        for k in range(1, n):
+            prob = CharProblem(n, k)
+            expected = classify(prob).expected_real_roots
+            mult_one = expected[0].multiplicity
+            brackets = [e.bracket for e in expected[1:]]
+            lifted = char_poly_lifted(prob).coeffs
+            mirrored = [c if i % 2 == 0 else -c for i, c in enumerate(lifted)]
+            positive = sum(lo >= 0.0 for lo, _ in brackets)
+            assert _sign_changes(lifted) == mult_one + 1 + positive, (n, k)
+            assert _sign_changes(mirrored) == len(brackets) - positive, (n, k)
+            work = _divide_out_one(build_char_poly(prob), mult_one)
+            for lo, hi in brackets:
+                assert _exact_sign(work, lo) * _exact_sign(work, hi) < 0, (n, k, lo)
 
 
 def test_r_min_formula():

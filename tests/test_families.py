@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from itereq.charpoly import CharProblem, analyze_roots
+from itereq.charpoly import CharProblem, analyze_roots, classify
 from itereq.errors import (
     BadAnchor,
     ConstructionError,
@@ -520,19 +520,61 @@ def test_involution_is_decreasing_and_self_inverse():
 # ---------------------------------------------------------------------------
 
 
-def test_enumerate_translation_case():
-    out = enumerate_families(CharProblem(6, 3), REAL_LINE)
-    assert out.status == "ok"
-    assert [d.family for d in out.families] == ["translation"]
-    assert out.families[0].free_params == ("c",)
+# family kinds on the real line for each case of the paper's table; K0 and
+# KN give the identity, plus the affine family when n is even
+KINDS_BY_CASE = {
+    "C1": ["translation"],
+    "C2": ["three_piece"],
+    "C3": ["three_piece"],
+    **dict.fromkeys(("C4", "C5", "C6", "C7"), ["affine", "three_piece"]),
+}
 
 
-def test_enumerate_both_odd_case():
-    out = enumerate_families(CharProblem(3, 1), REAL_LINE)
-    families = {d.family: d for d in out.families}
-    assert set(families) == {"affine", "three_piece"}
-    assert families["affine"].slope == pytest.approx(-1.0 - SQRT2, abs=1e-10)
-    assert families["three_piece"].slope == pytest.approx(SQRT2 - 1.0, abs=1e-10)
+def test_enumeration_follows_the_case_table():
+    found = {}
+    for n in range(2, 31):
+        for k in range(n + 1):
+            prob = CharProblem(n, k)
+            if 0 < k < n and prob.both_even:
+                continue
+            out = found[n, k] = enumerate_families(prob, REAL_LINE)
+            label = classify(prob).case_label
+            if label in ("K0", "KN"):
+                kinds = ["identity"] if n % 2 else ["identity", "affine"]
+            else:
+                kinds = KINDS_BY_CASE[label]
+            assert out.status == "ok"
+            assert [d.family for d in out.families] == kinds, (n, k)
+            roots = [r.value for r in analyze_roots(prob).real_roots]
+            for d in out.families:
+                if d.slope is not None:
+                    assert (d.slope < 0.0) == (d.family == "affine")
+                    assert d.slope.hex() in [r.hex() for r in roots], (n, k)
+
+    assert found[6, 3].families[0].free_params == ("c",)
+    both_odd = found[3, 1].families
+    assert both_odd[0].slope == pytest.approx(-1.0 - SQRT2, abs=1e-10)
+    assert both_odd[1].slope == pytest.approx(SQRT2 - 1.0, abs=1e-10)
+    assert found[2, 2].families[1].slope == pytest.approx(-0.5, abs=1e-12)
+    even_odd = found[3, 2].families
+    assert -1.0 < even_odd[0].slope < 0.0
+    assert even_odd[1].slope > 1.0  # n < 2k here
+
+
+def test_enumeration_solves_no_spectrum_when_1_is_the_only_real_root(monkeypatch):
+    from itereq import families
+
+    def refuse(prob):
+        raise AssertionError(f"spectrum solved for {prob}")
+
+    monkeypatch.setattr(families, "analyze_roots", refuse)
+    for n in (3, 5, 1001):
+        for k in (0, n):
+            out = enumerate_families(CharProblem(n, k), REAL_LINE)
+            assert [d.family for d in out.families] == ["identity"]
+    for k in (1, 3, 501):
+        out = enumerate_families(CharProblem(2 * k, k), REAL_LINE)
+        assert [d.family for d in out.families] == ["translation"]
 
 
 def test_enumerate_k0_even_depends_on_domain():
@@ -544,29 +586,10 @@ def test_enumerate_k0_even_depends_on_domain():
     assert [d.family for d in on_unit.families] == ["identity"]
 
 
-def test_enumerate_kn_even():
-    out = enumerate_families(CharProblem(2, 2), REAL_LINE)
-    assert [d.family for d in out.families] == ["identity", "affine"]
-    assert out.families[1].slope == pytest.approx(-0.5, abs=1e-12)
-
-
-def test_enumerate_k0_kn_odd_identity_only():
-    assert [d.family for d in enumerate_families(CharProblem(3, 0), REAL_LINE).families] == ["identity"]
-    assert [d.family for d in enumerate_families(CharProblem(3, 3), REAL_LINE).families] == ["identity"]
-
-
 def test_enumerate_open_problem():
     out = enumerate_families(CharProblem(4, 2), REAL_LINE)
     assert out.is_open_problem
     assert out.families == ()
-
-
-def test_enumerate_even_odd_case():
-    out = enumerate_families(CharProblem(3, 2), REAL_LINE)
-    families = {d.family: d for d in out.families}
-    assert set(families) == {"affine", "three_piece"}
-    assert -1.0 < families["affine"].slope < 0.0
-    assert families["three_piece"].slope > 1.0  # n < 2k here
 
 
 def test_descriptor_instantiation():
@@ -607,26 +630,33 @@ def test_enumeration_analyzes_roots_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_second_order_rho_one():
-    out = second_order_families(SecondOrderProblem(1.0, REAL_LINE))
-    assert [d.family for d in out.families] == ["translation"]
-
-
-def test_second_order_rho_positive():
-    out = second_order_families(SecondOrderProblem(0.5, REAL_LINE))
-    assert [d.family for d in out.families] == ["three_piece"]
-    assert out.families[0].slope == 0.5
-
-
-def test_second_order_rho_negative():
-    out = second_order_families(SecondOrderProblem(-0.5, REAL_LINE))
-    assert [d.family for d in out.families] == ["identity", "affine"]
-    assert out.families[1].slope == -0.5
+@pytest.mark.parametrize(
+    "rho, kinds",
+    [
+        (1.0, ["translation"]),
+        (0.5, ["three_piece"]),
+        (2.0, ["three_piece"]),
+        (-0.5, ["identity", "affine"]),
+        (-3.0, ["identity", "affine"]),
+    ],
+)
+def test_second_order_families_follow_rho(rho, kinds):
+    out = second_order_families(SecondOrderProblem(rho, REAL_LINE))
+    assert [d.family for d in out.families] == kinds
+    assert [d.slope for d in out.families if d.slope is not None] == (
+        [] if rho == 1.0 else [rho]
+    )
 
 
 def test_second_order_rho_zero_rejected():
     with pytest.raises(DomainError):
         SecondOrderProblem(0.0, REAL_LINE)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_second_order_rejects_a_non_finite_rho(bad):
+    with pytest.raises(DomainError, match="'rho'"):
+        SecondOrderProblem(bad, REAL_LINE)
 
 
 # ---------------------------------------------------------------------------
