@@ -531,13 +531,12 @@ KINDS_BY_CASE = {
 
 
 def test_enumeration_follows_the_case_table():
-    found = {}
     for n in range(2, 31):
         for k in range(n + 1):
             prob = CharProblem(n, k)
             if 0 < k < n and prob.both_even:
                 continue
-            out = found[n, k] = enumerate_families(prob, REAL_LINE)
+            out = enumerate_families(prob, REAL_LINE)
             label = classify(prob).case_label
             if label in ("K0", "KN"):
                 kinds = ["identity"] if n % 2 else ["identity", "affine"]
@@ -551,14 +550,39 @@ def test_enumeration_follows_the_case_table():
                     assert (d.slope < 0.0) == (d.family == "affine")
                     assert d.slope.hex() in [r.hex() for r in roots], (n, k)
 
-    assert found[6, 3].families[0].free_params == ("c",)
-    both_odd = found[3, 1].families
-    assert both_odd[0].slope == pytest.approx(-1.0 - SQRT2, abs=1e-10)
-    assert both_odd[1].slope == pytest.approx(SQRT2 - 1.0, abs=1e-10)
-    assert found[2, 2].families[1].slope == pytest.approx(-0.5, abs=1e-12)
-    even_odd = found[3, 2].families
-    assert -1.0 < even_odd[0].slope < 0.0
-    assert even_odd[1].slope > 1.0  # n < 2k here
+
+def test_enumerate_translation_case():
+    out = enumerate_families(CharProblem(6, 3), REAL_LINE)
+    assert out.status == "ok"
+    assert [d.family for d in out.families] == ["translation"]
+    assert out.families[0].free_params == ("c",)
+
+
+def test_enumerate_both_odd_case():
+    out = enumerate_families(CharProblem(3, 1), REAL_LINE)
+    families = {d.family: d for d in out.families}
+    assert set(families) == {"affine", "three_piece"}
+    assert families["affine"].slope == pytest.approx(-1.0 - SQRT2, abs=1e-10)
+    assert families["three_piece"].slope == pytest.approx(SQRT2 - 1.0, abs=1e-10)
+
+
+def test_enumerate_kn_even():
+    out = enumerate_families(CharProblem(2, 2), REAL_LINE)
+    assert [d.family for d in out.families] == ["identity", "affine"]
+    assert out.families[1].slope == pytest.approx(-0.5, abs=1e-12)
+
+
+def test_enumerate_k0_kn_odd_identity_only():
+    assert [d.family for d in enumerate_families(CharProblem(3, 0), REAL_LINE).families] == ["identity"]
+    assert [d.family for d in enumerate_families(CharProblem(3, 3), REAL_LINE).families] == ["identity"]
+
+
+def test_enumerate_even_odd_case():
+    out = enumerate_families(CharProblem(3, 2), REAL_LINE)
+    families = {d.family: d for d in out.families}
+    assert set(families) == {"affine", "three_piece"}
+    assert -1.0 < families["affine"].slope < 0.0
+    assert families["three_piece"].slope > 1.0  # n < 2k here
 
 
 def test_enumeration_solves_no_spectrum_when_1_is_the_only_real_root(monkeypatch):
