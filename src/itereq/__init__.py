@@ -14,9 +14,7 @@ from .charpoly import (
     RootReport,
     analyze_roots,
     build_char_poly,
-    char_poly_lifted,
     classify,
-    derivative_factor,
     report_matches_expectation,
 )
 from .errors import (
@@ -58,7 +56,6 @@ from .poly import (
     ComplexRoot,
     Polynomial,
     all_roots,
-    evaluate,
 )
 from .recurrence import (
     ClosedForm,

@@ -6,8 +6,8 @@ polish companion-matrix eigenvalues.  ``horner_scaled_bound`` is the one
 Horner kernel of root finding: it gives ``p(z_i)`` and the bound on its
 rounding error in one pass, safe from overflow at any modulus, and the
 inclusion disks, every sweep and the residual test of ``poly.all_roots``
-read their values from it.  ``horner`` and ``horner_vec`` evaluate at
-one point and over an array.
+read their values from it.  ``horner`` evaluates at one point; the
+closed forms of ``recurrence`` use it.
 """
 
 from __future__ import annotations
@@ -39,15 +39,6 @@ def horner(desc: Sequence[float], x: float) -> float:
     return acc
 
 
-def horner_vec(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Horner evaluation (ascending coefficients) broadcast over an array of points."""
-    acc = np.zeros_like(x)
-    for c in coeffs[::-1]:
-        acc *= x
-        acc += c
-    return acc
-
-
 def direct_radius(degree: int) -> float:
     """Largest ``|z|`` at which a polynomial of ``degree`` is evaluated directly.
 
@@ -67,8 +58,9 @@ def horner_scaled_bound(
     There the reversed polynomial ``w^n p(1/w)`` is evaluated at
     ``w = 1/z_i``, whose powers only shrink.  Returns ``(h, s, magnitude)``
     with ``|p(z_i)| = |h_i| / s_i``: ``s_i = |z_i|^-(n-1)`` (zero once it
-    underflows) there, else ``1`` and ``h_i`` is ``horner_vec(coeffs, z)[i]``
-    bit for bit (``s`` is the scalar 1.0 when no point is scaled).
+    underflows) there, else ``1`` and ``h_i`` is ``p(z_i)`` bit for bit as a
+    plain Horner pass gives it (``s`` is the scalar 1.0 when no point is
+    scaled).
     ``magnitude_i = sum_k |c_k| |z_i|^k``, scaled as ``h_i``, bounds the
     rounding error in ``h_i``.  Both halves share one complex array of
     length ``2m``, the moduli held with zero imaginary part: two ufunc

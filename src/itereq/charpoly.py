@@ -3,8 +3,7 @@
 For integers ``n >= 2`` and ``0 <= k <= n`` the equation
 ``f^k(x) = (f^0(x) + ... + f^n(x)) / (n + 1)`` has characteristic equation
 
-    (n+1) r^k = sum_{i=0}^{n} r^i          (0 <= k < n)
-    n r^n     = sum_{i=0}^{n-1} r^i        (k = n)
+    (n+1) r^k = sum_{i=0}^{n} r^i
 
 The parities of ``k`` and ``n`` and the ordering of ``n`` against ``2k``
 determine a complete table of real-root locations (labels C1..C10 for
@@ -21,18 +20,18 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from . import _kernels
 from .errors import BracketFailure, DomainError, NonConvergence, RootMismatch
-from .poly import ComplexRoot, Polynomial, all_roots, evaluate
+from .intervals import json_float
+from .poly import ComplexRoot, Polynomial, all_roots
 
 # ``perfbench/tracer.py`` wraps these three names and ``_kernels.bisect_loop``,
 # which name root finders the package no longer has; nothing calls them.  They
 # go, with their per-layer metrics, in the benchmark change of ROADMAP item 1.
 bisect_root = newton_polish = deflate = None
 
-# Half-width of the interval around each real root on which the deflated
-# polynomial must change sign.
-_BISECT_WIDTH = 1e-10
+# Half-width of the window around each real root estimate on which the
+# deflated polynomial must change sign.
+_SIGN_WINDOW = 1e-10
 # Root reports kept by ``analyze_roots``: 256 holds the whole paper table
 # (133 problems for 2 <= n <= 15) and caps memory when a longer table
 # streams through.
@@ -151,58 +150,20 @@ class RootReport:
             ],
             "bound_2n1_ok": self.bound_2n1_ok,
             "modulus_separation_min_gap": (
-                "not_applicable" if gap is None else gap
+                "not_applicable" if gap is None else json_float(gap)
             ),
         }
 
 
 def build_char_poly(prob: CharProblem) -> Polynomial:
-    """Characteristic polynomial with integer coefficients.
+    """Characteristic polynomial ``(n+1) r^k - sum_{i=0}^{n} r^i``.
 
-    For ``0 <= k < n`` this is ``(n+1) r^k - sum_{i=0}^n r^i`` (leading
-    coefficient -1); for ``k = n`` it is ``n r^n - sum_{i=0}^{n-1} r^i``
-    (leading coefficient ``n``).
+    Its coefficients are integers: -1 everywhere but ``n`` at ``r^k``.
+    The leading coefficient is -1 for ``k < n`` and ``n`` for ``k = n``.
     """
     n, k = prob.n, prob.k
     coeffs = [-1.0] * (n + 1)
-    if k == n:
-        coeffs[n] = float(n)
-    else:
-        coeffs[k] += n + 1
-    return Polynomial(tuple(coeffs))
-
-
-def char_poly_lifted(prob: CharProblem) -> Polynomial:
-    """The characteristic polynomial multiplied through by ``(r - 1)``.
-
-    Explicitly ``r^{n+1} - (n+1) r^k (r - 1) - 1`` for ``0 < k < n``; the
-    multiplicity of the root 1 here exceeds its multiplicity in the
-    characteristic polynomial by one.
-    """
-    n, k = prob.n, prob.k
-    if not 0 < k < n:
-        raise DomainError(f"lifted form needs 0 < k < n, got k={k}, n={n}")
-    coeffs = [0.0] * (n + 2)
-    coeffs[0] = -1.0
     coeffs[k] += n + 1
-    coeffs[k + 1] -= n + 1
-    coeffs[n + 1] += 1.0
-    return Polynomial(tuple(coeffs))
-
-
-def derivative_factor(prob: CharProblem) -> Polynomial:
-    """The factor ``r^{n-k+1} - (k+1) r + k``.
-
-    Its sign controls the monotonicity of the lifted polynomial through
-    the identity ``lifted'(r) = (n+1) r^{k-1} * factor(r)``.
-    """
-    n, k = prob.n, prob.k
-    if not 0 < k < n:
-        raise DomainError(f"derivative factor needs 0 < k < n, got k={k}, n={n}")
-    coeffs = [0.0] * (n - k + 2)
-    coeffs[0] = float(k)
-    coeffs[1] -= k + 1
-    coeffs[n - k + 1] += 1.0
     return Polynomial(tuple(coeffs))
 
 
@@ -265,15 +226,6 @@ def classify(prob: CharProblem) -> CaseAnalysis:
     return CaseAnalysis(label, r_min, r_max, tuple(expected))
 
 
-def _exact_sign(p: Polynomial, x: float) -> int:
-    """Sign of ``p(x)`` in exact arithmetic, for integer coefficients and integer ``x``."""
-    xi = int(x)
-    acc = 0
-    for c in reversed(p.coeffs):
-        acc = acc * xi + int(c)
-    return (acc > 0) - (acc < 0)
-
-
 def _divide_out_one(p: Polynomial, times: int) -> Polynomial:
     """``p / (r - 1)^times`` in integer arithmetic: each division takes the
     suffix sums ``q_j = sum_{i>j} p_i`` and needs the remainder ``p(1)`` to be 0."""
@@ -285,35 +237,32 @@ def _divide_out_one(p: Polynomial, times: int) -> Polynomial:
     return Polynomial(tuple(cs))
 
 
-def _signed_value(p: Polynomial, x: float) -> float:
-    """A float with the sign of ``p(x)``, which cannot overflow.
+def _quotient_sign(prob: CharProblem, mult: int, x: float) -> int:
+    """Exact sign at the float ``x`` of ``q = p / (r - 1)^mult``, where
+    ``p = build_char_poly(prob)`` and 1 is a root of ``p`` of multiplicity
+    ``mult``.
 
-    Up to ``_kernels.direct_radius`` this is ``p(x)``, as in
-    ``_kernels.horner_scaled_bound``; beyond it, ``p(x) / |x|^n``, taken as
-    the reversed polynomial at ``1/x`` (whose descending coefficients are
-    the ascending ones of ``p``).
+    For every ``0 <= k <= n``, ``(r - 1) p(r) = (n+1)(r^{k+1} - r^k) -
+    r^{n+1} + 1``, which is ``(r - 1)^{mult+1} q(r)``.  With ``x = a / 2^s``
+    that form times ``2^{s(n+1)}`` is an integer, taken with ``**`` and
+    shifts, and the sign of ``(a - 2^s)^{mult+1}`` is divided out of its
+    sign.  At ``x = 1`` the sign is that of ``q(1)``: ``p'(1) = (n+1)(2k -
+    n)/2`` when ``mult = 1``, and ``p''(1)/2 = -(n+1)k(k+1)/6`` when
+    ``mult = 2`` (``n = 2k``).
     """
-    n = p.degree
-    if abs(x) <= _kernels.direct_radius(n):
-        return evaluate(p, x)
-    value = _kernels.horner(p.coeffs, 1.0 / x)
-    return -value if x < 0.0 and n % 2 else value
-
-
-def _confirm_sign_change(p: Polynomial, root: float, lo: float, hi: float) -> None:
-    """Require a sign change of ``p`` within ``_BISECT_WIDTH`` of ``root``;
-    a failure reports the finite ``|_signed_value(p, root)|``."""
-    a = max(lo, root - _BISECT_WIDTH)
-    b = min(hi, root + _BISECT_WIDTH)
-    if _signed_value(p, a) * _signed_value(p, b) > 0.0:
-        residual = abs(_signed_value(p, root))
-        scaled = abs(root) > _kernels.direct_radius(p.degree)
-        measured = f"scaled |p(x)|/|x|^{p.degree}" if scaled else "|p(x)|"
-        raise NonConvergence(
-            f"sign change not confirmed within {_BISECT_WIDTH:.1e} of "
-            f"{root!r}; {measured} = {residual:.3e} there",
-            best_residual=residual,
-        )
+    n, k = prob.n, prob.k
+    a, d = x.as_integer_ratio()  # d = 2^s
+    if a == d:
+        return (2 * k > n) - (2 * k < n) if mult == 1 else -1
+    s = d.bit_length() - 1
+    ak = a**k
+    lifted = (
+        ((n + 1) * ak * (a - d) << s * (n - k))
+        - ak * a ** (n + 1 - k)
+        + (1 << s * (n + 1))
+    )
+    sign = (lifted > 0) - (lifted < 0)
+    return -sign if mult % 2 == 0 and a < d else sign
 
 
 @functools.lru_cache(maxsize=_REPORT_CACHE_SIZE)
@@ -333,28 +282,29 @@ def analyze_roots(prob: CharProblem) -> RootReport:
 
     The exact root 1 is divided out to its known multiplicity before any
     numerics, in integer arithmetic, which leaves a polynomial with
-    integer coefficients.  Its sign at each end of every predicted
-    real-root bracket (all integers: 0, +-1, +-(2n+1)) is taken in exact
-    integer arithmetic, and must change across the bracket.  One
-    ``all_roots`` call then gives every other root: companion-matrix
-    eigenvalues, each alone in its Weierstrass disk and polished, with
-    the residual test of ``all_roots``.  Each predicted real root is the
-    unique real estimate strictly inside its bracket, and the deflated
-    polynomial must change sign within ``_BISECT_WIDTH`` of it.  A bracket holding no real
-    estimate, or more than one, raises :class:`BracketFailure`; a missing
-    sign change near a root raises :class:`NonConvergence`.  Real
-    estimates in no bracket stay among the complex roots, where
-    ``report_matches_expectation`` flags them.
+    integer coefficients.  Every sign of it the analysis takes is exact,
+    from ``_quotient_sign``.  Its signs at the ends of every predicted
+    real-root bracket (0, +-1, +-(2n+1)) must differ.  One ``all_roots``
+    call then gives every other root: companion-matrix eigenvalues, each
+    alone in its Weierstrass disk and polished, with the residual test of
+    ``all_roots``.  Each predicted real root is the unique real estimate
+    strictly inside its bracket, and the deflated polynomial must change
+    sign within ``_SIGN_WINDOW`` of it.  A bracket holding no real
+    estimate, or more than one, raises :class:`BracketFailure`; a window
+    without a sign change raises :class:`NonConvergence` naming both of
+    its ends and their signs.  Real estimates in no bracket stay among
+    the complex roots, where ``report_matches_expectation`` flags them.
     """
     analysis = classify(prob)
     mult_one = analysis.expected_real_roots[0].multiplicity
 
     work = _divide_out_one(build_char_poly(prob), mult_one)
+    sign = functools.partial(_quotient_sign, prob, mult_one)
 
     brackets = [e for e in analysis.expected_real_roots if not e.is_one]
     for exp in brackets:
         lo, hi = exp.bracket
-        slo, shi = _exact_sign(work, lo), _exact_sign(work, hi)
+        slo, shi = sign(lo), sign(hi)
         if slo * shi >= 0:
             raise BracketFailure(
                 f"(n={prob.n}, k={prob.k}): no sign change on bracket "
@@ -374,7 +324,14 @@ def analyze_roots(prob: CharProblem) -> RootReport:
                 f"in bracket ({lo}, {hi}), expected 1"
             )
         z = estimates[hits[0]]
-        _confirm_sign_change(work, z.re, lo, hi)
+        a, b = max(lo, z.re - _SIGN_WINDOW), min(hi, z.re + _SIGN_WINDOW)
+        sa, sb = sign(a), sign(b)
+        if sa * sb > 0:
+            raise NonConvergence(
+                f"(n={prob.n}, k={prob.k}): sign change not confirmed within "
+                f"{_SIGN_WINDOW:.1e} of {z.re!r}; exact signs {sa:+d} at {a!r} "
+                f"and {sb:+d} at {b!r}"
+            )
         taken.add(hits[0])
         real_records.append(RealRootRecord(z.re, z.multiplicity, (lo, hi)))
     complex_roots = tuple(z for i, z in enumerate(estimates) if i not in taken)

@@ -20,6 +20,7 @@ ran out of memory; nothing was refuted).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,7 +37,7 @@ from .errors import (
     SingularSystem,
 )
 from .families import enumerate_families, solution_from_json
-from .intervals import parse_interval
+from .intervals import json_float, parse_interval
 from .means import Generator
 from .recurrence import PREDICTION_TOL, ClosedForm, fit_closed_form, prediction_error
 from .verify import DEFAULT_SAMPLES, DEFAULT_TOL, Orbit, iterate, verify_general
@@ -46,6 +47,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_OPEN_PROBLEM = 3
 EXIT_NUMERICAL = 4
+
+# strict JSON (RFC 8259): every report writes a non-finite float as a string
+_dumps = functools.partial(json.dumps, allow_nan=False)
 
 
 def _float_repr(x: float) -> str:
@@ -175,7 +179,7 @@ def _cmd_analyze(args) -> int:
         ]
         payload["matched"] = matched
         payload["mismatches"] = problems
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload, indent=2))
     else:
         print(f"case {analysis.case_label}  (n={prob.n}, k={prob.k})")
         for r in report.real_roots:
@@ -227,7 +231,7 @@ def _cmd_solve(args) -> int:
     enumeration = enumerate_families(prob, domain)
     if enumeration.is_open_problem:
         if args.json:
-            print(json.dumps({"status": "open_problem"}))
+            print(_dumps({"status": "open_problem"}))
         else:
             print(
                 f"(n={prob.n}, k={prob.k}): both k and n even; the "
@@ -246,7 +250,7 @@ def _cmd_solve(args) -> int:
 
     if args.json:
         print(
-            json.dumps(
+            _dumps(
                 {"status": "ok", "solutions": [s.to_json() for s in solutions]},
                 indent=2,
             )
@@ -254,7 +258,7 @@ def _cmd_solve(args) -> int:
     else:
         for desc, sol in zip(enumeration.families, solutions):
             print(f"{desc.family}: {desc.note}")
-            print(f"  spec: {json.dumps(sol.to_json())}")
+            print(f"  spec: {_dumps(sol.to_json())}")
     return EXIT_OK
 
 
@@ -273,7 +277,7 @@ def _cmd_verify(args) -> int:
     sol = _load_solution(args.solution)
     gen = Generator.parse(args.generator, sol.domain)
     report = verify_general(sol, gen, prob, samples=args.samples, tol=args.tol)
-    print(json.dumps(report.to_json()))
+    print(_dumps(report.to_json()))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -351,9 +355,9 @@ def _cmd_fit(args) -> int:
 
     if args.json:
         payload = cf.to_json()
-        payload["held_out_max_relative_error"] = worst
+        payload["held_out_max_relative_error"] = json_float(worst)
         payload["held_out_points"] = max(0, orb.m_hi + 1 - prob.n)
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload, indent=2))
     else:
         _print_closed_form(cf)
         print(f"held-out max relative error: {_float_repr(worst)}")

@@ -16,6 +16,18 @@ REL_SLACK = 1e-12
 WINDOW_HALF_WIDTH = 10.0  # half width of the sampling window (Interval.window)
 
 
+def json_float(v: float) -> float | str:
+    """``v`` for a JSON report: ``"+inf"``, ``"-inf"`` or ``"nan"`` where
+    ``v`` is not finite, which strict JSON (RFC 8259) cannot write."""
+    if v == math.inf:
+        return "+inf"
+    if v == -math.inf:
+        return "-inf"
+    if math.isnan(v):
+        return "nan"
+    return v
+
+
 @dataclass(frozen=True)
 class Interval:
     """Non-trivial interval; infinite endpoints are always open."""
@@ -107,16 +119,9 @@ class Interval:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
-        def enc(v: float) -> float | str:
-            if v == math.inf:
-                return "+inf"
-            if v == -math.inf:
-                return "-inf"
-            return v
-
         return {
-            "lo": enc(self.lo),
-            "hi": enc(self.hi),
+            "lo": json_float(self.lo),
+            "hi": json_float(self.hi),
             "lo_closed": self.lo_closed,
             "hi_closed": self.hi_closed,
         }

@@ -1,8 +1,8 @@
-"""Real-coefficient polynomials: evaluation and root finding.
+"""Real-coefficient polynomials and their roots.
 
 Coefficients are stored in ascending order (constant term first), matching
 the characteristic form ``sum_i a_i r^i``.  A ``Polynomial`` computes its
-float64 array, its descending coefficients and its coefficient norm once.
+float64 array and its coefficient norm once.
 ``all_roots`` gives the whole spectrum of a polynomial with simple roots:
 companion-matrix eigenvalues, checked by Weierstrass inclusion disks and
 polished by Durand-Kerner sweeps.
@@ -25,15 +25,13 @@ class Polynomial:
 
     ``coeffs`` is never empty; trailing zeros are stripped on construction
     so that ``degree == len(coeffs) - 1`` (the zero polynomial keeps a
-    single 0.0 coefficient).  The float64 array, the descending
-    coefficients that scalar evaluation runs over, and ``inf_norm`` are
+    single 0.0 coefficient).  The float64 array and ``inf_norm`` are
     computed once at construction; they take no part in equality or
     hashing.
     """
 
     coeffs: tuple[float, ...]
     _array: np.ndarray = field(init=False, repr=False, compare=False)
-    _desc: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _inf_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -46,7 +44,6 @@ class Polynomial:
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "_array", arr)
-        object.__setattr__(self, "_desc", tuple(reversed(cs)))
         object.__setattr__(self, "_inf_norm", max(map(abs, cs)))
 
     @property
@@ -61,9 +58,6 @@ class Polynomial:
     def as_array(self) -> np.ndarray:
         """The coefficients as a read-only float64 array, shared by every caller."""
         return self._array
-
-    def __call__(self, x):
-        return evaluate(self, x)
 
     def __str__(self) -> str:
         terms = [f"{c:+g}*r^{i}" for i, c in enumerate(self.coeffs) if c != 0.0]
@@ -97,13 +91,6 @@ class ComplexRoot:
 
     def as_complex(self) -> complex:
         return complex(self.re, self.im)
-
-
-def evaluate(p: Polynomial, x):
-    """Evaluate ``p`` at ``x`` (scalar or ndarray) via Horner's scheme."""
-    if isinstance(x, np.ndarray):
-        return _kernels.horner_vec(p.as_array(), np.asarray(x, dtype=np.float64))
-    return _kernels.horner(p._desc, float(x))
 
 
 def _companion_eigenvalues(c: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .charpoly import CharProblem
 from .errors import DomainError, NotSurjective
 from .families import Solution
-from .intervals import REL_SLACK, Interval, contains_with_slack
+from .intervals import REL_SLACK, Interval, contains_with_slack, json_float
 from .means import Generator, qa_mean_rows
 from .poly import Polynomial
 
@@ -42,7 +42,7 @@ class VerifyReport:
 
     def to_json(self) -> dict:
         return {
-            "max_residual": self.max_residual,
+            "max_residual": json_float(self.max_residual),
             "pass": self.passed,
             "points_evaluated": self.points_evaluated,
             "points_escaped": self.points_escaped,

@@ -1,6 +1,7 @@
 import dataclasses
 import math
-from fractions import Fraction
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -9,17 +10,17 @@ from hypothesis import strategies as st
 
 from itereq.charpoly import (
     CharProblem,
+    _SIGN_WINDOW,
     _divide_out_one,
-    _exact_sign,
+    _quotient_sign,
     analyze_roots,
     build_char_poly,
-    char_poly_lifted,
     classify,
-    derivative_factor,
     report_matches_expectation,
 )
-from itereq.errors import BracketFailure, DomainError, NonConvergence
-from itereq.poly import ComplexRoot, Polynomial, evaluate
+from itereq.cli import main
+from itereq.errors import BracketFailure, DomainError, NonConvergence, RootMismatch
+from itereq.poly import ComplexRoot, Polynomial
 
 SQRT2 = math.sqrt(2.0)
 
@@ -40,6 +41,22 @@ def _ints(p: Polynomial) -> list[int]:
 def _times_r_minus_one(cs: list[int]) -> list[int]:
     """``sum_i c_i r^i * (r - 1)`` in integer arithmetic, ascending."""
     return [b - a for a, b in zip(cs + [0], [0] + cs)]
+
+
+def _lifted(prob: CharProblem) -> list[int]:
+    """``(r - 1) p(r)``, ``p`` the characteristic polynomial, in integers."""
+    return _times_r_minus_one(_ints(build_char_poly(prob)))
+
+
+def _exact_sign(p: Polynomial, x: float) -> int:
+    """Sign of ``p(x)`` for integer coefficients, in integer arithmetic:
+    Horner's scheme on ``2^{s deg} p(a / 2^s)`` for ``x = a / 2^s``."""
+    a, d = x.as_integer_ratio()
+    acc, scale = 0, 1
+    for c in reversed(_ints(p)):
+        acc = acc * a + c * scale
+        scale *= d
+    return (acc > 0) - (acc < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -75,69 +92,49 @@ def test_char_poly_leading_sign_convention():
         assert build_char_poly(CharProblem(n, n)).coeffs[-1] == float(n)
 
 
-def test_lifted_poly_expansion():
-    # r^5 - 5r^2 + 5r - 1 for (n, k) = (4, 1)
-    assert char_poly_lifted(CharProblem(4, 1)).coeffs == (
-        -1.0, 5.0, -5.0, 0.0, 0.0, 1.0,
-    )
-
-
-def test_lifted_poly_is_cube_at_n2k1():
-    # (r - 1)^3 when n = 2, k = 1
-    assert char_poly_lifted(CharProblem(2, 1)).coeffs == (-1.0, 3.0, -3.0, 1.0)
+def test_char_poly_is_one_formula_for_every_k():
+    # (n+1) r^k - sum_{i=0}^{n} r^i: -1 everywhere but n at r^k
+    for n in range(2, 401):
+        for k in range(n + 1):
+            expected = [-1.0] * (n + 1)
+            expected[k] = float(n)
+            assert build_char_poly(CharProblem(n, k)).coeffs == tuple(expected)
 
 
 def test_lifted_vanishes_at_one_everywhere():
+    # 1 is a root of (r - 1) p(r) exactly to the multiplicity of 1 in p, plus one
     for n in range(2, 12):
-        for k in range(1, n):
+        for k in range(n + 1):
             prob = CharProblem(n, k)
-            assert evaluate(char_poly_lifted(prob), 1.0) == 0.0
-            assert evaluate(derivative_factor(prob), 1.0) == 0.0
+            mult = classify(prob).expected_real_roots[0].multiplicity
+            lifted = Polynomial(tuple(_lifted(prob)))
+            _divide_out_one(lifted, mult + 1)
+            with pytest.raises(RootMismatch):
+                _divide_out_one(lifted, mult + 2)
 
 
 def test_lifted_equals_char_times_linear():
-    # lifted(r) == -p(r) * (r - 1), the product taken in integers
-    for n in range(2, 10):
-        for k in range(1, n):
-            prob = CharProblem(n, k)
-            negated = [-c for c in _ints(build_char_poly(prob))]
-            assert _ints(char_poly_lifted(prob)) == _times_r_minus_one(negated)
-
-
-def test_derivative_factor_substitution():
-    # r^4 - 2r + 1 at (n, k) = (4, 1)
-    assert derivative_factor(CharProblem(4, 1)).coeffs == (1.0, -2.0, 0.0, 0.0, 1.0)
-
-
-def test_derivative_identity_exact():
-    # lifted'(r) == (n+1) * r^(k-1) * factor(r), coefficient by coefficient,
-    # both sides in integers
-    for n in range(2, 13):
-        for k in range(1, n):
-            prob = CharProblem(n, k)
-            lifted = _ints(char_poly_lifted(prob))
-            lhs = [i * c for i, c in enumerate(lifted)][1:]
-            rhs = [0] * (k - 1) + [(n + 1) * c for c in _ints(derivative_factor(prob))]
-            assert lhs == rhs
-
-
-def test_lifted_domain_guard():
-    with pytest.raises(DomainError):
-        char_poly_lifted(CharProblem(3, 0))
-    with pytest.raises(DomainError):
-        derivative_factor(CharProblem(3, 3))
+    # (r - 1) p(r) == (n+1)(r^{k+1} - r^k) - r^{n+1} + 1 for every k,
+    # the identity the exact sign rule evaluates
+    for n in range(2, 101):
+        for k in range(n + 1):
+            four_terms = [0] * (n + 2)
+            four_terms[0] += 1
+            four_terms[k] -= n + 1
+            four_terms[k + 1] += n + 1
+            four_terms[n + 1] -= 1
+            assert _lifted(CharProblem(n, k)) == four_terms, (n, k)
 
 
 def test_sign_facts_at_zero_and_minus_one():
-    # factor(0) = k > 0 and lifted(0) = -1 for 0 < k < n; for even k
-    # additionally lifted(-1) > 0 (all exact integer arithmetic)
+    # (r - 1) p(r) is -p(0) at 0: 1 for k > 0 and -n for k = 0; for even k
+    # it is negative at -1 (all exact integer arithmetic)
     for n in range(2, 16):
-        for k in range(1, n):
-            prob = CharProblem(n, k)
-            assert evaluate(derivative_factor(prob), 0.0) == float(k)
-            assert evaluate(char_poly_lifted(prob), 0.0) == -1.0
+        for k in range(n + 1):
+            lifted = _lifted(CharProblem(n, k))
+            assert lifted[0] == (1 if k else -n)
             if k % 2 == 0:
-                assert evaluate(char_poly_lifted(prob), -1.0) > 0.0
+                assert sum(c * (-1) ** i for i, c in enumerate(lifted)) < 0
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +199,7 @@ def _sign_changes(coeffs) -> int:
 
 
 def test_classify_layout_is_certified_by_descartes_and_exact_signs():
-    # The lifted form has at most as many positive (negative) roots, with
+    # (r - 1) p(r) has at most as many positive (negative) roots, with
     # multiplicity, as Descartes' count allows.  When that count equals the
     # multiplicity of 1 plus the brackets, and the exact quotient changes
     # sign across every bracket, each bracket holds exactly one simple
@@ -213,14 +210,14 @@ def test_classify_layout_is_certified_by_descartes_and_exact_signs():
             expected = classify(prob).expected_real_roots
             mult_one = expected[0].multiplicity
             brackets = [e.bracket for e in expected[1:]]
-            lifted = char_poly_lifted(prob).coeffs
+            lifted = _lifted(prob)
             mirrored = [c if i % 2 == 0 else -c for i, c in enumerate(lifted)]
             positive = sum(lo >= 0.0 for lo, _ in brackets)
             assert _sign_changes(lifted) == mult_one + 1 + positive, (n, k)
             assert _sign_changes(mirrored) == len(brackets) - positive, (n, k)
-            work = _divide_out_one(build_char_poly(prob), mult_one)
             for lo, hi in brackets:
-                assert _exact_sign(work, lo) * _exact_sign(work, hi) < 0, (n, k, lo)
+                signs = _quotient_sign(prob, mult_one, lo), _quotient_sign(prob, mult_one, hi)
+                assert signs[0] * signs[1] < 0, (n, k, lo)
 
 
 def test_r_min_formula():
@@ -455,8 +452,14 @@ def test_real_estimate_without_a_nearby_sign_change_fails(monkeypatch):
         ]
 
     _patched_estimates(monkeypatch, shift)
-    with pytest.raises(NonConvergence, match="sign change not confirmed within 1.0e-10"):
+    root = math.sqrt(2.0) - 1.0 + 1e-6
+    with pytest.raises(NonConvergence, match="sign change not confirmed within 1.0e-10") as info:
         analyze_roots(CharProblem(3, 1))
+    # both window ends, each with its exact sign
+    assert re.search(r"exact signs ([+-]1) at (\S+) and \1 at (\S+)$", str(info.value))
+    lo, hi = (float(x) for x in re.findall(r"at (\S+)", str(info.value)))
+    assert lo < root < hi and hi - lo <= 2.01 * _SIGN_WINDOW
+    assert main(["analyze", "--n", "3", "--k", "1"]) == 4
 
 
 def test_one_spectrum_solve_per_problem(monkeypatch):
@@ -476,15 +479,14 @@ def test_one_spectrum_solve_per_problem(monkeypatch):
 
 @pytest.mark.parametrize("n", [150, 200])
 def test_bracket_end_signs_are_exact_past_the_float_range(monkeypatch, n):
-    from itereq import _kernels, charpoly
+    from itereq import _kernels
 
     prob = CharProblem(n, 0)  # K0 with n even: a root in (-(2n+1), -1)
     end = -(2 * n + 1)
-    work = charpoly._divide_out_one(build_char_poly(prob), 1)
-    # p(r) = n - r - ... - r^n, and work = p / (r - 1) with end - 1 < 0
+    # p(r) = n - r - ... - r^n, and q = p / (r - 1) with end - 1 < 0
     p_end = n - sum(end**i for i in range(1, n + 1))
-    assert charpoly._exact_sign(work, float(end)) == (-1 if p_end > 0 else 1)
-    assert math.isinf(evaluate(work, float(end)))  # why the sign is taken exactly
+    assert _quotient_sign(prob, 1, float(end)) == (-1 if p_end > 0 else 1)
+    assert abs(end) ** n > sys.float_info.max  # why the sign is taken exactly
 
     non_finite = []
 
@@ -498,7 +500,7 @@ def test_bracket_end_signs_are_exact_past_the_float_range(monkeypatch, n):
 
         return wrapper
 
-    for name in ("horner", "horner_vec", "horner_scaled_bound"):
+    for name in ("horner", "horner_scaled_bound"):
         monkeypatch.setattr(_kernels, name, watch(getattr(_kernels, name)))
     report = analyze_roots(prob)
     assert non_finite == []
@@ -506,35 +508,42 @@ def test_bracket_end_signs_are_exact_past_the_float_range(monkeypatch, n):
     assert ok, problems
 
 
-@pytest.mark.parametrize("n, k", [(150, 149), (151, 150), (200, 199)])
-@pytest.mark.parametrize("x", [-12.5, 12.5, 149.75])
-def test_signed_value_past_the_direct_range_has_the_exact_sign(n, k, x):
-    from itereq.charpoly import _divide_out_one, _signed_value
-
-    work = _divide_out_one(build_char_poly(CharProblem(n, k)), 1)
-    exact = sum(Fraction(c) * Fraction(x) ** i for i, c in enumerate(work.coeffs))
-    value = _signed_value(work, x)
-    assert math.isfinite(value) and (value > 0) == (exact > 0) and exact != 0
+def _window_ends(report):
+    for rec in report.real_roots[1:]:
+        lo, hi = rec.bracket
+        yield max(lo, rec.value - _SIGN_WINDOW)
+        yield min(hi, rec.value + _SIGN_WINDOW)
 
 
-@pytest.mark.parametrize("n", [150, 200])
-def test_sign_checks_near_a_root_of_size_n_stay_finite(monkeypatch, n):
-    from itereq import _kernels
+def test_sign_rule_is_the_exact_sign_of_the_quotient():
+    # oracle: Horner's scheme in integers on the integer quotient itself
+    for n in range(2, 101):
+        for k in range(n + 1):
+            prob = CharProblem(n, k)
+            mult = classify(prob).expected_real_roots[0].multiplicity
+            work = _divide_out_one(build_char_poly(prob), mult)
+            big = 2.0 * n + 1.0
+            points = [0.0, 1.0, -1.0, big, -big]
+            points += _window_ends(analyze_roots.__wrapped__(prob))
+            for x in points:
+                assert _quotient_sign(prob, mult, x) == _exact_sign(work, x), (n, k, x)
 
-    non_finite = []
-    horner = _kernels.horner
 
-    def watched(desc, x):
-        value = horner(desc, x)
-        if not math.isfinite(value):
-            non_finite.append(x)
-        return value
-
-    monkeypatch.setattr(_kernels, "horner", watched)
-    report = analyze_roots(CharProblem(n, n - 1))
-    assert non_finite == []
-    ok, problems = report_matches_expectation(report)
-    assert ok, problems
+@pytest.mark.parametrize("n", [150, 200, 400])
+def test_sign_rule_past_the_float_range(n):
+    # |x|^n, and so a float p(x), overflows at +-(2n+1) and near n
+    assert n * math.log2(n - 0.25) > sys.float_info.max_exp
+    for k in (0, 1, n // 2, n - 1, n):
+        prob = CharProblem(n, k)
+        mult = classify(prob).expected_real_roots[0].multiplicity
+        work = _divide_out_one(build_char_poly(prob), mult)
+        points = [-(2.0 * n + 1.0), -12.5, 12.5, n - 0.25, 2.0 * n + 1.0, 1.0 + 2.0**-40]
+        if k == n - 1:  # and the window around its real root near n
+            report = analyze_roots(prob)
+            assert report_matches_expectation(report)[0]
+            points += _window_ends(report)
+        for x in points:
+            assert _quotient_sign(prob, mult, x) == _exact_sign(work, x), (k, x)
 
 
 def test_integer_quotient_is_the_float_deflation_bit_for_bit():
@@ -563,23 +572,3 @@ def test_integer_quotient_needs_a_zero_remainder():
     assert _divide_out_one(p, 2).coeffs == (2.0, 1.0)
     with pytest.raises(RootMismatch, match="integer remainder 3"):
         _divide_out_one(p, 3)
-
-
-def test_unconfirmed_sign_change_reports_a_finite_scaled_residual():
-    from itereq.charpoly import _confirm_sign_change, _divide_out_one
-
-    # the real root near 150 of (150, 149): |x|^150 overflows, so the
-    # residual is reported divided by |x|^n, and named so
-    prob = CharProblem(150, 149)
-    work = _divide_out_one(build_char_poly(prob), 1)
-    lo, hi = 1.0, 301.0
-    root = analyze_roots(prob).real_root_in(lo, hi)
-    _confirm_sign_change(work, root, lo, hi)
-    with pytest.raises(NonConvergence, match=r"scaled \|p\(x\)\|/\|x\|\^149") as info:
-        _confirm_sign_change(work, root + 1e-6, lo, hi)
-    assert math.isfinite(info.value.best_residual) and info.value.best_residual > 0.0
-    # inside the direct range the plain |p(x)| is reported
-    small = _divide_out_one(build_char_poly(CharProblem(5, 2)), 1)
-    with pytest.raises(NonConvergence, match=r"; \|p\(x\)\| = ") as info:
-        _confirm_sign_change(small, 0.3, 0.0, 1.0)
-    assert info.value.best_residual == abs(evaluate(small, 0.3))

@@ -719,3 +719,66 @@ def test_out_of_memory_is_a_numerical_failure_not_a_refuted_claim(
     assert out == ""
     assert err.startswith("numerical failure: out of memory")
     assert len(err.strip().splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# strict JSON (RFC 8259): no NaN, Infinity or -Infinity tokens
+# ---------------------------------------------------------------------------
+
+
+def strict_loads(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (2, 1), (3, 2)])
+def test_analyze_json_without_non_real_roots_is_strict(capsys, n, k):
+    code, out, _ = run_cli(capsys, "analyze", "--n", str(n), "--k", str(k), "--json")
+    assert code == 0
+    payload = strict_loads(out)
+    assert payload["complex_roots"] == []
+    assert payload["modulus_separation_min_gap"] == "+inf"
+
+
+def test_verify_json_with_every_point_escaped_is_strict(tmp_path, capsys):
+    spec = {
+        "family": "affine",
+        "params": {"slope": 1e200, "c": 1.0},
+        "domain": {"lo": "-inf", "hi": "+inf"},
+    }
+    code, out, _ = run_cli(
+        capsys, "verify", "--n", "5", "--k", "1",
+        "--solution", write_spec(tmp_path, spec),
+    )
+    assert code == 1
+    assert strict_loads(out) == {
+        "max_residual": "+inf", "pass": False,
+        "points_evaluated": 0, "points_escaped": 1001,
+    }
+
+
+def test_solve_json_is_strict(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--n", "3", "--k", "1", "--json")
+    assert code == 0
+    domains = [s["domain"] for s in strict_loads(out)["solutions"]]
+    assert domains == [REAL_LINE_JSON, REAL_LINE_JSON]
+
+
+def test_fit_recurrence_json_is_strict(tmp_path, capsys):
+    values = [(-2.0) ** m for m in range(12)]
+    code, out, _ = run_cli(
+        capsys, "fit-recurrence", "--n", "2", "--k", "0",
+        "--orbit", _write_orbit_csv(tmp_path, values), "--json",
+    )
+    assert code == 0
+    assert strict_loads(out)["held_out_max_relative_error"] <= 1e-6
+
+
+def test_json_floats_name_every_non_finite_value():
+    from itereq.intervals import json_float
+
+    assert [json_float(v) for v in (math.inf, -math.inf, math.nan, -0.5)] == [
+        "+inf", "-inf", "nan", -0.5,
+    ]

@@ -49,13 +49,6 @@ def _scaled_reference(coeffs, z):
     return acc, np.where(big, np.abs(x) ** (n - 1), 1.0)
 
 
-def test_in_place_horner_vec_is_bit_identical():
-    rng = np.random.default_rng(3)
-    coeffs = rng.normal(size=17)
-    for x in (rng.normal(size=40), rng.normal(size=40) + 1j * rng.normal(size=40)):
-        assert np.array_equal(_kernels.horner_vec(coeffs, x), _horner_vec_reference(coeffs, x))
-
-
 def test_scalar_horner_runs_over_descending_coefficients():
     coeffs = [0.5, -3.0, 1.25, 2.0]  # ascending
     acc = np.float64(0.0)
@@ -73,7 +66,7 @@ def test_scaled_horner_is_horner_vec_within_the_direct_range():
     coeffs = rng.normal(size=12)
     z = 10.0 * np.exp(2j * np.pi * rng.random(30)) * rng.random(30)
     h, s, _ = _kernels.horner_scaled_bound(coeffs, z)
-    assert np.array_equal(h, _kernels.horner_vec(coeffs, z)) and s == 1.0
+    assert np.array_equal(h, _horner_vec_reference(coeffs, z)) and s == 1.0
 
 
 def test_scaled_horner_past_the_direct_range_does_not_overflow():
@@ -81,7 +74,7 @@ def test_scaled_horner_past_the_direct_range_does_not_overflow():
     z = np.asarray([1.5, 1e50, -3e150 + 1e150j])
     with np.errstate(over="raise"):
         h, s, _ = _kernels.horner_scaled_bound(coeffs, z)
-    assert h[0] == _kernels.horner_vec(coeffs, z[:1])[0] and s[0] == 1.0
+    assert h[0] == _horner_vec_reference(coeffs, z[:1])[0] and s[0] == 1.0
     # p(z) / z^3 = z - 3 + 0.5 / z + ..., and s = |z|^-3
     assert h[1:] == pytest.approx(z[1:] - 3.0, rel=1e-15)
     assert s[1] == pytest.approx(1e-150, rel=1e-15) and s[2] == 0.0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from itereq import _kernels
 from itereq.errors import NonConvergence
-from itereq.poly import ComplexRoot, Polynomial, all_roots, evaluate
+from itereq.poly import ComplexRoot, Polynomial, all_roots
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -16,7 +16,7 @@ from itereq.poly import ComplexRoot, Polynomial, all_roots, evaluate
 
 
 def naive_eval(coeffs, x):
-    """Power-sum evaluation, the reference for Horner."""
+    """Power-sum evaluation."""
     return math.fsum(c * x**i for i, c in enumerate(coeffs))
 
 
@@ -49,7 +49,7 @@ def test_oracle_agrees_with_frozen_value():
 
 
 # ---------------------------------------------------------------------------
-# construction and evaluation
+# construction
 # ---------------------------------------------------------------------------
 
 
@@ -66,46 +66,6 @@ def test_zero_polynomial_keeps_one_coefficient():
 def test_empty_rejected():
     with pytest.raises(ValueError):
         Polynomial(())
-
-
-def test_eval_double_root_at_one():
-    # -r^2 + 2r - 1 has the factor (r-1)^2
-    assert evaluate(Polynomial((-1.0, 2.0, -1.0)), 1.0) == 0.0
-
-
-def test_eval_constant_term():
-    assert evaluate(Polynomial((1.0, 1.0, 1.0)), 0.0) == 1.0
-
-
-def test_eval_near_cubic_root():
-    p = Polynomial((-1.0, 3.0, 2.0, 1.0))
-    assert abs(evaluate(p, 0.2757)) < 5e-4
-    assert abs(evaluate(p, CUBIC_ROOT)) < 1e-14
-
-
-def test_eval_array_matches_scalar():
-    p = Polynomial((2.0, -1.0, 0.5, 3.0))
-    xs = np.linspace(-3, 3, 17)
-    vec = evaluate(p, xs)
-    for x, v in zip(xs, vec):
-        assert v == pytest.approx(evaluate(p, float(x)), rel=1e-15)
-
-
-@given(
-    st.lists(
-        st.floats(min_value=-10, max_value=10, allow_nan=False),
-        min_size=1,
-        max_size=9,
-    ),
-    st.floats(min_value=-10, max_value=10, allow_nan=False),
-)
-def test_horner_agrees_with_naive_power_sum(coeffs, x):
-    # agreement within 8 "ulps" measured at the term-magnitude scale,
-    # which is the resolution either summation order can promise
-    p = Polynomial(tuple(coeffs))
-    scale = sum(abs(c) * abs(x) ** i for i, c in enumerate(p.coeffs))
-    diff = abs(evaluate(p, x) - naive_eval(p.coeffs, x))
-    assert diff <= 8 * np.finfo(float).eps * max(scale, 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +213,6 @@ def test_cached_array_is_read_only_and_shared():
     assert arr.dtype == np.float64 and arr.tolist() == [1.0, -2.0, 3.0]
     with pytest.raises(ValueError):
         arr[0] = 5.0
-    assert evaluate(p, 2.0) == 9.0
     assert p.inf_norm == 3.0
 
 
@@ -261,7 +220,6 @@ def test_equal_polynomials_compare_and_hash_equal():
     a = Polynomial((1, 2.0, 0.0))
     b = Polynomial((1.0, 2.0))
     a.as_array()
-    evaluate(a, 3.0)
     assert a == b and hash(a) == hash(b)
     assert {a: "first"}[b] == "first"
     assert a != Polynomial((1.0, 3.0))
