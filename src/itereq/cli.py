@@ -11,8 +11,9 @@ selftest        run the full acceptance battery
 
 Exit codes: 0 success/pass, 1 check failure (the claim failed at this
 (n, k)), 2 usage or input error, 3 unsolved regime (0 < k < n with k and
-n both even), 4 numerical failure (a solver or fit gave up, or the run
-ran out of memory; nothing was refuted).
+n both even), 4 numerical failure (a solver or fit gave up, a fitted
+closed form left the float range, or the run ran out of memory; nothing
+was refuted).
 
 ``--generator`` takes exactly ``identity``, ``log`` or ``power:P``.
 """
@@ -24,8 +25,6 @@ import functools
 import json
 import math
 import sys
-
-import numpy as np
 
 from .charpoly import CharProblem, analyze_roots, classify, report_matches_expectation
 from .errors import (
@@ -149,6 +148,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CHECK_FAILED
     except (NonConvergence, SingularSystem, RootMismatch) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OverflowError:
+        print(
+            "numerical failure: a closed-form term left the float range; "
+            "nothing was refuted",
+            file=sys.stderr,
+        )
         return EXIT_NUMERICAL
     except MemoryError:
         print(
@@ -286,13 +292,8 @@ def _cmd_orbit(args) -> int:
     if args.steps < 0 or args.back < 0:
         raise ItereqError("--steps and --back must be nonnegative")
     orb = iterate(sol, args.x0, m_lo=-args.back, m_hi=args.steps)
-    lines = ["m,x_m"]
-    for m in range(orb.m_lo, orb.m_hi + 1):
-        v = orb.points[m - orb.m_lo]
-        if np.isnan(v):
-            continue
-        lines.append(f"{m},{_float_repr(v)}")
-    text = "\n".join(lines) + "\n"
+    rows = enumerate(orb.points.tolist(), start=orb.m_lo)
+    text = "".join(["m,x_m\n", *(f"{m},{_float_repr(v)}\n" for m, v in rows)])
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -336,7 +337,7 @@ def _read_orbit_csv(path: str) -> Orbit:
     if ms != list(range(ms[0], ms[0] + len(ms))):
         raise ItereqError("orbit indices must be consecutive")
     # re-index so the first row is j = 0: the recurrence is shift-invariant
-    vals = np.asarray([v for _, v in rows])
+    vals = [v for _, v in rows]
     return Orbit(vals[0], 0, len(vals) - 1, vals)
 
 

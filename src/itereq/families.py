@@ -54,16 +54,16 @@ from .means import Generator
 class Solution:
     """Base class: a strictly monotone function on an interval.
 
-    Arrays go through ``_eval_array`` and ``_invert_array``; a single
-    point (``__call__``, ``invert``, and so every orbit step) goes through
-    ``_eval_scalar`` and ``_invert_scalar``.  ``Identity``,
-    ``Translation``, ``Affine`` and ``ThreePiece`` give those in Python
-    floats, the array formulas' IEEE operations in the same order, so a
-    point maps to the same bits either way without building a one-element
-    array.  ``_eval_into`` maps an array into a buffer the caller owns;
-    those four families write it with ufunc ``out=``, and ``_eval_array``
-    is ``_eval_into`` on a fresh buffer.  Other families fall back to their
-    array forms; ``_iterate_into`` maps each row of a block from the one above.
+    Arrays go through ``_eval_array``; a single point goes through
+    ``_eval_scalar`` (``__call__``) and ``_invert_scalar`` (``invert``);
+    there is no array inverse.  ``Identity``, ``Translation``, ``Affine``
+    and ``ThreePiece`` give both in Python floats, ``_eval_scalar`` with the
+    array formula's IEEE operations in the same order, so a point maps to
+    the same bits without building a one-element array.  ``_eval_into``
+    maps an array into a buffer the caller owns; those four families write
+    it with ufunc ``out=``, and ``_eval_array`` is ``_eval_into`` on a
+    fresh buffer.  Other families map one point through one-element arrays;
+    ``_iterate_into`` maps each row of a block from the one above.
     """
 
     domain: Interval
@@ -103,11 +103,8 @@ class Solution:
             raise NotSurjective(f"{y!r} outside image {self.image()}")
         return self._invert_scalar(float(y))
 
-    def _invert_array(self, ys: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def _invert_scalar(self, y: float) -> float:
-        return float(self._invert_array(np.asarray([y], dtype=float))[0])
+        raise NotImplementedError
 
     def inverse(self) -> "Solution":
         """The inverse as a solution object on the same domain.
@@ -183,9 +180,6 @@ class Identity(Solution):
     def _eval_scalar(self, x):
         return x
 
-    def _invert_array(self, ys):
-        return ys.copy()
-
     def _invert_scalar(self, y):
         return y
 
@@ -217,9 +211,6 @@ class Translation(Solution):
 
     def _eval_scalar(self, x):
         return x + self.c
-
-    def _invert_array(self, ys):
-        return ys - self.c
 
     def _invert_scalar(self, y):
         return y - self.c
@@ -258,9 +249,6 @@ class Affine(Solution):
     def _eval_scalar(self, x):
         return self.slope * x + self.c
 
-    def _invert_array(self, ys):
-        return (ys - self.c) / self.slope
-
     def _invert_scalar(self, y):
         return (y - self.c) / self.slope
 
@@ -284,12 +272,12 @@ class ThreePiece(Solution):
         f(x) = r*(x - b) + b   for x >= b
 
     Arrays are evaluated through the clamp ``c = min(max(x, a), b)`` as
-    ``(x - c)*r + c``, the inverse as ``(y - c)/r + c``, in five passes and
-    without masks; one point goes through the same clamp and operations
-    in Python floats (``_eval_scalar``, ``_invert_scalar``).  That is the
-    branch arithmetic, operation for operation: ``c`` is ``a`` below ``a``
-    and ``b`` above ``b``, and inside ``(x - x)*r + x`` is ``x``; NaN and
-    +-inf propagate as in the branches.  The one bit that differs is the
+    ``(x - c)*r + c``, in five passes and without masks; one point goes
+    through the same clamp and operations in Python floats
+    (``_eval_scalar``) and is inverted as ``(y - c)/r + c`` (there is no
+    array inverse).  That is the branch arithmetic, operation for
+    operation: ``c`` is ``a`` below ``a`` and ``b`` above ``b``, and inside
+    ``(x - x)*r + x`` is ``x``; NaN and +-inf propagate as in the branches.  The one bit that differs is the
     sign of a zero: ``x = -0.0`` strictly inside ``(a, b)`` maps to
     ``+0.0``, an equal value.  A zero anchor is stored as ``+0.0``: with
     ``a = +0.0`` and ``b = -0.0`` the clamp can pick ``b`` where the branch
@@ -343,13 +331,6 @@ class ThreePiece(Solution):
             row *= self.slope
             row += anchor
         return rows
-
-    def _invert_array(self, ys):
-        anchor = np.minimum(np.maximum(ys, self.a), self.b)
-        out = np.subtract(ys, anchor)
-        out /= self.slope
-        out += anchor
-        return out
 
     def _anchor(self, x: float) -> float:
         """``x`` clamped to ``[a, b]``; NaN stays NaN, as in ``np.maximum``."""
@@ -409,8 +390,8 @@ class Involution(Solution):
             out[~low] = self._f0_inv(xs[~low])
         return out
 
-    def _invert_array(self, ys):
-        return self._eval_array(ys)
+    def _invert_scalar(self, y):
+        return self._eval_scalar(y)
 
     def _inverse_spec(self):
         return self
@@ -445,8 +426,9 @@ class Conjugate(Solution):
     def _eval_array(self, xs):
         return self.gen.phi_inv(self.inner._eval_array(self.gen.phi(xs)))
 
-    def _invert_array(self, ys):
-        return self.gen.phi_inv(self.inner._invert_array(self.gen.phi(ys)))
+    def _invert_scalar(self, y):
+        x = self.inner._invert_scalar(float(self.gen.phi(np.asarray([y]))[0]))
+        return float(self.gen.phi_inv(np.asarray([x]))[0])
 
     def _inverse_spec(self):
         return Conjugate(self.gen, self.inner.inverse())

@@ -166,7 +166,8 @@ def predict_range(cf: ClosedForm, j_lo: int, j_hi: int) -> np.ndarray:
 
     The powers, cosines and sines come from ``_basis`` (kept per roots
     and range), the polynomial factors and products are arrays with one
-    row per term, and the rows are added in ``predict``'s order.
+    row per term, and the rows are added in ``predict``'s order.  A term
+    that overflows is +-inf, as in ``predict``, and warns nothing.
     """
     reals, cplx = cf.real_terms, cf.complex_terms
     J, powers, cos, sin, env = _basis(
@@ -176,15 +177,16 @@ def predict_range(cf: ClosedForm, j_lo: int, j_hi: int) -> np.ndarray:
         j_hi,
     )
     total = np.zeros(len(J))
-    if reals:
-        for row in _polyval_rows([t.coeffs for t in reals], J) * powers:
-            total += row
-    if cplx:
-        polys = _polyval_rows(
-            [t.cos_poly for t in cplx] + [t.sin_poly for t in cplx], J
-        )
-        for row in (polys[: len(cplx)] * cos + polys[len(cplx) :] * sin) * env:
-            total += row
+    with np.errstate(over="ignore"):
+        if reals:
+            for row in _polyval_rows([t.coeffs for t in reals], J) * powers:
+                total += row
+        if cplx:
+            polys = _polyval_rows(
+                [t.cos_poly for t in cplx] + [t.sin_poly for t in cplx], J
+            )
+            for row in (polys[: len(cplx)] * cos + polys[len(cplx) :] * sin) * env:
+                total += row
     return total
 
 
@@ -202,22 +204,6 @@ class RecurrenceReport:
         }
 
 
-def _contiguous_values(orbit: Orbit) -> np.ndarray:
-    """The orbit values from the last NaN before index 0 to the first after it.
-
-    That is the longest non-NaN run containing index 0 (index 0 itself is
-    not tested); the run is found from one ``np.isnan`` pass.
-    """
-    pts = orbit.points
-    zero = -orbit.m_lo
-    nan = np.flatnonzero(np.isnan(pts))
-    below = nan[nan < zero]
-    above = nan[nan > zero]
-    lo = int(below[-1]) + 1 if below.size else 0
-    hi = int(above[0]) if above.size else len(pts)
-    return pts[lo:hi].copy()
-
-
 def check_recurrence(orbit: Orbit, coeffs: Polynomial) -> RecurrenceReport:
     """Max residual of ``sum_i a_i x_{m+i}`` over all admissible windows,
     passing at ``RECURRENCE_TOL`` relative to the coefficients and orbit.
@@ -226,7 +212,7 @@ def check_recurrence(orbit: Orbit, coeffs: Polynomial) -> RecurrenceReport:
     and multiplied by the coefficients at once; each row's products are
     then summed exactly by ``math.fsum``.
     """
-    vals = _contiguous_values(orbit)
+    vals = orbit.points
     deg = coeffs.degree
     if len(vals) < deg + 1:
         raise TooShort(
@@ -249,7 +235,7 @@ def single_regime(sol: Solution, orbit: Orbit) -> bool:
     """
     if not isinstance(sol, ThreePiece):
         return True
-    vals = _contiguous_values(orbit)
+    vals = orbit.points
     return bool(
         np.all(vals <= sol.a) or np.all(vals >= sol.b)
         or np.all((vals >= sol.a) & (vals <= sol.b))
@@ -345,8 +331,8 @@ def fit_closed_form(
     ``regime_of`` optionally supplies the generating solution so that
     branch-crossing orbits of three-piece maps are refused: the linear
     recurrence only holds while the orbit stays in one affine regime.
-    Raises :class:`DomainError` naming the first anchor that is not
-    finite, and :class:`SingularSystem` when the system's condition number
+    The anchors are finite, as every orbit's points are (``Orbit``).
+    Raises :class:`SingularSystem` when the system's condition number
     exceeds 1e12 or the anchors cannot be reproduced.
     """
     deg = spectrum.problem.degree
@@ -359,9 +345,6 @@ def fit_closed_form(
             "does not apply across branches"
         )
     anchors = vals[:deg]
-    for j, v in enumerate(anchors.tolist()):
-        if not math.isfinite(v):
-            raise DomainError(f"anchor {j} is not finite: {v!r}")
     system = _anchor_system(spectrum)
     A64 = system.matrix
 
@@ -433,18 +416,14 @@ def prediction_error(
 ) -> float:
     """Max guarded relative error of predictions against stored values.
 
-    Indices outside the orbit and NaN entries are skipped; so is a NaN
-    error, as in a running ``max`` that starts at 0.
+    Indices outside the orbit are skipped; so is a NaN error, as in a
+    running ``max`` that starts at 0.  A prediction that overflows to
+    +-inf gives an infinite error.
     """
     lo, hi = max(j_lo, orbit.m_lo), min(j_hi, orbit.m_hi)
     if lo > hi:
         return 0.0
     actual = orbit.points[lo - orbit.m_lo : hi - orbit.m_lo + 1]
-    kept = np.flatnonzero(~np.isnan(actual))
-    if not kept.size:
-        return 0.0
-    pred = predict_range(cf, lo + int(kept[0]), lo + int(kept[-1]))
-    pred = pred[kept - kept[0]]
-    actual = actual[kept]
-    err = np.abs(pred - actual) / (1.0 + np.abs(actual))
+    with np.errstate(over="ignore"):
+        err = np.abs(predict_range(cf, lo, hi) - actual) / (1.0 + np.abs(actual))
     return max([0.0, *err.tolist()])

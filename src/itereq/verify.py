@@ -73,10 +73,13 @@ class DualReport:
 class Orbit:
     """Iterate sequence ``x_m`` for m in [m_lo, m_hi] with x_0 = x0.
 
-    Forward indices apply f, negative indices apply the inverse.  If an
-    iterate leaves the domain the orbit is cut there: ``escaped`` is set,
-    ``escape_index`` records the first bad index, and the remaining
-    entries hold NaN.
+    Forward indices apply f, negative indices apply the inverse.
+    ``points`` holds exactly the iterates ``x_{m_lo}..x_{m_hi}``, all
+    finite; the range contains index 0.  An orbit that left the domain
+    holds only the run that stayed in it: ``escaped`` is set and
+    ``escape_index`` records the first bad index, just past ``m_hi`` or
+    just before ``m_lo``.  Any other layout raises :class:`DomainError`
+    naming the first bad index.
     """
 
     x0: float
@@ -86,19 +89,28 @@ class Orbit:
     escaped: bool = False
     escape_index: int | None = None
 
+    def __post_init__(self):
+        pts = self.points = np.asarray(self.points, dtype=float)
+        lo, hi = self.m_lo, self.m_hi
+        if lo > 0 or hi < 0:
+            raise DomainError(f"orbit indices [{lo}, {hi}] leave out index 0")
+        if pts.shape != (hi - lo + 1,):
+            raise DomainError(
+                f"orbit indices [{lo}, {hi}] need {hi - lo + 1} points, got "
+                f"{pts.size}: index {lo + min(pts.size, hi - lo + 1)} is bad"
+            )
+        for m, v in zip(range(lo, hi + 1), pts.tolist()):
+            if not math.isfinite(v):
+                raise DomainError(f"orbit point at index {m} is not finite: {v!r}")
+
     def value(self, m: int) -> float:
         if not self.m_lo <= m <= self.m_hi:
             raise IndexError(f"index {m} outside [{self.m_lo}, {self.m_hi}]")
         return float(self.points[m - self.m_lo])
 
     def forward_values(self) -> np.ndarray:
-        """Values for m = 0..m_hi, truncated before any escape."""
-        vals = self.points[-self.m_lo:]
-        good = ~np.isnan(vals)
-        if np.all(good):
-            return vals.copy()
-        cut = int(np.argmin(good))
-        return vals[:cut].copy()
+        """Values for m = 0..m_hi."""
+        return self.points[-self.m_lo:].copy()
 
     def all_values(self) -> np.ndarray:
         return self.points.copy()
@@ -177,16 +189,17 @@ def iterate(s: Solution, x0: float, m_lo: int = 0, m_hi: int = 0) -> Orbit:
     """Build the orbit of ``x0`` under ``s`` for indices m_lo..m_hi.
 
     ``m_lo <= 0 <= m_hi``; negative indices use the pointwise inverse.
+    An iterate that leaves the domain ends the orbit on its side: the
+    returned ``m_hi`` (or ``m_lo``) is the last index before it, and
+    ``escape_index`` is its index (the backward one when both sides
+    escape).
     """
     if m_lo > 0 or m_hi < 0:
         raise DomainError(f"need m_lo <= 0 <= m_hi, got [{m_lo}, {m_hi}]")
     if not s.domain.contains(x0):
         raise DomainError(f"x0 = {x0!r} outside domain {s.domain}")
 
-    size = m_hi - m_lo + 1
-    points = np.full(size, np.nan)
-    points[-m_lo] = x0
-    escaped = False
+    forward, backward = [float(x0)], []
     escape_index: int | None = None
 
     # an iterate that overflows escapes the domain below; one guard per
@@ -195,27 +208,29 @@ def iterate(s: Solution, x0: float, m_lo: int = 0, m_hi: int = 0) -> Orbit:
     # lie in the domain, so that test cannot fail.
     domain = s.domain
     with np.errstate(over="ignore"):
-        x = float(x0)
+        x = forward[0]
         for m in range(1, m_hi + 1):
             x = s._eval_scalar(x)
             if not contains_with_slack(domain, x):
-                escaped, escape_index = True, m
+                escape_index = m
                 break
-            points[m - m_lo] = x
+            forward.append(x)
 
         x = x0
         for m in range(-1, m_lo - 1, -1):
             try:
                 x = s.invert(x)
             except NotSurjective:
-                escaped, escape_index = True, m
+                escape_index = m
                 break
             if not contains_with_slack(domain, x):
-                escaped, escape_index = True, m
+                escape_index = m
                 break
-            points[m - m_lo] = x
+            backward.append(x)
 
-    return Orbit(x0, m_lo, m_hi, points, escaped, escape_index)
+    points = np.array(backward[::-1] + forward)
+    escaped = escape_index is not None
+    return Orbit(x0, -len(backward), len(forward) - 1, points, escaped, escape_index)
 
 
 def _iterate_rows(
@@ -426,16 +441,9 @@ def verify_second_order(
 def antimonotone_signs_constant(orbit: Orbit) -> bool:
     """True when ``(-1)^m (x_m - x_{m-1})`` keeps one sign over the orbit.
 
-    Zero differences are neutral; the check applies to the stored,
-    non-escaped index range.
+    Zero differences are neutral; the check runs over every held point.
     """
-    signs: list[float] = []
-    for m in range(orbit.m_lo + 1, orbit.m_hi + 1):
-        a = orbit.points[m - 1 - orbit.m_lo]
-        b = orbit.points[m - orbit.m_lo]
-        if np.isnan(a) or np.isnan(b):
-            continue
-        term = (-1.0) ** m * (b - a)
-        if term != 0.0:
-            signs.append(math.copysign(1.0, term))
-    return len(set(signs)) <= 1
+    terms = np.diff(orbit.points)
+    terms[orbit.m_lo % 2 :: 2] *= -1.0  # term i is at m = m_lo + 1 + i
+    terms = terms[terms != 0.0]
+    return bool(np.all(terms > 0.0) or np.all(terms < 0.0))

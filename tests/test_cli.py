@@ -508,6 +508,48 @@ def test_fit_recurrence_row_with_extra_field_exit_2(tmp_path, capsys):
     assert "cannot parse orbit row on line 4" in err and "2,4,99" in err
 
 
+@pytest.mark.parametrize(
+    "term",
+    [lambda m: 0.5**m + 1.0, lambda m: -((SQRT2 - 1.0) ** m)],
+    ids=["half_powers_plus_one", "three_piece_orbit"],
+)
+def test_fit_recurrence_overflowing_closed_form_exit_4(tmp_path, capsys, term):
+    # (3, 1) has the root -2.414; its power at index 899 leaves the float
+    # range, which refutes nothing
+    values = [term(m) for m in range(900)]
+    code, out, err = run_cli(
+        capsys, "fit-recurrence", "--n", "3", "--k", "1",
+        "--orbit", _write_orbit_csv(tmp_path, values),
+    )
+    assert code == 4
+    assert err.startswith("numerical failure: a closed-form term left the float range")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k", ["0", "2"])
+def test_fit_recurrence_overflowing_prediction_fails_without_warning(
+    tmp_path, capsys, k
+):
+    # the orbit escapes forward at m = 18; predictions that overflow to
+    # +-inf read as an infinite held-out error, with no NumPy warning
+    spec = tmp_path / "tr.json"
+    spec.write_text(json.dumps({
+        "family": "translation", "params": {"c": 1e307},
+        "domain": {"lo": "-inf", "hi": "+inf"},
+    }))
+    csv = str(tmp_path / "tr.csv")
+    code, _, _ = run_cli(
+        capsys, "orbit", "--solution", str(spec), "--x0", "0.3",
+        "--steps", "30", "--back", "4", "--csv", csv,
+    )
+    assert code == 0
+    code, out, err = run_cli(
+        capsys, "fit-recurrence", "--n", "2", "--k", k, "--orbit", csv,
+    )
+    assert (code, err) == (1, "")
+    assert "held-out max relative error: inf" in out
+
+
 def test_solve_human_readable_output(capsys):
     code, out, _ = run_cli(
         capsys, "solve", "--n", "3", "--k", "1", "--interval", "(-inf,inf)",

@@ -218,9 +218,10 @@ def test_three_piece_collapsed_window_is_affine():
 # three-piece arithmetic against the branch formulas
 # ---------------------------------------------------------------------------
 #
-# The clamp-anchored evaluation must give every element the IEEE operations
-# of the branch formulas below, bit for bit.  The one allowed difference is
-# the sign of a zero from x = -0.0 inside (a, b), compared by value.
+# The clamp-anchored evaluation of an array, and the inverse of each point,
+# must give every element the IEEE operations of the branch formulas below,
+# bit for bit.  The one allowed difference is the sign of a zero from
+# x = -0.0 inside (a, b), compared by value.
 
 
 def _branch_eval(s, xs):
@@ -239,9 +240,10 @@ def _assert_branch_bits(s, xs):
     xs = np.asarray(xs, dtype=float)
     negative_zero = (xs == 0.0) & np.signbit(xs)
     with np.errstate(over="ignore"):
+        inverted = np.array([s._invert_scalar(y) for y in xs.tolist()])
         pairs = [
             (s._eval_array(xs), _branch_eval(s, xs)),
-            (s._invert_array(xs), _branch_invert(s, xs)),
+            (inverted, _branch_invert(s, xs)),
         ]
     for got, want in pairs:
         assert got.shape == want.shape
@@ -331,12 +333,18 @@ def test_three_piece_iteration_matches_repeated_maps(ends, slope, xs, count):
 # ---------------------------------------------------------------------------
 #
 # ``__call__`` and ``invert`` run ``_eval_scalar`` and ``_invert_scalar`` in
-# Python floats; each must give every point the bits of the array forms.
+# Python floats; each must give every point the bits of an array form: the
+# family's own ``_eval_array``, and the inverse formula written over arrays.
 
 
-def _assert_scalar_bits(s, xs):
+def _clamp_invert(s, ys):
+    anchor = np.minimum(np.maximum(ys, s.a), s.b)
+    return (ys - anchor) / s.slope + anchor
+
+
+def _assert_scalar_bits(s, xs, invert):
     xs = [float(x) for x in xs]
-    maps = ((s._eval_scalar, s._eval_array), (s._invert_scalar, s._invert_array))
+    maps = ((s._eval_scalar, s._eval_array), (s._invert_scalar, invert))
     with np.errstate(over="ignore", invalid="ignore"):
         for scalar, array in maps:
             whole = array(np.asarray(xs))
@@ -363,7 +371,8 @@ NONZERO = FINITE.filter(lambda v: v != 0.0)
 def test_three_piece_scalar_maps_match_the_arrays(ends, slope, xs):
     a, b = ends
     s = ThreePiece(REAL_LINE, a, b, slope)
-    _assert_scalar_bits(s, xs + _edge_points(s.a, s.b))
+    points = xs + _edge_points(s.a, s.b)
+    _assert_scalar_bits(s, points, lambda ys: _clamp_invert(s, ys))
 
 
 @given(
@@ -375,8 +384,12 @@ def test_three_piece_scalar_maps_match_the_arrays(ends, slope, xs):
 @example(slope=5e-324, c=-0.0, xs=[1e308, -1e308])
 def test_identity_translation_affine_scalar_maps_match_the_arrays(slope, c, xs):
     points = xs + _edge_points(c, c + 1.0)
-    for s in (Identity(REAL_LINE), Translation(REAL_LINE, c), Affine(REAL_LINE, slope, c)):
-        _assert_scalar_bits(s, points)
+    for s, invert in (
+        (Identity(REAL_LINE), lambda ys: ys.copy()),
+        (Translation(REAL_LINE, c), lambda ys: ys - c),
+        (Affine(REAL_LINE, slope, c), lambda ys: (ys - c) / slope),
+    ):
+        _assert_scalar_bits(s, points, invert)
 
 
 def test_call_and_invert_take_the_scalar_path(monkeypatch):
@@ -386,7 +399,6 @@ def test_call_and_invert_take_the_scalar_path(monkeypatch):
 
     for cls in (Identity, Translation, Affine, ThreePiece):
         monkeypatch.setattr(cls, "_eval_array", no_arrays)
-        monkeypatch.setattr(cls, "_invert_array", no_arrays)
     for s in SOLUTIONS:
         y = s(1.25)
         assert type(y) is float and type(s.invert(y)) is float
@@ -396,6 +408,30 @@ def test_three_piece_maps_negative_zero_to_a_zero():
     s = ThreePiece(REAL_LINE, -1.0, 2.0, 0.5)
     assert s(-0.0) == 0.0
     assert s.invert(-0.0) == 0.0
+
+
+def test_conjugate_inverts_one_point_through_its_generator():
+    from itereq.selftest import geometric_conjugate, power_conjugate
+
+    for s, gen, _ in (geometric_conjugate(), power_conjugate()):
+        img = s.image()
+        for y in np.linspace(img.lo, img.hi, 41)[1:-1].tolist():
+            inner_y = gen.phi(np.asarray([y]))
+            x = s.inner.invert(float(inner_y[0]))
+            want = gen.phi_inv(np.asarray([x]))
+            assert np.float64(s.invert(y)).tobytes() == want.tobytes(), y
+
+
+def test_involution_inverts_by_its_own_map():
+    xs = np.array([0.0, 0.5, 1.0])
+    for s in (
+        build_involution(POS, 1.0, f0=lambda x: 1.0 / x),
+        build_involution(Interval(0.0, 2.0), 0.8, f0=lambda x: 2.0 - 1.2 * (x / 0.8) ** 1.3),
+        build_involution(Interval(0.0, 2.0), 1.0, f0_table=(xs, 2.0 - xs)),
+    ):
+        lo, hi = s.domain.window()
+        for y in np.linspace(lo, hi, 41)[1:-1].tolist():
+            assert np.float64(s.invert(y)).tobytes() == np.float64(s(y)).tobytes(), y
 
 
 # ---------------------------------------------------------------------------

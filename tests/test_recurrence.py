@@ -19,7 +19,7 @@ from itereq.charpoly import (
 )
 from itereq.errors import DomainError, SingularSystem, TooShort
 from itereq.families import Affine, ThreePiece, Translation, enumerate_families
-from itereq.intervals import REAL_LINE
+from itereq.intervals import REAL_LINE, Interval
 from itereq.poly import Polynomial
 from itereq.recurrence import (
     _anchor_system,
@@ -410,9 +410,9 @@ def test_import_leaves_mpmath_unloaded():
 
 
 def test_fit_rejects_non_finite_anchor():
-    spectrum = analyze_roots(CharProblem(3, 1))
-    with pytest.raises(DomainError, match="anchor 1 is not finite"):
-        fit_closed_form(orbit_from_values([1.0, math.inf, 2.0, 3.0]), spectrum)
+    # no orbit holds a non-finite anchor: its constructor names the index
+    with pytest.raises(DomainError, match="index 1 is not finite"):
+        orbit_from_values([1.0, math.inf, 2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +474,6 @@ def _prediction_error_reference(cf, orbit, j_lo, j_hi):
         if j < orbit.m_lo or j > orbit.m_hi:
             continue
         actual = orbit.value(j)
-        if math.isnan(actual):
-            continue
         err = abs(predict(cf, j) - actual) / (1.0 + abs(actual))
         worst = max(worst, err)
     return worst
@@ -486,7 +484,7 @@ def test_prediction_error_is_the_per_index_loop_bit_for_bit():
         iterate(Affine(REAL_LINE, -2.0, 0.5), 0.3, 0, 12),
         analyze_roots(CharProblem(2, 0)),
     )
-    points = np.array([np.nan, 1.0, -2.5, np.nan, 7.0, 1e300, -5.0, np.nan, 3.0])
+    points = np.array([0.4, 1.0, -2.5, 0.0, 7.0, 1e300, -5.0, -1e-300, 3.0])
     orbit = Orbit(1.0, -1, 7, points)
     for j_lo in range(-3, 10):
         for j_hi in range(j_lo - 1, 10):
@@ -504,14 +502,8 @@ def test_prediction_error_is_the_per_index_loop_bit_for_bit():
 
 
 def _check_recurrence_reference(orbit, coeffs, tol=1e-9):
-    """The per-window generator form, with its run found index by index."""
-    pts = orbit.all_values()
-    lo = hi = -orbit.m_lo
-    while lo > 0 and not np.isnan(pts[lo - 1]):
-        lo -= 1
-    while hi + 1 < len(pts) and not np.isnan(pts[hi + 1]):
-        hi += 1
-    vals = pts[lo : hi + 1]
+    """The per-window generator form over the held values, index by index."""
+    vals = np.array([orbit.value(m) for m in range(orbit.m_lo, orbit.m_hi + 1)])
     deg = coeffs.degree
     if len(vals) < deg + 1:
         raise TooShort("short")
@@ -529,11 +521,11 @@ MODERATE = st.floats(min_value=-1e6, max_value=1e6)
 
 
 @given(
-    values=st.lists(MODERATE | st.just(math.nan), min_size=1, max_size=24),
+    values=st.lists(MODERATE, min_size=1, max_size=24),
     back=st.integers(min_value=0, max_value=23),
     coeffs=st.lists(MODERATE, min_size=2, max_size=6),
 )
-@example(values=[math.nan, 1.0, 2.0, 3.0, 4.0], back=0, coeffs=[1.0, -2.0, 1.0])
+@example(values=[0.0, 1.0, 2.0, 3.0, 4.0], back=2, coeffs=[1.0, -2.0, 1.0])
 def test_check_recurrence_is_the_generator_form_bit_for_bit(values, back, coeffs):
     back = min(back, len(values) - 1)
     orbit = Orbit(values[back], -back, len(values) - 1 - back, np.array(values))
@@ -548,3 +540,51 @@ def test_check_recurrence_is_the_generator_form_bit_for_bit(values, back, coeffs
     assert (got.max_residual.hex(), got.passed, got.windows) == (
         want[0].hex(), want[1], want[2]
     )
+
+
+# orbits cut by an escape forward, backward and both ways: each consumer
+# reads the held run as it is
+BOX = Interval(-5.0, 5.0, True, True)
+ESCAPING = [
+    (Translation(REAL_LINE, 1e307), 0.3, -4, 30),
+    (Translation(REAL_LINE, 1e307), 0.3, -30, 4),
+    (Translation(REAL_LINE, 1e307), 0.3, -30, 30),
+    (ThreePiece(REAL_LINE, -1.0, 1.0, 1e300), 2.0, -6, 6),
+    (ThreePiece(BOX, -1.0, 1.0, 0.5), 2.0, -6, 6),
+    (ThreePiece(BOX, -1.0, 1.0, 0.5), 4.0, -6, 6),
+]
+
+
+def _single_regime_reference(sol, held):
+    if not isinstance(sol, ThreePiece):
+        return True
+    return (
+        all(v <= sol.a for v in held)
+        or all(v >= sol.b for v in held)
+        or all(sol.a <= v <= sol.b for v in held)
+    )
+
+
+@pytest.mark.parametrize("sol, x0, m_lo, m_hi", ESCAPING)
+def test_escaping_orbits_read_as_loops_over_the_held_values(sol, x0, m_lo, m_hi):
+    orbit = iterate(sol, x0, m_lo, m_hi)
+    assert orbit.escaped
+    held = [orbit.value(m) for m in range(orbit.m_lo, orbit.m_hi + 1)]
+    assert all(math.isfinite(v) for v in held)
+    assert orbit.forward_values().tolist() == held[-orbit.m_lo :]
+    assert single_regime(sol, orbit) == _single_regime_reference(sol, held)
+
+    # a scaled (2, 1) row: its products of values near 1.8e308 stay finite
+    poly = Polynomial((-0.5, 1.0, -0.5))
+    got = check_recurrence(orbit, poly)
+    want = _check_recurrence_reference(orbit, poly)
+    assert (got.max_residual.hex(), got.passed, got.windows) == (
+        want[0].hex(), want[1], want[2]
+    )
+
+    cf = fit_closed_form(orbit, analyze_roots(CharProblem(2, 1)))
+    for j_lo in range(m_lo - 2, m_hi + 3, 3):
+        for j_hi in range(j_lo - 1, m_hi + 3, 4):
+            got = prediction_error(cf, orbit, j_lo, j_hi)
+            want = _prediction_error_reference(cf, orbit, j_lo, j_hi)
+            assert got.hex() == want.hex(), (j_lo, j_hi)

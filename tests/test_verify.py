@@ -29,6 +29,7 @@ from itereq.verify import (
     _grid_points,
     _iterate_rows,
     DEFAULT_TOL,
+    Orbit,
     VerifyReport,
     antimonotone_signs_constant,
     iterate,
@@ -118,6 +119,56 @@ def test_orbit_escape_flag_backward():
 def test_orbit_x0_outside_domain():
     with pytest.raises(DomainError):
         iterate(Identity(Interval(0.0, 1.0)), 5.0, 0, 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_orbit_rejects_a_non_finite_point_naming_its_index(bad):
+    with pytest.raises(DomainError, match="index 1 is not finite"):
+        Orbit(0.0, -2, 2, np.array([1.0, 2.0, 0.0, bad, 5.0]))
+
+
+def test_orbit_rejects_points_that_do_not_fill_a_range_with_index_0():
+    with pytest.raises(DomainError, match="need 5 points, got 4: index 2 is bad"):
+        Orbit(0.0, -2, 2, np.array([1.0, 2.0, 0.0, 3.0]))
+    with pytest.raises(DomainError, match="need 3 points, got 4: index 2 is bad"):
+        Orbit(0.0, -1, 1, np.array([1.0, 0.0, 3.0, 4.0]))
+    with pytest.raises(DomainError, match=r"\[1, 3\] leave out index 0"):
+        Orbit(1.0, 1, 3, np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(DomainError, match=r"\[-3, -1\] leave out index 0"):
+        Orbit(1.0, -3, -1, np.array([1.0, 2.0, 3.0]))
+
+
+def _antimonotone_reference(orbit):
+    signs = set()
+    for m in range(orbit.m_lo + 1, orbit.m_hi + 1):
+        term = (-1.0) ** m * (orbit.value(m) - orbit.value(m - 1))
+        if term != 0.0:
+            signs.add(math.copysign(1.0, term))
+    return len(signs) <= 1
+
+
+@pytest.mark.parametrize(
+    "sol, x0, m_lo, m_hi, held, escape_index",
+    [
+        # forward, backward and both ways; both ways keeps the backward index
+        (Translation(REAL_LINE, 1e307), 0.3, -4, 30, (-4, 17), 18),
+        (Translation(REAL_LINE, 1e307), 0.3, -30, 4, (-17, 4), -18),
+        (Translation(REAL_LINE, 1e307), 0.3, -30, 30, (-17, 17), -18),
+        (Affine(Interval(0.0, 2.0, True, True), 0.5, 0.5), 1.01, -12, 5, (-6, 5), -7),
+        (Affine(REAL_LINE, -1e200, 0.0), 0.5, -3, 6, (-3, 1), 2),
+    ],
+)
+def test_an_escaping_orbit_holds_only_its_in_domain_run(
+    sol, x0, m_lo, m_hi, held, escape_index
+):
+    orb = iterate(sol, x0, m_lo, m_hi)
+    assert orb.escaped and orb.escape_index == escape_index
+    assert (orb.m_lo, orb.m_hi) == held
+    assert orb.m_hi < escape_index or orb.m_lo > escape_index
+    assert len(orb.points) == orb.m_hi - orb.m_lo + 1
+    assert np.isfinite(orb.points).all()
+    assert orb.value(0) == x0
+    assert antimonotone_signs_constant(orb) == _antimonotone_reference(orb)
 
 
 def test_sample_grid_respects_open_endpoints():
