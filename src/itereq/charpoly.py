@@ -8,9 +8,9 @@ For integers ``n >= 2`` and ``0 <= k <= n`` the equation
 The parities of ``k`` and ``n`` and the ordering of ``n`` against ``2k``
 determine a complete table of real-root locations (labels C1..C10 for
 ``0 < k < n``, plus K0 and KN for the boundary cases).  ``analyze_roots``
-computes the whole spectrum in one solve, finds every predicted real root
-in its bracket there, and checks the modulus bound ``|z| < 2n+1`` plus the
-real/non-real modulus separation.
+computes the whole spectrum in one solve and finds every predicted real
+root in its bracket there.  Its report reads the modulus bound
+``|z| < 2n+1`` and the real/non-real modulus separation off those roots.
 """
 
 from __future__ import annotations
@@ -94,13 +94,15 @@ class RealRootRecord:
 
 @dataclass(frozen=True)
 class RootReport:
-    """Fully resolved spectrum of one characteristic polynomial."""
+    """Fully resolved spectrum of one characteristic polynomial.
+
+    It holds only the problem and the roots; the modulus bound and the
+    separation gap are read off those roots on every access.
+    """
 
     problem: CharProblem
     real_roots: tuple[RealRootRecord, ...]
     complex_roots: tuple[ComplexRoot, ...]
-    bound_2n1_ok: bool
-    modulus_separation_min_gap: float | None
 
     @property
     def total_multiplicity(self) -> int:
@@ -117,6 +119,25 @@ class RootReport:
     @property
     def bound_margin(self) -> float:
         return (2 * self.problem.n + 1) - self.max_modulus
+
+    @property
+    def bound_2n1_ok(self) -> bool:
+        """Every root has modulus below ``2n+1``."""
+        return self.max_modulus < 2.0 * self.problem.n + 1.0
+
+    @property
+    def modulus_separation_min_gap(self) -> float | None:
+        """Least ``| |z| - |r| |`` over non-real z and real r; None when k
+        and n are both even (no claim), inf without a non-real root."""
+        if self.problem.both_even:
+            return None
+        gaps = [
+            abs(z.modulus - abs(r.value))
+            for z in self.complex_roots
+            if z.im != 0.0
+            for r in self.real_roots
+        ]
+        return min(gaps) if gaps else math.inf
 
     def real_root_in(self, lo: float, hi: float) -> float:
         """The (unique) real root with value strictly inside (lo, hi)."""
@@ -267,7 +288,7 @@ def _quotient_sign(prob: CharProblem, mult: int, x: float) -> int:
 
 @functools.lru_cache(maxsize=_REPORT_CACHE_SIZE)
 def analyze_roots(prob: CharProblem) -> RootReport:
-    """Resolve the full spectrum and check the root-location claims.
+    """Resolve the full spectrum and place every predicted real root.
 
     There is one shared, read-only report per (n, k): results are kept in
     a bounded LRU cache keyed on the frozen ``CharProblem``, so equal
@@ -294,6 +315,7 @@ def analyze_roots(prob: CharProblem) -> RootReport:
     without a sign change raises :class:`NonConvergence` naming both of
     its ends and their signs.  Real estimates in no bracket stay among
     the complex roots, where ``report_matches_expectation`` flags them.
+    It returns once the roots are placed; the report reads its claims off them.
     """
     analysis = classify(prob)
     mult_one = analysis.expected_real_roots[0].multiplicity
@@ -335,46 +357,19 @@ def analyze_roots(prob: CharProblem) -> RootReport:
         taken.add(hits[0])
         real_records.append(RealRootRecord(z.re, z.multiplicity, (lo, hi)))
     complex_roots = tuple(z for i, z in enumerate(estimates) if i not in taken)
-
-    bound = 2.0 * prob.n + 1.0
-    max_mod = max(
-        [abs(r.value) for r in real_records]
-        + [r.modulus for r in complex_roots]
-    )
-    bound_ok = max_mod < bound
-
-    if prob.both_even:  # modulus separation is claimed only when k or n is odd
-        gap = None
-    else:
-        gaps = [
-            abs(z.modulus - abs(r.value))
-            for z in complex_roots
-            if z.im != 0.0
-            for r in real_records
-        ]
-        gap = min(gaps) if gaps else math.inf
-
-    return RootReport(
-        problem=prob,
-        real_roots=tuple(real_records),
-        complex_roots=complex_roots,
-        bound_2n1_ok=bound_ok,
-        modulus_separation_min_gap=gap,
-    )
+    return RootReport(prob, tuple(real_records), complex_roots)
 
 
-def report_matches_expectation(
-    report: RootReport, analysis: CaseAnalysis | None = None
-) -> tuple[bool, list[str]]:
-    """Compare a root report against the case table's predictions.
+def report_matches_expectation(report: RootReport) -> tuple[bool, list[str]]:
+    """Compare a root report against the case table of its own problem.
 
     Checks the real-root count, bracket membership (strict interior, or
     exactly 1), multiplicities, that every residual root is genuinely
-    non-real, the total multiplicity, and the modulus bound.  Returns
+    non-real, the total multiplicity, the modulus bound and a positive
+    separation gap, each read off the report's roots.  Returns
     ``(ok, mismatches)``.
     """
-    if analysis is None:
-        analysis = classify(report.problem)
+    analysis = classify(report.problem)
     problems: list[str] = []
 
     if len(report.real_roots) != len(analysis.expected_real_roots):

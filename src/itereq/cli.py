@@ -172,7 +172,7 @@ def _cmd_analyze(args) -> int:
     prob = CharProblem(args.n, args.k)
     analysis = classify(prob)
     report = analyze_roots(prob)
-    matched, problems = report_matches_expectation(report, analysis)
+    matched, problems = report_matches_expectation(report)
 
     if args.json:
         payload = report.to_json()
@@ -338,7 +338,7 @@ def _read_orbit_csv(path: str) -> Orbit:
         raise ItereqError("orbit indices must be consecutive")
     # re-index so the first row is j = 0: the recurrence is shift-invariant
     vals = [v for _, v in rows]
-    return Orbit(vals[0], 0, len(vals) - 1, vals)
+    return Orbit(0, len(vals) - 1, vals)
 
 
 def _cmd_fit(args) -> int:
@@ -387,7 +387,7 @@ def _print_closed_form(cf: ClosedForm) -> None:
 def _cmd_selftest(args) -> int:
     from .selftest import run_all
 
-    results = run_all(verbose=True)
+    results = run_all()
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 

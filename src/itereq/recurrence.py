@@ -167,7 +167,8 @@ def predict_range(cf: ClosedForm, j_lo: int, j_hi: int) -> np.ndarray:
     The powers, cosines and sines come from ``_basis`` (kept per roots
     and range), the polynomial factors and products are arrays with one
     row per term, and the rows are added in ``predict``'s order.  A term
-    that overflows is +-inf, as in ``predict``, and warns nothing.
+    that overflows is +-inf, as in ``predict``, and terms that overflow
+    with opposite signs add to NaN, as they do there; neither warns.
     """
     reals, cplx = cf.real_terms, cf.complex_terms
     J, powers, cos, sin, env = _basis(
@@ -177,7 +178,7 @@ def predict_range(cf: ClosedForm, j_lo: int, j_hi: int) -> np.ndarray:
         j_hi,
     )
     total = np.zeros(len(J))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         if reals:
             for row in _polyval_rows([t.coeffs for t in reals], J) * powers:
                 total += row
@@ -196,13 +197,6 @@ class RecurrenceReport:
     passed: bool
     windows: int
 
-    def to_json(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "pass": self.passed,
-            "windows": self.windows,
-        }
-
 
 def check_recurrence(orbit: Orbit, coeffs: Polynomial) -> RecurrenceReport:
     """Max residual of ``sum_i a_i x_{m+i}`` over all admissible windows,
@@ -210,7 +204,11 @@ def check_recurrence(orbit: Orbit, coeffs: Polynomial) -> RecurrenceReport:
 
     The windows ``x_m..x_{m+deg}`` are gathered as the rows of one array
     and multiplied by the coefficients at once; each row's products are
-    then summed exactly by ``math.fsum``.
+    then summed exactly by ``math.fsum``.  Where ``(deg + 1) * inf_norm *
+    max |x_m|`` reaches 2^1023 a product or sum could overflow, so there
+    the orbit is scaled into [-2, 2] by a power of two, as
+    ``fit_closed_form`` scales its anchors, and the residual scaled back.
+    A residual that is infinite once scaled back never passes.
     """
     vals = orbit.points
     deg = coeffs.degree
@@ -218,13 +216,19 @@ def check_recurrence(orbit: Orbit, coeffs: Polynomial) -> RecurrenceReport:
         raise TooShort(
             f"orbit provides {len(vals)} values, recurrence needs {deg + 1}"
         )
+    peak = float(np.abs(vals).max())
+    exp = 0
+    if (deg + 1) * coeffs.inf_norm * peak >= 2.0**1023:
+        exp = math.frexp(peak)[1] - 1
+        vals = np.ldexp(vals, -exp)
     windows = len(vals) - deg
     products = vals[np.add.outer(np.arange(windows), np.arange(deg + 1))]
     products *= coeffs.as_array()
     residuals = np.array([math.fsum(row) for row in products.tolist()])
-    scale = coeffs.inf_norm * (1.0 + float(np.abs(vals).max()))
-    max_resid = float(np.abs(residuals).max())
-    return RecurrenceReport(max_resid, max_resid <= RECURRENCE_TOL * scale, windows)
+    max_resid = float(np.abs(residuals).max()) * 2.0**exp
+    limit = RECURRENCE_TOL * coeffs.inf_norm * (1.0 + peak)
+    passed = math.isfinite(max_resid) and max_resid <= limit
+    return RecurrenceReport(max_resid, passed, windows)
 
 
 def single_regime(sol: Solution, orbit: Orbit) -> bool:
@@ -416,9 +420,9 @@ def prediction_error(
 ) -> float:
     """Max guarded relative error of predictions against stored values.
 
-    Indices outside the orbit are skipped; so is a NaN error, as in a
-    running ``max`` that starts at 0.  A prediction that overflows to
-    +-inf gives an infinite error.
+    Indices outside the orbit are skipped.  A prediction that overflows
+    to +-inf gives an infinite error, and a NaN error (terms that overflow
+    with opposite signs) counts as one, so it never reads as a pass.
     """
     lo, hi = max(j_lo, orbit.m_lo), min(j_hi, orbit.m_hi)
     if lo > hi:
@@ -426,4 +430,5 @@ def prediction_error(
     actual = orbit.points[lo - orbit.m_lo : hi - orbit.m_lo + 1]
     with np.errstate(over="ignore"):
         err = np.abs(predict_range(cf, lo, hi) - actual) / (1.0 + np.abs(actual))
-    return max([0.0, *err.tolist()])
+    worst = float(err.max())
+    return math.inf if math.isnan(worst) else worst

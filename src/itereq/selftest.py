@@ -1,9 +1,11 @@
 """Acceptance battery: exhaustive desk-scale checks of every claim.
 
-Each criterion function returns a :class:`CriterionResult`; ``run_all``
-executes the battery and prints one pass/fail line per criterion.  The
-pytest acceptance module drives the same functions, so the CLI
-``selftest`` subcommand and the test suite agree by construction.
+Each criterion function returns ``(passed, details)``.  ``CRITERIA`` is
+the one place that numbers and names them; ``run_all`` executes the
+battery, builds a :class:`CriterionResult` for each entry and prints one
+pass/fail line per criterion.  The pytest acceptance module drives the
+same functions, so the CLI ``selftest`` subcommand and the test suite
+agree by construction.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def _table_range():
             yield CharProblem(n, k)
 
 
-def criterion_1_root_table() -> CriterionResult:
+def criterion_1_root_table() -> tuple[bool, str]:
     """Real-root count, signs, brackets, and the n=2k double root.
 
     Times the uncached analysis, so the budget measures root finding even
@@ -85,16 +87,15 @@ def criterion_1_root_table() -> CriterionResult:
         if not ok:
             mismatches.append(f"(n={prob.n}, k={prob.k}): {problems}")
     elapsed = time.perf_counter() - start
-    passed = not mismatches and elapsed < ROOT_TABLE_TIME_BUDGET
     details = f"{count} cases, 0 mismatches, {elapsed:.2f}s"
     if mismatches:
         details = f"{len(mismatches)} mismatches: {mismatches[:3]}"
     elif elapsed >= ROOT_TABLE_TIME_BUDGET:
         details = f"time budget exceeded: {elapsed:.2f}s >= {ROOT_TABLE_TIME_BUDGET}s"
-    return CriterionResult(1, "root-case table", passed, details)
+    return not mismatches and elapsed < ROOT_TABLE_TIME_BUDGET, details
 
 
-def criterion_2_complex_bound() -> CriterionResult:
+def criterion_2_complex_bound() -> tuple[bool, str]:
     """All complex roots stay inside modulus 2n+1, with margin."""
     violations = []
     min_margin = math.inf
@@ -103,14 +104,13 @@ def criterion_2_complex_bound() -> CriterionResult:
         if not report.bound_2n1_ok:
             violations.append((prob.n, prob.k, report.max_modulus))
         min_margin = min(min_margin, report.bound_margin)
-    passed = not violations and min_margin > 0.0
     details = f"0 violations, min margin {min_margin:.6f}"
     if violations:
         details = f"violations: {violations[:3]}"
-    return CriterionResult(2, "complex modulus bound", passed, details)
+    return not violations and min_margin > 0.0, details
 
 
-def criterion_3_modulus_separation() -> CriterionResult:
+def criterion_3_modulus_separation() -> tuple[bool, str]:
     """Non-real and real root moduli never nearly coincide."""
     min_gap = math.inf
     offenders = []
@@ -123,11 +123,10 @@ def criterion_3_modulus_separation() -> CriterionResult:
         min_gap = min(min_gap, gap)
         if gap <= SEPARATION_FLOOR:
             offenders.append((prob.n, prob.k, gap))
-    passed = not offenders and min_gap > SEPARATION_FLOOR
     details = f"min gap {min_gap:.6e}"
     if offenders:
         details = f"offenders: {offenders[:3]}"
-    return CriterionResult(3, "modulus separation", passed, details)
+    return not offenders and min_gap > SEPARATION_FLOOR, details
 
 
 def _verified_families() -> list[tuple[str, Solution, CharProblem]]:
@@ -171,7 +170,7 @@ def _verified_families() -> list[tuple[str, Solution, CharProblem]]:
     return sols
 
 
-def criterion_4_family_verification() -> CriterionResult:
+def criterion_4_family_verification() -> tuple[bool, str]:
     """Every constructed family satisfies its equation to ``DEFAULT_TOL``."""
     cases = _verified_families()
     start = time.perf_counter()
@@ -183,7 +182,6 @@ def criterion_4_family_verification() -> CriterionResult:
         if not report.passed or report.max_residual > DEFAULT_TOL:
             failures.append((name, report.max_residual))
     elapsed = time.perf_counter() - start
-    passed = not failures and elapsed < FAMILY_TIME_BUDGET
     details = (
         f"{len(cases)} constructions, worst residual {worst:.3e}, {elapsed:.2f}s"
     )
@@ -191,7 +189,7 @@ def criterion_4_family_verification() -> CriterionResult:
         details = f"failures: {failures[:3]}"
     elif elapsed >= FAMILY_TIME_BUDGET:
         details = f"time budget exceeded: {elapsed:.2f}s >= {FAMILY_TIME_BUDGET}s"
-    return CriterionResult(4, "family verification", passed, details)
+    return not failures and elapsed < FAMILY_TIME_BUDGET, details
 
 
 def geometric_conjugate() -> tuple[Solution, Generator, CharProblem]:
@@ -210,7 +208,7 @@ def power_conjugate() -> tuple[Solution, Generator, CharProblem]:
     return conjugate(gen, inner), gen, CharProblem(2, 2)
 
 
-def criterion_5_conjugates() -> CriterionResult:
+def criterion_5_conjugates() -> tuple[bool, str]:
     """Quasi-arithmetic conjugate solutions verify under their means."""
     failures = []
     for label, builder in (
@@ -223,11 +221,10 @@ def criterion_5_conjugates() -> CriterionResult:
         )
         if not report.passed or report.max_residual > DEFAULT_TOL:
             failures.append((label, report.max_residual))
-    passed = not failures
     details = "geometric and power conjugates pass at 1e-9"
     if failures:
         details = f"failures: {failures}"
-    return CriterionResult(5, "quasi-arithmetic conjugates", passed, details)
+    return not failures, details
 
 
 def _reciprocal_involution() -> Solution:
@@ -237,7 +234,7 @@ def _reciprocal_involution() -> Solution:
     )
 
 
-def criterion_6_involution() -> CriterionResult:
+def criterion_6_involution() -> tuple[bool, str]:
     """Reciprocal involution: self-inverse and the even-iterate equation."""
     sol = _reciprocal_involution()
     xs = np.linspace(0.01, 10.0, 1001)
@@ -249,9 +246,8 @@ def criterion_6_involution() -> CriterionResult:
     f4 = sol._eval_array(sol._eval_array(f2))
     f6 = sol._eval_array(sol._eval_array(f4))
     resid = np.max(np.abs((f2 + f4 + f6) / 3.0 - xs) / (1.0 + np.abs(xs)))
-    passed = err_inv <= DEFAULT_TOL and resid <= DEFAULT_TOL
     details = f"f(f(x)) error {err_inv:.3e}, even-iterate residual {resid:.3e}"
-    return CriterionResult(6, "involution", passed, details)
+    return err_inv <= DEFAULT_TOL and resid <= DEFAULT_TOL, details
 
 
 def _fit_cases() -> list[tuple[str, Solution, CharProblem, float]]:
@@ -268,7 +264,7 @@ def _fit_cases() -> list[tuple[str, Solution, CharProblem, float]]:
     return cases
 
 
-def criterion_7_recurrence() -> CriterionResult:
+def criterion_7_recurrence() -> tuple[bool, str]:
     """Closed-form fits reproduce anchors and predict to index 30."""
     failures = []
     cases = _fit_cases()
@@ -285,14 +281,13 @@ def criterion_7_recurrence() -> CriterionResult:
         pred_err = prediction_error(cf, orbit, prob.n, 30)
         if anchor_err > ANCHOR_TOL * anchor_scale or pred_err > PREDICTION_TOL:
             failures.append((name, anchor_err, pred_err))
-    passed = not failures
     details = f"{len(cases)} fits, anchors to 1e-10, predictions to 1e-6"
     if failures:
         details = f"failures: {failures[:3]}"
-    return CriterionResult(7, "recurrence closed forms", passed, details)
+    return not failures, details
 
 
-def criterion_8_duality() -> CriterionResult:
+def criterion_8_duality() -> tuple[bool, str]:
     """Primal pass iff dual pass for every bijective verified family."""
     cases: list[tuple[str, Solution, Polynomial]] = []
     for name, sol, prob in _verified_families():
@@ -307,14 +302,13 @@ def criterion_8_duality() -> CriterionResult:
             failures.append(
                 (name, report.primal.max_residual, report.dual.max_residual)
             )
-    passed = not failures
     details = f"{len(cases)} bijections, primal <=> dual"
     if failures:
         details = f"failures: {failures[:3]}"
-    return CriterionResult(8, "duality", passed, details)
+    return not failures, details
 
 
-def criterion_9_antimonotone() -> CriterionResult:
+def criterion_9_antimonotone() -> tuple[bool, str]:
     """Orbit differences of decreasing solutions alternate consistently."""
     cases: list[tuple[str, Solution, float]] = [
         ("affine(3,1)", Affine(REAL_LINE, -1.0 - math.sqrt(2.0), 0.0), 0.3),
@@ -327,14 +321,13 @@ def criterion_9_antimonotone() -> CriterionResult:
         orbit = iterate(sol, x0, 0, 30)
         if orbit.escaped or not antimonotone_signs_constant(orbit):
             failures.append(name)
-    passed = not failures
     details = f"{len(cases)} decreasing solutions, 30 steps each"
     if failures:
         details = f"failures: {failures}"
-    return CriterionResult(9, "anti-monotone orbits", passed, details)
+    return not failures, details
 
 
-def criterion_10_negative_control() -> CriterionResult:
+def criterion_10_negative_control() -> tuple[bool, str]:
     """Both-even refusal, and a wrong slope must fail loudly."""
     enumeration = enumerate_families(CharProblem(4, 2), REAL_LINE)
     refused = enumeration.is_open_problem
@@ -345,15 +338,14 @@ def criterion_10_negative_control() -> CriterionResult:
     report = verify_mean(wrong, prob, samples=DEFAULT_SAMPLES, tol=DEFAULT_TOL)
     loud = (not report.passed) and report.max_residual > 1e-5
 
-    passed = refused and loud
     details = (
         f"open-problem refusal: {refused}, wrong-slope residual "
         f"{report.max_residual:.3e} > 1e-5: {loud}"
     )
-    return CriterionResult(10, "negative controls", passed, details)
+    return refused and loud, details
 
 
-CRITERIA: tuple[tuple[int, str, Callable[[], CriterionResult]], ...] = (
+CRITERIA: tuple[tuple[int, str, Callable[[], tuple[bool, str]]], ...] = (
     (1, "root-case table", criterion_1_root_table),
     (2, "complex modulus bound", criterion_2_complex_bound),
     (3, "modulus separation", criterion_3_modulus_separation),
@@ -367,16 +359,15 @@ CRITERIA: tuple[tuple[int, str, Callable[[], CriterionResult]], ...] = (
 )
 
 
-def run_all(verbose: bool = False) -> list[CriterionResult]:
-    """Execute the full battery."""
+def run_all() -> list[CriterionResult]:
+    """Execute the full battery, printing one line per criterion."""
     results = []
     for number, name, fn in CRITERIA:
         try:
-            result = fn()
+            passed, details = fn()
         except ItereqError as exc:
-            result = CriterionResult(number, name, False, f"raised: {exc}")
-        results.append(result)
-        if verbose:
-            status = "PASS" if result.passed else "FAIL"
-            print(f"[{status}] criterion {result.number}: {result.name} -- {result.details}")
+            passed, details = False, f"raised: {exc}"
+        results.append(CriterionResult(number, name, passed, details))
+        status = "PASS" if passed else "FAIL"
+        print(f"[{status}] criterion {number}: {name} -- {details}")
     return results

@@ -59,7 +59,10 @@ class DualReport:
 
     primal: VerifyReport
     dual: VerifyReport
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.primal.passed == self.dual.passed
 
     def to_json(self) -> dict:
         return {
@@ -71,22 +74,20 @@ class DualReport:
 
 @dataclass
 class Orbit:
-    """Iterate sequence ``x_m`` for m in [m_lo, m_hi] with x_0 = x0.
+    """Iterate sequence ``x_m`` for m in [m_lo, m_hi]; ``x_0`` is the start.
 
     Forward indices apply f, negative indices apply the inverse.
     ``points`` holds exactly the iterates ``x_{m_lo}..x_{m_hi}``, all
     finite; the range contains index 0.  An orbit that left the domain
-    holds only the run that stayed in it: ``escaped`` is set and
-    ``escape_index`` records the first bad index, just past ``m_hi`` or
-    just before ``m_lo``.  Any other layout raises :class:`DomainError`
-    naming the first bad index.
+    holds only the run that stayed in it: ``escape_index`` records the
+    first bad index, just past ``m_hi`` or just before ``m_lo``, and
+    ``escaped`` is read off it.  Any other layout raises
+    :class:`DomainError` naming the first bad index.
     """
 
-    x0: float
     m_lo: int
     m_hi: int
     points: np.ndarray
-    escaped: bool = False
     escape_index: int | None = None
 
     def __post_init__(self):
@@ -102,6 +103,10 @@ class Orbit:
         for m, v in zip(range(lo, hi + 1), pts.tolist()):
             if not math.isfinite(v):
                 raise DomainError(f"orbit point at index {m} is not finite: {v!r}")
+
+    @property
+    def escaped(self) -> bool:
+        return self.escape_index is not None
 
     def value(self, m: int) -> float:
         if not self.m_lo <= m <= self.m_hi:
@@ -229,8 +234,7 @@ def iterate(s: Solution, x0: float, m_lo: int = 0, m_hi: int = 0) -> Orbit:
             backward.append(x)
 
     points = np.array(backward[::-1] + forward)
-    escaped = escape_index is not None
-    return Orbit(x0, -len(backward), len(forward) - 1, points, escaped, escape_index)
+    return Orbit(-len(backward), len(forward) - 1, points, escape_index)
 
 
 def _iterate_rows(
@@ -304,11 +308,14 @@ def _verify_grid(
     evaluated count and the largest ``|residual|`` and ``|f^i|`` at live
     points outlive a block, so memory scales with the block, not with
     ``samples``.  The whole run ignores overflow, under one ``np.errstate``:
-    a point that overflows is not finite, so it escapes, and a residual
-    that overflows is infinite, so it fails.
+    a point that overflows is not finite, so it escapes.  A residual that
+    overflows is infinite, or NaN without a warning where terms overflow
+    with opposite signs.
 
-    The verdict requires ``max |residual| <= tol * coeff_scale * (1 + max
-    |f^i|)`` over the live points and at least 90% of the grid alive.
+    The verdict requires a finite ``max |residual| <= tol * coeff_scale *
+    (1 + max |f^i|)`` over the live points and at least 90% of the grid
+    alive.  With ``tol * coeff_scale`` formed first, the limit overflows
+    only when its exact value lies beyond the float range.
     """
     lo, hi = _grid_ends(s.domain, samples)
     evaluated = 0
@@ -327,16 +334,16 @@ def _verify_grid(
                     continue
                 live = rows[:, alive]
             evaluated += live_count
-            resid_max = _max_abs(residual(live), resid_max)
+            with np.errstate(invalid="ignore"):
+                resid_max = _max_abs(residual(live), resid_max)
             rows_max = max(rows_max, peak) if alive is None else _max_abs(live, rows_max)
     escaped = samples - evaluated
     if evaluated == 0:
         return VerifyReport(math.inf, False, 0, escaped)
     max_resid = float(resid_max)
-    scale = coeff_scale * (1.0 + float(rows_max))
-    passed = max_resid <= tol * scale and evaluated >= math.ceil(
-        _EVAL_QUOTA * samples
-    )
+    limit = tol * coeff_scale * (1.0 + float(rows_max))
+    quota = evaluated >= math.ceil(_EVAL_QUOTA * samples)
+    passed = math.isfinite(max_resid) and max_resid <= limit and quota
     return VerifyReport(max_resid, passed, evaluated, escaped)
 
 
@@ -421,7 +428,7 @@ def verify_dual(
     primal = linear_residual_report(s, coeffs, samples, tol)
     reversed_coeffs = Polynomial(tuple(reversed(coeffs.coeffs)))
     dual = linear_residual_report(inv, reversed_coeffs, samples, tol)
-    return DualReport(primal, dual, primal.passed == dual.passed)
+    return DualReport(primal, dual)
 
 
 def verify_second_order(

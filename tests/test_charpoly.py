@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from itereq.charpoly import (
     CharProblem,
+    RootReport,
     _SIGN_WINDOW,
     _divide_out_one,
     _quotient_sign,
@@ -356,6 +357,55 @@ def test_shared_report_is_read_only():
     payload["real_roots"][0]["bracket"][0] = 0.0
     payload["complex_roots"].clear()
     assert analyze_roots(CharProblem(5, 2)).to_json() == before
+
+
+def test_claims_are_read_off_the_roots():
+    # a report keeps only its roots, so scaling them moves the bound verdict
+    report = analyze_roots(CharProblem(5, 2))
+    assert [f.name for f in dataclasses.fields(RootReport)] == [
+        "problem", "real_roots", "complex_roots",
+    ]
+    scaled = dataclasses.replace(report, complex_roots=tuple(
+        ComplexRoot(1e3 * z.re, 1e3 * z.im) for z in report.complex_roots
+    ))
+    assert report.bound_2n1_ok and not scaled.bound_2n1_ok
+    assert scaled.max_modulus == pytest.approx(2016.8, abs=0.1)
+    assert scaled.modulus_separation_min_gap > report.modulus_separation_min_gap
+    ok, problems = report_matches_expectation(scaled)
+    assert not ok
+    assert problems == [f"modulus bound violated: max modulus {scaled.max_modulus!r}"]
+    assert scaled.to_json()["bound_2n1_ok"] is False
+
+
+def _edit_real(i, **changes):
+    def edit(report):
+        real = list(report.real_roots)
+        real[i] = dataclasses.replace(real[i], **changes)
+        return dataclasses.replace(report, real_roots=tuple(real))
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, mismatch",
+    [
+        (lambda r: dataclasses.replace(r, real_roots=r.real_roots[:1]),
+         "real root count 1 != expected 2"),
+        (_edit_real(0, value=1.0 + 2.0**-52), "root 1 reported as 1.0000000000000002"),
+        (_edit_real(1, value=1.5), "root 1.5 not strictly inside (0.0, 1.0)"),
+        (_edit_real(1, multiplicity=2), "multiplicity 2 != 1"),
+        (lambda r: dataclasses.replace(
+            r, complex_roots=(ComplexRoot(0.0, 1.0), ComplexRoot(0.0, -1.0))
+        ), "modulus separation gap 0.0 not positive"),
+    ],
+    ids=["count", "one_off_one", "outside_bracket", "multiplicity", "zero_gap"],
+)
+def test_hand_built_reports_name_each_mismatch(edit, mismatch):
+    # (4, 1): the root 1, a root in (0, 1) and one conjugate pair
+    report = edit(analyze_roots(CharProblem(4, 1)))
+    ok, problems = report_matches_expectation(report)
+    assert not ok
+    assert any(mismatch in p for p in problems), problems
 
 
 def test_solver_failures_are_not_cached(monkeypatch):

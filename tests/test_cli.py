@@ -526,28 +526,44 @@ def test_fit_recurrence_overflowing_closed_form_exit_4(tmp_path, capsys, term):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("k", ["0", "2"])
-def test_fit_recurrence_overflowing_prediction_fails_without_warning(
-    tmp_path, capsys, k
-):
-    # the orbit escapes forward at m = 18; predictions that overflow to
-    # +-inf read as an infinite held-out error, with no NumPy warning
+def _translation_1e307(tmp_path):
     spec = tmp_path / "tr.json"
     spec.write_text(json.dumps({
         "family": "translation", "params": {"c": 1e307},
         "domain": {"lo": "-inf", "hi": "+inf"},
     }))
+    return str(spec)
+
+
+@pytest.mark.parametrize("n, k", [("2", "0"), ("2", "2"), ("5", "1")], ids=["0", "2", "5_1"])
+def test_fit_recurrence_overflowing_prediction_fails_without_warning(
+    tmp_path, capsys, n, k
+):
+    # the orbit escapes forward at m = 18; predictions that overflow to
+    # +-inf, or at (5, 1) add +inf and -inf terms to NaN, read as an
+    # infinite held-out error, with no NumPy warning
     csv = str(tmp_path / "tr.csv")
     code, _, _ = run_cli(
-        capsys, "orbit", "--solution", str(spec), "--x0", "0.3",
-        "--steps", "30", "--back", "4", "--csv", csv,
+        capsys, "orbit", "--solution", _translation_1e307(tmp_path),
+        "--x0", "0.3", "--steps", "30", "--back", "4", "--csv", csv,
     )
     assert code == 0
     code, out, err = run_cli(
-        capsys, "fit-recurrence", "--n", "2", "--k", k, "--orbit", csv,
+        capsys, "fit-recurrence", "--n", n, "--k", k, "--orbit", csv,
     )
     assert (code, err) == (1, "")
     assert "held-out max relative error: inf" in out
+
+
+def test_verify_infinite_residual_fails_under_an_overflowed_limit(tmp_path, capsys):
+    # the limit 2 * (1 + max|f^i|) overflows to inf; the residual does too
+    code, out, err = run_cli(
+        capsys, "verify", "--n", "14", "--k", "3",
+        "--solution", _translation_1e307(tmp_path), "--tol", "2",
+    )
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["max_residual"] == "+inf" and payload["pass"] is False
 
 
 def test_solve_human_readable_output(capsys):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -38,7 +39,7 @@ from itereq.verify import Orbit, iterate
 
 def orbit_from_values(values):
     vals = np.asarray(values, dtype=float)
-    return Orbit(float(vals[0]), 0, len(vals) - 1, vals)
+    return Orbit(0, len(vals) - 1, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +190,6 @@ def test_fit_singular_for_repeated_spectrum_entry():
         problem=CharProblem(3, 1),
         real_roots=spectrum.real_roots,  # only 2 parameters for degree 3
         complex_roots=(),
-        bound_2n1_ok=True,
-        modulus_separation_min_gap=None,
     )
     with pytest.raises(SingularSystem):
         fit_closed_form(orbit, bad)
@@ -204,8 +203,6 @@ def test_fit_singular_for_repeated_spectrum_entry():
             RealRootRecord(1.0 + 1e-9, 1, (1.0, 1.5)),
         ),
         complex_roots=(),
-        bound_2n1_ok=True,
-        modulus_separation_min_gap=None,
     )
     with pytest.raises(
         SingularSystem,
@@ -475,7 +472,7 @@ def _prediction_error_reference(cf, orbit, j_lo, j_hi):
             continue
         actual = orbit.value(j)
         err = abs(predict(cf, j) - actual) / (1.0 + abs(actual))
-        worst = max(worst, err)
+        worst = max(worst, math.inf if math.isnan(err) else err)
     return worst
 
 
@@ -485,7 +482,7 @@ def test_prediction_error_is_the_per_index_loop_bit_for_bit():
         analyze_roots(CharProblem(2, 0)),
     )
     points = np.array([0.4, 1.0, -2.5, 0.0, 7.0, 1e300, -5.0, -1e-300, 3.0])
-    orbit = Orbit(1.0, -1, 7, points)
+    orbit = Orbit(-1, 7, points)
     for j_lo in range(-3, 10):
         for j_hi in range(j_lo - 1, 10):
             got = prediction_error(cf, orbit, j_lo, j_hi)
@@ -512,9 +509,9 @@ def _check_recurrence_reference(orbit, coeffs, tol=1e-9):
     residuals = np.empty(windows)
     for m in range(windows):
         residuals[m] = math.fsum(arr[i] * vals[m + i] for i in range(deg + 1))
-    scale = coeffs.inf_norm * (1.0 + float(np.max(np.abs(vals))))
+    limit = tol * coeffs.inf_norm * (1.0 + float(np.max(np.abs(vals))))
     max_resid = float(np.max(np.abs(residuals)))
-    return max_resid, max_resid <= tol * scale, windows
+    return max_resid, math.isfinite(max_resid) and max_resid <= limit, windows
 
 
 MODERATE = st.floats(min_value=-1e6, max_value=1e6)
@@ -528,7 +525,7 @@ MODERATE = st.floats(min_value=-1e6, max_value=1e6)
 @example(values=[0.0, 1.0, 2.0, 3.0, 4.0], back=2, coeffs=[1.0, -2.0, 1.0])
 def test_check_recurrence_is_the_generator_form_bit_for_bit(values, back, coeffs):
     back = min(back, len(values) - 1)
-    orbit = Orbit(values[back], -back, len(values) - 1 - back, np.array(values))
+    orbit = Orbit(-back, len(values) - 1 - back, np.array(values))
     poly = Polynomial(tuple(coeffs))
     try:
         want = _check_recurrence_reference(orbit, poly)
@@ -588,3 +585,37 @@ def test_escaping_orbits_read_as_loops_over_the_held_values(sol, x0, m_lo, m_hi)
             got = prediction_error(cf, orbit, j_lo, j_hi)
             want = _prediction_error_reference(cf, orbit, j_lo, j_hi)
             assert got.hex() == want.hex(), (j_lo, j_hi)
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (4, 1), (5, 2)])
+def test_check_recurrence_scales_an_orbit_near_the_float_range(n, k):
+    # products of values near 1.7e308 with coefficients above 1 overflowed:
+    # (2, 1) read an infinite residual and passed, the others raised in fsum
+    orbit = iterate(Translation(REAL_LINE, 1e307), 0.3, -5, 30)
+    report = check_recurrence(orbit, build_char_poly(CharProblem(n, k)))
+    # against the exact residual: each product is rounded once, so they
+    # agree to rounding, and exactly for (2, 1), whose products are exact
+    # (scaling by 2^-1023 loses only the low bits of x_0 = 0.3, far below
+    # the rounding of values near 1e307)
+    coeffs = [Fraction(a) for a in build_char_poly(CharProblem(n, k)).coeffs]
+    vals = [Fraction(v) for v in orbit.points.tolist()]
+    exact = float(max(
+        abs(sum(a * v for a, v in zip(coeffs, vals[m:])))
+        for m in range(len(vals) - n)
+    ))
+    assert report.max_residual == pytest.approx(exact, rel=1e-14, abs=0.0)
+    assert report.max_residual == exact or (n, k) != (2, 1)
+    assert math.isfinite(report.max_residual) and report.windows == len(vals) - n
+    # a translation solves (2, 1) only
+    assert report.passed == ((n, k) == (2, 1))
+
+
+def test_nan_predictions_read_as_an_infinite_error():
+    # the c = 1e307 translation orbit read back from its CSV, re-indexed
+    # from 0: at 11 and 12 the (5, 1) closed form adds +inf and -inf terms
+    held = iterate(Translation(REAL_LINE, 1e307), 0.3, -4, 30)
+    orbit = orbit_from_values(held.points)
+    cf = fit_closed_form(orbit, analyze_roots(CharProblem(5, 1)))
+    assert np.isnan(predict_range(cf, 11, 12)).all()
+    assert prediction_error(cf, orbit, 11, 12) == math.inf
+    assert _prediction_error_reference(cf, orbit, 11, 12) == math.inf

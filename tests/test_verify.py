@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -29,6 +30,7 @@ from itereq.verify import (
     _grid_points,
     _iterate_rows,
     DEFAULT_TOL,
+    DualReport,
     Orbit,
     VerifyReport,
     antimonotone_signs_constant,
@@ -116,6 +118,15 @@ def test_orbit_escape_flag_backward():
     assert orb.escape_index is not None and orb.escape_index < 0
 
 
+def test_escaped_is_read_off_the_escape_index():
+    orb = iterate(Translation(REAL_LINE, 1e307), 0.3, 0, 30)
+    assert orb.escaped and orb.escape_index == 18
+    held = dataclasses.replace(orb, escape_index=None)
+    assert not held.escaped
+    assert dataclasses.replace(held, escape_index=-1).escaped
+    assert "escaped" not in {f.name for f in dataclasses.fields(Orbit)}
+
+
 def test_orbit_x0_outside_domain():
     with pytest.raises(DomainError):
         iterate(Identity(Interval(0.0, 1.0)), 5.0, 0, 3)
@@ -124,18 +135,18 @@ def test_orbit_x0_outside_domain():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_orbit_rejects_a_non_finite_point_naming_its_index(bad):
     with pytest.raises(DomainError, match="index 1 is not finite"):
-        Orbit(0.0, -2, 2, np.array([1.0, 2.0, 0.0, bad, 5.0]))
+        Orbit(-2, 2, np.array([1.0, 2.0, 0.0, bad, 5.0]))
 
 
 def test_orbit_rejects_points_that_do_not_fill_a_range_with_index_0():
     with pytest.raises(DomainError, match="need 5 points, got 4: index 2 is bad"):
-        Orbit(0.0, -2, 2, np.array([1.0, 2.0, 0.0, 3.0]))
+        Orbit(-2, 2, np.array([1.0, 2.0, 0.0, 3.0]))
     with pytest.raises(DomainError, match="need 3 points, got 4: index 2 is bad"):
-        Orbit(0.0, -1, 1, np.array([1.0, 0.0, 3.0, 4.0]))
+        Orbit(-1, 1, np.array([1.0, 0.0, 3.0, 4.0]))
     with pytest.raises(DomainError, match=r"\[1, 3\] leave out index 0"):
-        Orbit(1.0, 1, 3, np.array([1.0, 2.0, 3.0]))
+        Orbit(1, 3, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(DomainError, match=r"\[-3, -1\] leave out index 0"):
-        Orbit(1.0, -3, -1, np.array([1.0, 2.0, 3.0]))
+        Orbit(-3, -1, np.array([1.0, 2.0, 3.0]))
 
 
 def _antimonotone_reference(orbit):
@@ -396,6 +407,15 @@ def test_dual_json_shape():
     assert set(payload) == {"primal", "dual", "pass"}
 
 
+def test_dual_verdict_is_read_off_the_two_reports():
+    report = verify_dual(Identity(REAL_LINE), Polynomial((1.0, -2.0, 1.0)))
+    assert report.passed and report.primal.passed and report.dual.passed
+    failed = dataclasses.replace(report.dual, passed=False)
+    assert not dataclasses.replace(report, dual=failed).passed
+    assert dataclasses.replace(report, primal=failed, dual=failed).passed
+    assert "passed" not in {f.name for f in dataclasses.fields(DualReport)}
+
+
 def test_dual_requires_bijection_onto_domain():
     from itereq.errors import NotInvertible
 
@@ -435,6 +455,35 @@ def test_second_order_three_piece():
 def test_second_order_wrong_rho_fails():
     report = verify_second_order(Affine(REAL_LINE, 0.5, 0.0), 0.25)
     assert not report.passed
+
+
+# ---------------------------------------------------------------------------
+# the grid gate near the float range
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "run, kind",
+    [
+        # tol * (coeff_scale * (1 + max|f^i|)) overflowed to inf here, and the
+        # finite residual 1.5e307 of a map that does not solve (14, 6) passed
+        (lambda: verify_module.linear_residual_report(
+            Translation(REAL_LINE, 1e306), build_char_poly(CharProblem(14, 6))
+        ), "finite"),
+        (lambda: verify_second_order(Translation(REAL_LINE, 8e307), -30.0), "inf"),
+        # terms overflow to +inf and -inf and add to NaN, without a warning
+        (lambda: verify_module.linear_residual_report(
+            Translation(REAL_LINE, 1e307), build_char_poly(CharProblem(14, 7))
+        ), "nan"),
+    ],
+    ids=["finite_residual_14_6", "inf_residual_second_order", "nan_residual_14_7"],
+)
+def test_grid_gate_fails_an_overflowed_limit_or_residual(run, kind):
+    report = run()
+    resid = report.max_residual
+    assert {"finite": math.isfinite, "inf": math.isinf, "nan": math.isnan}[kind](resid)
+    assert not report.passed
+    assert report.points_evaluated == 1001
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +602,11 @@ def _reference_report(residual, rows, alive, samples, coeff_scale=1.0):
     if evaluated == 0:
         return VerifyReport(math.inf, False, 0, samples)
     max_resid = float(np.max(np.abs(residual[alive])))
-    scale = coeff_scale * (1.0 + float(np.max(np.abs(rows[:, alive]))))
-    passed = max_resid <= DEFAULT_TOL * scale and evaluated >= math.ceil(0.9 * samples)
+    limit = DEFAULT_TOL * coeff_scale * (1.0 + float(np.max(np.abs(rows[:, alive]))))
+    passed = (
+        math.isfinite(max_resid) and max_resid <= limit
+        and evaluated >= math.ceil(0.9 * samples)
+    )
     return VerifyReport(max_resid, passed, evaluated, samples - evaluated)
 
 
