@@ -1,12 +1,12 @@
 """Hot numeric kernels in plain NumPy.
 
-The root-table analysis spends its time outside the eigenvalue solve in
-two inner loops: Horner evaluation and the Durand-Kerner sweeps that
-polish companion-matrix eigenvalues.  ``horner_scaled_bound`` is the one
-Horner kernel of root finding: it gives ``p(z_i)`` and the bound on its
-rounding error in one pass, safe from overflow at any modulus, and the
-inclusion disks, every sweep and the residual test of ``poly.all_roots``
-read their values from it.  ``horner`` evaluates at one point; the
+The root-table analysis spends its time outside the estimates in two
+inner loops: Horner evaluation and the Durand-Kerner sweeps that polish
+root estimates.  ``horner_scaled_bound`` is the one Horner kernel of
+root finding: it gives ``p(z_i)`` and the bound on its rounding error in
+one pass, safe from overflow at any modulus, and the inclusion disks,
+every sweep and the residual test of ``poly.certified_roots`` read their
+values from it.  ``horner`` evaluates at one point; the
 closed forms of ``recurrence`` use it.
 """
 
@@ -131,7 +131,7 @@ def dk_sweeps(
     ``DK_STEP_TOL``, and returns the final estimates,
     ``horner_scaled_bound`` at them, and the sweep count.  The steps are
     not guarded: the estimates must start apart, each near its own simple
-    root (``poly.all_roots`` checks that with disjoint inclusion disks);
+    root (``poly.certified_roots`` checks that with disjoint inclusion disks);
     estimates that meet turn non-finite, and the caller's residual test
     rejects them.
     """

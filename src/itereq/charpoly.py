@@ -15,14 +15,17 @@ root in its bracket there.  Its report reads the modulus bound
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BracketFailure, DomainError, NonConvergence, RootMismatch
 from .intervals import json_float
-from .poly import ComplexRoot, Polynomial, all_roots
+from .poly import ComplexRoot, Polynomial, all_roots, certified_roots
 
 # ``perfbench/tracer.py`` wraps these three names and ``_kernels.bisect_loop``,
 # which name root finders the package no longer has; nothing calls them.  They
@@ -32,6 +35,16 @@ bisect_root = newton_polish = deflate = None
 # Half-width of the window around each real root estimate on which the
 # deflated polynomial must change sign.
 _SIGN_WINDOW = 1e-10
+# From this n on, ``analyze_roots`` starts from the lifted form's estimates
+# (``_lifted_estimates``: 130-180 us for 10 <= n <= 100 on a 2-vCPU host)
+# instead of the companion eigenvalues (19 us at n = 10, 95 us at n = 30,
+# 480 us at n = 60): the measured crossover of the whole analysis.
+_LIFTED_MIN_N = 30
+# Fixed-point steps per slot before Newton, and the Newton step cap and
+# relative stopping size of ``_lifted_estimates``.
+_FIXED_POINT_STEPS = 3
+_NEWTON_MAX_STEPS = 40
+_NEWTON_STEP_TOL = 1e-14
 # Root reports kept by ``analyze_roots``: 256 holds the whole paper table
 # (133 problems for 2 <= n <= 15) and caps memory when a longer table
 # streams through.
@@ -286,6 +299,70 @@ def _quotient_sign(prob: CharProblem, mult: int, x: float) -> int:
     return -sign if mult % 2 == 0 and a < d else sign
 
 
+def _lifted_estimates(prob: CharProblem) -> np.ndarray:
+    """One estimate per root of ``p / (r - 1)^m`` from the lifted form, in
+    the layout of ``certified_roots``.
+
+    The Newton polygon of ``L(r) = (r - 1) p(r) = (n+1)(r^{k+1} - r^k) -
+    r^{n+1} + 1`` (Bini, 1996) puts k roots near the inner circle ``|r| =
+    (n+1)^{-1/k}``, one at 1, and n - k near the outer circle ``|r| =
+    (n+1)^{1/(n-k)}``.  Slot j of a circle with c slots is labelled by
+    ``w_j = e^{2 pi i j / c}``.  Each circle is taken in a variable of
+    modulus below 1, ``x = r`` inside and ``x = 1/r`` outside, so that no
+    power overflows at any n; there ``L`` is, up to sign and a power of
+    x, ``G(x) = (n+1) x^c (1 - x) - 1 + x^{n+1}``.  From ``x = w_j
+    (n+1)^{-1/c}``, a few fixed-point steps ``x <- w_j ((1 - x^{n+1}) /
+    ((n+1)(1 - x)))^{1/c}`` lead each slot to its root, and Newton on
+    ``G`` finishes it; every step is a few NumPy calls over all slots.
+
+    The j = 0 slot of the outer circle is the root 1 when ``n >= 2k``, and
+    that of the inner circle when ``n <= 2k`` (``classify``: the positive
+    root other than 1 lies in (0, 1) when ``n > 2k``, above 1 when ``n <
+    2k``); those are dropped.  The other ``w = 1`` slot and the ``w = -1``
+    slots (c even) are the real roots; they iterate in real arithmetic,
+    so they come out exactly real.  Only the slots above the real axis
+    are iterated among the others, and their conjugates are appended.
+    The estimates carry no guarantee: ``certified_roots`` checks them.
+    """
+    n, k = prob.n, prob.k
+    real: list[tuple[int, float, bool]] = []  # (c, w_j, inner)
+    upper: list[tuple[int, complex, bool]] = []
+    for c, inner, keep_one in ((k, True, n > 2 * k), (n - k, False, n < 2 * k)):
+        if c == 0:
+            continue
+        if keep_one:
+            real.append((c, 1.0, inner))
+        if c % 2 == 0:
+            real.append((c, -1.0, inner))
+        # the outer circle's x = 1/r: the slots below the axis in x lie above it in r
+        turn = (2j if inner else -2j) * math.pi / c
+        upper += [(c, cmath.exp(turn * j), inner) for j in range(1, (c + 1) // 2)]
+    with np.errstate(all="ignore"):
+        z_real = _lifted_slots(n, real, np.float64)
+        z_upper = _lifted_slots(n, upper, np.complex128)
+    return np.concatenate([z_real, z_upper, z_upper.conj()]).astype(np.complex128)
+
+
+def _lifted_slots(n: int, slots: list, dtype) -> np.ndarray:
+    """The root in ``r`` of each slot ``(c, w_j, inner)`` of ``_lifted_estimates``."""
+    c = np.array([s[0] for s in slots], dtype=np.int64)
+    omega = np.array([s[1] for s in slots], dtype=dtype)
+    inner = np.array([s[2] for s in slots], dtype=bool)
+    x = omega * (n + 1.0) ** (-1.0 / c)
+    for _ in range(_FIXED_POINT_STEPS):
+        x = omega * ((1 - x ** (n + 1)) / ((n + 1) * (1 - x))) ** (1.0 / c)
+    for _ in range(_NEWTON_MAX_STEPS):
+        xc1 = x ** (c - 1)
+        xc = xc1 * x
+        xn = x ** n
+        g = (n + 1) * xc * (1 - x) - 1 + xn * x
+        step = g / ((n + 1) * (c * xc1 - (c + 1) * xc + xn))
+        x = x - step
+        if np.all(np.abs(step) <= _NEWTON_STEP_TOL * np.abs(x)):
+            break
+    return np.where(inner, x, 1.0 / x)
+
+
 @functools.lru_cache(maxsize=_REPORT_CACHE_SIZE)
 def analyze_roots(prob: CharProblem) -> RootReport:
     """Resolve the full spectrum and place every predicted real root.
@@ -305,12 +382,13 @@ def analyze_roots(prob: CharProblem) -> RootReport:
     numerics, in integer arithmetic, which leaves a polynomial with
     integer coefficients.  Every sign of it the analysis takes is exact,
     from ``_quotient_sign``.  Its signs at the ends of every predicted
-    real-root bracket (0, +-1, +-(2n+1)) must differ.  One ``all_roots``
-    call then gives every other root: companion-matrix eigenvalues, each
-    alone in its Weierstrass disk and polished, with the residual test of
-    ``all_roots``.  Each predicted real root is the unique real estimate
-    strictly inside its bracket, and the deflated polynomial must change
-    sign within ``_SIGN_WINDOW`` of it.  A bracket holding no real
+    real-root bracket (0, +-1, +-(2n+1)) must differ.  One certified
+    solve (``_spectrum``) then gives every other root: estimates from the
+    companion-matrix eigenvalues, or from the lifted form for ``n >=
+    _LIFTED_MIN_N``, each alone in its Weierstrass disk and polished, with
+    the residual test of ``poly.certified_roots``.  Each predicted real
+    root is the unique real estimate strictly inside its bracket, and the
+    deflated polynomial must change sign within ``_SIGN_WINDOW`` of it.  A bracket holding no real
     estimate, or more than one, raises :class:`BracketFailure`; a window
     without a sign change raises :class:`NonConvergence` naming both of
     its ends and their signs.  Real estimates in no bracket stay among
@@ -333,7 +411,7 @@ def analyze_roots(prob: CharProblem) -> RootReport:
                 f"({lo}, {hi}); exact signs {slo:+d}, {shi:+d}"
             )
 
-    estimates = all_roots(work) if work.degree > 0 else []
+    estimates = _spectrum(prob, work) if work.degree > 0 else []
     real_records = [RealRootRecord(1.0, mult_one, (1.0, 1.0))]
     real_estimates = [(i, z.re) for i, z in enumerate(estimates) if z.im == 0.0]
     taken: set[int] = set()
@@ -358,6 +436,21 @@ def analyze_roots(prob: CharProblem) -> RootReport:
         real_records.append(RealRootRecord(z.re, z.multiplicity, (lo, hi)))
     complex_roots = tuple(z for i, z in enumerate(estimates) if i not in taken)
     return RootReport(prob, tuple(real_records), complex_roots)
+
+
+def _spectrum(prob: CharProblem, work: Polynomial) -> list[ComplexRoot]:
+    """Every root of ``work``, certified: from the lifted form's estimates
+    for ``n >= _LIFTED_MIN_N``, falling back once to ``all_roots`` if they
+    are not finite or fail the disks or the residual test; from
+    ``all_roots`` below."""
+    if prob.n >= _LIFTED_MIN_N:
+        z = _lifted_estimates(prob)
+        if np.all(np.isfinite(z)):
+            try:
+                return certified_roots(work, z)
+            except NonConvergence:
+                pass
+    return all_roots(work)
 
 
 def report_matches_expectation(report: RootReport) -> tuple[bool, list[str]]:

@@ -3,9 +3,11 @@
 Coefficients are stored in ascending order (constant term first), matching
 the characteristic form ``sum_i a_i r^i``.  A ``Polynomial`` computes its
 float64 array and its coefficient norm once.
-``all_roots`` gives the whole spectrum of a polynomial with simple roots:
-companion-matrix eigenvalues, checked by Weierstrass inclusion disks and
-polished by Durand-Kerner sweeps.
+``all_roots`` gives the whole spectrum of a polynomial with simple roots
+from its companion-matrix eigenvalues; ``certified_roots`` takes one
+estimate per root from any source, checks them by Weierstrass inclusion
+disks and polishes them by Durand-Kerner sweeps.  ``all_roots`` feeds it
+the eigenvalues.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from . import _kernels
 from .errors import NonConvergence
 
-ROOT_RESIDUAL_TOL = 1e-12  # relative residual limit of every root (all_roots)
+ROOT_RESIDUAL_TOL = 1e-12  # relative residual limit of every root (certified_roots)
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,9 @@ class ComplexRoot:
     the JSON root reports and the benchmark's root gate read it.
 
     ``modulus`` is cached at construction as ``np.hypot(re, im)``; a
-    caller that already holds that value (``all_roots`` takes every
-    modulus from one vectorized ``np.hypot``) may pass it.  Roots with
+    caller that already holds that value may pass it (``all_roots``
+    builds its records with ``_root_records`` from one vectorized
+    ``np.hypot``, skipping this constructor).  Roots with
     nonzero imaginary part always travel in conjugate pairs inside any
     root list produced here.
     """
@@ -132,12 +135,31 @@ def all_roots(p: Polynomial) -> list[ComplexRoot]:
     """All complex roots of a real polynomial whose roots are all simple.
 
     Starts from the companion-matrix eigenvalues, which are backward
-    stable (Edelman & Murakami, 1995), and draws the Weierstrass
-    inclusion disk around each.  The disks must be pairwise disjoint, so
-    that each holds exactly one simple root; two overlapping disks raise
-    :class:`NonConvergence` naming both estimates, since a multiple root
-    (or a cluster the estimates cannot separate) is outside this solver's
-    contract.  The estimates are then polished by Durand-Kerner sweeps.
+    stable (Edelman & Murakami, 1995), and hands them to
+    ``certified_roots`` in its layout.
+    """
+    if p.degree < 1:
+        raise ValueError("root finding needs degree >= 1")
+    z = _companion_eigenvalues(p.as_array())
+    # real estimates, then those above the axis, then their exact conjugates
+    upper = z[z.imag > 0.0]
+    return certified_roots(
+        p, np.concatenate([z[z.imag == 0.0].real, upper, upper.conj()]).astype(np.complex128)
+    )
+
+
+def certified_roots(p: Polynomial, z: np.ndarray) -> list[ComplexRoot]:
+    """The roots of ``p`` from one estimate per root, certified and polished.
+
+    ``z`` lists the real estimates (zero imaginary part), then those above
+    the real axis, then their exact conjugates in the same order; how the
+    estimates were made does not matter, but there must be one per root:
+    any other count raises :class:`NonConvergence`.  Draws the
+    Weierstrass inclusion disk around each.  The disks must be pairwise
+    disjoint, so that each holds exactly one simple root; two overlapping
+    disks raise :class:`NonConvergence` naming both estimates, since a
+    multiple root (or a cluster the estimates cannot separate) is outside
+    this solver's contract.  The estimates are then polished by Durand-Kerner sweeps.
     A real estimate's disk is symmetric about the real axis, so real
     estimates stay real roots and conjugate pairs stay pairs; the sweeps
     re-symmetrize both exactly after each correction.  Every value comes
@@ -149,15 +171,12 @@ def all_roots(p: Polynomial) -> list[ComplexRoot]:
     is larger, both scaled as that kernel scales them so that the test cannot
     overflow.  A root that misses it, or whose limit is not finite (the
     root is not, or its rounding bound overflowed), raises
-    :class:`NonConvergence`.  Every root is reported with multiplicity 1.
+    :class:`NonConvergence`.  Every root is reported with multiplicity 1,
+    sorted by real, then imaginary part.
     """
-    if p.degree < 1:
-        raise ValueError("root finding needs degree >= 1")
+    if len(z) != p.degree:
+        raise NonConvergence(f"{len(z)} root estimates for degree {p.degree}")
     c = p.as_array()
-    z = _companion_eigenvalues(c)
-    # real estimates, then those above the axis, then their exact conjugates
-    upper = z[z.imag > 0.0]
-    z = np.concatenate([z[z.imag == 0.0].real, upper, upper.conj()]).astype(np.complex128)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         values = _kernels.horner_scaled_bound(c, z)
         diff = z[:, None] - z[None, :]
@@ -190,9 +209,25 @@ def all_roots(p: Polynomial) -> list[ComplexRoot]:
         )
     re, im = z.real, z.imag
     order = np.lexsort((im, re))
-    return [
-        ComplexRoot(r, i, 1, m)
-        for r, i, m in zip(
-            re[order].tolist(), im[order].tolist(), np.hypot(re, im)[order].tolist()
-        )
-    ]
+    return _root_records(
+        re[order].tolist(), im[order].tolist(), np.hypot(re, im)[order].tolist()
+    )
+
+
+def _root_records(re: list, im: list, modulus: list) -> list[ComplexRoot]:
+    """Simple roots with their moduli, built without ``ComplexRoot.__init__``.
+
+    The frozen dataclass's ``__init__`` and ``__post_init__`` cost about
+    a microsecond per root; filling each instance dictionary directly
+    gives records equal to ``ComplexRoot(re, im, 1, modulus)``.
+    """
+    out = []
+    for r, i, m in zip(re, im, modulus):
+        root = object.__new__(ComplexRoot)
+        fields = root.__dict__
+        fields["re"] = r
+        fields["im"] = i
+        fields["multiplicity"] = 1
+        fields["modulus"] = m
+        out.append(root)
+    return out

@@ -298,6 +298,7 @@ def _verify_grid(
     samples: int,
     tol: float,
     coeff_scale: float = 1.0,
+    linear: bool = False,
 ) -> VerifyReport:
     """Iterate ``s`` over its grid block by block and judge the residual.
 
@@ -311,6 +312,14 @@ def _verify_grid(
     a point that overflows is not finite, so it escapes.  A residual that
     overflows is infinite, or NaN without a warning where terms overflow
     with opposite signs.
+
+    A ``linear`` residual is linear in the iterates, so that
+    ``residual(2^-e live) = 2^-e residual(live)``, and none of its terms
+    or partial sums exceeds ``4 (count + 1) coeff_scale max |f^i|`` (the
+    arithmetic mean and ``linear_residual_report``).  Where that bound
+    reaches 2^1023 one could overflow, so there the block is scaled into
+    [-2, 2] by a power of two, as ``check_recurrence`` scales an orbit,
+    and the residual scaled back; elsewhere nothing is scaled.
 
     The verdict requires a finite ``max |residual| <= tol * coeff_scale *
     (1 + max |f^i|)`` over the live points and at least 90% of the grid
@@ -334,9 +343,17 @@ def _verify_grid(
                     continue
                 live = rows[:, alive]
             evaluated += live_count
+            if alive is not None:
+                peak = _max_abs(live)
+            rows_max = max(rows_max, peak)
             with np.errstate(invalid="ignore"):
-                resid_max = _max_abs(residual(live), resid_max)
-            rows_max = max(rows_max, peak) if alive is None else _max_abs(live, rows_max)
+                if linear and 4.0 * (count + 1) * coeff_scale * peak >= 2.0**1023:
+                    exp = math.frexp(peak)[1] - 1
+                    resid = residual(np.ldexp(live, -exp))
+                    resid *= 2.0**exp
+                else:
+                    resid = residual(live)
+                resid_max = _max_abs(resid, resid_max)
     escaped = samples - evaluated
     if evaluated == 0:
         return VerifyReport(math.inf, False, 0, escaped)
@@ -370,7 +387,8 @@ def verify_general(
     def residual(live):
         return live[k] - qa_mean_rows(gen, live, anchor=k)
 
-    return _verify_grid(s_outer, prob.n, residual, samples, tol)
+    linear = gen.kind == "identity"  # the arithmetic mean
+    return _verify_grid(s_outer, prob.n, residual, samples, tol, linear=linear)
 
 
 def verify_mean(
@@ -409,7 +427,7 @@ def linear_residual_report(
             res += term
         return res
 
-    return _verify_grid(s, coeffs.degree, residual, samples, tol, coeffs.inf_norm)
+    return _verify_grid(s, coeffs.degree, residual, samples, tol, coeffs.inf_norm, True)
 
 
 def verify_dual(

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from itereq import charpoly
 from itereq.charpoly import (
     CharProblem,
     RootReport,
+    _LIFTED_MIN_N,
     _SIGN_WINDOW,
     _divide_out_one,
     _quotient_sign,
@@ -622,3 +624,91 @@ def test_integer_quotient_needs_a_zero_remainder():
     assert _divide_out_one(p, 2).coeffs == (2.0, 1.0)
     with pytest.raises(RootMismatch, match="integer remainder 3"):
         _divide_out_one(p, 3)
+
+
+# ---------------------------------------------------------------------------
+# the lifted start from _LIFTED_MIN_N on
+# ---------------------------------------------------------------------------
+
+
+def _no_eigenvalue_retry(p):
+    raise AssertionError(f"companion eigenvalue retry at degree {p.degree}")
+
+
+def _report_values(report):
+    return np.array(
+        [r.value for r in report.real_roots] + [z.as_complex() for z in report.complex_roots]
+    )
+
+
+def test_lifted_start_threshold_lies_past_the_paper_table():
+    assert 15 < _LIFTED_MIN_N
+
+
+@pytest.mark.parametrize("n", [_LIFTED_MIN_N, _LIFTED_MIN_N + 1, 47, 63, 64, 100, 200])
+def test_lifted_start_gives_the_eigenvalue_started_report(monkeypatch, n):
+    for k in range(n + 1):
+        prob = CharProblem(n, k)
+        with monkeypatch.context() as m:
+            m.setattr(charpoly, "all_roots", _no_eigenvalue_retry)
+            lifted = analyze_roots.__wrapped__(prob)
+        with monkeypatch.context() as m:
+            m.setattr(charpoly, "_LIFTED_MIN_N", n + 1)
+            eig = analyze_roots.__wrapped__(prob)
+        # the same layout: brackets and multiplicities, then roots in the
+        # same sorted order, non-real exactly where the other's are
+        assert [(r.bracket, r.multiplicity) for r in lifted.real_roots] == [
+            (r.bracket, r.multiplicity) for r in eig.real_roots
+        ]
+        assert [np.sign(z.im) for z in lifted.complex_roots] == [
+            np.sign(z.im) for z in eig.complex_roots
+        ]
+        a, b = _report_values(lifted), _report_values(eig)
+        assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b)), (k, np.max(np.abs(a - b) / np.abs(b)))
+
+
+def test_lifted_start_needs_no_retry_up_to_n_100(monkeypatch):
+    # the eigenvalue retry raises here, so the fast path cannot vanish silently
+    monkeypatch.setattr(charpoly, "all_roots", _no_eigenvalue_retry)
+    for n in range(_LIFTED_MIN_N, 101):
+        for k in range(n + 1):
+            analyze_roots.__wrapped__(CharProblem(n, k))
+
+
+@pytest.mark.parametrize("bad", ["collapsed", "not_finite", "too_few", "unpolished"])
+def test_a_bad_lifted_start_falls_back_to_the_eigenvalues_once(monkeypatch, bad):
+    from itereq import _kernels
+
+    prob = CharProblem(40, 13)
+    good = charpoly._lifted_estimates(prob)
+    start = {
+        "collapsed": np.full_like(good, 0.5),  # the disks overlap
+        "not_finite": np.where(good.imag > 0, complex(np.nan, 1.0), good),
+        "too_few": good[1:],  # drops a real estimate: a root is missing
+        "unpolished": good,
+    }[bad]
+    if bad == "unpolished":  # the first sweeps end on NaN: the residual test fails
+        sweeps = _kernels.dk_sweeps
+
+        def collapsed_once(coeffs, z0, *args):
+            monkeypatch.setattr(_kernels, "dk_sweeps", sweeps)
+            z = np.full_like(z0, np.nan)
+            with np.errstate(invalid="ignore"):
+                return z, _kernels.horner_scaled_bound(coeffs, z), 1
+
+        monkeypatch.setattr(_kernels, "dk_sweeps", collapsed_once)
+    retries = []
+    real_all_roots = charpoly.all_roots
+
+    def counted(p):
+        retries.append(p.degree)
+        return real_all_roots(p)
+
+    monkeypatch.setattr(charpoly, "_lifted_estimates", lambda p: start)
+    monkeypatch.setattr(charpoly, "all_roots", counted)
+    report = analyze_roots.__wrapped__(prob)
+    assert retries == [39]
+    ok, problems = report_matches_expectation(report)
+    assert ok, problems
+    monkeypatch.setattr(charpoly, "_LIFTED_MIN_N", 41)
+    assert report == analyze_roots.__wrapped__(prob)

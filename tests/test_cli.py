@@ -555,15 +555,21 @@ def test_fit_recurrence_overflowing_prediction_fails_without_warning(
     assert "held-out max relative error: inf" in out
 
 
-def test_verify_infinite_residual_fails_under_an_overflowed_limit(tmp_path, capsys):
-    # the limit 2 * (1 + max|f^i|) overflows to inf; the residual does too
-    code, out, err = run_cli(
-        capsys, "verify", "--n", "14", "--k", "3",
-        "--solution", _translation_1e307(tmp_path), "--tol", "2",
-    )
-    assert (code, err) == (1, "")
+@pytest.mark.parametrize(
+    "k, tol, code",
+    [("7", None, 0), ("3", "2", 0), ("3", "0.1", 1)],
+    ids=["solution", "loose_tol", "tight_tol"],
+)
+def test_verify_judges_residuals_near_the_float_range(tmp_path, capsys, k, tol, code):
+    # the iterates of c = 1e307 reach 1.4e308, and the deviations from f^k
+    # add up past the float range; the residual is -(k - 7) c exactly at
+    # (14, k), so it is 0 at k = 7 and 4e307, 0.29 of max|f^i|, at k = 3
+    argv = ["verify", "--n", "14", "--k", k, "--solution", _translation_1e307(tmp_path)]
+    got, out, err = run_cli(capsys, *argv, *(["--tol", tol] if tol else []))
+    assert (got, err) == (code, "")
     payload = json.loads(out)
-    assert payload["max_residual"] == "+inf" and payload["pass"] is False
+    assert payload["pass"] is (code == 0)
+    assert payload["max_residual"] == (0.0 if k == "7" else pytest.approx(4e307))
 
 
 def test_solve_human_readable_output(capsys):

@@ -9,6 +9,7 @@ root of one is the reciprocal of a root of the other.
 """
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from itereq.charpoly import CharProblem, analyze_roots, classify
@@ -18,12 +19,17 @@ REL_TOL = 1e-13
 # k = 0 and k = n at several n; (12, 11), (40, 32) and (64, 16); (44, 1),
 # whose small root had the largest relative error (6.4e-14) over every k
 # for n <= 64; (62, 32), the largest for the bisection-and-Newton path that
-# came before the single eigenvalue solve (1.0e-13)
+# came before the single eigenvalue solve (1.0e-13).  From n = 30 on the
+# estimates come from the lifted form: n = 2k +- 1, where its two circles
+# meet near 1 and the positive root other than 1 lies closest to it, and
+# k = 1 and k = n - 1, where one circle has a single slot
 SAMPLE = [
     (2, 0), (9, 0), (24, 0), (33, 0), (64, 0),
     (2, 2), (7, 7), (20, 20), (64, 64),
     (12, 11), (40, 32), (64, 16), (44, 1),
     (9, 4), (25, 12), (31, 17), (48, 47), (57, 30), (62, 32),
+    (31, 15), (31, 16), (47, 23), (47, 24), (63, 31), (63, 32), (99, 49), (99, 50),
+    (48, 1), (64, 1), (64, 63), (100, 1), (100, 99),
 ]
 SPECTRUM_SAMPLE = [(n, k) for n in range(2, 13) for k in range(n + 1)]
 
@@ -94,24 +100,28 @@ def test_spectrum_matches_50_digit_polyroots(n, k):
         assert abs(z - ref) <= REL_TOL * abs(ref), (z, ref)
 
 
-def spectrum(prob: CharProblem) -> list[complex]:
-    """Every reported root, repeated by multiplicity."""
+def spectrum(prob: CharProblem) -> tuple[np.ndarray, int]:
+    """Every reported root but 1, each simple, and the multiplicity of 1."""
     report = analyze_roots(prob)
-    found = [complex(r.value) for r in report.real_roots for _ in range(r.multiplicity)]
-    found += [z.as_complex() for z in report.complex_roots for _ in range(z.multiplicity)]
-    return found
+    found = [r.value for r in report.real_roots[1:]]
+    found += [z.as_complex() for z in report.complex_roots]
+    return np.array(found, dtype=complex), report.real_roots[0].multiplicity
 
 
-@pytest.mark.parametrize("n", range(2, 41))
+@pytest.mark.parametrize("n", range(2, 65))
 def test_roots_are_reciprocals_of_the_reversed_problem_roots(n):
     for k in range(n + 1):
-        found = spectrum(CharProblem(n, k))
-        refs = [1.0 / w for w in spectrum(CharProblem(n, n - k))]
-        assert len(found) == len(refs) == n
-        for z in found:
-            ref = min(refs, key=lambda w: abs(w - z))
-            refs.remove(ref)
-            assert abs(z - ref) <= REL_TOL * abs(z), (k, z, ref)
+        found, mult = spectrum(CharProblem(n, k))
+        refs, mult_reversed = spectrum(CharProblem(n, n - k))
+        assert mult == mult_reversed and len(found) == len(refs) == n - mult
+        if not len(found):
+            continue
+        # the other roots are simple: each nearest reciprocal is a different one
+        dist = np.abs(found[:, None] - 1.0 / refs[None, :])
+        nearest = np.argmin(dist, axis=1)
+        assert np.array_equal(np.sort(nearest), np.arange(len(refs))), k
+        err = dist[np.arange(len(found)), nearest] / np.abs(found)
+        assert np.all(err <= REL_TOL), (k, found[np.argmax(err)], np.max(err))
 
 
 @pytest.mark.parametrize("n", [150, 151, 171, 191, 200])
