@@ -6,8 +6,11 @@ root estimates.  ``horner_scaled_bound`` is the one Horner kernel of
 root finding: it gives ``p(z_i)`` and the bound on its rounding error in
 one pass, safe from overflow at any modulus, and the inclusion disks,
 every sweep and the residual test of ``poly.certified_roots`` read their
-values from it.  ``horner`` evaluates at one point; the
-closed forms of ``recurrence`` use it.
+values from it.  ``dk_sweeps`` stops on the first of three rules: every
+residual below the caller's absolute limit, every update below
+``DK_STEP_TOL``, or residuals that stall within that rounding bound.
+``horner`` evaluates at one point; the closed forms of ``recurrence`` use
+it.
 """
 
 from __future__ import annotations
@@ -127,8 +130,14 @@ def dk_sweeps(
     modulus overflows; it rounds differently for the two members of a
     pair, so after each one the real estimates are made real again and
     each pair exact conjugates (their mean).  Stops when every residual
-    |p(z_i)| falls below ``resid_tol`` or every update below
-    ``DK_STEP_TOL``, and returns the final estimates,
+    |p(z_i)| falls below ``resid_tol``; when every update falls below
+    ``DK_STEP_TOL * (1 + max |z_i|)``; or when the largest residual fell
+    by less than half over the last correction and every residual lies
+    within ``4 m eps magnitude_i`` (m estimates), the rounding term of
+    ``poly._disk_radii``: the residuals are then rounding noise, which
+    further sweeps only stir.  (For n = 2k from 244 on that noise lies
+    above ``resid_tol`` and the updates above ``DK_STEP_TOL``; without the
+    last rule the sweeps ran to the cap.)  Returns the final estimates,
     ``horner_scaled_bound`` at them, and the sweep count.  The steps are
     not guarded: the estimates must start apart, each near its own simple
     root (``poly.certified_roots`` checks that with disjoint inclusion disks);
@@ -138,10 +147,16 @@ def dk_sweeps(
     z = z0.astype(np.complex128)
     nr = int(np.count_nonzero(z.imag == 0.0))
     nu = (len(z) - nr) // 2
+    floor = 4.0 * len(z) * np.finfo(float).eps  # the rounding term of the disks
     values, denom = first
+    largest = np.inf
     for sweeps in range(1, DK_MAX_SWEEPS + 1):
-        h, s, _ = values
-        if np.all(np.abs(h) <= resid_tol * s):
+        h, s, magnitude = values
+        resid = np.abs(h)
+        if np.all(resid <= resid_tol * s):
+            break
+        previous, largest = largest, float(np.max(resid))
+        if largest > 0.5 * previous and np.all(resid <= floor * magnitude):
             break
         if sweeps > 1:
             denom = dk_denominators(coeffs, z, z[:, None] - z[None, :])

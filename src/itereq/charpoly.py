@@ -15,7 +15,6 @@ root in its bracket there.  Its report reads the modulus bound
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -36,10 +35,10 @@ bisect_root = newton_polish = deflate = None
 # deflated polynomial must change sign.
 _SIGN_WINDOW = 1e-10
 # From this n on, ``analyze_roots`` starts from the lifted form's estimates
-# (``_lifted_estimates``: 130-180 us for 10 <= n <= 100 on a 2-vCPU host)
-# instead of the companion eigenvalues (19 us at n = 10, 95 us at n = 30,
-# 480 us at n = 60): the measured crossover of the whole analysis.
-_LIFTED_MIN_N = 30
+# instead of the companion eigenvalues: the measured crossover of the whole
+# analysis (per call over every k, 2-vCPU host: 181 against 180 us at n = 20,
+# 184 against 188 us at n = 21, 210 against 268 us at n = 30).
+_LIFTED_MIN_N = 21
 # Fixed-point steps per slot before Newton, and the Newton step cap and
 # relative stopping size of ``_lifted_estimates``.
 _FIXED_POINT_STEPS = 3
@@ -144,13 +143,11 @@ class RootReport:
         and n are both even (no claim), inf without a non-real root."""
         if self.problem.both_even:
             return None
-        gaps = [
-            abs(z.modulus - abs(r.value))
-            for z in self.complex_roots
-            if z.im != 0.0
-            for r in self.real_roots
-        ]
-        return min(gaps) if gaps else math.inf
+        mods = [z.modulus for z in self.complex_roots if z.im != 0.0]
+        if not mods:
+            return math.inf
+        reals = [abs(r.value) for r in self.real_roots]
+        return float(np.abs(np.subtract.outer(mods, reals)).min())
 
     def real_root_in(self, lo: float, hi: float) -> float:
         """The (unique) real root with value strictly inside (lo, hi)."""
@@ -308,59 +305,62 @@ def _lifted_estimates(prob: CharProblem) -> np.ndarray:
     (n+1)^{-1/k}``, one at 1, and n - k near the outer circle ``|r| =
     (n+1)^{1/(n-k)}``.  Slot j of a circle with c slots is labelled by
     ``w_j = e^{2 pi i j / c}``.  Each circle is taken in a variable of
-    modulus below 1, ``x = r`` inside and ``x = 1/r`` outside, so that no
-    power overflows at any n; there ``L`` is, up to sign and a power of
-    x, ``G(x) = (n+1) x^c (1 - x) - 1 + x^{n+1}``.  From ``x = w_j
-    (n+1)^{-1/c}``, a few fixed-point steps ``x <- w_j ((1 - x^{n+1}) /
-    ((n+1)(1 - x)))^{1/c}`` lead each slot to its root, and Newton on
-    ``G`` finishes it; every step is a few NumPy calls over all slots.
+    modulus below 1, ``x = r`` inside and ``x = 1/r`` outside, where ``L``
+    is, up to sign and a power of x, ``G(x) = (n+1) x^c (1 - x) - 1 +
+    x^{n+1}``.  Every slot is iterated in one complex array of ``y = log
+    x``: from ``x = w_j (n+1)^{-1/c}``, a few fixed-point steps ``x <- w_j
+    ((1 - x^{n+1}) / ((n+1)(1 - x)))^{1/c}``, then Newton on G until every
+    step is below ``_NEWTON_STEP_TOL``.  Powers are ``exp``, and ``x - 1``
+    and ``x^{n+1} - 1`` are ``expm1``: nothing overflows at any n, and G
+    keeps its digits where its terms cancel.
 
     The j = 0 slot of the outer circle is the root 1 when ``n >= 2k``, and
-    that of the inner circle when ``n <= 2k`` (``classify``: the positive
-    root other than 1 lies in (0, 1) when ``n > 2k``, above 1 when ``n <
-    2k``); those are dropped.  The other ``w = 1`` slot and the ``w = -1``
-    slots (c even) are the real roots; they iterate in real arithmetic,
-    so they come out exactly real.  Only the slots above the real axis
-    are iterated among the others, and their conjugates are appended.
+    that of the inner circle when ``n <= 2k`` (``classify``); both are
+    dropped.  The other ``w = 1`` slot and the ``w = -1`` slots (c even)
+    are the real roots: they come first, and are taken real at the end.
+    Near ``n = 2k`` the ``w = 1`` root lies close to 1, where the
+    fixed-point steps crawl; Newton starts it from the Taylor root of p
+    at 1, ``1 - 2 p'(1) / p''(1)``, when that gives the smaller step.  The
+    slots above the real axis follow, with their conjugates appended.
     The estimates carry no guarantee: ``certified_roots`` checks them.
     """
-    n, k = prob.n, prob.k
-    real: list[tuple[int, float, bool]] = []  # (c, w_j, inner)
-    upper: list[tuple[int, complex, bool]] = []
-    for c, inner, keep_one in ((k, True, n > 2 * k), (n - k, False, n < 2 * k)):
-        if c == 0:
-            continue
-        if keep_one:
-            real.append((c, 1.0, inner))
-        if c % 2 == 0:
-            real.append((c, -1.0, inner))
-        # the outer circle's x = 1/r: the slots below the axis in x lie above it in r
-        turn = (2j if inner else -2j) * math.pi / c
-        upper += [(c, cmath.exp(turn * j), inner) for j in range(1, (c + 1) // 2)]
+    n, k, n1 = prob.n, prob.k, prob.n + 1.0
+    real, upper, slow = [], [], None  # slots (c, arg w_j, inner)
+    for count, inside, keep_one in ((k, True, n > 2 * k), (n - k, False, n < 2 * k)):
+        if count:
+            if keep_one:
+                slow = (len(real), count, 1 if inside else -1)  # the root other than 1
+                real.append((count, 0.0, inside))
+            if count % 2 == 0:
+                real.append((count, math.pi, inside))
+            # the outer circle's x = 1/r: the slots below the axis in x lie above it in r
+            turn = (2 if inside else -2) * math.pi / count
+            upper += [(count, turn * j, inside) for j in range(1, (count + 1) // 2)]
+    c, arg, inner = (np.array(s) for s in zip(*real, *upper))
+    c, arg = c.astype(np.complex128), 1j * arg
+
+    def newton_step(y, c):  # G / (dG/dy)
+        x_1, xn1_1, xc = np.expm1(y), np.expm1(n1 * y), np.exp(c * y)
+        return (xn1_1 - n1 * xc * x_1) / (n1 * (xn1_1 + 1 - xc * (1 + (c + 1) * x_1)))
+
     with np.errstate(all="ignore"):
-        z_real = _lifted_slots(n, real, np.float64)
-        z_upper = _lifted_slots(n, upper, np.complex128)
-    return np.concatenate([z_real, z_upper, z_upper.conj()]).astype(np.complex128)
-
-
-def _lifted_slots(n: int, slots: list, dtype) -> np.ndarray:
-    """The root in ``r`` of each slot ``(c, w_j, inner)`` of ``_lifted_estimates``."""
-    c = np.array([s[0] for s in slots], dtype=np.int64)
-    omega = np.array([s[1] for s in slots], dtype=dtype)
-    inner = np.array([s[2] for s in slots], dtype=bool)
-    x = omega * (n + 1.0) ** (-1.0 / c)
-    for _ in range(_FIXED_POINT_STEPS):
-        x = omega * ((1 - x ** (n + 1)) / ((n + 1) * (1 - x))) ** (1.0 / c)
-    for _ in range(_NEWTON_MAX_STEPS):
-        xc1 = x ** (c - 1)
-        xc = xc1 * x
-        xn = x ** n
-        g = (n + 1) * xc * (1 - x) - 1 + xn * x
-        step = g / ((n + 1) * (c * xc1 - (c + 1) * xc + xn))
-        x = x - step
-        if np.all(np.abs(step) <= _NEWTON_STEP_TOL * np.abs(x)):
-            break
-    return np.where(inner, x, 1.0 / x)
+        y = arg - math.log(n1) / c
+        for _ in range(_FIXED_POINT_STEPS):
+            y = arg + np.log(np.expm1(n1 * y) / (n1 * np.expm1(y))) / c
+        curve = 3 * k * (k - 1) - n * (n - 1)  # 3 p''(1) / (n+1); p'(1) = (n+1)(2k-n)/2
+        taylor = 1 - 3 * (2 * k - n) / curve if slow and curve else 0.0
+        if taylor > 0:
+            i, count, sign = slow
+            t = sign * math.log(taylor)
+            if t < 0 and abs(newton_step(t, count)) < abs(newton_step(y[i].real, count)):
+                y[i] = t
+        for _ in range(_NEWTON_MAX_STEPS):
+            step = newton_step(y, c)
+            y -= step
+            if np.abs(step).max() <= _NEWTON_STEP_TOL:
+                break
+        r = np.exp(np.where(inner, y, -y))
+    return np.concatenate([r[: len(real)].real, r[len(real) :], r[len(real) :].conj()])
 
 
 @functools.lru_cache(maxsize=_REPORT_CACHE_SIZE)

@@ -276,6 +276,22 @@ def test_analyze_4_1():
     assert gap == pytest.approx(QUARTIC_PAIR_MODULUS - 1.0, abs=1e-9)
 
 
+def test_separation_gap_is_the_least_pairwise_modulus_difference():
+    # the one-pass gap against the pairwise loop over the same differences
+    for n in range(2, 65):
+        for k in range(n + 1):
+            report = analyze_roots(CharProblem(n, k))
+            gaps = [
+                abs(z.modulus - abs(r.value))
+                for z in report.complex_roots
+                if z.im != 0.0
+                for r in report.real_roots
+            ]
+            expected = None if report.problem.both_even else min(gaps, default=math.inf)
+            gap = report.modulus_separation_min_gap
+            assert gap == expected and type(gap) is type(expected), (n, k)
+
+
 def test_analyze_2_0():
     report = analyze_roots(CharProblem(2, 0))
     values = sorted(r.value for r in report.real_roots)
@@ -645,7 +661,11 @@ def test_lifted_start_threshold_lies_past_the_paper_table():
     assert 15 < _LIFTED_MIN_N
 
 
-@pytest.mark.parametrize("n", [_LIFTED_MIN_N, _LIFTED_MIN_N + 1, 47, 63, 64, 100, 200])
+# 43, 47 and 58 hold the slow w = 1 slots (43, 21), (47, 23) and (58, 28),
+# the positive root other than 1 close to it, started from the Taylor root
+@pytest.mark.parametrize(
+    "n", [_LIFTED_MIN_N, _LIFTED_MIN_N + 1, 30, 31, 43, 47, 58, 63, 64, 100, 200]
+)
 def test_lifted_start_gives_the_eigenvalue_started_report(monkeypatch, n):
     for k in range(n + 1):
         prob = CharProblem(n, k)
@@ -673,6 +693,26 @@ def test_lifted_start_needs_no_retry_up_to_n_100(monkeypatch):
     for n in range(_LIFTED_MIN_N, 101):
         for k in range(n + 1):
             analyze_roots.__wrapped__(CharProblem(n, k))
+
+
+def test_polish_of_n_equal_2k_past_243_stops_at_the_rounding_floor(monkeypatch):
+    # there the residuals stall above the absolute stop and the updates
+    # above the step stop; without the floor rule the sweeps ran to the cap
+    from itereq import _kernels
+
+    counts = []
+    sweeps = _kernels.dk_sweeps
+
+    def counted(*args):
+        result = sweeps(*args)
+        counts.append(result[2])
+        return result
+
+    monkeypatch.setattr(_kernels, "dk_sweeps", counted)
+    for n in range(244, 301, 2):
+        report = analyze_roots.__wrapped__(CharProblem(n, n // 2))
+        assert report_matches_expectation(report)[0], n
+    assert len(counts) == 29 and max(counts) <= 5, counts
 
 
 @pytest.mark.parametrize("bad", ["collapsed", "not_finite", "too_few", "unpolished"])

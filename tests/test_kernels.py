@@ -92,6 +92,18 @@ def test_dk_sweeps_polish_a_root_beyond_the_float_range_of_its_powers():
         assert np.all(np.isfinite(np.abs(h) / np.where(h == 0, 1.0, s)))  # |p(z_i)|
 
 
+def test_dk_sweeps_stop_once_the_residuals_stall_at_the_rounding_floor(monkeypatch):
+    # no residual meets a zero tolerance and no update the zero step stop:
+    # only the floor rule ends the sweeps before the cap
+    monkeypatch.setattr(_kernels, "DK_STEP_TOL", 0.0)
+    arr = np.polynomial.polynomial.polyfromroots([0.1, 0.7, 3.3, -1.9])
+    z0 = np.asarray([0.1001, 0.7002, 3.2997, -1.9003], dtype=np.complex128)
+    z, (h, s, magnitude), sweeps = _kernels.dk_sweeps(arr, z0, 0.0, _primed(arr, z0))
+    assert sweeps < 10
+    assert np.all(np.abs(h) <= 4 * len(z) * np.finfo(float).eps * magnitude)
+    assert sorted(z.real) == pytest.approx([-1.9, 0.1, 0.7, 3.3], rel=1e-14)
+
+
 @pytest.mark.parametrize("radius", [10.0, 1e200])
 def test_fused_bound_pass_is_both_horner_passes_bit_for_bit(radius):
     # radius 1e200 puts most points past the direct range of degree 11

@@ -2,10 +2,11 @@
 
 Each reported real root other than 1 is compared with the root of the
 exact integer polynomial ``p / (r - 1)^m`` in the same bracket, found by
-bisection in 40-digit arithmetic.  For small n the whole spectrum is also
-compared with ``mpmath.polyroots`` at 50 digits.  Reciprocity needs no
-reference: the polynomial of (n, n-k) is that of (n, k) reversed, so each
-root of one is the reciprocal of a root of the other.
+bisection in 40-digit arithmetic.  For n <= 12, and for a few lifted starts
+up to n = 60, the whole spectrum is also compared with ``mpmath.polyroots``
+at 50 digits.  Reciprocity needs no reference: the polynomial of (n, n-k)
+is that of (n, k) reversed, so each root of one is the reciprocal of a
+root of the other.
 """
 
 import mpmath as mp
@@ -19,7 +20,7 @@ REL_TOL = 1e-13
 # k = 0 and k = n at several n; (12, 11), (40, 32) and (64, 16); (44, 1),
 # whose small root had the largest relative error (6.4e-14) over every k
 # for n <= 64; (62, 32), the largest for the bisection-and-Newton path that
-# came before the single eigenvalue solve (1.0e-13).  From n = 30 on the
+# came before the single eigenvalue solve (1.0e-13).  From n = 21 on the
 # estimates come from the lifted form: n = 2k +- 1, where its two circles
 # meet near 1 and the positive root other than 1 lies closest to it, and
 # k = 1 and k = n - 1, where one circle has a single slot
@@ -31,7 +32,12 @@ SAMPLE = [
     (31, 15), (31, 16), (47, 23), (47, 24), (63, 31), (63, 32), (99, 49), (99, 50),
     (48, 1), (64, 1), (64, 63), (100, 1), (100, 99),
 ]
-SPECTRUM_SAMPLE = [(n, k) for n in range(2, 13) for k in range(n + 1)]
+# past n = 12, lifted starts: k = 1 and k = n - 1 (one circle with a single
+# slot), n - 2k in {-1, 1, 2} (the slow w = 1 slot near 1, started from the
+# Taylor root) and n = 2k (the two circles meet at the double root 1)
+SPECTRUM_SAMPLE = [(n, k) for n in range(2, 13) for k in range(n + 1)] + [
+    (31, 1), (33, 17), (43, 21), (44, 22), (58, 28), (60, 59),
+]
 
 
 def exact_deflated(prob: CharProblem) -> list[int]:
@@ -108,7 +114,7 @@ def spectrum(prob: CharProblem) -> tuple[np.ndarray, int]:
     return np.array(found, dtype=complex), report.real_roots[0].multiplicity
 
 
-@pytest.mark.parametrize("n", range(2, 65))
+@pytest.mark.parametrize("n", range(2, 101))
 def test_roots_are_reciprocals_of_the_reversed_problem_roots(n):
     for k in range(n + 1):
         found, mult = spectrum(CharProblem(n, k))
