@@ -11,6 +11,13 @@ determine a complete table of real-root locations (labels C1..C10 for
 computes the whole spectrum in one solve and finds every predicted real
 root in its bracket there.  Its report reads the modulus bound
 ``|z| < 2n+1`` and the real/non-real modulus separation off those roots.
+
+Memos, each bounded by a module constant and none keeping a failure:
+``analyze_roots`` and ``build_char_poly`` keep one report and one
+polynomial per ``CharProblem`` (``_REPORT_CACHE_SIZE`` = 256 each), and
+a ``RootReport`` keeps its own hash once taken.  The other memos of the
+package are ``families.enumerate_families`` (per problem) and
+``recurrence._anchor_system`` and ``recurrence._basis`` (per spectrum).
 """
 
 from __future__ import annotations
@@ -44,9 +51,9 @@ _LIFTED_MIN_N = 21
 _FIXED_POINT_STEPS = 3
 _NEWTON_MAX_STEPS = 40
 _NEWTON_STEP_TOL = 1e-14
-# Root reports kept by ``analyze_roots``: 256 holds the whole paper table
-# (133 problems for 2 <= n <= 15) and caps memory when a longer table
-# streams through.
+# Entries kept by each per-problem memo, ``analyze_roots`` and
+# ``build_char_poly``: 256 holds the whole paper table (133 problems for
+# 2 <= n <= 15) and caps memory when a longer table streams through.
 _REPORT_CACHE_SIZE = 256
 
 
@@ -109,12 +116,22 @@ class RootReport:
     """Fully resolved spectrum of one characteristic polynomial.
 
     It holds only the problem and the roots; the modulus bound and the
-    separation gap are read off those roots on every access.
+    separation gap are read off those roots on every access.  Its hash,
+    that of the tuple of its fields as the dataclass would give it, is
+    computed on first use and kept: the memos keyed on a report
+    (``recurrence._anchor_system``) then hash it in constant time.
     """
 
     problem: CharProblem
     real_roots: tuple[RealRootRecord, ...]
     complex_roots: tuple[ComplexRoot, ...]
+
+    def __hash__(self) -> int:
+        kept = self.__dict__
+        h = kept.get("_hash")
+        if h is None:
+            h = kept["_hash"] = hash((self.problem, self.real_roots, self.complex_roots))
+        return h
 
     @property
     def total_multiplicity(self) -> int:
@@ -186,11 +203,14 @@ class RootReport:
         }
 
 
+@functools.lru_cache(maxsize=_REPORT_CACHE_SIZE)
 def build_char_poly(prob: CharProblem) -> Polynomial:
     """Characteristic polynomial ``(n+1) r^k - sum_{i=0}^{n} r^i``.
 
     Its coefficients are integers: -1 everywhere but ``n`` at ``r^k``.
     The leading coefficient is -1 for ``k < n`` and ``n`` for ``k = n``.
+    One shared polynomial is kept per (n, k), as ``analyze_roots`` keeps
+    its report; ``Polynomial`` is frozen and its array read-only.
     """
     n, k = prob.n, prob.k
     coeffs = [-1.0] * (n + 1)

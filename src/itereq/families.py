@@ -26,11 +26,15 @@ roots by one rule: each negative root gives an affine family and each
 positive root other than 1 a three-piece family of that slope, a double
 root 1 gives the translations, and the identity is listed when there is
 neither a translation nor a three-piece family.  For ``0 < k < n`` with k
-and n both even it reports the unsolved regime instead.
+and n both even it reports the unsolved regime instead.  It keeps one
+enumeration per ``CharProblem`` in a memo (``_FAMILIES_CACHE_SIZE`` =
+256), which keeps no failure; the other memos of the package are listed
+in ``charpoly``'s docstring.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -49,6 +53,10 @@ from .errors import (
 )
 from .intervals import REL_SLACK, Interval, contains_with_slack, finite_real
 from .means import Generator
+
+# Enumerations kept by ``_problem_families``, one per (n, k); as many as
+# ``analyze_roots`` keeps reports
+_FAMILIES_CACHE_SIZE = 256
 
 
 class Solution:
@@ -538,12 +546,27 @@ def enumerate_families(prob: CharProblem, domain: Interval) -> FamilyEnumeration
     1, no spectrum is solved.  For ``0 < k < n`` with k and n both even
     the continuous-solution classification is unresolved and the
     enumeration carries status ``open_problem`` (no families).
+
+    The domain matters only for k = 0, where off the real line the
+    identity alone is listed.  Every other enumeration depends on the
+    problem alone and is kept per (n, k) in a bounded LRU memo
+    (``_problem_families``, ``_FAMILIES_CACHE_SIZE`` entries), so
+    equal problems get the identical frozen enumeration.  As with
+    ``analyze_roots``, failures are not cached: a solver error raises on
+    every call.
     """
+    if prob.k == 0 and not domain.is_real_line:
+        return FamilyEnumeration("ok", (_IDENTITY,))
+    return _problem_families(prob)
+
+
+@functools.lru_cache(maxsize=_FAMILIES_CACHE_SIZE)
+def _problem_families(prob: CharProblem) -> FamilyEnumeration:
+    """``enumerate_families(prob, domain)`` for every domain but that of
+    k = 0 off the real line."""
     n, k = prob.n, prob.k
     if 0 < k < n and prob.both_even:
         return FamilyEnumeration(OPEN_PROBLEM, ())
-    if k == 0 and not domain.is_real_line:
-        return FamilyEnumeration("ok", (_IDENTITY,))
     expected = classify(prob).expected_real_roots
     if len(expected) == 1:
         return _families_from_roots([(1.0, expected[0].multiplicity)])

@@ -18,11 +18,17 @@ rounding level of the anchors.
 
 The anchor system depends only on the spectrum, so ``fit_closed_form``
 takes it from one bounded LRU memo keyed on the frozen ``RootReport``
-(which ``analyze_roots`` already shares per (n, k)): the spectrum terms,
-the read-only matrix and its condition number are built once per
-spectrum, and equal reports get the same system.  As with
-``analyze_roots``, failures are not cached, so a spectrum the condition
-guard refuses raises on every call.
+(which ``analyze_roots`` already shares per (n, k), and which hashes its
+roots once): the spectrum terms, the read-only matrix and its condition
+number are built once per spectrum, and equal reports get the same
+system.  As with ``analyze_roots``, failures are not cached, so a
+spectrum the condition guard refuses raises on every call.
+
+Memos here, per spectrum: ``_anchor_system``, keyed on the report
+(``_SYSTEM_CACHE_SIZE`` = 256 systems), and ``_basis``, keyed on the
+roots and an index range (``_BASIS_CACHE_SIZE`` = 512 entries); neither
+keeps a failure.  The per-problem memos are ``charpoly.analyze_roots``,
+``charpoly.build_char_poly`` and ``families.enumerate_families``.
 
 The anchor check and ``prediction_error`` evaluate the closed form over
 their whole index range in one call (``predict_range``).  Powers, cosines
@@ -166,29 +172,32 @@ def predict_range(cf: ClosedForm, j_lo: int, j_hi: int) -> np.ndarray:
 
     The powers, cosines and sines come from ``_basis`` (kept per roots
     and range), the polynomial factors and products are arrays with one
-    row per term, and the rows are added in ``predict``'s order.  A term
+    row per term, and one ``np.add.reduce`` adds the rows in ``predict``'s
+    order (a single index goes through ``predict`` itself).  A term
     that overflows is +-inf, as in ``predict``, and terms that overflow
     with opposite signs add to NaN, as they do there; neither warns.
     """
-    reals, cplx = cf.real_terms, cf.complex_terms
-    J, powers, cos, sin, env = _basis(
-        tuple(t.lam for t in reals),
-        tuple((t.modulus, t.argument) for t in cplx),
-        j_lo,
-        j_hi,
-    )
-    total = np.zeros(len(J))
     with np.errstate(over="ignore", invalid="ignore"):
+        if j_lo == j_hi:  # NumPy adds a single column pairwise, not row by row
+            return np.array([predict(cf, j_lo)])
+        reals, cplx = cf.real_terms, cf.complex_terms
+        J, powers, cos, sin, env = _basis(
+            tuple(t.lam for t in reals),
+            tuple((t.modulus, t.argument) for t in cplx),
+            j_lo,
+            j_hi,
+        )
+        terms = np.empty((0, len(J)))
         if reals:
-            for row in _polyval_rows([t.coeffs for t in reals], J) * powers:
-                total += row
+            terms = _polyval_rows([t.coeffs for t in reals], J) * powers
         if cplx:
             polys = _polyval_rows(
                 [t.cos_poly for t in cplx] + [t.sin_poly for t in cplx], J
             )
-            for row in (polys[: len(cplx)] * cos + polys[len(cplx) :] * sin) * env:
-                total += row
-    return total
+            waves = (polys[: len(cplx)] * cos + polys[len(cplx) :] * sin) * env
+            terms = np.concatenate([terms, waves]) if reals else waves
+        # row after row from +0.0, as ``predict`` adds its terms
+        return np.add.reduce(terms, axis=0, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -224,7 +233,7 @@ def check_recurrence(orbit: Orbit, coeffs: Polynomial) -> RecurrenceReport:
     windows = len(vals) - deg
     products = vals[np.add.outer(np.arange(windows), np.arange(deg + 1))]
     products *= coeffs.as_array()
-    residuals = np.array([math.fsum(row) for row in products.tolist()])
+    residuals = np.fromiter(map(math.fsum, products.tolist()), float, windows)
     max_resid = float(np.abs(residuals).max()) * 2.0**exp
     limit = RECURRENCE_TOL * coeffs.inf_norm * (1.0 + peak)
     passed = math.isfinite(max_resid) and max_resid <= limit
@@ -395,23 +404,35 @@ def _residual(system: _AnchorSystem, b: np.ndarray, x: np.ndarray) -> np.ndarray
     x_hi, x_lo = _split(x)
     e = ((a_hi * x_hi - p) + a_hi * x_lo + a_lo * x_hi) + a_lo * x_lo
     terms = np.hstack([b[:, None], -p, -e])
-    return np.array([math.fsum(row) for row in terms.tolist()])
+    return np.fromiter(map(math.fsum, terms.tolist()), float, len(b))
 
 
 def _assemble(reals, complexes, weights: list[float]) -> ClosedForm:
+    """The closed form with ``weights`` on the spectrum terms.
+
+    Its term records are built without the frozen dataclasses' ``__init__``
+    (about a microsecond per term), as ``poly._root_records`` builds roots;
+    each equals the record the constructor gives.
+    """
     real_terms = []
     pos = 0
     for lam, mult in reals:
-        real_terms.append(RealTerm(lam, tuple(weights[pos : pos + mult])))
+        term = object.__new__(RealTerm)
+        term.__dict__.update(lam=lam, coeffs=tuple(weights[pos : pos + mult]))
+        real_terms.append(term)
         pos += mult
     complex_terms = []
     for mod, phi, mult in complexes:
-        cos_c, sin_c = [], []
-        for _ in range(mult):
-            cos_c.append(weights[pos])
-            sin_c.append(weights[pos + 1])
-            pos += 2
-        complex_terms.append(ComplexTerm(mod, phi, tuple(cos_c), tuple(sin_c)))
+        end = pos + 2 * mult
+        term = object.__new__(ComplexTerm)
+        term.__dict__.update(
+            modulus=mod,
+            argument=phi,
+            cos_poly=tuple(weights[pos:end:2]),
+            sin_poly=tuple(weights[pos + 1 : end : 2]),
+        )
+        complex_terms.append(term)
+        pos = end
     return ClosedForm(tuple(real_terms), tuple(complex_terms))
 
 
@@ -420,13 +441,18 @@ def prediction_error(
 ) -> float:
     """Max guarded relative error of predictions against stored values.
 
-    Indices outside the orbit are skipped.  A prediction that overflows
-    to +-inf gives an infinite error, and a NaN error (terms that overflow
-    with opposite signs) counts as one, so it never reads as a pass.
+    Indices outside the orbit are skipped; a range that holds no orbit
+    index raises :class:`TooShort`, since no prediction was checked.  A
+    prediction that overflows to +-inf gives an infinite error, and a NaN
+    error (terms that overflow with opposite signs) counts as one, so it
+    never reads as a pass.
     """
     lo, hi = max(j_lo, orbit.m_lo), min(j_hi, orbit.m_hi)
     if lo > hi:
-        return 0.0
+        raise TooShort(
+            f"prediction range [{j_lo}, {j_hi}] holds no index of the orbit's "
+            f"[{orbit.m_lo}, {orbit.m_hi}]"
+        )
     actual = orbit.points[lo - orbit.m_lo : hi - orbit.m_lo + 1]
     with np.errstate(over="ignore"):
         err = np.abs(predict_range(cf, lo, hi) - actual) / (1.0 + np.abs(actual))

@@ -15,9 +15,9 @@ from typing import Callable
 import numpy as np
 
 from .charpoly import CharProblem
-from .errors import DomainError, NotSurjective
+from .errors import DomainError
 from .families import Solution
-from .intervals import REL_SLACK, Interval, contains_with_slack, json_float
+from .intervals import REL_SLACK, Interval, json_float
 from .means import Generator, qa_mean_rows
 from .poly import Polynomial
 
@@ -100,9 +100,12 @@ class Orbit:
                 f"orbit indices [{lo}, {hi}] need {hi - lo + 1} points, got "
                 f"{pts.size}: index {lo + min(pts.size, hi - lo + 1)} is bad"
             )
-        for m, v in zip(range(lo, hi + 1), pts.tolist()):
-            if not math.isfinite(v):
-                raise DomainError(f"orbit point at index {m} is not finite: {v!r}")
+        bad = np.flatnonzero(~np.isfinite(pts))
+        if bad.size:
+            i = int(bad[0])
+            raise DomainError(
+                f"orbit point at index {lo + i} is not finite: {float(pts[i])!r}"
+            )
 
     @property
     def escaped(self) -> bool:
@@ -210,25 +213,32 @@ def iterate(s: Solution, x0: float, m_lo: int = 0, m_hi: int = 0) -> Orbit:
     # an iterate that overflows escapes the domain below; one guard per
     # call, not per point.  Forward steps map with ``_eval_scalar``, which
     # is ``s(x)`` without its domain test: ``x0`` and every iterate kept
-    # lie in the domain, so that test cannot fail.
-    domain = s.domain
+    # lie in the domain, so that test cannot fail.  Backward steps are
+    # ``s.invert(x)`` with the image taken once: a value outside it is the
+    # escape ``invert`` signals with ``NotSurjective``.  Both membership
+    # tests are ``contains_with_slack``, written out; a value tested against
+    # the image is ``x0`` or a kept iterate, so it is finite.
+    lo, hi = s.domain.lo, s.domain.hi
     with np.errstate(over="ignore"):
         x = forward[0]
         for m in range(1, m_hi + 1):
             x = s._eval_scalar(x)
-            if not contains_with_slack(domain, x):
+            slack = REL_SLACK * (1.0 + abs(x))
+            if not (math.isfinite(x) and lo - slack <= x <= hi + slack):
                 escape_index = m
                 break
             forward.append(x)
 
-        x = x0
+        image = s.image() if m_lo < 0 else None
+        x = forward[0]
         for m in range(-1, m_lo - 1, -1):
-            try:
-                x = s.invert(x)
-            except NotSurjective:
+            slack = REL_SLACK * (1.0 + abs(x))
+            if not image.lo - slack <= x <= image.hi + slack:
                 escape_index = m
                 break
-            if not contains_with_slack(domain, x):
+            x = s._invert_scalar(x)
+            slack = REL_SLACK * (1.0 + abs(x))
+            if not (math.isfinite(x) and lo - slack <= x <= hi + slack):
                 escape_index = m
                 break
             backward.append(x)

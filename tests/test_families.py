@@ -10,6 +10,7 @@ from itereq.errors import (
     BadAnchor,
     ConstructionError,
     DomainError,
+    NonConvergence,
     NotAnInvolution,
     NotSurjective,
 )
@@ -683,6 +684,25 @@ def test_enumeration_analyzes_roots_once(monkeypatch):
     out = enumerate_families(CharProblem(3, 1), REAL_LINE)
     assert [d.family for d in out.families] == ["affine", "three_piece"]
     assert len(calls) == 1
+    # kept per problem: an equal problem gets the same enumeration
+    assert enumerate_families(CharProblem(3, 1), REAL_LINE) is out
+    assert len(calls) == 1
+
+
+def test_enumeration_failures_are_not_cached(monkeypatch):
+    from itereq import families
+
+    calls = []
+
+    def failing(prob):
+        calls.append(prob)
+        raise NonConvergence("injected solver failure")
+
+    monkeypatch.setattr(families, "analyze_roots", failing)
+    for _ in range(2):
+        with pytest.raises(NonConvergence, match="injected"):
+            enumerate_families(CharProblem(3, 1), REAL_LINE)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -435,6 +435,18 @@ def test_equal_reports_share_one_read_only_anchor_system():
     assert fit_closed_form(orbit, report) == cached
 
 
+def test_a_report_hashes_its_fields_once_and_a_replaced_one_anew():
+    report = analyze_roots(CharProblem(5, 2))
+    fields_hash = hash((report.problem, report.real_roots, report.complex_roots))
+    assert hash(report) == fields_hash
+    assert vars(report)["_hash"] == fields_hash  # kept for the next lookup
+    moved = dataclasses.replace(report, complex_roots=report.complex_roots[::-1])
+    assert moved != report and "_hash" not in vars(moved)
+    assert hash(moved) == hash((moved.problem, moved.real_roots, moved.complex_roots))
+    assert hash(moved) != hash(report)
+    assert hash(dataclasses.replace(report)) == hash(report)
+
+
 def test_condition_refusal_raises_on_every_call():
     spectrum = analyze_roots(CharProblem(13, 12))
     orbit = orbit_from_values([0.5 + 0.1 * j for j in range(20)])
@@ -460,7 +472,7 @@ def test_predict_range_is_predict_bit_for_bit():
             cf = fit_closed_form(orbit, analyze_roots(prob), regime_of=sol)
         except SingularSystem:
             continue
-        for lo, hi in ((0, prob.n - 1), (prob.n, 30), (-4, 40)):
+        for lo, hi in ((0, prob.n - 1), (prob.n, 30), (-4, 40), (30, 30), (0, 0)):
             want = [predict(cf, j) for j in range(lo, hi + 1)]
             assert _bits(predict_range(cf, lo, hi)) == _bits(want), name
 
@@ -485,6 +497,12 @@ def test_prediction_error_is_the_per_index_loop_bit_for_bit():
     orbit = Orbit(-1, 7, points)
     for j_lo in range(-3, 10):
         for j_hi in range(j_lo - 1, 10):
+            if max(j_lo, -1) > min(j_hi, 7):  # no orbit index in range
+                with pytest.raises(
+                    TooShort, match=rf"\[{j_lo}, {j_hi}\] holds no index .*\[-1, 7\]"
+                ):
+                    prediction_error(cf, orbit, j_lo, j_hi)
+                continue
             got = prediction_error(cf, orbit, j_lo, j_hi)
             want = _prediction_error_reference(cf, orbit, j_lo, j_hi)
             assert float(got).hex() == float(want).hex(), (j_lo, j_hi)
@@ -582,6 +600,10 @@ def test_escaping_orbits_read_as_loops_over_the_held_values(sol, x0, m_lo, m_hi)
     cf = fit_closed_form(orbit, analyze_roots(CharProblem(2, 1)))
     for j_lo in range(m_lo - 2, m_hi + 3, 3):
         for j_hi in range(j_lo - 1, m_hi + 3, 4):
+            if max(j_lo, orbit.m_lo) > min(j_hi, orbit.m_hi):
+                with pytest.raises(TooShort, match="holds no index"):
+                    prediction_error(cf, orbit, j_lo, j_hi)
+                continue
             got = prediction_error(cf, orbit, j_lo, j_hi)
             want = _prediction_error_reference(cf, orbit, j_lo, j_hi)
             assert got.hex() == want.hex(), (j_lo, j_hi)

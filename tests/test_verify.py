@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from itereq import verify as verify_module
 from itereq.charpoly import CharProblem, analyze_roots, build_char_poly
-from itereq.errors import DomainError
+from itereq.errors import DomainError, NotSurjective
 from itereq.families import (
     Affine,
     Identity,
@@ -180,6 +180,66 @@ def test_an_escaping_orbit_holds_only_its_in_domain_run(
     assert np.isfinite(orb.points).all()
     assert orb.value(0) == x0
     assert antimonotone_signs_constant(orb) == _antimonotone_reference(orb)
+
+
+CLOSED_0_2 = Interval(0.0, 2.0, True, True)
+LOG_POSITIVE = Generator("log", Interval(0.0, math.inf))
+LOG_BOX = Generator("log", Interval(1.0, 4.0, True, True))
+
+
+def _iterate_reference(s, x0, m_lo, m_hi):
+    """The per-point loop of public calls: ``s(x)`` forward and
+    ``s.invert(x)`` backward, each side ending at its first value outside
+    the domain or, backward, outside the image (``NotSurjective``).
+
+    Returns the held points, the first held index, the escape index and
+    what ended the orbit: None, ``"domain"`` or ``"image"``.
+    """
+    forward, backward, escape, by = [x0], [], None, None
+    with np.errstate(over="ignore"):
+        for m in range(1, m_hi + 1):
+            x = s(forward[-1])
+            if not contains_with_slack(s.domain, x):
+                escape, by = m, "domain"
+                break
+            forward.append(x)
+        x = x0
+        for m in range(-1, m_lo - 1, -1):
+            try:
+                x = s.invert(x)
+            except NotSurjective:
+                escape, by = m, "image"
+                break
+            if not contains_with_slack(s.domain, x):
+                escape, by = m, "domain"
+                break
+            backward.append(x)
+    return backward[::-1] + forward, -len(backward), escape, by
+
+
+@pytest.mark.parametrize(
+    "sol, x0, m_lo, m_hi, escape_by",
+    [
+        (Identity(REAL_LINE), 0.7, -5, 5, None),
+        (Translation(REAL_LINE, 0.3), -1.1, -8, 8, None),
+        (Translation(REAL_LINE, 1e307), 0.3, -30, 30, "domain"),
+        (Affine(REAL_LINE, -2.414213562373095, 0.5), 0.3, -5, 30, None),
+        (Affine(CLOSED_0_2, 0.5, 0.5), 1.01, -12, 5, "image"),
+        (ThreePiece(REAL_LINE, 0.0, 1.0, 0.4142135623730951), -2.0, -5, 30, None),
+        (ThreePiece(Interval(-4.0, 4.0, True, True), -1.0, 1.0, 0.5), 2.0, -6, 6, "image"),
+        (conjugate(LOG_POSITIVE, Affine(REAL_LINE, -2.0, 0.5)), 1.5, -6, 30, "domain"),
+        (conjugate(LOG_BOX, Affine(LOG_BOX.image(), -0.5, math.log(2.0))), 1.9, -6, 6, "image"),
+        (build_involution(CLOSED_0_2, 1.0, f0_table=([0.0, 0.5, 1.0], [2.0, 1.4, 1.0])),
+         0.3, -6, 6, None),
+    ],
+)
+def test_iterate_is_the_per_point_public_loop_bit_for_bit(sol, x0, m_lo, m_hi, escape_by):
+    held, held_lo, escape, by = _iterate_reference(sol, x0, m_lo, m_hi)
+    assert by == escape_by
+    orbit = iterate(sol, x0, m_lo, m_hi)
+    assert [v.hex() for v in orbit.points.tolist()] == [float(v).hex() for v in held]
+    assert (orbit.m_lo, orbit.m_hi) == (held_lo, held_lo + len(held) - 1)
+    assert orbit.escape_index == escape
 
 
 def test_sample_grid_respects_open_endpoints():
