@@ -1,16 +1,14 @@
 """Hot numeric kernels in plain NumPy.
 
-The root-table analysis spends its time outside the estimates in two
-inner loops: Horner evaluation and the Durand-Kerner sweeps that polish
-root estimates.  ``horner_scaled_bound`` is the one Horner kernel of
-root finding: it gives ``p(z_i)`` and the bound on its rounding error in
-one pass, safe from overflow at any modulus, and the inclusion disks,
-every sweep and the residual test of ``poly.certified_roots`` read their
-values from it.  ``dk_sweeps`` stops on the first of three rules: every
-residual below the caller's absolute limit, every update below
-``DK_STEP_TOL``, or residuals that stall within that rounding bound.
-``horner`` evaluates at one point; the closed forms of ``recurrence`` use
-it.
+Outside the estimates, the root-table analysis spends its time in one
+Horner pass and one product of differences per spectrum.
+``horner_scaled_bound`` is the one Horner kernel of root finding: it
+gives ``p(z_i)`` and the bound on its rounding error in one pass, safe
+from overflow at any modulus.  ``dk_denominators`` gives the
+denominators of the Weierstrass corrections, scaled alike.  The
+inclusion disks, the residual test and the one correction of
+``poly.certified_roots`` all read these two results.  ``horner``
+evaluates at one point; the closed forms of ``recurrence`` use it.
 """
 
 from __future__ import annotations
@@ -22,9 +20,6 @@ import numpy as np
 # recorded by the benchmark's environment block; there is no jitted path
 USING_NUMBA = False
 
-# Durand-Kerner sweep cap; it only guards against cycling on pathological input.
-DK_MAX_SWEEPS = 1200
-DK_STEP_TOL = 1e-15  # DK stops once every update is below this * (1 + max |z_i|)
 # log2 of the largest |z|^n at which a degree-n polynomial is evaluated
 # directly; past it ``horner_scaled_bound`` evaluates the reversed polynomial.
 DIRECT_EXP = 512.0
@@ -98,7 +93,7 @@ def horner_scaled_bound(
 
 def dk_denominators(coeffs: np.ndarray, z: np.ndarray, diff: np.ndarray) -> np.ndarray:
     """``c_n prod_{j != i} (z_i - z_j)``, scaled as ``horner_scaled_bound``
-    scales ``p(z_i)``: their quotient is the Durand-Kerner correction.
+    scales ``p(z_i)``: their quotient is the Weierstrass correction.
 
     ``diff`` is ``z[:, None] - z[None, :]``, and is overwritten.
     """
@@ -109,64 +104,5 @@ def dk_denominators(coeffs: np.ndarray, z: np.ndarray, diff: np.ndarray) -> np.n
     return coeffs[-1] * np.prod(diff, axis=1)
 
 
-# a placeholder the benchmark's tracer wraps; see the note in ``charpoly``
-bisect_loop = None
-
-
-def dk_sweeps(
-    coeffs: np.ndarray,
-    z0: np.ndarray,
-    resid_tol: float,
-    first: tuple[tuple, np.ndarray],
-) -> tuple[np.ndarray, tuple, int]:
-    """Durand-Kerner simultaneous iteration, vectorized over root estimates.
-
-    ``coeffs`` is ascending with nonzero leading coefficient.  ``z0`` lists
-    the real starting estimates (zero imaginary part), then those above
-    the real axis, then their conjugates in the same order.  ``first`` is
-    ``(horner_scaled_bound(coeffs, z0), dk_denominators(coeffs, z0, diff))``
-    from the caller, used by the first sweep.  Each correction is the
-    quotient of ``horner_scaled_bound`` and ``dk_denominators``, so no
-    modulus overflows; it rounds differently for the two members of a
-    pair, so after each one the real estimates are made real again and
-    each pair exact conjugates (their mean).  Stops when every residual
-    |p(z_i)| falls below ``resid_tol``; when every update falls below
-    ``DK_STEP_TOL * (1 + max |z_i|)``; or when the largest residual fell
-    by less than half over the last correction and every residual lies
-    within ``4 m eps magnitude_i`` (m estimates), the rounding term of
-    ``poly._disk_radii``: the residuals are then rounding noise, which
-    further sweeps only stir.  (For n = 2k from 244 on that noise lies
-    above ``resid_tol`` and the updates above ``DK_STEP_TOL``; without the
-    last rule the sweeps ran to the cap.)  Returns the final estimates,
-    ``horner_scaled_bound`` at them, and the sweep count.  The steps are
-    not guarded: the estimates must start apart, each near its own simple
-    root (``poly.certified_roots`` checks that with disjoint inclusion disks);
-    estimates that meet turn non-finite, and the caller's residual test
-    rejects them.
-    """
-    z = z0.astype(np.complex128)
-    nr = int(np.count_nonzero(z.imag == 0.0))
-    nu = (len(z) - nr) // 2
-    floor = 4.0 * len(z) * np.finfo(float).eps  # the rounding term of the disks
-    values, denom = first
-    largest = np.inf
-    for sweeps in range(1, DK_MAX_SWEEPS + 1):
-        h, s, magnitude = values
-        resid = np.abs(h)
-        if np.all(resid <= resid_tol * s):
-            break
-        previous, largest = largest, float(np.max(resid))
-        if largest > 0.5 * previous and np.all(resid <= floor * magnitude):
-            break
-        if sweeps > 1:
-            denom = dk_denominators(coeffs, z, z[:, None] - z[None, :])
-        dz = h / denom
-        z -= dz
-        z[:nr] = z[:nr].real
-        upper = 0.5 * (z[nr : nr + nu] + z[nr + nu :].conj())
-        z[nr : nr + nu] = upper
-        z[nr + nu :] = upper.conj()
-        values = horner_scaled_bound(coeffs, z)
-        if float(np.max(np.abs(dz))) <= DK_STEP_TOL * (1.0 + float(np.max(np.abs(z)))):
-            break
-    return z, values, sweeps
+# placeholders the benchmark's tracer wraps; see the note in ``charpoly``
+bisect_loop = dk_sweeps = None

@@ -33,9 +33,10 @@ from .errors import BracketFailure, DomainError, NonConvergence, RootMismatch
 from .intervals import json_float
 from .poly import ComplexRoot, Polynomial, all_roots, certified_roots
 
-# ``perfbench/tracer.py`` wraps these three names and ``_kernels.bisect_loop``,
-# which name root finders the package no longer has; nothing calls them.  They
-# go, with their per-layer metrics, in the benchmark change of ROADMAP item 1.
+# ``perfbench/tracer.py`` wraps these three names, ``_kernels.bisect_loop``
+# and ``_kernels.dk_sweeps``, which name root finders the package no longer
+# has; nothing calls them.  They go, with their per-layer metrics, in the
+# benchmark change of ROADMAP item 1.
 bisect_root = newton_polish = deflate = None
 
 # Half-width of the window around each real root estimate on which the
@@ -405,10 +406,11 @@ def analyze_roots(prob: CharProblem) -> RootReport:
     real-root bracket (0, +-1, +-(2n+1)) must differ.  One certified
     solve (``_spectrum``) then gives every other root: estimates from the
     companion-matrix eigenvalues, or from the lifted form for ``n >=
-    _LIFTED_MIN_N``, each alone in its Weierstrass disk and polished, with
-    the residual test of ``poly.certified_roots``.  Each predicted real
-    root is the unique real estimate strictly inside its bracket, and the
-    deflated polynomial must change sign within ``_SIGN_WINDOW`` of it.  A bracket holding no real
+    _LIFTED_MIN_N``; then ``poly.certified_roots``'s count and finiteness
+    checks, disjoint Weierstrass disks, the residual test, and one
+    correction.  Each predicted real root is the unique real estimate
+    strictly inside its bracket, and the deflated polynomial must change
+    sign within ``_SIGN_WINDOW`` of it.  A bracket holding no real
     estimate, or more than one, raises :class:`BracketFailure`; a window
     without a sign change raises :class:`NonConvergence` naming both of
     its ends and their signs.  Real estimates in no bracket stay among
@@ -459,18 +461,19 @@ def analyze_roots(prob: CharProblem) -> RootReport:
 
 
 def _spectrum(prob: CharProblem, work: Polynomial) -> list[ComplexRoot]:
-    """Every root of ``work``, certified: from the lifted form's estimates
-    for ``n >= _LIFTED_MIN_N``, falling back once to ``all_roots`` if they
-    are not finite or fail the disks or the residual test; from
-    ``all_roots`` below."""
-    if prob.n >= _LIFTED_MIN_N:
-        z = _lifted_estimates(prob)
-        if np.all(np.isfinite(z)):
-            try:
-                return certified_roots(work, z)
-            except NonConvergence:
-                pass
-    return all_roots(work)
+    """Every root of ``work``, certified by ``certified_roots``: from the
+    companion eigenvalues (``all_roots``) below ``_LIFTED_MIN_N``, from the
+    lifted form's estimates from there on.  A start that misses a check
+    raises :class:`NonConvergence` naming the problem, the start and the
+    check."""
+    lifted = prob.n >= _LIFTED_MIN_N
+    try:
+        return certified_roots(work, _lifted_estimates(prob)) if lifted else all_roots(work)
+    except NonConvergence as exc:
+        start = "lifted-form estimates" if lifted else "companion eigenvalues"
+        raise NonConvergence(
+            f"(n={prob.n}, k={prob.k}), {start}: {exc}", best_residual=exc.best_residual
+        ) from exc
 
 
 def report_matches_expectation(report: RootReport) -> tuple[bool, list[str]]:

@@ -5,9 +5,10 @@ the characteristic form ``sum_i a_i r^i``.  A ``Polynomial`` computes its
 float64 array and its coefficient norm once.
 ``all_roots`` gives the whole spectrum of a polynomial with simple roots
 from its companion-matrix eigenvalues; ``certified_roots`` takes one
-estimate per root from any source, checks them by Weierstrass inclusion
-disks and polishes them by Durand-Kerner sweeps.  ``all_roots`` feeds it
-the eigenvalues.
+estimate per root from any source, checks their count and finiteness,
+draws disjoint Weierstrass inclusion disks around them, applies the
+residual test, and reports each estimate after one Weierstrass
+correction.  ``all_roots`` feeds it the eigenvalues.
 """
 
 from __future__ import annotations
@@ -149,40 +150,44 @@ def all_roots(p: Polynomial) -> list[ComplexRoot]:
 
 
 def certified_roots(p: Polynomial, z: np.ndarray) -> list[ComplexRoot]:
-    """The roots of ``p`` from one estimate per root, certified and polished.
+    """The roots of ``p`` from one estimate per root, certified and corrected once.
 
     ``z`` lists the real estimates (zero imaginary part), then those above
     the real axis, then their exact conjugates in the same order; how the
-    estimates were made does not matter, but there must be one per root:
-    any other count raises :class:`NonConvergence`.  Draws the
-    Weierstrass inclusion disk around each.  The disks must be pairwise
-    disjoint, so that each holds exactly one simple root; two overlapping
-    disks raise :class:`NonConvergence` naming both estimates, since a
-    multiple root (or a cluster the estimates cannot separate) is outside
-    this solver's contract.  The estimates are then polished by Durand-Kerner sweeps.
-    A real estimate's disk is symmetric about the real axis, so real
-    estimates stay real roots and conjugate pairs stay pairs; the sweeps
-    re-symmetrize both exactly after each correction.  Every value comes
-    from one kernel, ``_kernels.horner_scaled_bound``: the first sweep
-    reuses the values of the disks, and the residual test those the sweeps
-    end with, so sweeps that stop at their first check cost one pass.
-    Every root must leave a residual within ``ROOT_RESIDUAL_TOL`` of the
-    coefficient norm or of the evaluation magnitude at the root, whichever
-    is larger, both scaled as that kernel scales them so that the test cannot
-    overflow.  A root that misses it, or whose limit is not finite (the
-    root is not, or its rounding bound overflowed), raises
-    :class:`NonConvergence`.  Every root is reported with multiplicity 1,
-    sorted by real, then imaginary part.
+    estimates were made does not matter.  Four checks come first, each
+    raising :class:`NonConvergence` named after it: one estimate per root;
+    every estimate finite (the first that is not is named); pairwise
+    disjoint Weierstrass inclusion disks, so that each holds exactly one
+    simple root (two that overlap are named, since a multiple root, or a
+    cluster the estimates cannot separate, is outside this solver's
+    contract); and the residual test, where every ``|p(z_i)|`` must lie
+    within ``ROOT_RESIDUAL_TOL`` of the coefficient norm or of the
+    evaluation magnitude at ``z_i``, whichever is larger, with a finite
+    limit.  Both sides are scaled as ``_kernels.horner_scaled_bound``
+    scales them, so that the test cannot overflow.
+
+    Each estimate then takes exactly one Weierstrass (Durand-Kerner)
+    correction ``z_i - W_i``, from the same values the disks read: one
+    kernel pass per call.  The real ones are made real again and each pair
+    exact conjugates (their mean), since ``W_i`` rounds differently for
+    the two members of a pair.  ``|W_i|`` is at most ``1/n`` of the disk
+    radius, so every reported root lies inside its own certified disk.
+    Every root is reported with multiplicity 1, sorted by real, then
+    imaginary part.
     """
     if len(z) != p.degree:
         raise NonConvergence(f"{len(z)} root estimates for degree {p.degree}")
+    finite = np.isfinite(z)
+    if not finite.all():
+        bad = complex(z[np.argmin(finite)])
+        raise NonConvergence(f"root estimate {bad!r} is not finite")
     c = p.as_array()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values = _kernels.horner_scaled_bound(c, z)
+        h, scale, magnitude = _kernels.horner_scaled_bound(c, z)
         diff = z[:, None] - z[None, :]
         distance = np.abs(diff)
         denom = _kernels.dk_denominators(c, z, diff)
-    radius = _disk_radii(values[0], denom, values[2])
+    radius = _disk_radii(h, denom, magnitude)
     touch = distance <= radius[:, None] + radius[None, :]
     np.fill_diagonal(touch, False)
     if touch.any():
@@ -192,10 +197,6 @@ def certified_roots(p: Polynomial, z: np.ndarray) -> list[ComplexRoot]:
             f"{complex(z[j])!r} lie {distance[i, j]:.3e} apart with radii "
             f"{radius[i]:.3e} and {radius[j]:.3e}; all_roots needs simple roots"
         )
-
-    z, (h, scale, magnitude), _ = _kernels.dk_sweeps(
-        c, z, ROOT_RESIDUAL_TOL * p.inf_norm, (values, denom)
-    )
     resid = np.abs(h)
     allowed = ROOT_RESIDUAL_TOL * np.maximum(p.inf_norm * scale, magnitude)
     if not (np.all(resid <= allowed) and np.max(allowed) < np.inf):
@@ -204,10 +205,16 @@ def certified_roots(p: Polynomial, z: np.ndarray) -> list[ComplexRoot]:
             # max |p(z_i)|: a zero scaled residual reads 0 where scale underflowed
             best = float(np.max(resid / np.where(h == 0, 1.0, scale)))
         raise NonConvergence(
-            f"root residual {worst:.3e} times its limit after polishing",
+            f"root residual {worst:.3e} times its limit at the estimates",
             best_residual=best,
         )
-    re, im = z.real, z.imag
+
+    nr = int(np.count_nonzero(z.imag == 0.0))
+    nu = (len(z) - nr) // 2
+    z = z - h / denom
+    upper = 0.5 * (z[nr : nr + nu] + z[nr + nu :].conj())
+    re = np.concatenate([z[:nr].real, upper.real, upper.real])
+    im = np.concatenate([np.zeros(nr), upper.imag, -upper.imag])
     order = np.lexsort((im, re))
     return _root_records(
         re[order].tolist(), im[order].tolist(), np.hypot(re, im)[order].tolist()

@@ -1,9 +1,10 @@
 """The benchmark's span tracer still fits the library.
 
 ``perfbench/tracer.py`` replaces library functions by the names their
-callers look them up by, and reads counts off their results (the sweep
-count, the third item ``dk_sweeps`` returns; the point counts of each
-verify report).
+callers look them up by, and reads counts off their results (the point
+counts of each verify report).  Some of the names it wraps are
+placeholders that nothing calls, ``_kernels.dk_sweeps`` among them; they
+must still exist.
 A rename or a changed return shape in the library would break only the
 benchmark, so this installs the tracer and runs one small input through
 each traced layer.
@@ -73,7 +74,7 @@ def test_tracer_wraps_every_layer_and_restores_it():
     names = {span[0] for span in tracer.spans}
     assert names >= {
         "charpoly.analyze_roots", "charpoly.report_matches_expectation",
-        "poly.all_roots", "kernels.dk_sweeps",
+        "poly.all_roots",
         "recurrence.fit_closed_form", "recurrence.prediction_error",
         "recurrence.check_recurrence", "verify.iterate",
         "verify.verify_mean", "verify.verify_general", "verify.verify_dual",
@@ -83,7 +84,7 @@ def test_tracer_wraps_every_layer_and_restores_it():
     }
     assert not any(span[5] for span in tracer.spans)  # no traced call raised
     metrics = tracing.aggregate(tracer)
-    assert metrics["kernels.dk_sweeps.sweeps"] >= metrics["kernels.dk_sweeps.calls"] >= 1
+    assert metrics["poly.all_roots.calls"] >= 1
     # 101 points for each of mean, general, second order and both dual runs
     evaluated, escaped = metrics["verify.points_evaluated"], metrics["verify.points_escaped"]
     assert evaluated + escaped == 5 * 101 and evaluated > 0

@@ -647,8 +647,8 @@ def test_integer_quotient_needs_a_zero_remainder():
 # ---------------------------------------------------------------------------
 
 
-def _no_eigenvalue_retry(p):
-    raise AssertionError(f"companion eigenvalue retry at degree {p.degree}")
+def _no_eigenvalue_solve(p):
+    raise AssertionError(f"companion eigenvalue solve at degree {p.degree}")
 
 
 def _report_values(report):
@@ -670,7 +670,7 @@ def test_lifted_start_gives_the_eigenvalue_started_report(monkeypatch, n):
     for k in range(n + 1):
         prob = CharProblem(n, k)
         with monkeypatch.context() as m:
-            m.setattr(charpoly, "all_roots", _no_eigenvalue_retry)
+            m.setattr(charpoly, "all_roots", _no_eigenvalue_solve)
             lifted = analyze_roots.__wrapped__(prob)
         with monkeypatch.context() as m:
             m.setattr(charpoly, "_LIFTED_MIN_N", n + 1)
@@ -688,67 +688,47 @@ def test_lifted_start_gives_the_eigenvalue_started_report(monkeypatch, n):
 
 
 def test_lifted_start_needs_no_retry_up_to_n_100(monkeypatch):
-    # the eigenvalue retry raises here, so the fast path cannot vanish silently
-    monkeypatch.setattr(charpoly, "all_roots", _no_eigenvalue_retry)
+    # an eigenvalue solve raises here, so the lifted path cannot give way to it silently
+    monkeypatch.setattr(charpoly, "all_roots", _no_eigenvalue_solve)
     for n in range(_LIFTED_MIN_N, 101):
         for k in range(n + 1):
             analyze_roots.__wrapped__(CharProblem(n, k))
 
 
-def test_polish_of_n_equal_2k_past_243_stops_at_the_rounding_floor(monkeypatch):
-    # there the residuals stall above the absolute stop and the updates
-    # above the step stop; without the floor rule the sweeps ran to the cap
+def test_n_equal_2k_past_243_takes_one_kernel_pass_per_solve(monkeypatch):
+    # where the sweep loop once ran to its cap of 1200: the estimates pass
+    # every check as they are, and one correction is all they get
     from itereq import _kernels
 
-    counts = []
-    sweeps = _kernels.dk_sweeps
+    passes = []
+    fused = _kernels.horner_scaled_bound
 
-    def counted(*args):
-        result = sweeps(*args)
-        counts.append(result[2])
-        return result
+    def counted(c, z):
+        passes.append(len(z))
+        return fused(c, z)
 
-    monkeypatch.setattr(_kernels, "dk_sweeps", counted)
+    monkeypatch.setattr(_kernels, "horner_scaled_bound", counted)
     for n in range(244, 301, 2):
         report = analyze_roots.__wrapped__(CharProblem(n, n // 2))
         assert report_matches_expectation(report)[0], n
-    assert len(counts) == 29 and max(counts) <= 5, counts
+    assert passes == [n - 2 for n in range(244, 301, 2)]
 
 
 @pytest.mark.parametrize("bad", ["collapsed", "not_finite", "too_few", "unpolished"])
-def test_a_bad_lifted_start_falls_back_to_the_eigenvalues_once(monkeypatch, bad):
-    from itereq import _kernels
-
+def test_a_bad_lifted_start_raises_naming_the_check(monkeypatch, bad):
+    # no eigenvalue retry: the problem, the start and the missed check are named
     prob = CharProblem(40, 13)
     good = charpoly._lifted_estimates(prob)
-    start = {
-        "collapsed": np.full_like(good, 0.5),  # the disks overlap
-        "not_finite": np.where(good.imag > 0, complex(np.nan, 1.0), good),
-        "too_few": good[1:],  # drops a real estimate: a root is missing
-        "unpolished": good,
+    start, check = {
+        "collapsed": (np.full_like(good, 0.5), "inclusion disks overlap"),
+        "not_finite": (
+            np.where(good.imag > 0, complex(np.nan, 1.0), good), r"root estimate \(nan\+1j\)"
+        ),
+        "too_few": (good[1:], "38 root estimates for degree 39"),  # a real estimate dropped
+        # every estimate off by 1e-6: the disks stay apart, the residuals do not pass
+        "unpolished": (good * (1 + 1e-6), "root residual .* times its limit at the estimates"),
     }[bad]
-    if bad == "unpolished":  # the first sweeps end on NaN: the residual test fails
-        sweeps = _kernels.dk_sweeps
-
-        def collapsed_once(coeffs, z0, *args):
-            monkeypatch.setattr(_kernels, "dk_sweeps", sweeps)
-            z = np.full_like(z0, np.nan)
-            with np.errstate(invalid="ignore"):
-                return z, _kernels.horner_scaled_bound(coeffs, z), 1
-
-        monkeypatch.setattr(_kernels, "dk_sweeps", collapsed_once)
-    retries = []
-    real_all_roots = charpoly.all_roots
-
-    def counted(p):
-        retries.append(p.degree)
-        return real_all_roots(p)
-
     monkeypatch.setattr(charpoly, "_lifted_estimates", lambda p: start)
-    monkeypatch.setattr(charpoly, "all_roots", counted)
-    report = analyze_roots.__wrapped__(prob)
-    assert retries == [39]
-    ok, problems = report_matches_expectation(report)
-    assert ok, problems
-    monkeypatch.setattr(charpoly, "_LIFTED_MIN_N", 41)
-    assert report == analyze_roots.__wrapped__(prob)
+    monkeypatch.setattr(charpoly, "all_roots", _no_eigenvalue_solve)
+    with pytest.raises(NonConvergence, match=r"\(n=40, k=13\), lifted-form estimates: " + check):
+        analyze_roots.__wrapped__(prob)

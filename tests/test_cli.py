@@ -745,6 +745,19 @@ def test_analyze_overlapping_inclusion_disks_exit_4(monkeypatch, capsys):
     assert "inclusion disks overlap" in err
 
 
+def test_analyze_a_bad_lifted_start_exit_4(monkeypatch, capsys):
+    # no eigenvalue retry: a lifted start that misses a check is a
+    # numerical failure naming the problem, the start and the check
+    import numpy as np
+
+    from itereq import charpoly
+
+    monkeypatch.setattr(charpoly, "_lifted_estimates", lambda p: np.full(39, 0.5 + 0j))
+    code, _, err = run_cli(capsys, "analyze", "--n", "40", "--k", "13")
+    assert code == 4
+    assert "(n=40, k=13), lifted-form estimates: inclusion disks overlap" in err
+
+
 def test_analyze_two_real_estimates_in_a_bracket_exit_1(monkeypatch, capsys):
     from itereq import charpoly
     from itereq.poly import ComplexRoot

@@ -4,28 +4,19 @@ import numpy as np
 import pytest
 
 from itereq import _kernels
-from itereq.poly import Polynomial, all_roots
-
-
-def _primed(coeffs, z0):
-    """The first-sweep values ``all_roots`` hands ``dk_sweeps``."""
-    diff = z0[:, None] - z0[None, :]
-    return (
-        _kernels.horner_scaled_bound(coeffs, z0),
-        _kernels.dk_denominators(coeffs, z0, diff),
-    )
+from itereq.poly import Polynomial, all_roots, certified_roots
 
 
 def test_dk_paths_find_same_roots():
-    # sweeps from rough real starts and the companion-eigenvalue path agree
-    arr = np.asarray([-6.0, 11.0, -6.0, 1.0])  # (r-1)(r-2)(r-3)
-    z0 = np.asarray([0.6, 2.3, 3.4], dtype=np.complex128)
-    z, (h, s, _), _ = _kernels.dk_sweeps(arr, z0, 1e-13, _primed(arr, z0))
-    assert sorted(np.round(z.real, 8)) == [1.0, 2.0, 3.0]
-    assert s == 1.0 and np.max(np.abs(h)) <= 1e-12
-    roots = all_roots(Polynomial(tuple(arr)))
-    assert [r.re for r in roots] == pytest.approx(sorted(z.real), abs=1e-10)
-    assert all(r.im == 0.0 and r.multiplicity == 1 for r in roots)
+    # one Weierstrass (Durand-Kerner) correction from estimates off by
+    # about 1e-13 and the companion-eigenvalue path agree
+    p = Polynomial((-6.0, 11.0, -6.0, 1.0))  # (r-1)(r-2)(r-3)
+    z0 = np.asarray([1.0 + 1e-13, 2.0 - 2e-13, 3.0 + 3e-13], dtype=np.complex128)
+    corrected = certified_roots(p, z0)
+    assert [r.re for r in corrected] == pytest.approx([1.0, 2.0, 3.0], rel=1e-15, abs=0)
+    roots = all_roots(p)
+    assert [r.re for r in roots] == pytest.approx([r.re for r in corrected], rel=1e-15, abs=0)
+    assert all(r.im == 0.0 and r.multiplicity == 1 for r in roots + corrected)
 
 
 def _horner_vec_reference(coeffs, x):
@@ -57,10 +48,6 @@ def test_scalar_horner_runs_over_descending_coefficients():
     assert _kernels.horner(coeffs[::-1], 0.7) == float(acc)
 
 
-def _bits(values):
-    return [np.asarray(v).tobytes() for v in values]
-
-
 def test_scaled_horner_is_horner_vec_within_the_direct_range():
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=12)
@@ -80,28 +67,14 @@ def test_scaled_horner_past_the_direct_range_does_not_overflow():
     assert s[1] == pytest.approx(1e-150, rel=1e-15) and s[2] == 0.0
 
 
-def test_dk_sweeps_polish_a_root_beyond_the_float_range_of_its_powers():
+def test_one_correction_of_a_root_beyond_the_float_range_of_its_powers():
     # (r - 1e120)(r - 2)(r + 0.5): Horner at r near 1e120 passes 1e340
-    arr = np.asarray([1e120, 1.5e120 - 1.0, -1e120 - 1.5, 1.0])
-    z0 = np.asarray([1e120 * (1 + 1e-9), 2.000001, -0.4999], dtype=np.complex128)
+    p = Polynomial((1e120, 1.5e120 - 1.0, -1e120 - 1.5, 1.0))
+    z0 = np.asarray([-0.5 + 1e-13, 2.0 + 1e-13, 1e120 * (1 + 1e-13)], dtype=np.complex128)
     with np.errstate(over="raise"):
-        z, (h, s, _), _ = _kernels.dk_sweeps(arr, z0, 0.0, _primed(arr, z0))
-    assert sorted(z.real) == pytest.approx([-0.5, 2.0, 1e120], rel=1e-12)
-    assert np.all(z.imag == 0.0)
-    with np.errstate(divide="ignore"):
-        assert np.all(np.isfinite(np.abs(h) / np.where(h == 0, 1.0, s)))  # |p(z_i)|
-
-
-def test_dk_sweeps_stop_once_the_residuals_stall_at_the_rounding_floor(monkeypatch):
-    # no residual meets a zero tolerance and no update the zero step stop:
-    # only the floor rule ends the sweeps before the cap
-    monkeypatch.setattr(_kernels, "DK_STEP_TOL", 0.0)
-    arr = np.polynomial.polynomial.polyfromroots([0.1, 0.7, 3.3, -1.9])
-    z0 = np.asarray([0.1001, 0.7002, 3.2997, -1.9003], dtype=np.complex128)
-    z, (h, s, magnitude), sweeps = _kernels.dk_sweeps(arr, z0, 0.0, _primed(arr, z0))
-    assert sweeps < 10
-    assert np.all(np.abs(h) <= 4 * len(z) * np.finfo(float).eps * magnitude)
-    assert sorted(z.real) == pytest.approx([-1.9, 0.1, 0.7, 3.3], rel=1e-14)
+        roots = certified_roots(p, z0)
+    assert [r.re for r in roots] == pytest.approx([-0.5, 2.0, 1e120], rel=1e-15, abs=0)
+    assert all(r.im == 0.0 for r in roots)
 
 
 @pytest.mark.parametrize("radius", [10.0, 1e200])
@@ -134,28 +107,3 @@ def test_an_overflowing_bound_reads_nan_and_a_non_finite_point_stays_non_finite(
     assert np.isnan(magnitude[0]) and math.isfinite(magnitude[1])
     assert not np.isfinite(magnitude[2:]).any()
     assert np.abs(h[1]) == pytest.approx(1e300 * (1 + 0.5**4), rel=1e-15)
-
-
-def test_dk_sweeps_keep_pairs_exact_after_every_correction(monkeypatch):
-    # (r - 1)(r + 2)(r^2 + 2r + 5)(r^2 - r + 3): two real roots and two
-    # conjugate pairs, started off by about 1e-3 in the layout of all_roots
-    arr = np.polynomial.polynomial.polyfromroots(
-        [1.0, -2.0, -1 + 2j, -1 - 2j, 0.5 + 1.6583123951777j, 0.5 - 1.6583123951777j]
-    ).real
-    upper = np.asarray([-1 + 2j, 0.5 + 1.6583123951777j]) + 1e-3 * (1 + 1j)
-    z0 = np.concatenate([np.asarray([1.001, -2.002]), upper, upper.conj()])
-    seen = []
-    fused = _kernels.horner_scaled_bound
-
-    def watched(c, z):
-        seen.append(z.copy())
-        return fused(c, z)
-
-    monkeypatch.setattr(_kernels, "horner_scaled_bound", watched)
-    z, values, sweeps = _kernels.dk_sweeps(arr, z0, 1e-13, _primed(arr, z0))
-    assert sweeps >= 3 and len(seen) == sweeps
-    for w in seen:
-        assert np.all(w[:2].imag == 0.0)
-        assert w[4:].tobytes() == w[2:4].conj().tobytes()
-    assert z.tobytes() == seen[-1].tobytes()
-    assert _bits(values) == _bits(fused(arr, z))

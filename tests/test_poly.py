@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from itereq import _kernels
 from itereq.errors import NonConvergence
-from itereq.poly import ComplexRoot, Polynomial, all_roots
+from itereq.poly import ComplexRoot, Polynomial, _disk_radii, all_roots, certified_roots
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -100,59 +100,106 @@ def test_all_roots_rejects_a_double_root_naming_the_overlap():
     assert all(abs(w - 1.0) < 1e-6 for w in named)
 
 
-def test_all_roots_rejects_non_finite_polished_roots(monkeypatch):
-    # the Durand-Kerner steps are unguarded: estimates that met would come
-    # back NaN, and the residual test must not pass them
-    def collapsed(coeffs, z0, *args):
-        z = np.full_like(z0, np.nan)
-        with np.errstate(invalid="ignore"):
-            return z, _kernels.horner_scaled_bound(coeffs, z), 1
-
-    monkeypatch.setattr(_kernels, "dk_sweeps", collapsed)
-    with pytest.raises(NonConvergence, match="root residual"):
-        all_roots(Polynomial((-6.0, 11.0, -6.0, 1.0)))
+def _estimate_layout(z):
+    """Real estimates, then those above the axis, then their conjugates."""
+    upper = z[z.imag > 0.0]
+    return np.concatenate([z[z.imag == 0.0].real, upper, upper.conj()]).astype(np.complex128)
 
 
 @pytest.mark.parametrize("bad", [np.inf, complex(np.inf, 1.0), complex(-1.0, np.inf)])
 def test_all_roots_rejects_an_infinite_estimate(monkeypatch, bad):
-    # at an infinite estimate both the scaled residual and its limit are
-    # infinite; the limit is not finite, so the residual test rejects it
-    def escaped(coeffs, z0, *args):
-        z = z0.copy()
-        z[0] = bad
-        with np.errstate(invalid="ignore", over="ignore"):
-            return z, _kernels.horner_scaled_bound(coeffs, z), 1
+    # an infinite eigenvalue is named before any kernel pass: at it the
+    # scaled residual and its limit would both be infinite
+    from itereq import poly
 
-    monkeypatch.setattr(_kernels, "dk_sweeps", escaped)
-    with pytest.raises(NonConvergence, match="root residual"):
-        all_roots(Polynomial((-6.0, 11.0, -6.0, 1.0)))
+    eigenvalues = poly._companion_eigenvalues
+
+    def escaped(c):
+        # in place of a real eigenvalue, or of the upper member of the pair
+        z = eigenvalues(c)
+        z[np.argmax(z.imag > 0.0) if complex(bad).imag else np.argmax(z.imag == 0.0)] = bad
+        return z
+
+    monkeypatch.setattr(poly, "_companion_eigenvalues", escaped)
+    with pytest.raises(NonConvergence, match="is not finite") as info:
+        all_roots(Polynomial((1.0, -4.0, 1.0, 1.0, 1.0)))  # two real roots, one pair
+    assert repr(complex(bad)) in str(info.value)
 
 
-@pytest.mark.parametrize("corrections", [0, 1])
-def test_all_roots_evaluates_once_per_correction_plus_once(monkeypatch, corrections):
-    # the disks, the first sweep and the residual test share one kernel
-    # pass; each correction adds one, whose values the residual test reads
+def test_certified_roots_names_a_nan_estimate():
+    # a NaN compares false with everything, so no disk or residual test
+    # could reject it; the finiteness check names it first
+    p = Polynomial((-6.0, 11.0, -6.0, 1.0))
+    z = np.asarray([1.0, complex(np.nan, 0.0), 3.0])
+    with pytest.raises(NonConvergence, match=re.escape("root estimate (nan+0j) is not finite")):
+        certified_roots(p, z)
+
+
+def test_certified_roots_makes_one_kernel_pass(monkeypatch):
+    # the disks, the residual test and the correction share one pass
     passes = []
     fused = _kernels.horner_scaled_bound
-    sweeps = _kernels.dk_sweeps
 
     def counted(c, z):
         passes.append(z.copy())
         return fused(c, z)
 
-    def one_correction(coeffs, z0, resid_tol, first):
-        # a residual check that always fails, and room for one sweep
-        monkeypatch.setattr(_kernels, "DK_MAX_SWEEPS", 1)
-        return sweeps(coeffs, z0, -1.0, first)
+    monkeypatch.setattr(_kernels, "horner_scaled_bound", counted)
+    p = Polynomial((5.0, 1.0, -2.0, 1.0, 0.5, 1.0))
+    z = _estimate_layout(np.roots(p.coeffs[::-1]))
+    roots = certified_roots(p, z)
+    assert len(passes) == 1 and passes[0].tobytes() == z.tobytes()
+    assert len(roots) == 5
+
+
+@pytest.mark.parametrize("corrections", [0, 1])
+def test_all_roots_evaluates_once_per_correction_plus_once(monkeypatch, corrections):
+    # all_roots certifies and corrects its estimates in one kernel pass;
+    # each further correction, its roots handed back to certified_roots,
+    # adds one pass, at exactly the roots the previous call reported
+    passes = []
+    fused = _kernels.horner_scaled_bound
+
+    def counted(c, z):
+        passes.append(z.copy())
+        return fused(c, z)
 
     monkeypatch.setattr(_kernels, "horner_scaled_bound", counted)
-    if corrections:
-        monkeypatch.setattr(_kernels, "dk_sweeps", one_correction)
-    roots = all_roots(Polynomial((-6.0, 11.0, -6.0, 1.0)))
+    p = Polynomial((-6.0, 11.0, -6.0, 1.0))
+    roots = all_roots(p)
+    for step in range(corrections):
+        z = np.asarray([r.as_complex() for r in roots])
+        roots = certified_roots(p, z)
+        assert passes[step + 1].tobytes() == z.tobytes()
     assert len(passes) == 1 + corrections
-    assert sorted(r.re for r in roots) == sorted(passes[-1].real.tolist())
-    if corrections:
-        assert passes[1].tobytes() != passes[0].tobytes()
+    assert sorted(r.re for r in roots) == pytest.approx([1.0, 2.0, 3.0], rel=1e-15)
+
+
+def test_certified_roots_reports_each_estimate_minus_its_correction():
+    # (r - 1)(r + 2)(r^2 + 2r + 5)(r^2 - r + 3): two real roots and two
+    # conjugate pairs, the estimates off by about 1e-13
+    p = Polynomial(tuple(np.polynomial.polynomial.polyfromroots(
+        [1.0, -2.0, -1 + 2j, -1 - 2j, 0.5 + 1.6583123951777j, 0.5 - 1.6583123951777j]
+    ).real))
+    upper = np.asarray([-1 + 2j, 0.5 + 1.6583123951777j]) + 1e-13 * (1 + 1j)
+    z = np.concatenate([np.asarray([1.0 + 1e-13, -2.0 - 1e-13]), upper, upper.conj()])
+    c = p.as_array()
+    h, _, magnitude = _kernels.horner_scaled_bound(c, z)
+    denom = _kernels.dk_denominators(c, z, z[:, None] - z[None, :])
+    corrected = z - h / denom
+    pairs = 0.5 * (corrected[2:4] + corrected[4:].conj())
+    want = np.concatenate([corrected[:2].real, pairs, pairs.conj()])
+    assert np.all(want != z)  # every estimate moved
+    radius = _disk_radii(h, denom, magnitude)
+    assert np.all(np.abs(want - z) < radius)  # each inside its own disk
+
+    roots = certified_roots(p, z)
+    got = np.asarray([r.as_complex() for r in roots])
+    order = np.lexsort((want.imag, want.real))
+    assert got.tobytes() == want[order].tobytes()
+    assert sum(r.im == 0.0 for r in roots) == 2  # the real estimates stay real
+    ims = sorted(r.im for r in roots if r.im != 0.0)
+    assert ims == [-x for x in reversed(ims)]
 
 
 def test_all_roots_quartic_structure():

@@ -2,12 +2,14 @@
 
 Each reported real root other than 1 is compared with the root of the
 exact integer polynomial ``p / (r - 1)^m`` in the same bracket, found by
-bisection in 40-digit arithmetic.  For n <= 12, and for a few lifted starts
-up to n = 60, the whole spectrum is also compared with ``mpmath.polyroots``
+bisection in 40-digit arithmetic.  For n <= 12, and for a sample of
+13 <= n <= 60, the whole spectrum is also compared with ``mpmath.polyroots``
 at 50 digits.  Reciprocity needs no reference: the polynomial of (n, n-k)
 is that of (n, k) reversed, so each root of one is the reciprocal of a
 root of the other.
 """
+
+import random
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +17,13 @@ import pytest
 
 from itereq.charpoly import CharProblem, analyze_roots, classify
 
-REL_TOL = 1e-13
+# Relative error bounds.  Every reported root is its estimate after one
+# Weierstrass correction: against 40-digit bisection and 50-digit
+# polyroots the largest errors are 1.3e-16 and 3.0e-16, and between the
+# roots of (n, k) and the reciprocals of those of (n, n - k), each with its
+# own rounding, 1.6e-15 over n <= 100 (at (82, 41)).
+ORACLE_TOL = 1e-15
+RECIPROCITY_TOL = 4e-15
 
 # k = 0 and k = n at several n; (12, 11), (40, 32) and (64, 16); (44, 1),
 # whose small root had the largest relative error (6.4e-14) over every k
@@ -34,10 +42,12 @@ SAMPLE = [
 ]
 # past n = 12, lifted starts: k = 1 and k = n - 1 (one circle with a single
 # slot), n - 2k in {-1, 1, 2} (the slow w = 1 slot near 1, started from the
-# Taylor root) and n = 2k (the two circles meet at the double root 1)
+# Taylor root) and n = 2k (the two circles meet at the double root 1); then
+# eight seeded draws with 13 <= n <= 60, one per n
+_draw = random.Random(28)
 SPECTRUM_SAMPLE = [(n, k) for n in range(2, 13) for k in range(n + 1)] + [
     (31, 1), (33, 17), (43, 21), (44, 22), (58, 28), (60, 59),
-]
+] + [(n, _draw.randint(0, n)) for n in sorted(_draw.sample(range(13, 61), 8))]
 
 
 def exact_deflated(prob: CharProblem) -> list[int]:
@@ -84,7 +94,7 @@ def test_real_roots_match_40_digit_roots(n, k):
     for rec in report.real_roots[1:]:
         ref = mp_root_in(coeffs, *rec.bracket)
         err = abs((mp.mpf(rec.value) - ref) / ref)
-        assert err <= REL_TOL, (rec, float(ref), float(err))
+        assert err <= ORACLE_TOL, (rec, float(ref), float(err))
 
 
 @pytest.mark.parametrize("n, k", SPECTRUM_SAMPLE)
@@ -103,7 +113,7 @@ def test_spectrum_matches_50_digit_polyroots(n, k):
     for z in found:
         ref = min(refs, key=lambda w: abs(w - z))
         refs.remove(ref)
-        assert abs(z - ref) <= REL_TOL * abs(ref), (z, ref)
+        assert abs(z - ref) <= ORACLE_TOL * abs(ref), (z, ref)
 
 
 def spectrum(prob: CharProblem) -> tuple[np.ndarray, int]:
@@ -127,7 +137,7 @@ def test_roots_are_reciprocals_of_the_reversed_problem_roots(n):
         nearest = np.argmin(dist, axis=1)
         assert np.array_equal(np.sort(nearest), np.arange(len(refs))), k
         err = dist[np.arange(len(found)), nearest] / np.abs(found)
-        assert np.all(err <= REL_TOL), (k, found[np.argmax(err)], np.max(err))
+        assert np.all(err <= RECIPROCITY_TOL), (k, found[np.argmax(err)], np.max(err))
 
 
 @pytest.mark.parametrize("n", [150, 151, 171, 191, 200])
@@ -142,4 +152,4 @@ def test_root_near_n_past_the_float_range_of_its_powers(n):
     coeffs = exact_deflated(prob)
     for rec in report.real_roots[1:]:  # odd n adds a root in (-1, 0)
         ref = mp_root_in(coeffs, *rec.bracket)
-        assert abs((mp.mpf(rec.value) - ref) / ref) <= REL_TOL
+        assert abs((mp.mpf(rec.value) - ref) / ref) <= ORACLE_TOL
