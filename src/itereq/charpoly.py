@@ -12,12 +12,14 @@ computes the whole spectrum in one solve and finds every predicted real
 root in its bracket there.  Its report reads the modulus bound
 ``|z| < 2n+1`` and the real/non-real modulus separation off those roots.
 
-Memos, each bounded by a module constant and none keeping a failure:
-``analyze_roots`` and ``build_char_poly`` keep one report and one
-polynomial per ``CharProblem`` (``_REPORT_CACHE_SIZE`` = 256 each), and
-a ``RootReport`` keeps its own hash once taken.  The other memos of the
-package are ``families.enumerate_families`` (per problem) and
-``recurrence._anchor_system`` and ``recurrence._basis`` (per spectrum).
+The memos of the package, all sized from ``_REPORT_CACHE_SIZE`` (256)
+and none keeping a failure: ``analyze_roots`` and ``build_char_poly``
+keep one report and one polynomial per ``CharProblem``,
+``families.enumerate_families`` one enumeration per problem, and
+``recurrence._anchor_system`` one anchor system per spectrum, 256 each;
+``recurrence._basis`` keeps libm values for two index ranges (anchors,
+predictions) per spectrum, 512 entries.  A ``RootReport`` keeps its own
+hash once taken.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ _LIFTED_MIN_N = 21
 _FIXED_POINT_STEPS = 3
 _NEWTON_MAX_STEPS = 40
 _NEWTON_STEP_TOL = 1e-14
-# Entries kept by each per-problem memo, ``analyze_roots`` and
-# ``build_char_poly``: 256 holds the whole paper table (133 problems for
-# 2 <= n <= 15) and caps memory when a longer table streams through.
+# Entries kept by each per-problem or per-spectrum memo: 256 holds the
+# whole paper table (133 problems for 2 <= n <= 15) and caps memory when a
+# longer table streams through.
 _REPORT_CACHE_SIZE = 256
 
 

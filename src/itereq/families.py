@@ -8,8 +8,11 @@ object tied to a domain interval:
 * ``Affine``      -- f(x) = slope * x + c, slope != 0;
 * ``ThreePiece``  -- identity on (a, b), slope r anchored at a and b
                      outside (continuous, strictly increasing);
-* ``Involution``  -- strictly decreasing f with f(f(x)) = x, assembled
-                     from a decreasing branch f0 on (inf I, a];
+* ``Involution``  -- strictly decreasing f with f(f(x)) = x on a bounded
+                     interval, assembled from a decreasing branch f0 on
+                     (inf I, a]; no involution but the identity solves the
+                     iterate-mean equation, so it serves only the
+                     second-order (rho = -1) and dual checks;
 * ``Conjugate``   -- phi^{-1} o f o phi for a mean generator phi.
 
 One image rule serves every family: a strictly monotone map sends its
@@ -26,10 +29,7 @@ roots by one rule: each negative root gives an affine family and each
 positive root other than 1 a three-piece family of that slope, a double
 root 1 gives the translations, and the identity is listed when there is
 neither a translation nor a three-piece family.  For ``0 < k < n`` with k
-and n both even it reports the unsolved regime instead.  It keeps one
-enumeration per ``CharProblem`` in a memo (``_FAMILIES_CACHE_SIZE`` =
-256), which keeps no failure; the other memos of the package are listed
-in ``charpoly``'s docstring.
+and n both even it reports the unsolved regime instead.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .charpoly import CharProblem, analyze_roots, classify
+from .charpoly import _REPORT_CACHE_SIZE, CharProblem, analyze_roots, classify
 from .errors import (
     BadAnchor,
     ConstructionError,
@@ -54,9 +54,7 @@ from .errors import (
 from .intervals import REL_SLACK, Interval, contains_with_slack, finite_real
 from .means import Generator
 
-# Enumerations kept by ``_problem_families``, one per (n, k); as many as
-# ``analyze_roots`` keeps reports
-_FAMILIES_CACHE_SIZE = 256
+_FAMILIES_CACHE_SIZE = _REPORT_CACHE_SIZE
 
 
 class Solution:
@@ -368,8 +366,9 @@ class Involution(Solution):
 
     ``f(x) = f0(x)`` for ``x <= a`` and ``f(x) = f0^{-1}(x)`` for
     ``x > a``, where f0 is continuous, strictly decreasing on the part of
-    the domain left of ``a``, fixes ``a``, and tends to the domain's
-    supremum at its infimum.  Built through :func:`build_involution`.
+    the bounded domain left of ``a``, fixes ``a``, and tends to the
+    domain's supremum at its infimum.  Built through
+    :func:`build_involution`; it does not serialize.
     """
 
     family = "involution"
@@ -380,13 +379,11 @@ class Involution(Solution):
         a: float,
         f0: Callable[[np.ndarray], np.ndarray],
         f0_inv: Callable[[np.ndarray], np.ndarray],
-        table: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         self.domain = domain
         self.a = a
         self._f0 = f0
         self._f0_inv = f0_inv
-        self._table = table
 
     def _eval_array(self, xs):
         xs = np.asarray(xs, dtype=float)
@@ -412,13 +409,10 @@ class Involution(Solution):
         return self.domain
 
     def params_json(self):
-        if self._table is None:
-            raise ConstructionError(
-                "involutions built from callables do not serialize; "
-                "use a breakpoint table"
-            )
-        xs, ys = self._table
-        return {"a": self.a, "f0_table": {"x": list(xs), "y": list(ys)}}
+        raise ConstructionError(
+            "involutions do not serialize: no involution but the identity "
+            "solves the iterate-mean equation"
+        )
 
 
 class Conjugate(Solution):
@@ -627,18 +621,10 @@ def _numeric_inverse(
     def inv(vals: np.ndarray) -> np.ndarray:
         vals = np.atleast_1d(np.asarray(vals, dtype=float))
         hi = np.full_like(vals, a)
-        if math.isfinite(domain.lo):
-            width = a - domain.lo
-            probe = domain.lo + 1e-13 * width
-            # values above the reachable branch are clamped to the probe
-            above = float(f0(np.asarray([probe]))[0]) < vals
-            lo = np.where(above, probe, domain.lo + 1e-300)
-        else:
-            lo = np.full_like(vals, a - 1.0)
-            grow = np.ones(vals.shape, dtype=bool)
-            while grow.any():
-                grow[grow] = (f0(lo[grow]) < vals[grow]) & (lo[grow] > -1e300)
-                lo[grow] = a - 2.0 * (a - lo[grow])
+        probe = domain.lo + 1e-13 * (a - domain.lo)
+        # values above the reachable branch are clamped to the probe
+        above = float(f0(np.asarray([probe]))[0]) < vals
+        lo = np.where(above, probe, domain.lo + 1e-300)
         live = np.ones(vals.shape, dtype=bool)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -662,23 +648,24 @@ def build_involution(
     domain: Interval,
     a: float,
     f0: Callable | None = None,
-    f0_inverse: Callable | None = None,
     f0_table: tuple | None = None,
 ) -> Involution:
     """Assemble a strictly decreasing involution from one branch.
 
-    ``f0`` acts on the part of the domain at or below the interior anchor
-    ``a``; it must be continuous, strictly decreasing, fix ``a``, and tend
-    to the domain supremum at the domain infimum.  Supply either a
-    callable (optionally with its inverse) or a breakpoint table
-    ``(xs, ys)`` interpolated piecewise-linearly.  The assembled map is
-    ``f0`` left of ``a`` and ``f0^{-1}`` right of it; the construction is
-    rejected if ``f(a)`` or ``f(f(x))`` strays from ``a`` or ``x`` by more
-    than ``INVOLUTION_TOL`` relative, on ``INVOLUTION_GRID`` window points.
+    The domain must be bounded, and open or closed.  ``f0`` acts on the
+    part of the domain at or below the interior anchor ``a``; it must be
+    continuous, strictly decreasing, fix ``a``, and tend to the domain
+    supremum at the domain infimum.  Supply either a callable, inverted by
+    bisection, or a breakpoint table ``(xs, ys)`` interpolated
+    piecewise-linearly.  The assembled map is ``f0`` left of ``a`` and
+    ``f0^{-1}`` right of it; the construction is rejected if ``f(a)`` or
+    ``f(f(x))`` strays from ``a`` or ``x`` by more than ``INVOLUTION_TOL``
+    relative, on ``INVOLUTION_GRID`` window points.
     """
-    if not (domain.is_open or domain.is_closed):
+    bounded = math.isfinite(domain.lo) and math.isfinite(domain.hi)
+    if not bounded or not (domain.is_open or domain.is_closed):
         raise DomainError(
-            f"involutions need an open or closed domain, got {domain}"
+            f"involutions need a bounded open or closed domain, got {domain}"
         )
     if not domain.is_interior(a):
         raise DomainError(f"anchor {a!r} must be interior to {domain}")
@@ -701,17 +688,11 @@ def build_involution(
             )
         f0_fn = _table_interp(xs, ys)
         f0_inv_fn = _table_interp(ys[::-1], xs[::-1])
-        table = (xs, ys)
     elif f0 is not None:
         def f0_fn(v: np.ndarray) -> np.ndarray:
             return np.asarray(f0(v), dtype=float)
 
-        if f0_inverse is not None:
-            def f0_inv_fn(v: np.ndarray) -> np.ndarray:
-                return np.asarray(f0_inverse(v), dtype=float)
-        else:
-            f0_inv_fn = _numeric_inverse(f0_fn, domain, a)
-        table = None
+        f0_inv_fn = _numeric_inverse(f0_fn, domain, a)
     else:
         raise ConstructionError("supply f0 (callable) or f0_table")
 
@@ -721,7 +702,7 @@ def build_involution(
 
     _check_boundary_limit(f0_fn, domain, a)
 
-    sol = Involution(domain, a, f0_fn, f0_inv_fn, table)
+    sol = Involution(domain, a, f0_fn, f0_inv_fn)
 
     wlo, whi = domain.window()
     width = whi - wlo
@@ -742,25 +723,12 @@ def build_involution(
 
 def _check_boundary_limit(f0_fn, domain: Interval, a: float) -> None:
     """Require f0 -> sup(domain) as x -> inf(domain)."""
-    if math.isfinite(domain.lo):
-        width = a - domain.lo
-        probes = domain.lo + width * np.power(10.0, -np.arange(3, 10, dtype=float))
-    else:
-        probes = a - np.power(10.0, np.arange(3, 10, dtype=float))
-    vals = f0_fn(np.asarray(probes, dtype=float))
-    last = float(vals[-1])
-    if math.isfinite(domain.hi):
-        if abs(last - domain.hi) > 1e-5 * (1.0 + abs(domain.hi)):
-            raise BadAnchor(
-                f"f0 tends to {last!r} at the domain infimum, expected "
-                f"{domain.hi!r}"
-            )
-    else:
-        if last < 1e6:
-            raise BadAnchor(
-                f"f0 stays bounded ({last!r}) approaching the domain infimum "
-                "but the domain is unbounded above"
-            )
+    probes = domain.lo + (a - domain.lo) * np.power(10.0, -np.arange(3, 10, dtype=float))
+    last = float(f0_fn(probes)[-1])
+    if abs(last - domain.hi) > 1e-5 * (1.0 + abs(domain.hi)):
+        raise BadAnchor(
+            f"f0 tends to {last!r} at the domain infimum, expected {domain.hi!r}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -786,11 +754,6 @@ def build_solution(family: str, domain: Interval, params: dict) -> Solution:
     if family == "three_piece":
         a, b, slope = (finite_real(params[name], name) for name in ("a", "b", "slope"))
         return ThreePiece(domain, a, b, slope)
-    if family == "involution":
-        table = _object(params, "f0_table")
-        return build_involution(
-            domain, finite_real(params["a"], "a"), f0_table=(table["x"], table["y"])
-        )
     if family == "conjugate":
         gen = Generator.from_json(_object(params, "generator"), domain)
         return conjugate(gen, solution_from_json(params["inner"]))

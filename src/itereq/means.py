@@ -114,7 +114,12 @@ class Generator:
         if token in ("identity", "log"):
             return cls(token, domain)
         if token.startswith("power:"):
-            return cls("power", domain, p=float(token[6:]))
+            try:
+                p = float(token[6:])
+            except ValueError:
+                p = None
+            if p is not None:
+                return cls("power", domain, p=p)
         raise DomainError(f"unknown generator {text!r}; use identity, log or power:P")
 
 

@@ -24,12 +24,6 @@ number are built once per spectrum, and equal reports get the same
 system.  As with ``analyze_roots``, failures are not cached, so a
 spectrum the condition guard refuses raises on every call.
 
-Memos here, per spectrum: ``_anchor_system``, keyed on the report
-(``_SYSTEM_CACHE_SIZE`` = 256 systems), and ``_basis``, keyed on the
-roots and an index range (``_BASIS_CACHE_SIZE`` = 512 entries); neither
-keeps a failure.  The per-problem memos are ``charpoly.analyze_roots``,
-``charpoly.build_char_poly`` and ``families.enumerate_families``.
-
 The anchor check and ``prediction_error`` evaluate the closed form over
 their whole index range in one call (``predict_range``).  Powers, cosines
 and sines come from Python's ``**``, ``math.cos`` and ``math.sin``, as in
@@ -50,19 +44,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import horner
-from .charpoly import RootReport
+from .charpoly import _REPORT_CACHE_SIZE, RootReport
 from .errors import DomainError, SingularSystem, TooShort
 from .families import Solution, ThreePiece
 from .poly import Polynomial
 from .verify import Orbit
 
 _COND_LIMIT = 1e12
-# anchor systems kept by ``_anchor_system``, one per spectrum; as many as
-# ``analyze_roots`` keeps reports
-_SYSTEM_CACHE_SIZE = 256
-# libm values kept by ``_basis``: two index ranges (anchors, predictions)
-# per spectrum
-_BASIS_CACHE_SIZE = 512
+_SYSTEM_CACHE_SIZE = _REPORT_CACHE_SIZE
+_BASIS_CACHE_SIZE = 2 * _REPORT_CACHE_SIZE  # anchors and predictions per spectrum
 _ANCHOR_TOL = 1e-9
 RECURRENCE_TOL = 1e-9  # check_recurrence's residual limit, relative
 # largest held-out relative prediction error (``prediction_error``) a fit

@@ -15,8 +15,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .charpoly import (
     CharProblem,
     analyze_roots,
@@ -30,7 +28,6 @@ from .families import (
     Solution,
     ThreePiece,
     Translation,
-    build_involution,
     conjugate,
     enumerate_families,
 )
@@ -227,27 +224,32 @@ def criterion_5_conjugates() -> tuple[bool, str]:
     return not failures, details
 
 
-def _reciprocal_involution() -> Solution:
-    """f(x) = 1/x on (0, +inf), assembled around the fixed point 1."""
-    return build_involution(
-        Interval(0.0, math.inf), 1.0, f0=lambda x: 1.0 / x, f0_inverse=lambda y: 1.0 / y
-    )
+def _reciprocal() -> Solution:
+    """f(x) = 1/x on (0, +inf): the log conjugate of x -> -x."""
+    return conjugate(Generator("log", Interval(0.0, math.inf)), Affine(REAL_LINE, -1.0, 0.0))
 
 
 def criterion_6_involution() -> tuple[bool, str]:
-    """Reciprocal involution: self-inverse and the even-iterate equation."""
-    sol = _reciprocal_involution()
-    xs = np.linspace(0.01, 10.0, 1001)
-    round_trip = sol._eval_array(sol._eval_array(xs))
-    err_inv = float(np.max(np.abs(round_trip - xs) / (1.0 + np.abs(xs))))
-
-    # (f^2 + f^4 + f^6)/3 = x  (even iterate count m=2, n=3 blocks, p=1)
-    f2 = round_trip
-    f4 = sol._eval_array(sol._eval_array(f2))
-    f6 = sol._eval_array(sol._eval_array(f4))
-    resid = np.max(np.abs((f2 + f4 + f6) / 3.0 - xs) / (1.0 + np.abs(xs)))
-    details = f"f(f(x)) error {err_inv:.3e}, even-iterate residual {resid:.3e}"
-    return err_inv <= DEFAULT_TOL and resid <= DEFAULT_TOL, details
+    """The involution 1/x solves no (n, k): its iterates alternate between
+    id and f, so the mean is ``(a id + b f)/(n+1)`` and ``f^k`` equals it
+    only where ``f(x) = x``."""
+    sol = _reciprocal()
+    cases = [CharProblem(n, k) for n in range(2, 16) for k in range(0, n + 1)]
+    passed, escaped = [], 0
+    least = math.inf
+    for prob in cases:
+        report = verify_mean(sol, prob, DEFAULT_SAMPLES, DEFAULT_TOL)
+        least = min(least, report.max_residual)
+        escaped += report.points_escaped
+        if report.passed:
+            passed.append((prob.n, prob.k))
+    details = (
+        f"1/x fails all {len(cases)} (n, k) with n <= 15, "
+        f"least residual {least:.3e}, {escaped} escaped"
+    )
+    if passed:
+        details = f"1/x passes {passed[:3]}"
+    return not passed and escaped == 0, details
 
 
 def _fit_cases() -> list[tuple[str, Solution, CharProblem, float]]:
@@ -293,7 +295,7 @@ def criterion_8_duality() -> tuple[bool, str]:
     for name, sol, prob in _verified_families():
         cases.append((name, sol, build_char_poly(prob)))
     cases.append(
-        ("involution f^2=id", _reciprocal_involution(), Polynomial((-1.0, 0.0, 1.0)))
+        ("involution f^2=id", _reciprocal(), Polynomial((-1.0, 0.0, 1.0)))
     )
     failures = []
     for name, sol, coeffs in cases:
@@ -314,7 +316,7 @@ def criterion_9_antimonotone() -> tuple[bool, str]:
         ("affine(3,1)", Affine(REAL_LINE, -1.0 - math.sqrt(2.0), 0.0), 0.3),
         ("affine(2,0)", Affine(REAL_LINE, -2.0, 5.0), 1.0),
         ("affine(2,2)", Affine(REAL_LINE, -0.5, 0.0), 1.0),
-        ("involution", _reciprocal_involution(), 2.0),
+        ("involution", _reciprocal(), 2.0),
     ]
     failures = []
     for name, sol, x0 in cases:

@@ -9,16 +9,19 @@ and 2 s family-verification budgets.
 
 import math
 
+import numpy as np
 import pytest
 
 from itereq.charpoly import CharProblem, analyze_roots, classify
-from itereq.families import ThreePiece, enumerate_families
-from itereq.intervals import REAL_LINE
+from itereq.families import Affine, Identity, ThreePiece, conjugate, enumerate_families
+from itereq.intervals import REAL_LINE, Interval
+from itereq.means import Generator
 from itereq.poly import all_roots
 from itereq.selftest import (
     CRITERIA,
     criterion_1_root_table,
     criterion_4_family_verification,
+    criterion_6_involution,
     criterion_10_negative_control,
     _table_range,
     _verified_families,
@@ -102,6 +105,28 @@ def test_family_verification_reports_residual_scale():
     passed, details = criterion_4_family_verification()
     assert passed
     assert "worst residual" in details
+
+
+def test_involution_control_fails_on_a_map_that_solves_some_case(monkeypatch):
+    from itereq import selftest
+
+    assert criterion_6_involution()[0]
+    monkeypatch.setattr(selftest, "_reciprocal", lambda: Identity(Interval(0.0, math.inf)))
+    passed, details = criterion_6_involution()
+    assert not passed
+    assert "1/x passes [(2, 0)" in details
+
+
+def test_involution_control_fails_on_escaped_points(monkeypatch):
+    from itereq import selftest
+
+    # e^0.5 x^-2 fails every (n, k), but its iterates leave (0, inf)
+    steep = conjugate(Generator("log", Interval(0.0, math.inf)), Affine(REAL_LINE, -2.0, 0.5))
+    monkeypatch.setattr(selftest, "_reciprocal", lambda: steep)
+    with np.errstate(all="ignore"):
+        passed, details = criterion_6_involution()
+    assert not passed
+    assert "1/x passes" not in details and " 0 escaped" not in details
 
 
 def test_negative_control_wrong_slope_residual_is_loud():

@@ -627,6 +627,7 @@ def _spec(family="identity", params=None, domain=None):
         (_spec("translation", {"c": math.nan}), "'c'"),
         (_spec("conjugate", {"generator": "log", "inner": _spec()}), "generator"),
         (_spec(domain={"lo": 0.0, "hi": 1.0, "lo_closed": "no"}), "lo_closed"),
+        (_spec("involution", {"a": 0.0}), "unknown family 'involution'"),
     ],
 )
 def test_verify_malformed_spec_exit_2(tmp_path, capsys, spec, field):
@@ -695,6 +696,30 @@ def test_verify_power_generator(tmp_path, capsys):
     )
     assert code == 2
     assert "power:P" in err
+
+
+@pytest.mark.parametrize("flag", ["power:abc", "power:"])
+def test_verify_malformed_power_generator_exit_2(tmp_path, capsys, flag):
+    code, _, err = run_cli(
+        capsys, "verify", "--n", "2", "--k", "2",
+        "--solution", write_spec(tmp_path, _spec()), "--generator", flag,
+    )
+    assert code == 2
+    assert f"unknown generator {flag!r}; use identity, log or power:P" in err
+
+
+def test_verify_reciprocal_fails_exit_1(tmp_path, capsys):
+    # 1/x, the log conjugate of x -> -x, is an involution: it solves no (n, k)
+    spec = _spec(
+        "conjugate",
+        {"generator": {"kind": "log"}, "inner": _spec("affine", {"slope": -1.0, "c": 0.0})},
+        {"lo": 0.0, "hi": "+inf"},
+    )
+    code, out, _ = run_cli(
+        capsys, "verify", "--n", "4", "--k", "1", "--solution", write_spec(tmp_path, spec),
+    )
+    assert code == 1
+    assert json.loads(out)["pass"] is False
 
 
 def test_fit_recurrence_condition_refusal_exit_4(tmp_path, capsys):

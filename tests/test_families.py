@@ -64,9 +64,14 @@ def test_identity_invert():
     assert s.invert(17.3) == 17.3
 
 
+def _reciprocal():
+    """1/x on (0, inf), the log conjugate of x -> -x."""
+    return conjugate(Generator("log", POS), Affine(REAL_LINE, -1.0, 0.0))
+
+
 def test_involution_invert():
-    s = build_involution(POS, 1.0, f0=lambda x: 1.0 / x, f0_inverse=lambda y: 1.0 / y)
-    assert s.invert(4.0) == pytest.approx(0.25)
+    s = build_involution(Interval(0.0, 2.0), 1.0, f0_table=([0.0, 1.0], [2.0, 1.0]))
+    assert s.invert(1.5) == pytest.approx(0.5)
     assert s.inverse() is s
 
 
@@ -89,7 +94,7 @@ def test_non_finite_points_rejected_on_unbounded_domains(x):
         s(x)
     with pytest.raises(NotSurjective):
         s.invert(x)
-    inv = build_involution(POS, 1.0, f0=lambda x: 1.0 / x, f0_inverse=lambda y: 1.0 / y)
+    inv = _reciprocal()
     with pytest.raises(DomainError):
         inv(x)
     with pytest.raises(NotSurjective):
@@ -426,7 +431,7 @@ def test_conjugate_inverts_one_point_through_its_generator():
 def test_involution_inverts_by_its_own_map():
     xs = np.array([0.0, 0.5, 1.0])
     for s in (
-        build_involution(POS, 1.0, f0=lambda x: 1.0 / x),
+        build_involution(Interval(0.0, 2.0), 1.0, f0=lambda x: 2.0 - x * x),
         build_involution(Interval(0.0, 2.0), 0.8, f0=lambda x: 2.0 - 1.2 * (x / 0.8) ** 1.3),
         build_involution(Interval(0.0, 2.0), 1.0, f0_table=(xs, 2.0 - xs)),
     ):
@@ -545,8 +550,8 @@ def test_eval_invert_round_trip(sol, x):
 
 
 def test_involution_is_decreasing_and_self_inverse():
-    s = build_involution(POS, 1.0, f0=lambda x: 1.0 / x, f0_inverse=lambda y: 1.0 / y)
-    xs = np.linspace(0.05, 9.0, 1001)
+    s = build_involution(Interval(0.0, 2.0), 0.8, f0=lambda x: 2.0 - 1.2 * (x / 0.8) ** 1.3)
+    xs = np.linspace(0.05, 1.95, 1001)
     ys = s._eval_array(xs)
     assert np.all(np.diff(ys) < 0)
     assert np.max(np.abs(s._eval_array(ys) - xs) / (1.0 + np.abs(xs))) <= 1e-9
@@ -745,16 +750,16 @@ def test_second_order_rejects_a_non_finite_rho(bad):
 
 
 def test_reciprocal_involution():
-    s = build_involution(POS, 1.0, f0=lambda x: 1.0 / x, f0_inverse=lambda y: 1.0 / y)
+    s = _reciprocal()
     for x in (0.1, 0.5, 1.0, 2.0, 7.0):
         assert s(x) == pytest.approx(1.0 / x, rel=1e-12)
         assert s(s(x)) == pytest.approx(x, rel=1e-12)
 
 
 def test_involution_numeric_inverse_branch():
-    # no explicit inverse supplied: the right branch is inverted by search
-    s = build_involution(POS, 1.0, f0=lambda x: 1.0 / x)
-    assert s(4.0) == pytest.approx(0.25, abs=1e-10)
+    # the right branch is inverted by search: f0^{-1}(y) = sqrt(2 - y)
+    s = build_involution(Interval(0.0, 2.0), 1.0, f0=lambda x: 2.0 - x * x)
+    assert s(1.75) == pytest.approx(0.5, abs=1e-10)
 
 
 def _scalar_inverse(f0, domain, a, vals):
@@ -762,15 +767,10 @@ def _scalar_inverse(f0, domain, a, vals):
     out = np.empty_like(vals)
     for idx, y in enumerate(vals):
         hi = a
-        if math.isfinite(domain.lo):
-            lo = domain.lo + 1e-300
-            probe = domain.lo + 1e-13 * (a - domain.lo)
-            if float(f0(np.asarray([probe]))[0]) < y:
-                lo = probe
-        else:
-            lo = a - 1.0
-            while float(f0(np.asarray([lo]))[0]) < y and lo > -1e300:
-                lo = a - 2.0 * (a - lo)
+        lo = domain.lo + 1e-300
+        probe = domain.lo + 1e-13 * (a - domain.lo)
+        if float(f0(np.asarray([probe]))[0]) < y:
+            lo = probe
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
@@ -789,11 +789,6 @@ INVERSE_CASES = {
     "finite": (
         Interval(0.0, 2.0), 0.8, lambda x: 2.0 - 1.2 * (x / 0.8) ** 0.9,
         np.concatenate([np.linspace(0.8, 2.0, 1001), [2.0 - 1e-12, 0.5, 2.5]]),
-    ),
-    # infinite lower end: the bracket grows by doubling
-    "infinite": (
-        REAL_LINE, 0.0, lambda x: np.expm1(-x),
-        np.concatenate([np.linspace(-1.0, 50.0, 1001), [1e10, 1e200]]),
     ),
 }
 
@@ -821,10 +816,19 @@ def test_numeric_inverse_calls_the_branch_per_step_not_per_value(case):
     assert len(calls) <= 300
 
 
-def test_involution_boundary_limit_rejected_on_unbounded_domain():
-    # f0(x) = 2 - x tends to 2, not to +inf, at the infimum of (0, inf)
-    with pytest.raises(BadAnchor):
-        build_involution(POS, 1.0, f0=lambda x: 2.0 - x)
+def test_involution_boundary_limit_rejected_on_bounded_domain():
+    # f0(x) = 1.8 - 0.8 x fixes 1 but tends to 1.8, not to 2, at 0
+    with pytest.raises(BadAnchor, match="tends to"):
+        build_involution(Interval(0.0, 2.0), 1.0, f0=lambda x: 1.8 - 0.8 * x)
+
+
+@pytest.mark.parametrize(
+    "domain", [POS, REAL_LINE, Interval(-math.inf, 0.0)], ids=["above", "line", "below"]
+)
+def test_involution_rejects_an_unbounded_domain(domain):
+    with pytest.raises(DomainError, match="bounded") as err:
+        build_involution(domain, -1.0 if domain.hi == 0.0 else 1.0, f0=lambda x: -x)
+    assert str(domain) in str(err.value)
 
 
 def test_involution_linear_branch_on_bounded_domain():
@@ -882,9 +886,7 @@ def test_involution_round_trip_gate_rejects_nan():
     # only the round-trip gate sees it
     with pytest.raises(NotAnInvolution):
         build_involution(
-            REAL_LINE, 0.0,
-            f0=lambda x: np.where(x < -5.0, np.nan, -x),
-            f0_inverse=lambda y: -y,
+            Interval(-10.0, 10.0), 0.0, f0=lambda x: np.where(x < -5.0, np.nan, -x)
         )
 
 
@@ -921,17 +923,24 @@ def test_solution_json_round_trip(sol):
             assert back(float(x)) == sol(float(x))
 
 
-def test_involution_json_round_trip_via_table():
+def test_table_involution_does_not_serialize():
+    # no involution but the identity solves the paper's equation, so the
+    # solution JSON has no involution family
     xs = np.linspace(0.0, 1.0, 65)
     s = build_involution(Interval(0.0, 2.0), 1.0, f0_table=(xs, 2.0 - xs))
-    spec = s.to_json()
-    assert spec["family"] == "involution"
-    back = solution_from_json(spec)
-    assert back(0.3) == pytest.approx(s(0.3))
+    with pytest.raises(ConstructionError, match="do not serialize"):
+        s.to_json()
+    spec = {
+        "family": "involution",
+        "params": {"a": 1.0, "f0_table": {"x": xs.tolist(), "y": (2.0 - xs).tolist()}},
+        "domain": {"lo": 0.0, "hi": 2.0},
+    }
+    with pytest.raises(ConstructionError, match="unknown family 'involution'"):
+        solution_from_json(spec)
 
 
 def test_callable_involution_does_not_serialize():
-    s = build_involution(POS, 1.0, f0=lambda x: 1.0 / x, f0_inverse=lambda y: 1.0 / y)
+    s = build_involution(Interval(0.0, 2.0), 1.0, f0=lambda x: 2.0 - x)
     with pytest.raises(ConstructionError):
         s.to_json()
 

@@ -13,7 +13,7 @@ from itereq.intervals import REAL_LINE, Interval, parse_interval
 from itereq.means import Generator, qa_mean
 from itereq.verify import iterate
 
-FAMILIES = ["identity", "translation", "affine", "three_piece", "involution", "conjugate"]
+FAMILIES = ["identity", "translation", "affine", "three_piece", "conjugate"]
 
 # floats() draws NaN and +-inf as well as finite values
 LEAF = (
@@ -50,10 +50,6 @@ PARAMS = st.fixed_dictionaries(
         "slope": NUMBER,
         "a": NUMBER,
         "b": NUMBER,
-        "f0_table": st.fixed_dictionaries(
-            {"x": st.lists(NUMBER, max_size=4) | JSON,
-             "y": st.lists(NUMBER, max_size=4) | JSON}
-        ) | JSON,
         "generator": st.fixed_dictionaries(
             {"kind": st.sampled_from(["identity", "log", "power"]) | JSON},
             optional={"p": NUMBER},

@@ -517,6 +517,42 @@ def test_second_order_wrong_rho_fails():
     assert not report.passed
 
 
+def _table_involution(seed):
+    """A seeded breakpoint-table involution on a closed interval."""
+    rng = np.random.default_rng(seed)
+    lo = float(rng.uniform(-2.0, 0.0))
+    hi = lo + float(rng.uniform(1.0, 4.0))
+    a = lo + (hi - lo) * float(rng.uniform(0.3, 0.7))
+    m = int(rng.integers(5, 13))
+    xs = np.linspace(lo, a, m)
+    w = rng.uniform(0.2, 1.0, m - 1)
+    ys = np.concatenate([[hi], hi - (hi - a) * np.cumsum(w) / np.sum(w)])
+    ys[-1] = a
+    return build_involution(Interval(lo, hi, True, True), a, f0_table=(xs, ys))
+
+
+BOUNDED_INVOLUTIONS = {
+    "table": lambda: _table_involution(3),
+    "callable": lambda: build_involution(
+        Interval(0.0, 2.0), 0.8, f0=lambda x: 2.0 - 1.2 * (x / 0.8) ** 1.3
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOUNDED_INVOLUTIONS))
+def test_bounded_involutions_solve_rho_minus_one_and_no_mean_equation(kind):
+    # f o f = id is the second-order equation at rho = -1.  The iterates
+    # f^0..f^n alternate between id and f, so their mean is
+    # (a id + b f)/(n + 1), which f^k (id or f) equals only where f(x) = x
+    s = BOUNDED_INVOLUTIONS[kind]()
+    report = verify_second_order(s, -1.0)
+    assert report.passed and report.points_escaped == 0
+    for n, k in ((2, 0), (2, 1), (3, 1), (4, 2), (5, 5), (9, 4), (15, 6), (15, 15)):
+        report = verify_mean(s, CharProblem(n, k))
+        assert not report.passed and report.points_escaped == 0, (n, k)
+        assert report.max_residual > 1e-3, (n, k)
+
+
 # ---------------------------------------------------------------------------
 # the grid gate near the float range
 # ---------------------------------------------------------------------------
@@ -630,10 +666,7 @@ def test_geometric_envelope_for_contracting_negative_slope():
 
 
 def test_involution_orbit_two_cycle():
-    s = build_involution(
-        Interval(0.0, math.inf), 1.0, f0=lambda x: 1.0 / x,
-        f0_inverse=lambda y: 1.0 / y,
-    )
+    s = conjugate(LOG_POSITIVE, Affine(REAL_LINE, -1.0, 0.0))  # 1/x
     orb = iterate(s, 2.0, -4, 4)
     assert orb.value(0) == 2.0
     for m in range(-4, 5):
