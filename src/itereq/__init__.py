@@ -52,11 +52,7 @@ from .families import (
 )
 from .intervals import REAL_LINE, Interval, parse_interval
 from .means import Generator, qa_mean
-from .poly import (
-    ComplexRoot,
-    Polynomial,
-    all_roots,
-)
+from .poly import ComplexRoot, Polynomial
 from .recurrence import (
     ClosedForm,
     check_recurrence,

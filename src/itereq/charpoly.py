@@ -33,22 +33,17 @@ import numpy as np
 
 from .errors import BracketFailure, DomainError, NonConvergence, RootMismatch
 from .intervals import json_float
-from .poly import ComplexRoot, Polynomial, all_roots, certified_roots
+from .poly import ComplexRoot, Polynomial, certified_roots
 
-# ``perfbench/tracer.py`` wraps these three names, ``_kernels.bisect_loop``
+# ``perfbench/tracer.py`` wraps these four names, ``_kernels.bisect_loop``
 # and ``_kernels.dk_sweeps``, which name root finders the package no longer
 # has; nothing calls them.  They go, with their per-layer metrics, in the
 # benchmark change of ROADMAP item 1.
-bisect_root = newton_polish = deflate = None
+all_roots = bisect_root = newton_polish = deflate = None
 
 # Half-width of the window around each real root estimate on which the
 # deflated polynomial must change sign.
 _SIGN_WINDOW = 1e-10
-# From this n on, ``analyze_roots`` starts from the lifted form's estimates
-# instead of the companion eigenvalues: the measured crossover of the whole
-# analysis (per call over every k, 2-vCPU host: 181 against 180 us at n = 20,
-# 184 against 188 us at n = 21, 210 against 268 us at n = 30).
-_LIFTED_MIN_N = 21
 # Fixed-point steps per slot before Newton, and the Newton step cap and
 # relative stopping size of ``_lifted_estimates``.
 _FIXED_POINT_STEPS = 3
@@ -407,12 +402,11 @@ def analyze_roots(prob: CharProblem) -> RootReport:
     from ``_quotient_sign``.  Its signs at the ends of every predicted
     real-root bracket (0, +-1, +-(2n+1)) must differ.  One certified
     solve (``_spectrum``) then gives every other root: estimates from the
-    companion-matrix eigenvalues, or from the lifted form for ``n >=
-    _LIFTED_MIN_N``; then ``poly.certified_roots``'s count and finiteness
-    checks, disjoint Weierstrass disks, the residual test, and one
-    correction.  Each predicted real root is the unique real estimate
-    strictly inside its bracket, and the deflated polynomial must change
-    sign within ``_SIGN_WINDOW`` of it.  A bracket holding no real
+    lifted form (``_lifted_estimates``), then ``poly.certified_roots``'s
+    count and finiteness checks, disjoint Weierstrass disks, the residual
+    test, and one correction.  Each predicted real root is the unique real
+    estimate strictly inside its bracket, and the deflated polynomial must
+    change sign within ``_SIGN_WINDOW`` of it.  A bracket holding no real
     estimate, or more than one, raises :class:`BracketFailure`; a window
     without a sign change raises :class:`NonConvergence` naming both of
     its ends and their signs.  Real estimates in no bracket stay among
@@ -463,18 +457,15 @@ def analyze_roots(prob: CharProblem) -> RootReport:
 
 
 def _spectrum(prob: CharProblem, work: Polynomial) -> list[ComplexRoot]:
-    """Every root of ``work``, certified by ``certified_roots``: from the
-    companion eigenvalues (``all_roots``) below ``_LIFTED_MIN_N``, from the
-    lifted form's estimates from there on.  A start that misses a check
-    raises :class:`NonConvergence` naming the problem, the start and the
-    check."""
-    lifted = prob.n >= _LIFTED_MIN_N
+    """Every root of ``work``, certified by ``certified_roots`` from the
+    lifted form's estimates.  A start that misses a check raises
+    :class:`NonConvergence` naming the problem, the start and the check."""
     try:
-        return certified_roots(work, _lifted_estimates(prob)) if lifted else all_roots(work)
+        return certified_roots(work, _lifted_estimates(prob))
     except NonConvergence as exc:
-        start = "lifted-form estimates" if lifted else "companion eigenvalues"
         raise NonConvergence(
-            f"(n={prob.n}, k={prob.k}), {start}: {exc}", best_residual=exc.best_residual
+            f"(n={prob.n}, k={prob.k}), lifted-form estimates: {exc}",
+            best_residual=exc.best_residual,
         ) from exc
 
 

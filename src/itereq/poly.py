@@ -3,12 +3,10 @@
 Coefficients are stored in ascending order (constant term first), matching
 the characteristic form ``sum_i a_i r^i``.  A ``Polynomial`` computes its
 float64 array and its coefficient norm once.
-``all_roots`` gives the whole spectrum of a polynomial with simple roots
-from its companion-matrix eigenvalues; ``certified_roots`` takes one
-estimate per root from any source, checks their count and finiteness,
-draws disjoint Weierstrass inclusion disks around them, applies the
-residual test, and reports each estimate after one Weierstrass
-correction.  ``all_roots`` feeds it the eigenvalues.
+``certified_roots`` takes one estimate per root from any source, checks
+their count and finiteness, draws disjoint Weierstrass inclusion disks
+around them, applies the residual test, and reports each estimate after
+one Weierstrass correction.
 """
 
 from __future__ import annotations
@@ -71,11 +69,11 @@ class Polynomial:
 class ComplexRoot:
     """One root of a polynomial with its multiplicity.
 
-    ``all_roots`` always reports multiplicity 1; the field stays because
-    the JSON root reports and the benchmark's root gate read it.
+    ``certified_roots`` always reports multiplicity 1; the field stays
+    because the JSON root reports and the benchmark's root gate read it.
 
     ``modulus`` is cached at construction as ``np.hypot(re, im)``; a
-    caller that already holds that value may pass it (``all_roots``
+    caller that already holds that value may pass it (``certified_roots``
     builds its records with ``_root_records`` from one vectorized
     ``np.hypot``, skipping this constructor).  Roots with
     nonzero imaginary part always travel in conjugate pairs inside any
@@ -95,17 +93,6 @@ class ComplexRoot:
 
     def as_complex(self) -> complex:
         return complex(self.re, self.im)
-
-
-def _companion_eigenvalues(c: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the companion matrix of ascending coefficients ``c``.
-
-    LAPACK balances the matrix and returns real eigenvalues with zero
-    imaginary part and complex ones in exact conjugate pairs.
-    """
-    comp = np.diag(np.ones(len(c) - 2), -1)
-    comp[0, :] = -c[-2::-1] / c[-1]
-    return np.linalg.eigvals(comp)
 
 
 def _disk_radii(
@@ -130,23 +117,6 @@ def _disk_radii(
         w = (np.abs(h) + rounding) / np.abs(denom)
     radius = n * w
     return np.where(np.isnan(radius), np.inf, radius)
-
-
-def all_roots(p: Polynomial) -> list[ComplexRoot]:
-    """All complex roots of a real polynomial whose roots are all simple.
-
-    Starts from the companion-matrix eigenvalues, which are backward
-    stable (Edelman & Murakami, 1995), and hands them to
-    ``certified_roots`` in its layout.
-    """
-    if p.degree < 1:
-        raise ValueError("root finding needs degree >= 1")
-    z = _companion_eigenvalues(p.as_array())
-    # real estimates, then those above the axis, then their exact conjugates
-    upper = z[z.imag > 0.0]
-    return certified_roots(
-        p, np.concatenate([z[z.imag == 0.0].real, upper, upper.conj()]).astype(np.complex128)
-    )
 
 
 def certified_roots(p: Polynomial, z: np.ndarray) -> list[ComplexRoot]:
@@ -195,7 +165,7 @@ def certified_roots(p: Polynomial, z: np.ndarray) -> list[ComplexRoot]:
         raise NonConvergence(
             f"inclusion disks overlap: estimates {complex(z[i])!r} and "
             f"{complex(z[j])!r} lie {distance[i, j]:.3e} apart with radii "
-            f"{radius[i]:.3e} and {radius[j]:.3e}; all_roots needs simple roots"
+            f"{radius[i]:.3e} and {radius[j]:.3e}; the roots must be simple"
         )
     resid = np.abs(h)
     allowed = ROOT_RESIDUAL_TOL * np.maximum(p.inf_norm * scale, magnitude)

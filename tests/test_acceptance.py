@@ -16,7 +16,6 @@ from itereq.charpoly import CharProblem, analyze_roots, classify
 from itereq.families import Affine, Identity, ThreePiece, conjugate, enumerate_families
 from itereq.intervals import REAL_LINE, Interval
 from itereq.means import Generator
-from itereq.poly import all_roots
 from itereq.selftest import (
     CRITERIA,
     criterion_1_root_table,
@@ -58,12 +57,13 @@ def test_root_table_times_uncached_analysis(monkeypatch):
     for prob in table:
         analyze_roots(prob)
     calls = []
+    real_certified_roots = charpoly.certified_roots
 
-    def counted(p):
+    def counted(p, z):
         calls.append(p)
-        return all_roots(p)
+        return real_certified_roots(p, z)
 
-    monkeypatch.setattr(charpoly, "all_roots", counted)
+    monkeypatch.setattr(charpoly, "certified_roots", counted)
     assert criterion_1_root_table()[0]
     # one spectrum solve per case whose polynomial keeps a positive degree
     # once the root 1 is divided out

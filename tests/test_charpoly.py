@@ -12,7 +12,6 @@ from itereq import charpoly
 from itereq.charpoly import (
     CharProblem,
     RootReport,
-    _LIFTED_MIN_N,
     _SIGN_WINDOW,
     _divide_out_one,
     _quotient_sign,
@@ -23,7 +22,7 @@ from itereq.charpoly import (
 )
 from itereq.cli import main
 from itereq.errors import BracketFailure, DomainError, NonConvergence, RootMismatch
-from itereq.poly import ComplexRoot, Polynomial
+from itereq.poly import ComplexRoot, Polynomial, certified_roots
 
 SQRT2 = math.sqrt(2.0)
 
@@ -429,11 +428,11 @@ def test_hand_built_reports_name_each_mismatch(edit, mismatch):
 def test_solver_failures_are_not_cached(monkeypatch):
     from itereq import charpoly
 
-    def fail(p):
+    def fail(p, z):
         raise NonConvergence("synthetic")
 
     prob = CharProblem(9, 4)
-    monkeypatch.setattr(charpoly, "all_roots", fail)
+    monkeypatch.setattr(charpoly, "certified_roots", fail)
     for _ in range(2):
         with pytest.raises(NonConvergence):
             analyze_roots(prob)
@@ -477,12 +476,12 @@ def _patched_estimates(monkeypatch, edit):
     """Make ``analyze_roots`` see the real spectrum of its polynomial, edited."""
     from itereq import charpoly
 
-    real_all_roots = charpoly.all_roots
+    real_certified_roots = charpoly.certified_roots
 
-    def patched(p):
-        return edit(real_all_roots(p))
+    def patched(p, z):
+        return edit(real_certified_roots(p, z))
 
-    monkeypatch.setattr(charpoly, "all_roots", patched)
+    monkeypatch.setattr(charpoly, "certified_roots", patched)
 
 
 def _without_root_in(lo, hi):
@@ -643,12 +642,15 @@ def test_integer_quotient_needs_a_zero_remainder():
 
 
 # ---------------------------------------------------------------------------
-# the lifted start from _LIFTED_MIN_N on
+# the lifted start
 # ---------------------------------------------------------------------------
 
 
-def _no_eigenvalue_solve(p):
-    raise AssertionError(f"companion eigenvalue solve at degree {p.degree}")
+def _eigenvalue_started_spectrum(prob, work):
+    """The reference start: companion-matrix eigenvalues (``np.roots``), certified alike."""
+    z = np.roots(work.coeffs[::-1])
+    upper = z[z.imag > 0.0]
+    return certified_roots(work, np.concatenate([z[z.imag == 0.0].real, upper, upper.conj()]) + 0j)
 
 
 def _report_values(report):
@@ -657,23 +659,17 @@ def _report_values(report):
     )
 
 
-def test_lifted_start_threshold_lies_past_the_paper_table():
-    assert 15 < _LIFTED_MIN_N
-
-
 # 43, 47 and 58 hold the slow w = 1 slots (43, 21), (47, 23) and (58, 28),
 # the positive root other than 1 close to it, started from the Taylor root
 @pytest.mark.parametrize(
-    "n", [_LIFTED_MIN_N, _LIFTED_MIN_N + 1, 30, 31, 43, 47, 58, 63, 64, 100, 200]
+    "n", [*range(2, 21), 21, 22, 30, 31, 43, 47, 58, 63, 64, 100, 200]
 )
 def test_lifted_start_gives_the_eigenvalue_started_report(monkeypatch, n):
     for k in range(n + 1):
         prob = CharProblem(n, k)
+        lifted = analyze_roots.__wrapped__(prob)
         with monkeypatch.context() as m:
-            m.setattr(charpoly, "all_roots", _no_eigenvalue_solve)
-            lifted = analyze_roots.__wrapped__(prob)
-        with monkeypatch.context() as m:
-            m.setattr(charpoly, "_LIFTED_MIN_N", n + 1)
+            m.setattr(charpoly, "_spectrum", _eigenvalue_started_spectrum)
             eig = analyze_roots.__wrapped__(prob)
         # the same layout: brackets and multiplicities, then roots in the
         # same sorted order, non-real exactly where the other's are
@@ -687,10 +683,9 @@ def test_lifted_start_gives_the_eigenvalue_started_report(monkeypatch, n):
         assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b)), (k, np.max(np.abs(a - b) / np.abs(b)))
 
 
-def test_lifted_start_needs_no_retry_up_to_n_100(monkeypatch):
-    # an eigenvalue solve raises here, so the lifted path cannot give way to it silently
-    monkeypatch.setattr(charpoly, "all_roots", _no_eigenvalue_solve)
-    for n in range(_LIFTED_MIN_N, 101):
+def test_lifted_start_needs_no_retry_up_to_n_100():
+    # every start passes every check of certified_roots as it is: a miss raises
+    for n in range(2, 101):
         for k in range(n + 1):
             analyze_roots.__wrapped__(CharProblem(n, k))
 
@@ -729,6 +724,5 @@ def test_a_bad_lifted_start_raises_naming_the_check(monkeypatch, bad):
         "unpolished": (good * (1 + 1e-6), "root residual .* times its limit at the estimates"),
     }[bad]
     monkeypatch.setattr(charpoly, "_lifted_estimates", lambda p: start)
-    monkeypatch.setattr(charpoly, "all_roots", _no_eigenvalue_solve)
     with pytest.raises(NonConvergence, match=r"\(n=40, k=13\), lifted-form estimates: " + check):
         analyze_roots.__wrapped__(prob)

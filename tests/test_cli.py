@@ -756,18 +756,15 @@ def test_analyze_exit_code_of_solver_errors(monkeypatch, capsys, error, expected
 
 
 def test_analyze_overlapping_inclusion_disks_exit_4(monkeypatch, capsys):
+    # a start collapsed onto one point: the disks meet, as at a double root
+    import numpy as np
+
     from itereq import charpoly
-    from itereq.poly import Polynomial
 
-    real_all_roots = charpoly.all_roots
-
-    def double_root(p):
-        return real_all_roots(Polynomial((1.0, -2.0, 1.0)))
-
-    monkeypatch.setattr(charpoly, "all_roots", double_root)
+    monkeypatch.setattr(charpoly, "_lifted_estimates", lambda p: np.full(2, 0.5 + 0j))
     code, _, err = run_cli(capsys, "analyze", "--n", "3", "--k", "1")
     assert code == 4
-    assert "inclusion disks overlap" in err
+    assert "inclusion disks overlap" in err and "the roots must be simple" in err
 
 
 def test_analyze_a_bad_lifted_start_exit_4(monkeypatch, capsys):
@@ -787,12 +784,12 @@ def test_analyze_two_real_estimates_in_a_bracket_exit_1(monkeypatch, capsys):
     from itereq import charpoly
     from itereq.poly import ComplexRoot
 
-    real_all_roots = charpoly.all_roots
+    real_certified_roots = charpoly.certified_roots
 
-    def doubled(p):
-        return real_all_roots(p) + [ComplexRoot(0.5, 0.0)]
+    def doubled(p, z):
+        return real_certified_roots(p, z) + [ComplexRoot(0.5, 0.0)]
 
-    monkeypatch.setattr(charpoly, "all_roots", doubled)
+    monkeypatch.setattr(charpoly, "certified_roots", doubled)
     code, _, err = run_cli(capsys, "analyze", "--n", "3", "--k", "1")
     assert code == 1
     assert "2 real root estimates in bracket (0.0, 1.0)" in err

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from itereq import _kernels
 from itereq.errors import NonConvergence
-from itereq.poly import ComplexRoot, Polynomial, _disk_radii, all_roots, certified_roots
+from itereq.poly import ComplexRoot, Polynomial, _disk_radii, certified_roots
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -69,7 +69,8 @@ def test_empty_rejected():
 
 
 # ---------------------------------------------------------------------------
-# all_roots
+# certified_roots on generic polynomials, from companion-matrix estimates
+# (the tests named after all_roots check the whole solve: start and certificate)
 # ---------------------------------------------------------------------------
 
 
@@ -80,8 +81,20 @@ def _sorted_values(roots):
     return sorted(out, key=lambda z: (z.real, z.imag))
 
 
+def companion_estimates(p):
+    """The companion-matrix eigenvalues of ``p`` (``np.roots``) in the layout of
+    ``certified_roots``: the real ones, those above the axis, their conjugates."""
+    z = np.roots(p.coeffs[::-1])
+    upper = z[z.imag > 0.0]
+    return np.concatenate([z[z.imag == 0.0].real, upper, upper.conj()]).astype(np.complex128)
+
+
+def companion_roots(p):
+    return certified_roots(p, companion_estimates(p))
+
+
 def test_all_roots_quadratic():
-    roots = all_roots(Polynomial((-1.0, 2.0, 1.0)))
+    roots = companion_roots(Polynomial((-1.0, 2.0, 1.0)))
     vals = _sorted_values(roots)
     assert len(vals) == 2
     assert vals[0].real == pytest.approx(-1.0 - SQRT2, abs=1e-10)
@@ -92,37 +105,24 @@ def test_all_roots_quadratic():
 def test_all_roots_rejects_a_double_root_naming_the_overlap():
     # (r - 1)^2: both estimates sit near 1, so their inclusion disks meet
     with pytest.raises(NonConvergence) as info:
-        all_roots(Polynomial((1.0, -2.0, 1.0)))
+        companion_roots(Polynomial((1.0, -2.0, 1.0)))
     msg = str(info.value)
-    assert "inclusion disks overlap" in msg
+    assert "inclusion disks overlap" in msg and "the roots must be simple" in msg
     named = [complex(w) for w in re.findall(r"\(([^()]*j)\)", msg)]
     assert len(named) == 2
     assert all(abs(w - 1.0) < 1e-6 for w in named)
 
 
-def _estimate_layout(z):
-    """Real estimates, then those above the axis, then their conjugates."""
-    upper = z[z.imag > 0.0]
-    return np.concatenate([z[z.imag == 0.0].real, upper, upper.conj()]).astype(np.complex128)
-
-
 @pytest.mark.parametrize("bad", [np.inf, complex(np.inf, 1.0), complex(-1.0, np.inf)])
-def test_all_roots_rejects_an_infinite_estimate(monkeypatch, bad):
-    # an infinite eigenvalue is named before any kernel pass: at it the
+def test_all_roots_rejects_an_infinite_estimate(bad):
+    # an infinite estimate is named before any kernel pass: at it the
     # scaled residual and its limit would both be infinite
-    from itereq import poly
-
-    eigenvalues = poly._companion_eigenvalues
-
-    def escaped(c):
-        # in place of a real eigenvalue, or of the upper member of the pair
-        z = eigenvalues(c)
-        z[np.argmax(z.imag > 0.0) if complex(bad).imag else np.argmax(z.imag == 0.0)] = bad
-        return z
-
-    monkeypatch.setattr(poly, "_companion_eigenvalues", escaped)
+    p = Polynomial((1.0, -4.0, 1.0, 1.0, 1.0))  # two real roots, one pair
+    z = companion_estimates(p)
+    # in place of a real estimate, or of the upper member of the pair
+    z[np.argmax(z.imag > 0.0) if complex(bad).imag else np.argmax(z.imag == 0.0)] = bad
     with pytest.raises(NonConvergence, match="is not finite") as info:
-        all_roots(Polynomial((1.0, -4.0, 1.0, 1.0, 1.0)))  # two real roots, one pair
+        certified_roots(p, z)
     assert repr(complex(bad)) in str(info.value)
 
 
@@ -146,7 +146,7 @@ def test_certified_roots_makes_one_kernel_pass(monkeypatch):
 
     monkeypatch.setattr(_kernels, "horner_scaled_bound", counted)
     p = Polynomial((5.0, 1.0, -2.0, 1.0, 0.5, 1.0))
-    z = _estimate_layout(np.roots(p.coeffs[::-1]))
+    z = companion_estimates(p)
     roots = certified_roots(p, z)
     assert len(passes) == 1 and passes[0].tobytes() == z.tobytes()
     assert len(roots) == 5
@@ -154,9 +154,9 @@ def test_certified_roots_makes_one_kernel_pass(monkeypatch):
 
 @pytest.mark.parametrize("corrections", [0, 1])
 def test_all_roots_evaluates_once_per_correction_plus_once(monkeypatch, corrections):
-    # all_roots certifies and corrects its estimates in one kernel pass;
-    # each further correction, its roots handed back to certified_roots,
-    # adds one pass, at exactly the roots the previous call reported
+    # certified_roots certifies and corrects its estimates in one kernel
+    # pass; each further correction, its roots handed back to it, adds one
+    # pass, at exactly the roots the previous call reported
     passes = []
     fused = _kernels.horner_scaled_bound
 
@@ -166,7 +166,7 @@ def test_all_roots_evaluates_once_per_correction_plus_once(monkeypatch, correcti
 
     monkeypatch.setattr(_kernels, "horner_scaled_bound", counted)
     p = Polynomial((-6.0, 11.0, -6.0, 1.0))
-    roots = all_roots(p)
+    roots = companion_roots(p)
     for step in range(corrections):
         z = np.asarray([r.as_complex() for r in roots])
         roots = certified_roots(p, z)
@@ -205,7 +205,7 @@ def test_certified_roots_reports_each_estimate_minus_its_correction():
 def test_all_roots_quartic_structure():
     # r^4 + r^3 + r^2 - 4r + 1: roots 1, the cubic root, and a conjugate
     # pair whose modulus is sqrt of the residual quadratic's constant term
-    roots = all_roots(Polynomial((1.0, -4.0, 1.0, 1.0, 1.0)))
+    roots = companion_roots(Polynomial((1.0, -4.0, 1.0, 1.0, 1.0)))
     reals = sorted(r.re for r in roots if r.im == 0.0)
     pairs = [r for r in roots if r.im != 0.0]
     assert reals == pytest.approx([CUBIC_ROOT, 1.0], abs=1e-9)
@@ -217,15 +217,10 @@ def test_all_roots_quartic_structure():
 
 
 def test_all_roots_conjugate_pairing_is_exact():
-    roots = all_roots(Polynomial((5.0, 1.0, -2.0, 1.0, 0.5, 1.0)))
+    roots = companion_roots(Polynomial((5.0, 1.0, -2.0, 1.0, 0.5, 1.0)))
     ims = sorted(r.im for r in roots if r.im != 0.0)
     for low, high in zip(ims, reversed(ims)):
         assert low == -high
-
-
-def test_all_roots_degree_zero_rejected():
-    with pytest.raises(ValueError):
-        all_roots(Polynomial((3.0,)))
 
 
 @given(
@@ -241,7 +236,7 @@ def test_all_roots_recovers_separated_real_roots(spots):
     # helper; each comes back real, with multiplicity 1
     want = sorted(0.5 * g + jitter for g, jitter in spots)
     p = Polynomial(tuple(np.poly(want)[::-1]))
-    found = all_roots(p)
+    found = companion_roots(p)
     assert len(found) == len(want)
     for r, w in zip(found, want):
         assert r.multiplicity == 1 and r.im == 0.0
@@ -275,7 +270,7 @@ def test_equal_polynomials_compare_and_hash_equal():
 
 def test_root_moduli_match_scalar_hypot_bit_for_bit():
     p = Polynomial((3.0, -1.0, 0.5, 2.0, -1.0, 0.25, 1.0))
-    roots = all_roots(p)
+    roots = companion_roots(p)
     assert any(r.im != 0.0 for r in roots)
     for r in roots:
         assert r.modulus == float(np.hypot(r.re, r.im))

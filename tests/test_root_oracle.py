@@ -2,9 +2,9 @@
 
 Each reported real root other than 1 is compared with the root of the
 exact integer polynomial ``p / (r - 1)^m`` in the same bracket, found by
-bisection in 40-digit arithmetic.  For n <= 12, and for a sample of
-13 <= n <= 60, the whole spectrum is also compared with ``mpmath.polyroots``
-at 50 digits.  Reciprocity needs no reference: the polynomial of (n, n-k)
+bisection in 40-digit arithmetic.  For every k with n <= 15 (the paper's
+table), and for a sample of 16 <= n <= 60, the whole spectrum is also
+compared with ``mpmath.polyroots`` at 50 digits.  Reciprocity needs no reference: the polynomial of (n, n-k)
 is that of (n, k) reversed, so each root of one is the reciprocal of a
 root of the other.
 """
@@ -28,10 +28,10 @@ RECIPROCITY_TOL = 4e-15
 # k = 0 and k = n at several n; (12, 11), (40, 32) and (64, 16); (44, 1),
 # whose small root had the largest relative error (6.4e-14) over every k
 # for n <= 64; (62, 32), the largest for the bisection-and-Newton path that
-# came before the single eigenvalue solve (1.0e-13).  From n = 21 on the
-# estimates come from the lifted form: n = 2k +- 1, where its two circles
-# meet near 1 and the positive root other than 1 lies closest to it, and
-# k = 1 and k = n - 1, where one circle has a single slot
+# came before the single eigenvalue solve (1.0e-13).  For the lifted
+# form's estimates: n = 2k +- 1, where its two circles meet near 1 and the
+# positive root other than 1 lies closest to it, and k = 1 and k = n - 1,
+# where one circle has a single slot
 SAMPLE = [
     (2, 0), (9, 0), (24, 0), (33, 0), (64, 0),
     (2, 2), (7, 7), (20, 20), (64, 64),
@@ -40,12 +40,13 @@ SAMPLE = [
     (31, 15), (31, 16), (47, 23), (47, 24), (63, 31), (63, 32), (99, 49), (99, 50),
     (48, 1), (64, 1), (64, 63), (100, 1), (100, 99),
 ]
-# past n = 12, lifted starts: k = 1 and k = n - 1 (one circle with a single
-# slot), n - 2k in {-1, 1, 2} (the slow w = 1 slot near 1, started from the
-# Taylor root) and n = 2k (the two circles meet at the double root 1); then
-# eight seeded draws with 13 <= n <= 60, one per n
+# every k of the paper's table; past it, k = 1 and k = n - 1 (one circle
+# with a single slot), n - 2k in {-1, 1, 2} (the slow w = 1 slot near 1,
+# started from the Taylor root) and n = 2k (the two circles meet at the
+# double root 1); then eight seeded draws from 13 <= n <= 60, one per n
+# (all land on n >= 20)
 _draw = random.Random(28)
-SPECTRUM_SAMPLE = [(n, k) for n in range(2, 13) for k in range(n + 1)] + [
+SPECTRUM_SAMPLE = [(n, k) for n in range(2, 16) for k in range(n + 1)] + [
     (31, 1), (33, 17), (43, 21), (44, 22), (58, 28), (60, 59),
 ] + [(n, _draw.randint(0, n)) for n in sorted(_draw.sample(range(13, 61), 8))]
 
