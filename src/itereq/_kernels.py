@@ -7,13 +7,10 @@ gives ``p(z_i)`` and the bound on its rounding error in one pass, safe
 from overflow at any modulus.  ``dk_denominators`` gives the
 denominators of the Weierstrass corrections, scaled alike.  The
 inclusion disks, the residual test and the one correction of
-``poly.certified_roots`` all read these two results.  ``horner``
-evaluates at one point; the closed forms of ``recurrence`` use it.
+``poly.certified_roots`` all read these two results.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -23,18 +20,6 @@ USING_NUMBA = False
 # log2 of the largest |z|^n at which a degree-n polynomial is evaluated
 # directly; past it ``horner_scaled_bound`` evaluates the reversed polynomial.
 DIRECT_EXP = 512.0
-
-
-def horner(desc: Sequence[float], x: float) -> float:
-    """Evaluate a polynomial at scalar ``x`` from its *descending* coefficients.
-
-    The loop runs over Python floats: the same IEEE operations as over
-    NumPy scalars, without their per-operation overhead.
-    """
-    acc = 0.0
-    for c in desc:
-        acc = acc * x + c
-    return acc
 
 
 def direct_radius(degree: int) -> float:
@@ -105,4 +90,4 @@ def dk_denominators(coeffs: np.ndarray, z: np.ndarray, diff: np.ndarray) -> np.n
 
 
 # placeholders the benchmark's tracer wraps; see the note in ``charpoly``
-bisect_loop = dk_sweeps = None
+bisect_loop = dk_sweeps = horner = None

@@ -16,10 +16,8 @@ The memos of the package, all sized from ``_REPORT_CACHE_SIZE`` (256)
 and none keeping a failure: ``analyze_roots`` and ``build_char_poly``
 keep one report and one polynomial per ``CharProblem``,
 ``families.enumerate_families`` one enumeration per problem, and
-``recurrence._anchor_system`` one anchor system per spectrum, 256 each;
-``recurrence._basis`` keeps libm values for two index ranges (anchors,
-predictions) per spectrum, 512 entries.  A ``RootReport`` keeps its own
-hash once taken.
+``recurrence._anchor_system`` one anchor system per spectrum, 256 each.
+A ``RootReport`` keeps its own hash once taken.
 """
 
 from __future__ import annotations
@@ -35,10 +33,10 @@ from .errors import BracketFailure, DomainError, NonConvergence, RootMismatch
 from .intervals import json_float
 from .poly import ComplexRoot, Polynomial, certified_roots
 
-# ``perfbench/tracer.py`` wraps these four names, ``_kernels.bisect_loop``
-# and ``_kernels.dk_sweeps``, which name root finders the package no longer
-# has; nothing calls them.  They go, with their per-layer metrics, in the
-# benchmark change of ROADMAP item 1.
+# ``perfbench/tracer.py`` wraps these four names, ``_kernels.bisect_loop``,
+# ``_kernels.dk_sweeps`` and ``_kernels.horner``, which name kernels the
+# package no longer has; nothing calls them.  They go, with their
+# per-layer metrics, in the benchmark change of ROADMAP item 1.
 all_roots = bisect_root = newton_polish = deflate = None
 
 # Half-width of the window around each real root estimate on which the

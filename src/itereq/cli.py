@@ -272,6 +272,10 @@ def _load_solution(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return solution_from_json(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise ItereqError(
+                f"solution spec {path!r} is not valid JSON: {exc}"
+            ) from None
         except RecursionError:
             raise ConstructionError(
                 f"solution spec in {path!r} is nested too deeply"

@@ -24,15 +24,13 @@ number are built once per spectrum, and equal reports get the same
 system.  As with ``analyze_roots``, failures are not cached, so a
 spectrum the condition guard refuses raises on every call.
 
-The anchor check and ``prediction_error`` evaluate the closed form over
-their whole index range in one call (``predict_range``).  Powers, cosines
-and sines come from Python's ``**``, ``math.cos`` and ``math.sin``, as in
-``predict``, and are kept per roots and index range (``_basis``); the
-polynomial factors and the sum of the terms run over arrays in
-``predict``'s order, so every value equals ``predict``'s bit for bit.
-``np.power`` is not used there: it can differ from libm's ``pow`` in the
-last bit.  ``check_recurrence`` multiplies all windows of the orbit at
-once and sums each exactly with ``math.fsum``.
+Anchors, the anchor check and predictions read one basis (``_basis``):
+the matrix of ``J^t lambda^J``, ``J^t cos(J phi) mu^J`` and
+``J^t sin(J phi) mu^J`` columns at the indices ``J``, in the order of the
+weights.  Its value at an index does not depend on the other indices, so
+``predict`` is ``predict_range`` at one index, bit for bit.
+``check_recurrence`` multiplies all windows of the orbit at once and sums
+each exactly with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import horner
 from .charpoly import _REPORT_CACHE_SIZE, RootReport
 from .errors import DomainError, SingularSystem, TooShort
 from .families import Solution, ThreePiece
@@ -52,7 +49,6 @@ from .verify import Orbit
 
 _COND_LIMIT = 1e12
 _SYSTEM_CACHE_SIZE = _REPORT_CACHE_SIZE
-_BASIS_CACHE_SIZE = 2 * _REPORT_CACHE_SIZE  # anchors and predictions per spectrum
 _ANCHOR_TOL = 1e-9
 RECURRENCE_TOL = 1e-9  # check_recurrence's residual limit, relative
 # largest held-out relative prediction error (``prediction_error``) a fit
@@ -103,91 +99,70 @@ class ClosedForm:
         }
 
 
-def predict(cf: ClosedForm, j: int) -> float:
-    """Evaluate the closed form at index ``j``."""
-    total = 0.0
-    for t in cf.real_terms:
-        total += horner(t.coeffs[::-1], j) * t.lam**j
-    for t in cf.complex_terms:
-        envelope = t.modulus**j
-        total += (
-            horner(t.cos_poly[::-1], j) * math.cos(j * t.argument)
-            + horner(t.sin_poly[::-1], j) * math.sin(j * t.argument)
-        ) * envelope
-    return total
+def _basis(reals, complexes, J: np.ndarray) -> np.ndarray:
+    """The closed-form basis at the integer indices ``J``, one row per index.
 
-
-def _polyval_rows(polys: list[tuple[float, ...]], J: np.ndarray) -> np.ndarray:
-    """``horner(polys[r][::-1], J[i])`` at row r, column i, bit for bit.
-
-    Shorter polynomials are padded with zero leading coefficients; Horner
-    turns each into exactly ``+0.0``, the value ``horner`` starts from.
+    ``reals`` holds ``(lam, multiplicity)`` and ``complexes`` holds
+    ``(modulus, argument, multiplicity)`` (see ``_spectrum_terms``).  The
+    columns are ``J^t lam^J`` for each real root, then ``J^t cos(J phi)
+    mu^J`` and ``J^t sin(J phi) mu^J`` for each conjugate pair, ``t``
+    below the multiplicity: the order in which ``_assemble`` reads the
+    weights.  Raises :class:`OverflowError` where a root power leaves the
+    float range; a product that overflows is +-inf, without a warning.
     """
-    acc = 0.0
-    for i in range(max(map(len, polys)) - 1, -1, -1):
-        col = np.array([p[i] if i < len(p) else 0.0 for p in polys])
-        acc = acc * J + col[:, None]
-    return acc
+    columns = [(lam, 0.0, t, False) for lam, mult in reals for t in range(mult)]
+    columns += [
+        (mod, phi, t, sine)
+        for mod, phi, mult in complexes
+        for t in range(mult)
+        for sine in (False, True)
+    ]
+    bases, angles, ts, sines = zip(*columns)
+    # np.power, np.sin and np.cos get contiguous operands of the basis's
+    # shape: NumPy evaluates a broadcast operand by another kernel, whose
+    # last bit can depend on the number of indices
+    J = np.asarray(J)[:, None]
+    index = np.empty((len(J), len(bases)))
+    index[:] = J
+    rows = np.empty_like(index)
+    rows[:] = bases
+    with np.errstate(over="ignore"):
+        powers = np.power(rows, index)
+        if np.isinf(powers).any():
+            raise OverflowError("a root power leaves the float range")
+        phase = index * angles
+        waves = np.where(sines, np.sin(phase), np.cos(phase))  # cos(0) = 1
+        if any(ts):
+            waves = J ** np.array(ts) * waves  # J^t exact in integers
+        return waves * powers
 
 
-@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
-def _basis(
-    lams: tuple[float, ...],
-    waves: tuple[tuple[float, float], ...],
-    j_lo: int,
-    j_hi: int,
-) -> tuple[np.ndarray, ...]:
-    """What ``predict`` takes from libm at ``j = j_lo..j_hi``, one row per root.
+def _combine(basis: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each row of ``basis`` times ``weights``, summed.
 
-    Returns read-only ``(J, lam**j, cos(j*phi), sin(j*phi), mod**j)`` for
-    the real roots ``lams`` and the ``(mod, phi)`` of ``waves``, each value
-    from ``**``, ``math.cos`` or ``math.sin`` as ``predict`` gets it.
+    One ``np.add.reduce`` along each contiguous row, so a row's sum does
+    not depend on the other rows.  Terms that overflow are +-inf and add
+    to NaN with opposite signs; neither warns.
     """
-    js = range(j_lo, j_hi + 1)
-    J = np.array(js, dtype=float)
-    shape = (len(waves), len(js))
-    powers = np.array([lam**j for lam in lams for j in js])
-    powers = powers.reshape(len(lams), len(js))
-    phase = np.multiply.outer([phi for _, phi in waves], J).ravel().tolist()
-    cos = np.array([math.cos(x) for x in phase]).reshape(shape)
-    sin = np.array([math.sin(x) for x in phase]).reshape(shape)
-    env = np.array([mod**j for mod, _ in waves for j in js]).reshape(shape)
-    for a in (J, powers, cos, sin, env):
-        a.flags.writeable = False
-    return J, powers, cos, sin, env
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.add.reduce(basis * weights, axis=1)
 
 
 def predict_range(cf: ClosedForm, j_lo: int, j_hi: int) -> np.ndarray:
-    """``predict(cf, j)`` for ``j = j_lo..j_hi``, bit for bit.
+    """The closed form at ``j = j_lo..j_hi``: its basis times its weights."""
+    reals = [(t.lam, len(t.coeffs)) for t in cf.real_terms]
+    complexes = [(t.modulus, t.argument, len(t.cos_poly)) for t in cf.complex_terms]
+    weights = [c for t in cf.real_terms for c in t.coeffs]
+    for t in cf.complex_terms:
+        for pair in zip(t.cos_poly, t.sin_poly):
+            weights += pair
+    J = np.arange(j_lo, j_hi + 1)
+    return _combine(_basis(reals, complexes, J), np.array(weights))
 
-    The powers, cosines and sines come from ``_basis`` (kept per roots
-    and range), the polynomial factors and products are arrays with one
-    row per term, and one ``np.add.reduce`` adds the rows in ``predict``'s
-    order (a single index goes through ``predict`` itself).  A term
-    that overflows is +-inf, as in ``predict``, and terms that overflow
-    with opposite signs add to NaN, as they do there; neither warns.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if j_lo == j_hi:  # NumPy adds a single column pairwise, not row by row
-            return np.array([predict(cf, j_lo)])
-        reals, cplx = cf.real_terms, cf.complex_terms
-        J, powers, cos, sin, env = _basis(
-            tuple(t.lam for t in reals),
-            tuple((t.modulus, t.argument) for t in cplx),
-            j_lo,
-            j_hi,
-        )
-        terms = np.empty((0, len(J)))
-        if reals:
-            terms = _polyval_rows([t.coeffs for t in reals], J) * powers
-        if cplx:
-            polys = _polyval_rows(
-                [t.cos_poly for t in cplx] + [t.sin_poly for t in cplx], J
-            )
-            waves = (polys[: len(cplx)] * cos + polys[len(cplx) :] * sin) * env
-            terms = np.concatenate([terms, waves]) if reals else waves
-        # row after row from +0.0, as ``predict`` adds its terms
-        return np.add.reduce(terms, axis=0, initial=0.0)
+
+def predict(cf: ClosedForm, j: int) -> float:
+    """Evaluate the closed form at index ``j``."""
+    return float(predict_range(cf, j, j)[0])
 
 
 @dataclass(frozen=True)
@@ -291,18 +266,7 @@ def _anchor_system(spectrum: RootReport) -> _AnchorSystem:
             f"spectrum provides {n_cols} parameters for degree {deg}"
         )
 
-    # condition guard on the double-precision rendering of the system
-    cols64 = []
-    J = np.arange(deg, dtype=float)
-    for lam, mult in reals:
-        for t in range(mult):
-            cols64.append(J**t * np.sign(lam) ** J * np.abs(lam) ** J
-                          if lam < 0 else J**t * lam**J)
-    for mod, phi, mult in complexes:
-        for t in range(mult):
-            cols64.append(J**t * np.cos(J * phi) * mod**J)
-            cols64.append(J**t * np.sin(J * phi) * mod**J)
-    A64 = np.column_stack(cols64)
+    A64 = _basis(reals, complexes, np.arange(deg))
     cond = float(np.linalg.cond(A64))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularSystem(
@@ -360,9 +324,10 @@ def fit_closed_form(
     for _ in range(_REFINE_STEPS):
         weights += np.linalg.solve(A64, _residual(system, b, weights))
 
-    cf = _assemble(system.reals, system.complexes, np.ldexp(weights, exp).tolist())
+    weights = np.ldexp(weights, exp)
+    cf = _assemble(system.reals, system.complexes, weights.tolist())
     limit = _ANCHOR_TOL * (1.0 + peak)
-    fitted = predict_range(cf, 0, deg - 1)
+    fitted = _combine(A64, weights)  # predict_range(cf, 0, deg - 1), bit for bit
     missed = np.flatnonzero(~(np.abs(fitted - anchors) <= limit))
     if missed.size:
         j = int(missed[0])

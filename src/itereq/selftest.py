@@ -34,7 +34,7 @@ from .families import (
 from .intervals import REAL_LINE, Interval
 from .means import Generator
 from .poly import Polynomial
-from .recurrence import PREDICTION_TOL, fit_closed_form, predict, prediction_error
+from .recurrence import PREDICTION_TOL, fit_closed_form, predict_range, prediction_error
 from .verify import (
     DEFAULT_SAMPLES,
     DEFAULT_TOL,
@@ -274,12 +274,9 @@ def criterion_7_recurrence() -> tuple[bool, str]:
         orbit = iterate(sol, x0, 0, 30)
         spectrum = analyze_roots(prob)
         cf = fit_closed_form(orbit, spectrum, regime_of=sol)
-        anchor_scale = 1.0 + max(
-            abs(orbit.value(j)) for j in range(prob.n)
-        )
-        anchor_err = max(
-            abs(predict(cf, j) - orbit.value(j)) for j in range(prob.n)
-        )
+        anchors = orbit.forward_values()[: prob.n]
+        anchor_scale = 1.0 + float(abs(anchors).max())
+        anchor_err = float(abs(predict_range(cf, 0, prob.n - 1) - anchors).max())
         pred_err = prediction_error(cf, orbit, prob.n, 30)
         if anchor_err > ANCHOR_TOL * anchor_scale or pred_err > PREDICTION_TOL:
             failures.append((name, anchor_err, pred_err))

@@ -567,8 +567,8 @@ def test_bracket_end_signs_are_exact_past_the_float_range(monkeypatch, n):
 
         return wrapper
 
-    for name in ("horner", "horner_scaled_bound"):
-        monkeypatch.setattr(_kernels, name, watch(getattr(_kernels, name)))
+    fused = _kernels.horner_scaled_bound
+    monkeypatch.setattr(_kernels, "horner_scaled_bound", watch(fused))
     report = analyze_roots(prob)
     assert non_finite == []
     ok, problems = report_matches_expectation(report)

@@ -653,6 +653,19 @@ def test_verify_deeply_nested_spec_exit_2(tmp_path, capsys):
     assert "nested too deeply" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "orbit"])
+def test_spec_that_is_not_json_names_the_file_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "spec.json"
+    path.write_text("not json\n")
+    args = {"verify": ["--n", "3", "--k", "1"], "orbit": ["--x0", "0", "--steps", "3"]}
+    code, out, err = run_cli(
+        capsys, command, *args[command], "--solution", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: solution spec {str(path)!r} is not valid JSON: ")
+    assert "line 1 column 1" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
 def test_verify_rejects_bad_tol(tmp_path, capsys, tol):
     code, _, err = run_cli(

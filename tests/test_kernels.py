@@ -40,14 +40,6 @@ def _scaled_reference(coeffs, z):
     return acc, np.where(big, np.abs(x) ** (n - 1), 1.0)
 
 
-def test_scalar_horner_runs_over_descending_coefficients():
-    coeffs = [0.5, -3.0, 1.25, 2.0]  # ascending
-    acc = np.float64(0.0)
-    for c in coeffs[::-1]:
-        acc = acc * np.float64(0.7) + np.float64(c)
-    assert _kernels.horner(coeffs[::-1], 0.7) == float(acc)
-
-
 def test_scaled_horner_is_horner_vec_within_the_direct_range():
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=12)

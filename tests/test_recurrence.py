@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -12,6 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import itereq
+from itereq import recurrence
 from itereq.charpoly import (
     CharProblem,
     RealRootRecord,
@@ -435,6 +437,22 @@ def test_equal_reports_share_one_read_only_anchor_system():
     assert fit_closed_form(orbit, report) == cached
 
 
+def test_a_fit_evaluates_the_basis_once_per_spectrum(monkeypatch):
+    # the anchor matrix is the basis at 0..degree-1, and the anchor check
+    # reads the fitted anchors off that kept matrix
+    calls = []
+    basis = recurrence._basis
+    monkeypatch.setattr(
+        recurrence, "_basis", lambda *a: calls.append(a[2]) or basis(*a)
+    )
+    report = analyze_roots(CharProblem(5, 2))
+    for x0 in (0.3, 0.7, -1.1):
+        cf = fit_closed_form(iterate(Affine(REAL_LINE, -2.0, 0.0), x0, 0, 12), report)
+    assert [J.tolist() for J in calls] == [[0, 1, 2, 3, 4]]
+    predict_range(cf, 0, 4)
+    assert len(calls) == 2
+
+
 def test_a_report_hashes_its_fields_once_and_a_replaced_one_anew():
     report = analyze_roots(CharProblem(5, 2))
     fields_hash = hash((report.problem, report.real_roots, report.complex_roots))
@@ -465,16 +483,43 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
-def test_predict_range_is_predict_bit_for_bit():
-    for name, sol, prob, x0 in _workload_cases(1)[::3]:
+def _workload_fits(seed):
+    for name, sol, prob, x0 in _workload_cases(seed):
         orbit = iterate(sol, x0, 0, 30)
         try:
-            cf = fit_closed_form(orbit, analyze_roots(prob), regime_of=sol)
+            yield name, prob, fit_closed_form(orbit, analyze_roots(prob), regime_of=sol)
         except SingularSystem:
             continue
+
+
+def test_predict_range_is_predict_bit_for_bit():
+    # one basis: an index's value does not depend on the range around it
+    for name, prob, cf in _workload_fits(1):
         for lo, hi in ((0, prob.n - 1), (prob.n, 30), (-4, 40), (30, 30), (0, 0)):
             want = [predict(cf, j) for j in range(lo, hi + 1)]
             assert _bits(predict_range(cf, lo, hi)) == _bits(want), name
+
+
+def test_overlapping_ranges_agree_bit_for_bit():
+    for name, prob, cf in _workload_fits(7):
+        wide = predict_range(cf, -4, 40)
+        for lo, hi in ((-4, -1), (0, prob.n - 1), (prob.n, 30), (3, 11), (29, 40)):
+            got = predict_range(cf, lo, hi)
+            assert _bits(got) == _bits(wide[lo + 4 : hi + 5]), (name, lo, hi)
+
+
+def test_a_root_power_past_the_float_range_raises_overflow():
+    # (3, 1) has the root -2.414, whose power at index 899 exceeds 1.8e308
+    cf = fit_closed_form(
+        iterate(Affine(REAL_LINE, math.sqrt(2.0) - 1.0, 0.0), 1.0, 0, 12),
+        analyze_roots(CharProblem(3, 1)),
+    )
+    assert math.isfinite(predict(cf, 800))
+    for lo, hi in ((899, 899), (0, 900), (890, 1000)):
+        with pytest.raises(OverflowError):
+            predict_range(cf, lo, hi)
+    with pytest.raises(OverflowError):
+        predict(cf, 899)
 
 
 def _prediction_error_reference(cf, orbit, j_lo, j_hi):
@@ -638,6 +683,8 @@ def test_nan_predictions_read_as_an_infinite_error():
     held = iterate(Translation(REAL_LINE, 1e307), 0.3, -4, 30)
     orbit = orbit_from_values(held.points)
     cf = fit_closed_form(orbit, analyze_roots(CharProblem(5, 1)))
-    assert np.isnan(predict_range(cf, 11, 12)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflowing products do not warn
+        assert np.isnan(predict_range(cf, 11, 12)).all()
     assert prediction_error(cf, orbit, 11, 12) == math.inf
     assert _prediction_error_reference(cf, orbit, 11, 12) == math.inf
