@@ -1,13 +1,11 @@
 """Hot numeric kernels in plain NumPy.
 
 Outside the estimates, the root-table analysis spends its time in one
-Horner pass and one product of differences per spectrum.
-``horner_scaled_bound`` is the one Horner kernel of root finding: it
-gives ``p(z_i)`` and the bound on its rounding error in one pass, safe
-from overflow at any modulus.  ``dk_denominators`` gives the
-denominators of the Weierstrass corrections, scaled alike.  The
-inclusion disks, the residual test and the one correction of
-``poly.certified_roots`` all read these two results.
+Horner pass per spectrum.  ``horner_scaled_bound`` is the one Horner
+kernel of root finding: it gives ``p(z_i)``, ``p'(z_i)`` and the bound on
+the rounding error of ``p(z_i)`` in one pass, safe from overflow at any
+modulus.  The inclusion disks, the residual test and the one correction
+of ``poly.certified_roots`` all read its results.
 """
 
 from __future__ import annotations
@@ -20,6 +18,9 @@ USING_NUMBA = False
 # log2 of the largest |z|^n at which a degree-n polynomial is evaluated
 # directly; past it ``horner_scaled_bound`` evaluates the reversed polynomial.
 DIRECT_EXP = 512.0
+
+# bytes of coefficient rows one block of ``horner_scaled_bound`` builds
+_BLOCK_BYTES = 1 << 20
 
 
 def direct_radius(degree: int) -> float:
@@ -34,59 +35,61 @@ def direct_radius(degree: int) -> float:
 
 def horner_scaled_bound(
     coeffs: np.ndarray, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | float, np.ndarray]:
-    """``p(z_i)`` and its rounding bound, divided by ``z_i^(n-1)`` where
-    ``|z_i|^n`` could overflow.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | float, np.ndarray]:
+    """``p(z_i)``, ``p'(z_i)`` and the rounding bound of ``p(z_i)``, divided
+    by ``z_i^(n-1)`` where ``|z_i|^n`` could overflow.
 
-    There the reversed polynomial ``w^n p(1/w)`` is evaluated at
-    ``w = 1/z_i``, whose powers only shrink.  Returns ``(h, s, magnitude)``
-    with ``|p(z_i)| = |h_i| / s_i``: ``s_i = |z_i|^-(n-1)`` (zero once it
-    underflows) there, else ``1`` and ``h_i`` is ``p(z_i)`` bit for bit as a
-    plain Horner pass gives it (``s`` is the scalar 1.0 when no point is
-    scaled).
+    There ``p`` is evaluated through the reversed polynomial ``w^n p(1/w)``
+    and ``p'`` through the rows ``(0 c_0, 1 c_1, ..., n c_n)``, both at
+    ``w = 1/z_i``, whose powers only shrink.  Returns ``(h, dh, s,
+    magnitude)`` with ``|p(z_i)| = |h_i| / s_i`` and ``|p'(z_i)| = |dh_i| /
+    s_i``: ``s_i = |z_i|^-(n-1)`` (zero once it underflows) there, else
+    ``1`` (the scalar 1.0 when no point is scaled) and ``h_i`` and ``dh_i``
+    are bit for bit plain Horner passes over ``p`` and ``p'``.
     ``magnitude_i = sum_k |c_k| |z_i|^k``, scaled as ``h_i``, bounds the
-    rounding error in ``h_i``.  Both halves share one complex array of
-    length ``2m``, the moduli held with zero imaginary part: two ufunc
-    calls per coefficient, each half bit for bit its own real Horner pass,
+    rounding error in ``h_i``.  The three parts share one complex array of
+    length ``3m``, the moduli held with zero imaginary part: two ufunc
+    calls per coefficient, each part bit for bit its own Horner pass,
     except that a magnitude whose partial sum overflows turns NaN (the
-    next product puts ``inf * 0`` into its imaginary part).
+    next product puts ``inf * 0`` into its imaginary part).  The direct
+    derivative rows ``(0, n c_n, ..., 1 c_1)`` give each part n + 1 steps.
+    The rows are built one block of ``_BLOCK_BYTES`` at a time.
     """
     n, m = len(coeffs) - 1, len(z)
     az = np.abs(z)
     big = az > direct_radius(n)
     scaled = bool(big.any())
-    x = np.concatenate([z, az], dtype=np.complex128)
+    x = np.concatenate([z, az, z], dtype=np.complex128)
     if scaled:
-        x[:m][big] = 1.0 / z[big]
-        x[m:][big] = 1.0 / az[big]
-    rows = np.where(big, coeffs[:, None], coeffs[::-1, None])
-    # complex rows: adding a real row to a complex array costs a cast per call
-    rows = np.concatenate([rows, np.abs(rows)], axis=1, dtype=np.complex128)
+        x[:m][big] = x[2 * m :][big] = 1.0 / z[big]
+        x[m : 2 * m][big] = 1.0 / az[big]
+    # row i of each side, one column per part; complex, since adding a real
+    # row to a complex array costs a cast per call
+    reverse, direct = np.zeros((2, n + 1, 3), dtype=np.complex128)
+    reverse[:, 0] = coeffs
+    reverse[:, 1] = np.abs(coeffs)
+    reverse[:, 2] = np.arange(n + 1) * coeffs
+    direct[:, :2] = reverse[::-1, :2]
+    direct[1:, 2] = reverse[:0:-1, 2]  # after the leading 0
     acc = np.zeros_like(x)
-    for row in rows:
-        acc *= x
-        acc += row
-    h, magnitude = acc[:m], acc[m:].real
+    step = max(1, _BLOCK_BYTES // x.nbytes)
+    block = np.empty((min(step, n + 1), 3, m), dtype=np.complex128)
+    for lo in range(0, n + 1, step):
+        rows = block[: n + 1 - lo]
+        rows[...] = direct[lo : lo + step, :, None]
+        if scaled:
+            rows[:, :, big] = reverse[lo : lo + step, :, None]
+        for row in rows.reshape(len(rows), 3 * m):
+            acc *= x
+            acc += row
+    h, magnitude, dh = acc[:m], acc[m : 2 * m].real, acc[2 * m :]
     if not scaled:
-        return h, 1.0, magnitude
+        return h, dh, 1.0, magnitude
     h[big] *= z[big]
     magnitude[big] *= az[big]
     s = np.ones(m)
     s[big] = np.abs(x[:m][big]) ** (n - 1)
-    return h, s, magnitude
-
-
-def dk_denominators(coeffs: np.ndarray, z: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """``c_n prod_{j != i} (z_i - z_j)``, scaled as ``horner_scaled_bound``
-    scales ``p(z_i)``: their quotient is the Weierstrass correction.
-
-    ``diff`` is ``z[:, None] - z[None, :]``, and is overwritten.
-    """
-    big = np.abs(z) > direct_radius(len(coeffs) - 1)
-    if big.any():
-        diff[big] /= z[big, None]
-    np.fill_diagonal(diff, 1.0)
-    return coeffs[-1] * np.prod(diff, axis=1)
+    return h, dh, s, magnitude
 
 
 # placeholders the benchmark's tracer wraps; see the note in ``charpoly``

@@ -401,8 +401,8 @@ def analyze_roots(prob: CharProblem) -> RootReport:
     real-root bracket (0, +-1, +-(2n+1)) must differ.  One certified
     solve (``_spectrum``) then gives every other root: estimates from the
     lifted form (``_lifted_estimates``), then ``poly.certified_roots``'s
-    count and finiteness checks, disjoint Weierstrass disks, the residual
-    test, and one correction.  Each predicted real root is the unique real
+    count and finiteness checks, disjoint Newton disks, the residual
+    test, and one Newton step.  Each predicted real root is the unique real
     estimate strictly inside its bracket, and the deflated polynomial must
     change sign within ``_SIGN_WINDOW`` of it.  A bracket holding no real
     estimate, or more than one, raises :class:`BracketFailure`; a window

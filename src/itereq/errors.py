@@ -19,9 +19,10 @@ class RootMismatch(ItereqError):
 
 
 class NonConvergence(ItereqError):
-    """An iterative solver exhausted its iteration budget.
+    """A numerical check failed: a root certificate (estimate count,
+    finiteness, disjoint inclusion disks, residual) or a sign window.
 
-    Carries the best residual seen so callers can report it.
+    Carries the best residual seen, where there is one, so callers can report it.
     """
 
     def __init__(self, message: str, best_residual: float | None = None):

@@ -4,9 +4,9 @@ Coefficients are stored in ascending order (constant term first), matching
 the characteristic form ``sum_i a_i r^i``.  A ``Polynomial`` computes its
 float64 array and its coefficient norm once.
 ``certified_roots`` takes one estimate per root from any source, checks
-their count and finiteness, draws disjoint Weierstrass inclusion disks
+their count and finiteness, draws disjoint Newton inclusion disks
 around them, applies the residual test, and reports each estimate after
-one Weierstrass correction.
+one Newton step.
 """
 
 from __future__ import annotations
@@ -95,27 +95,22 @@ class ComplexRoot:
         return complex(self.re, self.im)
 
 
-def _disk_radii(
-    h: np.ndarray, denom: np.ndarray, magnitude: np.ndarray
-) -> np.ndarray:
-    """Radii ``n |W_i|`` of the Weierstrass inclusion disks around ``z``.
+def _disk_radii(h: np.ndarray, dh: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
+    """Radii ``n |p(z_i) / p'(z_i)|`` of the Newton inclusion disks around ``z``.
 
-    ``W_i = p(z_i) / (c_n prod_{j != i} (z_i - z_j))`` is the Durand-Kerner
-    correction; ``h`` and ``magnitude`` are the scaled ``p(z_i)`` and
-    ``sum |c_k| |z_i|^k`` of ``_kernels.horner_scaled_bound``, ``denom``
-    the denominators of ``_kernels.dk_denominators``, scaled alike.  The
-    disks cover every root, and a connected union of m of them holds
-    exactly m roots (Braess & Hadeler, 1973), so a disk that meets no
-    other holds exactly one simple root.  ``|p(z_i)|`` is taken with a
+    ``h``, ``dh`` and ``magnitude`` are the scaled ``p(z_i)``, ``p'(z_i)``
+    and ``sum |c_k| |z_i|^k`` of ``_kernels.horner_scaled_bound``.  Since
+    ``p'(z) / p(z) = sum_j 1 / (z - r_j)``, some root lies within
+    ``n |p(z) / p'(z)|`` of ``z``: every disk holds a root, so n pairwise
+    disjoint disks hold one simple root each.  ``|p(z_i)|`` is taken with a
     bound on Horner's rounding error added, so that noise near a multiple
-    root cannot shrink a disk.  A collapsed pair of estimates, or a bound
-    that overflowed, gets an infinite radius.
+    root cannot shrink a disk.  A vanishing derivative, or a bound that
+    overflowed, gets an infinite radius.
     """
     n = len(h)
     rounding = 4.0 * n * np.finfo(float).eps * magnitude
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = (np.abs(h) + rounding) / np.abs(denom)
-    radius = n * w
+        radius = n * ((np.abs(h) + rounding) / np.abs(dh))
     return np.where(np.isnan(radius), np.inf, radius)
 
 
@@ -127,23 +122,23 @@ def certified_roots(p: Polynomial, z: np.ndarray) -> list[ComplexRoot]:
     estimates were made does not matter.  Four checks come first, each
     raising :class:`NonConvergence` named after it: one estimate per root;
     every estimate finite (the first that is not is named); pairwise
-    disjoint Weierstrass inclusion disks, so that each holds exactly one
-    simple root (two that overlap are named, since a multiple root, or a
-    cluster the estimates cannot separate, is outside this solver's
-    contract); and the residual test, where every ``|p(z_i)|`` must lie
-    within ``ROOT_RESIDUAL_TOL`` of the coefficient norm or of the
+    disjoint Newton inclusion disks (``_disk_radii``), so that each holds
+    exactly one simple root (two that overlap are named, since a multiple
+    root, or a cluster the estimates cannot separate, is outside this
+    solver's contract); and the residual test, where every ``|p(z_i)|``
+    must lie within ``ROOT_RESIDUAL_TOL`` of the coefficient norm or of the
     evaluation magnitude at ``z_i``, whichever is larger, with a finite
     limit.  Both sides are scaled as ``_kernels.horner_scaled_bound``
     scales them, so that the test cannot overflow.
 
-    Each estimate then takes exactly one Weierstrass (Durand-Kerner)
-    correction ``z_i - W_i``, from the same values the disks read: one
-    kernel pass per call.  The real ones are made real again and each pair
-    exact conjugates (their mean), since ``W_i`` rounds differently for
-    the two members of a pair.  ``|W_i|`` is at most ``1/n`` of the disk
-    radius, so every reported root lies inside its own certified disk.
-    Every root is reported with multiplicity 1, sorted by real, then
-    imaginary part.
+    Each estimate then takes exactly one Newton step
+    ``z_i - p(z_i) / p'(z_i)``, from the same values the disks read: one
+    kernel pass per call, and no product over the other estimates.  The
+    real ones are made real again and each pair exact conjugates (their
+    mean), since the step rounds differently for the two members of a
+    pair.  The step is at most ``1/n`` of the disk radius, so every
+    reported root lies inside its own certified disk.  Every root is
+    reported with multiplicity 1, sorted by real, then imaginary part.
     """
     if len(z) != p.degree:
         raise NonConvergence(f"{len(z)} root estimates for degree {p.degree}")
@@ -151,13 +146,12 @@ def certified_roots(p: Polynomial, z: np.ndarray) -> list[ComplexRoot]:
     if not finite.all():
         bad = complex(z[np.argmin(finite)])
         raise NonConvergence(f"root estimate {bad!r} is not finite")
-    c = p.as_array()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        h, scale, magnitude = _kernels.horner_scaled_bound(c, z)
-        diff = z[:, None] - z[None, :]
-        distance = np.abs(diff)
-        denom = _kernels.dk_denominators(c, z, diff)
-    radius = _disk_radii(h, denom, magnitude)
+        h, dh, scale, magnitude = _kernels.horner_scaled_bound(p.as_array(), z)
+        # real n x n arrays only: |z_i - z_j| as the hypot of its parts
+        distance = np.subtract.outer(z.real, z.real)
+        np.hypot(distance, np.subtract.outer(z.imag, z.imag), out=distance)
+    radius = _disk_radii(h, dh, magnitude)
     touch = distance <= radius[:, None] + radius[None, :]
     np.fill_diagonal(touch, False)
     if touch.any():
@@ -181,7 +175,7 @@ def certified_roots(p: Polynomial, z: np.ndarray) -> list[ComplexRoot]:
 
     nr = int(np.count_nonzero(z.imag == 0.0))
     nu = (len(z) - nr) // 2
-    z = z - h / denom
+    z = z - h / dh
     upper = 0.5 * (z[nr : nr + nu] + z[nr + nu :].conj())
     re = np.concatenate([z[:nr].real, upper.real, upper.real])
     im = np.concatenate([np.zeros(nr), upper.imag, -upper.imag])

@@ -709,6 +709,15 @@ def test_n_equal_2k_past_243_takes_one_kernel_pass_per_solve(monkeypatch):
     assert passes == [n - 2 for n in range(244, 301, 2)]
 
 
+@pytest.mark.parametrize("n, k", [(2000, 1951), (3000, 1499), (3000, 1)])
+def test_disks_hold_from_n_2000(n, k):
+    # a Weierstrass denominator, a running product of n - 2 differences,
+    # fell below the float range here and overlapped the disks; the Newton
+    # disks form no product (RuntimeWarning is an error in this suite)
+    ok, problems = report_matches_expectation(analyze_roots.__wrapped__(CharProblem(n, k)))
+    assert ok, problems
+
+
 @pytest.mark.parametrize("bad", ["collapsed", "not_finite", "too_few", "unpolished"])
 def test_a_bad_lifted_start_raises_naming_the_check(monkeypatch, bad):
     # no eigenvalue retry: the problem, the start and the missed check are named
