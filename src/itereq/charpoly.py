@@ -334,19 +334,16 @@ def _lifted_estimates(prob: CharProblem) -> np.ndarray:
     that of the inner circle when ``n <= 2k`` (``classify``); both are
     dropped.  The other ``w = 1`` slot and the ``w = -1`` slots (c even)
     are the real roots: they come first, and are taken real at the end.
-    Near ``n = 2k`` the ``w = 1`` root lies close to 1, where the
-    fixed-point steps crawl; Newton starts it from the Taylor root of p
-    at 1, ``1 - 2 p'(1) / p''(1)``, when that gives the smaller step.  The
-    slots above the real axis follow, with their conjugates appended.
-    The estimates carry no guarantee: ``certified_roots`` checks them.
+    The slots above the real axis follow, with their conjugates appended.
+    Every slot starts by the one rule (near ``n = 2k`` Newton takes more
+    steps on the ``w = 1`` slot).  ``certified_roots`` checks the estimates.
     """
     n, k, n1 = prob.n, prob.k, prob.n + 1.0
-    real, upper, slow = [], [], None  # slots (c, arg w_j, inner)
+    real, upper = [], []  # slots (c, arg w_j, inner)
     for count, inside, keep_one in ((k, True, n > 2 * k), (n - k, False, n < 2 * k)):
         if count:
             if keep_one:
-                slow = (len(real), count, 1 if inside else -1)  # the root other than 1
-                real.append((count, 0.0, inside))
+                real.append((count, 0.0, inside))  # the positive root other than 1
             if count % 2 == 0:
                 real.append((count, math.pi, inside))
             # the outer circle's x = 1/r: the slots below the axis in x lie above it in r
@@ -354,24 +351,13 @@ def _lifted_estimates(prob: CharProblem) -> np.ndarray:
             upper += [(count, turn * j, inside) for j in range(1, (count + 1) // 2)]
     c, arg, inner = (np.array(s) for s in zip(*real, *upper))
     c, arg = c.astype(np.complex128), 1j * arg
-
-    def newton_step(y, c):  # G / (dG/dy)
-        x_1, xn1_1, xc = np.expm1(y), np.expm1(n1 * y), np.exp(c * y)
-        return (xn1_1 - n1 * xc * x_1) / (n1 * (xn1_1 + 1 - xc * (1 + (c + 1) * x_1)))
-
     with np.errstate(all="ignore"):
         y = arg - math.log(n1) / c
         for _ in range(_FIXED_POINT_STEPS):
             y = arg + np.log(np.expm1(n1 * y) / (n1 * np.expm1(y))) / c
-        curve = 3 * k * (k - 1) - n * (n - 1)  # 3 p''(1) / (n+1); p'(1) = (n+1)(2k-n)/2
-        taylor = 1 - 3 * (2 * k - n) / curve if slow and curve else 0.0
-        if taylor > 0:
-            i, count, sign = slow
-            t = sign * math.log(taylor)
-            if t < 0 and abs(newton_step(t, count)) < abs(newton_step(y[i].real, count)):
-                y[i] = t
-        for _ in range(_NEWTON_MAX_STEPS):
-            step = newton_step(y, c)
+        for _ in range(_NEWTON_MAX_STEPS):  # y -= G / (dG/dy)
+            x_1, xn1_1, xc = np.expm1(y), np.expm1(n1 * y), np.exp(c * y)
+            step = (xn1_1 - n1 * xc * x_1) / (n1 * (xn1_1 + 1 - xc * (1 + (c + 1) * x_1)))
             y -= step
             if np.abs(step).max() <= _NEWTON_STEP_TOL:
                 break

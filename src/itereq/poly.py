@@ -4,9 +4,8 @@ Coefficients are stored in ascending order (constant term first), matching
 the characteristic form ``sum_i a_i r^i``.  A ``Polynomial`` computes its
 float64 array and its coefficient norm once.
 ``certified_roots`` takes one estimate per root from any source, checks
-their count and finiteness, draws disjoint Newton inclusion disks
-around them, applies the residual test, and reports each estimate after
-one Newton step.
+their count and finiteness, draws disjoint Newton inclusion disks around
+them, applies the residual test, and reports each after one Newton step.
 """
 
 from __future__ import annotations
@@ -114,6 +113,25 @@ def _disk_radii(h: np.ndarray, dh: np.ndarray, magnitude: np.ndarray) -> np.ndar
     return np.where(np.isnan(radius), np.inf, radius)
 
 
+def _overlapping_disks(z: np.ndarray, radius: np.ndarray) -> tuple[int, int] | None:
+    """Two estimates whose disks ``|w - z_i| <= radius_i`` meet, or None: a
+    sweep in real order, in O(n) memory.  Disks that meet have real parts
+    within ``2 max(radius)``, and in real order that gap only grows with the
+    offset d; so each estimate is tested against the one d places on, only
+    where that close, for d = 1, 2, ... until an offset has no such pair."""
+    order = np.argsort(z.real, kind="stable")
+    w, r = z[order], radius[order]
+    reach = 2.0 * r.max()
+    for d in range(1, len(z)):
+        i = np.flatnonzero(w.real[d:] - w.real[:-d] <= reach)
+        if not i.size:
+            return None
+        hit = i[np.abs(w[i + d] - w[i]) <= r[i] + r[i + d]]
+        if hit.size:
+            return int(order[hit[0]]), int(order[hit[0] + d])
+    return None
+
+
 def certified_roots(p: Polynomial, z: np.ndarray) -> list[ComplexRoot]:
     """The roots of ``p`` from one estimate per root, certified and corrected once.
 
@@ -122,13 +140,13 @@ def certified_roots(p: Polynomial, z: np.ndarray) -> list[ComplexRoot]:
     estimates were made does not matter.  Four checks come first, each
     raising :class:`NonConvergence` named after it: one estimate per root;
     every estimate finite (the first that is not is named); pairwise
-    disjoint Newton inclusion disks (``_disk_radii``), so that each holds
-    exactly one simple root (two that overlap are named, since a multiple
-    root, or a cluster the estimates cannot separate, is outside this
-    solver's contract); and the residual test, where every ``|p(z_i)|``
-    must lie within ``ROOT_RESIDUAL_TOL`` of the coefficient norm or of the
-    evaluation magnitude at ``z_i``, whichever is larger, with a finite
-    limit.  Both sides are scaled as ``_kernels.horner_scaled_bound``
+    disjoint Newton inclusion disks (``_disk_radii``, ``_overlapping_disks``),
+    so that each holds exactly one simple root (two that overlap are named,
+    since a multiple root, or a cluster the estimates cannot separate, is
+    outside this solver's contract); and the residual test, where every
+    ``|p(z_i)|`` must lie within ``ROOT_RESIDUAL_TOL`` of the coefficient
+    norm or of the evaluation magnitude at ``z_i``, whichever is larger,
+    with a finite limit.  Both sides are scaled as ``_kernels.horner_scaled_bound``
     scales them, so that the test cannot overflow.
 
     Each estimate then takes exactly one Newton step
@@ -148,17 +166,12 @@ def certified_roots(p: Polynomial, z: np.ndarray) -> list[ComplexRoot]:
         raise NonConvergence(f"root estimate {bad!r} is not finite")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h, dh, scale, magnitude = _kernels.horner_scaled_bound(p.as_array(), z)
-        # real n x n arrays only: |z_i - z_j| as the hypot of its parts
-        distance = np.subtract.outer(z.real, z.real)
-        np.hypot(distance, np.subtract.outer(z.imag, z.imag), out=distance)
     radius = _disk_radii(h, dh, magnitude)
-    touch = distance <= radius[:, None] + radius[None, :]
-    np.fill_diagonal(touch, False)
-    if touch.any():
-        i, j = np.argwhere(touch)[0]
+    if (pair := _overlapping_disks(z, radius)) is not None:
+        i, j = pair
         raise NonConvergence(
             f"inclusion disks overlap: estimates {complex(z[i])!r} and "
-            f"{complex(z[j])!r} lie {distance[i, j]:.3e} apart with radii "
+            f"{complex(z[j])!r} lie {abs(z[i] - z[j]):.3e} apart with radii "
             f"{radius[i]:.3e} and {radius[j]:.3e}; the roots must be simple"
         )
     resid = np.abs(h)

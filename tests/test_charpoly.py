@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -660,7 +662,7 @@ def _report_values(report):
 
 
 # 43, 47 and 58 hold the slow w = 1 slots (43, 21), (47, 23) and (58, 28),
-# the positive root other than 1 close to it, started from the Taylor root
+# the positive root other than 1 close to it, where Newton takes the most steps
 @pytest.mark.parametrize(
     "n", [*range(2, 21), 21, 22, 30, 31, 43, 47, 58, 63, 64, 100, 200]
 )
@@ -716,6 +718,24 @@ def test_disks_hold_from_n_2000(n, k):
     # disks form no product (RuntimeWarning is an error in this suite)
     ok, problems = report_matches_expectation(analyze_roots.__wrapped__(CharProblem(n, k)))
     assert ok, problems
+
+
+def test_certificate_at_n_4000_peaks_below_150_mb():
+    # the overlap test is a sweep in real order: no n x n array is built
+    # (the pairwise distance and overlap arrays peaked at about 290 MB here)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(charpoly.__file__)))
+    code = (
+        "import resource; from itereq.charpoly import CharProblem, analyze_roots; "
+        "analyze_roots.__wrapped__(CharProblem(4000, 1999)); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    peak_mb = int(run.stdout) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 150, peak_mb
 
 
 @pytest.mark.parametrize("bad", ["collapsed", "not_finite", "too_few", "unpolished"])

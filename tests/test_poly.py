@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from itereq import _kernels
 from itereq.errors import NonConvergence
-from itereq.poly import ComplexRoot, Polynomial, _disk_radii, certified_roots
+from itereq.poly import (
+    ComplexRoot,
+    Polynomial,
+    _disk_radii,
+    _overlapping_disks,
+    certified_roots,
+)
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -243,6 +249,78 @@ def test_all_roots_recovers_separated_real_roots(spots):
     for r, w in zip(found, want):
         assert r.multiplicity == 1 and r.im == 0.0
         assert r.re == pytest.approx(w, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the overlap sweep against the pairwise test
+# ---------------------------------------------------------------------------
+
+
+def pairwise_overlaps(z, radius):
+    """Every pair i < j whose disks meet, by testing all n (n - 1) / 2 pairs."""
+    return {
+        (i, j)
+        for i in range(len(z))
+        for j in range(i + 1, len(z))
+        if abs(z[i] - z[j]) <= radius[i] + radius[j]
+    }
+
+
+def _sweep_agrees(z, radius):
+    """The sweep's verdict is the pairwise one, and a pair it names overlaps."""
+    z, radius = np.asarray(z, dtype=np.complex128), np.asarray(radius, dtype=float)
+    want = pairwise_overlaps(z, radius)
+    pair = _overlapping_disks(z, radius)
+    if not want:
+        assert pair is None
+        return None
+    assert pair is not None and tuple(sorted(pair)) in want
+    return pair
+
+
+def test_sweep_finds_an_overlap_two_places_on_in_real_order():
+    # 0 and 0.1 meet; the estimate between them in real order lies far above
+    z, radius = [0.0, 0.05 + 1j, 0.1], [0.01, 0.01, 0.1]
+    assert pairwise_overlaps(np.asarray(z), radius) == {(0, 2)}
+    assert sorted(_sweep_agrees(z, radius)) == [0, 2]
+
+
+@pytest.mark.parametrize("r, meet", [(1.5e-3, True), (0.6e-3, False)])
+def test_sweep_tests_conjugates_with_equal_real_parts(r, meet):
+    z = [2.0, 1 + 1e-3j, -1 + 5e-1j, 1 - 1e-3j, -1 - 5e-1j]
+    assert (_sweep_agrees(z, [1e-2, r, 1e-2, r, 1e-2]) is not None) is meet
+
+
+def test_sweep_with_an_infinite_radius_names_its_disk():
+    assert 1 in _sweep_agrees([0.0, 5.0, 10.0, 3j], [1.0, np.inf, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("radius", [0.0, 1.0, np.inf])
+def test_sweep_over_a_single_estimate_finds_nothing(radius):
+    assert _overlapping_disks(np.asarray([1.0 + 2j]), np.asarray([radius])) is None
+
+
+def test_sweep_agrees_with_the_pairwise_test_on_random_disks():
+    # clouds taller than wide, so that disks meet past their neighbours in
+    # real order; some hold conjugate pairs, some an infinite radius, some
+    # a single estimate
+    rng = np.random.default_rng(20261020)
+    verdicts, past_neighbours = set(), 0
+    for _ in range(400):
+        n = int(rng.integers(1, 40))
+        z = rng.normal(scale=10 ** rng.uniform(-3, 0), size=n) + 1j * rng.normal(size=n)
+        if rng.random() < 0.5:
+            z = np.concatenate([z, z.conj()])
+        radius = rng.uniform(0, 10 ** rng.uniform(-3, -0.5), size=len(z))
+        if rng.random() < 0.1:
+            radius[rng.integers(len(z))] = np.inf
+        verdicts.add(_sweep_agrees(z, radius) is not None)
+        order = np.argsort(z.real, kind="stable")
+        neighbours = {tuple(sorted(p)) for p in zip(order, order[1:])}
+        want = pairwise_overlaps(z, radius)
+        past_neighbours += bool(want) and not want & neighbours
+    assert verdicts == {True, False}
+    assert past_neighbours > 0
 
 
 # ---------------------------------------------------------------------------
