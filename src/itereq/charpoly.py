@@ -313,8 +313,8 @@ def _quotient_sign(prob: CharProblem, mult: int, x: float) -> int:
 
 
 def _lifted_estimates(prob: CharProblem) -> np.ndarray:
-    """One estimate per root of ``p / (r - 1)^m`` from the lifted form, in
-    the layout of ``certified_roots``.
+    """One estimate per real root and per conjugate pair of ``p / (r -
+    1)^m`` from the lifted form, as ``certified_roots`` takes them.
 
     The Newton polygon of ``L(r) = (r - 1) p(r) = (n+1)(r^{k+1} - r^k) -
     r^{n+1} + 1`` (Bini, 1996) puts k roots near the inner circle ``|r| =
@@ -334,7 +334,7 @@ def _lifted_estimates(prob: CharProblem) -> np.ndarray:
     that of the inner circle when ``n <= 2k`` (``classify``); both are
     dropped.  The other ``w = 1`` slot and the ``w = -1`` slots (c even)
     are the real roots: they come first, and are taken real at the end.
-    The slots above the real axis follow, with their conjugates appended.
+    The slots above the real axis follow, one per conjugate pair.
     Every slot starts by the one rule (near ``n = 2k`` Newton takes more
     steps on the ``w = 1`` slot).  ``certified_roots`` checks the estimates.
     """
@@ -362,7 +362,7 @@ def _lifted_estimates(prob: CharProblem) -> np.ndarray:
             if np.abs(step).max() <= _NEWTON_STEP_TOL:
                 break
         r = np.exp(np.where(inner, y, -y))
-    return np.concatenate([r[: len(real)].real, r[len(real) :], r[len(real) :].conj()])
+    return np.concatenate([r[: len(real)].real, r[len(real) :]])
 
 
 @functools.lru_cache(maxsize=_REPORT_CACHE_SIZE)

@@ -3,9 +3,9 @@
 Coefficients are stored in ascending order (constant term first), matching
 the characteristic form ``sum_i a_i r^i``.  A ``Polynomial`` computes its
 float64 array and its coefficient norm once.
-``certified_roots`` takes one estimate per root from any source, checks
-their count and finiteness, draws disjoint Newton inclusion disks around
-them, applies the residual test, and reports each after one Newton step.
+``certified_roots`` takes one estimate per real root and per conjugate
+pair from any source, checks them, draws disjoint Newton inclusion disks,
+applies the residual test, and reports each root after one Newton step.
 """
 
 from __future__ import annotations
@@ -94,11 +94,12 @@ class ComplexRoot:
         return complex(self.re, self.im)
 
 
-def _disk_radii(h: np.ndarray, dh: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
+def _disk_radii(h: np.ndarray, dh: np.ndarray, magnitude: np.ndarray, n: int) -> np.ndarray:
     """Radii ``n |p(z_i) / p'(z_i)|`` of the Newton inclusion disks around ``z``.
 
     ``h``, ``dh`` and ``magnitude`` are the scaled ``p(z_i)``, ``p'(z_i)``
-    and ``sum |c_k| |z_i|^k`` of ``_kernels.horner_scaled_bound``.  Since
+    and ``sum |c_k| |z_i|^k`` of ``_kernels.horner_scaled_bound``, and n is
+    the degree of ``p``.  Since
     ``p'(z) / p(z) = sum_j 1 / (z - r_j)``, some root lies within
     ``n |p(z) / p'(z)|`` of ``z``: every disk holds a root, so n pairwise
     disjoint disks hold one simple root each.  ``|p(z_i)|`` is taken with a
@@ -106,7 +107,6 @@ def _disk_radii(h: np.ndarray, dh: np.ndarray, magnitude: np.ndarray) -> np.ndar
     root cannot shrink a disk.  A vanishing derivative, or a bound that
     overflowed, gets an infinite radius.
     """
-    n = len(h)
     rounding = 4.0 * n * np.finfo(float).eps * magnitude
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         radius = n * ((np.abs(h) + rounding) / np.abs(dh))
@@ -133,46 +133,49 @@ def _overlapping_disks(z: np.ndarray, radius: np.ndarray) -> tuple[int, int] | N
 
 
 def certified_roots(p: Polynomial, z: np.ndarray) -> list[ComplexRoot]:
-    """The roots of ``p`` from one estimate per root, certified and corrected once.
+    """The roots of ``p`` from one estimate per real root and per conjugate pair.
 
-    ``z`` lists the real estimates (zero imaginary part), then those above
-    the real axis, then their exact conjugates in the same order; how the
-    estimates were made does not matter.  Four checks come first, each
-    raising :class:`NonConvergence` named after it: one estimate per root;
-    every estimate finite (the first that is not is named); pairwise
-    disjoint Newton inclusion disks (``_disk_radii``, ``_overlapping_disks``),
-    so that each holds exactly one simple root (two that overlap are named,
-    since a multiple root, or a cluster the estimates cannot separate, is
-    outside this solver's contract); and the residual test, where every
-    ``|p(z_i)|`` must lie within ``ROOT_RESIDUAL_TOL`` of the coefficient
-    norm or of the evaluation magnitude at ``z_i``, whichever is larger,
-    with a finite limit.  Both sides are scaled as ``_kernels.horner_scaled_bound``
-    scales them, so that the test cannot overflow.
+    ``z`` holds the real estimates (imaginary part exactly 0) and either
+    member of each non-real pair, in any order; how they were made does not
+    matter.  Four checks come first, each raising :class:`NonConvergence`
+    named after it: the estimates stand for ``p.degree`` roots, a pair for
+    two; every estimate finite (the first that is not is named); disjoint
+    Newton inclusion disks (``_disk_radii``, ``_overlapping_disks``) over
+    the estimates followed by the mirrors of the non-real ones, so that
+    each holds exactly one simple root and a non-real disk no real point
+    (two that overlap are named, since a multiple root, or a cluster the
+    estimates cannot separate, is outside this solver's contract); and the
+    residual test, where every ``|p(z_i)|`` must lie within
+    ``ROOT_RESIDUAL_TOL`` of the coefficient norm or of the evaluation
+    magnitude at ``z_i``, whichever is larger, with a finite limit.  Both
+    sides are scaled as ``_kernels.horner_scaled_bound`` scales them, so
+    that the test cannot overflow.
 
-    Each estimate then takes exactly one Newton step
-    ``z_i - p(z_i) / p'(z_i)``, from the same values the disks read: one
-    kernel pass per call, and no product over the other estimates.  The
-    real ones are made real again and each pair exact conjugates (their
-    mean), since the step rounds differently for the two members of a
-    pair.  The step is at most ``1/n`` of the disk radius, so every
-    reported root lies inside its own certified disk.  Every root is
-    reported with multiplicity 1, sorted by real, then imaginary part.
+    Each estimate then takes one Newton step ``z_i - p(z_i) / p'(z_i)``
+    from the values the disks read: one kernel pass, over the given points.
+    The real ones are made real again; each pair is its corrected member
+    and that member's conjugate.  The step is at most ``1/n`` of the disk
+    radius, so every root lies inside its own certified disk.  Every root
+    is reported with multiplicity 1, sorted by real, then imaginary part.
     """
-    if len(z) != p.degree:
-        raise NonConvergence(f"{len(z)} root estimates for degree {p.degree}")
+    pair = z.imag != 0.0
+    if (count := len(z) + np.count_nonzero(pair)) != p.degree:
+        raise NonConvergence(f"{count} root estimates for degree {p.degree}")
     finite = np.isfinite(z)
     if not finite.all():
         bad = complex(z[np.argmin(finite)])
         raise NonConvergence(f"root estimate {bad!r} is not finite")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h, dh, scale, magnitude = _kernels.horner_scaled_bound(p.as_array(), z)
-    radius = _disk_radii(h, dh, magnitude)
-    if (pair := _overlapping_disks(z, radius)) is not None:
-        i, j = pair
+    radius = _disk_radii(h, dh, magnitude, p.degree)
+    disks = np.concatenate([z, z[pair].conj()])
+    radii = np.concatenate([radius, radius[pair]])
+    if (hit := _overlapping_disks(disks, radii)) is not None:
+        i, j = hit
         raise NonConvergence(
-            f"inclusion disks overlap: estimates {complex(z[i])!r} and "
-            f"{complex(z[j])!r} lie {abs(z[i] - z[j]):.3e} apart with radii "
-            f"{radius[i]:.3e} and {radius[j]:.3e}; the roots must be simple"
+            f"inclusion disks overlap: estimates {complex(disks[i])!r} and "
+            f"{complex(disks[j])!r} lie {abs(disks[i] - disks[j]):.3e} apart with "
+            f"radii {radii[i]:.3e} and {radii[j]:.3e}; the roots must be simple"
         )
     resid = np.abs(h)
     allowed = ROOT_RESIDUAL_TOL * np.maximum(p.inf_norm * scale, magnitude)
@@ -186,12 +189,9 @@ def certified_roots(p: Polynomial, z: np.ndarray) -> list[ComplexRoot]:
             best_residual=best,
         )
 
-    nr = int(np.count_nonzero(z.imag == 0.0))
-    nu = (len(z) - nr) // 2
     z = z - h / dh
-    upper = 0.5 * (z[nr : nr + nu] + z[nr + nu :].conj())
-    re = np.concatenate([z[:nr].real, upper.real, upper.real])
-    im = np.concatenate([np.zeros(nr), upper.imag, -upper.imag])
+    re = np.concatenate([z.real, z.real[pair]])
+    im = np.concatenate([np.where(pair, z.imag, 0.0), -z.imag[pair]])
     order = np.lexsort((im, re))
     return _root_records(
         re[order].tolist(), im[order].tolist(), np.hypot(re, im)[order].tolist()

@@ -438,6 +438,32 @@ def test_fit_recurrence_reindexes_negative_start(tmp_path, capsys):
     assert json.loads(out)["held_out_max_relative_error"] <= 1e-6
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 7: the fit puts about 1e-16 of weight on the root -2.414, "
+    "which the orbit does not excite, and index 34 makes it a held-out error of 1.1e-3",
+)
+def test_fit_recurrence_three_piece_orbit_with_backward_steps(tmp_path, capsys):
+    # a true orbit of the (3, 1) three-piece map, 4 steps back and 30 on
+    spec = {
+        "family": "three_piece",
+        "params": {"a": 0, "b": 1, "slope": 0.4142135623730951},
+        "domain": REAL_LINE_JSON,
+    }
+    path = tmp_path / "piece.csv"
+    code, _, _ = run_cli(
+        capsys, "orbit", "--solution", write_spec(tmp_path, spec),
+        "--x0", "-2", "--steps", "30", "--back", "4", "--csv", str(path),
+    )
+    if code != 0:
+        pytest.fail(f"orbit exit {code}")
+    code, out, _ = run_cli(
+        capsys, "fit-recurrence", "--n", "3", "--k", "1", "--orbit", str(path), "--json",
+    )
+    assert code == 0, json.loads(out)["held_out_max_relative_error"]
+
+
 def test_solve_rejects_unknown_parameter(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "solve", "--n", "6", "--k", "3",

@@ -88,11 +88,10 @@ def _sorted_values(roots):
 
 
 def companion_estimates(p):
-    """The companion-matrix eigenvalues of ``p`` (``np.roots``) in the layout of
-    ``certified_roots``: the real ones, those above the axis, their conjugates."""
+    """The companion-matrix eigenvalues of ``p`` (``np.roots``) as
+    ``certified_roots`` takes them: the real ones, then one of each pair."""
     z = np.roots(p.coeffs[::-1])
-    upper = z[z.imag > 0.0]
-    return np.concatenate([z[z.imag == 0.0].real, upper, upper.conj()]).astype(np.complex128)
+    return np.concatenate([z[z.imag == 0.0].real, z[z.imag > 0.0]]).astype(np.complex128)
 
 
 def companion_roots(p):
@@ -142,7 +141,8 @@ def test_certified_roots_names_a_nan_estimate():
 
 
 def test_certified_roots_makes_one_kernel_pass(monkeypatch):
-    # the disks, the residual test and the correction share one pass
+    # the disks, the residual test and the correction share one pass, over
+    # one point per real root and per conjugate pair
     passes = []
     fused = _kernels.horner_scaled_bound
 
@@ -156,6 +156,8 @@ def test_certified_roots_makes_one_kernel_pass(monkeypatch):
     roots = certified_roots(p, z)
     assert len(passes) == 1 and passes[0].tobytes() == z.tobytes()
     assert len(roots) == 5
+    nr = sum(r.im == 0.0 for r in roots)
+    assert len(z) == nr + (5 - nr) // 2 == 3
 
 
 @pytest.mark.parametrize("corrections", [0, 1])
@@ -187,16 +189,16 @@ def test_certified_roots_reports_each_estimate_minus_its_correction():
     p = Polynomial(tuple(np.polynomial.polynomial.polyfromroots(
         [1.0, -2.0, -1 + 2j, -1 - 2j, 0.5 + 1.6583123951777j, 0.5 - 1.6583123951777j]
     ).real))
-    upper = np.asarray([-1 + 2j, 0.5 + 1.6583123951777j]) + 1e-13 * (1 + 1j)
-    z = np.concatenate([np.asarray([1.0 + 1e-13, -2.0 - 1e-13]), upper, upper.conj()])
-    c = p.as_array()
-    h, dh, _, magnitude = _kernels.horner_scaled_bound(c, z)
+    # one member of each pair, the lower one second
+    z = np.asarray([1.0 + 1e-13, -1 + 2j, -2.0 - 1e-13, 0.5 - 1.6583123951777j])
+    z += 1e-13 * (1 + 1j) * (z.imag != 0)
+    h, dh, _, magnitude = _kernels.horner_scaled_bound(p.as_array(), z)
     corrected = z - h / dh
-    pairs = 0.5 * (corrected[2:4] + corrected[4:].conj())
-    want = np.concatenate([corrected[:2].real, pairs, pairs.conj()])
-    assert np.all(want != z)  # every estimate moved
-    radius = _disk_radii(h, dh, magnitude)
-    assert np.all(np.abs(want - z) < radius)  # each inside its own disk
+    assert np.all(corrected != z)  # every estimate moved
+    radius = _disk_radii(h, dh, magnitude, p.degree)
+    assert np.all(np.abs(corrected - z) < radius)  # each inside its own disk
+    pairs = corrected[[1, 3]]
+    want = np.concatenate([corrected[[0, 2]].real, pairs, pairs.conj()])
 
     roots = certified_roots(p, z)
     got = np.asarray([r.as_complex() for r in roots])
@@ -205,6 +207,77 @@ def test_certified_roots_reports_each_estimate_minus_its_correction():
     assert sum(r.im == 0.0 for r in roots) == 2  # the real estimates stay real
     ims = sorted(r.im for r in roots if r.im != 0.0)
     assert ims == [-x for x in reversed(ims)]
+
+
+# (r^2 + 2r + 5)(r^2 - r + 2.5) and (r - 1)(r + 2)(r^2 + 2r + 5): roots
+# -1 +- 2j, 0.5 +- 1.5j, 1 and -2, where Horner's scheme is exact
+TWO_PAIRS = Polynomial((12.5, 0.0, 5.5, 1.0, 1.0))
+ONE_PAIR = Polynomial((-10.0, 1.0, 5.0, 3.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "p, both, count",
+    [
+        (TWO_PAIRS, [-1 - 2j, -1 + 2j, 0.5 - 1.5j, 0.5 + 1.5j], 8),
+        (ONE_PAIR, [-2, -1 - 2j, -1 + 2j, 1], 6),  # in report order
+    ],
+    ids=["two_pairs", "report_order"],
+)
+def test_a_list_with_both_members_of_a_pair_is_refused(p, both, count):
+    # an estimate off the axis stands for its pair, so both members count the
+    # pair twice; pairing them up by position could report wrong roots that
+    # read as certified
+    with pytest.raises(NonConvergence, match=f"^{count} root estimates for degree 4$"):
+        certified_roots(p, np.asarray(both, dtype=np.complex128))
+    one = [w for w in both if w.imag >= 0]
+    roots = certified_roots(p, np.asarray(one, dtype=np.complex128))
+    assert [r.as_complex() for r in roots] == sorted(both, key=lambda w: (w.real, w.imag))
+
+
+def test_an_estimate_whose_disk_reaches_its_own_conjugate_is_refused():
+    # (r - 1)^2 from 1 + 1e-9j, which stands for a pair: its disk and its
+    # mirror's meet on the axis, where the double root lies
+    with pytest.raises(NonConvergence) as info:
+        certified_roots(Polynomial((1.0, -2.0, 1.0)), np.asarray([1 + 1e-9j]))
+    assert str(info.value).startswith(
+        "inclusion disks overlap: estimates (1+1e-09j) and (1-1e-09j) lie 2.000e-09 apart"
+    )
+
+
+def _report_bytes(roots):
+    return np.asarray([(r.re, r.im, r.modulus, r.multiplicity) for r in roots]).tobytes()
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-6, 6), st.floats(min_value=-0.1, max_value=0.1)),
+        max_size=3,
+        unique_by=lambda t: t[0],
+    ),
+    st.lists(
+        st.tuples(
+            st.integers(-6, 6),
+            st.integers(1, 4),
+            st.floats(min_value=-0.1, max_value=0.1),
+            st.floats(min_value=-0.1, max_value=0.1),
+        ),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda t: t[:2],
+    ),
+    st.data(),
+)
+def test_each_pair_may_come_as_either_member_in_any_order(reals, pairs, data):
+    # roots at least 0.3 apart, the pairs at least 0.4 off the axis; the
+    # kernel pass treats each point alone and commutes with conjugation
+    real_roots = [complex(0.5 * g + dx) for g, dx in reals]
+    upper = [complex(0.5 * g + dx, 0.5 * h + dy) for g, h, dx, dy in pairs]
+    p = Polynomial(tuple(np.poly(real_roots + upper + [w.conjugate() for w in upper])[::-1].real))
+    want = certified_roots(p, np.asarray(real_roots + upper))
+    assert len(want) == p.degree
+    members = [w.conjugate() if data.draw(st.booleans()) else w for w in upper]
+    z = np.asarray(data.draw(st.permutations(real_roots + members)), dtype=np.complex128)
+    assert _report_bytes(certified_roots(p, z)) == _report_bytes(want)
 
 
 def test_all_roots_quartic_structure():
