@@ -51,7 +51,7 @@ from .errors import (
     NotInvertible,
     NotSurjective,
 )
-from .intervals import REL_SLACK, Interval, contains_with_slack, finite_real
+from .intervals import Interval, contains_with_slack, finite_real
 from .means import Generator
 
 _FAMILIES_CACHE_SIZE = _REPORT_CACHE_SIZE
@@ -158,14 +158,17 @@ class Solution:
 
 
 def _check_construction(sol: Solution, *finite: str) -> None:
-    """Reject NaN or +-inf ``finite`` parameters, and an image past the domain."""
+    """Reject NaN or +-inf ``finite`` parameters, and an image past the domain.
+
+    Each finite end of the image must lie in the domain up to rounding
+    (``contains_with_slack``); an infinite one must be the domain's end.
+    """
     for name in finite:
         if not math.isfinite(value := getattr(sol, name)):
             raise ConstructionError(f"{sol.family} {name} must be finite, got {value!r}")
     img, dom = sol.image(), sol.domain
-    slack_lo = REL_SLACK * (1.0 + abs(dom.lo)) if math.isfinite(dom.lo) else 0.0
-    slack_hi = REL_SLACK * (1.0 + abs(dom.hi)) if math.isfinite(dom.hi) else 0.0
-    if img.lo < dom.lo - slack_lo or img.hi > dom.hi + slack_hi:
+    ends = ((img.lo, dom.lo), (img.hi, dom.hi))
+    if not all(contains_with_slack(dom, end) or end == d for end, d in ends):
         raise ConstructionError(
             f"{sol.family} image {img} is not contained in domain {dom}"
         )

@@ -7,6 +7,8 @@ import numbers
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 _INF_TOKENS = {"inf": math.inf, "+inf": math.inf, "-inf": -math.inf}
@@ -156,6 +158,16 @@ def contains_with_slack(interval: Interval, x: float) -> bool:
         return False
     slack = REL_SLACK * (1.0 + abs(x))
     return interval.lo - slack <= x <= interval.hi + slack
+
+
+def contains_with_slack_array(interval: Interval, xs: np.ndarray) -> np.ndarray:
+    """``contains_with_slack`` at each value of ``xs``, as one boolean array.
+
+    Nothing warns, NaN and +-inf included, except where a finite end plus
+    its slack overflows.
+    """
+    slack = REL_SLACK * (1.0 + np.abs(xs))
+    return np.isfinite(xs) & (interval.lo - slack <= xs) & (xs <= interval.hi + slack)
 
 
 _INTERVAL_RE = re.compile(r"^\s*([\[\(])\s*([^,\s]+)\s*,\s*([^,\s\]\)]+)\s*([\]\)])\s*$")

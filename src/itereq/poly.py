@@ -156,11 +156,14 @@ def certified_roots(p: Polynomial, z: np.ndarray) -> list[ComplexRoot]:
     The real ones are made real again; each pair is its corrected member
     and that member's conjugate.  The step is at most ``1/n`` of the disk
     radius, so every root lies inside its own certified disk.  Every root
-    is reported with multiplicity 1, sorted by real, then imaginary part.
+    is reported with multiplicity 1, sorted by real, then imaginary part;
+    a constant, given no estimates, has none.
     """
     pair = z.imag != 0.0
     if (count := len(z) + np.count_nonzero(pair)) != p.degree:
         raise NonConvergence(f"{count} root estimates for degree {p.degree}")
+    if not count:
+        return []  # a constant: no roots, and no point to evaluate at
     finite = np.isfinite(z)
     if not finite.all():
         bad = complex(z[np.argmin(finite)])

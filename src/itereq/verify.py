@@ -17,7 +17,7 @@ import numpy as np
 from .charpoly import CharProblem
 from .errors import DomainError
 from .families import Solution
-from .intervals import REL_SLACK, Interval, json_float
+from .intervals import Interval, contains_with_slack, contains_with_slack_array, json_float
 from .means import Generator, qa_mean_rows
 from .poly import Polynomial
 
@@ -124,22 +124,6 @@ class Orbit:
         return self.points.copy()
 
 
-def _contains_array(domain: Interval, vals: np.ndarray) -> np.ndarray:
-    """Closure membership with a hair of relative slack (rounding guard).
-
-    An infinite end bounds nothing a finite value can cross, so only the
-    finite ends are tested.
-    """
-    ok = np.isfinite(vals)
-    if math.isfinite(domain.lo) or math.isfinite(domain.hi):
-        slack = REL_SLACK * (1.0 + np.abs(vals))
-        if math.isfinite(domain.lo):
-            ok &= vals >= domain.lo - slack
-        if math.isfinite(domain.hi):
-            ok &= vals <= domain.hi + slack
-    return ok
-
-
 def _grid_ends(domain: Interval, samples: int) -> tuple[float, float]:
     """First and last point of ``sample_grid(domain, samples)``."""
     if samples < 1:
@@ -197,10 +181,10 @@ def iterate(s: Solution, x0: float, m_lo: int = 0, m_hi: int = 0) -> Orbit:
     """Build the orbit of ``x0`` under ``s`` for indices m_lo..m_hi.
 
     ``m_lo <= 0 <= m_hi``; negative indices use the pointwise inverse.
-    An iterate that leaves the domain ends the orbit on its side: the
-    returned ``m_hi`` (or ``m_lo``) is the last index before it, and
-    ``escape_index`` is its index (the backward one when both sides
-    escape).
+    An iterate that leaves the domain (``contains_with_slack``) ends the
+    orbit on its side: the returned ``m_hi`` (or ``m_lo``) is the last
+    index before it, and ``escape_index`` is its index (the backward one
+    when both sides escape).
     """
     if m_lo > 0 or m_hi < 0:
         raise DomainError(f"need m_lo <= 0 <= m_hi, got [{m_lo}, {m_hi}]")
@@ -210,21 +194,18 @@ def iterate(s: Solution, x0: float, m_lo: int = 0, m_hi: int = 0) -> Orbit:
     forward, backward = [float(x0)], []
     escape_index: int | None = None
 
-    # an iterate that overflows escapes the domain below; one guard per
-    # call, not per point.  Forward steps map with ``_eval_scalar``, which
-    # is ``s(x)`` without its domain test: ``x0`` and every iterate kept
-    # lie in the domain, so that test cannot fail.  Backward steps are
-    # ``s.invert(x)`` with the image taken once: a value outside it is the
-    # escape ``invert`` signals with ``NotSurjective``.  Both membership
-    # tests are ``contains_with_slack``, written out; a value tested against
-    # the image is ``x0`` or a kept iterate, so it is finite.
-    lo, hi = s.domain.lo, s.domain.hi
+    # an iterate that overflows escapes the domain; one guard per call, not
+    # per point.  Forward steps map with ``_eval_scalar``, which is ``s(x)``
+    # without its domain test: ``x0`` and every iterate kept lie in the
+    # domain, so that test cannot fail.  Backward steps are ``s.invert(x)``
+    # with the image taken once: a value outside it is the escape
+    # ``invert`` signals with ``NotSurjective``.
+    domain = s.domain
     with np.errstate(over="ignore"):
         x = forward[0]
         for m in range(1, m_hi + 1):
             x = s._eval_scalar(x)
-            slack = REL_SLACK * (1.0 + abs(x))
-            if not (math.isfinite(x) and lo - slack <= x <= hi + slack):
+            if not contains_with_slack(domain, x):
                 escape_index = m
                 break
             forward.append(x)
@@ -232,13 +213,10 @@ def iterate(s: Solution, x0: float, m_lo: int = 0, m_hi: int = 0) -> Orbit:
         image = s.image() if m_lo < 0 else None
         x = forward[0]
         for m in range(-1, m_lo - 1, -1):
-            slack = REL_SLACK * (1.0 + abs(x))
-            if not image.lo - slack <= x <= image.hi + slack:
-                escape_index = m
-                break
-            x = s._invert_scalar(x)
-            slack = REL_SLACK * (1.0 + abs(x))
-            if not (math.isfinite(x) and lo - slack <= x <= hi + slack):
+            if not (
+                contains_with_slack(image, x)
+                and contains_with_slack(domain, x := s._invert_scalar(x))
+            ):
                 escape_index = m
                 break
             backward.append(x)
@@ -247,24 +225,20 @@ def iterate(s: Solution, x0: float, m_lo: int = 0, m_hi: int = 0) -> Orbit:
     return Orbit(-len(backward), len(forward) - 1, points, escape_index)
 
 
-def _iterate_rows(
-    s: Solution, xs: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray | None, float | None]:
-    """Stack f^0..f^count over one block of grid points, masking escaped points.
+def _iterate_rows(s: Solution, xs: np.ndarray, count: int) -> tuple[np.ndarray, float]:
+    """f^0..f^count at the points of one grid block that never escape.
 
-    Returns ``(rows, alive, peak)`` where ``rows`` is (count+1, len(xs)).
-    All rows are mapped first (``Solution._iterate_into``) with every
-    floating-point fault raising; then one minimum and one maximum over the
-    block decide: both finite, with ``lo <= min`` and ``max <= hi`` for the
-    domain's ends, prove every point inside, so ``alive`` is None and
-    ``peak`` is ``max |f^i|``, read off those extremes.  A block that fails
-    this test or raises is mapped again from row 1, row by row under the
-    caller's error state and tested exactly (``_contains_array``), so its
-    escapes, warnings and bits are those of the row-by-row map.  Once a
-    point escapes, ``alive`` marks the columns whose iterates all stayed in
-    the domain and ``peak`` is None; the row a point escapes in keeps its
-    escaped value, and each later row is set to NaN and then only its live
-    columns are mapped, so the escaped columns hold NaN from there on.
+    Returns ``(live, peak)``: the (count+1)-row columns of the points whose
+    iterates all stay in the domain, in grid order, and their largest
+    ``|f^i|`` (0 when no point stays).  All rows are mapped first
+    (``Solution._iterate_into``) with every floating-point fault raising;
+    then one minimum and one maximum over the block decide: both finite,
+    with ``lo <= min`` and ``max <= hi`` for the domain's ends, prove every
+    point inside, and ``peak`` is read off those extremes.  A block that
+    fails this test or raises is mapped again from row 1, row by row under
+    the caller's error state: each row maps only the points still inside
+    (``contains_with_slack_array``), so its escapes, warnings and bits are
+    those of the row-by-row map, and an escaped point never reaches f.
     """
     domain = s.domain
     rows = np.empty((count + 1, len(xs)))
@@ -278,17 +252,15 @@ def _iterate_rows(
         low, high = rows.min(), rows.max()
         finite = math.isfinite(low) and math.isfinite(high)
         if finite and domain.lo <= low and high <= domain.hi:
-            return rows, None, max(abs(low), abs(high))
-    alive = _contains_array(domain, rows[0])
+            return rows, max(abs(low), abs(high))
+    cols = np.flatnonzero(contains_with_slack_array(domain, xs))
     for i in range(1, count + 1):
-        if alive.all():
-            s._eval_into(rows[i - 1], rows[i])
-        else:
-            rows[i] = np.nan
-            if alive.any():
-                rows[i, alive] = s._eval_array(rows[i - 1, alive])
-        alive &= _contains_array(domain, rows[i])
-    return (rows, None, _max_abs(rows)) if alive.all() else (rows, alive, None)
+        if not cols.size:
+            break
+        rows[i, cols] = s._eval_array(rows[i - 1, cols])
+        cols = cols[contains_with_slack_array(domain, rows[i, cols])]
+    live = rows[:, cols]
+    return live, (_max_abs(live) if cols.size else 0.0)
 
 
 def _max_abs(x: np.ndarray, running: float = 0.0) -> float:
@@ -314,10 +286,11 @@ def _verify_grid(
 
     Each block holds ``max(_BLOCK, _BLOCK_VALUES // (count + 1))`` grid
     columns, the last one what is left, and builds its own grid points
-    (``_grid_points``).  ``residual(live)`` gets the iterates f^0..f^count
-    at a block's live columns and returns the residual there.  Only the
-    evaluated count and the largest ``|residual|`` and ``|f^i|`` at live
-    points outlive a block, so memory scales with the block, not with
+    (``_grid_points``).  ``_iterate_rows`` hands back only a block's live
+    columns, the iterates f^0..f^count of its points that never escape;
+    ``residual(live)`` returns the residual there.  Only the evaluated
+    count and the largest ``|residual|`` and ``|f^i|`` at live points
+    outlive a block, so memory scales with the block, not with
     ``samples``.  The whole run ignores overflow, under one ``np.errstate``:
     a point that overflows is not finite, so it escapes.  A residual that
     overflows is infinite, or NaN without a warning where terms overflow
@@ -344,17 +317,10 @@ def _verify_grid(
         for start in range(0, samples, width):
             stop = min(start + width, samples)
             xs = _grid_points(lo, hi, samples, start, stop)
-            rows, alive, peak = _iterate_rows(s, xs, count)
-            if alive is None:
-                live_count, live = stop - start, rows
-            else:
-                live_count = int(np.count_nonzero(alive))
-                if live_count == 0:
-                    continue
-                live = rows[:, alive]
-            evaluated += live_count
-            if alive is not None:
-                peak = _max_abs(live)
+            live, peak = _iterate_rows(s, xs, count)
+            if not live.size:
+                continue
+            evaluated += live.shape[1]
             rows_max = max(rows_max, peak)
             with np.errstate(invalid="ignore"):
                 if linear and 4.0 * (count + 1) * coeff_scale * peak >= 2.0**1023:

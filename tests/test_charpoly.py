@@ -728,11 +728,13 @@ def test_disks_hold_from_n_2000(n, k):
 @pytest.mark.xfail(
     strict=True,
     raises=NonConvergence,
-    reason="ROADMAP item 12: at n = 2k from 5000 the Horner rounding bound of the "
-    "quotient alone widens two disks near -1 until they meet",
+    reason="ROADMAP item 12: at n = 2k from 5000, and at k = 1 and k = n - 1 from "
+    "18000, the Horner rounding bound of the quotient alone widens the disks nearest "
+    "-1 until two meet (the real root and a pair, or a pair and its mirror)",
 )
-def test_disks_hold_at_n_5000_k_2500():
-    ok, problems = report_matches_expectation(analyze_roots.__wrapped__(CharProblem(5000, 2500)))
+@pytest.mark.parametrize("n, k", [(5000, 2500), (18000, 1)])
+def test_disks_hold_at_large_n(n, k):
+    ok, problems = report_matches_expectation(analyze_roots.__wrapped__(CharProblem(n, k)))
     assert ok, problems
 
 

@@ -36,6 +36,9 @@ def test_analyze_4_2_double_root(capsys):
     ones = [r for r in payload["real_roots"] if r["value"] == 1.0]
     assert ones[0]["multiplicity"] == 2
     assert payload["modulus_separation_min_gap"] == "not_applicable"
+    code, out, _ = run_cli(capsys, "analyze", "--n", "4", "--k", "2")
+    assert code == 0
+    assert "modulus separation: not applicable" in out
 
 
 def test_analyze_rejects_small_n(capsys):
@@ -138,6 +141,12 @@ def test_solve_bad_interval_rejected(capsys):
     )
     assert code == 2
     assert "interval" in err
+
+
+def test_solve_rejects_a_param_chunk_without_a_value(capsys):
+    code, out, err = run_cli(capsys, "solve", "--n", "3", "--k", "1", "--params", "c1")
+    assert code == 2 and out == ""
+    assert "bad --params chunk 'c1'" in err
 
 
 def test_solve_rejects_a_repeated_param_name(capsys):
@@ -375,6 +384,16 @@ def test_orbit_domain_violation_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_orbit_negative_steps_exit_2(tmp_path, capsys):
+    spec = {"family": "identity", "params": {}, "domain": REAL_LINE_JSON}
+    code, out, err = run_cli(
+        capsys, "orbit", "--solution", write_spec(tmp_path, spec),
+        "--x0", "0", "--steps", "-1",
+    )
+    assert code == 2 and out == ""
+    assert "--steps and --back must be nonnegative" in err
+
+
 # ---------------------------------------------------------------------------
 # fit-recurrence
 # ---------------------------------------------------------------------------
@@ -520,6 +539,24 @@ def test_fit_recurrence_unparsable_row_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "line 6" in err and "4,abc" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("m,x_m\n", "no orbit rows found"),
+        ("m,x_m\n0,1\n1,2\n3,8\n4,16\n5,32\n", "orbit indices must be consecutive"),
+    ],
+    ids=["header_only", "gap"],
+)
+def test_fit_recurrence_orbit_without_consecutive_rows_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "orbit.csv"
+    path.write_text(text)
+    code, out, err = run_cli(
+        capsys, "fit-recurrence", "--n", "2", "--k", "1", "--orbit", str(path),
+    )
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_fit_recurrence_row_with_extra_field_exit_2(tmp_path, capsys):

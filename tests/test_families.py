@@ -131,6 +131,8 @@ def test_affine_image_containment_enforced():
     Affine(Interval(0.0, 1.0, True, True), 0.5, 0.25)  # fits
     with pytest.raises(ConstructionError):
         Affine(Interval(0.0, 1.0, True, True), 0.5, 0.9)  # spills right
+    with pytest.raises(ConstructionError, match="not contained in domain"):
+        Affine(Interval(0.0, math.inf, True), -1.0, 0.0)  # image (-inf, 0]
 
 
 def test_affine_contracting_slope_rejected_on_bounded_domain():
@@ -145,6 +147,23 @@ def test_translation_image_containment():
     Translation(Interval(0.0, math.inf, True), 2.0)
     with pytest.raises(ConstructionError):
         Translation(Interval(0.0, 1.0, True, True), 0.5)
+
+
+@pytest.mark.parametrize("c, fits", [
+    (-1e-300, True), (1e-12, True), (1e-12 + 5e-25, True), (1e-12 + 2e-24, False),
+])
+def test_an_image_end_takes_the_slack_of_every_membership_test(c, fits):
+    # the image end c is judged as any other value: within 1e-12 (1 + |c|)
+    # of the domain end 0, so 1e-12 + 5e-25 fits although it lies past the
+    # 1e-12 (1 + 0) measured at the domain end; an infinite image end fits
+    # only the domain's own
+    for domain in (Interval(-math.inf, 0.0, False, True), Interval(-1.0, 0.0, True, True)):
+        assert contains_with_slack(domain, c) is fits
+        if fits:
+            Translation(domain, c)
+        else:
+            with pytest.raises(ConstructionError, match="not contained in domain"):
+                Translation(domain, c)
 
 
 def test_three_piece_parameter_validation():

@@ -158,6 +158,10 @@ def test_certified_roots_makes_one_kernel_pass(monkeypatch):
     assert len(roots) == 5
     nr = sum(r.im == 0.0 for r in roots)
     assert len(z) == nr + (5 - nr) // 2 == 3
+    # a constant has no roots and takes no pass
+    passes.clear()
+    assert certified_roots(Polynomial((3.0,)), np.array([], complex)) == []
+    assert not passes
 
 
 @pytest.mark.parametrize("corrections", [0, 1])

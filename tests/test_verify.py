@@ -21,12 +21,16 @@ from itereq.families import (
     conjugate,
     enumerate_families,
 )
-from itereq.intervals import Interval, REAL_LINE, contains_with_slack
+from itereq.intervals import (
+    Interval,
+    REAL_LINE,
+    contains_with_slack,
+    contains_with_slack_array,
+)
 from itereq.means import Generator
 from itereq.poly import Polynomial
 from itereq.verify import (
     _BLOCK,
-    _contains_array,
     _grid_points,
     _iterate_rows,
     DEFAULT_TOL,
@@ -84,7 +88,7 @@ def test_point_membership_matches_the_array_test():
         1e308, -1e308, math.inf, -math.inf, math.nan,
     ]
     for domain in domains:
-        expected = _contains_array(domain, np.asarray(values)).tolist()
+        expected = contains_with_slack_array(domain, np.asarray(values)).tolist()
         assert [contains_with_slack(domain, x) for x in values] == expected, domain
 
 
@@ -130,6 +134,13 @@ def test_escaped_is_read_off_the_escape_index():
 def test_orbit_x0_outside_domain():
     with pytest.raises(DomainError):
         iterate(Identity(Interval(0.0, 1.0)), 5.0, 0, 3)
+
+
+def test_an_index_range_without_0_or_an_empty_grid_is_refused():
+    with pytest.raises(DomainError, match=r"need m_lo <= 0 <= m_hi, got \[1, 2\]"):
+        iterate(Identity(REAL_LINE), 0.5, 1, 2)
+    with pytest.raises(DomainError, match="need at least one sample"):
+        sample_grid(REAL_LINE, 0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -895,17 +906,8 @@ def _report_pairs(case, samples):
 
 @pytest.mark.parametrize("case", ["none", "some", "block", "all"])
 def test_whole_row_reports_match_masked_reference(case, monkeypatch):
-    # every block's rows and mask too: dead columns must hold NaN, not what
-    # the block's memory held before
-    blocks = []
-
-    def recording(s, xs, count):
-        rows, alive, peak = _iterate_rows(s, xs, count)
-        mask = np.ones(len(xs), dtype=bool) if alive is None else alive.copy()
-        blocks.append((s, xs.copy(), count, rows.tobytes(), mask, peak))
-        return rows, alive, peak
-
-    monkeypatch.setattr(verify_module, "_iterate_rows", recording)
+    # every block's live columns and peak too
+    blocks = _record_blocks(monkeypatch)
     for samples in BLOCK_GRIDS:
         blocks.clear()
         with warnings.catch_warnings():
@@ -914,14 +916,7 @@ def test_whole_row_reports_match_masked_reference(case, monkeypatch):
         for got, want in pairs:
             assert _bits(got) == _bits(want), samples
         assert blocks
-        for s, xs, count, rows, alive, peak in blocks:
-            want_rows, want_alive = _reference_rows(s, xs, count)
-            assert rows == want_rows.tobytes(), samples
-            assert np.array_equal(alive, want_alive), samples
-            if want_alive.all():
-                assert peak == np.max(np.abs(want_rows)), samples
-            else:
-                assert peak is None, samples
+        _assert_blocks_match_reference(blocks)
         line = _line_map(case)
         _, alive = _reference_rows(line, sample_grid(line.domain, samples), 15)
         assert pairs[0][0].points_escaped == samples - np.count_nonzero(alive)
@@ -984,27 +979,31 @@ def test_reports_do_not_depend_on_the_block_layout(monkeypatch):
 
 
 def _record_blocks(monkeypatch):
-    """Every block ``_iterate_rows`` maps: (s, xs, count, rows, alive, peak)."""
+    """Every block ``_iterate_rows`` maps: (s, xs, count, live, peak)."""
     blocks = []
 
     def recording(s, xs, count):
-        rows, alive, peak = _iterate_rows(s, xs, count)
-        blocks.append((s, xs.copy(), count, rows.copy(), alive, peak))
-        return rows, alive, peak
+        live, peak = _iterate_rows(s, xs, count)
+        blocks.append((s, xs.copy(), count, live.copy(), peak))
+        return live, peak
 
     monkeypatch.setattr(verify_module, "_iterate_rows", recording)
     return blocks
 
 
+def _assert_live_matches_reference(s, xs, count, live, peak):
+    """``live`` and ``peak`` are the reference's surviving columns and their
+    largest ``|f^i|`` (0 when none survives), bit for bit."""
+    with np.errstate(over="ignore"):
+        want_rows, want_alive = _reference_rows(s, xs, count)
+    want = want_rows[:, want_alive]
+    assert live.shape == want.shape and live.tobytes() == want.tobytes()
+    assert peak == (np.max(np.abs(want)) if want.size else 0.0)
+
+
 def _assert_blocks_match_reference(blocks):
-    for s, xs, count, rows, alive, peak in blocks:
-        with np.errstate(over="ignore"):
-            want_rows, want_alive = _reference_rows(s, xs, count)
-        assert rows.tobytes() == want_rows.tobytes()
-        if want_alive.all():
-            assert alive is None and peak == np.max(np.abs(want_rows))
-        else:
-            assert np.array_equal(alive, want_alive) and peak is None
+    for block in blocks:
+        _assert_live_matches_reference(*block)
 
 
 def test_block_widths_for_two_and_sixteen_rows(monkeypatch):
@@ -1043,9 +1042,10 @@ def test_first_escape_in_a_middle_row_of_a_later_block(monkeypatch):
     assert [_bits(r) for r in got] == [_bits(r) for r in want]
     assert [len(xs) for _, xs, *_ in blocks[:3]] == [_BLOCK, _BLOCK, 1]
     _assert_blocks_match_reference(blocks)
-    first, second = blocks[0], blocks[1]
-    assert first[4] is None
-    rows = second[3]
+    (_, _, _, first, _), (_, xs, count, second, _) = blocks[:2]
+    assert first.shape[1] == _BLOCK and 0 < second.shape[1] < _BLOCK
+    with np.errstate(over="ignore"):
+        rows, _ = _reference_rows(s, xs, count)
     assert np.isfinite(rows[:7]).all() and not np.isfinite(rows[7]).all()
 
 
@@ -1158,15 +1158,8 @@ def _row_maps(domain):
 
 def _assert_rows_match_reference(s, xs, count):
     with np.errstate(over="ignore"):
-        rows, alive, peak = _iterate_rows(s, xs, count)
-        want_rows, want_alive = _reference_rows(s, xs, count)
-    assert rows.tobytes() == want_rows.tobytes()
-    if want_alive.all():
-        assert alive is None
-        assert peak == np.max(np.abs(want_rows))
-    else:
-        assert np.array_equal(alive, want_alive)
-        assert peak is None
+        live, peak = _iterate_rows(s, xs, count)
+    _assert_live_matches_reference(s, xs, count, live, peak)
 
 
 @st.composite
