@@ -72,7 +72,7 @@ def horner_scaled_bound(
     direct[:, :2] = reverse[::-1, :2]
     direct[1:, 2] = reverse[:0:-1, 2]  # after the leading 0
     acc = np.zeros_like(x)
-    step = max(1, _BLOCK_BYTES // x.nbytes)
+    step = max(1, _BLOCK_BYTES // max(x.nbytes, 1))
     block = np.empty((min(step, n + 1), 3, m), dtype=np.complex128)
     for lo in range(0, n + 1, step):
         rows = block[: n + 1 - lo]

@@ -66,9 +66,11 @@ class Solution:
     and ``ThreePiece`` give both in Python floats, ``_eval_scalar`` with the
     array formula's IEEE operations in the same order, so a point maps to
     the same bits without building a one-element array.  ``_eval_into``
-    maps an array into a buffer the caller owns; those four families write
-    it with ufunc ``out=``, and ``_eval_array`` is ``_eval_into`` on a
-    fresh buffer.  Other families map one point through one-element arrays;
+    maps an array into a buffer the caller owns, which may be the array
+    itself; those four families write it with ufunc ``out=``, and
+    ``_eval_array`` is ``_eval_into`` on a fresh buffer.  ``Conjugate``
+    writes phi, its inner map's ``_eval_into`` and phi^-1 into the buffer
+    in turn.  Other families map one point through one-element arrays;
     ``_iterate_into`` maps each row of a block from the one above.
     """
 
@@ -429,7 +431,13 @@ class Conjugate(Solution):
         self.domain = gen.domain
 
     def _eval_array(self, xs):
-        return self.gen.phi_inv(self.inner._eval_array(self.gen.phi(xs)))
+        return self._eval_into(xs, np.empty_like(xs, dtype=float))
+
+    def _eval_into(self, xs, out):
+        """phi, the inner map and phi^-1, each written in place into ``out``."""
+        self.gen.phi(xs, out=out)
+        self.inner._eval_into(out, out)
+        return self.gen.phi_inv(out, out=out)
 
     def _invert_scalar(self, y):
         x = self.inner._invert_scalar(float(self.gen.phi(np.asarray([y]))[0]))

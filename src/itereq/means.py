@@ -52,26 +52,31 @@ class Generator:
 
     # -- forward / inverse maps ------------------------------------------------
 
-    def phi(self, x):
+    def phi(self, x, out=None):
         """phi; on a single float, extended to 0 and +inf by continuity:
-        ``log(0) = -inf``, and ``0 ** e = inf`` for ``e < 0``."""
+        ``log(0) = -inf``, and ``0 ** e = inf`` for ``e < 0``.  An array
+        ``x`` may be mapped into ``out``, an array of its shape (``x``
+        itself included), which is returned."""
         if self.kind == "identity":
-            return x
+            if out is None:
+                return x
+            np.copyto(out, x)
+            return out
         if self.kind == "log":
             if isinstance(x, np.ndarray):
-                return np.log(x)
+                return np.log(x, out=out)
             return -math.inf if x == 0.0 else math.log(x)
         e = 1.0 / self.p
-        return _power(x, e)
+        return _power(x, e, out)
 
-    def phi_inv(self, y):
+    def phi_inv(self, y, out=None):
         """phi^{-1}; on a single float, extended to 0 and +-inf by
-        continuity as ``phi`` is."""
+        continuity as ``phi`` is.  ``out`` as for ``phi``."""
         if self.kind == "identity":
-            return y
+            return self.phi(y, out)
         if self.kind == "log":
-            return np.exp(y) if isinstance(y, np.ndarray) else math.exp(y)
-        return _power(y, self.p)
+            return np.exp(y, out=out) if isinstance(y, np.ndarray) else math.exp(y)
+        return _power(y, self.p, out)
 
     @property
     def increasing(self) -> bool:
@@ -123,9 +128,9 @@ class Generator:
         raise DomainError(f"unknown generator {text!r}; use identity, log or power:P")
 
 
-def _power(x, e: float):
+def _power(x, e: float, out=None):
     if isinstance(x, np.ndarray):
-        return np.power(x, e)
+        return np.power(x, e, out=out)
     x = float(x)
     if x == 0.0:
         return 0.0 if e > 0.0 else math.inf
@@ -172,24 +177,35 @@ def qa_mean(gen: Generator, values: Sequence[float]) -> float:
 
 
 def qa_mean_rows(gen: Generator, rows: np.ndarray, anchor: int = 0) -> np.ndarray:
-    """Column-wise quasi-arithmetic mean of a (terms, points) array.
+    """Column-wise quasi-arithmetic mean of a (terms, points) array,
+    computed in ``rows``, which it overwrites.
 
     The sum is taken over deviations from the ``anchor`` row, which keeps
     the result exact (by idempotence) wherever all rows agree and well
-    conditioned everywhere else.  The deviations are added one row at a
-    time, in row order, into one accumulator through one reused term
-    buffer, so a point's mean depends neither on the other points nor on
-    the layout of ``rows``.  Under the identity generator a column whose
-    rows all agree may differ from them in the sign of a zero.  No domain
-    checking: callers mask points first.
+    conditioned everywhere else.  ``phi`` maps ``rows`` in place; each row
+    then has the anchor row subtracted in place and is added into row 0,
+    one row at a time, in row order, so a point's mean depends neither on
+    the other points nor on the layout of ``rows``.  The mean is returned
+    in row 0; the other rows hold the deviations.  Beside ``rows`` only
+    row-sized buffers are made: a copy of the anchor row's phi values and,
+    under another generator, a copy of the anchor row and the mask of the
+    points whose mean deviation is 0.  Under the identity generator a
+    column whose rows all agree may differ from them in the sign of a
+    zero.  No domain checking: callers mask points first.
     """
-    phi_vals = rows if gen.kind == "identity" else gen.phi(rows)
-    base = phi_vals[anchor]
-    dev = phi_vals[0] - base
-    term = np.empty_like(dev)
+    identity = gen.kind == "identity"
+    anchor_x = None if identity else rows[anchor].copy()
+    phi_vals = rows if identity else gen.phi(rows, out=rows)
+    base = phi_vals[anchor].copy()
+    dev = phi_vals[0]
+    dev -= base
     for row in phi_vals[1:]:
-        dev += np.subtract(row, base, out=term)
+        row -= base
+        dev += row
     dev /= rows.shape[0]
-    if gen.kind == "identity":
-        return base + dev
-    return np.where(dev == 0.0, rows[anchor], gen.phi_inv(base + dev))
+    if identity:
+        return np.add(base, dev, out=dev)
+    unmoved = dev == 0.0
+    gen.phi_inv(np.add(base, dev, out=dev), out=dev)
+    np.copyto(dev, anchor_x, where=unmoved)
+    return dev

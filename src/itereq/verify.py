@@ -288,7 +288,10 @@ def _verify_grid(
     columns, the last one what is left, and builds its own grid points
     (``_grid_points``).  ``_iterate_rows`` hands back only a block's live
     columns, the iterates f^0..f^count of its points that never escape;
-    ``residual(live)`` returns the residual there.  Only the evaluated
+    ``residual(live)`` returns the residual there.  The block is the
+    residual's own: it may overwrite ``live`` and return one of its rows,
+    since the evaluated count, the peak ``|f^i|`` and the scaling decision
+    are read off the block before the residual runs.  Only the evaluated
     count and the largest ``|residual|`` and ``|f^i|`` at live points
     outlive a block, so memory scales with the block, not with
     ``samples``.  The whole run ignores overflow, under one ``np.errstate``:
@@ -301,8 +304,8 @@ def _verify_grid(
     or partial sums exceeds ``4 (count + 1) coeff_scale max |f^i|`` (the
     arithmetic mean and ``linear_residual_report``).  Where that bound
     reaches 2^1023 one could overflow, so there the block is scaled into
-    [-2, 2] by a power of two, as ``check_recurrence`` scales an orbit,
-    and the residual scaled back; elsewhere nothing is scaled.
+    [-2, 2] by a power of two in place, as ``check_recurrence`` scales an
+    orbit, and the residual scaled back; elsewhere nothing is scaled.
 
     The verdict requires a finite ``max |residual| <= tol * coeff_scale *
     (1 + max |f^i|)`` over the live points and at least 90% of the grid
@@ -325,7 +328,7 @@ def _verify_grid(
             with np.errstate(invalid="ignore"):
                 if linear and 4.0 * (count + 1) * coeff_scale * peak >= 2.0**1023:
                     exp = math.frexp(peak)[1] - 1
-                    resid = residual(np.ldexp(live, -exp))
+                    resid = residual(np.ldexp(live, -exp, out=live))
                     resid *= 2.0**exp
                 else:
                     resid = residual(live)
@@ -361,7 +364,9 @@ def verify_general(
     k = prob.k
 
     def residual(live):
-        return live[k] - qa_mean_rows(gen, live, anchor=k)
+        fk = live[k].copy()
+        mean = qa_mean_rows(gen, live, anchor=k)
+        return np.subtract(fk, mean, out=mean)
 
     linear = gen.kind == "identity"  # the arithmetic mean
     return _verify_grid(s_outer, prob.n, residual, samples, tol, linear=linear)
@@ -386,22 +391,23 @@ def linear_residual_report(
     """Residuals of ``sum_i a_i f^i(x) = 0`` over the grid.
 
     Computed as ``(sum_i a_i) f^0 + sum_{i>=1} a_i (f^i - f^0)`` so that
-    constant orbits of zero-sum coefficient rows cancel exactly.  The
-    terms are added one row at a time, in row order, into one accumulator
-    through one reused term buffer, so a point's residual depends neither
-    on the other points nor on the block.
+    constant orbits of zero-sum coefficient rows cancel exactly.  Each
+    term is formed in place in its row of the block, which the residual
+    overwrites, and the terms are added one row at a time, in row order,
+    into row 0, so a point's residual depends neither on the other points
+    nor on the block.
     """
     coeff_sum = math.fsum(coeffs.coeffs)
 
     def residual(live):
         base = live[0]
-        res = coeff_sum * base
-        term = np.empty_like(res)
         for a, row in zip(coeffs.coeffs[1:], live[1:]):
-            np.subtract(row, base, out=term)
-            term *= a
-            res += term
-        return res
+            row -= base
+            row *= a
+        base *= coeff_sum
+        for row in live[1:]:
+            base += row
+        return base
 
     return _verify_grid(s, coeffs.degree, residual, samples, tol, coeffs.inf_norm, True)
 
@@ -434,7 +440,12 @@ def verify_second_order(
     """Residuals of ``f(f(x)) - (1 + rho) f(x) + rho x = 0``."""
 
     def residual(live):
-        return live[2] - (1.0 + rho) * live[1] + rho * live[0]
+        x, fx, ffx = live
+        fx *= 1.0 + rho
+        ffx -= fx
+        x *= rho
+        ffx += x
+        return ffx
 
     return _verify_grid(s, 2, residual, samples, tol, 1.0 + abs(rho))
 

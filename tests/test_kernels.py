@@ -130,3 +130,14 @@ def test_an_overflowing_bound_reads_nan_and_a_non_finite_point_stays_non_finite(
     assert np.isnan(magnitude[0]) and math.isfinite(magnitude[1])
     assert not np.isfinite(magnitude[2:]).any()
     assert np.abs(h[1]) == pytest.approx(1e300 * (1 + 0.5**4), rel=1e-15)
+
+
+@pytest.mark.parametrize("degree", [0, 3])
+def test_no_points_give_empty_parts_and_scale_one(degree):
+    # no point is scaled, so the scale is the scalar 1.0 of the direct path
+    h, dh, s, magnitude = _kernels.horner_scaled_bound(
+        np.arange(1.0, degree + 2.0), np.empty(0, dtype=np.complex128)
+    )
+    assert h.shape == dh.shape == magnitude.shape == (0,)
+    assert h.dtype == dh.dtype == np.complex128 and magnitude.dtype == np.float64
+    assert s == 1.0 and isinstance(s, float)

@@ -233,38 +233,75 @@ def test_mean_keeps_the_formula_bits_and_clamps_rounding(values, kind):
 # ---------------------------------------------------------------------------
 
 
-def _mean_column_by_loop(rows, anchor, j):
-    """The arithmetic ``qa_mean_rows`` at column j, in Python floats: the
-    deviations from the anchor row added in row order, then added to it."""
-    base = float(rows[anchor, j])
-    dev = float(rows[0, j]) - base
-    for i in range(1, len(rows)):
-        dev += float(rows[i, j]) - base
-    dev /= len(rows)
-    return base + dev
+def _mean_column_by_loop(gen, phi_rows, rows, anchor, j):
+    """``qa_mean_rows`` at column j, with the arithmetic in Python floats:
+    the deviations of ``phi_rows`` (phi of ``rows``) from the anchor row
+    added in row order, then added to it; under a generator other than
+    the identity, phi^-1 of that, or the anchor value where the mean
+    deviation is 0."""
+    base = float(phi_rows[anchor, j])
+    dev = float(phi_rows[0, j]) - base
+    for i in range(1, len(phi_rows)):
+        dev += float(phi_rows[i, j]) - base
+    dev /= len(phi_rows)
+    if gen.kind == "identity":
+        return base + dev
+    if dev == 0.0:
+        return float(rows[anchor, j])
+    return float(gen.phi_inv(np.asarray([base + dev]))[0])
+
+
+# the layouts a grid block can hand a residual: a whole block, its last
+# block one column wide, a block stored column by column, and the live
+# columns gathered out of a block with escapes
+LAYOUTS = ("whole", "single_column", "fortran", "gathered")
 
 
 @st.composite
 def _rows_and_anchor(draw):
-    rows = draw(hnp.arrays(
-        np.float64,
-        st.tuples(st.integers(1, 300), st.integers(1, 4)),
-        elements=st.one_of(
+    kind = draw(st.sampled_from(["identity", "log", "power:2", "power:-1", "power:0.5", "power:3"]))
+    if kind == "identity":
+        elements = st.one_of(
             st.floats(min_value=-1e300, max_value=1e300),
             st.sampled_from([0.0, -0.0, 1.0, -1e16, 1e16]),
-        ),
+        )
+    else:
+        elements = st.one_of(
+            st.floats(min_value=1e-100, max_value=1e100),
+            st.sampled_from([1.0, 3.0, 1e-16, 1e16]),
+        )
+    rows = draw(hnp.arrays(
+        np.float64, st.tuples(st.integers(1, 300), st.integers(1, 4)), elements=elements
     ))
-    return rows, draw(st.integers(0, len(rows) - 1))
+    layout = draw(st.sampled_from(LAYOUTS))
+    if layout == "single_column":
+        rows = rows[:, :1].copy()
+    elif layout == "fortran":
+        rows = np.asfortranarray(rows)
+    elif layout == "gathered":
+        cols = draw(st.lists(st.integers(0, rows.shape[1] - 1), min_size=1, max_size=6))
+        rows = rows[:, cols]
+    gen = Generator.parse(kind, REAL_LINE if kind == "identity" else POS)
+    return gen, rows, draw(st.integers(0, len(rows) - 1))
 
 
 @given(_rows_and_anchor())
 def test_row_mean_adds_deviations_in_row_order(case):
     # signed zeros, cancellations (1e16 against -1e16 around 1.0) and mixed
-    # magnitudes: the sum order must be the row order, bit for bit
-    rows, anchor = case
-    got = qa_mean_rows(Generator("identity", REAL_LINE), rows, anchor)
-    want = [_mean_column_by_loop(rows, anchor, j) for j in range(rows.shape[1])]
+    # magnitudes: the sum order must be the row order, bit for bit, in every
+    # layout and under every generator kind
+    gen, rows, anchor = case
+    got = qa_mean_rows(gen, rows.copy(order="K"), anchor)
+    phi_rows = gen.phi(np.ascontiguousarray(rows))
+    want = [_mean_column_by_loop(gen, phi_rows, rows, anchor, j) for j in range(rows.shape[1])]
     assert got.tobytes() == np.asarray(want).tobytes()
+
+
+def test_row_mean_computes_in_the_rows_it_is_given():
+    rows = np.asarray([[1.0, 4.0], [2.0, 4.0], [6.0, 4.0]])
+    got = qa_mean_rows(Generator("identity", REAL_LINE), rows, anchor=1)
+    assert np.shares_memory(got, rows)
+    assert got.tolist() == [3.0, 4.0]
 
 
 # ---------------------------------------------------------------------------

@@ -615,7 +615,7 @@ def test_grid_gate_scales_a_block_only_where_its_terms_could_overflow(monkeypatc
     real = verify_module._verify_grid
 
     def watched(s, count, residual, *args, **kwargs):
-        return real(s, count, lambda live: seen.append(live) or residual(live), *args, **kwargs)
+        return real(s, count, lambda live: seen.append(live.copy()) or residual(live), *args, **kwargs)
 
     monkeypatch.setattr(verify_module, "_verify_grid", watched)
     verify_mean(Translation(REAL_LINE, c), CharProblem(14, 7), samples=11)
@@ -933,6 +933,86 @@ def test_whole_row_reports_match_masked_reference(case, monkeypatch):
                 assert first.all() and 0 < np.count_nonzero(rest) < len(rest)
             else:
                 assert not first.any() and rest.all()
+
+
+def _wreck_blocks_after_their_residual(monkeypatch):
+    """Make every residual fill its block with NaN once it has its result."""
+    real = verify_module._verify_grid
+
+    def wrecking(s, count, residual, *args, **kwargs):
+        def residual_then_wreck(live):
+            resid = residual(live).copy()
+            live[...] = np.nan
+            return resid
+
+        return real(s, count, residual_then_wreck, *args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "_verify_grid", wrecking)
+
+
+def _overflow_scaled_reports():
+    # c = 1e307 (as in the overflow tests above): every block is scaled
+    # before its residual runs
+    s, prob = Translation(REAL_LINE, 1e307), CharProblem(14, 7)
+    return [
+        verify_mean(s, prob, 2 * _BLOCK + 1),
+        verify_module.linear_residual_report(s, build_char_poly(prob), 2 * _BLOCK + 1),
+    ]
+
+
+@pytest.mark.parametrize("case", ["none", "some", "block", "all"])
+def test_a_residual_may_overwrite_its_block(case, monkeypatch):
+    # the counts, the peak and the scaling decision are read off a block
+    # before its residual runs, so a residual that wrecks its block after
+    # taking its value leaves every report bit as it was
+    samples = 2 * _BLOCK + 1
+    want = [_bits(got) for got, _ in _report_pairs(case, samples)]
+    want += [_bits(r) for r in _overflow_scaled_reports()]
+    _wreck_blocks_after_their_residual(monkeypatch)
+    got = [_bits(got) for got, _ in _report_pairs(case, samples)]
+    got += [_bits(r) for r in _overflow_scaled_reports()]
+    assert got == want
+
+
+def _conjugate_cases():
+    log = Generator("log", Interval(0.0, math.inf))
+    box = Generator("log", Interval(1.0, 4.0, True, True))
+    sqrt = Generator("power", Interval(0.0, math.inf), p=2.0)
+    inverse = Generator("power", Interval(0.0, math.inf), p=-1.0)
+    cube = Generator("power", Interval(0.0625, 4.0), p=3.0)
+    cube_mid = 0.75 * (cube.image().lo + cube.image().hi)
+    identity = Generator("identity", REAL_LINE)
+    cases = {
+        "identity_affine": conjugate(identity, Affine(REAL_LINE, -2.414213562373095, 0.5)),
+        "log_affine_3_1": conjugate(log, Affine(REAL_LINE, -2.414213562373095, 0.5)),
+        "log_three_piece": conjugate(log, ThreePiece(REAL_LINE, 0.0, 1.0, 0.4142135623730951)),
+        "log_translation": conjugate(log, Translation(REAL_LINE, 0.7)),
+        "log_box_affine": conjugate(box, Affine(box.image(), -0.5, math.log(2.0))),
+        "sqrt_affine": conjugate(sqrt, Affine(sqrt.image(), 0.5, 1.0)),
+        "reciprocal_affine": conjugate(inverse, Affine(inverse.image(), 0.5, 1.0)),
+        "cube_root_affine": conjugate(cube, Affine(cube.image(), -0.5, cube_mid)),
+    }
+    return [pytest.param(F, id=name) for name, F in cases.items()]
+
+
+@pytest.mark.parametrize("F", _conjugate_cases())
+def test_conjugate_maps_into_a_buffer_bit_for_bit(F):
+    # the three in-place passes of _eval_into against phi, the inner map and
+    # phi^-1 each into a fresh array, on the grid, subnormal points and the
+    # domain's ends
+    lo, hi = F.domain.lo, F.domain.hi
+    ends = [lo, hi, math.nextafter(lo, hi), math.nextafter(hi, lo)]
+    tiny = [5e-324, 2.5e-310, np.finfo(float).tiny / 3, np.finfo(float).tiny]
+    xs = np.concatenate([sample_grid(F.domain, 1001), ends, tiny])
+    with np.errstate(all="ignore"):
+        want = F.gen.phi_inv(F.inner._eval_array(F.gen.phi(xs))).tobytes()
+        assert F._eval_array(xs).tobytes() == want
+        assert F._eval_into(xs, np.empty_like(xs)).tobytes() == want
+        in_place = xs.copy()
+        assert F._eval_into(in_place, in_place).tobytes() == want
+        rows = np.empty((2, len(xs)))
+        rows[0] = xs
+        assert F._iterate_into(rows)[1].tobytes() == want
 
 
 # Each point's residual adds its terms in row order whatever block it sits
