@@ -15,9 +15,10 @@ root in its bracket there.  Its report reads the modulus bound
 The memos of the package, all sized from ``_REPORT_CACHE_SIZE`` (256)
 and none keeping a failure: ``analyze_roots`` and ``build_char_poly``
 keep one report and one polynomial per ``CharProblem``,
-``families.enumerate_families`` one enumeration per problem, and
-``recurrence._anchor_system`` one anchor system per spectrum, 256 each.
-A ``RootReport`` keeps its own hash once taken.
+``families.enumerate_families`` one enumeration per problem and
+``recurrence._anchor_system`` one anchor system per spectrum, 256 each,
+and ``recurrence._cached_basis`` one closed-form basis per spectrum and
+index range, 512.  A ``RootReport`` keeps its own hash once taken.
 """
 
 from __future__ import annotations

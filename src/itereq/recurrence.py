@@ -28,7 +28,12 @@ Anchors, the anchor check and predictions read one basis (``_basis``):
 the matrix of ``J^t lambda^J``, ``J^t cos(J phi) mu^J`` and
 ``J^t sin(J phi) mu^J`` columns at the indices ``J``, in the order of the
 weights.  Its value at an index does not depend on the other indices, so
-``predict`` is ``predict_range`` at one index, bit for bit.
+``predict`` is ``predict_range`` at one index, bit for bit.  The basis is
+evaluated once per spectrum and index range and kept, read-only, in one
+bounded LRU memo (``_cached_basis``) keyed on the exact bits of the terms
+and on ``(j_lo, j_hi)``: the anchor system and every prediction read it,
+so a spectrum predicted again in one process costs no evaluation.  An
+``OverflowError`` is not cached.
 ``check_recurrence`` multiplies all windows of the orbit at once and sums
 each exactly with ``math.fsum``.
 """
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +55,9 @@ from .verify import Orbit
 
 _COND_LIMIT = 1e12
 _SYSTEM_CACHE_SIZE = _REPORT_CACHE_SIZE
+# each spectrum's anchor range and its prediction range, with room to spare
+_BASIS_CACHE_SIZE = 2 * _REPORT_CACHE_SIZE
+_DOUBLE = struct.Struct("d")
 _ANCHOR_TOL = 1e-9
 RECURRENCE_TOL = 1e-9  # check_recurrence's residual limit, relative
 # largest held-out relative prediction error (``prediction_error``) a fit
@@ -107,8 +116,10 @@ def _basis(reals, complexes, J: np.ndarray) -> np.ndarray:
     columns are ``J^t lam^J`` for each real root, then ``J^t cos(J phi)
     mu^J`` and ``J^t sin(J phi) mu^J`` for each conjugate pair, ``t``
     below the multiplicity: the order in which ``_assemble`` reads the
-    weights.  Raises :class:`OverflowError` where a root power leaves the
-    float range; a product that overflows is +-inf, without a warning.
+    weights; with no terms it has no columns (the empty sum).  Raises
+    :class:`OverflowError` where a root power leaves the float range (a
+    zero root at a negative index included); a product that overflows is
+    +-inf, without a warning.
     """
     columns = [(lam, 0.0, t, False) for lam, mult in reals for t in range(mult)]
     columns += [
@@ -117,6 +128,8 @@ def _basis(reals, complexes, J: np.ndarray) -> np.ndarray:
         for t in range(mult)
         for sine in (False, True)
     ]
+    if not columns:
+        return np.empty((len(J), 0))
     bases, angles, ts, sines = zip(*columns)
     # np.power, np.sin and np.cos get contiguous operands of the basis's
     # shape: NumPy evaluates a broadcast operand by another kernel, whose
@@ -126,7 +139,7 @@ def _basis(reals, complexes, J: np.ndarray) -> np.ndarray:
     index[:] = J
     rows = np.empty_like(index)
     rows[:] = bases
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         powers = np.power(rows, index)
         if np.isinf(powers).any():
             raise OverflowError("a root power leaves the float range")
@@ -135,6 +148,38 @@ def _basis(reals, complexes, J: np.ndarray) -> np.ndarray:
         if any(ts):
             waves = J ** np.array(ts) * waves  # J^t exact in integers
         return waves * powers
+
+
+def _terms_key(reals, complexes) -> tuple:
+    """The spectrum terms with every float as its eight bytes.
+
+    ``==`` merges 0.0 and -0.0, whose odd powers differ in sign, and NaNs
+    pass their sign on to the powers, so the memo keys on the bits.
+    """
+    pack = _DOUBLE.pack
+    return (
+        tuple((pack(lam), mult) for lam, mult in reals),
+        tuple((pack(mod), pack(phi), mult) for mod, phi, mult in complexes),
+    )
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE, typed=True)
+def _cached_basis(terms: tuple, j_lo: int, j_hi: int) -> np.ndarray:
+    """``_basis`` at ``j_lo..j_hi``, read-only, one shared array per key.
+
+    ``terms`` is ``_terms_key`` of the spectrum terms; a hit is the array
+    the same ``_basis`` call made.  ``typed`` keeps an index 3 apart from
+    3.0.  An :class:`OverflowError` is not cached.
+    """
+    unpack = _DOUBLE.unpack
+    reals, complexes = terms
+    basis = _basis(
+        [(unpack(lam)[0], mult) for lam, mult in reals],
+        [(unpack(mod)[0], unpack(phi)[0], mult) for mod, phi, mult in complexes],
+        np.arange(j_lo, j_hi + 1),
+    )
+    basis.flags.writeable = False
+    return basis
 
 
 def _combine(basis: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -149,15 +194,16 @@ def _combine(basis: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def predict_range(cf: ClosedForm, j_lo: int, j_hi: int) -> np.ndarray:
-    """The closed form at ``j = j_lo..j_hi``: its basis times its weights."""
+    """The closed form at ``j = j_lo..j_hi``: its basis (from the memo)
+    times its weights."""
     reals = [(t.lam, len(t.coeffs)) for t in cf.real_terms]
     complexes = [(t.modulus, t.argument, len(t.cos_poly)) for t in cf.complex_terms]
     weights = [c for t in cf.real_terms for c in t.coeffs]
     for t in cf.complex_terms:
         for pair in zip(t.cos_poly, t.sin_poly):
             weights += pair
-    J = np.arange(j_lo, j_hi + 1)
-    return _combine(_basis(reals, complexes, J), np.array(weights))
+    basis = _cached_basis(_terms_key(reals, complexes), j_lo, j_hi)
+    return _combine(basis, np.array(weights))
 
 
 def predict(cf: ClosedForm, j: int) -> float:
@@ -237,10 +283,10 @@ class _AnchorSystem:
     """The anchor system of one spectrum, shared by every fit on it.
 
     ``reals`` and ``complexes`` are the spectrum terms (see
-    ``_spectrum_terms``); ``matrix`` is the read-only confluent
-    Vandermonde matrix at indices ``0..degree-1``, ``halves`` its
-    read-only Veltkamp split (see ``_residual``) and ``cond`` its 2-norm
-    condition number.
+    ``_spectrum_terms``); ``matrix`` is the confluent Vandermonde matrix,
+    the read-only basis at indices ``0..degree-1`` that ``_cached_basis``
+    keeps, ``halves`` its read-only Veltkamp split (see ``_residual``) and
+    ``cond`` its 2-norm condition number.
     """
 
     reals: tuple[tuple[float, int], ...]
@@ -266,14 +312,14 @@ def _anchor_system(spectrum: RootReport) -> _AnchorSystem:
             f"spectrum provides {n_cols} parameters for degree {deg}"
         )
 
-    A64 = _basis(reals, complexes, np.arange(deg))
+    A64 = _cached_basis(_terms_key(reals, complexes), 0, deg - 1)
     cond = float(np.linalg.cond(A64))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularSystem(
             f"anchor system condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}"
         )
     halves = _split(A64)
-    for a in (A64, *halves):
+    for a in halves:
         a.flags.writeable = False
     return _AnchorSystem(tuple(reals), tuple(complexes), A64, halves, cond)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import itereq
 from itereq import recurrence
 from itereq.charpoly import (
+    _REPORT_CACHE_SIZE,
     CharProblem,
     RealRootRecord,
     analyze_roots,
@@ -25,9 +27,14 @@ from itereq.families import Affine, ThreePiece, Translation, enumerate_families
 from itereq.intervals import REAL_LINE, Interval
 from itereq.poly import Polynomial
 from itereq.recurrence import (
+    ClosedForm,
+    ComplexTerm,
+    RealTerm,
     _anchor_system,
     _assemble,
+    _cached_basis,
     _spectrum_terms,
+    _terms_key,
     check_recurrence,
     fit_closed_form,
     predict,
@@ -35,8 +42,12 @@ from itereq.recurrence import (
     prediction_error,
     single_regime,
 )
-from itereq.selftest import _fit_cases
+from itereq.selftest import _fit_cases, criterion_7_recurrence
 from itereq.verify import Orbit, iterate
+
+# the closed-form code keeps its overflow and divide cases quiet (they raise
+# or read as +-inf), so a NumPy RuntimeWarning here is a leak and fails
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def orbit_from_values(values):
@@ -438,19 +449,25 @@ def test_equal_reports_share_one_read_only_anchor_system():
 
 
 def test_a_fit_evaluates_the_basis_once_per_spectrum(monkeypatch):
-    # the anchor matrix is the basis at 0..degree-1, and the anchor check
-    # reads the fitted anchors off that kept matrix
+    # the anchor matrix is the basis at 0..degree-1, the anchor check reads
+    # the fitted anchors off that kept matrix, and a prediction on a range
+    # already evaluated reads the kept basis
     calls = []
     basis = recurrence._basis
     monkeypatch.setattr(
-        recurrence, "_basis", lambda *a: calls.append(a[2]) or basis(*a)
+        recurrence, "_basis", lambda *a: calls.append(a[2].tolist()) or basis(*a)
     )
     report = analyze_roots(CharProblem(5, 2))
     for x0 in (0.3, 0.7, -1.1):
-        cf = fit_closed_form(iterate(Affine(REAL_LINE, -2.0, 0.0), x0, 0, 12), report)
-    assert [J.tolist() for J in calls] == [[0, 1, 2, 3, 4]]
+        orbit = iterate(Affine(REAL_LINE, -2.0, 0.0), x0, 0, 30)
+        cf = fit_closed_form(orbit, report)
+    assert calls == [[0, 1, 2, 3, 4]]
     predict_range(cf, 0, 4)
-    assert len(calls) == 2
+    assert len(calls) == 1
+    for _ in range(3):
+        prediction_error(cf, orbit, 5, 30)
+        predict(cf, 30)
+    assert calls[1:] == [list(range(5, 31)), [30]]
 
 
 def test_a_report_hashes_its_fields_once_and_a_replaced_one_anew():
@@ -472,6 +489,124 @@ def test_condition_refusal_raises_on_every_call():
         with pytest.raises(SingularSystem, match="condition number .* exceeds 1e\\+12"):
             fit_closed_form(orbit, spectrum)
     assert _anchor_system.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# the closed-form basis memo
+# ---------------------------------------------------------------------------
+
+
+def _random_terms(rng):
+    """Spectrum terms of every kind: roots from 0 and -0 to 50 in size,
+    either sign, multiplicities 1 to 3, arguments including 0 and -0."""
+    def value():
+        return float(rng.choice([0.0, -0.0, 1.0, -1.0, rng.uniform(-50.0, 50.0)]))
+
+    reals = [(value(), int(rng.integers(1, 4))) for _ in range(rng.integers(0, 4))]
+    complexes = [
+        (abs(value()), value(), int(rng.integers(1, 3)))
+        for _ in range(rng.integers(0, 3))
+    ]
+    return reals, complexes
+
+
+def test_a_hit_is_a_fresh_basis_bit_for_bit():
+    rng = np.random.default_rng(20)
+    checked = 0
+    for _ in range(300):
+        reals, complexes = _random_terms(rng)
+        lo = int(rng.integers(-40, 40))
+        hi = lo + int(rng.integers(-1, 40))
+        key = _terms_key(reals, complexes)
+        try:
+            want = recurrence._basis(reals, complexes, np.arange(lo, hi + 1))
+        except OverflowError:
+            for _ in range(2):  # not cached: raised again on the next call
+                with pytest.raises(OverflowError):
+                    _cached_basis(key, lo, hi)
+            continue
+        miss = _cached_basis(key, lo, hi)
+        hit = _cached_basis(_terms_key(reals, complexes), lo, hi)
+        assert hit is miss
+        assert hit.shape == want.shape and hit.tobytes() == want.tobytes()
+        checked += 1
+    assert checked > 100
+
+
+def test_signed_zeros_get_their_own_entries():
+    # 0.0 == -0.0, but odd powers of -0.0 and sines of -0.0 * j are -0.0
+    for plus, minus in (
+        (([(0.0, 1)], []), ([(-0.0, 1)], [])),
+        (([], [(1.0, 0.0, 1)]), ([], [(1.0, -0.0, 1)])),
+    ):
+        got = [_cached_basis(_terms_key(*terms), 1, 3) for terms in (plus, minus)]
+        for terms, basis in zip((plus, minus), got):
+            want = recurrence._basis(*terms, np.arange(1, 4))
+            assert basis.tobytes() == want.tobytes()
+        assert got[0].tobytes() != got[1].tobytes()
+    assert _cached_basis.cache_info().currsize == 4
+
+
+def test_shared_bases_are_read_only_and_the_anchor_matrix_is_one():
+    report = analyze_roots(CharProblem(5, 2))
+    cf = fit_closed_form(iterate(Affine(REAL_LINE, -2.0, 0.0), 0.3, 0, 12), report)
+    reals, complexes = _spectrum_terms(report)
+    key = _terms_key(reals, complexes)
+    assert _cached_basis(key, 0, 4) is _anchor_system(report).matrix
+    predict_range(cf, 5, 30)
+    for basis in (_cached_basis(key, 0, 4), _cached_basis(key, 5, 30)):
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
+    assert _cached_basis.cache_info().misses == 2
+
+
+def test_the_basis_memo_is_bounded():
+    size = _cached_basis.cache_info().maxsize
+    assert size == 2 * _REPORT_CACHE_SIZE
+    cf = ClosedForm((RealTerm(0.5, (1.0,)),), ())
+    for j in range(size + 10):
+        assert predict(cf, j) == 0.5**j
+    assert _cached_basis.cache_info().currsize == size
+
+
+def _criterion_7_outputs():
+    """Each criterion-7 fit's closed form, anchor error and prediction error."""
+    out = []
+    for name, sol, prob, x0 in _fit_cases():
+        orbit = iterate(sol, x0, 0, 30)
+        cf = fit_closed_form(orbit, analyze_roots(prob), regime_of=sol)
+        anchors = orbit.forward_values()[: prob.n]
+        anchor_err = float(abs(predict_range(cf, 0, prob.n - 1) - anchors).max())
+        pred_err = prediction_error(cf, orbit, prob.n, 30)
+        out.append((name, json.dumps(cf.to_json()), anchor_err.hex(), pred_err.hex()))
+    return out
+
+
+def test_criterion_7_reads_the_same_from_a_cold_and_a_warm_memo():
+    cold = _criterion_7_outputs()
+    assert _cached_basis.cache_info().hits > 0  # shared spectra within one pass
+    assert _criterion_7_outputs() == cold
+    assert criterion_7_recurrence()[0]
+
+
+def test_a_closed_form_without_terms_is_the_empty_sum():
+    empty = ClosedForm((), ())
+    assert _bits(predict_range(empty, -2, 3)) == _bits([0.0] * 6)
+    assert predict(empty, 7) == 0.0
+    orbit = orbit_from_values([1.0, -3.0, 0.5])
+    assert prediction_error(empty, orbit, 0, 2) == 0.75
+
+
+def test_a_zero_root_at_a_negative_index_raises_overflow_without_a_warning():
+    # RuntimeWarning is an error in this module (pytestmark above)
+    for lam in (0.0, -0.0):
+        cf = ClosedForm((RealTerm(lam, (1.0,)),), ())
+        with pytest.raises(OverflowError):
+            predict_range(cf, -1, 1)
+    cf = ClosedForm((), (ComplexTerm(0.0, 1.0, (1.0,), (0.0,)),))
+    with pytest.raises(OverflowError):
+        predict(cf, -3)
 
 
 # ---------------------------------------------------------------------------
