@@ -13,8 +13,9 @@ root in its bracket there.  Its report reads the modulus bound
 ``|z| < 2n+1`` and the real/non-real modulus separation off those roots.
 
 The memos of the package, all sized from ``_REPORT_CACHE_SIZE`` (256)
-and none keeping a failure: ``analyze_roots`` and ``build_char_poly``
-keep one report and one polynomial per ``CharProblem``,
+and none keeping a failure: ``analyze_roots``, ``build_char_poly`` and
+``classify`` keep one report, polynomial and case analysis per
+``CharProblem``,
 ``families.enumerate_families`` one enumeration per problem and
 ``recurrence._anchor_system`` one anchor system per spectrum, 256 each,
 and ``recurrence._cached_basis`` one closed-form basis per spectrum and
@@ -40,9 +41,6 @@ from .poly import ComplexRoot, Polynomial, certified_roots
 # per-layer metrics, in the benchmark change of ROADMAP item 1.
 all_roots = bisect_root = newton_polish = deflate = None
 
-# Half-width of the window around each real root estimate on which the
-# deflated polynomial must change sign.
-_SIGN_WINDOW = 1e-10
 # Fixed-point steps per slot before Newton, and the Newton step cap and
 # relative stopping size of ``_lifted_estimates``.
 _FIXED_POINT_STEPS = 3
@@ -228,6 +226,7 @@ _CASE_LABELS = {
 }
 
 
+@functools.lru_cache(maxsize=_REPORT_CACHE_SIZE)
 def classify(prob: CharProblem) -> CaseAnalysis:
     """Assign the parity case label and its expected real-root brackets.
 
@@ -274,13 +273,16 @@ def classify(prob: CharProblem) -> CaseAnalysis:
     return CaseAnalysis(label, r_min, r_max, tuple(expected))
 
 
-def _divide_out_one(p: Polynomial, times: int) -> Polynomial:
-    """``p / (r - 1)^times`` in integer arithmetic: each division takes the
-    suffix sums ``q_j = sum_{i>j} p_i`` and needs the remainder ``p(1)`` to be 0."""
-    cs = [int(c) for c in p.coeffs]
-    for _ in range(times):
+def _quotient(prob: CharProblem, mult: int) -> Polynomial:
+    """``p / (r - 1)^mult`` for the characteristic polynomial p of ``prob``,
+    built from (n, k) in integers, -1 everywhere but n at ``r^k``: each
+    division takes the suffix sums ``q_j = sum_{i>j} p_i`` and needs the
+    remainder ``p(1)`` to be 0."""
+    cs = [-1] * (prob.n + 1)
+    cs[prob.k] = prob.n
+    for _ in range(mult):
         if sum(cs) != 0:
-            raise RootMismatch(f"1 is not a root of {p}: integer remainder {sum(cs)}")
+            raise RootMismatch(f"{prob}: 1 is not a {mult}-fold root: remainder {sum(cs)}")
         cs = list(itertools.accumulate(reversed(cs[1:])))[::-1]
     return Polynomial(tuple(cs))
 
@@ -352,13 +354,14 @@ def _lifted_estimates(prob: CharProblem) -> np.ndarray:
             upper += [(count, turn * j, inside) for j in range(1, (count + 1) // 2)]
     c, arg, inner = (np.array(s) for s in zip(*real, *upper))
     c, arg = c.astype(np.complex128), 1j * arg
+    c1 = c + 1
     with np.errstate(all="ignore"):
         y = arg - math.log(n1) / c
         for _ in range(_FIXED_POINT_STEPS):
             y = arg + np.log(np.expm1(n1 * y) / (n1 * np.expm1(y))) / c
         for _ in range(_NEWTON_MAX_STEPS):  # y -= G / (dG/dy)
             x_1, xn1_1, xc = np.expm1(y), np.expm1(n1 * y), np.exp(c * y)
-            step = (xn1_1 - n1 * xc * x_1) / (n1 * (xn1_1 + 1 - xc * (1 + (c + 1) * x_1)))
+            step = (xn1_1 - n1 * xc * x_1) / (n1 * (xn1_1 + 1 - xc * (1 + c1 * x_1)))
             y -= step
             if np.abs(step).max() <= _NEWTON_STEP_TOL:
                 break
@@ -381,68 +384,63 @@ def analyze_roots(prob: CharProblem) -> RootReport:
     CLI call analyses one (n, k) and gains nothing.  The uncached analysis
     is ``analyze_roots.__wrapped__``.
 
-    The exact root 1 is divided out to its known multiplicity before any
-    numerics, in integer arithmetic, which leaves a polynomial with
-    integer coefficients.  Every sign of it the analysis takes is exact,
-    from ``_quotient_sign``.  Its signs at the ends of every predicted
-    real-root bracket (0, +-1, +-(2n+1)) must differ.  One certified
-    solve (``_spectrum``) then gives every other root: estimates from the
-    lifted form (``_lifted_estimates``), then ``poly.certified_roots``'s
-    count and finiteness checks, disjoint Newton disks, the residual
-    test, and one Newton step.  Each predicted real root is the unique real
-    estimate strictly inside its bracket, and the deflated polynomial must
-    change sign within ``_SIGN_WINDOW`` of it.  A bracket holding no real
-    estimate, or more than one, raises :class:`BracketFailure`; a window
-    without a sign change raises :class:`NonConvergence` naming both of
-    its ends and their signs.  Real estimates in no bracket stay among
-    the complex roots, where ``report_matches_expectation`` flags them.
-    It returns once the roots are placed; the report reads its claims off them.
+    The polynomial is built from (n, k) in integers and the root 1 divided
+    out exactly (``_quotient``); the exact signs of the quotient
+    (``_quotient_sign``) at the ends of every predicted real-root bracket
+    (0, +-1, +-(2n+1)) must differ.  One certified solve (``_spectrum``:
+    ``_lifted_estimates``, then ``poly.certified_roots``) gives every other
+    root and its radius.  Each predicted real root is the unique real
+    estimate strictly inside its bracket (else :class:`BracketFailure`),
+    placed by its disk: ``lo < x - r`` and ``x + r < hi`` in floats, sound
+    since the ends are exact and rounding is monotone, and the disk,
+    centred on the axis, holds one root, which is therefore real.  A disk
+    that reaches its end raises :class:`NonConvergence` naming the
+    estimate, the radius and that end.  Real estimates in no bracket stay
+    among the complex roots, where ``report_matches_expectation`` flags
+    them; the report reads its claims off the roots.
     """
+    n, k = prob.n, prob.k
     analysis = classify(prob)
     mult_one = analysis.expected_real_roots[0].multiplicity
 
-    work = _divide_out_one(build_char_poly(prob), mult_one)
-    sign = functools.partial(_quotient_sign, prob, mult_one)
+    work = _quotient(prob, mult_one)
 
-    brackets = [e for e in analysis.expected_real_roots if not e.is_one]
-    for exp in brackets:
-        lo, hi = exp.bracket
-        slo, shi = sign(lo), sign(hi)
+    brackets = [e.bracket for e in analysis.expected_real_roots[1:]]
+    for lo, hi in brackets:
+        slo, shi = _quotient_sign(prob, mult_one, lo), _quotient_sign(prob, mult_one, hi)
         if slo * shi >= 0:
             raise BracketFailure(
-                f"(n={prob.n}, k={prob.k}): no sign change on bracket "
+                f"(n={n}, k={k}): no sign change on bracket "
                 f"({lo}, {hi}); exact signs {slo:+d}, {shi:+d}"
             )
 
-    estimates = _spectrum(prob, work) if work.degree > 0 else []
+    roots, radii = _spectrum(prob, work) if work.degree > 0 else ([], ())
     real_records = [RealRootRecord(1.0, mult_one, (1.0, 1.0))]
-    real_estimates = [(i, z.re) for i, z in enumerate(estimates) if z.im == 0.0]
-    taken: set[int] = set()
-    for exp in brackets:
-        lo, hi = exp.bracket
-        hits = [i for i, x in real_estimates if lo < x < hi]
+    real = [(i, z.re) for i, z in enumerate(roots) if z.im == 0.0]
+    taken = set()
+    for lo, hi in brackets:
+        hits = [(i, x) for i, x in real if lo < x < hi]
         if len(hits) != 1:
             raise BracketFailure(
-                f"(n={prob.n}, k={prob.k}): {len(hits)} real root estimates "
+                f"(n={n}, k={k}): {len(hits)} real root estimates "
                 f"in bracket ({lo}, {hi}), expected 1"
             )
-        z = estimates[hits[0]]
-        a, b = max(lo, z.re - _SIGN_WINDOW), min(hi, z.re + _SIGN_WINDOW)
-        sa, sb = sign(a), sign(b)
-        if sa * sb > 0:
+        i, x = hits[0]
+        r = float(radii[i])
+        if not (lo < x - r and x + r < hi):
+            end = hi if lo < x - r else lo
             raise NonConvergence(
-                f"(n={prob.n}, k={prob.k}): sign change not confirmed within "
-                f"{_SIGN_WINDOW:.1e} of {z.re!r}; exact signs {sa:+d} at {a!r} "
-                f"and {sb:+d} at {b!r}"
+                f"(n={n}, k={k}): the disk of radius {r:.3e} about the real root "
+                f"estimate {x!r} reaches its bracket end {end}"
             )
-        taken.add(hits[0])
-        real_records.append(RealRootRecord(z.re, z.multiplicity, (lo, hi)))
-    complex_roots = tuple(z for i, z in enumerate(estimates) if i not in taken)
+        taken.add(i)
+        real_records.append(RealRootRecord(x, roots[i].multiplicity, (lo, hi)))
+    complex_roots = tuple(z for i, z in enumerate(roots) if i not in taken)
     return RootReport(prob, tuple(real_records), complex_roots)
 
 
-def _spectrum(prob: CharProblem, work: Polynomial) -> list[ComplexRoot]:
-    """Every root of ``work``, certified by ``certified_roots`` from the
+def _spectrum(prob: CharProblem, work: Polynomial) -> tuple[list[ComplexRoot], np.ndarray]:
+    """Every root of ``work`` with its radius, from ``certified_roots`` on the
     lifted form's estimates.  A start that misses a check raises
     :class:`NonConvergence` naming the problem, the start and the check."""
     try:

@@ -15,12 +15,13 @@ class DomainMismatch(ItereqError):
 
 class RootMismatch(ItereqError):
     """Exact division by ``r - 1`` met a nonzero remainder: 1 is not a root
-    of the polynomial to the multiplicity asked for (``charpoly._divide_out_one``)."""
+    of the polynomial to the multiplicity asked for (``charpoly._quotient``)."""
 
 
 class NonConvergence(ItereqError):
     """A numerical check failed: a root certificate (estimate count,
-    finiteness, disjoint inclusion disks, residual) or a sign window.
+    finiteness, disjoint inclusion disks, residual), or a real root whose
+    disk reaches its bracket end.
 
     Carries the best residual seen, where there is one, so callers can report it.
     """

@@ -17,6 +17,10 @@ from . import _kernels
 from .errors import NonConvergence
 
 ROOT_RESIDUAL_TOL = 1e-12  # relative residual limit of every root (certified_roots)
+_EPS = float(np.finfo(float).eps)
+# 1 + 8 eps: covers the rounding of the ten float operations, at most
+# 6.5 eps, that give a radius ``certified_roots`` hands back
+_RADIUS_ROUND_UP = 1.0 + 8.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -94,23 +98,33 @@ class ComplexRoot:
         return complex(self.re, self.im)
 
 
-def _disk_radii(h: np.ndarray, dh: np.ndarray, magnitude: np.ndarray, n: int) -> np.ndarray:
-    """Radii ``n |p(z_i) / p'(z_i)|`` of the Newton inclusion disks around ``z``.
+def _rounding_bounds(magnitude: np.ndarray, modulus: np.ndarray, n: int) -> tuple:
+    """Bounds ``(r_h, r_dh)`` on Horner's rounding of the ``h`` and ``dh``
+    of ``_kernels.horner_scaled_bound`` (Higham, 2002, ch. 5), from its
+    ``magnitude``, ``modulus = |z_i|`` and the degree n: ``r_h = 4 n eps
+    magnitude`` and ``r_dh = 4 n^2 eps magnitude / |z_i|``, which is at
+    least ``4 n eps sum_j j |c_j| |z_i|^(j-1)`` in both regimes, scaled as
+    ``magnitude`` is, and 0 at ``z_i = 0``, where Horner's scheme is exact."""
+    r_h = 4.0 * n * _EPS * magnitude
+    return r_h, np.divide(n * r_h, modulus, out=np.zeros(len(r_h)), where=modulus > 0.0)
 
-    ``h``, ``dh`` and ``magnitude`` are the scaled ``p(z_i)``, ``p'(z_i)``
-    and ``sum |c_k| |z_i|^k`` of ``_kernels.horner_scaled_bound``, and n is
-    the degree of ``p``.  Since
-    ``p'(z) / p(z) = sum_j 1 / (z - r_j)``, some root lies within
-    ``n |p(z) / p'(z)|`` of ``z``: every disk holds a root, so n pairwise
-    disjoint disks hold one simple root each.  ``|p(z_i)|`` is taken with a
-    bound on Horner's rounding error added, so that noise near a multiple
-    root cannot shrink a disk.  A vanishing derivative, or a bound that
-    overflowed, gets an infinite radius.
-    """
-    rounding = 4.0 * n * np.finfo(float).eps * magnitude
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        radius = n * ((np.abs(h) + rounding) / np.abs(dh))
-    return np.where(np.isnan(radius), np.inf, radius)
+
+def _disk_radii(
+    h: np.ndarray, dh: np.ndarray, magnitude: np.ndarray, modulus: np.ndarray, n: int
+) -> np.ndarray:
+    """Radii ``n (|h| + r_h) / (|dh| - r_dh)`` of the Newton inclusion disks
+    around ``z``, from the scaled ``p(z_i)``, ``p'(z_i)`` and ``sum |c_k|
+    |z_i|^k`` of ``_kernels.horner_scaled_bound``, ``modulus = |z_i|``, the
+    degree n and the bounds of ``_rounding_bounds``.  Since ``p'(z) / p(z) =
+    sum_j 1 / (z - r_j)``, some root lies within ``n |p(z) / p'(z)|`` of z:
+    n pairwise disjoint disks hold one simple root each.  A radius is
+    infinite where its denominator is not positive or a bound overflowed.
+    It runs under ``certified_roots``'s ``np.errstate``."""
+    r_h, r_dh = _rounding_bounds(magnitude, modulus, n)
+    below = np.abs(dh) - r_dh
+    radius = n * ((np.abs(h) + r_h) / below)
+    radius[~(below > 0.0)] = np.inf
+    return radius
 
 
 def _overlapping_disks(z: np.ndarray, radius: np.ndarray) -> tuple[int, int] | None:
@@ -118,7 +132,8 @@ def _overlapping_disks(z: np.ndarray, radius: np.ndarray) -> tuple[int, int] | N
     sweep in real order, in O(n) memory.  Disks that meet have real parts
     within ``2 max(radius)``, and in real order that gap only grows with the
     offset d; so each estimate is tested against the one d places on, only
-    where that close, for d = 1, 2, ... until an offset has no such pair."""
+    where that close, for d = 1, 2, ... until an offset has no such pair.
+    The disks are taken as given; ``_meeting_disks`` adds the mirrors."""
     order = np.argsort(z.real, kind="stable")
     w, r = z[order], radius[order]
     reach = 2.0 * r.max()
@@ -132,16 +147,36 @@ def _overlapping_disks(z: np.ndarray, radius: np.ndarray) -> tuple[int, int] | N
     return None
 
 
-def certified_roots(p: Polynomial, z: np.ndarray) -> list[ComplexRoot]:
-    """The roots of ``p`` from one estimate per real root and per conjugate pair.
+def _meeting_disks(z: np.ndarray, radius: np.ndarray) -> tuple | None:
+    """Two disks that meet, as (centre, radius), among the disks ``|w - z_i|
+    <= radius_i`` and the mirrors of the non-real ones; or None.  With each
+    ``z_i`` taken into the closed upper half-plane, they are disjoint
+    exactly when the ``_overlapping_disks`` sweep finds nothing and each
+    non-real disk misses the axis, ``radius_i < |Im z_i|`` (else it is
+    named with its mirror): a disk and another's mirror lie ``Im z_i + Im
+    z_j`` apart, and a real disk meets a mirror only if it meets the disk."""
+    im = np.abs(z.imag)
+    axis = (im != 0.0) & ~(radius < im)
+    if axis.any():
+        i = int(np.argmax(axis))
+        return (complex(z[i]), radius[i]), (complex(z[i]).conjugate(), radius[i])
+    upper = np.where(z.imag < 0.0, z.conj(), z)
+    if (hit := _overlapping_disks(upper, radius)) is None:
+        return None
+    return tuple((complex(upper[i]), radius[i]) for i in hit)
+
+
+def certified_roots(p: Polynomial, z: np.ndarray) -> tuple[list[ComplexRoot], np.ndarray]:
+    """The roots of ``p`` and their radii, from one estimate per real root
+    and per conjugate pair.
 
     ``z`` holds the real estimates (imaginary part exactly 0) and either
     member of each non-real pair, in any order; how they were made does not
     matter.  Four checks come first, each raising :class:`NonConvergence`
     named after it: the estimates stand for ``p.degree`` roots, a pair for
     two; every estimate finite (the first that is not is named); disjoint
-    Newton inclusion disks (``_disk_radii``, ``_overlapping_disks``) over
-    the estimates followed by the mirrors of the non-real ones, so that
+    Newton inclusion disks (``_disk_radii``, ``_meeting_disks``) over
+    the estimates and the mirrors of the non-real ones, so that
     each holds exactly one simple root and a non-real disk no real point
     (two that overlap are named, since a multiple root, or a cluster the
     estimates cannot separate, is outside this solver's contract); and the
@@ -157,28 +192,27 @@ def certified_roots(p: Polynomial, z: np.ndarray) -> list[ComplexRoot]:
     and that member's conjugate.  The step is at most ``1/n`` of the disk
     radius, so every root lies inside its own certified disk.  Every root
     is reported with multiplicity 1, sorted by real, then imaginary part;
-    a constant, given no estimates, has none.
+    a constant, given no estimates, has none.  Beside the roots, in their
+    order, comes each one's radius, its disk's plus its step, rounded up:
+    the root it stands for lies within it.
     """
     pair = z.imag != 0.0
     if (count := len(z) + np.count_nonzero(pair)) != p.degree:
         raise NonConvergence(f"{count} root estimates for degree {p.degree}")
     if not count:
-        return []  # a constant: no roots, and no point to evaluate at
+        return [], np.empty(0)  # a constant: no roots, and no point to evaluate at
     finite = np.isfinite(z)
     if not finite.all():
         bad = complex(z[np.argmin(finite)])
         raise NonConvergence(f"root estimate {bad!r} is not finite")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h, dh, scale, magnitude = _kernels.horner_scaled_bound(p.as_array(), z)
-    radius = _disk_radii(h, dh, magnitude, p.degree)
-    disks = np.concatenate([z, z[pair].conj()])
-    radii = np.concatenate([radius, radius[pair]])
-    if (hit := _overlapping_disks(disks, radii)) is not None:
-        i, j = hit
+        radius = _disk_radii(h, dh, magnitude, np.abs(z), p.degree)
+    if (hit := _meeting_disks(z, radius)) is not None:
+        (a, ra), (b, rb) = hit
         raise NonConvergence(
-            f"inclusion disks overlap: estimates {complex(disks[i])!r} and "
-            f"{complex(disks[j])!r} lie {abs(disks[i] - disks[j]):.3e} apart with "
-            f"radii {radii[i]:.3e} and {radii[j]:.3e}; the roots must be simple"
+            f"inclusion disks overlap: estimates {a!r} and {b!r} lie {abs(a - b):.3e} "
+            f"apart with radii {ra:.3e} and {rb:.3e}; the roots must be simple"
         )
     resid = np.abs(h)
     allowed = ROOT_RESIDUAL_TOL * np.maximum(p.inf_norm * scale, magnitude)
@@ -192,13 +226,14 @@ def certified_roots(p: Polynomial, z: np.ndarray) -> list[ComplexRoot]:
             best_residual=best,
         )
 
-    z = z - h / dh
-    re = np.concatenate([z.real, z.real[pair]])
-    im = np.concatenate([np.where(pair, z.imag, 0.0), -z.imag[pair]])
-    order = np.lexsort((im, re))
-    return _root_records(
-        re[order].tolist(), im[order].tolist(), np.hypot(re, im)[order].tolist()
-    )
+    w = z - h / dh
+    radius = (radius + np.abs(w - z)) * _RADIUS_ROUND_UP
+    w = np.concatenate([w, w[pair].conj()])
+    w.imag[: len(z)][~pair] = 0.0
+    order = np.lexsort((w.imag, w.real))
+    w = w[order]
+    roots = _root_records(w.real.tolist(), w.imag.tolist(), np.hypot(w.real, w.imag).tolist())
+    return roots, np.concatenate([radius, radius[pair]])[order]
 
 
 def _root_records(re: list, im: list, modulus: list) -> list[ComplexRoot]:

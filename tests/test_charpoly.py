@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import os
-import re
 import subprocess
 import sys
 
@@ -14,8 +13,7 @@ from itereq import charpoly
 from itereq.charpoly import (
     CharProblem,
     RootReport,
-    _SIGN_WINDOW,
-    _divide_out_one,
+    _quotient,
     _quotient_sign,
     analyze_roots,
     build_char_poly,
@@ -106,15 +104,17 @@ def test_char_poly_is_one_formula_for_every_k():
 
 
 def test_lifted_vanishes_at_one_everywhere():
-    # 1 is a root of (r - 1) p(r) exactly to the multiplicity of 1 in p, plus one
+    # 1 is a root of (r - 1) p(r) exactly to the multiplicity of 1 in p, plus
+    # one: the remainders p(1) of the divisions by r - 1 (suffix sums)
     for n in range(2, 12):
         for k in range(n + 1):
             prob = CharProblem(n, k)
             mult = classify(prob).expected_real_roots[0].multiplicity
-            lifted = Polynomial(tuple(_lifted(prob)))
-            _divide_out_one(lifted, mult + 1)
-            with pytest.raises(RootMismatch):
-                _divide_out_one(lifted, mult + 2)
+            cs, remainders = _lifted(prob), []
+            for _ in range(mult + 2):
+                remainders.append(sum(cs))
+                cs = [sum(cs[j + 1 :]) for j in range(len(cs) - 1)]
+            assert remainders[:-1] == [0] * (mult + 1) and remainders[-1] != 0
 
 
 def test_lifted_equals_char_times_linear():
@@ -475,13 +475,17 @@ def test_spectrum_past_the_paper_range(n, k):
 
 
 def _patched_estimates(monkeypatch, edit):
-    """Make ``analyze_roots`` see the real spectrum of its polynomial, edited."""
+    """Make ``analyze_roots`` see the real spectrum of its polynomial, edited;
+    each root keeps its radius, and a root the edit adds has radius 0."""
     from itereq import charpoly
 
     real_certified_roots = charpoly.certified_roots
 
     def patched(p, z):
-        return edit(real_certified_roots(p, z))
+        roots, radii = real_certified_roots(p, z)
+        radius = {id(root): r for root, r in zip(roots, radii)}
+        edited = edit(roots)
+        return edited, np.array([radius.get(id(root), 0.0) for root in edited])
 
     monkeypatch.setattr(charpoly, "certified_roots", patched)
 
@@ -513,22 +517,44 @@ def test_real_estimate_outside_every_bracket_is_flagged(monkeypatch):
     assert any("unexpected extra real root -0.5" in p for p in problems)
 
 
-def test_real_estimate_without_a_nearby_sign_change_fails(monkeypatch):
-    def shift(roots):
-        return [
-            ComplexRoot(z.re + 1e-6, 0.0) if 0.0 < z.re < 1.0 and z.im == 0.0 else z
-            for z in roots
-        ]
+def test_real_estimate_shifted_off_its_root_is_refused_by_the_residual_test(monkeypatch):
+    # the estimate of the root sqrt(2) - 1 of (3, 1), 1e-6 off: its disk
+    # stays apart from the others, and the residual test refuses it
+    def shifted(prob):
+        z = good(prob)
+        return np.where((z.imag == 0.0) & (0.0 < z.real) & (z.real < 1.0), z + 1e-6, z)
 
-    _patched_estimates(monkeypatch, shift)
-    root = math.sqrt(2.0) - 1.0 + 1e-6
-    with pytest.raises(NonConvergence, match="sign change not confirmed within 1.0e-10") as info:
+    good = charpoly._lifted_estimates
+    monkeypatch.setattr(charpoly, "_lifted_estimates", shifted)
+    with pytest.raises(
+        NonConvergence,
+        match=r"^\(n=3, k=1\), lifted-form estimates: root residual \S+ times its limit at "
+        r"the estimates$",
+    ):
         analyze_roots(CharProblem(3, 1))
-    # both window ends, each with its exact sign
-    assert re.search(r"exact signs ([+-]1) at (\S+) and \1 at (\S+)$", str(info.value))
-    lo, hi = (float(x) for x in re.findall(r"at (\S+)", str(info.value)))
-    assert lo < root < hi and hi - lo <= 2.01 * _SIGN_WINDOW
     assert main(["analyze", "--n", "3", "--k", "1"]) == 4
+
+
+def test_real_root_whose_disk_reaches_its_bracket_end_is_refused(monkeypatch, capsys):
+    # the root sqrt(2) - 1 of (3, 1) handed back with radius 0.5: its disk
+    # reaches 0, the lower end of its bracket (0, 1)
+    estimate = analyze_roots.__wrapped__(CharProblem(3, 1)).real_root_in(0.0, 1.0)
+    real_certified_roots = charpoly.certified_roots
+
+    def widened(p, z):
+        roots, radii = real_certified_roots(p, z)
+        inside = [root.im == 0.0 and 0.0 < root.re < 1.0 for root in roots]
+        return roots, np.where(inside, 0.5, radii)
+
+    monkeypatch.setattr(charpoly, "certified_roots", widened)
+    with pytest.raises(NonConvergence) as info:
+        analyze_roots(CharProblem(3, 1))
+    assert str(info.value) == (
+        f"(n=3, k=1): the disk of radius 5.000e-01 about the real root estimate "
+        f"{estimate!r} reaches its bracket end 0.0"
+    )
+    assert main(["analyze", "--n", "3", "--k", "1"]) == 4
+    assert "reaches its bracket end 0.0" in capsys.readouterr().err
 
 
 def test_one_spectrum_solve_per_problem(monkeypatch):
@@ -577,11 +603,12 @@ def test_bracket_end_signs_are_exact_past_the_float_range(monkeypatch, n):
     assert ok, problems
 
 
-def _window_ends(report):
+def _window_ends(report, width=1e-10):
+    """Points ``width`` either side of each real root, inside its bracket."""
     for rec in report.real_roots[1:]:
         lo, hi = rec.bracket
-        yield max(lo, rec.value - _SIGN_WINDOW)
-        yield min(hi, rec.value + _SIGN_WINDOW)
+        yield max(lo, rec.value - width)
+        yield min(hi, rec.value + width)
 
 
 def test_sign_rule_is_the_exact_sign_of_the_quotient():
@@ -590,7 +617,7 @@ def test_sign_rule_is_the_exact_sign_of_the_quotient():
         for k in range(n + 1):
             prob = CharProblem(n, k)
             mult = classify(prob).expected_real_roots[0].multiplicity
-            work = _divide_out_one(build_char_poly(prob), mult)
+            work = _quotient(prob, mult)
             big = 2.0 * n + 1.0
             points = [0.0, 1.0, -1.0, big, -big]
             points += _window_ends(analyze_roots.__wrapped__(prob))
@@ -605,7 +632,7 @@ def test_sign_rule_past_the_float_range(n):
     for k in (0, 1, n // 2, n - 1, n):
         prob = CharProblem(n, k)
         mult = classify(prob).expected_real_roots[0].multiplicity
-        work = _divide_out_one(build_char_poly(prob), mult)
+        work = _quotient(prob, mult)
         points = [-(2.0 * n + 1.0), -12.5, 12.5, n - 0.25, 2.0 * n + 1.0, 1.0 + 2.0**-40]
         if k == n - 1:  # and the window around its real root near n
             report = analyze_roots(prob)
@@ -618,13 +645,11 @@ def test_sign_rule_past_the_float_range(n):
 def test_integer_quotient_is_the_float_deflation_bit_for_bit():
     # exact oracle: the quotient times (r - 1)^m, multiplied back in
     # integers, is the characteristic polynomial coefficient for coefficient
-    from itereq.charpoly import _divide_out_one
-
     for n in range(2, 81):
         for k in range(n + 1):
             prob = CharProblem(n, k)
             mult = classify(prob).expected_real_roots[0].multiplicity
-            quotient = _divide_out_one(build_char_poly(prob), mult)
+            quotient = _quotient(prob, mult)
             assert quotient.degree == n - mult
             product = _ints(quotient)
             for _ in range(mult):
@@ -632,15 +657,38 @@ def test_integer_quotient_is_the_float_deflation_bit_for_bit():
             assert product == _ints(build_char_poly(prob))
 
 
-def test_integer_quotient_needs_a_zero_remainder():
-    from itereq.charpoly import _divide_out_one
-    from itereq.errors import RootMismatch
+def test_quotient_from_n_k_is_the_suffix_sums_of_the_char_poly():
+    # the quotient built from (n, k) in integers against the float
+    # characteristic polynomial divided by suffix sums, for every n <= 400
+    # at k where 1 is simple and, for even n, at n = 2k where it is double;
+    # dividing once more leaves a nonzero remainder
+    for n in range(2, 401):
+        for k in sorted({0, 1, n // 2 - 1, n // 2, (n + 1) // 2, n - 1, n}):
+            prob = CharProblem(n, k)
+            mult = classify(prob).expected_real_roots[0].multiplicity
+            assert mult == (2 if n == 2 * k else 1)
+            cs = list(build_char_poly(prob).coeffs)
+            for _ in range(mult):
+                assert math.fsum(cs) == 0.0
+                tail, suffix = 0.0, []
+                for c in reversed(cs[1:]):
+                    tail += c
+                    suffix.append(tail)
+                cs = suffix[::-1]
+            assert _quotient(prob, mult).coeffs == tuple(cs), (n, k)
+            with pytest.raises(RootMismatch, match="remainder"):
+                _quotient(prob, mult + 1)
 
-    # (r - 1)^2 (r + 2) once and twice divides; a third division leaves 3
-    p = Polynomial((2.0, -3.0, 0.0, 1.0))
-    assert _divide_out_one(p, 2).coeffs == (2.0, 1.0)
-    with pytest.raises(RootMismatch, match="integer remainder 3"):
-        _divide_out_one(p, 3)
+
+def test_integer_quotient_needs_a_zero_remainder():
+    # (3, 1): -1 + 3r - r^2 - r^3 over r - 1 is 1 - 2r - r^2, which leaves
+    # q(1) = p'(1) = (n+1)(2k-n)/2 = -2 on a second division
+    assert _quotient(CharProblem(3, 1), 1).coeffs == (1.0, -2.0, -1.0)
+    with pytest.raises(
+        RootMismatch,
+        match=r"^CharProblem\(n=3, k=1\): 1 is not a 2-fold root: remainder -2$",
+    ):
+        _quotient(CharProblem(3, 1), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -863,7 +863,8 @@ def test_analyze_two_real_estimates_in_a_bracket_exit_1(monkeypatch, capsys):
     real_certified_roots = charpoly.certified_roots
 
     def doubled(p, z):
-        return real_certified_roots(p, z) + [ComplexRoot(0.5, 0.0)]
+        roots, radii = real_certified_roots(p, z)
+        return roots + [ComplexRoot(0.5, 0.0)], [*radii, 0.0]
 
     monkeypatch.setattr(charpoly, "certified_roots", doubled)
     code, _, err = run_cli(capsys, "analyze", "--n", "3", "--k", "1")

@@ -12,9 +12,9 @@ def test_dk_paths_find_same_roots():
     # companion-matrix eigenvalues agree
     p = Polynomial((-6.0, 11.0, -6.0, 1.0))  # (r-1)(r-2)(r-3)
     z0 = np.asarray([1.0 + 1e-13, 2.0 - 2e-13, 3.0 + 3e-13], dtype=np.complex128)
-    corrected = certified_roots(p, z0)
+    corrected, _ = certified_roots(p, z0)
     assert [r.re for r in corrected] == pytest.approx([1.0, 2.0, 3.0], rel=1e-15, abs=0)
-    roots = certified_roots(p, np.roots(p.coeffs[::-1]).astype(np.complex128))  # all real
+    roots, _ = certified_roots(p, np.roots(p.coeffs[::-1]).astype(np.complex128))  # all real
     assert [r.re for r in roots] == pytest.approx([r.re for r in corrected], rel=1e-15, abs=0)
     assert all(r.im == 0.0 and r.multiplicity == 1 for r in roots + corrected)
 
@@ -79,7 +79,7 @@ def test_one_correction_of_a_root_beyond_the_float_range_of_its_powers():
     p = Polynomial((1e120, 1.5e120 - 1.0, -1e120 - 1.5, 1.0))
     z0 = np.asarray([-0.5 + 1e-13, 2.0 + 1e-13, 1e120 * (1 + 1e-13)], dtype=np.complex128)
     with np.errstate(over="raise"):
-        roots = certified_roots(p, z0)
+        roots, _ = certified_roots(p, z0)
     assert [r.re for r in roots] == pytest.approx([-0.5, 2.0, 1e120], rel=1e-15, abs=0)
     assert all(r.im == 0.0 for r in roots)
 

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from itereq.poly import (
     ComplexRoot,
     Polynomial,
     _disk_radii,
+    _meeting_disks,
     _overlapping_disks,
+    _rounding_bounds,
     certified_roots,
 )
 
@@ -95,7 +98,7 @@ def companion_estimates(p):
 
 
 def companion_roots(p):
-    return certified_roots(p, companion_estimates(p))
+    return certified_roots(p, companion_estimates(p))[0]
 
 
 def test_all_roots_quadratic():
@@ -153,14 +156,15 @@ def test_certified_roots_makes_one_kernel_pass(monkeypatch):
     monkeypatch.setattr(_kernels, "horner_scaled_bound", counted)
     p = Polynomial((5.0, 1.0, -2.0, 1.0, 0.5, 1.0))
     z = companion_estimates(p)
-    roots = certified_roots(p, z)
+    roots, _ = certified_roots(p, z)
     assert len(passes) == 1 and passes[0].tobytes() == z.tobytes()
     assert len(roots) == 5
     nr = sum(r.im == 0.0 for r in roots)
     assert len(z) == nr + (5 - nr) // 2 == 3
     # a constant has no roots and takes no pass
     passes.clear()
-    assert certified_roots(Polynomial((3.0,)), np.array([], complex)) == []
+    roots, radii = certified_roots(Polynomial((3.0,)), np.array([], complex))
+    assert roots == [] and not radii.size
     assert not passes
 
 
@@ -181,7 +185,7 @@ def test_all_roots_evaluates_once_per_correction_plus_once(monkeypatch, correcti
     roots = companion_roots(p)
     for step in range(corrections):
         z = np.asarray([r.as_complex() for r in roots])
-        roots = certified_roots(p, z)
+        roots, _ = certified_roots(p, z)
         assert passes[step + 1].tobytes() == z.tobytes()
     assert len(passes) == 1 + corrections
     assert sorted(r.re for r in roots) == pytest.approx([1.0, 2.0, 3.0], rel=1e-15)
@@ -199,15 +203,20 @@ def test_certified_roots_reports_each_estimate_minus_its_correction():
     h, dh, _, magnitude = _kernels.horner_scaled_bound(p.as_array(), z)
     corrected = z - h / dh
     assert np.all(corrected != z)  # every estimate moved
-    radius = _disk_radii(h, dh, magnitude, p.degree)
+    radius = _disk_radii(h, dh, magnitude, np.abs(z), p.degree)
     assert np.all(np.abs(corrected - z) < radius)  # each inside its own disk
     pairs = corrected[[1, 3]]
     want = np.concatenate([corrected[[0, 2]].real, pairs, pairs.conj()])
 
-    roots = certified_roots(p, z)
+    roots, radii = certified_roots(p, z)
     got = np.asarray([r.as_complex() for r in roots])
     order = np.lexsort((want.imag, want.real))
     assert got.tobytes() == want[order].tobytes()
+    # each root's radius: its disk's, plus its step, and a root within it
+    reach = (radius + np.abs(corrected - z)) * (1 + 2.0**-49)
+    assert radii.tobytes() == reach[[0, 2, 1, 3, 1, 3]][order].tobytes()
+    true = np.roots(p.coeffs[::-1])
+    assert all(np.min(np.abs(true - w)) <= r for w, r in zip(got, radii))
     assert sum(r.im == 0.0 for r in roots) == 2  # the real estimates stay real
     ims = sorted(r.im for r in roots if r.im != 0.0)
     assert ims == [-x for x in reversed(ims)]
@@ -234,7 +243,7 @@ def test_a_list_with_both_members_of_a_pair_is_refused(p, both, count):
     with pytest.raises(NonConvergence, match=f"^{count} root estimates for degree 4$"):
         certified_roots(p, np.asarray(both, dtype=np.complex128))
     one = [w for w in both if w.imag >= 0]
-    roots = certified_roots(p, np.asarray(one, dtype=np.complex128))
+    roots, _ = certified_roots(p, np.asarray(one, dtype=np.complex128))
     assert [r.as_complex() for r in roots] == sorted(both, key=lambda w: (w.real, w.imag))
 
 
@@ -277,11 +286,11 @@ def test_each_pair_may_come_as_either_member_in_any_order(reals, pairs, data):
     real_roots = [complex(0.5 * g + dx) for g, dx in reals]
     upper = [complex(0.5 * g + dx, 0.5 * h + dy) for g, h, dx, dy in pairs]
     p = Polynomial(tuple(np.poly(real_roots + upper + [w.conjugate() for w in upper])[::-1].real))
-    want = certified_roots(p, np.asarray(real_roots + upper))
+    want, _ = certified_roots(p, np.asarray(real_roots + upper))
     assert len(want) == p.degree
     members = [w.conjugate() if data.draw(st.booleans()) else w for w in upper]
     z = np.asarray(data.draw(st.permutations(real_roots + members)), dtype=np.complex128)
-    assert _report_bytes(certified_roots(p, z)) == _report_bytes(want)
+    assert _report_bytes(certified_roots(p, z)[0]) == _report_bytes(want)
 
 
 def test_all_roots_quartic_structure():
@@ -400,6 +409,53 @@ def test_sweep_agrees_with_the_pairwise_test_on_random_disks():
     assert past_neighbours > 0
 
 
+def _disks_with_mirrors(z, radius):
+    """Every disk as (centre, radius): the estimates, then the mirrors of
+    the non-real ones."""
+    disks = list(zip(z, radius))
+    return disks + [(np.conj(w), r) for w, r in disks if w.imag != 0.0]
+
+
+def _meet(a, b):
+    return np.abs(a[0] - b[0]) <= a[1] + b[1]
+
+
+# centres and radii on a grid of sixteenths, where the sums are exact
+_grid = st.integers(-24, 24).map(lambda i: i / 16.0)
+_estimates = st.lists(
+    st.tuples(
+        _grid,
+        st.one_of(st.just(0.0), _grid),  # real, or either half-plane
+        st.one_of(st.integers(0, 24).map(lambda i: i / 16.0), st.just(np.inf)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(_estimates)
+# a disk that touches the axis reaches its own mirror
+@example([(0.5, 0.25, 0.25), (3.0, 0.0, 0.0)])
+# equal real parts, the lower one meeting the upper one's mirror
+@example([(1.0, -0.5, 0.25), (1.0, 1.0, 0.125), (1.0, 0.0, 0.0)])
+@example([(1.0, -0.5, 0.25), (1.0, 1.0, 0.25)])
+# an infinite real disk meets every mirror
+@example([(1.0, 0.0, np.inf), (-1.0, 1.0, 0.5)])
+def test_upper_half_test_is_the_all_pairs_test_with_mirrors(spots):
+    z = np.asarray([complex(x, y) for x, y, _ in spots])
+    radius = np.asarray([r for *_, r in spots])
+    disks = _disks_with_mirrors(z, radius)
+    brute = any(_meet(a, b) for i, a in enumerate(disks) for b in disks[i + 1 :])
+    hit = _meeting_disks(z, radius)
+    assert (hit is not None) == brute
+    if hit is not None:
+        a, b = hit
+        # two disks of the set that really meet: a given estimate or its mirror each
+        assert _meet(a, b)
+        for centre, r in hit:
+            assert any(centre == w and r == q for w, q in disks)
+
+
 # ---------------------------------------------------------------------------
 # values computed once per polynomial
 # ---------------------------------------------------------------------------
@@ -433,3 +489,86 @@ def test_root_moduli_match_scalar_hypot_bit_for_bit():
         assert r.modulus == float(np.hypot(r.re, r.im))
         assert r == ComplexRoot(r.re, r.im, r.multiplicity)
     assert ComplexRoot(3.0, -4.0).modulus == 5.0
+
+
+# ---------------------------------------------------------------------------
+# the rounding bounds of the disks, in exact arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _gaussian(z):
+    """``(a, b, D)`` with z = (a + b i) / D, for integers a, b and one power
+    of two D."""
+    (a, da), (b, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    d = max(da, db)
+    return a * (d // da), b * (d // db), d
+
+
+def _exact_horner(coeffs, z):
+    """``(D^n q(z), D^(n-1) q'(z), D)`` at the float parts of z, for integer
+    coefficients, in integers, each complex value a pair of ints: Horner's
+    scheme, exact."""
+    a, b, d = _gaussian(z)
+    n = len(coeffs) - 1
+    value, slope = (int(coeffs[n]), 0), (0, 0)
+    for t in range(n):  # value carries D^t, slope D^(t-1)
+        slope = (slope[0] * a - slope[1] * b + value[0], slope[0] * b + slope[1] * a + value[1])
+        value = (
+            value[0] * a - value[1] * b + int(coeffs[n - 1 - t]) * d ** (t + 1),
+            value[0] * b + value[1] * a,
+        )
+    return value, slope, d
+
+
+def _exact_quotient(value, d, z, power):
+    """``(value / d) / z^power`` as a pair of Fractions, for a Gaussian
+    integer ``value`` (a pair of ints), an int d and a float z."""
+    a, b, big_d = _gaussian(z)
+    pr, pi = 1, 0
+    for _ in range(power):
+        pr, pi = pr * a - pi * b, pr * b + pi * a
+    # value D^power / (d (a + b i)^power): times the conjugate over |.|^2
+    den = d * (pr * pr + pi * pi)
+    num = (value[0] * pr + value[1] * pi, value[1] * pr - value[0] * pi)
+    return [Fraction(x * big_d**power, den) for x in num]
+
+
+def _within(x, exact, bound):
+    """``|x - exact| <= bound`` exactly, for a complex float x, an exact
+    complex value (a pair of Fractions) and a float bound."""
+    re_, im_ = Fraction(x.real) - exact[0], Fraction(x.imag) - exact[1]
+    return re_ * re_ + im_ * im_ <= Fraction(bound) ** 2
+
+
+def test_rounding_bounds_hold_in_exact_arithmetic():
+    # sampled quotients of the characteristic polynomials, n <= 60, at
+    # random points of both regimes of the kernel, at their own estimates
+    # (where p(z) nearly vanishes) and at 0
+    from itereq.charpoly import CharProblem, _lifted_estimates, _quotient, classify
+
+    rng = np.random.default_rng(20261021)
+    checked = {False: 0, True: 0}
+    for _ in range(40):
+        n = int(rng.integers(2, 61))
+        prob = CharProblem(n, int(rng.integers(0, n + 1)))
+        q = _quotient(prob, classify(prob).expected_real_roots[0].multiplicity)
+        if q.degree < 1:
+            continue
+        edge = _kernels.direct_radius(q.degree)
+        size = np.concatenate([rng.uniform(0.1, 1.0, 6) * edge, rng.uniform(1.0, 8.0, 6) * edge])
+        z = np.concatenate([
+            size * np.exp(2j * np.pi * rng.random(12)), _lifted_estimates(prob), [0.0]
+        ]).astype(np.complex128)
+        h, dh, _, magnitude = _kernels.horner_scaled_bound(q.as_array(), z)
+        r_h, r_dh = _rounding_bounds(magnitude, np.abs(z), q.degree)
+        for i in range(len(z)):
+            # q(z) and q'(z), divided by z^(m-1) past the direct range, where
+            # h and dh hold them so (their moduli times the scale s)
+            value, slope, d = _exact_horner(q.coeffs, z[i])
+            m, big = q.degree, bool(abs(z[i]) > edge)
+            value = _exact_quotient(value, d**m, z[i], m - 1 if big else 0)
+            slope = _exact_quotient(slope, d ** (m - 1), z[i], m - 1 if big else 0)
+            assert _within(h[i], value, r_h[i]), (prob, z[i])
+            assert _within(dh[i], slope, r_dh[i]), (prob, z[i])
+            checked[big] += 1
+    assert min(checked.values()) > 100
