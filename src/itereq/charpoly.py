@@ -16,10 +16,12 @@ The memos of the package, all sized from ``_REPORT_CACHE_SIZE`` (256)
 and none keeping a failure: ``analyze_roots``, ``build_char_poly`` and
 ``classify`` keep one report, polynomial and case analysis per
 ``CharProblem``,
-``families.enumerate_families`` one enumeration per problem and
-``recurrence._anchor_system`` one anchor system per spectrum, 256 each,
-and ``recurrence._cached_basis`` one closed-form basis per spectrum and
-index range, 512.  A ``RootReport`` keeps its own hash once taken.
+``families.enumerate_families`` one enumeration per problem,
+``recurrence._candidates`` one set of candidate mode sets per spectrum
+and ``recurrence._fit_system`` one least-squares operator per fitted mode
+set and anchor count, 256 each, and ``recurrence._cached_basis`` one
+closed-form basis per set of terms and index range, 512.  A
+``RootReport`` keeps its own hash once taken.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class RootReport:
     separation gap are read off those roots on every access.  Its hash,
     that of the tuple of its fields as the dataclass would give it, is
     computed on first use and kept: the memos keyed on a report
-    (``recurrence._anchor_system``) then hash it in constant time.
+    (``recurrence._candidates``) then hash it in constant time.
     """
 
     problem: CharProblem

@@ -13,7 +13,9 @@ Exit codes: 0 success/pass, 1 check failure (the claim failed at this
 (n, k)), 2 usage or input error, 3 unsolved regime (0 < k < n with k and
 n both even), 4 numerical failure (a solver or fit gave up, a fitted
 closed form left the float range, or the run ran out of memory; nothing
-was refuted).
+was refuted).  ``fit-recurrence`` on an orbit that no set of at most three
+spectrum modes explains exits 1 if the orbit breaks the recurrence and 4
+if it keeps it.
 
 ``--generator`` takes exactly ``identity``, ``log`` or ``power:P``.
 """
@@ -26,7 +28,13 @@ import json
 import math
 import sys
 
-from .charpoly import CharProblem, analyze_roots, classify, report_matches_expectation
+from .charpoly import (
+    CharProblem,
+    analyze_roots,
+    build_char_poly,
+    classify,
+    report_matches_expectation,
+)
 from .errors import (
     BracketFailure,
     ConstructionError,
@@ -38,7 +46,15 @@ from .errors import (
 from .families import enumerate_families, solution_from_json
 from .intervals import json_float, parse_interval
 from .means import Generator
-from .recurrence import PREDICTION_TOL, ClosedForm, fit_closed_form, prediction_error
+from .recurrence import (
+    PREDICTION_TOL,
+    RECURRENCE_TOL,
+    ClosedForm,
+    check_recurrence,
+    excited_modes,
+    fit_modes,
+    prediction_error,
+)
 from .verify import DEFAULT_SAMPLES, DEFAULT_TOL, Orbit, iterate, verify_general
 
 EXIT_OK = 0
@@ -355,11 +371,32 @@ def _cmd_fit(args) -> int:
             f"orbit has {rows} rows, need at least n + 1 = {prob.n + 1}: "
             f"{prob.n} to fit and at least one held out to check the fit"
         )
-    cf = fit_closed_form(orb, analyze_roots(prob))
+    try:
+        modes = excited_modes(orb, analyze_roots(prob))
+    except SingularSystem:
+        # no closed form on the spectrum: refuted if the orbit breaks the
+        # recurrence, a numerical failure (exit 4) if it keeps it
+        rec = check_recurrence(orb, build_char_poly(prob))
+        if rec.passed:
+            raise
+        if args.json:
+            print(_dumps({
+                "recurrence_max_residual": json_float(rec.max_residual),
+                "recurrence_tol": RECURRENCE_TOL,
+            }, indent=2))
+        else:
+            print(
+                f"recurrence residual {_float_repr(rec.max_residual)} exceeds "
+                f"RECURRENCE_TOL ({RECURRENCE_TOL:g}, relative): the orbit does "
+                f"not obey the ({prob.n}, {prob.k}) recurrence"
+            )
+        return EXIT_CHECK_FAILED
+    cf = fit_modes(orb, modes)
     worst = prediction_error(cf, orb, prob.n, orb.m_hi)
 
     if args.json:
         payload = cf.to_json()
+        payload["modes"] = modes.to_json()
         payload["held_out_max_relative_error"] = json_float(worst)
         payload["held_out_points"] = max(0, orb.m_hi + 1 - prob.n)
         print(_dumps(payload, indent=2))

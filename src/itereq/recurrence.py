@@ -7,32 +7,31 @@ characteristic coefficients, so it matches a closed form
         + sum_k (B_k(j) cos(j phi_k) + C_k(j) sin(j phi_k)) |mu_k|^j
 
 where the polynomial degrees are bounded by the root multiplicities.
-Fitting anchors the first ``degree`` forward orbit entries on a
-generalized (confluent) Vandermonde system.  The system is solved by one
-double-precision LU solve and two steps of iterative refinement whose
-residual is computed in compensated double (TwoProduct and an exactly
-rounded sum; Ogita, Rump & Oishi 2005).  Plain double is not enough:
-prediction at index 30 amplifies a weight error by |root|^30, so the
-weight of a root the orbit barely excites must be resolved far below the
-rounding level of the anchors.
-
-The anchor system depends only on the spectrum, so ``fit_closed_form``
-takes it from one bounded LRU memo keyed on the frozen ``RootReport``
-(which ``analyze_roots`` already shares per (n, k), and which hashes its
-roots once): the spectrum terms, the read-only matrix and its condition
-number are built once per spectrum, and equal reports get the same
-system.  As with ``analyze_roots``, failures are not cached, so a
-spectrum the condition guard refuses raises on every call.
+Every solution has at most three affine pieces, and an orbit in one
+piece obeys ``x_{j+1} = s x_j + c``, so it excites at most the modes 1
+and s (1 with a line in j for a translation).  A fit therefore first
+finds the modes the orbit excites (``excited_modes``): of every set of
+spectrum modes with at most three weights, the fewest whose annihilator
+the first ``degree`` forward orbit values satisfy to rounding, tested by
+one matrix product against a per-spectrum memo (``_candidates``) of the
+sets' annihilator coefficients.  It then fits only those modes by
+weighted least squares on the same anchors (``fit_modes``), with the
+solution operator kept per mode set and anchor count (``_fit_system``).
+A root the orbit does not excite gets no weight, so none is amplified by
+``|root|^30`` at index 30, and the basis has at most three columns, well
+conditioned where the spectrum's full confluent Vandermonde matrix is
+not.  Memos keyed on a ``RootReport`` share one entry among equal reports;
+as with ``analyze_roots``, no memo keeps a failure.
 
 Anchors, the anchor check and predictions read one basis (``_basis``):
 the matrix of ``J^t lambda^J``, ``J^t cos(J phi) mu^J`` and
 ``J^t sin(J phi) mu^J`` columns at the indices ``J``, in the order of the
 weights.  Its value at an index does not depend on the other indices, so
 ``predict`` is ``predict_range`` at one index, bit for bit.  The basis is
-evaluated once per spectrum and index range and kept, read-only, in one
-bounded LRU memo (``_cached_basis``) keyed on the exact bits of the terms
-and on ``(j_lo, j_hi)``: the anchor system and every prediction read it,
-so a spectrum predicted again in one process costs no evaluation.  An
+evaluated once per set of terms and index range and kept, read-only, in
+one bounded LRU memo (``_cached_basis``) keyed on the exact bits of the
+terms and on ``(j_lo, j_hi)``: the fit and every prediction read it, so
+a closed form predicted again in one process costs no evaluation.  An
 ``OverflowError`` is not cached.
 ``check_recurrence`` multiplies all windows of the orbit at once and sums
 each exactly with ``math.fsum``.
@@ -41,6 +40,7 @@ each exactly with ``math.fsum``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -54,8 +54,10 @@ from .poly import Polynomial
 from .verify import Orbit
 
 _COND_LIMIT = 1e12
-_SYSTEM_CACHE_SIZE = _REPORT_CACHE_SIZE
-# each spectrum's anchor range and its prediction range, with room to spare
+_MODES_CACHE_SIZE = _REPORT_CACHE_SIZE
+# each fitted mode set at each anchor count: a few sets per spectrum
+_FIT_CACHE_SIZE = _REPORT_CACHE_SIZE
+# each fitted mode set's anchor range and its prediction range, with room to spare
 _BASIS_CACHE_SIZE = 2 * _REPORT_CACHE_SIZE
 _DOUBLE = struct.Struct("d")
 _ANCHOR_TOL = 1e-9
@@ -63,8 +65,12 @@ RECURRENCE_TOL = 1e-9  # check_recurrence's residual limit, relative
 # largest held-out relative prediction error (``prediction_error``) a fit
 # may show and still count as confirmed
 PREDICTION_TOL = 1e-6
-_REFINE_STEPS = 2
-_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a binary64 value
+# an orbit in one affine piece obeys x_{j+1} = s x_j + c, which excites at
+# most the modes 1 and s, or 1 with j (a translation); three columns hold both
+_MAX_COLUMNS = 3
+# the annihilator residual ratio rounding leaves: each step of an orbit is
+# rounded once, and so is each annihilator coefficient
+MODE_THRESHOLD = 16.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -279,74 +285,138 @@ def _spectrum_terms(spectrum: RootReport):
 
 
 @dataclass(frozen=True)
-class _AnchorSystem:
-    """The anchor system of one spectrum, shared by every fit on it.
+class ExcitedModes:
+    """The spectrum modes an orbit excites, as ``excited_modes`` found them.
 
-    ``reals`` and ``complexes`` are the spectrum terms (see
-    ``_spectrum_terms``); ``matrix`` is the confluent Vandermonde matrix,
-    the read-only basis at indices ``0..degree-1`` that ``_cached_basis``
-    keeps, ``halves`` its read-only Veltkamp split (see ``_residual``) and
-    ``cond`` its 2-norm condition number.
+    ``reals`` holds ``(lam, columns)`` and ``complexes`` holds ``(modulus,
+    argument, columns)``: a spectrum term with the number of weights it
+    takes in place of its multiplicity (a conjugate pair takes twice its
+    ``columns``).  ``anchors`` is the number of forward orbit values the
+    modes were tested and are fitted on (the spectrum's degree),
+    ``ratio`` the largest annihilator residual ratio over those anchors'
+    windows (at most ``MODE_THRESHOLD``), and ``fewer`` the least such
+    ratio among candidates with fewer columns (None when the set has one
+    column): the rank gap.
     """
 
     reals: tuple[tuple[float, int], ...]
     complexes: tuple[tuple[float, float, int], ...]
-    matrix: np.ndarray
-    halves: tuple[np.ndarray, np.ndarray]
-    cond: float
+    anchors: int
+    ratio: float
+    fewer: float | None
+
+    def to_json(self) -> dict:
+        return {
+            "chosen": [{"lambda": lam, "columns": t} for lam, t in self.reals]
+            + [
+                {"modulus": mod, "argument": phi, "columns": 2 * t}
+                for mod, phi, t in self.complexes
+            ],
+            "max_ratio": self.ratio,
+            "threshold": MODE_THRESHOLD,
+            "least_ratio_with_fewer_columns": self.fewer,
+        }
 
 
-@functools.lru_cache(maxsize=_SYSTEM_CACHE_SIZE)
-def _anchor_system(spectrum: RootReport) -> _AnchorSystem:
-    """The anchor system of ``spectrum``, one shared object per equal report.
+@dataclass(frozen=True)
+class _Candidates:
+    """The candidate mode sets of one spectrum, fewest columns first.
 
-    Raises :class:`SingularSystem` when the spectrum's parameter count is
-    not its degree or the condition number exceeds 1e12; failures are not
-    cached.
+    ``modes`` holds each set as ``(reals, complexes)`` of ``ExcitedModes``,
+    ``columns`` its column count, and ``coeffs`` (with ``magnitudes``, its
+    absolute values) its annihilator's coefficients, lowest degree first,
+    one column per set, zero-padded to ``_MAX_COLUMNS + 1`` rows.  Row j of
+    ``windows`` indexes the anchor window ``x_j..x_{j+3}`` in the anchors
+    padded with three zeros, and ``inside[j, c]`` says whether set ``c``'s
+    window at ``j`` lies within the anchors.  Every array is read-only.
     """
+
+    modes: tuple[tuple[tuple, tuple], ...]
+    columns: np.ndarray
+    coeffs: np.ndarray
+    magnitudes: np.ndarray
+    windows: np.ndarray
+    inside: np.ndarray
+
+
+def _mode_sets(reals, complexes) -> list[tuple[int, tuple, tuple]]:
+    """Every set of spectrum modes with at most ``_MAX_COLUMNS`` columns,
+    as ``(columns, reals, complexes)``, fewest columns first.
+
+    A real root of multiplicity m enters with 1 to m columns (the double
+    root 1 as a constant or as a line in j); a conjugate pair takes two.
+    """
+    options = [[(lam, t) for t in range(1, mult + 1)] for lam, mult in reals]
+    sets = []
+    for size in range(_MAX_COLUMNS + 1):
+        for roots in itertools.combinations(options, size):
+            for picked in itertools.product(*roots):
+                cols = sum(t for _, t in picked)
+                if size and cols <= _MAX_COLUMNS:
+                    sets.append((cols, picked, ()))
+                if cols + 2 <= _MAX_COLUMNS:
+                    sets += [(cols + 2, picked, ((mod, phi, 1),)) for mod, phi, _ in complexes]
+    sets.sort(key=lambda s: s[0])
+    return sets
+
+
+def _annihilator(reals, complexes) -> np.ndarray:
+    """The monic polynomial whose roots are the modes, lowest degree first."""
+    poly = np.ones(1)
+    for lam, t in reals:
+        for _ in range(t):
+            poly = np.convolve(poly, [-lam, 1.0])
+    for mod, phi, t in complexes:
+        for _ in range(t):
+            poly = np.convolve(poly, [mod * mod, -2.0 * mod * math.cos(phi), 1.0])
+    return poly
+
+
+@functools.lru_cache(maxsize=_MODES_CACHE_SIZE)
+def _candidates(spectrum: RootReport) -> _Candidates:
+    """The candidate mode sets of ``spectrum``, one shared object per equal
+    report."""
     deg = spectrum.problem.degree
-    reals, complexes = _spectrum_terms(spectrum)
-    n_cols = sum(m for _, m in reals) + sum(2 * m for _, _, m in complexes)
-    if n_cols != deg:
-        raise SingularSystem(
-            f"spectrum provides {n_cols} parameters for degree {deg}"
-        )
-
-    A64 = _cached_basis(_terms_key(reals, complexes), 0, deg - 1)
-    cond = float(np.linalg.cond(A64))
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularSystem(
-            f"anchor system condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}"
-        )
-    halves = _split(A64)
-    for a in halves:
+    sets = _mode_sets(*_spectrum_terms(spectrum))
+    columns = np.array([cols for cols, _, _ in sets])
+    coeffs = np.zeros((_MAX_COLUMNS + 1, len(sets)))
+    for c, (cols, reals, complexes) in enumerate(sets):
+        coeffs[: cols + 1, c] = _annihilator(reals, complexes)
+    starts = np.arange(max(deg - 1, 0))
+    windows = starts[:, None] + np.arange(_MAX_COLUMNS + 1)
+    inside = starts[:, None] < deg - columns
+    arrays = (columns, coeffs, np.abs(coeffs), windows, inside)
+    for a in arrays:
         a.flags.writeable = False
-    return _AnchorSystem(tuple(reals), tuple(complexes), A64, halves, cond)
+    return _Candidates(tuple((r, c) for _, r, c in sets), *arrays)
 
 
-def fit_closed_form(
+def _scaled(anchors: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """The anchors scaled into [-1, 1] by a power of two (exact), the
+    exponent of that power and the largest anchor magnitude."""
+    peak = float(np.max(np.abs(anchors)))
+    exp = math.frexp(peak)[1]
+    return np.ldexp(anchors, -exp), exp, peak
+
+
+def excited_modes(
     orbit: Orbit,
     spectrum: RootReport,
     regime_of: Solution | None = None,
-) -> ClosedForm:
-    """Fit the closed form through the first ``degree`` orbit entries.
+) -> ExcitedModes:
+    """The fewest spectrum modes whose annihilator the anchors satisfy.
 
-    The anchor system is a confluent Vandermonde matrix (powers-of-j
-    columns for multiple roots, cos/sin columns for conjugate pairs),
-    built once per spectrum (``_anchor_system``) and solved in double
-    precision: one LU solve, then two steps of iterative refinement
-    ``x += solve(A, b - A x)`` with the residual computed in compensated
-    double.  The refinement matters because a
-    weight error at root ``lambda`` grows by ``|lambda|^30`` at index 30:
-    an orbit of (3, 1) that decays like 0.414^j puts a weight of about
-    1e-19 on the root -2.414, and a bare double solve leaves 1e-17 there,
-    a prediction error of 3e-6 at index 30.
+    The anchors are the first ``degree`` forward orbit values, so values
+    held out of the fit stay out of the choice too.  Each candidate set
+    (``_candidates``) passes when every anchor window ``x_j..x_{j+d}`` has
+    ``|sum_i a_i x_{j+i}| <= MODE_THRESHOLD * sum_i |a_i| |x_{j+i}|``, ``a``
+    its annihilator of degree d: what rounding leaves of a sum that is 0
+    in exact arithmetic.  The fewest columns win, then the least ratio.
     ``regime_of`` optionally supplies the generating solution so that
     branch-crossing orbits of three-piece maps are refused: the linear
     recurrence only holds while the orbit stays in one affine regime.
-    The anchors are finite, as every orbit's points are (``Orbit``).
-    Raises :class:`SingularSystem` when the system's condition number
-    exceeds 1e12 or the anchors cannot be reproduced.
+    Raises :class:`SingularSystem`, naming the least ratio and the
+    threshold, when no candidate passes.
     """
     deg = spectrum.problem.degree
     vals = orbit.forward_values()
@@ -357,55 +427,104 @@ def fit_closed_form(
             "orbit crosses an affine regime boundary; the linear recurrence "
             "does not apply across branches"
         )
-    anchors = vals[:deg]
-    system = _anchor_system(spectrum)
-    A64 = system.matrix
+    cands = _candidates(spectrum)
+    # scaled, so no product overflows; the ratios do not change
+    padded = np.zeros(deg + _MAX_COLUMNS)
+    padded[:deg] = _scaled(vals[:deg])[0]
+    windows = padded[cands.windows]
+    sums = np.abs(windows @ cands.coeffs)
+    sizes = np.abs(windows) @ cands.magnitudes
+    ratios = np.divide(
+        sums, sizes, out=np.zeros_like(sums), where=cands.inside & (sizes > 0.0)
+    )
+    worst = ratios.max(axis=0, initial=0.0)
+    passed = worst <= MODE_THRESHOLD
+    if not passed.any():
+        raise SingularSystem(
+            f"no set of at most {_MAX_COLUMNS} spectrum modes explains the "
+            f"anchors: least annihilator residual ratio {worst.min():.3e} "
+            f"exceeds the threshold {MODE_THRESHOLD:.3e}"
+        )
+    cols = cands.columns[passed.argmax()]  # the fewest, as the sets are sorted
+    pick = int(np.where(passed & (cands.columns == cols), worst, np.inf).argmin())
+    fewer = worst[cands.columns < cols]
+    reals, complexes = cands.modes[pick]
+    return ExcitedModes(
+        reals,
+        complexes,
+        deg,
+        float(worst[pick]),
+        float(fewer.min()) if fewer.size else None,
+    )
 
-    # solve for anchors scaled into [-1, 1] by a power of two, which is
-    # exact and keeps the products split in _residual clear of overflow
-    peak = float(np.max(np.abs(anchors)))
-    exp = math.frexp(peak)[1]
-    b = np.ldexp(anchors, -exp)
-    weights = np.linalg.solve(A64, b)
-    for _ in range(_REFINE_STEPS):
-        weights += np.linalg.solve(A64, _residual(system, b, weights))
 
-    weights = np.ldexp(weights, exp)
-    cf = _assemble(system.reals, system.complexes, weights.tolist())
+@functools.lru_cache(maxsize=_FIT_CACHE_SIZE)
+def _fit_system(terms: tuple, anchors: int) -> tuple[np.ndarray, np.ndarray]:
+    """The basis of ``terms`` at ``0..anchors-1`` and its weighted
+    least-squares solution operator, both read-only, one shared pair per key.
+
+    Each row of the basis is scaled by a power of two to a largest entry
+    in [1/2, 1), then each column: an orbit value is rounded relative to
+    its largest term, so the rows weigh each anchor by its rounding, and
+    the columns balance the modes.  The scaled basis's singular value
+    decomposition gives the operator, with both scalings folded in.
+    Raises :class:`SingularSystem` when the scaled basis's condition
+    number exceeds 1e12; failures are not cached.
+    """
+    basis = _cached_basis(terms, 0, anchors - 1)
+    rows = np.ldexp(1.0, -np.frexp(np.abs(basis).max(axis=1))[1])
+    scaled = basis * rows[:, None]
+    cols = np.ldexp(1.0, -np.frexp(np.abs(scaled).max(axis=0))[1])
+    u, s, vt = np.linalg.svd(scaled * cols, full_matrices=False)
+    cond = s[0] / s[-1] if s[-1] > 0.0 else math.inf
+    if not cond <= _COND_LIMIT:
+        raise SingularSystem(
+            f"anchor basis condition number {cond:.3e} exceeds {_COND_LIMIT:.0e}"
+        )
+    solve = (cols[:, None] * vt.T / s) @ (u.T * rows)
+    solve.flags.writeable = False
+    return basis, solve
+
+
+def fit_modes(orbit: Orbit, modes: ExcitedModes) -> ClosedForm:
+    """The closed form on ``modes``, fitted to the first ``modes.anchors``
+    forward orbit values by weighted least squares.
+
+    The fit reads its basis and solution operator from one memo
+    (``_fit_system``) keyed on the modes and the anchor count.  Raises
+    :class:`SingularSystem` when the basis's condition number exceeds
+    1e12 or the fit misses an anchor by more than ``_ANCHOR_TOL``
+    relative.
+    """
+    anchors = orbit.forward_values()[: modes.anchors]
+    basis, solve = _fit_system(_terms_key(modes.reals, modes.complexes), modes.anchors)
+    scaled, exp, peak = _scaled(anchors)
+    weights = np.ldexp(solve @ scaled, exp)
     limit = _ANCHOR_TOL * (1.0 + peak)
-    fitted = _combine(A64, weights)  # predict_range(cf, 0, deg - 1), bit for bit
-    missed = np.flatnonzero(~(np.abs(fitted - anchors) <= limit))
-    if missed.size:
-        j = int(missed[0])
-        err = abs(fitted[j] - anchors[j])
+    fitted = _combine(basis, weights)  # predict_range(cf, 0, anchors - 1), bit for bit
+    errors = np.abs(fitted - anchors)
+    if not errors.max() <= limit:  # a NaN error fails too
+        j = int(np.argmax(~(errors <= limit)))
         raise SingularSystem(
             f"fit does not reproduce anchor {j}: "
             f"{float(fitted[j])!r} vs {float(anchors[j])!r}, "
-            f"error {err:.3e} exceeds {limit:.3e}"
+            f"error {errors[j]:.3e} exceeds {limit:.3e}"
         )
-    return cf
+    return _assemble(modes.reals, modes.complexes, weights.tolist())
 
 
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split: ``a == hi + lo`` exactly, each half 26 bits wide."""
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
+def fit_closed_form(
+    orbit: Orbit,
+    spectrum: RootReport,
+    regime_of: Solution | None = None,
+) -> ClosedForm:
+    """The closed form of the orbit on the modes it excites:
+    ``fit_modes(orbit, excited_modes(orbit, spectrum, regime_of))``.
 
-
-def _residual(system: _AnchorSystem, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``b - A x`` rounded once from its exact value, ``A`` the system's matrix.
-
-    TwoProduct (Dekker) turns each ``A[i, j] * x[j]`` into ``p + e``
-    exactly; ``math.fsum`` then adds ``b[i]`` and every row's products
-    and error terms with a single rounding.
+    Only the excited modes carry weight, so a root the orbit never
+    excites has no weight for ``|lambda|^30`` to grow at index 30.
     """
-    p = system.matrix * x
-    a_hi, a_lo = system.halves
-    x_hi, x_lo = _split(x)
-    e = ((a_hi * x_hi - p) + a_hi * x_lo + a_lo * x_hi) + a_lo * x_lo
-    terms = np.hstack([b[:, None], -p, -e])
-    return np.fromiter(map(math.fsum, terms.tolist()), float, len(b))
+    return fit_modes(orbit, excited_modes(orbit, spectrum, regime_of))
 
 
 def _assemble(reals, complexes, weights: list[float]) -> ClosedForm:

@@ -414,12 +414,30 @@ def test_fit_recurrence_power_orbit(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out)
+    # the orbit excites only -2, so the closed form names only -2
     weights = {
         round(t["lambda"], 6): t["coeffs"][0] for t in payload["real_terms"]
     }
-    assert weights[-2.0] == pytest.approx(1.0, abs=1e-10)
-    assert weights[1.0] == pytest.approx(0.0, abs=1e-10)
+    assert weights == {-2.0: pytest.approx(1.0, abs=1e-10)}
     assert payload["held_out_max_relative_error"] <= 1e-6
+    modes = payload["modes"]
+    assert modes["chosen"] == [{"lambda": -2.0, "columns": 1}]
+    assert 0.0 <= modes["max_ratio"] <= modes["threshold"] == 16 * 2.0**-52
+    assert modes["least_ratio_with_fewer_columns"] is None
+
+
+def test_fit_recurrence_json_names_the_rank_gap(tmp_path, capsys):
+    # x_j = 1 + (-2)^j excites both roots of (2, 0); each root alone leaves
+    # a residual ratio far above the threshold
+    values = [1.0 + (-2.0) ** m for m in range(12)]
+    code, out, _ = run_cli(
+        capsys, "fit-recurrence", "--n", "2", "--k", "0",
+        "--orbit", _write_orbit_csv(tmp_path, values), "--json",
+    )
+    assert code == 0
+    modes = json.loads(out)["modes"]
+    assert [m["columns"] for m in modes["chosen"]] == [1, 1]
+    assert modes["least_ratio_with_fewer_columns"] > 1e6 * modes["threshold"]
 
 
 def test_fit_recurrence_arithmetic_progression(tmp_path, capsys):
@@ -457,14 +475,10 @@ def test_fit_recurrence_reindexes_negative_start(tmp_path, capsys):
     assert json.loads(out)["held_out_max_relative_error"] <= 1e-6
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 7: the fit puts about 1e-16 of weight on the root -2.414, "
-    "which the orbit does not excite, and index 34 makes it a held-out error of 1.1e-3",
-)
 def test_fit_recurrence_three_piece_orbit_with_backward_steps(tmp_path, capsys):
-    # a true orbit of the (3, 1) three-piece map, 4 steps back and 30 on
+    # a true orbit of the (3, 1) three-piece map, 4 steps back and 30 on: it
+    # excites only the root 0.414, so no weight sits on -2.414 for index 34
+    # to amplify
     spec = {
         "family": "three_piece",
         "params": {"a": 0, "b": 1, "slope": 0.4142135623730951},
@@ -480,7 +494,9 @@ def test_fit_recurrence_three_piece_orbit_with_backward_steps(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "fit-recurrence", "--n", "3", "--k", "1", "--orbit", str(path), "--json",
     )
-    assert code == 0, json.loads(out)["held_out_max_relative_error"]
+    payload = json.loads(out)
+    assert code == 0, payload["held_out_max_relative_error"]
+    assert [m["lambda"] for m in payload["modes"]["chosen"]] == [0.4142135623730951]
 
 
 def test_solve_rejects_unknown_parameter(tmp_path, capsys):
@@ -571,15 +587,24 @@ def test_fit_recurrence_row_with_extra_field_exit_2(tmp_path, capsys):
     assert "cannot parse orbit row on line 4" in err and "2,4,99" in err
 
 
+def _tiny_power_orbit():
+    # the orbit of 1e-300 under x -> -2.414 x, which excites only -2.414
+    values = [1e-300]
+    for _ in range(899):
+        values.append(values[-1] * (-1.0 - SQRT2))
+    return values
+
+
 @pytest.mark.parametrize(
-    "term",
-    [lambda m: 0.5**m + 1.0, lambda m: -((SQRT2 - 1.0) ** m)],
-    ids=["half_powers_plus_one", "three_piece_orbit"],
+    "orbit",
+    [lambda: [0.5**m + 1.0 for m in range(900)], _tiny_power_orbit],
+    ids=["half_powers_plus_one", "orbit_of_the_root_below_minus_one"],
 )
-def test_fit_recurrence_overflowing_closed_form_exit_4(tmp_path, capsys, term):
+def test_fit_recurrence_overflowing_closed_form_exit_4(tmp_path, capsys, orbit):
     # (3, 1) has the root -2.414; its power at index 899 leaves the float
-    # range, which refutes nothing
-    values = [term(m) for m in range(900)]
+    # range, which refutes nothing.  Three anchors fix three weights, so the
+    # first orbit is fitted on the whole spectrum.
+    values = orbit()
     code, out, err = run_cli(
         capsys, "fit-recurrence", "--n", "3", "--k", "1",
         "--orbit", _write_orbit_csv(tmp_path, values),
@@ -598,13 +623,23 @@ def _translation_1e307(tmp_path):
     return str(spec)
 
 
-@pytest.mark.parametrize("n, k", [("2", "0"), ("2", "2"), ("5", "1")], ids=["0", "2", "5_1"])
+@pytest.mark.parametrize(
+    "n, k, line",
+    [
+        ("2", "0", "held-out max relative error: inf"),
+        ("2", "2", "held-out max relative error: inf"),
+        ("5", "1", "recurrence residual 9e+307 exceeds RECURRENCE_TOL (1e-09, relative)"),
+    ],
+    ids=["0", "2", "5_1"],
+)
 def test_fit_recurrence_overflowing_prediction_fails_without_warning(
-    tmp_path, capsys, n, k
+    tmp_path, capsys, n, k, line
 ):
-    # the orbit escapes forward at m = 18; predictions that overflow to
-    # +-inf, or at (5, 1) add +inf and -inf terms to NaN, read as an
-    # infinite held-out error, with no NumPy warning
+    # the orbit escapes forward at m = 18.  At (2, 0) and (2, 2) two anchors
+    # fix the whole spectrum, and predictions that overflow to +-inf read as
+    # an infinite held-out error; at (5, 1) no mode set explains the orbit,
+    # whose recurrence residual (scaled, so it stays finite) refutes it.
+    # Neither warns.
     csv = str(tmp_path / "tr.csv")
     code, _, _ = run_cli(
         capsys, "orbit", "--solution", _translation_1e307(tmp_path),
@@ -615,7 +650,7 @@ def test_fit_recurrence_overflowing_prediction_fails_without_warning(
         capsys, "fit-recurrence", "--n", n, "--k", k, "--orbit", csv,
     )
     assert (code, err) == (1, "")
-    assert "held-out max relative error: inf" in out
+    assert line in out
 
 
 @pytest.mark.parametrize(
@@ -798,7 +833,9 @@ def test_verify_reciprocal_fails_exit_1(tmp_path, capsys):
     assert json.loads(out)["pass"] is False
 
 
-def test_fit_recurrence_condition_refusal_exit_4(tmp_path, capsys):
+def test_fit_recurrence_affine_13_12_orbit_exit_0(tmp_path, capsys):
+    # the n x n anchor system of (13, 12) was refused at condition number
+    # 3.9e12; the orbit excites only 1 and the slope -0.764
     from itereq.charpoly import CharProblem
     from itereq.families import enumerate_families
     from itereq.intervals import REAL_LINE
@@ -807,12 +844,45 @@ def test_fit_recurrence_condition_refusal_exit_4(tmp_path, capsys):
     enum = enumerate_families(CharProblem(13, 12), REAL_LINE)
     affine = next(d for d in enum.families if d.family == "affine")
     orbit = iterate(affine.instantiate(REAL_LINE, c=0.3), 0.7, 0, 30)
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "fit-recurrence", "--n", "13", "--k", "12",
-        "--orbit", _write_orbit_csv(tmp_path, orbit.points.tolist()),
+        "--orbit", _write_orbit_csv(tmp_path, orbit.points.tolist()), "--json",
     )
-    assert code == 4
-    assert "condition number" in err
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert [m["lambda"] for m in payload["modes"]["chosen"]] == [1.0, affine.slope]
+    assert payload["held_out_max_relative_error"] <= 1e-6
+
+
+def test_fit_recurrence_json_names_a_broken_recurrence(tmp_path, capsys):
+    # a line is an orbit of (5, 1) only if 1 were a double root there
+    code, out, err = run_cli(
+        capsys, "fit-recurrence", "--n", "5", "--k", "1",
+        "--orbit", _write_orbit_csv(tmp_path, [float(m) for m in range(12)]), "--json",
+    )
+    assert (code, err) == (1, "")
+    payload = strict_loads(out)
+    assert payload["recurrence_max_residual"] > payload["recurrence_tol"] == 1e-9
+
+
+def test_fit_recurrence_orbit_of_too_many_modes_exit_4(tmp_path, capsys):
+    # a sequence that keeps the (5, 1) recurrence from arbitrary starting
+    # values excites every root: no closed form of at most three columns
+    # explains it, and nothing is refuted
+    from itereq.charpoly import CharProblem, build_char_poly
+
+    a = build_char_poly(CharProblem(5, 1)).coeffs
+    values = [1.0, -0.5, 2.0, 0.25, -1.0]
+    for _ in range(10):
+        window = values[-5:]
+        values.append(-sum(c * v for c, v in zip(a, window)) / a[5])
+    code, out, err = run_cli(
+        capsys, "fit-recurrence", "--n", "5", "--k", "1",
+        "--orbit", _write_orbit_csv(tmp_path, values),
+    )
+    assert (code, out) == (4, "")
+    assert err.startswith("numerical failure: no set of at most 3 spectrum modes")
+    assert "least annihilator residual ratio" in err and "threshold 3.553e-15" in err
 
 
 @pytest.mark.parametrize(

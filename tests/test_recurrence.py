@@ -7,7 +7,6 @@ import sys
 import warnings
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -23,19 +22,25 @@ from itereq.charpoly import (
     build_char_poly,
 )
 from itereq.errors import DomainError, SingularSystem, TooShort
-from itereq.families import Affine, ThreePiece, Translation, enumerate_families
+from itereq.families import (
+    Affine,
+    Identity,
+    ThreePiece,
+    Translation,
+    enumerate_families,
+)
 from itereq.intervals import REAL_LINE, Interval
 from itereq.poly import Polynomial
 from itereq.recurrence import (
     ClosedForm,
     ComplexTerm,
     RealTerm,
-    _anchor_system,
-    _assemble,
     _cached_basis,
-    _spectrum_terms,
+    _candidates,
+    _fit_system,
     _terms_key,
     check_recurrence,
+    excited_modes,
     fit_closed_form,
     predict,
     predict_range,
@@ -100,14 +105,17 @@ def test_recurrence_detects_non_solution():
 # ---------------------------------------------------------------------------
 
 
+def _weights(cf):
+    return {round(t.lam, 6): t.coeffs for t in cf.real_terms}
+
+
 def test_fit_pure_power_orbit():
-    # orbit (1, -2, 4, -8, ...) over the spectrum {1, -2}: all weight on -2
+    # orbit (1, -2, 4, -8, ...) over the spectrum {1, -2}: it excites only -2
     orbit = iterate(Affine(REAL_LINE, -2.0, 0.0), 1.0, 0, 10)
     spectrum = analyze_roots(CharProblem(2, 0))
     cf = fit_closed_form(orbit, spectrum)
-    weights = {round(t.lam, 6): t.coeffs[0] for t in cf.real_terms}
-    assert weights[1.0] == pytest.approx(0.0, abs=1e-12)
-    assert weights[-2.0] == pytest.approx(1.0, abs=1e-12)
+    assert list(_weights(cf)) == [-2.0] and not cf.complex_terms
+    assert _weights(cf)[-2.0] == pytest.approx((1.0,), abs=1e-12)
 
 
 def test_fit_arithmetic_progression_double_root():
@@ -125,17 +133,13 @@ def test_fit_constant_orbit():
     orbit = orbit_from_values([3.0] * 8)
     spectrum = analyze_roots(CharProblem(2, 0))
     cf = fit_closed_form(orbit, spectrum)
-    weights = {round(t.lam, 6): t.coeffs[0] for t in cf.real_terms}
-    assert weights[1.0] == pytest.approx(3.0, abs=1e-12)
-    assert weights[-2.0] == pytest.approx(0.0, abs=1e-12)
+    assert _weights(cf) == {1.0: pytest.approx((3.0,), abs=1e-12)}
 
 
 def test_fit_orbit_near_overflow():
     orbit = orbit_from_values([1e305] * 8)
     cf = fit_closed_form(orbit, analyze_roots(CharProblem(2, 0)))
-    weights = {round(t.lam, 6): t.coeffs[0] for t in cf.real_terms}
-    assert weights[1.0] == pytest.approx(1e305, rel=1e-12)
-    assert weights[-2.0] == pytest.approx(0.0, abs=1e293)
+    assert _weights(cf) == {1.0: pytest.approx((1e305,), rel=1e-12)}
 
 
 def test_fit_reproduces_anchors_exactly():
@@ -196,7 +200,8 @@ def test_single_regime_certificates():
 
 
 def test_fit_singular_for_repeated_spectrum_entry():
-    # a spectrum whose parameter count disagrees with the degree is refused
+    # a spectrum short of roots is refused when none of its modes explains
+    # the anchors
     spectrum = analyze_roots(CharProblem(2, 0))
     orbit = orbit_from_values([1.0, 2.0, 3.0, 4.0])
     bad = spectrum.__class__(
@@ -204,7 +209,7 @@ def test_fit_singular_for_repeated_spectrum_entry():
         real_roots=spectrum.real_roots,  # only 2 parameters for degree 3
         complex_roots=(),
     )
-    with pytest.raises(SingularSystem):
+    with pytest.raises(SingularSystem, match="no set of at most 3 spectrum modes"):
         fit_closed_form(orbit, bad)
     # two nearly repeated roots pass the condition guard (about 4e9), but
     # their weights of about +-1e9 cancel in double precision, so the fit
@@ -256,24 +261,31 @@ def test_closed_form_json_shape():
     payload = cf.to_json()
     assert set(payload) == {"real_terms", "complex_terms"}
     assert {"lambda", "coeffs"} == set(payload["real_terms"][0])
-    cf41 = fit_closed_form(
-        iterate(Affine(REAL_LINE, -2.0, 0.0), 1.0, 0, 10),
+    # c = 0.5 puts the fixed point 1/6 on the root 1 and the rest on -2
+    cf20 = fit_closed_form(
+        iterate(Affine(REAL_LINE, -2.0, 0.5), 1.0, 0, 10),
         analyze_roots(CharProblem(2, 0)),
     )
-    assert [len(t.coeffs) for t in cf41.real_terms] == [1, 1]
-    assert not cf41.complex_terms
+    assert [len(t.coeffs) for t in cf20.real_terms] == [1, 1]
+    assert not cf20.complex_terms
 
 
 def test_complex_terms_json_shape():
-    sol = Affine(REAL_LINE, 1.0, 0.0)  # placeholder identity-slope map
-    orbit = orbit_from_values([3.0] * 10)
+    # |z|^j cos(j arg z) for the upper root z of a (4, 1) conjugate pair
+    # excites that pair alone: weight 1 on the cosine, 0 on the sine
     spectrum = analyze_roots(CharProblem(4, 1))
+    z = next(complex(z.re, z.im) for z in spectrum.complex_roots if z.im > 0.0)
+    orbit = orbit_from_values([(z**j).real for j in range(10)])
     cf = fit_closed_form(orbit, spectrum)
     payload = cf.to_json()
+    assert not payload["real_terms"] and len(payload["complex_terms"]) == 1
     assert {"modulus", "argument", "cos_poly", "sin_poly"} == set(
         payload["complex_terms"][0]
     )
-    assert 0.0 < cf.complex_terms[0].argument < math.pi
+    (term,) = cf.complex_terms
+    assert 0.0 < term.argument < math.pi
+    assert term.cos_poly == pytest.approx((1.0,), abs=1e-12)
+    assert term.sin_poly == pytest.approx((0.0,), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -290,61 +302,31 @@ def test_fit_is_linear_in_the_orbit(x0, y0):
     sol = Affine(REAL_LINE, -2.0, 0.0)
     a = iterate(sol, x0, 0, 6).forward_values() if x0 else np.zeros(7)
     b = iterate(sol, y0, 0, 6).forward_values() if y0 else np.zeros(7)
-    fit_a = fit_closed_form(orbit_from_values(a), spectrum)
-    fit_b = fit_closed_form(orbit_from_values(b), spectrum)
-    fit_sum = fit_closed_form(orbit_from_values(a + b), spectrum)
-    for t_a, t_b, t_s in zip(
-        fit_a.real_terms, fit_b.real_terms, fit_sum.real_terms
-    ):
-        for ca, cb, cs in zip(t_a.coeffs, t_b.coeffs, t_s.coeffs):
-            assert cs == pytest.approx(ca + cb, abs=1e-9)
+    fit_a, fit_b, fit_sum = (
+        predict_range(fit_closed_form(orbit_from_values(v), spectrum), 0, 6)
+        for v in (a, b, a + b)
+    )
+    # a zero orbit may be fitted on either mode, with weight 0
+    assert fit_sum == pytest.approx(fit_a + fit_b, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# refinement and the 50-digit reference solve
+# the excited modes against exact arithmetic
 # ---------------------------------------------------------------------------
 
 
 def test_refined_fit_predicts_three_piece_3_1_to_index_30():
-    # the orbit decays like 0.414^j, so the weight of the root -2.414 is
-    # about 1e-19; a bare double solve leaves about 1e-17 there, which
-    # 2.414^30 turns into a prediction error of 3e-6 at index 30
+    # the orbit decays like 0.414^j and excites no other root, so the fit
+    # puts no weight on the root -2.414, which 2.414^30 would amplify
     slope = analyze_roots(CharProblem(3, 1)).real_root_in(0.0, 1.0)
     sol = ThreePiece(REAL_LINE, 0.0, 1.0, slope)
     orbit = iterate(sol, -1.0, 0, 30)
     cf = fit_closed_form(orbit, analyze_roots(CharProblem(3, 1)), regime_of=sol)
+    assert [t.lam for t in cf.real_terms] == [slope] and not cf.complex_terms
     assert prediction_error(cf, orbit, 3, 30) <= 1e-6
 
 
-def _solve_extended(reals, complexes, anchors, deg):
-    """The anchor system built and LU-solved at 50 digits (reference)."""
-    with mp.workdps(50):
-        rows = []
-        for j in range(deg):
-            row = []
-            jm = mp.mpf(j)
-            for lam, mult in reals:
-                pw = mp.mpf(lam) ** j
-                for t in range(mult):
-                    row.append(jm**t * pw)
-            for mod, phi, mult in complexes:
-                env = mp.mpf(mod) ** j
-                cosv, sinv = mp.cos(jm * mp.mpf(phi)), mp.sin(jm * mp.mpf(phi))
-                for t in range(mult):
-                    row.append(jm**t * cosv * env)
-                    row.append(jm**t * sinv * env)
-            rows.append(row)
-        b = mp.matrix([mp.mpf(float(v)) for v in anchors])
-        return [float(v) for v in mp.lu_solve(mp.matrix(rows), b)]
-
-
-def _reference_fit(orbit, spectrum):
-    deg = spectrum.problem.degree
-    reals, complexes = _spectrum_terms(spectrum)
-    anchors = orbit.forward_values()[:deg]
-    return _assemble(
-        reals, complexes, _solve_extended(reals, complexes, anchors, deg)
-    )
+EPS = float(np.finfo(float).eps)
 
 
 def _workload_cases(seed):
@@ -380,33 +362,55 @@ def _verdict(cf, orbit, n):
     )
 
 
-def test_double_fit_agrees_with_50_digit_reference():
-    cases = _fit_cases() + _workload_cases(3)
-    assert len(cases) == len(_fit_cases()) + 182
-    refused = passed = 0
+def _exact_weights(sol, x0):
+    """``{lam: coeffs}`` of the orbit of ``x0`` under ``sol`` in exact
+    arithmetic, the map's float parameters read as rationals, over the
+    modes it excites: ``x_j = x0`` (identity), ``x0 + c j`` (translation),
+    and ``p + (x0 - p) s^j`` with ``p = c / (1 - s)`` for ``x -> s x + c``
+    (a three-piece map below ``a`` is ``x -> s x + a (1 - s)``)."""
+    x0 = Fraction(x0)
+    if isinstance(sol, Identity):
+        return {1.0: (x0,)}
+    if isinstance(sol, Translation):
+        return {1.0: (x0, Fraction(sol.c))}
+    s = Fraction(sol.slope)
+    c = Fraction(sol.c) if isinstance(sol, Affine) else Fraction(sol.a) * (1 - s)
+    p = c / (1 - s)
+    return {lam: (w,) for lam, w in ((1.0, p), (sol.slope, x0 - p)) if w}
+
+
+def test_fit_weights_are_the_exact_weights():
+    # the fit names exactly the modes the orbit excites, in the spectrum's
+    # order, and each weight is the exact one to 1e-12 relative, above a
+    # floor of 16 rounding units of the largest weight: an anchor is
+    # rounded at the size of its largest term, so a constant of 1e-4 beside
+    # a weight of 3 is known to about 4e-16, 4e-12 of itself
+    cases = _fit_cases() + [c for seed in (1, 3, 7) for c in _workload_cases(seed)]
+    assert len(cases) == len(_fit_cases()) + 3 * 182
+    families = set()
     for name, sol, prob, x0 in cases:
+        families.add(type(sol).__name__)
         spectrum = analyze_roots(prob)
-        orbit = iterate(sol, x0, 0, 30)
-        try:
-            cf = fit_closed_form(orbit, spectrum, regime_of=sol)
-        except SingularSystem as exc:
-            # the condition guard runs before any solve and refuses both
-            assert "condition number" in str(exc), name
-            refused += 1
-            continue
-        ref = _reference_fit(orbit, spectrum)
-        ok = _verdict(cf, orbit, prob.n)
-        assert ok == _verdict(ref, orbit, prob.n), name
-        if ok:
-            passed += 1
-            for j in range(31):
-                want = predict(ref, j)
-                assert abs(predict(cf, j) - want) <= 1e-6 * (1.0 + abs(want)), (
-                    name, j,
-                )
-    # the seed-3 fit workload fails 10 inputs: 6 refused by the guard and
-    # 4 affine (n, n - 1) orbits that miss the index-30 gate either way
-    assert refused == 6 and passed == len(cases) - 10
+        cf = fit_closed_form(iterate(sol, x0, 0, 30), spectrum, regime_of=sol)
+        exact = _exact_weights(sol, x0)
+        order = [r.value for r in spectrum.real_roots]
+        assert [t.lam for t in cf.real_terms] == sorted(exact, key=order.index), name
+        assert not cf.complex_terms, name
+        floor = 16 * EPS * max(abs(w) for ws in exact.values() for w in ws)
+        for t in cf.real_terms:
+            assert len(t.coeffs) == len(exact[t.lam]), name
+            for got, want in zip(t.coeffs, exact[t.lam]):
+                tol = Fraction(1e-12) * abs(want) + Fraction(floor)
+                assert abs(Fraction(got) - want) <= tol, (name, t.lam, got, float(want))
+    assert families == {"Identity", "Translation", "Affine", "ThreePiece"}
+
+
+def test_every_fit_workload_input_passes_the_gates():
+    for seed in (1, 3, 7):
+        for name, sol, prob, x0 in _workload_cases(seed):
+            orbit = iterate(sol, x0, -5, 30)
+            cf = fit_closed_form(orbit, analyze_roots(prob), regime_of=sol)
+            assert _verdict(cf, orbit, prob.n), (seed, name)
 
 
 def test_import_leaves_mpmath_unloaded():
@@ -430,28 +434,41 @@ def test_fit_rejects_non_finite_anchor():
 # ---------------------------------------------------------------------------
 
 
+def _family_orbit(prob, family, x0, steps, **params):
+    desc = next(
+        d for d in enumerate_families(prob, REAL_LINE).families if d.family == family
+    )
+    return iterate(desc.instantiate(REAL_LINE, **params), x0, 0, steps)
+
+
 def test_equal_reports_share_one_read_only_anchor_system():
     report = analyze_roots(CharProblem(5, 2))
     equal = dataclasses.replace(report)
     assert equal == report and equal is not report
-    system = _anchor_system(report)
-    assert _anchor_system(equal) is system
-    for array in (system.matrix, *system.halves):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0, 0] = 1.0
-    assert system.cond <= 1e12
-    # a fit on the shared system is the fit on a fresh one
-    orbit = iterate(Affine(REAL_LINE, -2.0, 0.0), 0.3, 0, 12)
+    candidates = _candidates(report)
+    assert _candidates(equal) is candidates
+    orbit = _family_orbit(CharProblem(5, 2), "affine", 0.3, 12, c=0.5)
     cached = fit_closed_form(orbit, equal)
-    _anchor_system.cache_clear()
+    assert fit_closed_form(orbit, report) == cached
+    info = _fit_system.cache_info()
+    assert (info.misses, info.hits) == (1, 1)  # one system for both reports
+    modes = excited_modes(orbit, report)
+    key = _terms_key(modes.reals, modes.complexes)
+    for array in (*_fit_system(key, 5), *vars(candidates).values()):
+        if isinstance(array, np.ndarray):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 1
+    # a fit on the shared memos is the fit on fresh ones
+    _candidates.cache_clear()
+    _fit_system.cache_clear()
     assert fit_closed_form(orbit, report) == cached
 
 
 def test_a_fit_evaluates_the_basis_once_per_spectrum(monkeypatch):
-    # the anchor matrix is the basis at 0..degree-1, the anchor check reads
-    # the fitted anchors off that kept matrix, and a prediction on a range
-    # already evaluated reads the kept basis
+    # the fit's basis is the basis of its modes at 0..degree-1, the anchor
+    # check reads the fitted anchors off that kept matrix, and a prediction
+    # on a range already evaluated reads the kept basis
     calls = []
     basis = recurrence._basis
     monkeypatch.setattr(
@@ -459,7 +476,7 @@ def test_a_fit_evaluates_the_basis_once_per_spectrum(monkeypatch):
     )
     report = analyze_roots(CharProblem(5, 2))
     for x0 in (0.3, 0.7, -1.1):
-        orbit = iterate(Affine(REAL_LINE, -2.0, 0.0), x0, 0, 30)
+        orbit = _family_orbit(CharProblem(5, 2), "affine", x0, 30, c=0.5)
         cf = fit_closed_form(orbit, report)
     assert calls == [[0, 1, 2, 3, 4]]
     predict_range(cf, 0, 4)
@@ -483,12 +500,21 @@ def test_a_report_hashes_its_fields_once_and_a_replaced_one_anew():
 
 
 def test_condition_refusal_raises_on_every_call():
-    spectrum = analyze_roots(CharProblem(13, 12))
-    orbit = orbit_from_values([0.5 + 0.1 * j for j in range(20)])
+    # the roots 1 and 1 + 1e-13 are one mode to within rounding: fitting
+    # both leaves a basis of condition number about 4e13
+    near = analyze_roots(CharProblem(2, 0)).__class__(
+        problem=CharProblem(2, 0),
+        real_roots=(
+            RealRootRecord(1.0, 1, (0.5, 1.0)),
+            RealRootRecord(1.0 + 1e-13, 1, (1.0, 1.5)),
+        ),
+        complex_roots=(),
+    )
+    orbit = orbit_from_values([0.3, 1.7, 2.0])
     for _ in range(3):
         with pytest.raises(SingularSystem, match="condition number .* exceeds 1e\\+12"):
-            fit_closed_form(orbit, spectrum)
-    assert _anchor_system.cache_info().currsize == 0
+            fit_closed_form(orbit, near)
+    assert _fit_system.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +575,11 @@ def test_signed_zeros_get_their_own_entries():
 
 def test_shared_bases_are_read_only_and_the_anchor_matrix_is_one():
     report = analyze_roots(CharProblem(5, 2))
-    cf = fit_closed_form(iterate(Affine(REAL_LINE, -2.0, 0.0), 0.3, 0, 12), report)
-    reals, complexes = _spectrum_terms(report)
-    key = _terms_key(reals, complexes)
-    assert _cached_basis(key, 0, 4) is _anchor_system(report).matrix
+    orbit = _family_orbit(CharProblem(5, 2), "affine", 0.3, 12, c=0.5)
+    cf = fit_closed_form(orbit, report)
+    modes = excited_modes(orbit, report)
+    key = _terms_key(modes.reals, modes.complexes)
+    assert _cached_basis(key, 0, 4) is _fit_system(key, 5)[0]
     predict_range(cf, 5, 30)
     for basis in (_cached_basis(key, 0, 4), _cached_basis(key, 5, 30)):
         assert not basis.flags.writeable
@@ -644,11 +671,13 @@ def test_overlapping_ranges_agree_bit_for_bit():
 
 
 def test_a_root_power_past_the_float_range_raises_overflow():
-    # (3, 1) has the root -2.414, whose power at index 899 exceeds 1.8e308
+    # (3, 1) has the root -2.414, whose power at index 899 exceeds 1.8e308;
+    # the orbit of x -> -2.414 x excites it
     cf = fit_closed_form(
-        iterate(Affine(REAL_LINE, math.sqrt(2.0) - 1.0, 0.0), 1.0, 0, 12),
+        iterate(Affine(REAL_LINE, -1.0 - math.sqrt(2.0), 0.0), 1.0, 0, 12),
         analyze_roots(CharProblem(3, 1)),
     )
+    assert [round(t.lam, 6) for t in cf.real_terms] == [-2.414214]
     assert math.isfinite(predict(cf, 800))
     for lo, hi in ((899, 899), (0, 900), (890, 1000)):
         with pytest.raises(OverflowError):
@@ -813,13 +842,21 @@ def test_check_recurrence_scales_an_orbit_near_the_float_range(n, k):
 
 
 def test_nan_predictions_read_as_an_infinite_error():
-    # the c = 1e307 translation orbit read back from its CSV, re-indexed
-    # from 0: at 11 and 12 the (5, 1) closed form adds +inf and -inf terms
-    held = iterate(Translation(REAL_LINE, 1e307), 0.3, -4, 30)
-    orbit = orbit_from_values(held.points)
-    cf = fit_closed_form(orbit, analyze_roots(CharProblem(5, 1)))
+    # anchors on the (5, 1) conjugate pair of modulus 1.64, weight 1e305 on
+    # its cosine and on its sine: at 18 and 20 the two terms overflow to
+    # +inf and -inf; the held-out values past the anchors are only data
+    spectrum = analyze_roots(CharProblem(5, 1))
+    z = next(z for z in spectrum.complex_roots if z.im > 0.0)
+    phi = math.atan2(z.im, z.re)
+    anchors = [
+        1e305 * (math.cos(j * phi) + math.sin(j * phi)) * z.modulus**j for j in range(5)
+    ]
+    orbit = orbit_from_values(anchors + [1.0] * 20)
+    cf = fit_closed_form(orbit, spectrum)
+    assert not cf.real_terms and len(cf.complex_terms) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the overflowing products do not warn
-        assert np.isnan(predict_range(cf, 11, 12)).all()
-    assert prediction_error(cf, orbit, 11, 12) == math.inf
-    assert _prediction_error_reference(cf, orbit, 11, 12) == math.inf
+        assert np.isnan(predict_range(cf, 18, 18)).all()
+        assert np.isnan(predict_range(cf, 20, 20)).all()
+    assert prediction_error(cf, orbit, 18, 20) == math.inf
+    assert _prediction_error_reference(cf, orbit, 18, 20) == math.inf
