@@ -72,10 +72,32 @@ class Solution:
     writes phi, its inner map's ``_eval_into`` and phi^-1 into the buffer
     in turn.  Other families map one point through one-element arrays;
     ``_iterate_into`` maps each row of a block from the one above.
+
+    ``monotone_rows`` states that ``_iterate_into`` maps sorted points
+    (ascending, no NaN) to rows that are each monotone, in rounded
+    arithmetic, so a block's extremes sit in its first and last columns.
+    ``Identity``, ``Translation``, ``Affine`` and ``ThreePiece`` have it:
+
+    * rounding is monotone, so ``fl(x + c)`` and ``fl(fl(s*x) + c)`` are
+      monotone in x (non-increasing for s < 0), and each row is the one
+      above mapped by the same rounded formula, a composition of monotone
+      maps;
+    * ``ThreePiece`` maps each of ``(-inf, a]``, ``[a, b]`` and
+      ``[b, inf)`` into itself in rounded arithmetic (its docstring), by
+      one such formula with a fixed anchor on each, so its rows are
+      non-decreasing across the pieces too;
+    * under ``np.errstate(all="raise")`` points that are not NaN give no
+      NaN: ``inf - inf`` and ``0 * inf`` raise.
+
+    The grid's blocks are sorted (``verify._grid_points``: the points are
+    ``i * step + lo`` and the last one ``hi``, at least its neighbour).
+    Conjugates (phi and phi^-1 carry no such promise), involutions and
+    other maps do not have it.
     """
 
     domain: Interval
     family: str = "abstract"
+    monotone_rows: bool = False
 
     # -- evaluation -------------------------------------------------------
 
@@ -180,6 +202,7 @@ def _check_construction(sol: Solution, *finite: str) -> None:
 class Identity(Solution):
     domain: Interval
     family = "identity"
+    monotone_rows = True
 
     def _eval_array(self, xs):
         return xs.copy()
@@ -187,6 +210,11 @@ class Identity(Solution):
     def _eval_into(self, xs, out):
         np.copyto(out, xs)
         return out
+
+    def _iterate_into(self, rows):
+        """Every row i >= 1 set to row 0 by one broadcast copy."""
+        np.copyto(rows[1:], rows[0])
+        return rows
 
     def _eval_scalar(self, x):
         return x
@@ -210,6 +238,7 @@ class Translation(Solution):
     domain: Interval
     c: float
     family = "translation"
+    monotone_rows = True
 
     def __post_init__(self):
         _check_construction(self, "c")
@@ -243,6 +272,7 @@ class Affine(Solution):
     slope: float
     c: float
     family = "affine"
+    monotone_rows = True
 
     def __post_init__(self):
         if self.slope == 0.0:
@@ -305,6 +335,7 @@ class ThreePiece(Solution):
     b: float
     slope: float
     family = "three_piece"
+    monotone_rows = True
 
     def __post_init__(self):
         object.__setattr__(self, "a", self.a + 0.0)

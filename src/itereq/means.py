@@ -182,10 +182,12 @@ def qa_mean_rows(gen: Generator, rows: np.ndarray, anchor: int = 0) -> np.ndarra
 
     The sum is taken over deviations from the ``anchor`` row, which keeps
     the result exact (by idempotence) wherever all rows agree and well
-    conditioned everywhere else.  ``phi`` maps ``rows`` in place; each row
-    then has the anchor row subtracted in place and is added into row 0,
-    one row at a time, in row order, so a point's mean depends neither on
-    the other points nor on the layout of ``rows``.  The mean is returned
+    conditioned everywhere else.  ``phi`` maps ``rows`` in place; one
+    broadcast subtraction then takes the anchor row from every row in
+    place (elementwise, so each row gets the per-row operation), and the
+    rows are added into row 0 one at a time, in row order, so a point's
+    mean depends neither on the other points nor on the layout of
+    ``rows`` (``np.add.reduce`` would depend on it).  The mean is returned
     in row 0; the other rows hold the deviations.  Beside ``rows`` only
     row-sized buffers are made: a copy of the anchor row's phi values and,
     under another generator, a copy of the anchor row and the mask of the
@@ -197,10 +199,9 @@ def qa_mean_rows(gen: Generator, rows: np.ndarray, anchor: int = 0) -> np.ndarra
     anchor_x = None if identity else rows[anchor].copy()
     phi_vals = rows if identity else gen.phi(rows, out=rows)
     base = phi_vals[anchor].copy()
+    np.subtract(phi_vals, base, out=phi_vals)
     dev = phi_vals[0]
-    dev -= base
     for row in phi_vals[1:]:
-        row -= base
         dev += row
     dev /= rows.shape[0]
     if identity:

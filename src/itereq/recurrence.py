@@ -60,7 +60,8 @@ _FIT_CACHE_SIZE = _REPORT_CACHE_SIZE
 # each fitted mode set's anchor range and its prediction range, with room to spare
 _BASIS_CACHE_SIZE = 2 * _REPORT_CACHE_SIZE
 _DOUBLE = struct.Struct("d")
-_ANCHOR_TOL = 1e-9
+# largest anchor error a fit may show, relative to 1 + the largest anchor
+ANCHOR_TOL = 1e-10
 RECURRENCE_TOL = 1e-9  # check_recurrence's residual limit, relative
 # largest held-out relative prediction error (``prediction_error``) a fit
 # may show and still count as confirmed
@@ -493,14 +494,14 @@ def fit_modes(orbit: Orbit, modes: ExcitedModes) -> ClosedForm:
     The fit reads its basis and solution operator from one memo
     (``_fit_system``) keyed on the modes and the anchor count.  Raises
     :class:`SingularSystem` when the basis's condition number exceeds
-    1e12 or the fit misses an anchor by more than ``_ANCHOR_TOL``
+    1e12 or the fit misses an anchor by more than ``ANCHOR_TOL``
     relative.
     """
     anchors = orbit.forward_values()[: modes.anchors]
     basis, solve = _fit_system(_terms_key(modes.reals, modes.complexes), modes.anchors)
     scaled, exp, peak = _scaled(anchors)
     weights = np.ldexp(solve @ scaled, exp)
-    limit = _ANCHOR_TOL * (1.0 + peak)
+    limit = ANCHOR_TOL * (1.0 + peak)
     fitted = _combine(basis, weights)  # predict_range(cf, 0, anchors - 1), bit for bit
     errors = np.abs(fitted - anchors)
     if not errors.max() <= limit:  # a NaN error fails too

@@ -34,7 +34,13 @@ from .families import (
 from .intervals import REAL_LINE, Interval
 from .means import Generator
 from .poly import Polynomial
-from .recurrence import PREDICTION_TOL, fit_closed_form, predict_range, prediction_error
+from .recurrence import (
+    ANCHOR_TOL,
+    PREDICTION_TOL,
+    fit_closed_form,
+    predict_range,
+    prediction_error,
+)
 from .verify import (
     DEFAULT_SAMPLES,
     DEFAULT_TOL,
@@ -48,7 +54,6 @@ from .verify import (
 ROOT_TABLE_TIME_BUDGET = 5.0
 FAMILY_TIME_BUDGET = 2.0
 SEPARATION_FLOOR = 1e-6
-ANCHOR_TOL = 1e-10
 
 
 @dataclass

@@ -33,9 +33,15 @@ _BLOCK, _BLOCK_VALUES = 8192, 2**16
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of a grid verification run."""
+    """Outcome of a grid verification run.
+
+    ``limit`` is the threshold ``max_residual`` had to meet, ``tol *
+    coeff_scale * (1 + max |f^i|)`` over the live points, or None when no
+    point survives.
+    """
 
     max_residual: float
+    limit: float | None
     passed: bool
     points_evaluated: int
     points_escaped: int
@@ -43,6 +49,7 @@ class VerifyReport:
     def to_json(self) -> dict:
         return {
             "max_residual": json_float(self.max_residual),
+            "limit": None if self.limit is None else json_float(self.limit),
             "pass": self.passed,
             "points_evaluated": self.points_evaluated,
             "points_escaped": self.points_escaped,
@@ -232,9 +239,13 @@ def _iterate_rows(s: Solution, xs: np.ndarray, count: int) -> tuple[np.ndarray, 
     iterates all stay in the domain, in grid order, and their largest
     ``|f^i|`` (0 when no point stays).  All rows are mapped first
     (``Solution._iterate_into``) with every floating-point fault raising;
-    then one minimum and one maximum over the block decide: both finite,
-    with ``lo <= min`` and ``max <= hi`` for the domain's ends, prove every
-    point inside, and ``peak`` is read off those extremes.  A block that
+    then the block's minimum and maximum decide: both finite, with ``lo <=
+    min`` and ``max <= hi`` for the domain's ends, prove every point
+    inside, and ``peak`` is read off those extremes.  A map with
+    ``monotone_rows`` whose points are sorted (``xs[:-1] <= xs[1:]``,
+    which a NaN fails) has monotone rows, so the extremes are read off the
+    block's first and last columns, the same values the whole block gives;
+    any other block takes them over all its values.  A block that
     fails this test or raises is mapped again from row 1, row by row under
     the caller's error state: each row maps only the points still inside
     (``contains_with_slack_array``), so its escapes, warnings and bits are
@@ -249,7 +260,14 @@ def _iterate_rows(s: Solution, xs: np.ndarray, count: int) -> tuple[np.ndarray, 
     except Exception:  # noqa: BLE001
         pass  # escaped points were mapped too; the redo raises what live ones raise
     else:
-        low, high = rows.min(), rows.max()
+        if s.monotone_rows and (xs[:-1] <= xs[1:]).all():
+            # as Python floats, which two short columns are read into
+            # faster than NumPy reduces them; sorted points and raised
+            # faults leave no NaN for ``min`` and ``max`` to mishandle
+            ends = rows[:, 0].tolist() + rows[:, -1].tolist()
+            low, high = min(ends), max(ends)
+        else:
+            low, high = rows.min(), rows.max()
         finite = math.isfinite(low) and math.isfinite(high)
         if finite and domain.lo <= low and high <= domain.hi:
             return rows, max(abs(low), abs(high))
@@ -286,9 +304,11 @@ def _verify_grid(
 
     Each block holds ``max(_BLOCK, _BLOCK_VALUES // (count + 1))`` grid
     columns, the last one what is left, and builds its own grid points
-    (``_grid_points``).  ``_iterate_rows`` hands back only a block's live
-    columns, the iterates f^0..f^count of its points that never escape;
-    ``residual(live)`` returns the residual there.  The block is the
+    (``_grid_points``), which are sorted.  ``_iterate_rows`` hands back
+    only a block's live columns, the iterates f^0..f^count of its points
+    that never escape, and their peak ``|f^i|``, read off the block's end
+    columns for a map with ``monotone_rows``; ``residual(live)`` returns
+    the residual there.  The block is the
     residual's own: it may overwrite ``live`` and return one of its rows,
     since the evaluated count, the peak ``|f^i|`` and the scaling decision
     are read off the block before the residual runs.  Only the evaluated
@@ -309,8 +329,9 @@ def _verify_grid(
 
     The verdict requires a finite ``max |residual| <= tol * coeff_scale *
     (1 + max |f^i|)`` over the live points and at least 90% of the grid
-    alive.  With ``tol * coeff_scale`` formed first, the limit overflows
-    only when its exact value lies beyond the float range.
+    alive; the report carries that limit.  With ``tol * coeff_scale``
+    formed first, the limit overflows only when its exact value lies
+    beyond the float range.
     """
     lo, hi = _grid_ends(s.domain, samples)
     evaluated = 0
@@ -335,12 +356,12 @@ def _verify_grid(
                 resid_max = _max_abs(resid, resid_max)
     escaped = samples - evaluated
     if evaluated == 0:
-        return VerifyReport(math.inf, False, 0, escaped)
+        return VerifyReport(math.inf, None, False, 0, escaped)
     max_resid = float(resid_max)
     limit = tol * coeff_scale * (1.0 + float(rows_max))
     quota = evaluated >= math.ceil(_EVAL_QUOTA * samples)
     passed = math.isfinite(max_resid) and max_resid <= limit and quota
-    return VerifyReport(max_resid, passed, evaluated, escaped)
+    return VerifyReport(max_resid, limit, passed, evaluated, escaped)
 
 
 def verify_general(
@@ -391,21 +412,22 @@ def linear_residual_report(
     """Residuals of ``sum_i a_i f^i(x) = 0`` over the grid.
 
     Computed as ``(sum_i a_i) f^0 + sum_{i>=1} a_i (f^i - f^0)`` so that
-    constant orbits of zero-sum coefficient rows cancel exactly.  Each
-    term is formed in place in its row of the block, which the residual
-    overwrites, and the terms are added one row at a time, in row order,
-    into row 0, so a point's residual depends neither on the other points
-    nor on the block.
+    constant orbits of zero-sum coefficient rows cancel exactly.  The
+    terms ``a_i (f^i - f^0)`` are formed in place in rows 1.. of the
+    block, which the residual overwrites, by one broadcast subtraction and
+    one broadcast product (elementwise, so each is the per-row operation),
+    and added one row at a time, in row order, into row 0, so a point's
+    residual depends neither on the other points nor on the block.
     """
     coeff_sum = math.fsum(coeffs.coeffs)
+    higher = np.array(coeffs.coeffs[1:])[:, None]
 
     def residual(live):
-        base = live[0]
-        for a, row in zip(coeffs.coeffs[1:], live[1:]):
-            row -= base
-            row *= a
+        base, terms = live[0], live[1:]
+        np.subtract(terms, base, out=terms)
+        terms *= higher
         base *= coeff_sum
-        for row in live[1:]:
+        for row in terms:
             base += row
         return base
 

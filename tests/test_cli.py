@@ -189,7 +189,7 @@ def test_verify_three_piece_passes(tmp_path, capsys):
     assert report["pass"] is True
     assert report["points_evaluated"] == 1001
     assert set(report) == {
-        "max_residual", "pass", "points_evaluated", "points_escaped",
+        "max_residual", "limit", "pass", "points_evaluated", "points_escaped",
     }
 
 
@@ -1000,7 +1000,7 @@ def test_verify_json_with_every_point_escaped_is_strict(tmp_path, capsys):
     )
     assert code == 1
     assert strict_loads(out) == {
-        "max_residual": "+inf", "pass": False,
+        "max_residual": "+inf", "limit": None, "pass": False,
         "points_evaluated": 0, "points_escaped": 1001,
     }
 

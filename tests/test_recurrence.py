@@ -225,9 +225,24 @@ def test_fit_singular_for_repeated_spectrum_entry():
     with pytest.raises(
         SingularSystem,
         match=r"fit does not reproduce anchor \d: .*, "
-        r"error \d\.\d{3}e-0[5-8] exceeds 2\.700e-09",
+        r"error \d\.\d{3}e-0[5-8] exceeds 2\.700e-10",
     ):
         fit_closed_form(orbit_from_values([0.3, 1.7, 2.0]), near)
+
+
+def test_fit_refuses_a_closed_form_that_misses_an_anchor_by_5e_10():
+    # the constant mode alone, fitted to 1 -+ 1e-9: each anchor misses the
+    # fitted 1.0 by 1e-9, which is 5e-10 (1 + peak) to nine digits, so the
+    # library's gate refuses what the selftest and benchmark gates
+    # (ANCHOR_TOL relative) would count as failed
+    assert recurrence.ANCHOR_TOL == 1e-10
+    modes = recurrence.ExcitedModes(((1.0, 1),), (), 2, 0.0, None)
+    orbit = orbit_from_values([1.0 - 1e-9, 1.0 + 1e-9, 1.0])
+    with pytest.raises(
+        SingularSystem,
+        match=r"fit does not reproduce anchor 0: .*, error 1\.000e-09 exceeds 2\.000e-10",
+    ):
+        recurrence.fit_modes(orbit, modes)
 
 
 # ---------------------------------------------------------------------------

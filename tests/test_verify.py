@@ -5,12 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from itereq import verify as verify_module
 from itereq.charpoly import CharProblem, analyze_roots, build_char_poly
-from itereq.errors import DomainError, NotSurjective
+from itereq.errors import ConstructionError, DomainError, NotSurjective
 from itereq.families import (
     Affine,
     Identity,
@@ -376,10 +376,29 @@ def test_wrong_translation_fails():
     assert report.max_residual > 1e-3
 
 
+def test_a_failing_control_reports_the_limit_it_missed():
+    # the grid reaches 9.99998, so the limit, tol * coeff_scale * (1 + max
+    # |f^i|), exceeds tol * coeff_scale * 10
+    wrong = Translation(REAL_LINE, 0.5)
+    reports = [
+        (verify_mean(wrong, CharProblem(4, 1)), 1.0),
+        (verify_second_order(wrong, 0.5), 1.5),
+        (verify_module.linear_residual_report(wrong, CHAR_15_4), CHAR_15_4.inf_norm),
+    ]
+    for report, scale in reports:
+        assert not report.passed and report.points_escaped == 0
+        assert report.max_residual > report.limit > DEFAULT_TOL * scale * 10.0
+        assert report.to_json()["limit"] == report.limit
+    right = verify_mean(Translation(REAL_LINE, 0.5), CharProblem(4, 2))
+    assert right.passed and right.max_residual <= right.limit
+
+
 def test_report_json_keys():
     report = verify_mean(Identity(REAL_LINE), CharProblem(2, 1))
     assert report.to_json() == {
         "max_residual": 0.0,
+        # the open line's grid ends 1e-6 of the window width inside +-10
+        "limit": DEFAULT_TOL * (1.0 + 9.99998),
         "pass": True,
         "points_evaluated": 1001,
         "points_escaped": 0,
@@ -737,14 +756,14 @@ def _row_sum(terms):
 def _reference_report(residual, rows, alive, samples, coeff_scale=1.0):
     evaluated = int(np.count_nonzero(alive))
     if evaluated == 0:
-        return VerifyReport(math.inf, False, 0, samples)
+        return VerifyReport(math.inf, None, False, 0, samples)
     max_resid = float(np.max(np.abs(residual[alive])))
     limit = DEFAULT_TOL * coeff_scale * (1.0 + float(np.max(np.abs(rows[:, alive]))))
     passed = (
         math.isfinite(max_resid) and max_resid <= limit
         and evaluated >= math.ceil(0.9 * samples)
     )
-    return VerifyReport(max_resid, passed, evaluated, samples - evaluated)
+    return VerifyReport(max_resid, limit, passed, evaluated, samples - evaluated)
 
 
 def _reference_general(s, gen, prob, samples):
@@ -870,6 +889,7 @@ def _second_order_cases(case):
 def _bits(report):
     return (
         report.max_residual.hex(),
+        None if report.limit is None else report.limit.hex(),
         report.passed,
         report.points_evaluated,
         report.points_escaped,
@@ -1050,7 +1070,7 @@ def test_reports_do_not_depend_on_the_block_layout(monkeypatch):
         seen.append(_layout_reports())
     assert seen[0] == seen[1] == seen[2]
     # the cases are not all trivial: some pass, some fail, some escape
-    assert {passed for _, passed, _, _ in seen[0]} == {True, False}
+    assert {passed for _, _, passed, _, _ in seen[0]} == {True, False}
     assert any(escaped for *_, escaped in seen[0])
 
 
@@ -1282,6 +1302,107 @@ def test_row_extremes_on_ends_ulps_and_overflow(domain):
         xs = np.array([-1.0, 0.0, 1e9, 1.0, -1e9, 2.0])
         _assert_rows_match_reference(big, xs, 3)
         _assert_rows_match_reference(Translation(domain, 1e307), np.full(8, 5.0), 20)
+
+
+# a map with ``monotone_rows`` on sorted points: the extremes read off a
+# block's end columns against a reference that takes them over every value
+
+MONOTONE_DOMAINS = (
+    (REAL_LINE, "line"),
+    (Interval(-2.0, 3.0, True, True), "bounded"),
+    (Interval(0.0, 1.0, False, False), "bounded"),
+    (Interval(1.0, math.inf, True, False), "half-line"),
+)
+
+
+def _whole_block_reference(s, xs, count):
+    """``(live, peak)`` with the block's extremes taken over all its values:
+    the whole mapped block when they prove every point inside, else the
+    masked reference's surviving columns."""
+    rows = np.empty((count + 1, len(xs)))
+    rows[0] = xs
+    try:
+        with np.errstate(all="raise"):
+            s._iterate_into(rows)
+    except FloatingPointError:
+        pass
+    else:
+        low, high = rows.min(), rows.max()
+        finite = math.isfinite(low) and math.isfinite(high)
+        if finite and s.domain.lo <= low and high <= s.domain.hi:
+            return rows, max(abs(low), abs(high))
+    with np.errstate(over="ignore"):
+        want_rows, alive = _reference_rows(s, xs, count)
+    live = want_rows[:, alive]
+    return live, (np.max(np.abs(live)) if live.size else 0.0)
+
+
+def _monotone_map(draw, domain, kind):
+    """One of the four families with ``monotone_rows`` on ``domain``, and
+    the points it singles out.  Only c = 0 translates a bounded domain
+    into itself and only c >= 0 a half-line; affine maps fix a window
+    point, with |slope| < 1 off the line and slope > 0 on the half-line;
+    three-piece slopes exceed 1 only on the line."""
+    lo, hi = domain.window()
+    inside = st.floats(lo, hi)
+    family = draw(st.sampled_from(["identity", "translation", "affine", "three_piece"]))
+    if family == "identity":
+        return Identity(domain), []
+    if family == "translation":
+        c = draw(st.floats(-4.0, 4.0) | st.sampled_from([1e-300, 1e307]))
+        c = {"line": c, "bounded": 0.0, "half-line": abs(c)}[kind]
+        return Translation(domain, c), []
+    slope = draw(st.floats(0.05, 0.95) | st.floats(1.05, 3.0))
+    if kind != "line":
+        slope = min(slope, 0.95)
+    if family == "affine":
+        if kind != "half-line" and draw(st.booleans()):
+            slope = -slope
+        return Affine(domain, slope, draw(inside) * (1.0 - slope)), []
+    a, b = sorted((draw(inside), draw(inside | st.just(0.0))))
+    ends = [a, b, math.nextafter(a, -math.inf), math.nextafter(b, math.inf)]
+    return ThreePiece(domain, a, b, slope), ends
+
+
+@st.composite
+def _monotone_cases(draw):
+    """(map, sorted points, count) for the four families with the fact:
+    slopes of both signs, three-piece anchors, +-0, the window's ends,
+    points past them and +-inf, and blocks of one and two columns."""
+    domain, kind = draw(st.sampled_from(MONOTONE_DOMAINS))
+    try:
+        s, marks = _monotone_map(draw, domain, kind)
+    except ConstructionError:  # an image end past the domain by rounding
+        assume(False)
+    lo, hi = domain.window()
+    specials = [0.0, -0.0, lo, hi, lo - 1.0, hi + 1.0, math.inf, -math.inf, *marks]
+    point = st.floats(lo, hi) | st.sampled_from(specials)
+    size = draw(st.integers(1, 2) | st.integers(3, 24))
+    xs = sorted(draw(st.lists(point, min_size=size, max_size=size)))
+    return s, np.asarray(xs, dtype=float), draw(st.integers(0, 6))
+
+
+@given(_monotone_cases())
+def test_end_column_extremes_match_the_whole_block(case):
+    s, xs, count = case
+    assert s.monotone_rows and np.all(xs[:-1] <= xs[1:])
+    with np.errstate(over="ignore"):
+        live, peak = _iterate_rows(s, xs, count)
+    want, want_peak = _whole_block_reference(s, xs, count)
+    assert live.shape == want.shape and live.tobytes() == want.tobytes()
+    assert float(peak).hex() == float(want_peak).hex()
+
+
+def test_a_conjugate_takes_its_block_extremes_over_every_value():
+    # a conjugate may wrap any inner map: this one folds the middle of the
+    # box out of it, so sorted points escape between two ends that stay
+    fold = _Leaky(BOX, lambda x: np.where(np.abs(x) < 1.0, 20.0, 0.5 * x), lambda y: y)
+    s = conjugate(Generator("identity", BOX), fold)
+    assert not s.monotone_rows
+    xs = np.linspace(-8.0, 8.0, 17)
+    _assert_rows_match_reference(s, xs, 3)
+    live, _ = _iterate_rows(s, xs, 3)
+    assert 0 < live.shape[1] < len(xs)
 
 
 def test_nan_residual_survives_the_block_reduction():
