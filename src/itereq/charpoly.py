@@ -289,32 +289,34 @@ def _quotient(prob: CharProblem, mult: int) -> Polynomial:
     return Polynomial(tuple(cs))
 
 
-def _quotient_sign(prob: CharProblem, mult: int, x: float) -> int:
-    """Exact sign at the float ``x`` of ``q = p / (r - 1)^mult``, where
-    ``p = build_char_poly(prob)`` and 1 is a root of ``p`` of multiplicity
-    ``mult``.
+def _end_signs(prob: CharProblem, mult: int) -> dict[float, int]:
+    """Exact signs of ``q = p / (r - 1)^mult`` at the bracket ends 0, +-1
+    and +-(2n+1), keyed on the end, where ``p = build_char_poly(prob)`` and
+    1 is a root of ``p`` of multiplicity ``mult``.
 
-    For every ``0 <= k <= n``, ``(r - 1) p(r) = (n+1)(r^{k+1} - r^k) -
-    r^{n+1} + 1``, which is ``(r - 1)^{mult+1} q(r)``.  With ``x = a / 2^s``
-    that form times ``2^{s(n+1)}`` is an integer, taken with ``**`` and
-    shifts, and the sign of ``(a - 2^s)^{mult+1}`` is divided out of its
-    sign.  At ``x = 1`` the sign is that of ``q(1)``: ``p'(1) = (n+1)(2k -
-    n)/2`` when ``mult = 1``, and ``p''(1)/2 = -(n+1)k(k+1)/6`` when
-    ``mult = 2`` (``n = 2k``).
+    Each is a closed form in (n, k).  ``q(x) = p(x) / (x - 1)^mult``, and
+    ``(x - 1)^mult`` has the sign ``(-1)^mult`` below 1.  At 1, ``q(1) =
+    p'(1) = (n+1)(2k - n)/2`` when ``mult = 1``, and ``q(1) = p''(1)/2 =
+    -(n+1)k(k+1)/6`` when ``mult = 2`` (``n = 2k``).  At 0, ``p(0)`` is -1
+    for ``k > 0`` and n for ``k = 0``.  At -1, ``p(-1) = (n+1)(-1)^k - [n
+    even]`` has the sign ``(-1)^k``, since ``n + 1 > 1``.  The Cauchy
+    radius ``1 + max |c_i| / |c_n|`` of p is ``n + 1`` for ``k < n`` (the
+    leading coefficient is -1) and ``1 + 1/n`` for ``k = n`` (it is n), so
+    every root of q lies inside ``2n + 1``: q takes the sign of its leading
+    coefficient at ``2n + 1``, and at ``-(2n + 1)`` that sign times
+    ``(-1)^(n - mult)``, q having degree ``n - mult``.
     """
     n, k = prob.n, prob.k
-    a, d = x.as_integer_ratio()  # d = 2^s
-    if a == d:
-        return (2 * k > n) - (2 * k < n) if mult == 1 else -1
-    s = d.bit_length() - 1
-    ak = a**k
-    lifted = (
-        ((n + 1) * ak * (a - d) << s * (n - k))
-        - ak * a ** (n + 1 - k)
-        + (1 << s * (n + 1))
-    )
-    sign = (lifted > 0) - (lifted < 0)
-    return -sign if mult % 2 == 0 and a < d else sign
+    below_one = (-1) ** mult
+    lead = 1 if k == n else -1
+    big = 2.0 * n + 1.0
+    return {
+        1.0: (2 * k > n) - (2 * k < n) if mult == 1 else -1,
+        0.0: (-1 if k else 1) * below_one,
+        -1.0: (-1) ** k * below_one,
+        big: lead,
+        -big: lead * (-1) ** (n - mult),
+    }
 
 
 def _lifted_estimates(prob: CharProblem) -> np.ndarray:
@@ -387,9 +389,10 @@ def analyze_roots(prob: CharProblem) -> RootReport:
     is ``analyze_roots.__wrapped__``.
 
     The polynomial is built from (n, k) in integers and the root 1 divided
-    out exactly (``_quotient``); the exact signs of the quotient
-    (``_quotient_sign``) at the ends of every predicted real-root bracket
-    (0, +-1, +-(2n+1)) must differ.  One certified solve (``_spectrum``:
+    out exactly (``_quotient``); the exact signs of the quotient at the
+    ends of every predicted real-root bracket (0, +-1, +-(2n+1)), closed
+    forms in (n, k) (``_end_signs``), must differ, else
+    :class:`BracketFailure`.  One certified solve (``_spectrum``:
     ``_lifted_estimates``, then ``poly.certified_roots``) gives every other
     root and its radius.  Each predicted real root is the unique real
     estimate strictly inside its bracket (else :class:`BracketFailure`),
@@ -408,8 +411,9 @@ def analyze_roots(prob: CharProblem) -> RootReport:
     work = _quotient(prob, mult_one)
 
     brackets = [e.bracket for e in analysis.expected_real_roots[1:]]
+    signs = _end_signs(prob, mult_one)
     for lo, hi in brackets:
-        slo, shi = _quotient_sign(prob, mult_one, lo), _quotient_sign(prob, mult_one, hi)
+        slo, shi = signs[lo], signs[hi]
         if slo * shi >= 0:
             raise BracketFailure(
                 f"(n={n}, k={k}): no sign change on bracket "

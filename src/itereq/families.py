@@ -54,8 +54,6 @@ from .errors import (
 from .intervals import Interval, contains_with_slack, finite_real
 from .means import Generator
 
-_FAMILIES_CACHE_SIZE = _REPORT_CACHE_SIZE
-
 
 class Solution:
     """Base class: a strictly monotone function on an interval.
@@ -586,7 +584,7 @@ def enumerate_families(prob: CharProblem, domain: Interval) -> FamilyEnumeration
     The domain matters only for k = 0, where off the real line the
     identity alone is listed.  Every other enumeration depends on the
     problem alone and is kept per (n, k) in a bounded LRU memo
-    (``_problem_families``, ``_FAMILIES_CACHE_SIZE`` entries), so
+    (``_problem_families``, ``_REPORT_CACHE_SIZE`` entries), so
     equal problems get the identical frozen enumeration.  As with
     ``analyze_roots``, failures are not cached: a solver error raises on
     every call.
@@ -596,7 +594,7 @@ def enumerate_families(prob: CharProblem, domain: Interval) -> FamilyEnumeration
     return _problem_families(prob)
 
 
-@functools.lru_cache(maxsize=_FAMILIES_CACHE_SIZE)
+@functools.lru_cache(maxsize=_REPORT_CACHE_SIZE)
 def _problem_families(prob: CharProblem) -> FamilyEnumeration:
     """``enumerate_families(prob, domain)`` for every domain but that of
     k = 0 off the real line."""

@@ -54,9 +54,6 @@ from .poly import Polynomial
 from .verify import Orbit
 
 _COND_LIMIT = 1e12
-_MODES_CACHE_SIZE = _REPORT_CACHE_SIZE
-# each fitted mode set at each anchor count: a few sets per spectrum
-_FIT_CACHE_SIZE = _REPORT_CACHE_SIZE
 # each fitted mode set's anchor range and its prediction range, with room to spare
 _BASIS_CACHE_SIZE = 2 * _REPORT_CACHE_SIZE
 _DOUBLE = struct.Struct("d")
@@ -373,7 +370,7 @@ def _annihilator(reals, complexes) -> np.ndarray:
     return poly
 
 
-@functools.lru_cache(maxsize=_MODES_CACHE_SIZE)
+@functools.lru_cache(maxsize=_REPORT_CACHE_SIZE)
 def _candidates(spectrum: RootReport) -> _Candidates:
     """The candidate mode sets of ``spectrum``, one shared object per equal
     report."""
@@ -459,7 +456,7 @@ def excited_modes(
     )
 
 
-@functools.lru_cache(maxsize=_FIT_CACHE_SIZE)
+@functools.lru_cache(maxsize=_REPORT_CACHE_SIZE)
 def _fit_system(terms: tuple, anchors: int) -> tuple[np.ndarray, np.ndarray]:
     """The basis of ``terms`` at ``0..anchors-1`` and its weighted
     least-squares solution operator, both read-only, one shared pair per key.

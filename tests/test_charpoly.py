@@ -13,8 +13,8 @@ from itereq import charpoly
 from itereq.charpoly import (
     CharProblem,
     RootReport,
+    _end_signs,
     _quotient,
-    _quotient_sign,
     analyze_roots,
     build_char_poly,
     classify,
@@ -50,15 +50,28 @@ def _lifted(prob: CharProblem) -> list[int]:
     return _times_r_minus_one(_ints(build_char_poly(prob)))
 
 
-def _exact_sign(p: Polynomial, x: float) -> int:
-    """Sign of ``p(x)`` for integer coefficients, in integer arithmetic:
-    Horner's scheme on ``2^{s deg} p(a / 2^s)`` for ``x = a / 2^s``."""
-    a, d = x.as_integer_ratio()
-    acc, scale = 0, 1
+def _exact_sign(p: Polynomial, x: int) -> int:
+    """Sign of ``p(x)`` at an integer x, by Horner's scheme in integers."""
+    acc = 0
     for c in reversed(_ints(p)):
-        acc = acc * a + c * scale
-        scale *= d
+        acc = acc * x + c
     return (acc > 0) - (acc < 0)
+
+
+def _lifted_sign(prob: CharProblem, mult: int, x: int) -> int:
+    """Sign of ``q = p / (r - 1)^mult`` at the integer x: the lifted identity
+    ``(r - 1) p(r) = (n+1) r^k (r - 1) - r^{n+1} + 1`` in integers, divided
+    by the sign of ``(x - 1)^(mult+1)``; at 1, the Taylor coefficient ``q(1)
+    = p^(mult)(1) / mult! = (n+1) C(k, mult) - C(n+1, mult+1)`` (the
+    hockey-stick sum over the -1 coefficients)."""
+    n, k = prob.n, prob.k
+    if x == 1:
+        value = (n + 1) * math.comb(k, mult) - math.comb(n + 1, mult + 1)
+    else:
+        value = (n + 1) * x**k * (x - 1) - x ** (n + 1) + 1
+        if x < 1 and mult % 2 == 0:
+            value = -value
+    return (value > 0) - (value < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +132,7 @@ def test_lifted_vanishes_at_one_everywhere():
 
 def test_lifted_equals_char_times_linear():
     # (r - 1) p(r) == (n+1)(r^{k+1} - r^k) - r^{n+1} + 1 for every k,
-    # the identity the exact sign rule evaluates
+    # the identity the sign oracle evaluates
     for n in range(2, 101):
         for k in range(n + 1):
             four_terms = [0] * (n + 2)
@@ -219,9 +232,9 @@ def test_classify_layout_is_certified_by_descartes_and_exact_signs():
             positive = sum(lo >= 0.0 for lo, _ in brackets)
             assert _sign_changes(lifted) == mult_one + 1 + positive, (n, k)
             assert _sign_changes(mirrored) == len(brackets) - positive, (n, k)
+            signs = _end_signs(prob, mult_one)
             for lo, hi in brackets:
-                signs = _quotient_sign(prob, mult_one, lo), _quotient_sign(prob, mult_one, hi)
-                assert signs[0] * signs[1] < 0, (n, k, lo)
+                assert signs[lo] * signs[hi] < 0, (n, k, lo)
 
 
 def test_r_min_formula():
@@ -302,6 +315,19 @@ def test_analyze_2_0():
 def test_analyze_2_2_negative_root():
     report = analyze_roots(CharProblem(2, 2))
     assert report.real_root_in(-1.0, 0.0) == pytest.approx(-0.5, abs=1e-12)
+
+
+def test_real_root_in_needs_exactly_one_root():
+    # (3, 1) has the real roots 1 and sqrt(2) - 1
+    report = analyze_roots(CharProblem(3, 1))
+    slope = report.real_root_in(0.0, 1.0)
+    with pytest.raises(DomainError, match=r"^expected one real root in \(-1\.0, 0\.0\), found \[\]$"):
+        report.real_root_in(-1.0, 0.0)
+    with pytest.raises(
+        DomainError,
+        match=rf"^expected one real root in \(0\.0, 2\.0\), found \[1\.0, {slope!r}\]$",
+    ):
+        report.real_root_in(0.0, 2.0)
 
 
 def test_analyze_double_root_cases():
@@ -508,6 +534,29 @@ def test_bracket_needs_exactly_one_real_estimate(monkeypatch, edit, count):
         analyze_roots(CharProblem(3, 1))
 
 
+def test_bracket_without_a_sign_change_is_refused(monkeypatch, capsys):
+    # a layout that puts a root in (-1, 0) at odd k, where q is positive at
+    # both ends: the sign gate refuses it before any solve
+    table = charpoly.classify
+
+    def with_negative_root(prob):
+        analysis = table(prob)
+        extra = charpoly.ExpectedRoot((-1.0, 0.0), 1)
+        return dataclasses.replace(
+            analysis, expected_real_roots=(*analysis.expected_real_roots, extra)
+        )
+
+    monkeypatch.setattr(charpoly, "classify", with_negative_root)
+    monkeypatch.setattr(charpoly, "_spectrum", lambda *args: pytest.fail("solved"))
+    with pytest.raises(BracketFailure) as info:
+        analyze_roots(CharProblem(3, 1))
+    assert str(info.value) == (
+        "(n=3, k=1): no sign change on bracket (-1.0, 0.0); exact signs +1, +1"
+    )
+    assert main(["analyze", "--n", "3", "--k", "1"]) == 1
+    assert capsys.readouterr().err == f"check failed: {info.value}\n"
+
+
 def test_real_estimate_outside_every_bracket_is_flagged(monkeypatch):
     _patched_estimates(monkeypatch, lambda roots: roots + [ComplexRoot(-0.5, 0.0)])
     report = analyze_roots(CharProblem(3, 1))
@@ -580,7 +629,7 @@ def test_bracket_end_signs_are_exact_past_the_float_range(monkeypatch, n):
     end = -(2 * n + 1)
     # p(r) = n - r - ... - r^n, and q = p / (r - 1) with end - 1 < 0
     p_end = n - sum(end**i for i in range(1, n + 1))
-    assert _quotient_sign(prob, 1, float(end)) == (-1 if p_end > 0 else 1)
+    assert _end_signs(prob, 1)[float(end)] == (-1 if p_end > 0 else 1)
     assert abs(end) ** n > sys.float_info.max  # why the sign is taken exactly
 
     non_finite = []
@@ -603,43 +652,54 @@ def test_bracket_end_signs_are_exact_past_the_float_range(monkeypatch, n):
     assert ok, problems
 
 
-def _window_ends(report, width=1e-10):
-    """Points ``width`` either side of each real root, inside its bracket."""
-    for rec in report.real_roots[1:]:
-        lo, hi = rec.bracket
-        yield max(lo, rec.value - width)
-        yield min(hi, rec.value + width)
-
-
 def test_sign_rule_is_the_exact_sign_of_the_quotient():
-    # oracle: Horner's scheme in integers on the integer quotient itself
+    # oracle: Horner's scheme in integers on the integer quotient itself,
+    # at the five bracket ends
     for n in range(2, 101):
         for k in range(n + 1):
             prob = CharProblem(n, k)
             mult = classify(prob).expected_real_roots[0].multiplicity
             work = _quotient(prob, mult)
-            big = 2.0 * n + 1.0
-            points = [0.0, 1.0, -1.0, big, -big]
-            points += _window_ends(analyze_roots.__wrapped__(prob))
-            for x in points:
-                assert _quotient_sign(prob, mult, x) == _exact_sign(work, x), (n, k, x)
+            signs = _end_signs(prob, mult)
+            ends = (0, 1, -1, 2 * n + 1, -(2 * n + 1))
+            assert sorted(signs) == sorted(map(float, ends))
+            for x in ends:
+                assert signs[float(x)] == _exact_sign(work, x), (n, k, x)
 
 
 @pytest.mark.parametrize("n", [150, 200, 400])
 def test_sign_rule_past_the_float_range(n):
-    # |x|^n, and so a float p(x), overflows at +-(2n+1) and near n
-    assert n * math.log2(n - 0.25) > sys.float_info.max_exp
+    # |x|^n, and so a float p(x), overflows at +-(2n+1)
+    big = 2 * n + 1
+    assert n * math.log2(big) > sys.float_info.max_exp
     for k in (0, 1, n // 2, n - 1, n):
         prob = CharProblem(n, k)
         mult = classify(prob).expected_real_roots[0].multiplicity
         work = _quotient(prob, mult)
-        points = [-(2.0 * n + 1.0), -12.5, 12.5, n - 0.25, 2.0 * n + 1.0, 1.0 + 2.0**-40]
-        if k == n - 1:  # and the window around its real root near n
-            report = analyze_roots(prob)
-            assert report_matches_expectation(report)[0]
-            points += _window_ends(report)
-        for x in points:
-            assert _quotient_sign(prob, mult, x) == _exact_sign(work, x), (k, x)
+        signs = _end_signs(prob, mult)
+        for x in (-big, 1, big):
+            assert signs[float(x)] == _exact_sign(work, x), (k, x)
+
+
+def _check_end_signs(n, ks):
+    for k in ks:
+        prob = CharProblem(n, k)
+        mult = classify(prob).expected_real_roots[0].multiplicity
+        signs = _end_signs(prob, mult)
+        for x in (0, 1, -1, 2 * n + 1, -(2 * n + 1)):
+            assert signs[float(x)] == _lifted_sign(prob, mult, x), (n, k, x)
+
+
+def test_end_signs_are_the_lifted_identity_up_to_n_400():
+    # every (n, k) with n <= 400: 402,990 signs
+    for n in range(2, 401):
+        _check_end_signs(n, range(n + 1))
+
+
+@pytest.mark.parametrize("n", [1000, 17000, 20000])
+def test_end_signs_are_the_lifted_identity_at_large_n(n):
+    ks = {0, 1, 2, 3, n // 3, n // 2 - 1, n // 2, (n + 1) // 2, n - 3, n - 2, n - 1, n}
+    _check_end_signs(n, sorted(ks))
 
 
 def test_integer_quotient_is_the_float_deflation_bit_for_bit():
@@ -776,11 +836,12 @@ def test_disks_hold_from_n_2000(n, k):
 @pytest.mark.xfail(
     strict=True,
     raises=NonConvergence,
-    reason="ROADMAP item 12: at n = 2k from 5000, and at k = 1 and k = n - 1 from "
-    "18000, the Horner rounding bound of the quotient alone widens the disks nearest "
-    "-1 until two meet (the real root and a pair, or a pair and its mirror)",
+    reason="ROADMAP item 12: at n = 2k from 5000, at k = 1 and k = n - 1 from 18000, "
+    "and at k = 0 and k = n from 20000, the Horner rounding bound of the quotient alone "
+    "widens the disks nearest -1 until two meet (the real root and a pair, or a pair "
+    "and its mirror)",
 )
-@pytest.mark.parametrize("n, k", [(5000, 2500), (18000, 1)])
+@pytest.mark.parametrize("n, k", [(5000, 2500), (18000, 1), (20000, 0)])
 def test_disks_hold_at_large_n(n, k):
     ok, problems = report_matches_expectation(analyze_roots.__wrapped__(CharProblem(n, k)))
     assert ok, problems

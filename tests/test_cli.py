@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -852,6 +853,34 @@ def test_fit_recurrence_affine_13_12_orbit_exit_0(tmp_path, capsys):
     payload = json.loads(out)
     assert [m["lambda"] for m in payload["modes"]["chosen"]] == [1.0, affine.slope]
     assert payload["held_out_max_relative_error"] <= 1e-6
+
+
+def test_fit_recurrence_prints_a_conjugate_pair(tmp_path, capsys):
+    # x_j = Re z^j for the root z above the axis of (4, 1) excites only its
+    # conjugate pair, printed as one cos/sin line
+    from itereq.charpoly import CharProblem, analyze_roots
+
+    pair = analyze_roots(CharProblem(4, 1)).complex_roots
+    z = next(c.as_complex() for c in pair if c.im > 0)
+    values = [(z**m).real for m in range(12)]
+    code, out, err = run_cli(
+        capsys, "fit-recurrence", "--n", "4", "--k", "1",
+        "--orbit", _write_orbit_csv(tmp_path, values),
+    )
+    assert (code, err) == (0, "")
+    term, held_out = out.splitlines()
+    number = r"(\S+)"
+    match = re.fullmatch(
+        rf"  \[\({number}\)\*cos\({number}\*j\) \+ \({number}\)\*sin\({number}\*j\)\] "
+        rf"\* \({number}\)\^j",
+        term,
+    )
+    assert match, term
+    cos_w, arg, sin_w, arg_again, modulus = map(float, match.groups())
+    assert arg == arg_again == pytest.approx(math.atan2(z.imag, z.real), abs=1e-12)
+    assert modulus == pytest.approx(abs(z), rel=1e-12)
+    assert (cos_w, sin_w) == (pytest.approx(1.0, abs=1e-10), pytest.approx(0.0, abs=1e-10))
+    assert held_out.startswith("held-out max relative error: ")
 
 
 def test_fit_recurrence_json_names_a_broken_recurrence(tmp_path, capsys):

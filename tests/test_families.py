@@ -175,6 +175,8 @@ def test_three_piece_parameter_validation():
         ThreePiece(REAL_LINE, 0.0, 1.0, -0.5)  # negative slope
     with pytest.raises(ConstructionError):
         ThreePiece(Interval(0.0, 1.0, True, True), -0.5, 0.5, 0.5)  # a outside
+    with pytest.raises(ConstructionError, match="^three-piece anchors must be finite$"):
+        ThreePiece(REAL_LINE, math.inf, 1.0, 0.5)
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
