@@ -12,16 +12,8 @@ computes the whole spectrum in one solve and finds every predicted real
 root in its bracket there.  Its report reads the modulus bound
 ``|z| < 2n+1`` and the real/non-real modulus separation off those roots.
 
-The memos of the package, all sized from ``_REPORT_CACHE_SIZE`` (256)
-and none keeping a failure: ``analyze_roots``, ``build_char_poly`` and
-``classify`` keep one report, polynomial and case analysis per
-``CharProblem``,
-``families.enumerate_families`` one enumeration per problem,
-``recurrence._candidates`` one set of candidate mode sets per spectrum
-and ``recurrence._fit_system`` one least-squares operator per fitted mode
-set and anchor count, 256 each, and ``recurrence._cached_basis`` one
-closed-form basis per set of terms and index range, 512.  A
-``RootReport`` keeps its own hash once taken.
+The README's Memos table lists the package's memos, with each one's key,
+bound and the reason it stays.
 """
 
 from __future__ import annotations
@@ -228,7 +220,6 @@ _CASE_LABELS = {
 }
 
 
-@functools.lru_cache(maxsize=_REPORT_CACHE_SIZE)
 def classify(prob: CharProblem) -> CaseAnalysis:
     """Assign the parity case label and its expected real-root brackets.
 

@@ -364,7 +364,8 @@ def _read_orbit_csv(path: str) -> Orbit:
 def _cmd_fit(args) -> int:
     prob = CharProblem(args.n, args.k)
     orb = _read_orbit_csv(args.orbit)
-    # n rows fix the n weights exactly, so only rows past n test the fit
+    # the first n rows are the anchors that ``excited_modes`` tests and the
+    # fit reads, so only rows past n check the fit
     rows = orb.m_hi + 1
     if rows < prob.n + 1:
         raise ItereqError(

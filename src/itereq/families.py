@@ -29,7 +29,8 @@ roots by one rule: each negative root gives an affine family and each
 positive root other than 1 a three-piece family of that slope, a double
 root 1 gives the translations, and the identity is listed when there is
 neither a translation nor a three-piece family.  For ``0 < k < n`` with k
-and n both even it reports the unsolved regime instead.
+and n both even it reports the unsolved regime instead.  It keeps one
+enumeration per problem and domain.
 """
 
 from __future__ import annotations
@@ -572,6 +573,7 @@ def _families_from_roots(roots: list[tuple[float, int]]) -> FamilyEnumeration:
     return FamilyEnumeration("ok", tuple(first + affine + three_piece))
 
 
+@functools.lru_cache(maxsize=_REPORT_CACHE_SIZE)
 def enumerate_families(prob: CharProblem, domain: Interval) -> FamilyEnumeration:
     """The complete list of solution families for (n, k) on ``domain``.
 
@@ -579,26 +581,18 @@ def enumerate_families(prob: CharProblem, domain: Interval) -> FamilyEnumeration
     ``_families_from_roots``; when ``classify`` predicts no real root but
     1, no spectrum is solved.  For ``0 < k < n`` with k and n both even
     the continuous-solution classification is unresolved and the
-    enumeration carries status ``open_problem`` (no families).
+    enumeration carries status ``open_problem`` (no families).  For k = 0
+    off the real line the identity alone is listed.
 
-    The domain matters only for k = 0, where off the real line the
-    identity alone is listed.  Every other enumeration depends on the
-    problem alone and is kept per (n, k) in a bounded LRU memo
-    (``_problem_families``, ``_REPORT_CACHE_SIZE`` entries), so
-    equal problems get the identical frozen enumeration.  As with
+    Enumerations are kept per ``(prob, domain)`` in a bounded LRU memo
+    (``_REPORT_CACHE_SIZE`` entries; ``CharProblem`` and ``Interval`` are
+    frozen), so equal pairs get the identical frozen enumeration.  As with
     ``analyze_roots``, failures are not cached: a solver error raises on
     every call.
     """
-    if prob.k == 0 and not domain.is_real_line:
-        return FamilyEnumeration("ok", (_IDENTITY,))
-    return _problem_families(prob)
-
-
-@functools.lru_cache(maxsize=_REPORT_CACHE_SIZE)
-def _problem_families(prob: CharProblem) -> FamilyEnumeration:
-    """``enumerate_families(prob, domain)`` for every domain but that of
-    k = 0 off the real line."""
     n, k = prob.n, prob.k
+    if k == 0 and not domain.is_real_line:
+        return FamilyEnumeration("ok", (_IDENTITY,))
     if 0 < k < n and prob.both_even:
         return FamilyEnumeration(OPEN_PROBLEM, ())
     expected = classify(prob).expected_real_roots

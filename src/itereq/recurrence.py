@@ -526,30 +526,20 @@ def fit_closed_form(
 
 
 def _assemble(reals, complexes, weights: list[float]) -> ClosedForm:
-    """The closed form with ``weights`` on the spectrum terms.
-
-    Its term records are built without the frozen dataclasses' ``__init__``
-    (about a microsecond per term), as ``poly._root_records`` builds roots;
-    each equals the record the constructor gives.
-    """
+    """The closed form with ``weights`` on the spectrum terms."""
     real_terms = []
     pos = 0
     for lam, mult in reals:
-        term = object.__new__(RealTerm)
-        term.__dict__.update(lam=lam, coeffs=tuple(weights[pos : pos + mult]))
-        real_terms.append(term)
+        real_terms.append(RealTerm(lam, tuple(weights[pos : pos + mult])))
         pos += mult
     complex_terms = []
     for mod, phi, mult in complexes:
         end = pos + 2 * mult
-        term = object.__new__(ComplexTerm)
-        term.__dict__.update(
-            modulus=mod,
-            argument=phi,
-            cos_poly=tuple(weights[pos:end:2]),
-            sin_poly=tuple(weights[pos + 1 : end : 2]),
+        complex_terms.append(
+            ComplexTerm(
+                mod, phi, tuple(weights[pos:end:2]), tuple(weights[pos + 1 : end : 2])
+            )
         )
-        complex_terms.append(term)
         pos = end
     return ClosedForm(tuple(real_terms), tuple(complex_terms))
 

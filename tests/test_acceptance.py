@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from itereq.charpoly import CharProblem, analyze_roots, classify
+from itereq.errors import ConstructionError
 from itereq.families import Affine, Identity, ThreePiece, conjugate, enumerate_families
 from itereq.intervals import REAL_LINE, Interval
 from itereq.means import Generator
@@ -127,6 +128,23 @@ def test_involution_control_fails_on_escaped_points(monkeypatch):
         passed, details = criterion_6_involution()
     assert not passed
     assert "1/x passes" not in details and " 0 escaped" not in details
+
+
+def test_a_criterion_that_raises_fails_with_the_error(monkeypatch, capsys):
+    from itereq import selftest
+
+    def refuse():
+        raise ConstructionError("injected refusal")
+
+    monkeypatch.setattr(selftest, "_reciprocal", refuse)
+    monkeypatch.setattr(selftest, "CRITERIA", (CRITERIA[5],))
+    results = selftest.run_all()
+    assert [(r.number, r.passed, r.details) for r in results] == [
+        (6, False, "raised: injected refusal")
+    ]
+    assert capsys.readouterr().out == (
+        "[FAIL] criterion 6: involution -- raised: injected refusal\n"
+    )
 
 
 def test_negative_control_wrong_slope_residual_is_loud():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -59,6 +60,19 @@ def test_analyze_past_the_paper_range(capsys):
     assert "expectations matched: True" in out
 
 
+def test_analyze_text_prints_each_mismatch_and_exits_1(monkeypatch, capsys):
+    from itereq import cli
+
+    monkeypatch.setattr(
+        cli, "report_matches_expectation", lambda report: (False, ["first", "second"])
+    )
+    code, out, _ = run_cli(capsys, "analyze", "--n", "3", "--k", "1")
+    assert code == 1
+    assert out.endswith(
+        "  expectations matched: False\n  mismatch: first\n  mismatch: second\n"
+    )
+
+
 def test_analyze_json_is_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "analyze", "--n", "5", "--k", "2", "--json")
     _, out2, _ = run_cli(capsys, "analyze", "--n", "5", "--k", "2", "--json")
@@ -113,6 +127,15 @@ def test_solve_open_problem_exit_3(capsys):
     )
     assert code == 3
     assert json.loads(out) == {"status": "open_problem"}
+
+
+def test_solve_open_problem_text_exit_3(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--n", "4", "--k", "2")
+    assert code == 3
+    assert out == (
+        "(n=4, k=2): both k and n even; the continuous-solution "
+        "classification is unsolved\n"
+    )
 
 
 def test_solve_two_families_for_odd_odd(capsys):
@@ -548,6 +571,18 @@ def test_fit_recurrence_non_finite_value_exit_2(tmp_path, capsys, bad):
     assert "row index 4" in err and "not finite" in err
 
 
+def test_fit_recurrence_skips_blank_lines(tmp_path, capsys):
+    values = [(-2.0) ** m for m in range(12)]
+    args = ("fit-recurrence", "--n", "2", "--k", "0", "--json", "--orbit")
+    _, plain, _ = run_cli(capsys, *args, _write_orbit_csv(tmp_path, values))
+    path = tmp_path / "blank.csv"
+    rows = "".join(f"{m},{v!r}\n\n" for m, v in enumerate(values))
+    path.write_text("\n  \nm,x_m\n\n" + rows + "\n")
+    code, out, _ = run_cli(capsys, *args, str(path))
+    assert code == 0
+    assert out == plain
+
+
 def test_fit_recurrence_unparsable_row_exit_2(tmp_path, capsys):
     path = tmp_path / "orbit.csv"
     path.write_text("m,x_m\n0,1\n1,2\n2,4\n3,8\n4,abc\n")
@@ -702,6 +737,25 @@ def test_selftest_runs_clean(capsys):
     lines = [line for line in out.splitlines() if line.startswith("[")]
     assert len(lines) == 10
     assert all(line.startswith("[PASS]") for line in lines)
+
+
+def test_selftest_prints_a_failing_criterion_and_exits_1(monkeypatch, capsys):
+    from itereq import selftest
+
+    real = selftest.verify_mean
+
+    def failing(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), passed=False, max_residual=1.0)
+
+    monkeypatch.setattr(selftest, "verify_mean", failing)
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    lines = [line for line in out.splitlines() if line.startswith("[")]
+    assert len(lines) == 10
+    assert [line for line in lines if not line.startswith("[PASS]")] == [
+        "[FAIL] criterion 4: family verification -- failures: "
+        "[('identity(2,0)', 1.0), ('identity(2,1)', 1.0), ('identity(2,2)', 1.0)]"
+    ]
 
 
 # ---------------------------------------------------------------------------

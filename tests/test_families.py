@@ -710,9 +710,25 @@ def test_enumeration_analyzes_roots_once(monkeypatch):
     out = enumerate_families(CharProblem(3, 1), REAL_LINE)
     assert [d.family for d in out.families] == ["affine", "three_piece"]
     assert len(calls) == 1
-    # kept per problem: an equal problem gets the same enumeration
+    # kept per problem and domain: an equal pair gets the same enumeration
     assert enumerate_families(CharProblem(3, 1), REAL_LINE) is out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("domain", [REAL_LINE, POS], ids=["line", "half_line"])
+def test_enumerations_are_kept_per_problem_and_domain(domain):
+    # the autouse fixture empties the memo before each test, so the second
+    # parametrization starts empty too
+    assert enumerate_families.cache_info().currsize == 0
+    equal = Interval(domain.lo, domain.hi, domain.lo_closed, domain.hi_closed)
+    for n, k in ((3, 1), (4, 0), (4, 2)):
+        out = enumerate_families(CharProblem(n, k), domain)
+        assert enumerate_families(CharProblem(n, k), equal) is out
+    assert enumerate_families.cache_info().currsize == 3
+    # k = 0 lists the identity alone off the real line, under its own key
+    kinds = [d.family for d in enumerate_families(CharProblem(4, 0), domain).families]
+    assert kinds == (["identity", "affine"] if domain.is_real_line else ["identity"])
+    assert not hasattr(classify, "cache_info")
 
 
 def test_enumeration_failures_are_not_cached(monkeypatch):
@@ -857,6 +873,21 @@ def test_involution_linear_branch_on_bounded_domain():
     xs = np.linspace(0.01, 1.99, 101)
     assert np.allclose(s._eval_array(xs), 2.0 - xs, atol=1e-12)
     assert np.allclose(s._eval_array(s._eval_array(xs)), xs, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [([0.0, 1.0], [2.0]), ([[0.0, 1.0]], [[2.0, 1.0]]), (["x", 1.0], [2.0, 1.0])],
+    ids=["lengths", "nested", "text"],
+)
+def test_involution_table_needs_two_number_lists_of_one_length(table):
+    with pytest.raises(ConstructionError, match="lists of numbers of one length"):
+        build_involution(Interval(0.0, 2.0), 1.0, f0_table=table)
+
+
+def test_involution_needs_a_branch():
+    with pytest.raises(ConstructionError, match=r"^supply f0 \(callable\) or f0_table$"):
+        build_involution(Interval(0.0, 2.0), 1.0)
 
 
 def test_involution_anchor_mismatch_rejected():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from itereq.errors import DomainError, ItereqError
 from itereq.families import Affine, solution_from_json
-from itereq.intervals import REAL_LINE, Interval, parse_interval
+from itereq.intervals import REAL_LINE, Interval, finite_real, parse_interval
 from itereq.means import Generator, qa_mean
 from itereq.verify import iterate
 
@@ -81,6 +81,11 @@ def test_parse_interval_raises_only_itereq_errors(text):
         parse_interval(text)
     except ItereqError:
         pass
+
+
+def test_an_integer_past_the_float_range_is_refused():
+    with pytest.raises(DomainError, match="field 'c' must be a finite real number"):
+        finite_real(10**400, "c")
 
 
 def test_nan_is_in_no_interval():

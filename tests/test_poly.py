@@ -491,6 +491,11 @@ def test_root_moduli_match_scalar_hypot_bit_for_bit():
     assert ComplexRoot(3.0, -4.0).modulus == 5.0
 
 
+def test_root_multiplicity_must_be_positive():
+    with pytest.raises(ValueError, match="multiplicity must be >= 1"):
+        ComplexRoot(1.0, 0.0, 0)
+
+
 # ---------------------------------------------------------------------------
 # the rounding bounds of the disks, in exact arithmetic
 # ---------------------------------------------------------------------------
